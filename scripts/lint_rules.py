@@ -38,8 +38,7 @@ Rules
     ``FuncCondition(...)`` construction under ``src/repro`` or
     ``examples/`` must pass an explicit ``attributes=`` (second
     positional or keyword) argument: an empty declaration makes the
-    optimizer, the predicate compiler and SEC002's pruning analysis
-    reason as if the predicate read nothing.  Use
+    optimizer and SEC002's pruning analysis reason as if the predicate read nothing.  Use
     ``FuncCondition.wrap(fn)`` to declare the statically inferred
     read-set automatically.
 
@@ -255,7 +254,7 @@ def check_rl005(path: Path, tree: ast.AST) -> "list[Finding]":
             findings.append(Finding(
                 path, node.lineno, "RL005",
                 "FuncCondition built without an attributes "
-                "declaration; the optimizer and compiler reason from "
+                "declaration; the optimizer reasons from "
                 "Condition.attributes(), so an empty declaration is an "
                 "unsound input (use attributes=(...) or "
                 "FuncCondition.wrap)"))

@@ -22,9 +22,8 @@ Entry points:
 * :mod:`repro.analysis.rewrites` — the precondition prover the
   rewrite rules consult;
 * :mod:`repro.analysis.udf` / :func:`analyze_callable` — the UDF
-  effect analyzer (read-sets, purity, determinism, totality) whose
-  proofs the compiler, the rewrite rules and the sharded executor
-  consume.
+  effect analyzer (read-sets, purity, determinism) whose proofs the
+  rewrite rules and the sharded executor consume.
 """
 
 from repro.analysis.diagnostics import (CATALOG, AnalysisReport,

@@ -2,10 +2,10 @@
 
 ``FuncCondition`` is the plan algebra's trusted escape hatch: an
 arbitrary Python callable whose ``attributes`` declaration the
-optimizer, the predicate compiler and the sharded executor all rely
-on.  Nothing verified that declaration until now — a UDF that reads an
-undeclared, sp-protected attribute silently defeats SEC002/SEC004 and
-every fail-closed guard built on ``Condition.attributes()``.
+optimizer and the sharded executor both rely on.  Nothing verified
+that declaration until now — a UDF that reads an undeclared,
+sp-protected attribute silently defeats SEC002/SEC004 and every
+fail-closed guard built on ``Condition.attributes()``.
 
 This module lifts each callable at query-registration time and infers,
 through a CPython **AST + bytecode** effect analysis:
@@ -21,10 +21,7 @@ through a CPython **AST + bytecode** effect analysis:
 * **determinism** — no ``random``/``time``/``id()``/``hash()`` or
   other per-process state reachable the same way (``hash`` of a str
   is ``PYTHONHASHSEED``-dependent, so it is nondeterministic *across
-  shard worker processes*);
-* **totality** — whether evaluating the callable on an arbitrary
-  tuple can raise (only trivially guarded ``.get``-based predicates
-  prove total; a bare ``item["a"]`` may ``KeyError``).
+  shard worker processes*).
 
 Every verdict is three-valued (:class:`~repro.analysis.rewrites.Proof`)
 and **fails closed**: dynamic dispatch, computed ``getattr`` names,
@@ -45,10 +42,7 @@ Consumers:
   Security Shield or a join;
 * :func:`shard_safe` — the static shard-safety proof
   :mod:`repro.engine.sharded` uses to pin unproven closures onto the
-  coordinator instead of forking them across workers;
-* ``FuncCondition.is_pure`` / the predicate compiler
-  (:mod:`repro.operators.compiler`) — proven-pure UDFs vectorize
-  instead of falling back to row-wise opaque stages.
+  coordinator instead of forking them across workers.
 """
 
 from __future__ import annotations
@@ -130,7 +124,7 @@ class EffectReport:
     """Inferred effects of one Python callable.
 
     ``reads`` is the set of tuple attributes the callable can observe
-    (``None`` = not statically determinable — fail closed).  The three
+    (``None`` = not statically determinable — fail closed).  The two
     proofs are PROVEN only when the property holds on *every* path the
     bounded analysis could check.
     """
@@ -138,13 +132,12 @@ class EffectReport:
     reads: "frozenset[str] | None"
     purity: Proof
     determinism: Proof
-    totality: Proof
     #: Human-readable notes on every downgrade from PROVEN.
     reasons: tuple[str, ...] = ()
 
     @property
     def proven_pure(self) -> bool:
-        """Pure *and* deterministic — the vectorization/shard bar."""
+        """Pure *and* deterministic — the rewrite/shard bar."""
         return (self.purity is Proof.PROVEN
                 and self.determinism is Proof.PROVEN)
 
@@ -185,35 +178,29 @@ def _analyze(fn: Callable[..., object], depth: int,
     code = getattr(fn, "__code__", None)
     if not isinstance(code, types.CodeType):
         return EffectReport(
-            None, Proof.UNKNOWN, Proof.UNKNOWN, Proof.UNKNOWN,
+            None, Proof.UNKNOWN, Proof.UNKNOWN,
             ("not a pure-Python function (C extension or builtin); "
              "effects are not analyzable",))
     if id(code) in seen:  # recursion: already accounted one level up
         return EffectReport(None, Proof.PROVEN, Proof.PROVEN,
-                            Proof.UNKNOWN, ("recursive call cycle",))
+                            ("recursive call cycle",))
     seen = seen | {id(code)}
 
     scan = _BytecodeScan(fn, code, depth, seen)
     scan.run()
 
     reads: "frozenset[str] | None" = None
-    totality = Proof.UNKNOWN
     tree = _source_tree(fn, code)
     if tree is not None:
         ast_result = _AstReads(tree, _param_name(code)).run()
         reads = ast_result.reads
-        totality = ast_result.totality
         scan.reasons.extend(ast_result.reasons)
     else:
         reads = _bytecode_reads(code)
         if reads is None:
             scan.reasons.append(
                 "read-set not recoverable from source or bytecode")
-    if scan.purity is not Proof.PROVEN:
-        # An impure callable's exception behaviour is as opaque as the
-        # effect that made it impure.
-        totality = _meet(totality, Proof.UNKNOWN)
-    return EffectReport(reads, scan.purity, scan.determinism, totality,
+    return EffectReport(reads, scan.purity, scan.determinism,
                         tuple(dict.fromkeys(scan.reasons)))
 
 
@@ -400,12 +387,11 @@ def _is_immutable_constant(value: object) -> bool:
     return False
 
 
-# -- AST pass: read-set + totality --------------------------------------------
+# -- AST pass: read-set -------------------------------------------------------
 
 @dataclass
 class _AstResult:
     reads: "frozenset[str] | None"
-    totality: Proof
     reasons: "list[str]"
 
 
@@ -459,15 +445,13 @@ class _AstReads:
 
     def run(self) -> _AstResult:
         if self.param is None:
-            return _AstResult(None, Proof.UNKNOWN,
-                              ["callable takes no tuple parameter"])
+            return _AstResult(None, ["callable takes no tuple parameter"])
         body = (self.func.body if isinstance(self.func, ast.Lambda)
                 else self.func)
         self._collect_aliases(body)
         self._walk(body, shadowed=frozenset())
         reads = None if self.unknown else frozenset(self.reads)
-        totality = self._totality(body) if not self.unknown else Proof.UNKNOWN
-        return _AstResult(reads, totality, self.reasons)
+        return _AstResult(reads, self.reasons)
 
     # aliases ---------------------------------------------------------
     def _collect_aliases(self, body: ast.AST) -> None:
@@ -613,48 +597,6 @@ class _AstReads:
     def _is_modelled(self, values_attr: ast.Attribute) -> bool:
         """Whether this ``.values`` node was consumed by a pattern."""
         return id(values_attr) in self._consumed
-
-    # totality --------------------------------------------------------
-    def _totality(self, body: ast.AST) -> Proof:
-        """PROVEN only for trivially non-raising predicate bodies."""
-        if isinstance(self.func, ast.Lambda):
-            return (Proof.PROVEN
-                    if self._total_expr(self.func.body)
-                    else Proof.UNKNOWN)
-        if isinstance(self.func, ast.FunctionDef) \
-                and len(self.func.body) == 1 \
-                and isinstance(self.func.body[0], ast.Return) \
-                and self.func.body[0].value is not None:
-            return (Proof.PROVEN
-                    if self._total_expr(self.func.body[0].value)
-                    else Proof.UNKNOWN)
-        return Proof.UNKNOWN
-
-    def _total_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Constant):
-            return True
-        if isinstance(node, ast.BoolOp):
-            return all(self._total_expr(v) for v in node.values)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            return self._total_expr(node.operand)
-        if isinstance(node, ast.Compare) and len(node.ops) == 1:
-            op = node.ops[0]
-            if isinstance(op, (ast.Is, ast.IsNot)):
-                return (self._total_expr(node.left)
-                        and self._total_expr(node.comparators[0]))
-            if isinstance(op, (ast.In, ast.NotIn)):
-                container = node.comparators[0]
-                return (self._kind_of(container) is not None
-                        or isinstance(container,
-                                      (ast.Tuple, ast.List, ast.Set)))
-        if isinstance(node, ast.Call):
-            func = node.func
-            return (isinstance(func, ast.Attribute)
-                    and func.attr == "get"
-                    and self._kind_of(func.value) is not None
-                    and all(isinstance(a, ast.Constant)
-                            for a in node.args))
-        return False
 
 
 def _assigned_names(node: ast.AST) -> "list[str]":
@@ -891,8 +833,8 @@ def udf_diagnostics(cond: "Condition", path: str, *,
                 "SEC006", Severity.ERROR, where,
                 f"UDF {udf.label!r} reads attribute(s) "
                 f"{sorted(undeclared)} not in its declared set "
-                f"{sorted(declared)}; the optimizer and compiler "
-                "reason from the declaration, so the undeclared read "
+                f"{sorted(declared)}; the optimizer reasons "
+                "from the declaration, so the undeclared read "
                 "escapes every attribute-based safety proof",
                 fixit=f"declare attributes={sorted(effects.reads or ())}"
                       " on the FuncCondition"))

@@ -1,17 +1,12 @@
 """Public execution-API types shared by the DSMS entry points.
 
-Historically :meth:`DSMS.run`, :meth:`DSMS.build_plan` and
-:meth:`DSMS.open_session` took a stringly-typed
-``optimize: bool | str`` (``False`` / ``True`` / ``"workload"``).
-:class:`OptimizeLevel` replaces that with a proper enum; the legacy
-values are still accepted everywhere but raise a
-:class:`DeprecationWarning` on the way in.
+:meth:`DSMS.run`, :meth:`DSMS.build_plan` and :meth:`DSMS.open_session`
+take ``optimize`` as an :class:`OptimizeLevel` member.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 
 from repro.errors import QueryError
 
@@ -30,32 +25,11 @@ class OptimizeLevel(enum.Enum):
     WORKLOAD = "workload"
 
     @classmethod
-    def coerce(cls, value: "OptimizeLevel | bool | str | None"
-               ) -> "OptimizeLevel":
-        """Normalize an ``optimize=`` argument to an enum member.
-
-        ``None`` and enum members pass through; the legacy ``False`` /
-        ``True`` / ``"workload"`` spellings are translated with a
-        :class:`DeprecationWarning`.
-        """
+    def coerce(cls, value: "OptimizeLevel | None") -> "OptimizeLevel":
+        """Validate an ``optimize=`` argument; ``None`` means ``NONE``."""
         if value is None:
             return cls.NONE
         if isinstance(value, cls):
             return value
-        if isinstance(value, bool):
-            level = cls.PER_QUERY if value else cls.NONE
-        elif isinstance(value, str):
-            try:
-                level = cls(value.lower())
-            except ValueError:
-                raise QueryError(
-                    f"unknown optimize level: {value!r} (expected one "
-                    f"of {[m.value for m in cls]})") from None
-        else:
-            raise QueryError(
-                f"optimize must be an OptimizeLevel, got {value!r}")
-        warnings.warn(
-            f"optimize={value!r} is deprecated; use "
-            f"OptimizeLevel.{level.name}",
-            DeprecationWarning, stacklevel=3)
-        return level
+        raise QueryError(
+            f"optimize must be an OptimizeLevel, got {value!r}")

@@ -289,7 +289,7 @@ class DSMS:
         return exprs
 
     def build_plan(self, *,
-                   optimize: "OptimizeLevel | bool | str" = OptimizeLevel.NONE
+                   optimize: OptimizeLevel = OptimizeLevel.NONE
                    ) -> tuple[PhysicalPlan, dict[str, CollectingSink]]:
         """Compile all registered queries into one shared physical plan.
 
@@ -297,9 +297,8 @@ class DSMS:
         ``NONE`` (compile as registered), ``PER_QUERY`` (optimize each
         query in isolation) or ``WORKLOAD`` (Section VI.C multi-query
         optimization: choose per-query plans that minimize the cost of
-        the workload with shared subplans counted once).  The legacy
-        ``False`` / ``True`` / ``"workload"`` values are accepted with
-        a :class:`DeprecationWarning`.
+        the workload with shared subplans counted once); anything else
+        raises :class:`~repro.errors.QueryError`.
         """
         level = OptimizeLevel.coerce(optimize)
         if not self.queries:
@@ -395,8 +394,7 @@ class DSMS:
         return sources
 
     def open_session(self, *,
-                     optimize: "OptimizeLevel | bool | str" =
-                     OptimizeLevel.NONE,
+                     optimize: OptimizeLevel = OptimizeLevel.NONE,
                      analyze_sps: bool = True):
         """Open a live :class:`~repro.engine.session.StreamingSession`.
 
@@ -411,16 +409,14 @@ class DSMS:
                                 analyze_sps=analyze_sps)
 
     def run(self, *,
-            optimize: "OptimizeLevel | bool | str" = OptimizeLevel.NONE,
+            optimize: OptimizeLevel = OptimizeLevel.NONE,
             analyze_sps: bool = True,
             batching: bool = True,
-            columnar: bool = True,
             shards: int | None = None) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.
 
         ``optimize`` as in :meth:`build_plan` (an
-        :class:`~repro.engine.api.OptimizeLevel`; legacy bool/str
-        values accepted with a :class:`DeprecationWarning`).
+        :class:`~repro.engine.api.OptimizeLevel`).
 
         ``shards`` selects the partitioned multi-process executor
         (:mod:`repro.engine.sharded`): input streams are cut on
@@ -440,12 +436,6 @@ class DSMS:
         both modes; ``batching=False`` keeps the element-wise
         reference path (and is what the equivalence tests compare
         against).
-
-        ``columnar`` (effective only with batching) additionally fuses
-        eligible shield/select/project chains into single columnar
-        passes over :class:`~repro.stream.columnar.ColumnBatch`
-        layouts; results, counters and audit streams again stay
-        identical, per the differential oracle.
         """
         if shards is not None:
             from repro.engine.sharded import run_sharded
@@ -453,7 +443,7 @@ class DSMS:
             return run_sharded(self, n_shards=shards,
                                optimize=optimize,
                                analyze_sps=analyze_sps,
-                               batching=batching, columnar=columnar)
+                               batching=batching)
         plan, sinks = self.build_plan(optimize=optimize)
         sources = (self._analyzed_sources() if analyze_sps
                    else self.catalog.sources())
@@ -473,7 +463,6 @@ class DSMS:
         executor = Executor(plan, sources,
                             tracer=self.observability.tracer,
                             batching=batching,
-                            columnar=columnar,
                             prebatched=prebatched,
                             instruments=self.observability.instruments)
         self.last_report = executor.run()

@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.engine import fusion as _fusion
-from repro.engine.fusion import build_fused_chains
 from repro.engine.plan import PhysicalPlan, PlanNode
 from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
@@ -114,8 +112,8 @@ class Executor:
 
     def __init__(self, plan: PhysicalPlan, sources: Iterable[StreamSource],
                  *, tracer: TraceSink | None = None,
-                 batching: bool = True, columnar: bool = True,
-                 prebatched: bool = False, instruments=None):
+                 batching: bool = True, prebatched: bool = False,
+                 instruments=None):
         self.plan = plan
         self.sources = list(sources)
         self.tracer = tracer if tracer is not None else NullTraceSink()
@@ -125,23 +123,12 @@ class Executor:
             self.tracer if isinstance(self.tracer, Tracer) else None)
         #: Segment-batched execution (see module docstring).
         self.batching = batching
-        #: Columnar tier: fused shield/select/project chains executed
-        #: over ColumnBatch layouts (effective only with batching).
-        self.columnar = columnar
         #: Sources already yield coalesced runs (TupleBatch envelopes)
         #: — skip the executor's own coalescing layer.
         self.prebatched = prebatched
         #: Engine metric instruments (``None`` = metrics off; the run
         #: loop then pays one ``is None`` check per element).
         self.instruments = instruments
-        #: Fused columnar chains, keyed by head node id (empty when the
-        #: columnar tier is off or no chain qualifies).
-        self._fused = (build_fused_chains(plan)
-                       if batching and columnar else {})
-        #: Snapshot of the fusion row threshold (read from the module
-        #: at construction so verification harnesses can lower it to
-        #: force the kernels onto short segments).
-        self._min_fused_rows = _fusion.MIN_FUSED_ROWS
         # With a live audit log, a TupleBatch delivered to a fan-out
         # (several downstream consumers) must be split back into tuples
         # so audit events interleave across branches exactly as in
@@ -178,7 +165,6 @@ class Executor:
         instruments = self.instruments
         audit_live = self._audit_live
         causal = self._causal
-        push_traced = self._push_traced
         get_targets = entries.get
         sp_type = SecurityPunctuation
         # Report counters accumulate in locals — one attribute store
@@ -212,19 +198,14 @@ class Executor:
                                  ts=element.ts)
             targets = get_targets(stream_id)
             if targets:
-                deliver = (push_traced
-                           if causal is not None and causal.active
-                           else push)
                 if (len(targets) > 1 and audit_live
                         and type(element) is TupleBatch):
                     # Multi-entry fan-out under audit: deliver per
                     # tuple so branches interleave as element-wise.
                     for item in element.tuples:
-                        for node, port in targets:
-                            deliver(node, item, port)
+                        push(targets, item)
                 else:
-                    for node, port in targets:
-                        deliver(node, element, port)
+                    push(targets, element)
         report.elements_in = elements_in
         report.tuples_in = tuples_in
         report.sps_in = sps_in
@@ -251,51 +232,60 @@ class Executor:
 
     def feed(self, stream_id: str, element: StreamElement) -> None:
         """Push one element into the plan (incremental driving)."""
-        causal = self._causal
-        push = (self._push_traced
-                if causal is not None and causal.active else self._push)
-        for node, port in self.plan.entries.get(stream_id, ()):
-            push(node, element, port)
+        self._push(self.plan.entries.get(stream_id, ()), element)
 
-    def _push(self, node: PlanNode, element, port: int) -> None:
-        """Deliver ``element`` (or a TupleBatch) depth-first from ``node``.
+    def _push(self, targets: "Sequence[tuple[PlanNode, int]]",
+              element) -> None:
+        """Deliver ``element`` (or a TupleBatch) depth-first to each
+        ``(node, port)`` of ``targets`` in turn.
 
         Iterative equivalent of the recursive push: the work stack is
         LIFO, so pending work is pushed in reverse to process outputs
         (and fan-out edges) in plan order — the exact delivery order of
         the recursive formulation, without per-element Python frames.
+
+        While the current trace is head-sampled, every operator
+        invocation is timed on the monotonic clock and emitted as a
+        child span of the element's root span (chains of operators nest
+        via the parent span id each stack entry carries), and
+        per-operator latency histograms get exemplars pointing at the
+        live trace — extra cost bounded by the sampling rate.
         """
-        stack: list[tuple[PlanNode, object, int]] = [(node, element, port)]
+        causal = self._causal
+        tracer = causal if causal is not None and causal.active else None
+        parent = tracer._root_id if tracer is not None else 0
+        stack: list[tuple[PlanNode, object, int, int]] = []
         append = stack.append
         pop = stack.pop
+        for node, port in reversed(targets):
+            append((node, element, port, parent))
         audit_live = self._audit_live
-        fused = self._fused
-        min_fused_rows = self._min_fused_rows
         while stack:
-            node, element, port = pop()
-            if type(element) is TupleBatch:
-                chain = (fused.get(node.node_id)
-                         if fused and len(element.tuples) >= min_fused_rows
-                         else None)
-                if chain is not None:
-                    # Columnar tier: the whole fused chain runs as one
-                    # pass; outputs continue downstream of its tail.
-                    outputs = chain.run(element)
-                    node = chain.tail
-                else:
-                    operator = node.operator
-                    if not operator.accepts_batches():
-                        # Audit-order-sensitive operator with a live
-                        # audit log: unbatch here so each tuple's
-                        # downstream effects complete before the next
-                        # tuple's audit events — byte-identical audit
-                        # streams.
-                        for item in reversed(element.tuples):
-                            append((node, item, port))
-                        continue
-                    outputs = operator.process_batch(element, port)
+            node, element, port, parent = pop()
+            operator = node.operator
+            batch = type(element) is TupleBatch
+            if batch and not operator.accepts_batches():
+                # Audit-order-sensitive operator with a live audit log:
+                # unbatch here so each tuple's downstream effects
+                # complete before the next tuple's audit events —
+                # byte-identical audit streams.
+                for item in reversed(element.tuples):
+                    append((node, item, port, parent))
+                continue
+            if tracer is None:
+                outputs = (operator.process_batch(element, port) if batch
+                           else operator.process(element, port))
             else:
-                outputs = node.operator.process(element, port)
+                rows = len(element.tuples) if batch else 1
+                begun = time.perf_counter_ns()
+                outputs = (operator.process_batch(element, port) if batch
+                           else operator.process(element, port))
+                dur_ns = time.perf_counter_ns() - begun
+                parent = tracer.op_span("op.process", parent, dur_ns,
+                                        operator=operator.name, rows=rows)
+                if operator._m_latency is not None:
+                    operator._m_latency.exemplar(dur_ns / rows * 1e-9,
+                                                 tracer.trace_id)
             if not outputs:
                 continue
             downstream = node.downstream
@@ -309,85 +299,10 @@ class Executor:
                     # tuple — the element-wise audit interleaving.
                     for item in reversed(out.tuples):
                         for child, child_port in reversed(downstream):
-                            append((child, item, child_port))
+                            append((child, item, child_port, parent))
                 else:
                     for child, child_port in reversed(downstream):
-                        append((child, out, child_port))
-
-    def _push_traced(self, node: PlanNode, element, port: int) -> None:
-        """Traced variant of :meth:`_push` for sampled traces.
-
-        Identical delivery discipline, but every operator invocation
-        is timed on the monotonic clock and emitted as a child span of
-        the element's root span (chains of operators nest via the work
-        stack's carried parent span id), and per-operator latency
-        histograms get exemplars pointing at the live trace.  Only
-        runs while the current trace is head-sampled, so its extra
-        cost is bounded by the sampling rate.
-        """
-        tracer = self._causal
-        assert tracer is not None
-        stack: list[tuple[PlanNode, object, int, int]] = [
-            (node, element, port, tracer._root_id)]
-        append = stack.append
-        pop = stack.pop
-        audit_live = self._audit_live
-        fused = self._fused
-        min_fused_rows = self._min_fused_rows
-        clock = time.perf_counter_ns
-        while stack:
-            node, element, port, parent = pop()
-            if type(element) is TupleBatch:
-                rows = len(element.tuples)
-                chain = (fused.get(node.node_id)
-                         if fused and rows >= min_fused_rows else None)
-                if chain is not None:
-                    begun = clock()
-                    outputs = chain.run(element)
-                    span = tracer.op_span(
-                        "op.fused", parent, clock() - begun,
-                        operators=[op.name for op in chain.operators],
-                        rows=rows)
-                    node = chain.tail
-                else:
-                    operator = node.operator
-                    if not operator.accepts_batches():
-                        for item in reversed(element.tuples):
-                            append((node, item, port, parent))
-                        continue
-                    begun = clock()
-                    outputs = operator.process_batch(element, port)
-                    dur_ns = clock() - begun
-                    span = tracer.op_span("op.process", parent, dur_ns,
-                                          operator=operator.name,
-                                          rows=rows)
-                    if operator._m_latency is not None:
-                        operator._m_latency.exemplar(
-                            dur_ns / rows * 1e-9, tracer.trace_id)
-            else:
-                operator = node.operator
-                begun = clock()
-                outputs = operator.process(element, port)
-                dur_ns = clock() - begun
-                span = tracer.op_span("op.process", parent, dur_ns,
-                                      operator=operator.name, rows=1)
-                if operator._m_latency is not None:
-                    operator._m_latency.exemplar(dur_ns * 1e-9,
-                                                 tracer.trace_id)
-            if not outputs:
-                continue
-            downstream = node.downstream
-            if not downstream:
-                continue
-            fanout = len(downstream) > 1
-            for out in reversed(outputs):
-                if fanout and audit_live and type(out) is TupleBatch:
-                    for item in reversed(out.tuples):
-                        for child, child_port in reversed(downstream):
-                            append((child, item, child_port, span))
-                else:
-                    for child, child_port in reversed(downstream):
-                        append((child, out, child_port, span))
+                        append((child, out, child_port, parent))
 
     def _flush(self) -> None:
         """End-of-stream: flush operators in topological order."""
@@ -395,5 +310,4 @@ class Executor:
             self.tracer.span("executor.flush")
         for node in self.plan.topological():
             for out in node.operator.flush():
-                for child, child_port in node.downstream:
-                    self._push(child, out, child_port)
+                self._push(node.downstream, out)

@@ -43,8 +43,7 @@ class StreamingSession:
     """
 
     def __init__(self, dsms, *,
-                 optimize: "OptimizeLevel | bool | str" =
-                 OptimizeLevel.NONE,
+                 optimize: OptimizeLevel = OptimizeLevel.NONE,
                  analyze_sps: bool = True):
         self._dsms = dsms
         self._plan, self._sinks = dsms.build_plan(optimize=optimize)

@@ -79,10 +79,10 @@ class UdfDeclarationWarning(UserWarning):
     Emitted at construction time when the ``attributes`` declaration is
     empty (or provably incomplete) for a non-trivial callable: every
     layer that reasons from ``Condition.attributes()`` — the Table II
-    optimizer, the predicate compiler, SEC002's pruning analysis —
-    would silently treat the UDF as reading nothing.  Strict-mode
-    analysis (``register_query(analyze="strict")``) upgrades the same
-    condition to a SEC006 error.
+    optimizer, SEC002's pruning analysis — would silently treat the
+    UDF as reading nothing.  Strict-mode analysis
+    (``register_query(analyze="strict")``) upgrades the same condition
+    to a SEC006 error.
     """
 
 

@@ -48,17 +48,6 @@ class Condition:
         """Top-level AND factors (selection splitting)."""
         return [self]
 
-    def is_pure(self) -> bool:
-        """Whether evaluation is side-effect free and value-determined.
-
-        Pure conditions may be vectorized over whole columns (extra
-        evaluations are unobservable); impure ones — arbitrary
-        callables — must keep element-wise call order and counts, so
-        the predicate compiler evaluates them per surviving row only.
-        Unknown subclasses default to impure, the conservative choice.
-        """
-        return False
-
     def __and__(self, other: "Condition") -> "Condition":
         return And((self, other))
 
@@ -77,9 +66,6 @@ class TrueCondition(Condition):
 
     def attributes(self) -> frozenset[str]:
         return frozenset()
-
-    def is_pure(self) -> bool:
-        return True
 
     def __repr__(self) -> str:
         return "TRUE"
@@ -113,9 +99,6 @@ class Comparison(Condition):
             return frozenset({self.attribute, str(self.value)})
         return frozenset({self.attribute})
 
-    def is_pure(self) -> bool:
-        return True
-
     def __repr__(self) -> str:
         return f"({self.attribute} {self.op} {self.value!r})"
 
@@ -145,9 +128,6 @@ class And(Condition):
             out.extend(part.conjuncts())
         return out
 
-    def is_pure(self) -> bool:
-        return all(part.is_pure() for part in self.parts)
-
     def __repr__(self) -> str:
         return "(" + " AND ".join(map(repr, self.parts)) + ")"
 
@@ -165,9 +145,6 @@ class Or(Condition):
             out |= part.attributes()
         return out
 
-    def is_pure(self) -> bool:
-        return all(part.is_pure() for part in self.parts)
-
     def __repr__(self) -> str:
         return "(" + " OR ".join(map(repr, self.parts)) + ")"
 
@@ -182,9 +159,6 @@ class Not(Condition):
     def attributes(self) -> frozenset[str]:
         return self.inner.attributes()
 
-    def is_pure(self) -> bool:
-        return self.inner.is_pure()
-
     def __repr__(self) -> str:
         return f"(NOT {self.inner!r})"
 
@@ -196,7 +170,7 @@ class FuncCondition(Condition):
     the UDF effect analyzer (:mod:`repro.analysis.udf`) verifies the
     declaration against the callable's inferred read-set at analysis
     time (SEC006) and proves purity/determinism so proven UDFs can
-    vectorize, commute with shields, and run inside shard workers.
+    commute with shields and run inside shard workers.
 
     Constructing one with an *empty* declaration and a non-trivial
     callable emits :class:`~repro.errors.UdfDeclarationWarning`
@@ -221,8 +195,8 @@ class FuncCondition(Condition):
                         else f"attributes {sorted(effects.reads)}")
                 warnings.warn(
                     f"FuncCondition {label!r} declares no attributes "
-                    f"but its callable reads {read}; the optimizer, "
-                    "compiler and SEC002 pruning all reason from the "
+                    f"but its callable reads {read}; the optimizer "
+                    "and SEC002 pruning both reason from the "
                     "declaration — pass attributes=(...) (or use "
                     "FuncCondition.wrap) to keep them sound",
                     UdfDeclarationWarning, stacklevel=2)
@@ -259,14 +233,6 @@ class FuncCondition(Condition):
 
     def attributes(self) -> frozenset[str]:
         return self._attributes
-
-    def is_pure(self) -> bool:
-        """Pure iff the effect analyzer *proved* purity + determinism.
-
-        UNKNOWN stays impure (fail closed): the compiler then keeps
-        element-wise call order and counts exactly as today.
-        """
-        return self.effects.proven_pure
 
     def __repr__(self) -> str:
         return f"<{self.label}>"

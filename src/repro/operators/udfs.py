@@ -13,9 +13,8 @@ registry gives those a *named* escape hatch:
 Each :class:`RegisteredUdf` pairs a callable with its declared
 attribute read-set; :func:`named_udf` materializes it as a
 :class:`~repro.operators.conditions.FuncCondition` so the full effect
-analysis (SEC006-SEC008), the predicate compiler and the shard-safety
-proof all apply unchanged.  The reference oracle evaluates the *same*
-registered callable — by construction the callable is the semantics,
+analysis (SEC006-SEC008) and the shard-safety proof apply unchanged.
+The reference oracle evaluates the *same* registered callable — by construction the callable is the semantics,
 so registered UDFs must stay pure and deterministic or the
 differential harness (and SEC007) will flag them.
 
@@ -111,7 +110,7 @@ def _in_region(item: DataTuple) -> bool:
 
 
 def _fast_mover(item: DataTuple) -> bool:
-    """Speed above the columnar-tier benchmark threshold."""
+    """Vehicle speed above 60 (traffic-feed workloads)."""
     speed = item.get("speed")
     return speed is not None and speed > 60.0
 

@@ -1,7 +1,6 @@
 """Streaming substrate: schemas, tuples, elements, windows, sources."""
 
 from repro.stream.batch import (TupleBatch, coalesce_elements, coalesce_feed)
-from repro.stream.columnar import MISSING, ColumnBatch
 from repro.stream.element import (StreamElement, count_elements, element_ts,
                                   is_punctuation, is_tuple, iter_sps,
                                   iter_tuples, split_elements)
@@ -18,10 +17,8 @@ from repro.stream.wire import (decode_element, dump_stream, encode_element,
 
 __all__ = [
     "CallbackSource",
-    "ColumnBatch",
     "CountPunctuatedWindow",
     "DataTuple",
-    "MISSING",
     "TupleBatch",
     "decode_element",
     "dump_stream",

@@ -1,18 +1,17 @@
 """The differential runner: every engine configuration vs the oracle.
 
 For one scenario this module runs the full cross product of engine
-configurations — element-wise vs segment-batched vs fused-columnar
-execution, NL vs SPIndex join, optimizer off / per-query / workload —
-plus an audited run and (where expressible) the two Section I.C
-baselines, and diffs each against
-:func:`repro.verify.oracle.run_oracle`:
+configurations — element-wise vs segment-batched execution, NL vs
+SPIndex join, optimizer off / per-query / workload — plus an audited
+run and (where expressible) the two Section I.C baselines, and diffs
+each against :func:`repro.verify.oracle.run_oracle`:
 
 * the multiset of delivered tuples per query, each tagged with its
   resolved role set (so a policy that *widens* is a mismatch even when
   the tuple would have been delivered anyway);
 * the delivery-shield denial count in the audit trail;
-* the executor's total drop counter across the element-wise, batched
-  and columnar runs of the same plan.
+* the executor's total drop counter across the element-wise and
+  batched runs of the same plan.
 
 Engines consume the scenario's streams through freshly decoded wire
 elements, so no state leaks between configurations.
@@ -116,9 +115,6 @@ class EngineConfig:
     join_variant: str = "nl"
     level: str = "none"
     audit: bool = False
-    #: Columnar tier: segment-batched execution with fused
-    #: shield/select/project chains over column batches.
-    columnar: bool = False
     #: Causal-tracing tier: run under ``Observability.with_tracing()``
     #: so sampling, provenance records and op spans are live.  Tracing
     #: must never change what is delivered — this config proves it.
@@ -133,11 +129,9 @@ class EngineConfig:
 
     @property
     def mode(self) -> str:
-        """The execution mode axis: elementwise / batched / columnar."""
+        """The execution mode axis: elementwise / batched."""
         if self.traced:
             base = "traced"
-        elif self.columnar:
-            base = "columnar"
         else:
             base = "batched" if self.batching else "elementwise"
         if self.n_shards:
@@ -158,22 +152,19 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
     configs = []
     for variant in variants:
         for level in levels:
-            for batching, columnar in ((False, False), (True, False),
-                                       (True, True)):
-                mode = ("columnar" if columnar
-                        else "batched" if batching else "elementwise")
+            for batching in (False, True):
+                mode = "batched" if batching else "elementwise"
                 configs.append(EngineConfig(
                     label=f"{mode}/{variant}/{level}",
-                    batching=batching, join_variant=variant, level=level,
-                    columnar=columnar))
+                    batching=batching, join_variant=variant, level=level))
     configs.append(EngineConfig(label="audited/nl/none", batching=False,
                                 join_variant="nl", level="none", audit=True))
     configs.append(EngineConfig(label="traced/nl/none", batching=True,
                                 join_variant="nl", level="none", traced=True))
     # Sharded axis: the partitioned multi-process executor at 1, 2 and
-    # 4 workers, plus one columnar, one audited and (with a join in the
-    # workload) one index-join sharded run — every merge path crossed
-    # with every execution tier it composes with.
+    # 4 workers, plus one audited and (with a join in the workload) one
+    # index-join sharded run — every merge path crossed with every
+    # execution mode it composes with.
     for n_shards in (1, 2, 4):
         configs.append(EngineConfig(
             label=f"sharded{n_shards}/nl/none", batching=True,
@@ -182,9 +173,6 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
         configs.append(EngineConfig(
             label="sharded2/index/none", batching=True,
             join_variant="index", level="none", n_shards=2))
-    configs.append(EngineConfig(
-        label="sharded2-columnar/nl/none", batching=True,
-        join_variant="nl", level="none", columnar=True, n_shards=2))
     configs.append(EngineConfig(
         label="sharded2-audited/nl/none", batching=False,
         join_variant="nl", level="none", audit=True, n_shards=2))
@@ -239,25 +227,9 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         dsms.register_query(
             name, expr_from_spec(query["plan"], config.join_variant),
             roles=frozenset(query["roles"]), auto_shield=False)
-    if config.columnar:
-        # Generated scenarios have short segments, well under the
-        # production fusion threshold — lower it so the columnar
-        # kernels actually execute (otherwise this axis would silently
-        # re-test the plain batched path and prove nothing).
-        from repro.engine import fusion
-
-        saved = fusion.MIN_FUSED_ROWS
-        fusion.MIN_FUSED_ROWS = 1
-        try:
-            results = dsms.run(optimize=OptimizeLevel(config.level),
-                               batching=True, columnar=True,
-                               shards=config.n_shards or None)
-        finally:
-            fusion.MIN_FUSED_ROWS = saved
-    else:
-        results = dsms.run(optimize=OptimizeLevel(config.level),
-                           batching=config.batching, columnar=False,
-                           shards=config.n_shards or None)
+    results = dsms.run(optimize=OptimizeLevel(config.level),
+                       batching=config.batching,
+                       shards=config.n_shards or None)
     outcome = EngineOutcome()
     for name, result in results.items():
         outcome.delivered[name] = _decode_sink(result.elements)

@@ -1,7 +1,7 @@
 """UDF effect analyzer: read-sets, purity proofs, SEC006–SEC008.
 
 The fixture callables live at module level because the analyzer's
-read-set and totality proofs are AST-primary: ``inspect.getsource``
+read-set proofs are AST-primary: ``inspect.getsource``
 must be able to recover their source, which it can for file-backed
 test modules but not for REPL/``exec``-defined functions (those fall
 back to the bytecode scan and stay UNKNOWN where the AST would prove).
@@ -23,7 +23,6 @@ from repro.analysis.rewrites import Proof, refused_rewrites
 from repro.engine.dsms import DSMS
 from repro.engine.sharded import split_workload
 from repro.errors import PlanAnalysisError, UdfDeclarationWarning
-from repro.operators.compiler import compile_condition
 from repro.operators.conditions import And, Comparison, FuncCondition, Not
 from repro.operators.udfs import named_udf, registered_udfs, udf_entry
 from repro.stream.schema import StreamSchema
@@ -121,11 +120,6 @@ class TestReadSets:
             assert report.purity is Proof.PROVEN, fn
             assert report.determinism is Proof.PROVEN, fn
 
-    def test_totality_proves_on_guard_fragment(self):
-        assert analyze_callable(total_guard).totality is Proof.PROVEN
-        # A comparison against a .get value can still raise TypeError.
-        assert analyze_callable(reads_get).totality is Proof.UNKNOWN
-
 
 class TestAdversarialFixtures:
     def test_closure_mutation_blocks_purity(self):
@@ -205,7 +199,7 @@ class TestConditionVerified:
         for name in registered_udfs():
             cond = named_udf(name)
             assert condition_verified(cond) is Proof.PROVEN, name
-            assert cond.is_pure(), name
+            assert cond.effects.proven_pure, name
             assert shard_safe(cond), name
 
 
@@ -324,29 +318,6 @@ class TestRewriteFlip:
                           (frozenset({"police"}),))
         assert [d for d in refused_rewrites(root, self.CTX)
                 if "UDF" in d.message] == []
-
-
-class TestCompiler:
-    def test_proven_pure_udf_vectorizes(self):
-        cond = FuncCondition(reads_get, ("x",), label="pure")
-        assert compile_condition(cond).fully_vectorized
-
-    def test_unproven_udf_stays_row_stage(self):
-        cond = FuncCondition(computed_getattr, ("x",), label="opaque")
-        assert not compile_condition(cond).fully_vectorized
-        rng = FuncCondition(uses_random, (), label="rng")
-        assert not compile_condition(rng).fully_vectorized
-
-    def test_conjunction_requires_totality(self):
-        # In a conjunction the bulk kernel sees rows short-circuiting
-        # would have skipped, so a non-total UDF must stay row-wise...
-        nontotal = And([Comparison("x", ">", 1),
-                        FuncCondition(reads_get, ("x",), label="pure")])
-        assert not compile_condition(nontotal).fully_vectorized
-        # ...while a proven-total one vectorizes inside the And.
-        total = And([Comparison("x", ">", 1),
-                     FuncCondition(total_guard, ("x",), label="guard")])
-        assert compile_condition(total).fully_vectorized
 
 
 class TestShardSafety:

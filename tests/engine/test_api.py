@@ -1,11 +1,9 @@
 """Tests for the redesigned execution API surface.
 
-Covers :class:`OptimizeLevel` (including legacy-value coercion with
-deprecation warnings), the public ``DSMS.shields`` view, and
+Covers :class:`OptimizeLevel` (enum members only; the retired bool/str
+spellings are rejected), the public ``DSMS.shields`` view, and
 ``SecurityShield.rebind``.
 """
-
-import warnings
 
 import pytest
 
@@ -29,46 +27,18 @@ class TestOptimizeLevelCoercion:
     def test_none_means_no_optimization(self):
         assert OptimizeLevel.coerce(None) is OptimizeLevel.NONE
 
-    def test_string_names_warn_and_translate(self):
-        with pytest.warns(DeprecationWarning):
-            assert (OptimizeLevel.coerce("per_query")
-                    is OptimizeLevel.PER_QUERY)
-        with pytest.warns(DeprecationWarning):
-            assert OptimizeLevel.coerce("none") is OptimizeLevel.NONE
-
-    @pytest.mark.parametrize("legacy,expected", [
-        (False, OptimizeLevel.NONE),
-        (True, OptimizeLevel.PER_QUERY),
-        ("workload", OptimizeLevel.WORKLOAD),
-    ])
-    def test_legacy_values_warn_and_translate(self, legacy, expected):
-        with pytest.warns(DeprecationWarning):
-            assert OptimizeLevel.coerce(legacy) is expected
-
-    def test_unknown_values_rejected(self):
+    @pytest.mark.parametrize("legacy", [False, True, "workload",
+                                        "per_query", "turbo", 3])
+    def test_non_enum_values_rejected(self, legacy):
         with pytest.raises(QueryError):
-            OptimizeLevel.coerce("turbo")
-        with pytest.raises(QueryError):
-            OptimizeLevel.coerce(3)
+            OptimizeLevel.coerce(legacy)
 
-    def test_dsms_run_accepts_legacy_bool(self):
-        dsms = DSMS()
-        dsms.register_stream(SCHEMA, [
-            SecurityPunctuation.grant(["D"], 0.0, provider="p"),
-            DataTuple("hr", 1, {"patient": 1, "bpm": 70}, 1.0),
-        ])
-        dsms.register_query("q", ScanExpr("hr"), roles={"D"})
-        with pytest.warns(DeprecationWarning):
-            results = dsms.run(optimize=True)
-        assert len(results["q"].tuples) == 1
-
-    def test_dsms_run_enum_emits_no_warning(self):
+    def test_dsms_run_rejects_legacy_bool(self):
         dsms = DSMS()
         dsms.register_stream(SCHEMA, [])
         dsms.register_query("q", ScanExpr("hr"), roles={"D"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dsms.run(optimize=OptimizeLevel.PER_QUERY)
+        with pytest.raises(QueryError):
+            dsms.run(optimize=True)
 
 
 class TestShieldsView:

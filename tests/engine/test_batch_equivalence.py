@@ -27,7 +27,7 @@ from repro.core.patterns import one_of
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.observability import Observability
-from repro.operators.conditions import Comparison
+from repro.operators.conditions import And, Comparison, FuncCondition
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
@@ -212,6 +212,52 @@ def test_shield_non_uniform_and_edges(stream_builder):
     assert_equivalent(*run_both(make, observability=False))
 
 
+def test_select_project_shield_chain():
+    """σ → π → query ψ → delivery ψ, the standard DSMS pipeline."""
+    elements = uniform_stream(3, 8, n_tuples=160)
+
+    def make(observability):
+        dsms = DSMS(observability=observability)
+        dsms.register_stream(SYNTH_SCHEMA, elements)
+        expr = (ScanExpr("synthetic")
+                .select(Comparison("x", ">", 200.0))
+                .project(["object_id", "x"]))
+        dsms.register_query("q", expr, roles={"q_role"})
+        return dsms
+
+    assert_equivalent(*run_both(make))
+    assert_equivalent(*run_both(make, observability=False))
+
+
+def test_opaque_condition_call_count_and_order():
+    """An opaque UDF conjunct is called once per tuple that survived
+    the conjuncts before it, in stream order, in both modes."""
+    elements = uniform_stream(5, 10, n_tuples=120)
+    calls = []
+
+    def probe(item):
+        calls.append(item.tid)
+        return item.tid % 2 == 0
+
+    def make(observability):
+        dsms = DSMS(observability=observability)
+        dsms.register_stream(SYNTH_SCHEMA, elements)
+        cond = And([Comparison("x", ">", 300.0),
+                    FuncCondition(probe, ["x"], label="probe")])
+        dsms.register_query("q", ScanExpr("synthetic").select(cond),
+                            roles={"q_role"})
+        return dsms
+
+    survivors = [e.tid for e in elements
+                 if isinstance(e, DataTuple) and e.values["x"] > 300.0]
+    assert survivors
+    for observability in (True, False):
+        calls.clear()
+        plain, batched = run_both(make, observability=observability)
+        assert_equivalent(plain, batched)
+        assert calls == survivors * 2  # element-wise run, then batched
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_project_dupelim_plan(seed):
     elements = uniform_stream(seed, 5, n_tuples=100)
@@ -300,9 +346,10 @@ def test_join_plan(variant):
     assert_equivalent(*run_both(make, observability=False))
 
 
-def test_multi_query_shared_plan():
+@pytest.mark.parametrize("seed", [5, 7])
+def test_multi_query_shared_plan(seed):
     """Fan-out: one shared subplan feeding several query shields."""
-    elements = uniform_stream(5, 10, n_tuples=150)
+    elements = uniform_stream(seed, 10, n_tuples=150)
 
     def make(observability):
         dsms = DSMS(observability=observability)

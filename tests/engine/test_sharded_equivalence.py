@@ -3,9 +3,9 @@
 ``DSMS.run(shards=N)`` must be observably identical to ``run()`` for
 every composition it claims: stateless (worker-local) queries, split
 stateful queries (joins), multi-query workloads, every optimizer
-level, the columnar tier, and audited runs — same delivered elements,
-same drop totals, plus the sharded extras (shard-labelled stages and
-audit events, the ``shard_timing`` breakdown).
+level, and audited runs — same delivered elements, same drop totals,
+plus the sharded extras (shard-labelled stages and audit events, the
+``shard_timing`` breakdown).
 """
 
 import random
@@ -87,19 +87,6 @@ def test_local_and_split_queries_match(seed, n_shards):
 def test_optimize_levels_match(level):
     base = delivered(build_dsms(3).run(optimize=level))
     got = delivered(build_dsms(3).run(optimize=level, shards=2))
-    assert got == base
-
-
-def test_columnar_tier_composes():
-    from repro.engine import fusion
-
-    saved = fusion.MIN_FUSED_ROWS
-    fusion.MIN_FUSED_ROWS = 1
-    try:
-        base = delivered(build_dsms(4).run(columnar=True))
-        got = delivered(build_dsms(4).run(columnar=True, shards=2))
-    finally:
-        fusion.MIN_FUSED_ROWS = saved
     assert got == base
 
 

@@ -168,6 +168,15 @@ class TestGranularityExtension:
         assert all(r["same_decisions"] for r in rows)
 
     def test_cost_ordering(self, rows):
-        """stream < tuple < attribute enforcement cost."""
-        cost = {r["granularity"]: r["ss_ms"] for r in rows}
+        """stream < tuple < attribute enforcement cost.
+
+        Wall-clock, so each granularity is judged on its best of three
+        runs: one scheduler hiccup must not flip the ordering.
+        """
+        from repro.experiments.granularity import experiment_granularity
+        runs = [rows] + [experiment_granularity(n_tuples=2500, seed=53)
+                         for _ in range(2)]
+        cost = {name: min(r["ss_ms"] for run in runs for r in run
+                          if r["granularity"] == name)
+                for name in ("stream", "tuple", "attribute")}
         assert cost["stream"] < cost["tuple"] < cost["attribute"]

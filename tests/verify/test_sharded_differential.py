@@ -2,7 +2,7 @@
 
 Every generated scenario now also runs through the partitioned
 multi-process executor (``n_shards ∈ {1, 2, 4}``, plus sharded
-columnar / audited / index-join crossings).  This suite proves the
+audited / index-join crossings).  This suite proves the
 axis is wired — the configs exist, seeded fuzz runs verify clean
 through them, and the known-bad mutation (denial-by-default disabled)
 is still caught when the engine runs sharded.
@@ -21,7 +21,6 @@ def test_shard_axis_is_in_the_config_matrix():
     shard_counts = sorted({c.n_shards for c in configs if c.n_shards})
     assert shard_counts == [1, 2, 4]
     labels = [c.label for c in configs]
-    assert "sharded2-columnar/nl/none" in labels
     assert "sharded2-audited/nl/none" in labels
     modes = {c.mode for c in configs if c.n_shards}
     assert "sharded2-batched" in modes

@@ -2,12 +2,11 @@
 
 A ``{"udf": name}`` select condition must deliver the oracle's exact
 multiset under every configuration ``configs_for`` generates —
-element-wise / segment-batched / fused-columnar, every optimizer
-level, and the 1/2/4-worker sharded executor — because the registered
-callable *is* the semantics on both sides: the oracle calls it
-directly while the engine routes it through ``FuncCondition``, the
-effect analyzer's proofs, the predicate compiler's bulk kernels and
-the shard-safety gate.  Zero mismatches here is the PR's acceptance
+element-wise / segment-batched, every optimizer level, and the
+1/2/4-worker sharded executor — because the registered callable *is*
+the semantics on both sides: the oracle calls it directly while the
+engine routes it through ``FuncCondition``, the effect analyzer's
+proofs and the shard-safety gate.  Zero mismatches here is the PR's acceptance
 bar for the whole proof chain.
 """
 
