@@ -432,10 +432,10 @@ class DSMS:
         runs of tuples sharing one sp-batch are pushed through the
         plan as :class:`~repro.stream.batch.TupleBatch` envelopes, so
         per-segment decisions amortize over whole runs.  Results —
-        and, with observability on, audit streams — are identical in
-        both modes; ``batching=False`` keeps the element-wise
-        reference path (and is what the equivalence tests compare
-        against).
+        and, with observability on, each operator's audit decisions —
+        are identical in both modes; ``batching=False`` keeps the
+        element-wise reference path (and is what the equivalence
+        tests compare against).
         """
         if shards is not None:
             from repro.engine.sharded import run_sharded

@@ -19,12 +19,11 @@ Two execution modes share that delivery discipline:
   paths.  A Security Shield passes or drops a whole uniform segment in
   O(1); select/project filter and map runs in single comprehensions.
   Operators without a native batch path fall back to the per-element
-  loop automatically; operators whose audit events would reorder
-  under batching are unbatched while an audit log is attached; and a
-  batch reaching a fan-out (several downstream consumers) is split
-  back into tuples under audit so events interleave across branches
-  exactly as element-wise — so results and audit streams are
-  identical in both modes.
+  loop automatically.  Results, counters and each operator's audit
+  decision sequence are identical in both modes; an attached audit log
+  changes nothing about dispatch (a verdict over a run is one run
+  record), so the interleaving of audit events *across* operators
+  follows the mode and is not part of the contract.
 
 The push loop is iterative (an explicit work stack, LIFO with reversed
 pushes to preserve depth-first order), so deep plans never hit Python's
@@ -129,13 +128,6 @@ class Executor:
         #: Engine metric instruments (``None`` = metrics off; the run
         #: loop then pays one ``is None`` check per element).
         self.instruments = instruments
-        # With a live audit log, a TupleBatch delivered to a fan-out
-        # (several downstream consumers) must be split back into tuples
-        # so audit events interleave across branches exactly as in
-        # element-wise execution; see _push.
-        self._audit_live = any(
-            getattr(node.operator, "audit", None) is not None
-            for node in self.plan.nodes)
 
     def run(self) -> ExecutionReport:
         """Consume all sources to exhaustion, then flush the plan."""
@@ -163,7 +155,6 @@ class Executor:
                 feed = coalesce_feed(feed)
         push = self._push
         instruments = self.instruments
-        audit_live = self._audit_live
         causal = self._causal
         get_targets = entries.get
         sp_type = SecurityPunctuation
@@ -198,14 +189,7 @@ class Executor:
                                  ts=element.ts)
             targets = get_targets(stream_id)
             if targets:
-                if (len(targets) > 1 and audit_live
-                        and type(element) is TupleBatch):
-                    # Multi-entry fan-out under audit: deliver per
-                    # tuple so branches interleave as element-wise.
-                    for item in element.tuples:
-                        push(targets, item)
-                else:
-                    push(targets, element)
+                push(targets, element)
         report.elements_in = elements_in
         report.tuples_in = tuples_in
         report.sps_in = sps_in
@@ -259,19 +243,10 @@ class Executor:
         pop = stack.pop
         for node, port in reversed(targets):
             append((node, element, port, parent))
-        audit_live = self._audit_live
         while stack:
             node, element, port, parent = pop()
             operator = node.operator
             batch = type(element) is TupleBatch
-            if batch and not operator.accepts_batches():
-                # Audit-order-sensitive operator with a live audit log:
-                # unbatch here so each tuple's downstream effects
-                # complete before the next tuple's audit events —
-                # byte-identical audit streams.
-                for item in reversed(element.tuples):
-                    append((node, item, port, parent))
-                continue
             if tracer is None:
                 outputs = (operator.process_batch(element, port) if batch
                            else operator.process(element, port))
@@ -291,18 +266,9 @@ class Executor:
             downstream = node.downstream
             if not downstream:
                 continue
-            fanout = len(downstream) > 1
             for out in reversed(outputs):
-                if fanout and audit_live and type(out) is TupleBatch:
-                    # Batch meeting a fan-out under audit: split so
-                    # each tuple visits every branch before the next
-                    # tuple — the element-wise audit interleaving.
-                    for item in reversed(out.tuples):
-                        for child, child_port in reversed(downstream):
-                            append((child, item, child_port, parent))
-                else:
-                    for child, child_port in reversed(downstream):
-                        append((child, out, child_port, parent))
+                for child, child_port in reversed(downstream):
+                    append((child, out, child_port, parent))
 
     def _flush(self) -> None:
         """End-of-stream: flush operators in topological order."""

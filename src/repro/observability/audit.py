@@ -13,6 +13,9 @@ Event kinds currently recorded:
 ``shield.drop``
     A shield (including the per-query delivery shield) discarded one
     tuple.  Exactly one event per denied tuple per shield.
+``filter.drop``
+    An access filter (pre-/post-filtering layouts) discarded one
+    tuple.
 ``shield.rebind``
     A shield's predicate was rewritten at runtime
     (:meth:`~repro.operators.shield.SecurityShield.rebind`).
@@ -33,9 +36,27 @@ Event kinds currently recorded:
 ``groupby.merge``
     Group-by merged attribute subgroups bridged by a tuple's policy.
 
-The log is bounded: once ``capacity`` events are held, recording a new
-one evicts the oldest (``evicted`` counts how many were lost).  Counts
-per kind are kept unbounded, so rates stay exact even after eviction.
+Run records.  A verdict over a run of tuples — a shield dropping a
+whole s-punctuated segment — is recorded once
+(:meth:`AuditLog.record_run`): the fields the decisions share are held
+a single time next to the run's ``tid`` and ``ts`` columns, never the
+tuples themselves; a single decision is a run of one.  That is purely
+a storage form: iteration, :meth:`~AuditLog.events`,
+:meth:`~AuditLog.explain`, :meth:`~AuditLog.to_jsonl`, ``counts`` and
+``len()`` all speak in per-decision :class:`AuditEvent` units, and each
+decision of a run owns one ``seq`` number.
+
+Ordering.  Per operator, the decision sequence is the same whether the
+engine runs element-wise or segment-batched.  The interleaving *across*
+operators follows the execution mode (a batched shield finishes a run
+before the next operator sees any of it) and is not part of the
+contract.
+
+The log is bounded: ``capacity`` bounds the held *decisions*; recording
+past it evicts whole records, oldest first (``evicted`` counts the
+decisions lost; a single run longer than ``capacity`` keeps its newest
+``capacity`` decisions).  Counts per kind are kept unbounded, so rates
+stay exact even after eviction.
 """
 
 from __future__ import annotations
@@ -43,11 +64,13 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 __all__ = ["AuditEvent", "AuditLog"]
 
 DEFAULT_CAPACITY = 10_000
+
+_ENCODER = json.JSONEncoder(default=str, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +119,39 @@ class AuditEvent:
         return core
 
 
+@dataclass(slots=True, eq=False)
+class _RunRecord:
+    """Held form of one verdict over a run of tuples (or of one
+    decision: a run of length 1).
+
+    The shared fields once, plus the run's ``tid``/``ts`` columns;
+    decision ``i`` of the run is the :class:`AuditEvent` with
+    ``seq + i``, ``tids[i]`` and ``tss[i]``.
+    """
+
+    seq: int
+    kind: str
+    operator: str
+    query: str | None
+    sid: str | None
+    predicate: tuple[str, ...]
+    policy: tuple[str, ...]
+    sp: str | None
+    detail: dict
+    tids: list
+    tss: list
+
+    def event(self, i: int) -> AuditEvent:
+        return AuditEvent(seq=self.seq + i, kind=self.kind, ts=self.tss[i],
+                          operator=self.operator, query=self.query,
+                          sid=self.sid, tid=self.tids[i],
+                          predicate=self.predicate, policy=self.policy,
+                          sp=self.sp, detail=dict(self.detail))
+
+    def events(self) -> Iterator[AuditEvent]:
+        return map(self.event, range(len(self.tids)))
+
+
 class AuditLog:
     """Bounded, queryable history of :class:`AuditEvent` records."""
 
@@ -103,9 +159,11 @@ class AuditLog:
         if capacity <= 0:
             raise ValueError("audit log capacity must be positive")
         self.capacity = capacity
-        self._events: deque[AuditEvent] = deque(maxlen=capacity)
+        self._records: deque[_RunRecord] = deque()
+        #: Decisions currently held (a run record counts its length).
+        self._held = 0
         self._seq = 0
-        #: Events recorded but no longer held (bounded-log eviction).
+        #: Decisions recorded but no longer held (bounded-log eviction).
         self.evicted = 0
         #: Exact per-kind totals, unaffected by eviction.
         self.counts: Counter[str] = Counter()
@@ -119,28 +177,67 @@ class AuditLog:
                sp: str | None = None,
                **detail) -> AuditEvent:
         """Append one event; returns it (mainly for tests)."""
-        event = AuditEvent(seq=self._seq, kind=kind, ts=ts,
-                           operator=operator, query=query, sid=sid,
-                           tid=tid, predicate=predicate, policy=policy,
-                           sp=sp, detail=detail)
+        run = _RunRecord(self._seq, kind, operator, query, sid, predicate,
+                         policy, sp, detail, [tid], [ts])
         self._seq += 1
-        if len(self._events) == self.capacity:
-            self.evicted += 1
-        self._events.append(event)
+        self._records.append(run)
         self.counts[kind] += 1
-        return event
+        self._held += 1
+        if self._held > self.capacity:
+            self._evict()
+        return run.event(0)
+
+    def record_run(self, kind: str, tuples: Sequence, *, operator: str,
+                   query: str | None = None,
+                   predicate: tuple[str, ...] = (),
+                   policy: tuple[str, ...] = (),
+                   sp: str | None = None,
+                   **detail) -> None:
+        """Append one decision per tuple of ``tuples``, held as one record.
+
+        ``tuples`` is a non-empty run of same-stream data tuples that
+        all received the verdict described by the other arguments.
+        Only their ``tid``/``ts`` columns are kept.
+        """
+        n = len(tuples)
+        self._records.append(_RunRecord(
+            self._seq, kind, operator, query, tuples[0].sid, predicate,
+            policy, sp, detail,
+            [item.tid for item in tuples], [item.ts for item in tuples]))
+        self._seq += n
+        self.counts[kind] += n
+        self._held += n
+        if self._held > self.capacity:
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop whole records, oldest first, down to ``capacity``."""
+        records = self._records
+        while self._held > self.capacity and len(records) > 1:
+            n = len(records.popleft().tids)
+            self._held -= n
+            self.evicted += n
+        excess = self._held - self.capacity
+        if excess > 0:
+            # One run longer than the whole log: keep its newest part.
+            run = records[0]
+            run.seq += excess
+            del run.tids[:excess]
+            del run.tss[:excess]
+            self._held -= excess
+            self.evicted += excess
 
     # -- querying ----------------------------------------------------------
     def events(self, *, query: str | None = None,
                kind: str | None = None) -> list[AuditEvent]:
         """Held events, optionally filtered by query and/or kind."""
-        out = []
-        for event in self._events:
-            if query is not None and event.query != query:
+        out: list[AuditEvent] = []
+        for record in self._records:
+            if query is not None and record.query != query:
                 continue
-            if kind is not None and event.kind != kind:
+            if kind is not None and record.kind != kind:
                 continue
-            out.append(event)
+            out.extend(record.events())
         return out
 
     def explain(self, tuple_id: object, *,
@@ -152,29 +249,29 @@ class AuditLog:
         each outcome.  ``sid`` narrows to one stream when tuple ids are
         reused across streams.
         """
-        out = []
-        for event in self._events:
-            if event.tid != tuple_id:
+        out: list[AuditEvent] = []
+        for record in self._records:
+            if sid is not None and record.sid != sid:
                 continue
-            if sid is not None and event.sid != sid:
-                continue
-            out.append(event)
+            if tuple_id in record.tids:
+                out.extend(record.event(i)
+                           for i, tid in enumerate(record.tids)
+                           if tid == tuple_id)
         return out
 
     def last(self, kind: str | None = None) -> AuditEvent | None:
         """Most recent held event (of ``kind``, if given)."""
-        for event in reversed(self._events):
-            if kind is None or event.kind == kind:
-                return event
+        for record in reversed(self._records):
+            if kind is None or record.kind == kind:
+                return record.event(len(record.tids) - 1)
         return None
 
     # -- export -------------------------------------------------------------
     def to_jsonl(self, fp: IO[str]) -> int:
         """Write held events as JSON lines; returns the line count."""
         count = 0
-        for event in self._events:
-            fp.write(json.dumps(event.to_dict(), default=str,
-                                separators=(",", ":")))
+        for event in self:
+            fp.write(_ENCODER.encode(event.to_dict()))
             fp.write("\n")
             count += 1
         return count
@@ -185,16 +282,22 @@ class AuditLog:
 
     # -- bookkeeping ---------------------------------------------------------
     def clear(self) -> None:
-        self._events.clear()
+        """Back to the freshly constructed state (``seq`` restarts at 0,
+        so ``len(log) + log.evicted`` keeps equalling the decisions
+        recorded)."""
+        self._records.clear()
         self.counts.clear()
+        self._held = 0
+        self._seq = 0
         self.evicted = 0
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._held
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return iter(self._events)
+        for record in self._records:
+            yield from record.events()
 
     def __repr__(self) -> str:
-        return (f"AuditLog(held={len(self._events)}, "
+        return (f"AuditLog(held={self._held}, "
                 f"recorded={self._seq}, evicted={self.evicted})")

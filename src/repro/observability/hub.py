@@ -68,8 +68,7 @@ class Observability:
 
         Head-samples one trace in ~64 by default, always keeps
         security-drop provenance and feeds the always-on flight
-        recorder; no audit log and no metrics registry, so the batched
-        and fused fast paths stay fully engaged.
+        recorder; no audit log and no metrics registry.
         """
         return cls(tracer=Tracer(sink, sample=sample,
                                  recorder_capacity=recorder_capacity))

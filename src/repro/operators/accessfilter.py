@@ -19,7 +19,7 @@ from its output.  The placement, not the operator, differs; the
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.bitmap import AbstractRoleSet, RoleSet
 from repro.core.punctuation import SecurityPunctuation
@@ -33,11 +33,6 @@ __all__ = ["AccessFilter"]
 
 class AccessFilter(UnaryOperator):
     """Fixed access-control filter for pre-/post-filtering layouts."""
-
-    #: Like the shield, per-tuple ``filter.drop`` events interleave
-    #: with passed tuples; with an audit log attached the executor
-    #: unbatches so every denial is individually recorded.
-    audit_batch_safe = False
 
     def __init__(self, roles: Iterable[str] | AbstractRoleSet, *,
                  stream_id: str = "*", strip_sps: bool = True,
@@ -71,7 +66,7 @@ class AccessFilter(UnaryOperator):
             if tracer is not None:
                 self._prov_item(element, policy, False)
             if self.audit is not None:
-                self._audit_drop(element, policy)
+                self._audit_drop((element,), policy)
             return []
         if tracer is not None and tracer.active:
             self._prov_item(element, policy, True)
@@ -106,7 +101,7 @@ class AccessFilter(UnaryOperator):
                     if tracer is not None:
                         self._prov_item(item, policy, False)
                     if self.audit is not None:
-                        self._audit_drop(item, policy)
+                        self._audit_drop((item,), policy)
         self.tuples_blocked += len(tuples) - len(passing)
         if not passing:
             return []
@@ -138,11 +133,12 @@ class AccessFilter(UnaryOperator):
             denial_by_default=not sps,
         )
 
-    def _audit_drop(self, item: DataTuple, policy) -> None:
-        """Exactly one ``filter.drop`` event per denied tuple."""
-        self.audit.record(
-            "filter.drop", ts=item.ts, operator=self.name,
-            query=self.audit_query, sid=item.sid, tid=item.tid,
-            predicate=tuple(sorted(self.predicate.names())),
-            policy=tuple(sorted(policy.roles.names())),
+    def _audit_drop(self, tuples: Sequence[DataTuple], policy) -> None:
+        """Exactly one ``filter.drop`` event per denied tuple; the run
+        ``tuples`` (denied under ``policy``) is held as one record."""
+        self.audit.record_run(
+            "filter.drop", tuples, operator=self.name,
+            query=self.audit_query,
+            predicate=tuple(self._predicate_list),
+            policy=tuple(policy.roles.names_sorted()),
         )

@@ -94,15 +94,6 @@ class Operator:
     #: Number of input ports (1 for unary, 2 for binary operators).
     arity = 1
 
-    #: Whether this operator's batch path keeps the *global* audit
-    #: event order identical to element-wise execution.  Operators
-    #: that record per-tuple audit events interleaved with emitted
-    #: tuples (dup-elim suppressions, group-by merges, join rejects,
-    #: per-tuple shield drops) set this ``False``; while an audit log
-    #: is attached the executor then unbatches their input, so audit
-    #: streams stay byte-identical across execution modes.
-    audit_batch_safe = True
-
     def __init__(self, name: str | None = None, *,
                  ewma_alpha: float = EWMA_ALPHA):
         self.name = name or type(self).__name__
@@ -152,16 +143,6 @@ class Operator:
         raise NotImplementedError
 
     # -- batched execution ------------------------------------------------
-    def accepts_batches(self) -> bool:
-        """Whether the executor may hand this operator a TupleBatch.
-
-        ``False`` only while an audit log is attached to an operator
-        whose batch path would reorder the global audit stream
-        (:attr:`audit_batch_safe`); the executor falls back to
-        element-wise delivery for exactly those operators.
-        """
-        return self.audit is None or self.audit_batch_safe
-
     def process_batch(self, batch: TupleBatch,
                       port: int = 0) -> list[StreamElement]:
         """Consume one segment run on ``port``; return emitted elements.

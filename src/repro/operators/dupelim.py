@@ -54,10 +54,6 @@ class _OutputEntry:
 class DuplicateElimination(UnaryOperator):
     """δ over a time-based sliding window, sp-aware per Section IV.B."""
 
-    #: ``dupelim.suppress`` events interleave with emitted values, so
-    #: with an audit log attached the executor delivers element-wise.
-    audit_batch_safe = False
-
     def __init__(self, window: float, attributes: Iterable[str] | None = None,
                  *, stream_id: str = "*", name: str | None = None):
         super().__init__(name)

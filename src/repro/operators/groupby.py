@@ -77,10 +77,6 @@ class _Subgroup:
 class GroupBy(UnaryOperator):
     """Windowed sp-aware group-by/aggregate."""
 
-    #: ``groupby.merge`` events interleave with emitted results, so
-    #: with an audit log attached the executor delivers element-wise.
-    audit_batch_safe = False
-
     def __init__(self, key: str | None, agg: str, attribute: str, *,
                  window: float, stream_id: str = "*",
                  output_sid: str = "grouped", name: str | None = None):

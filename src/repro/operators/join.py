@@ -65,11 +65,6 @@ def segment_index_roles(segment: Segment) -> frozenset[str]:
 class SAJoinBase(BinaryOperator):
     """Shared machinery of the nested-loop and index SAJoins."""
 
-    #: ``join.deny`` / ``join.policy_reject`` / ``join.skip`` events
-    #: interleave with emitted results, so with an audit log attached
-    #: the executor delivers element-wise.
-    audit_batch_safe = False
-
     def __init__(self, left_on: str, right_on: str, window: float, *,
                  left_sid: str = "left", right_sid: str = "right",
                  output_sid: str = "joined",

@@ -26,7 +26,7 @@ benchmark.
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.bitmap import AbstractRoleSet, RoleSet
 from repro.core.policy import TuplePolicy
@@ -49,12 +49,6 @@ _REC_DROP = "provenance.shield.drop"
 
 class SecurityShield(UnaryOperator):
     """Access-control filter driven by streaming security punctuations."""
-
-    #: Per-tuple ``shield.drop`` events interleave with passed tuples
-    #: in non-uniform segments; with an audit log attached the
-    #: executor therefore unbatches (the per-element path already
-    #: amortizes the segment decision, so nothing is lost).
-    audit_batch_safe = False
 
     def __init__(self, roles: Iterable[str] | AbstractRoleSet,
                  stream_id: str = "*", *, indexed: bool = True,
@@ -310,7 +304,7 @@ class SecurityShield(UnaryOperator):
             if tracer is not None:
                 self._prov_tuple(item, False)
             if self.audit is not None:
-                self._audit_drop(item)
+                self._audit_drop((item,))
             return []
         if self._m_pass is not None:
             self._m_pass.inc()
@@ -371,7 +365,7 @@ class SecurityShield(UnaryOperator):
                     if tracer is not None:
                         self._prov_tuple(item, False)
                     if audit is not None:
-                        self._audit_drop(item)
+                        self._audit_drop((item,))
             self.tuples_blocked += blocked
             return out
         tracer = self._tracer
@@ -384,8 +378,7 @@ class SecurityShield(UnaryOperator):
             if tracer is not None:
                 self._prov_run(tuples, False)
             if self.audit is not None:
-                for item in tuples:
-                    self._audit_drop(item)
+                self._audit_drop(tuples)
             return []
         if self._m_pass is not None:
             self._m_pass.inc(len(tuples))
@@ -550,18 +543,23 @@ class SecurityShield(UnaryOperator):
             "shield.segment", ts=item.ts, operator=self.name,
             query=self.audit_query,
             predicate=tuple(self._predicate_list),
-            policy=tuple(sorted(policy.roles.names())),
+            policy=tuple(policy.roles.names_sorted()),
             sp=self._sp_description(), verdict=verdict,
         )
 
-    def _audit_drop(self, item: DataTuple) -> None:
-        """Exactly one ``shield.drop`` event per denied tuple."""
-        policy = self.tracker.policy_for(item)
-        self.audit.record(
-            "shield.drop", ts=item.ts, operator=self.name,
-            query=self.audit_query, sid=item.sid, tid=item.tid,
+    def _audit_drop(self, tuples: Sequence[DataTuple]) -> None:
+        """Exactly one ``shield.drop`` event per denied tuple.
+
+        ``tuples`` is a run denied under one resolved policy (a single
+        tuple on the element-wise path); the log holds it as one run
+        record.
+        """
+        policy = self.tracker.policy_for(tuples[0])
+        self.audit.record_run(
+            "shield.drop", tuples, operator=self.name,
+            query=self.audit_query,
             predicate=tuple(self._predicate_list),
-            policy=tuple(sorted(policy.roles.names())),
+            policy=tuple(policy.roles.names_sorted()),
             sp=self._sp_description(),
         )
 

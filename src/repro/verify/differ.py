@@ -2,14 +2,16 @@
 
 For one scenario this module runs the full cross product of engine
 configurations — element-wise vs segment-batched execution, NL vs
-SPIndex join, optimizer off / per-query / workload — plus an audited
-run and (where expressible) the two Section I.C baselines, and diffs
+SPIndex join, optimizer off / per-query / workload — plus audited
+runs in both execution modes and (where expressible) the two Section
+I.C baselines, and diffs
 each against :func:`repro.verify.oracle.run_oracle`:
 
 * the multiset of delivered tuples per query, each tagged with its
   resolved role set (so a policy that *widens* is a mismatch even when
   the tuple would have been delivered anyway);
-* the delivery-shield denial count in the audit trail;
+* the delivery-shield denial count in the audit trail's per-decision
+  view (which must also add up to ``audit.counts``);
 * the executor's total drop counter across the element-wise and
   batched runs of the same plan.
 
@@ -157,14 +159,20 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
                 configs.append(EngineConfig(
                     label=f"{mode}/{variant}/{level}",
                     batching=batching, join_variant=variant, level=level))
+    # Audited axis: the trail's per-decision view must not depend on
+    # how decisions are held (one event element-wise, run records
+    # batched), so both execution modes run under an audit log.
     configs.append(EngineConfig(label="audited/nl/none", batching=False,
                                 join_variant="nl", level="none", audit=True))
+    configs.append(EngineConfig(label="audited-batched/nl/none",
+                                batching=True, join_variant="nl",
+                                level="none", audit=True))
     configs.append(EngineConfig(label="traced/nl/none", batching=True,
                                 join_variant="nl", level="none", traced=True))
     # Sharded axis: the partitioned multi-process executor at 1, 2 and
-    # 4 workers, plus one audited and (with a join in the workload) one
-    # index-join sharded run — every merge path crossed with every
-    # execution mode it composes with.
+    # 4 workers, plus audited (both execution modes) and (with a join
+    # in the workload) one index-join sharded run — every merge path
+    # crossed with every execution mode it composes with.
     for n_shards in (1, 2, 4):
         configs.append(EngineConfig(
             label=f"sharded{n_shards}/nl/none", batching=True,
@@ -175,6 +183,9 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
             join_variant="index", level="none", n_shards=2))
     configs.append(EngineConfig(
         label="sharded2-audited/nl/none", batching=False,
+        join_variant="nl", level="none", audit=True, n_shards=2))
+    configs.append(EngineConfig(
+        label="sharded2-audited-batched/nl/none", batching=True,
         join_variant="nl", level="none", audit=True, n_shards=2))
     return configs
 
@@ -188,6 +199,10 @@ class EngineOutcome:
     delivered: "dict[str, Counter]" = field(default_factory=dict)
     #: Delivery-shield drop counts from the audit trail (audited runs).
     denied: "dict[str, int] | None" = None
+    #: ``audit.counts["shield.drop"]`` minus the ``shield.drop`` events
+    #: the log expands to — non-zero means the log's run accounting
+    #: lost or invented decisions (audited runs, nothing evicted).
+    audit_gap: int = 0
     total_drops: int = 0
 
 
@@ -235,13 +250,15 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         outcome.delivered[name] = _decode_sink(result.elements)
     if config.audit and dsms.audit is not None:
         # Delivery shields are named "delivery:<query>" in the plan.
-        by_operator: Counter = Counter(
-            event.operator
-            for event in dsms.audit.events(kind="shield.drop"))
+        drops = dsms.audit.events(kind="shield.drop")
+        by_operator: Counter = Counter(event.operator for event in drops)
         outcome.denied = {
             name: by_operator.get(f"delivery:{name}", 0)
             for name in scenario.queries
         }
+        if not dsms.audit.evicted:
+            outcome.audit_gap = (dsms.audit.counts["shield.drop"]
+                                 - len(drops))
     if dsms.last_report is not None:
         outcome.total_drops = dsms.last_report.total_drops
     return outcome
@@ -381,6 +398,11 @@ def verify_scenario(scenario: Scenario, *,
                         descr, config.label, name, "denied",
                         f"audit delivery drops {outcome.denied[name]} "
                         f"!= oracle {oracle.denied[name]}"))
+        if outcome.audit_gap:
+            report.mismatches.append(Mismatch(
+                descr, config.label, "*", "denied",
+                f"audit.counts and the expanded shield.drop events "
+                f"differ by {outcome.audit_gap}"))
         if not config.audit:
             plan_key = (config.join_variant, config.level)
             drops_by_plan.setdefault(plan_key, {})[config.mode] = \

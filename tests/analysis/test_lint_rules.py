@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent.parent
 SCRIPT = REPO / "scripts" / "lint_rules.py"
 
@@ -70,13 +72,15 @@ class TestRL003:
         assert len(found) == 1
         assert "Op" in found[0].message
 
-    def test_audited_drop_counter_allowed(self):
+    @pytest.mark.parametrize("call", ["record('drop')",
+                                      "record_run('drop', tuples)"])
+    def test_audited_drop_counter_allowed(self, call):
         source = (
             "class Op:\n"
             "    def f(self):\n"
             "        self.tuples_blocked += 1\n"
             "        if self.audit is not None:\n"
-            "            self.audit.record('drop')\n")
+            f"            self.audit.{call}\n")
         assert findings(lint_rules.check_rl003, source) == []
 
 

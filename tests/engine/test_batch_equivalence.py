@@ -6,7 +6,9 @@ workload with ``batching=True`` and ``batching=False`` must produce
 
 * identical ordered result elements per query,
 * identical drop counts (whole-plan and per stage),
-* identical audit event sequences (with observability on),
+* per operator, identical audit decision sequences (with
+  observability on) and identical ``audit.counts`` — the interleaving
+  *across* operators follows the execution mode and is not compared,
 * identical security metric counters (shield verdicts,
   denial-by-default drops, segment/sp-batch size distributions) —
   latency histograms may legitimately differ in observation counts
@@ -18,6 +20,7 @@ segments, held-sp release, empty segments, denial-by-default prefixes
 and segment lengths from 1 tuple per sp upward.
 """
 
+from collections import defaultdict
 from dataclasses import asdict
 
 import pytest
@@ -69,11 +72,28 @@ def assert_equivalent(plain, batched):
             assert getattr(p_stage, counter) == getattr(b_stage, counter), \
                 f"{p_stage.name}.{counter}"
     if plain_dsms.audit is not None:
-        plain_events = [asdict(e) for e in plain_dsms.audit]
-        batched_events = [asdict(e) for e in batched_dsms.audit]
-        assert plain_events == batched_events
+        assert (decisions_by_operator(plain_dsms)
+                == decisions_by_operator(batched_dsms))
+        assert plain_dsms.audit.counts == batched_dsms.audit.counts
     if plain_dsms.observability.metrics is not None:
         assert_security_metrics_equivalent(plain_dsms, batched_dsms)
+
+
+def decisions_by_operator(dsms):
+    """Expanded audit events grouped per deciding operator, ``seq``
+    dropped.  Shields of different queries share the default name, so
+    an operator is identified by (name, query) — which must then be
+    unique among a query's shields: two shields in one group would
+    compare their interleaving, which the contract does not cover."""
+    for query in dsms.queries:
+        names = [shield.name for shield in dsms.shields(query)]
+        assert len(names) == len(set(names)), (query, names)
+    groups = defaultdict(list)
+    for event in dsms.audit:
+        record = asdict(event)
+        del record["seq"]
+        groups[event.operator, event.query].append(record)
+    return dict(groups)
 
 
 #: Counter families whose per-series totals must match across modes.
@@ -315,8 +335,12 @@ def test_groupby_plan(seed):
     assert_equivalent(*run_both(make, observability=False))
 
 
+@pytest.mark.parametrize("run_len", [1, 4])
 @pytest.mark.parametrize("variant", ["nl", "index"])
-def test_join_plan(variant):
+def test_join_plan(variant, run_len):
+    """Each side arrives in runs of ``run_len`` tuples: 1 alternates
+    left and right (no batch ever forms), 4 hands the join whole
+    ``TupleBatch`` runs on both ports."""
     left_schema = StreamSchema("left", ("k", "a"))
     right_schema = StreamSchema("right", ("k", "b"))
     left, right = [], []
@@ -326,12 +350,14 @@ def test_join_plan(variant):
         left.append(SecurityPunctuation.grant(["D"], ts, provider="l"))
         right.append(SecurityPunctuation.grant(
             ["D"] if segment % 2 else ["N"], ts + 0.25, provider="r"))
-        for k in range(3):
-            ts += 1.0
-            tid = segment * 3 + k
-            left.append(DataTuple("left", tid, {"k": k, "a": tid}, ts))
-            right.append(DataTuple(
-                "right", tid, {"k": k, "b": tid}, ts + 0.25))
+        for block in range(0, 4, run_len):
+            for side, attr, out in (("left", "a", left),
+                                    ("right", "b", right)):
+                for k in range(block, block + run_len):
+                    ts += 1.0
+                    tid = segment * 4 + k
+                    out.append(DataTuple(
+                        side, tid, {"k": k % 3, attr: tid}, ts))
 
     def make(observability):
         dsms = DSMS(observability=observability)
@@ -362,3 +388,49 @@ def test_multi_query_shared_plan(seed):
 
     assert_equivalent(*run_both(make))
     assert_equivalent(*run_both(make, observability=False))
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_udf_raising_mid_run_fails_closed(k):
+    """A UDF raising on row ``k`` of a run, upstream of audited shields.
+
+    Both modes abort ``run()`` with the UDF's error, so nothing is
+    delivered.  The trail of every completed run is the same per
+    operator; the aborted run is all-or-nothing batched (the select
+    never hands it on) and a row prefix element-wise, and neither mode
+    decides anything about the failing row or a later one.
+    """
+    elements = uniform_stream(2, 10, n_tuples=120)
+    tuples = [e for e in elements if isinstance(e, DataTuple)]
+    run_start, failing = tuples[50], tuples[50 + k]
+
+    def explode(item):
+        if item is failing:
+            raise RuntimeError("udf failed")
+        return True
+
+    def make(observability):
+        dsms = DSMS(observability=observability)
+        dsms.register_stream(SYNTH_SCHEMA, elements)
+        dsms.register_query(
+            "q", ScanExpr("synthetic").select(
+                FuncCondition(explode, ["x"], label="explode")),
+            roles={"q_role"})
+        return dsms
+
+    trails = {}
+    for batching in (False, True):
+        dsms = make(Observability.in_memory())
+        with pytest.raises(RuntimeError, match="udf failed"):
+            dsms.run(batching=batching)
+        trails[batching] = decisions_by_operator(dsms)
+
+    def before(trail, ts):
+        kept = {op: [e for e in events if e["ts"] < ts]
+                for op, events in trail.items()}
+        return {op: events for op, events in kept.items() if events}
+
+    assert any(before(trails[True], run_start.ts).values())
+    assert trails[True] == before(trails[True], run_start.ts)
+    assert trails[True] == before(trails[False], run_start.ts)
+    assert trails[False] == before(trails[False], failing.ts)

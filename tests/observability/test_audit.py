@@ -1,7 +1,9 @@
 """Tests for the security audit trail."""
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -189,3 +191,112 @@ class TestAuditLogMechanics:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             AuditLog(capacity=0)
+
+
+class TestRunRecords:
+    """A verdict over a run is held once but read per decision."""
+
+    SHARED = dict(operator="ss", query="q", predicate=("ND",),
+                  policy=("C", "D"), sp="<sp>")
+
+    @staticmethod
+    def run_of(n, start=0):
+        return [reading(start + i, 60 + i, float(start + i))
+                for i in range(n)]
+
+    def per_tuple_log(self, runs, **kwargs):
+        """The same decisions recorded one event at a time."""
+        log = AuditLog(**kwargs)
+        for run in runs:
+            for item in run:
+                log.record("shield.drop", ts=item.ts, sid=item.sid,
+                           tid=item.tid, **self.SHARED)
+        return log
+
+    def run_log(self, runs, **kwargs):
+        log = AuditLog(**kwargs)
+        for run in runs:
+            log.record_run("shield.drop", run, **self.SHARED)
+        return log
+
+    def test_per_decision_view_equals_per_tuple_recording(self):
+        runs = [self.run_of(7), self.run_of(5, start=7)]
+        by_run, by_tuple = self.run_log(runs), self.per_tuple_log(runs)
+        assert list(by_run) == list(by_tuple)
+        assert by_run.events(kind="shield.drop") == list(by_tuple)
+        assert by_run.events(query="other") == []
+        assert len(by_run) == 12 and by_run.counts == by_tuple.counts
+        assert by_run.last() == by_tuple.last()
+        # Mid-run tuple: one per-tuple event, seq and ts its own.
+        (event,) = by_run.explain(3)
+        assert event == by_tuple.explain(3)[0]
+        assert (event.seq, event.tid, event.ts) == (3, 3, 3.0)
+        assert by_run.explain(3, sid="other") == []
+
+    def test_jsonl_lines_unchanged(self):
+        runs = [self.run_of(4), self.run_of(3, start=4)]
+        by_run, by_tuple = io.StringIO(), io.StringIO()
+        assert self.run_log(runs).to_jsonl(by_run) == 7
+        assert self.per_tuple_log(runs).to_jsonl(by_tuple) == 7
+        assert by_run.getvalue() == by_tuple.getvalue()
+
+    def test_eviction_is_whole_run_oldest_first(self):
+        log = self.run_log([self.run_of(4), self.run_of(4, start=4),
+                            self.run_of(4, start=8)], capacity=10)
+        # 12 decisions into 10 slots: the oldest run goes as a whole.
+        assert [e.tid for e in log] == list(range(4, 12))
+        assert len(log) == 8 and log.evicted == 4
+        assert log.counts["shield.drop"] == 12
+        log.record("shield.rebind", ts=12.0, operator="ss")
+        log.record("shield.rebind", ts=12.0, operator="ss")
+        log.record("shield.rebind", ts=12.0, operator="ss")
+        assert len(log) == 7 and log.evicted == 8
+        assert len(log) + log.evicted == sum(log.counts.values()) == 15
+        assert [e.seq for e in log] == list(range(8, 15))
+
+    def test_capacity_smaller_than_one_run_keeps_newest(self):
+        log = self.run_log([self.run_of(100)], capacity=30)
+        assert len(log) == 30 and log.evicted == 70
+        assert log.counts["shield.drop"] == 100
+        assert [(e.seq, e.tid) for e in log] == [(i, i)
+                                                 for i in range(70, 100)]
+        assert log.explain(10) == []
+        assert log.explain(99)[0].seq == 99
+
+    def test_record_does_not_keep_tuples_alive(self):
+        class Tracked(DataTuple):
+            """Weak-referenceable (``DataTuple`` itself is slotted)."""
+
+        run = [Tracked("hr", i, {"bpm": 60}, float(i)) for i in range(5)]
+        probe = weakref.ref(run[2])
+        log = self.run_log([run])
+        del run
+        gc.collect()
+        assert probe() is None
+        assert [e.tid for e in log] == [0, 1, 2, 3, 4]
+
+    def test_clear_restarts_seq(self):
+        log = self.run_log([self.run_of(5)], capacity=3)
+        log.clear()
+        assert len(log) == log.evicted == 0 and not log.counts
+        assert log.record("shield.rebind", ts=0.0, operator="ss").seq == 0
+        assert len(log) + log.evicted == sum(log.counts.values()) == 1
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_all_denied_segment(self, batching):
+        """100 tuples denied by one verdict: batched execution holds
+        them as one record; either way ``explain`` names the sp."""
+        elements = [grant(["C"], 0.0)] + [
+            reading(i, 70, 1.0 + i) for i in range(100)]
+        dsms = DSMS(observability=Observability.in_memory())
+        dsms.register_stream(SCHEMA, elements)
+        dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
+        dsms.run(batching=batching)
+        log = dsms.audit
+        assert log.counts["shield.drop"] == 100
+        held = [r for r in log._records if r.kind == "shield.drop"]
+        assert len(held) == (1 if batching else 100)
+        (event,) = log.explain(57)
+        assert (event.kind, event.tid, event.ts) == ("shield.drop", 57, 58.0)
+        assert event.query == "nurse" and event.predicate == ("ND",)
+        assert event.policy == ("C",) and "| C |" in event.sp

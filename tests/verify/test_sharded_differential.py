@@ -24,9 +24,11 @@ def test_shard_axis_is_in_the_config_matrix():
     assert "sharded2-audited/nl/none" in labels
     modes = {c.mode for c in configs if c.n_shards}
     assert "sharded2-batched" in modes
-    # Sharded audited config keeps the element-wise reference path.
-    audited = [c for c in configs if c.audit and c.n_shards]
-    assert audited and not audited[0].batching
+    # Audited runs cross both execution modes, sharded or not.
+    for n_shards in (0, 2):
+        audited = [c.batching for c in configs
+                   if c.audit and c.n_shards == n_shards]
+        assert sorted(audited) == [False, True]
 
 
 @pytest.mark.parametrize("seed,index", [(31, 0), (31, 1), (31, 2),
