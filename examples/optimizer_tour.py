@@ -22,6 +22,7 @@ from repro.engine.executor import Executor
 from repro.engine.plan import PhysicalPlan
 from repro.operators.join import SAJoinBase
 from repro.operators.sink import CollectingSink
+from repro.stream.batch import segment_feed
 from repro.stream.source import ListSource
 from repro.workloads.synthetic import join_streams
 
@@ -40,8 +41,8 @@ def build_catalog() -> StatisticsCatalog:
 def run_physical(expr, left, right, left_schema, right_schema):
     plan = PhysicalPlan()
     sink = plan.compile_expr(expr, CollectingSink())
-    Executor(plan, [ListSource(left_schema, left),
-                    ListSource(right_schema, right)]).run()
+    Executor(plan).run(segment_feed([ListSource(left_schema, left),
+                                     ListSource(right_schema, right)]))
     joins = plan.find_operators(SAJoinBase)
     pairs_checked = sum(j.pairs_checked for j in joins)
     return sink.operator.tuples(), pairs_checked

@@ -27,5 +27,13 @@ echo "== plan lint (static security analysis) =="
 PYTHONPATH=src python -m repro lint examples/plans/*.json \
     tests/verify/cases/*.json
 
+echo "== one execution mode (the run-cutting flags must not come back) =="
+# Bracketed last letters keep the pattern from matching this file.
+if grep -rnE "batching *[=]|prebatche[d]|coalesce_element[s]|coalesce[=]" \
+        src tests examples scripts docs README.md DESIGN.md .github; then
+    echo "an execution-mode flag is back; see DESIGN.md section 6" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

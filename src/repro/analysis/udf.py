@@ -864,7 +864,7 @@ def udf_diagnostics(cond: "Condition", path: str, *,
                 "SEC007", Severity.WARNING, where,
                 f"provably {trait} UDF {udf.label!r} on an enforcement "
                 f"path ({why}); its side effects observe tuples that "
-                "shield placement and execution mode are free to "
+                "shield placement and run cutting are free to "
                 "reorder, and the fail-closed optimizer keeps every "
                 "select rewrite off this plan",
                 fixit="make the callable a pure function of its tuple "

@@ -42,7 +42,7 @@ Commands
     shield verdicts, policy-propagation lag and health alerts.
 ``verify [--seed N] [--runs K] [--faults] [--replay FILE...]``
     Differential verification: fuzz random scenarios, run every engine
-    configuration (element-wise/batched, NL/SPIndex join, optimizer
+    configuration (session/``run()``, NL/SPIndex join, optimizer
     levels, baselines) against the reference oracle, optionally inject
     sp faults, and shrink any mismatch to a minimal JSON reproducer.
 ``lint <file>... [--format text|json] [--strict]``

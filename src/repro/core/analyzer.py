@@ -422,62 +422,14 @@ class SPAnalyzer:
                         max_batch: int | None = None) -> Iterator:
         """:meth:`analyze` fused with run coalescing in one generator.
 
-        The single-source execution fast path: instead of stacking
-        ``analyze`` and
-        :func:`~repro.stream.batch.coalesce_elements` (two generator
-        layers, two per-element type dispatches), this yields rewritten
-        sp-batches *and* :class:`~repro.stream.batch.TupleBatch` runs
-        from one loop.  Batch partitioning (breaks at every sp, at
-        ``max_batch`` tuples, singleton runs unwrapped) matches the
-        composed form, so feeds are byte-identical.
+        :func:`~repro.stream.batch.coalesce_stream` with this
+        analyzer's :meth:`process_batch` applied to every sp-batch:
+        rewritten sps *and* :class:`~repro.stream.batch.TupleBatch`
+        runs from one loop, the same feed as
+        :func:`~repro.stream.batch.coalesce_feed` over :meth:`analyze`.
         """
-        from repro.stream.batch import DEFAULT_MAX_BATCH, TupleBatch
+        from repro.stream.batch import DEFAULT_MAX_BATCH, coalesce_stream
 
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        # Per-element hot loop: the punctuation test is inlined (no
-        # ``is_punctuation`` call frame) and the run-append bound once
-        # per run (rebound on flush — ``TupleBatch`` keeps the list by
-        # reference, so the run must be a fresh list each time).
-        sp_type = SecurityPunctuation
-        process_batch = self.process_batch
-        pending: list[SecurityPunctuation] = []
-        run: list = []
-        run_append = run.append
-        for element in elements:
-            if isinstance(element, sp_type):
-                if run:
-                    if len(run) == 1:
-                        # Singleton runs unwrap to the bare tuple, so
-                        # nothing keeps the list — clear and reuse it
-                        # (sp-dense feeds flush every element or two).
-                        yield run[0]
-                        run.clear()
-                    else:
-                        yield TupleBatch(run)
-                        run = []
-                        run_append = run.append
-                if pending and element.ts != pending[-1].ts:
-                    yield from process_batch(pending)
-                    pending = []
-                pending.append(element)
-            else:
-                if pending:
-                    yield from process_batch(pending)
-                    pending = []
-                run_append(element)
-                if len(run) >= max_batch:
-                    if len(run) == 1:
-                        yield run[0]
-                        run.clear()
-                    else:
-                        yield TupleBatch(run)
-                        run = []
-                        run_append = run.append
-        # At most one of the two buffers is non-empty here: an sp
-        # flushes the tuple run on arrival, a tuple flushes the
-        # pending sps.
-        if pending:
-            yield from self.process_batch(pending)
-        if run:
-            yield run[0] if len(run) == 1 else TupleBatch(run)
+        return coalesce_stream(
+            elements, self.process_batch,
+            max_batch=DEFAULT_MAX_BATCH if max_batch is None else max_batch)

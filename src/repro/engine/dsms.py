@@ -46,10 +46,10 @@ from repro.errors import PlanAnalysisError, PlanAnalysisWarning, QueryError
 from repro.observability import AuditLog, Observability, Tracer
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
-from repro.stream.batch import coalesce_elements
+from repro.stream.batch import segment_feed
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
-from repro.stream.source import CallbackSource, ListSource, StreamSource
+from repro.stream.source import ListSource, StreamSource
 from repro.stream.tuples import DataTuple
 
 __all__ = ["DSMS", "QueryResult"]
@@ -361,38 +361,6 @@ class DSMS:
         self._live_plan = plan
         return plan, sinks
 
-    def _analyzed_sources(self, *,
-                          coalesce: bool = False) -> list[StreamSource]:
-        """Sources with sp analysis applied (policy-carrying streams).
-
-        With ``coalesce=True`` each source also groups tuple runs into
-        :class:`~repro.stream.batch.TupleBatch` envelopes inside the
-        same generator (``analyze_batched``), for the executor's
-        pre-batched single-source fast path.
-        """
-        sources: list[StreamSource] = []
-        for stream_id in self.catalog.stream_ids():
-            registered = self.catalog.get(stream_id)
-            if registered.source is None:
-                continue
-            base = registered.source
-            if registered.carries_policies:
-                if coalesce:
-                    factory = (
-                        lambda b=base: self.analyzer.analyze_batched(
-                            iter(b)))
-                else:
-                    factory = (
-                        lambda b=base: self.analyzer.analyze(iter(b)))
-                sources.append(CallbackSource(registered.schema, factory))
-            elif coalesce:
-                sources.append(CallbackSource(
-                    registered.schema,
-                    (lambda b=base: coalesce_elements(iter(b)))))
-            else:
-                sources.append(base)
-        return sources
-
     def open_session(self, *,
                      optimize: OptimizeLevel = OptimizeLevel.NONE,
                      analyze_sps: bool = True):
@@ -411,12 +379,21 @@ class DSMS:
     def run(self, *,
             optimize: OptimizeLevel = OptimizeLevel.NONE,
             analyze_sps: bool = True,
-            batching: bool = True,
             shards: int | None = None) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.
 
         ``optimize`` as in :meth:`build_plan` (an
         :class:`~repro.engine.api.OptimizeLevel`).
+
+        Execution is segment-batched: the sources are cut into runs of
+        tuples sharing one sp-batch
+        (:func:`~repro.stream.batch.segment_feed`) and each run is
+        pushed through the plan as one
+        :class:`~repro.stream.batch.TupleBatch`, so per-segment
+        decisions amortize over whole runs.  Results — and, with
+        observability on, each operator's audit decisions — are those
+        of a :meth:`open_session` pushed the same elements one at a
+        time, which is what the equivalence tests compare against.
 
         ``shards`` selects the partitioned multi-process executor
         (:mod:`repro.engine.sharded`): input streams are cut on
@@ -427,45 +404,25 @@ class DSMS:
         the single-process path; results, drop counters and audit
         streams are equivalent either way, per the differential
         oracle.
-
-        ``batching`` selects segment-batched execution (the default):
-        runs of tuples sharing one sp-batch are pushed through the
-        plan as :class:`~repro.stream.batch.TupleBatch` envelopes, so
-        per-segment decisions amortize over whole runs.  Results —
-        and, with observability on, each operator's audit decisions —
-        are identical in both modes; ``batching=False`` keeps the
-        element-wise reference path (and is what the equivalence
-        tests compare against).
         """
         if shards is not None:
             from repro.engine.sharded import run_sharded
 
             return run_sharded(self, n_shards=shards,
                                optimize=optimize,
-                               analyze_sps=analyze_sps,
-                               batching=batching)
+                               analyze_sps=analyze_sps)
         plan, sinks = self.build_plan(optimize=optimize)
-        sources = (self._analyzed_sources() if analyze_sps
-                   else self.catalog.sources())
-        prebatched = False
-        if batching and len(sources) == 1:
-            # Single-source workload: fuse sp analysis and run
-            # coalescing into the source generator itself, and tell
-            # the executor to skip its own coalescing layer.
-            if analyze_sps:
-                sources = self._analyzed_sources(coalesce=True)
-            else:
-                base = sources[0]
-                sources = [CallbackSource(
-                    base.schema,
-                    (lambda b=base: coalesce_elements(iter(b))))]
-            prebatched = True
-        executor = Executor(plan, sources,
-                            tracer=self.observability.tracer,
-                            batching=batching,
-                            prebatched=prebatched,
+        sources = self.catalog.sources()
+        policy_streams: frozenset[str] = frozenset()
+        if analyze_sps:
+            # Analysed streams merge in stream-id order (the tie-break
+            # for equal timestamps); without analysis, as registered.
+            sources.sort(key=lambda source: source.stream_id)
+            policy_streams = self.catalog.policy_streams()
+        feed = segment_feed(sources, self.analyzer, policy_streams)
+        executor = Executor(plan, tracer=self.observability.tracer,
                             instruments=self.observability.instruments)
-        self.last_report = executor.run()
+        self.last_report = executor.run(feed)
         return {
             name: QueryResult(name, list(sink.elements))
             for name, sink in sinks.items()

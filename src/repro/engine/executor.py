@@ -1,29 +1,30 @@
 """Pipelined plan execution.
 
-The executor merges all registered sources into one timestamp-ordered
-feed and pushes each element depth-first through the operator DAG: an
-operator's output elements are delivered to its downstream operators
-before the next input element is consumed.  This is the synchronous
-equivalent of a pipelined DSMS scheduler and keeps executions fully
-deterministic (the property the plan-equivalence tests build on).
+The executor consumes one feed of ``(stream_id, element)`` pairs in
+timestamp order and pushes each element depth-first through the
+operator DAG: an operator's output elements are delivered to its
+downstream operators before the next input element is consumed.  This
+is the synchronous equivalent of a pipelined DSMS scheduler and keeps
+executions fully deterministic (the property the plan-equivalence
+tests build on).
 
-Two execution modes share that delivery discipline:
-
-* **Element-wise** (``batching=False``): every stream element is
-  dispatched individually — the reference semantics.
-* **Segment-batched** (``batching=True``, the default): runs of
-  consecutive same-stream tuples between sps — pieces of a single
-  s-punctuated segment — are coalesced into
-  :class:`~repro.stream.batch.TupleBatch` envelopes and pushed through
-  operators' :meth:`~repro.operators.base.Operator.process_batch` fast
-  paths.  A Security Shield passes or drops a whole uniform segment in
-  O(1); select/project filter and map runs in single comprehensions.
-  Operators without a native batch path fall back to the per-element
-  loop automatically.  Results, counters and each operator's audit
-  decision sequence are identical in both modes; an attached audit log
-  changes nothing about dispatch (a verdict over a run is one run
-  record), so the interleaving of audit events *across* operators
-  follows the mode and is not part of the contract.
+There is one execution mode.  An element of the feed is a security
+punctuation, a data tuple, or a :class:`~repro.stream.batch.TupleBatch`
+— a run of consecutive same-stream tuples between sps, i.e. a piece of
+one s-punctuated segment, the paper's decision unit.  A run goes
+through operators' :meth:`~repro.operators.base.Operator.process_batch`
+(a Security Shield passes or drops a whole uniform segment in O(1);
+select/project filter and map runs in single comprehensions; operators
+without a native batch path loop per tuple); a bare element — an sp, a
+run of one, or anything a :class:`~repro.engine.session.StreamingSession`
+pushes — goes through :meth:`~repro.operators.base.Operator.process`,
+the run-of-one specialisation of the same path.  How sources are cut
+into runs is :func:`repro.stream.batch.segment_feed`'s business, not
+the executor's.  Results, counters and each operator's audit decision
+sequence do not depend on the cut; an attached audit log changes
+nothing about dispatch (a verdict over a run is one run record), so
+the interleaving of audit events *across* operators follows the cut
+and is not part of the contract.
 
 The push loop is iterative (an explicit work stack, LIFO with reversed
 pushes to preserve depth-first order), so deep plans never hit Python's
@@ -40,7 +41,6 @@ CLI prints.
 from __future__ import annotations
 
 import time
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.engine.plan import PhysicalPlan, PlanNode
@@ -48,9 +48,8 @@ from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
 from repro.observability.trace import NullTraceSink, TraceSink
 from repro.core.punctuation import SecurityPunctuation
-from repro.stream.batch import (TupleBatch, coalesce_elements, coalesce_feed)
+from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
-from repro.stream.source import StreamSource, merge_sources
 
 __all__ = ["Executor", "ExecutionReport"]
 
@@ -107,52 +106,34 @@ class ExecutionReport:
 
 
 class Executor:
-    """Drives a physical plan over a set of sources."""
+    """Drives a physical plan over a feed of stream elements."""
 
-    def __init__(self, plan: PhysicalPlan, sources: Iterable[StreamSource],
+    def __init__(self, plan: PhysicalPlan,
                  *, tracer: TraceSink | None = None,
-                 batching: bool = True, prebatched: bool = False,
                  instruments=None):
         self.plan = plan
-        self.sources = list(sources)
         self.tracer = tracer if tracer is not None else NullTraceSink()
         #: Causal tracer (trace contexts, operator spans, provenance);
         #: ``None`` when the sink is a plain flat-event TraceSink.
         self._causal: Tracer | None = (
             self.tracer if isinstance(self.tracer, Tracer) else None)
-        #: Segment-batched execution (see module docstring).
-        self.batching = batching
-        #: Sources already yield coalesced runs (TupleBatch envelopes)
-        #: — skip the executor's own coalescing layer.
-        self.prebatched = prebatched
         #: Engine metric instruments (``None`` = metrics off; the run
         #: loop then pays one ``is None`` check per element).
         self.instruments = instruments
 
-    def run(self) -> ExecutionReport:
-        """Consume all sources to exhaustion, then flush the plan."""
+    def run(self, feed: "Iterable[tuple[str, object]]") -> ExecutionReport:
+        """Consume ``feed`` to exhaustion, then flush the plan.
+
+        ``feed`` yields ``(stream_id, sp | DataTuple | TupleBatch)`` in
+        execution order — :func:`repro.stream.batch.segment_feed` over
+        the sources.
+        """
         report = ExecutionReport()
         if self.tracer.enabled:
             self.tracer.span("executor.run.start",
-                             sources=len(self.sources),
-                             operators=len(self.plan.nodes),
-                             batching=self.batching)
+                             operators=len(self.plan.nodes))
         start = time.perf_counter()
         entries = self.plan.entries
-        if self.batching and len(self.sources) == 1:
-            # Single-source fast path: no ts merge needed, so the run
-            # coalescing collapses to one generator layer (or none at
-            # all when the source is already pre-batched) — the merge
-            # + coalesce generator stack is the dominating per-element
-            # cost on sp-dense feeds.
-            (source,) = self.sources
-            elements = (iter(source) if self.prebatched
-                        else coalesce_elements(iter(source)))
-            feed = zip(repeat(source.stream_id), elements)
-        else:
-            feed = merge_sources(self.sources)
-            if self.batching:
-                feed = coalesce_feed(feed)
         push = self._push
         instruments = self.instruments
         causal = self._causal
@@ -206,8 +187,7 @@ class Executor:
                              tuples_in=report.tuples_in,
                              sps_in=report.sps_in,
                              drops=report.total_drops,
-                             wall_time=report.wall_time,
-                             batching=self.batching)
+                             wall_time=report.wall_time)
         return report
 
     def stage_stats(self) -> list[StageStats]:

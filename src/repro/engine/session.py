@@ -3,9 +3,14 @@
 :meth:`~repro.engine.dsms.DSMS.run` executes registered queries over
 pre-registered finite sources.  A :class:`StreamingSession` instead
 keeps a compiled plan live and lets the caller push stream elements
-one at a time — the shape of a real deployment, and the mode in which
+one at a time — the shape of a real deployment, and the path on which
 the paper's "speed of enforcement" advantage is visible: a policy
-change takes effect for the very next pushed tuple.
+change takes effect for the very next pushed tuple.  A pushed element
+is a run of one: it enters operators through ``process()``, the same
+entry ``run()`` uses for a segment of a single tuple, which makes a
+session pushed element by element the reference ``run()``'s
+segment-batched results are checked against (the equivalence suite
+and the differential oracle's ``session/*`` configurations).
 
 Results are delivered through per-query callbacks (or collected, if no
 callback is given)::
@@ -51,10 +56,9 @@ class StreamingSession:
         self._causal: Tracer | None = (
             self._tracer if isinstance(self._tracer, Tracer) else None)
         self._instruments = dsms.observability.instruments
-        # Sessions receive elements one push at a time, so there is no
-        # run to coalesce; the executor stays in element-wise mode.
-        self._executor = Executor(self._plan, [], tracer=self._tracer,
-                                  batching=False,
+        # A push hands over one element, so there is no run to cut:
+        # bare elements go straight to ``Executor.feed``.
+        self._executor = Executor(self._plan, tracer=self._tracer,
                                   instruments=self._instruments)
         self._analyze = analyze_sps
         self._callbacks: dict[str, ResultCallback] = {}
@@ -63,6 +67,7 @@ class StreamingSession:
         self._pending_sps: dict[str, list[SecurityPunctuation]] = {}
         self._closed = False
         self.elements_pushed = 0
+        self._sps_pushed = 0
         if self._tracer.enabled:
             self._tracer.span("session.open",
                               queries=sorted(self._sinks),
@@ -103,38 +108,39 @@ class StreamingSession:
                 f"after {last} (use a ReorderBuffer upstream)")
         self._last_ts[stream_id] = element.ts
         self.elements_pushed += 1
+        is_sp = isinstance(element, SecurityPunctuation)
+        if is_sp:
+            self._sps_pushed += 1
         instruments = self._instruments
         if instruments is not None:
             # Push time is the ingest clock: results delivered during
             # this push measure their end-to-end latency against it.
             instruments.mark_ingest(time.perf_counter())
-            if isinstance(element, SecurityPunctuation):
+            if is_sp:
                 instruments.sps_in.inc()
             else:
                 instruments.tuples_in.inc()
         if self._causal is not None:
             # Each push opens its own causal trace (the session is the
             # ingest point); the root span doubles as the push event.
-            self._causal.begin(
-                "sp" if isinstance(element, SecurityPunctuation)
-                else "tuple",
-                stream=stream_id, ts=element.ts, name="session.push")
+            self._causal.begin("sp" if is_sp else "tuple",
+                               stream=stream_id, ts=element.ts,
+                               name="session.push")
         elif self._tracer.enabled:
-            self._tracer.span(
-                "session.push", stream=stream_id, ts=element.ts,
-                kind=("sp" if isinstance(element, SecurityPunctuation)
-                      else "tuple"))
+            self._tracer.span("session.push", stream=stream_id,
+                              ts=element.ts,
+                              kind="sp" if is_sp else "tuple")
 
-        for item in self._ingest(stream_id, element):
+        for item in self._ingest(stream_id, element, is_sp):
             self._executor.feed(stream_id, item)
         return self._collect_new()
 
-    def _ingest(self, stream_id: str, element: StreamElement):
+    def _ingest(self, stream_id: str, element: StreamElement, is_sp: bool):
         """Apply analyzer batch semantics to pushed sps."""
         if not self._analyze:
             return [element]
         pending = self._pending_sps.setdefault(stream_id, [])
-        if isinstance(element, SecurityPunctuation):
+        if is_sp:
             if pending and element.ts != pending[0].ts:
                 released = self._dsms.analyzer.process_batch(pending)
                 self._pending_sps[stream_id] = [element]
@@ -184,11 +190,15 @@ class StreamingSession:
         """Point-in-time execution report over the live plan.
 
         Unlike :meth:`~repro.engine.dsms.DSMS.run`'s report this can be
-        taken mid-session: stage metrics reflect everything pushed so
-        far.
+        taken mid-session: counts and stage metrics reflect everything
+        pushed so far.  The element counts are of pushed elements, so
+        they equal a ``run()`` report's field by field whenever the SP
+        Analyzer emits as many sps as it takes in.
         """
         report = ExecutionReport()
         report.elements_in = self.elements_pushed
+        report.sps_in = self._sps_pushed
+        report.tuples_in = self.elements_pushed - self._sps_pushed
         report.stages = self._executor.stage_stats()
         return report
 

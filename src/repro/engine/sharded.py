@@ -63,10 +63,10 @@ from repro.observability.trace import (NullTraceSink, RingBufferTraceSink,
                                        SpanEvent)
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
-from repro.stream.batch import coalesce_elements
+from repro.stream.batch import segment_feed
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
-from repro.stream.source import CallbackSource, ListSource, StreamSource
+from repro.stream.source import ListSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.dsms import DSMS, QueryResult
@@ -203,7 +203,6 @@ class ShardTask:
     #: (name, expr, roles) for queries run wholly in the worker.
     local_queries: "list[tuple[str, LogicalExpr, frozenset[str]]]"
     server_sps: "tuple[SecurityPunctuation, ...]" = ()
-    batching: bool = True
     audit: bool = False
     tracing: bool = False
     #: Fault injection for the verification harness: ``"crash"`` kills
@@ -292,35 +291,19 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
             if operator.audit is None:
                 observability.bind(operator)
 
-    sources: "list[StreamSource]" = []
-    prebatched = False
-    sids = sorted(task.streams)
-    single = task.batching and len(sids) == 1
-    for sid in sids:
-        schema = StreamSchema(sid, tuple(task.schemas[sid]))
+    sources: "list[ListSource]" = []
+    for sid in sorted(task.streams):
         elements = task.streams[sid]
         if task.spans is not None:
             elements = slice_spans(elements, task.spans[sid])
-        base = ListSource(schema, elements)
-        if task.analyze.get(sid, False):
-            if single:
-                factory = (lambda b=base:
-                           analyzer.analyze_batched(iter(b)))
-                prebatched = True
-            else:
-                factory = lambda b=base: analyzer.analyze(iter(b))
-            sources.append(CallbackSource(schema, factory))
-        elif single:
-            sources.append(CallbackSource(
-                schema, (lambda b=base: coalesce_elements(iter(b)))))
-            prebatched = True
-        else:
-            sources.append(base)
+        sources.append(ListSource(
+            StreamSchema(sid, tuple(task.schemas[sid])), elements))
+    feed = segment_feed(
+        sources, analyzer,
+        {sid for sid, analyze in task.analyze.items() if analyze})
 
-    executor = Executor(plan, sources, tracer=trace_sink,
-                        batching=task.batching,
-                        prebatched=prebatched)
-    report = executor.run()
+    executor = Executor(plan, tracer=trace_sink)
+    report = executor.run(feed)
 
     result = ShardResult(
         shard_idx=task.shard_idx,
@@ -464,7 +447,6 @@ def _collect(workers, observability: Observability, n_shards: int,
 def run_sharded(dsms: "DSMS", *, n_shards: int,
                 optimize: OptimizeLevel = OptimizeLevel.NONE,
                 analyze_sps: bool = True,
-                batching: bool = True,
                 timeout: float = DEFAULT_TIMEOUT,
                 faults: "dict[int, str] | None" = None,
                 ) -> "dict[str, QueryResult]":
@@ -551,7 +533,6 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                 analyze=analyze_map, units=units,
                 local_queries=local_queries,
                 server_sps=dsms.analyzer.server_sps,
-                batching=batching,
                 audit=audit_on, tracing=tracing_on,
                 fault=(faults or {}).get(shard_idx),
                 spans=(per_shard_spans[shard_idx]
@@ -624,8 +605,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
             suffix.register_query(name, expr, roles=roles[name],
                                   auto_shield=False)
         suffix_results = suffix.run(optimize=OptimizeLevel.NONE,
-                                    analyze_sps=False,
-                                    batching=batching)
+                                    analyze_sps=False)
         suffix_report = suffix.last_report
     suffix_seconds = time.process_time() - serial_start
 

@@ -46,11 +46,11 @@ a storage form: iteration, :meth:`~AuditLog.events`,
 ``len()`` all speak in per-decision :class:`AuditEvent` units, and each
 decision of a run owns one ``seq`` number.
 
-Ordering.  Per operator, the decision sequence is the same whether the
-engine runs element-wise or segment-batched.  The interleaving *across*
-operators follows the execution mode (a batched shield finishes a run
-before the next operator sees any of it) and is not part of the
-contract.
+Ordering.  Per operator, the decision sequence is the same whether
+elements arrive cut into segment runs (``run()``) or one per push (a
+session).  The interleaving *across* operators follows the cut (a
+shield finishes a run before the next operator sees any of it) and is
+not part of the contract.
 
 The log is bounded: ``capacity`` bounds the held *decisions*; recording
 past it evicts whole records, oldest first (``evicted`` counts the

@@ -147,13 +147,15 @@ class Operator:
                       port: int = 0) -> list[StreamElement]:
         """Consume one segment run on ``port``; return emitted elements.
 
-        The batched counterpart of :meth:`process`: stats counters are
-        updated in amortized per-batch increments (one wrapper, one
-        pair of clock reads per run instead of per element).  Emitted
-        elements may include :class:`TupleBatch` envelopes, which count
-        as their length.  Subclasses override :meth:`_process_batch`
-        for a native batch path; the default falls back to the
-        element-wise loop, so plans stay correct by construction.
+        :meth:`process` is this method's run-of-one specialisation (a
+        run of one is never wrapped, and a session pushes bare
+        elements).  Here stats counters are updated in amortized
+        per-batch increments (one wrapper, one pair of clock reads per
+        run instead of per element).  Emitted elements may include
+        :class:`TupleBatch` envelopes, which count as their length.
+        Subclasses whose work per run differs from their work per
+        tuple override :meth:`_process_batch`; the default loops
+        :meth:`_process`, so plans stay correct by construction.
         """
         if not 0 <= port < self.arity:
             raise PlanError(f"{self.name}: invalid port {port}")
@@ -169,8 +171,8 @@ class Operator:
                                                  - stats.ewma_seconds)
             if self._m_latency is not None:
                 # One observation per run, at the run's mean
-                # per-element cost (histogram counts therefore differ
-                # between execution modes; values don't skew).
+                # per-element cost (histogram counts therefore depend
+                # on how the input was cut; values don't skew).
                 self._m_latency.observe(elapsed / n)
         stats.tuples_in += n
         for item in out:

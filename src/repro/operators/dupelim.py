@@ -93,20 +93,6 @@ class DuplicateElimination(UnaryOperator):
         assert isinstance(element, DataTuple)
         return self._process_tuple(element)
 
-    def _process_batch(self, batch, port: int) -> list[StreamElement]:
-        """Batch path: one tight tuple loop, no per-element dispatch.
-
-        Dup-elim decisions are inherently per tuple (each arrival can
-        flip the stored output policy), so the win here is amortizing
-        the wrapper and the sp/tuple dispatch, not the decision.
-        """
-        out: list[StreamElement] = []
-        extend = out.extend
-        process_tuple = self._process_tuple
-        for item in batch.tuples:
-            extend(process_tuple(item))
-        return out
-
     def _process_tuple(self, element: DataTuple) -> list[StreamElement]:
         self._expire(element.ts)
         policy = self.tracker.policy_for(element)

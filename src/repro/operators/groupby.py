@@ -129,16 +129,6 @@ class GroupBy(UnaryOperator):
         assert isinstance(element, DataTuple)
         return self._process_tuple(element)
 
-    def _process_batch(self, batch, port: int) -> list[StreamElement]:
-        """Batch path: one tight tuple loop (aggregation stays
-        per-tuple — every arrival updates its subgroup's window)."""
-        out: list[StreamElement] = []
-        extend = out.extend
-        process_tuple = self._process_tuple
-        for item in batch.tuples:
-            extend(process_tuple(item))
-        return out
-
     def _process_tuple(self, element: DataTuple) -> list[StreamElement]:
         out: list[StreamElement] = []
         self._expire(element.ts, out)

@@ -129,25 +129,6 @@ class SAJoinBase(BinaryOperator):
     def _segment_purged(self, segment: Segment, port: int) -> None:
         """Hook for the index variant (SPIndex entry removal)."""
 
-    def _process_batch(self, batch, port: int) -> list[StreamElement]:
-        """Batch path: open the run's segment once, then probe per tuple.
-
-        A batch never contains sps, so the pending sp-batch (if any)
-        is finalized exactly once up front; the per-tuple loop then
-        skips dispatch overhead and probes the opposite window
-        directly.  Window invalidation stays per tuple — expiry depends
-        on each probing tuple's own timestamp.
-        """
-        start = time.perf_counter()
-        self._open_segment(port)
-        self.sp_maintenance_time += time.perf_counter() - start
-        out: list[StreamElement] = []
-        extend = out.extend
-        process_tuple = self._process_tuple
-        for item in batch.tuples:
-            extend(process_tuple(item, port))
-        return out
-
     # -- tuple arrival -----------------------------------------------------
     def _process_tuple(self, item: DataTuple, port: int) -> list[StreamElement]:
         opposite = 1 - port

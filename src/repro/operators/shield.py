@@ -551,7 +551,7 @@ class SecurityShield(UnaryOperator):
         """Exactly one ``shield.drop`` event per denied tuple.
 
         ``tuples`` is a run denied under one resolved policy (a single
-        tuple on the element-wise path); the log holds it as one run
+        tuple on the ``process()`` path); the log holds it as one run
         record.
         """
         policy = self.tracker.policy_for(tuples[0])

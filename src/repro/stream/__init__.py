@@ -1,6 +1,7 @@
 """Streaming substrate: schemas, tuples, elements, windows, sources."""
 
-from repro.stream.batch import (TupleBatch, coalesce_elements, coalesce_feed)
+from repro.stream.batch import (TupleBatch, coalesce_feed, coalesce_stream,
+                                segment_feed)
 from repro.stream.element import (StreamElement, count_elements, element_ts,
                                   is_punctuation, is_tuple, iter_sps,
                                   iter_tuples, split_elements)
@@ -32,8 +33,8 @@ __all__ = [
     "StreamElement",
     "StreamSchema",
     "StreamSource",
-    "coalesce_elements",
     "coalesce_feed",
+    "coalesce_stream",
     "count_elements",
     "element_ts",
     "ensure_ordered",
@@ -44,5 +45,6 @@ __all__ = [
     "merge_sources",
     "policy_is_uniform",
     "reorder",
+    "segment_feed",
     "split_elements",
 ]

@@ -10,12 +10,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Union
 
 from repro.core.punctuation import SecurityPunctuation
-from repro.stream.batch import TupleBatch
 from repro.stream.tuples import DataTuple
 
 __all__ = [
     "StreamElement",
-    "TupleBatch",
     "is_punctuation",
     "is_tuple",
     "element_ts",

@@ -1,10 +1,10 @@
 """The differential runner: every engine configuration vs the oracle.
 
 For one scenario this module runs the full cross product of engine
-configurations — element-wise vs segment-batched execution, NL vs
-SPIndex join, optimizer off / per-query / workload — plus audited
-runs in both execution modes and (where expressible) the two Section
-I.C baselines, and diffs
+configurations — ``run()`` (segment-batched) vs a streaming session
+pushed one element at a time, NL vs SPIndex join, optimizer off /
+per-query / workload — plus audited runs on both paths and (where
+expressible) the two Section I.C baselines, and diffs
 each against :func:`repro.verify.oracle.run_oracle`:
 
 * the multiset of delivered tuples per query, each tagged with its
@@ -12,8 +12,8 @@ each against :func:`repro.verify.oracle.run_oracle`:
   the tuple would have been delivered anyway);
 * the delivery-shield denial count in the audit trail's per-decision
   view (which must also add up to ``audit.counts``);
-* the executor's total drop counter across the element-wise and
-  batched runs of the same plan.
+* the executor's total drop counter across the session and ``run()``
+  executions of the same plan.
 
 Engines consume the scenario's streams through freshly decoded wire
 elements, so no state leaks between configurations.
@@ -34,10 +34,12 @@ from repro.core.bitmap import RoleSet
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
+from repro.engine.executor import ExecutionReport
 from repro.observability import Observability
 from repro.operators.conditions import Comparison
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
+from repro.stream.source import merge_sources
 from repro.stream.tuples import DataTuple
 from repro.verify.generator import Scenario
 from repro.verify.oracle import (NaiveTracker, OracleOutcome, resolve_batch,
@@ -110,10 +112,17 @@ def _has_join(spec: dict) -> bool:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One way to run the engine over a scenario."""
+    """One way to run the engine over a scenario.
+
+    ``label`` is ``<mode>/<join variant>/<optimizer level>``.  A mode
+    starting with ``session`` drives a
+    :class:`~repro.engine.session.StreamingSession` one element at a
+    time — the production push path, and the element-wise reference
+    for ``run()``'s segment-batched execution; every other mode calls
+    ``DSMS.run()``.
+    """
 
     label: str
-    batching: bool
     join_variant: str = "nl"
     level: str = "none"
     audit: bool = False
@@ -131,17 +140,15 @@ class EngineConfig:
 
     @property
     def mode(self) -> str:
-        """The execution mode axis: elementwise / batched."""
-        if self.traced:
-            base = "traced"
-        else:
-            base = "batched" if self.batching else "elementwise"
-        if self.n_shards:
-            # Distinct mode label per shard count: the cross-mode drop
-            # consistency check then also proves sharded total drops
-            # equal every single-process mode's.
-            return f"sharded{self.n_shards}-{base}"
-        return base
+        """How the plan is driven: session / batched / traced /
+        sharded<N> — one label per way, so the cross-mode drop check
+        also proves sharded total drops equal every single-process
+        mode's."""
+        return self.label.partition("/")[0]
+
+    @property
+    def session(self) -> bool:
+        return self.mode.startswith("session")
 
 
 def configs_for(scenario: Scenario) -> list[EngineConfig]:
@@ -154,39 +161,27 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
     configs = []
     for variant in variants:
         for level in levels:
-            for batching in (False, True):
-                mode = "batched" if batching else "elementwise"
+            for mode in ("session", "batched"):
                 configs.append(EngineConfig(
                     label=f"{mode}/{variant}/{level}",
-                    batching=batching, join_variant=variant, level=level))
+                    join_variant=variant, level=level))
     # Audited axis: the trail's per-decision view must not depend on
-    # how decisions are held (one event element-wise, run records
-    # batched), so both execution modes run under an audit log.
-    configs.append(EngineConfig(label="audited/nl/none", batching=False,
-                                join_variant="nl", level="none", audit=True))
-    configs.append(EngineConfig(label="audited-batched/nl/none",
-                                batching=True, join_variant="nl",
-                                level="none", audit=True))
-    configs.append(EngineConfig(label="traced/nl/none", batching=True,
-                                join_variant="nl", level="none", traced=True))
+    # how decisions are held (one event per push in a session, run
+    # records under ``run()``), so both paths run under an audit log.
+    for mode in ("session-audited", "audited-batched"):
+        configs.append(EngineConfig(label=f"{mode}/nl/none", audit=True))
+    configs.append(EngineConfig(label="traced/nl/none", traced=True))
     # Sharded axis: the partitioned multi-process executor at 1, 2 and
-    # 4 workers, plus audited (both execution modes) and (with a join
-    # in the workload) one index-join sharded run — every merge path
-    # crossed with every execution mode it composes with.
+    # 4 workers, plus audited and (with a join in the workload) one
+    # index-join sharded run — every merge path.
     for n_shards in (1, 2, 4):
         configs.append(EngineConfig(
-            label=f"sharded{n_shards}/nl/none", batching=True,
-            join_variant="nl", level="none", n_shards=n_shards))
+            label=f"sharded{n_shards}/nl/none", n_shards=n_shards))
     if join:
         configs.append(EngineConfig(
-            label="sharded2/index/none", batching=True,
-            join_variant="index", level="none", n_shards=2))
+            label="sharded2/index/none", join_variant="index", n_shards=2))
     configs.append(EngineConfig(
-        label="sharded2-audited/nl/none", batching=False,
-        join_variant="nl", level="none", audit=True, n_shards=2))
-    configs.append(EngineConfig(
-        label="sharded2-audited-batched/nl/none", batching=True,
-        join_variant="nl", level="none", audit=True, n_shards=2))
+        label="sharded2-audited-batched/nl/none", audit=True, n_shards=2))
     return configs
 
 
@@ -242,12 +237,29 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         dsms.register_query(
             name, expr_from_spec(query["plan"], config.join_variant),
             roles=frozenset(query["roles"]), auto_shield=False)
-    results = dsms.run(optimize=OptimizeLevel(config.level),
-                       batching=config.batching,
-                       shards=config.n_shards or None)
+    level = OptimizeLevel(config.level)
+    if config.session:
+        # Faults reorder sps only inside an sp-batch (one timestamp),
+        # so every stream stays in the order ``push`` insists on.
+        session = dsms.open_session(optimize=level)
+        delivered: "dict[str, list[StreamElement]]" = {
+            name: [] for name in scenario.queries}
+        for name, elements in delivered.items():
+            session.subscribe(name, elements.append)
+        for sid, element in merge_sources(dsms.catalog.sources()):
+            session.push(sid, element)
+        session.close()
+        report: ExecutionReport | None = session.report()
+    else:
+        delivered = {
+            name: result.elements for name, result in dsms.run(
+                optimize=level, shards=config.n_shards or None).items()}
+        report = dsms.last_report
     outcome = EngineOutcome()
-    for name, result in results.items():
-        outcome.delivered[name] = _decode_sink(result.elements)
+    for name, elements in delivered.items():
+        outcome.delivered[name] = _decode_sink(elements)
+    if report is not None:
+        outcome.total_drops = report.total_drops
     if config.audit and dsms.audit is not None:
         # Delivery shields are named "delivery:<query>" in the plan.
         drops = dsms.audit.events(kind="shield.drop")
@@ -259,8 +271,6 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         if not dsms.audit.evicted:
             outcome.audit_gap = (dsms.audit.counts["shield.drop"]
                                  - len(drops))
-    if dsms.last_report is not None:
-        outcome.total_drops = dsms.last_report.total_drops
     return outcome
 
 

@@ -115,6 +115,7 @@ class TestWorkloadOptimization:
         from repro.engine.plan import PhysicalPlan
         from repro.operators.join import SAJoinBase
         from repro.operators.sink import CollectingSink
+        from repro.stream.batch import segment_feed
         from repro.stream.schema import StreamSchema
         from repro.stream.source import ListSource
         from repro.stream.tuples import DataTuple
@@ -135,10 +136,10 @@ class TestWorkloadOptimization:
                       DataTuple("a", 1, {"x": 5}, 1.0)]
         elements_b = [SecurityPunctuation.grant(["r1"], 0.0),
                       DataTuple("b", 2, {"x": 5}, 2.0)]
-        Executor(plan, [
+        Executor(plan).run(segment_feed([
             ListSource(StreamSchema("a", ("x",)), elements_a),
             ListSource(StreamSchema("b", ("x",)), elements_b),
-        ]).run()
+        ]))
         outs = [[t.tid for t in sink.operator.tuples()] for sink in sinks]
         assert outs[0] == [(1, 2)]   # r1 compatible on both sides
         assert outs[1] == []         # r2 missing on b

@@ -72,6 +72,7 @@ class TestPushdown:
     def test_semantics_preserved_on_execution(self):
         from repro.core.punctuation import SecurityPunctuation
         from repro.engine.executor import Executor
+        from repro.stream.batch import segment_feed
         from repro.engine.plan import PhysicalPlan
         from repro.operators.sink import CollectingSink
         from repro.stream.schema import StreamSchema
@@ -98,7 +99,7 @@ class TestPushdown:
                     DataTuple("b", 3, {"k": 7, "y": 1}, 3.0),
                 ]),
             ]
-            Executor(plan, sources).run()
+            Executor(plan).run(segment_feed(sources))
             return sorted(t.tid for t in sink.operator.tuples())
 
         assert run(expr) == run(pushed) == [(2, 3)]

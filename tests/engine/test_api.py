@@ -41,6 +41,18 @@ class TestOptimizeLevelCoercion:
             dsms.run(optimize=True)
 
 
+def test_run_takes_no_execution_mode():
+    """Segment-batched execution is the only mode; the old switch is a
+    ``TypeError``, on ``run()`` and on the executor."""
+    from repro.engine.executor import Executor
+    from repro.engine.plan import PhysicalPlan
+
+    with pytest.raises(TypeError):
+        DSMS().run(**{"batching": False})
+    with pytest.raises(TypeError):
+        Executor(PhysicalPlan(), **{"batching": False})
+
+
 class TestShieldsView:
     def test_unknown_query_raises(self):
         dsms = DSMS()

@@ -1,19 +1,22 @@
-"""Batched vs element-wise execution equivalence (segment batching).
+"""``run()`` vs a session pushed element by element (segment batching).
 
 Property-style suite backing the segment-batched execution engine:
-for every plan shape and stream shape exercised here, running the same
-workload with ``batching=True`` and ``batching=False`` must produce
+for every plan shape and stream shape exercised here, ``DSMS.run()``
+(sources cut into segment runs) and a ``StreamingSession`` pushed the
+same elements one at a time in ``merge_sources`` order — the
+element-wise reference — must produce
 
 * identical ordered result elements per query,
-* identical drop counts (whole-plan and per stage),
+* identical element counts and drop counts (whole-plan and per stage),
 * per operator, identical audit decision sequences (with
   observability on) and identical ``audit.counts`` — the interleaving
-  *across* operators follows the execution mode and is not compared,
+  *across* operators follows how the input was cut and is not
+  compared,
 * identical security metric counters (shield verdicts,
   denial-by-default drops, segment/sp-batch size distributions) —
   latency histograms may legitimately differ in observation counts
-  (one observation per batch vs per element), but decision counting
-  must not depend on the execution mode.
+  (one observation per run vs per element), but decision counting
+  must not depend on the cut.
 
 Stream shapes cover uniform segments, non-uniform (tuple-scoped)
 segments, held-sp release, empty segments, denial-by-default prefixes
@@ -35,23 +38,26 @@ from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
 
+from tests.drive import push_all
+
 SCHEMA = StreamSchema("s1", ("v",))
 
 
 def run_both(make_dsms, *, observability: bool = True):
-    """Run a freshly built DSMS in both modes; return both outcomes."""
-    outcomes = {}
-    for batching in (False, True):
+    """Drive a freshly built DSMS through a session pushed element by
+    element, and another through ``run()``; return both outcomes."""
+    outcomes = []
+    for drive in (push_all, DSMS.run):
         dsms = make_dsms(
             Observability.in_memory() if observability
             else Observability.disabled())
-        results = dsms.run(batching=batching)
-        outcomes[batching] = (results, dsms)
-    return outcomes[False], outcomes[True]
+        outcomes.append((drive(dsms), dsms))
+    return outcomes
 
 
 def assert_equivalent(plain, batched):
-    """The full equivalence contract between the two execution modes."""
+    """The full equivalence contract between the session reference
+    (``plain``) and ``run()`` (``batched``)."""
     plain_results, plain_dsms = plain
     batched_results, batched_dsms = batched
     assert plain_results.keys() == batched_results.keys()
@@ -96,10 +102,10 @@ def decisions_by_operator(dsms):
     return dict(groups)
 
 
-#: Counter families whose per-series totals must match across modes.
+#: Counter families whose per-series totals must match on both paths.
 _SECURITY_COUNTERS = ("repro_shield_tuples_total",
                       "repro_denial_by_default_drops_total")
-#: Histogram families whose full distribution must match across modes
+#: Histogram families whose full distribution must match on both paths
 #: (sizes are data-dependent, not timing-dependent).
 _SECURITY_HISTOGRAMS = ("repro_segment_size_tuples",
                         "repro_sp_batch_size_sps")
@@ -121,7 +127,7 @@ def _histogram_series(registry, name):
 
 
 def assert_security_metrics_equivalent(plain_dsms, batched_dsms):
-    """Security decision metrics must not depend on execution mode."""
+    """Security decision metrics must not depend on how input is cut."""
     plain_reg = plain_dsms.observability.metrics
     batched_reg = batched_dsms.observability.metrics
     for name in _SECURITY_COUNTERS:
@@ -251,7 +257,7 @@ def test_select_project_shield_chain():
 
 def test_opaque_condition_call_count_and_order():
     """An opaque UDF conjunct is called once per tuple that survived
-    the conjuncts before it, in stream order, in both modes."""
+    the conjuncts before it, in stream order, on both paths."""
     elements = uniform_stream(5, 10, n_tuples=120)
     calls = []
 
@@ -275,7 +281,7 @@ def test_opaque_condition_call_count_and_order():
         calls.clear()
         plain, batched = run_both(make, observability=observability)
         assert_equivalent(plain, batched)
-        assert calls == survivors * 2  # element-wise run, then batched
+        assert calls == survivors * 2  # session, then run()
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -296,7 +302,7 @@ def test_project_dupelim_plan(seed):
 
 
 def test_dupelim_suppression_equivalence():
-    """Duplicate values across overlapping policies, both modes."""
+    """Duplicate values across overlapping policies, both paths."""
     elements = []
     ts = 0.0
     for segment in range(10):
@@ -394,11 +400,12 @@ def test_multi_query_shared_plan(seed):
 def test_udf_raising_mid_run_fails_closed(k):
     """A UDF raising on row ``k`` of a run, upstream of audited shields.
 
-    Both modes abort ``run()`` with the UDF's error, so nothing is
-    delivered.  The trail of every completed run is the same per
-    operator; the aborted run is all-or-nothing batched (the select
-    never hands it on) and a row prefix element-wise, and neither mode
-    decides anything about the failing row or a later one.
+    Both paths raise the UDF's error, so nothing is delivered for the
+    failing row or after it.  The trail of every completed run is the
+    same per operator; the aborted run is all-or-nothing under
+    ``run()`` (the select never hands it on) and a row prefix in the
+    session, and neither decides anything about the failing row or a
+    later one.
     """
     elements = uniform_stream(2, 10, n_tuples=120)
     tuples = [e for e in elements if isinstance(e, DataTuple)]
@@ -419,11 +426,11 @@ def test_udf_raising_mid_run_fails_closed(k):
         return dsms
 
     trails = {}
-    for batching in (False, True):
+    for batched, drive in ((False, push_all), (True, DSMS.run)):
         dsms = make(Observability.in_memory())
         with pytest.raises(RuntimeError, match="udf failed"):
-            dsms.run(batching=batching)
-        trails[batching] = decisions_by_operator(dsms)
+            drive(dsms)
+        trails[batched] = decisions_by_operator(dsms)
 
     def before(trail, ts):
         kept = {op: [e for e in events if e["ts"] < ts]

@@ -13,8 +13,9 @@ from repro.operators.join import NestedLoopSAJoin
 from repro.operators.select import Select
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
+from repro.stream.batch import segment_feed
 from repro.stream.schema import StreamSchema
-from repro.stream.source import ListSource
+from repro.stream.source import ListSource, merge_sources
 from repro.stream.tuples import DataTuple
 
 
@@ -37,7 +38,7 @@ class TestManualConstruction:
         plan.connect(shield, sink)
         plan.connect_source("s1", shield)
         source = ListSource(SCHEMA, [grant(["D"], 0.0), tup(1, 5, 1.0)])
-        Executor(plan, [source]).run()
+        Executor(plan).run(segment_feed([source]))
         assert [t.tid for t in sink.operator.tuples()] == [1]
 
     def test_invalid_port_rejected(self):
@@ -118,7 +119,7 @@ class TestExecutor:
                                  CollectingSink())
         source = ListSource(SCHEMA, [grant(["D"], 0.0), tup(1, 5, 1.0),
                                      tup(2, 6, 2.0)])
-        report = Executor(plan, [source]).run()
+        report = Executor(plan).run(segment_feed([source]))
         assert report.elements_in == 3
         assert report.tuples_in == 2
         assert report.sps_in == 1
@@ -132,14 +133,14 @@ class TestExecutor:
             grant(["D"], 0.0), tup(1, 7, 1.0, "a")])
         source_b = ListSource(StreamSchema("b", ("v",)), [
             grant(["D"], 0.0), tup(2, 7, 2.0, "b")])
-        Executor(plan, [source_a, source_b]).run()
+        Executor(plan).run(segment_feed([source_a, source_b]))
         assert [t.tid for t in sink.operator.tuples()] == [(1, 2)]
 
     def test_feed_incremental(self):
         plan = PhysicalPlan()
         sink = plan.compile_expr(ScanExpr("s1").shield({"D"}),
                                  CollectingSink())
-        executor = Executor(plan, [])
+        executor = Executor(plan)
         executor.feed("s1", grant(["D"], 0.0))
         executor.feed("s1", tup(1, 5, 1.0))
         assert len(sink.operator.tuples()) == 1
@@ -150,7 +151,7 @@ class TestIterativePush:
         """A >1000-operator chain must run without recursion errors."""
         import sys
         depth = sys.getrecursionlimit() + 100
-        for batching in (False, True):
+        for cut in (merge_sources, segment_feed):  # bare tuples, one run
             plan = PhysicalPlan()
             nodes = [plan.add(Select(Comparison("v", ">", -1)))
                      for _ in range(depth)]
@@ -161,7 +162,7 @@ class TestIterativePush:
             plan.connect_source("s1", nodes[0])
             source = ListSource(SCHEMA, [tup(i, 5, float(i + 1))
                                          for i in range(8)])
-            Executor(plan, [source], batching=batching).run()
+            Executor(plan).run(cut([source]))
             assert [t.tid for t in sink.operator.tuples()] == list(range(8))
 
     def test_batched_run_matches_element_wise_counters(self):
@@ -176,10 +177,9 @@ class TestIterativePush:
             return plan, sink, source
 
         reports, outputs = [], []
-        for batching in (False, True):
+        for cut in (merge_sources, segment_feed):  # bare elements, runs
             plan, sink, source = build()
-            reports.append(Executor(plan, [source],
-                                    batching=batching).run())
+            reports.append(Executor(plan).run(cut([source])))
             outputs.append([t.tid for t in sink.operator.tuples()])
         assert outputs[0] == outputs[1] == [1, 2]
         assert reports[0].elements_in == reports[1].elements_in == 5
@@ -193,7 +193,7 @@ class TestExecutionReportStageLookup:
         plan = PhysicalPlan()
         plan.compile_expr(ScanExpr("s1").shield({"D"}), CollectingSink())
         source = ListSource(SCHEMA, [grant(["D"], 0.0), tup(1, 5, 1.0)])
-        report = Executor(plan, [source]).run()
+        report = Executor(plan).run(segment_feed([source]))
         shield_stage = report.stage("SecurityShield")
         assert shield_stage is not None
         assert shield_stage.tuples_in == 1
@@ -203,6 +203,6 @@ class TestExecutionReportStageLookup:
         plan = PhysicalPlan()
         plan.compile_expr(ScanExpr("s1").shield({"D"}), CollectingSink())
         source = ListSource(SCHEMA, [grant(["D"], 0.0), tup(1, 5, 1.0)])
-        report = Executor(plan, [source]).run()
+        report = Executor(plan).run(segment_feed([source]))
         report.stages = []
         assert report.stage("SecurityShield") is None

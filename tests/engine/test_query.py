@@ -49,6 +49,7 @@ class TestIntersectCompilation:
         from repro.algebra.expressions import IntersectExpr
         from repro.core.punctuation import SecurityPunctuation
         from repro.engine.executor import Executor
+        from repro.stream.batch import segment_feed
         from repro.engine.plan import PhysicalPlan
         from repro.operators.sink import CollectingSink
         from repro.stream.schema import StreamSchema
@@ -67,6 +68,6 @@ class TestIntersectCompilation:
             DataTuple("b", 2, {"v": 7}, 2.0),
             DataTuple("b", 3, {"v": 9}, 3.0),
         ])
-        Executor(plan, [source_a, source_b]).run()
+        Executor(plan).run(segment_feed([source_a, source_b]))
         values = [t.values["v"] for t in sink.operator.tuples()]
         assert values == [7]

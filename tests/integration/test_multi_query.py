@@ -68,8 +68,9 @@ class TestSharedSubplans:
                 ShieldExpr(ScanExpr("s"), frozenset({"b"})),
                 CollectingSink())
             from repro.engine.executor import Executor
+            from repro.stream.batch import segment_feed
             from repro.stream.source import ListSource
-            Executor(plan, [ListSource(SCHEMA, data)]).run()
+            Executor(plan).run(segment_feed([ListSource(SCHEMA, data)]))
             return ([t.tid for t in sink_a.operator.tuples()],
                     [t.tid for t in sink_b.operator.tuples()])
 
@@ -86,8 +87,9 @@ class TestSharedSubplans:
             plan.connect(shield_a, sink_a)
             plan.connect(shield_b, sink_b)
             from repro.engine.executor import Executor
+            from repro.stream.batch import segment_feed
             from repro.stream.source import ListSource
-            Executor(plan, [ListSource(SCHEMA, data)]).run()
+            Executor(plan).run(segment_feed([ListSource(SCHEMA, data)]))
             return ([t.tid for t in sink_a.operator.tuples()],
                     [t.tid for t in sink_b.operator.tuples()])
 
@@ -101,7 +103,8 @@ class TestSharedSubplans:
         dsms.register_query("qb", base, roles={"b"})
         plan, _ = dsms.build_plan()
         from repro.engine.executor import Executor
-        Executor(plan, dsms.catalog.sources()).run()
+        from repro.stream.batch import segment_feed
+        Executor(plan).run(segment_feed(dsms.catalog.sources()))
         (select,) = plan.find_operators(Select)
         # The shared select processed the stream once, not twice.
         assert select.stats.tuples_in == 12

@@ -78,6 +78,7 @@ class TestDegenerateInputs:
     def test_unknown_stream_elements_ignored(self):
         """Elements for streams no query reads are simply dropped."""
         from repro.engine.executor import Executor
+        from repro.stream.batch import segment_feed
         from repro.stream.source import ListSource
 
         plan = PhysicalPlan()
@@ -85,7 +86,7 @@ class TestDegenerateInputs:
                                  CollectingSink())
         other = ListSource(StreamSchema("other", ("v",)),
                            [DataTuple("other", 1, {"v": 1}, 1.0)])
-        report = Executor(plan, [other]).run()
+        report = Executor(plan).run(segment_feed([other]))
         assert report.elements_in == 1
         assert sink.operator.elements == []
 

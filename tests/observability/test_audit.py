@@ -15,6 +15,8 @@ from repro.operators.join import NestedLoopSAJoin
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
+from tests.drive import push_all
+
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
 
 
@@ -282,20 +284,23 @@ class TestRunRecords:
         assert log.record("shield.rebind", ts=0.0, operator="ss").seq == 0
         assert len(log) + log.evicted == sum(log.counts.values()) == 1
 
-    @pytest.mark.parametrize("batching", [False, True])
-    def test_all_denied_segment(self, batching):
-        """100 tuples denied by one verdict: batched execution holds
-        them as one record; either way ``explain`` names the sp."""
+    @pytest.mark.parametrize("drive,held_records", [
+        pytest.param(push_all, 100, id="session"),
+        pytest.param(DSMS.run, 1, id="run")])
+    def test_all_denied_segment(self, drive, held_records):
+        """100 tuples denied by one verdict: ``run()`` holds them as
+        one record, a session pushed tuple by tuple as 100; either way
+        ``explain`` names the sp."""
         elements = [grant(["C"], 0.0)] + [
             reading(i, 70, 1.0 + i) for i in range(100)]
         dsms = DSMS(observability=Observability.in_memory())
         dsms.register_stream(SCHEMA, elements)
         dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
-        dsms.run(batching=batching)
+        drive(dsms)
         log = dsms.audit
         assert log.counts["shield.drop"] == 100
         held = [r for r in log._records if r.kind == "shield.drop"]
-        assert len(held) == (1 if batching else 100)
+        assert len(held) == held_records
         (event,) = log.explain(57)
         assert (event.kind, event.tid, event.ts) == ("shield.drop", 57, 58.0)
         assert event.query == "nurse" and event.predicate == ("ND",)

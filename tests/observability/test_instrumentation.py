@@ -143,7 +143,7 @@ class TestShieldCounters:
         dsms = DSMS(observability=Observability.with_metrics())
         dsms.register_stream(SCHEMA, elements)
         dsms.register_query("q", ScanExpr("s1"), roles={"D"})
-        results = dsms.run(batching=True)
+        results = dsms.run()
         assert len(results["q"].tuples) == 2
         instruments = dsms.observability.instruments
         shields = get_series(instruments, "repro_shield_tuples_total")

@@ -16,12 +16,14 @@ from repro.observability.trace import RingBufferTraceSink, SpanEvent
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
+from tests.drive import push_all
+
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
 
-#: Execution modes: element-wise and segment-batched.
+#: A session pushed element by element, and segment-batched ``run()``.
 MODES = [
-    pytest.param({"batching": False}, id="element-wise"),
-    pytest.param({"batching": True}, id="batched"),
+    pytest.param(push_all, id="element-wise"),
+    pytest.param(DSMS.run, id="batched"),
 ]
 
 
@@ -41,11 +43,11 @@ def segmented_elements(n_per_segment=40):
     return elements
 
 
-def run_traced(sample, **run_kwargs):
+def run_traced(sample, drive):
     dsms = DSMS(observability=Observability.with_tracing(sample=sample))
     dsms.register_stream(SCHEMA, segmented_elements())
     dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
-    results = dsms.run(**run_kwargs)
+    results = drive(dsms)
     return dsms, results
 
 
@@ -241,9 +243,9 @@ class TestMentionsAndWhy:
 class TestEndToEndWhy:
     """Acceptance: ``why`` for a delivered AND a denied tuple, all tiers."""
 
-    @pytest.mark.parametrize("run_kwargs", MODES)
-    def test_delivered_and_denied_reconstruct(self, run_kwargs):
-        dsms, results = run_traced(1.0, **run_kwargs)
+    @pytest.mark.parametrize("drive", MODES)
+    def test_delivered_and_denied_reconstruct(self, drive):
+        dsms, results = run_traced(1.0, drive)
         delivered_tids = {t.tid for t in results["doc"].tuples}
         assert 105 in delivered_tids       # granted-D segment
         assert 505 not in delivered_tids   # granted-C segment, D query
@@ -262,33 +264,33 @@ class TestEndToEndWhy:
         assert "not delivered (denied)" in text
         assert "governed by sp" in text
 
-    @pytest.mark.parametrize("run_kwargs", MODES)
-    def test_denial_by_default_reconstructs(self, run_kwargs):
-        dsms, results = run_traced(1.0, **run_kwargs)
+    @pytest.mark.parametrize("drive", MODES)
+    def test_denial_by_default_reconstructs(self, drive):
+        dsms, results = run_traced(1.0, drive)
         report = reconstruct_why(
             999, dsms.observability.tracer.events(), audit=dsms.audit)
         assert report.found()
         assert "denial-by-default" in report.render_text()
         assert all(t.tid != 999 for t in results["doc"].tuples)
 
-    @pytest.mark.parametrize("run_kwargs", MODES)
-    def test_denials_survive_default_sampling(self, run_kwargs):
+    @pytest.mark.parametrize("drive", MODES)
+    def test_denials_survive_default_sampling(self, drive):
         """Tail-based keep: drops reconstruct even at 1/64 sampling."""
-        dsms, _results = run_traced(DEFAULT_SAMPLE_RATE, **run_kwargs)
+        dsms, _results = run_traced(DEFAULT_SAMPLE_RATE, drive)
         events = dsms.observability.tracer.events()
         for tid in (505, 999):
             report = reconstruct_why(tid, events)
             assert report.found(), f"denied tuple {tid} left no provenance"
             assert report.denials
 
-    @pytest.mark.parametrize("run_kwargs", MODES)
-    def test_traced_results_identical_to_untraced(self, run_kwargs):
+    @pytest.mark.parametrize("drive", MODES)
+    def test_traced_results_identical_to_untraced(self, drive):
         def delivered(observability):
             dsms = DSMS(observability=observability)
             dsms.register_stream(SCHEMA, segmented_elements())
             dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
             return [(t.tid, t.ts, t.values)
-                    for t in dsms.run(**run_kwargs)["doc"].tuples]
+                    for t in drive(dsms)["doc"].tuples]
 
         assert delivered(Observability.disabled()) \
             == delivered(Observability.with_tracing())

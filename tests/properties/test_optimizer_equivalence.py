@@ -20,6 +20,7 @@ from repro.engine.plan import PhysicalPlan
 from repro.operators.conditions import And, Comparison
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
+from repro.stream.batch import segment_feed
 from repro.stream.schema import StreamSchema
 from repro.stream.source import ListSource
 from repro.stream.tuples import DataTuple
@@ -50,8 +51,8 @@ def run_delivered(expr, roles, left, right):
     plan = PhysicalPlan()
     sink = plan.compile_chain(
         expr, [SecurityShield(roles), CollectingSink()])[-1]
-    Executor(plan, [ListSource(SCHEMA_L, left),
-                    ListSource(SCHEMA_R, right)]).run()
+    Executor(plan).run(segment_feed([ListSource(SCHEMA_L, left),
+                                     ListSource(SCHEMA_R, right)]))
     return sorted(t.tid for t in sink.operator.tuples()
                   if isinstance(t, DataTuple))
 

@@ -16,6 +16,7 @@ from repro.engine.executor import Executor
 from repro.engine.plan import PhysicalPlan
 from repro.operators.conditions import Comparison
 from repro.operators.sink import CollectingSink
+from repro.stream.batch import segment_feed
 from repro.stream.schema import StreamSchema
 from repro.stream.source import ListSource
 from repro.stream.tuples import DataTuple
@@ -43,7 +44,7 @@ def run_plan(expr, sources):
     plan = PhysicalPlan()
     delivery = SecurityShield(roles, name="delivery")
     sink = plan.compile_chain(expr, [delivery, CollectingSink()])[-1]
-    Executor(plan, sources).run()
+    Executor(plan).run(segment_feed(sources))
     return sorted(t.tid for t in sink.operator.tuples()
                   if isinstance(t, DataTuple))
 

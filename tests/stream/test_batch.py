@@ -1,7 +1,13 @@
-"""Unit tests for TupleBatch and coalesce_feed."""
+"""Unit tests for TupleBatch and the run cutters."""
 
+import pytest
+
+from repro.core.analyzer import SPAnalyzer
 from repro.core.punctuation import SecurityPunctuation
-from repro.stream.batch import TupleBatch, coalesce_feed
+from repro.stream.batch import (TupleBatch, coalesce_feed, coalesce_stream,
+                                segment_feed)
+from repro.stream.schema import StreamSchema
+from repro.stream.source import ListSource
 from repro.stream.tuples import DataTuple
 
 
@@ -81,3 +87,66 @@ class TestCoalesceFeed:
         assert list(coalesce_feed(iter([]))) == []
         feed = [("s", sp(1.0)), ("s", sp(2.0))]
         assert list(coalesce_feed(iter(feed))) == feed
+
+
+def shape(feed):
+    """A feed with each TupleBatch replaced by its (comparable) tuples."""
+    return [(sid, ("run", el.tuples) if isinstance(el, TupleBatch) else el)
+            for sid, el in feed]
+
+
+def one_stream():
+    """Every cut the single-source cutter makes: a no-sp prefix, a
+    two-sp batch the analyzer combines, a run of one, runs of 10 and 5
+    (``max_batch=4`` splits them 4+4+2 and 4+1 — the 1 unwrapped),
+    an empty segment and a trailing sp-batch."""
+    elements = [dt("s", 0, 1.0), dt("s", 1, 2.0),
+                SecurityPunctuation.grant(["D"], 3.0),
+                SecurityPunctuation.grant(["N"], 3.0),
+                dt("s", 2, 4.0), sp(5.0)]
+    elements += [dt("s", 10 + i, 6.0 + i) for i in range(10)]
+    elements += [sp(20.0), sp(21.0)]
+    elements += [dt("s", 30 + i, 22.0 + i) for i in range(5)]
+    elements += [sp(30.0), SecurityPunctuation.grant(["N"], 30.0)]
+    return elements
+
+
+def analyzer():
+    out = SPAnalyzer()
+    out.add_server_policy(SecurityPunctuation.grant(["D", "N"], 0.0))
+    return out
+
+
+class TestCoalesceStream:
+    """The fused single-source cutter is ``coalesce_feed`` over
+    ``analyze()`` of the same one-stream input."""
+
+    @pytest.mark.parametrize("max_batch", [4, 4096])
+    def test_unanalysed_matches_coalesce_feed(self, max_batch):
+        elements = one_stream()
+        fused = [("s", el) for el in coalesce_stream(
+            elements, max_batch=max_batch)]
+        composed = coalesce_feed([("s", el) for el in elements],
+                                 max_batch=max_batch)
+        assert shape(fused) == shape(composed)
+        assert unroll(fused) == [("s", el) for el in elements]
+
+    @pytest.mark.parametrize("max_batch", [4, 4096])
+    def test_analysed_matches_coalesce_feed_over_analyze(self, max_batch):
+        elements = one_stream()
+        fused = [("s", el) for el in analyzer().analyze_batched(
+            elements, max_batch=max_batch)]
+        analysed = list(analyzer().analyze(elements))
+        assert len(analysed) < len(elements)  # the analyzer combined sps
+        composed = coalesce_feed([("s", el) for el in analysed],
+                                 max_batch=max_batch)
+        assert shape(fused) == shape(composed)
+        kinds = [type(el).__name__ for _, el in fused]
+        assert "TupleBatch" in kinds and "DataTuple" in kinds
+
+    def test_segment_feed_single_source_takes_the_same_cut(self):
+        source = ListSource(StreamSchema("s", ("v",)), one_stream())
+        fed = segment_feed([source], analyzer(), {"s"})
+        composed = coalesce_feed(
+            ("s", el) for el in analyzer().analyze(one_stream()))
+        assert shape(fed) == shape(composed)

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.verify.campaign import run_campaign
-from repro.verify.differ import verify_scenario
+from repro.verify.differ import configs_for, verify_scenario
 from repro.verify.faults import disable_denial_by_default
 from repro.verify.generator import generate_scenario
 from repro.verify.shrink import load_cases, shrink_scenario
@@ -44,6 +44,27 @@ def test_fuzz_smoke_run_is_clean():
     assert result.ok, "\n".join(transcript)
     assert result.scenarios == 4
     assert result.configs > 0
+
+
+def test_session_is_the_element_wise_axis():
+    """Every (join variant, level) plan is driven both by ``run()`` and
+    by a session pushed element by element; no flag-selected
+    element-wise run is left."""
+    shapes = set()
+    for index in range(12):
+        scenario = generate_scenario(17, index)
+        shapes.add(scenario.shape)
+        configs = configs_for(scenario)
+        assert not any("elementwise" in c.label for c in configs)
+        plain = [c for c in configs
+                 if not (c.audit or c.traced or c.n_shards)]
+        for plan in {(c.join_variant, c.level) for c in plain}:
+            modes = sorted(c.mode for c in plain
+                           if (c.join_variant, c.level) == plan)
+            assert modes == ["batched", "session"], plan
+        assert [c.label for c in configs if c.audit and c.session] \
+            == ["session-audited/nl/none"]
+    assert {"join", "multi_query"} <= shapes  # index variant, workload level
 
 
 class TestKnownBadMutation:

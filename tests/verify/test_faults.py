@@ -7,8 +7,12 @@ import pytest
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PunctuationError
 from repro.stream.tuples import DataTuple
+from repro.verify.differ import configs_for, run_engine
 from repro.verify.faults import (_sp_batches, disable_denial_by_default,
-                                 malformed_sp_texts, run_fault_campaign)
+                                 drop_one_batch, drop_one_sp,
+                                 duplicate_one_sp, malformed_sp_texts,
+                                 reorder_within_batches, run_fault_campaign,
+                                 truncate_one_batch)
 from repro.verify.generator import generate_scenario
 from repro.verify.oracle import run_oracle
 
@@ -34,6 +38,26 @@ def test_fault_campaign_is_clean(index):
     outcome = run_fault_campaign(scenario, random.Random(f"t:{index}"))
     assert outcome.ok, "\n".join(str(m) for m in outcome.mismatches)
     assert outcome.faults_run >= 5
+
+
+@pytest.mark.parametrize("make_fault", [
+    reorder_within_batches, duplicate_one_sp, drop_one_sp, drop_one_batch,
+    truncate_one_batch])
+def test_faulted_streams_stay_in_push_order(make_fault):
+    """The campaign's session configs push faulted streams as they are.
+    Every fault leaves each stream in timestamp order (sps move only
+    inside an sp-batch, which shares one timestamp), so ``push()``'s
+    order check is never tripped — ``run_engine`` would raise it."""
+    for index in range(6):
+        faulted = generate_scenario(17, index).mutate_elements(
+            make_fault(random.Random(f"order:{index}")))
+        for elements in faulted.decoded().values():
+            stamps = [element.ts for element in elements]
+            assert stamps == sorted(stamps)
+        sessions = [c for c in configs_for(faulted) if c.session]
+        assert sessions
+        for config in sessions:
+            run_engine(faulted, config)
 
 
 class TestMalformedSp:

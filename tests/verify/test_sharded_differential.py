@@ -21,14 +21,13 @@ def test_shard_axis_is_in_the_config_matrix():
     shard_counts = sorted({c.n_shards for c in configs if c.n_shards})
     assert shard_counts == [1, 2, 4]
     labels = [c.label for c in configs]
-    assert "sharded2-audited/nl/none" in labels
-    modes = {c.mode for c in configs if c.n_shards}
-    assert "sharded2-batched" in modes
-    # Audited runs cross both execution modes, sharded or not.
-    for n_shards in (0, 2):
-        audited = [c.batching for c in configs
-                   if c.audit and c.n_shards == n_shards]
-        assert sorted(audited) == [False, True]
+    assert "sharded2-audited-batched/nl/none" in labels
+    assert "sharded2" in {c.mode for c in configs if c.n_shards}
+    # Audited: a session and run() in-process, run() sharded (workers
+    # only ever execute segment-batched).
+    audited = {c.label for c in configs if c.audit}
+    assert audited == {"session-audited/nl/none", "audited-batched/nl/none",
+                       "sharded2-audited-batched/nl/none"}
 
 
 @pytest.mark.parametrize("seed,index", [(31, 0), (31, 1), (31, 2),
