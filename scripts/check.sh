@@ -35,5 +35,12 @@ if grep -rnE "batching *[=]|prebatche[d]|coalesce_element[s]|coalesce[=]" \
     exit 1
 fi
 
+echo "== one encoder, one decoder (no per-call json convenience calls on the wire) =="
+if grep -nE "json\.(dumps|loads)[(]" src/repro/stream/wire.py; then
+    echo "stream/wire.py must use its module-level encoder/decoder;" \
+         "see docs/PERFORMANCE.md, Wire layer" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

@@ -40,6 +40,7 @@ the CQL layer::
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Hashable, Iterable, Sequence
 
@@ -302,9 +303,11 @@ def parse_pattern(text: str) -> Pattern:
     if not text:
         raise PatternError("empty pattern")
     # Top-level union: split on '|' outside brackets/braces/regex bodies.
-    parts = _split_union(text)
-    if len(parts) > 1:
-        return CompositePattern(tuple(parse_pattern(part) for part in parts))
+    if "|" in text:
+        parts = _split_union(text)
+        if len(parts) > 1:
+            return CompositePattern(
+                tuple(parse_pattern(part) for part in parts))
     return _parse_atom(text)
 
 
@@ -362,8 +365,14 @@ def _parse_atom(text: str) -> Pattern:
     return LiteralPattern(_coerce(text))
 
 
+#: Bound of the token memo, in entries (not bytes): tokens come from
+#: provider-sent sp text.
+_TOKEN_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
 def _coerce(text: str) -> Hashable:
-    """Interpret a token as int, float, or plain string."""
+    """Interpret a token as int, float, or plain string (memoised)."""
     try:
         return int(text)
     except ValueError:

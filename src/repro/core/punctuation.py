@@ -26,6 +26,7 @@ denial-by-default applies.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -48,6 +49,16 @@ __all__ = [
 RBAC_MODEL = "RBAC"
 
 _sp_counter = itertools.count(1)
+
+#: Entries in the DDP field-parse memo.  Sp *lines* never repeat (the
+#: timestamp is inside the text) but the DDP does — ``*, *, *`` on
+#: nearly every sp — so the memo sits on the field parser.  Role *sets*
+#: do not repeat (hit rate 0–5 % on five of six ledger workloads), so
+#: ``SecurityRestriction.parse`` has no memo; its role *tokens* do, see
+#: ``patterns._coerce``.  Bounded in entries, not bytes (the keys are
+#: provider-chosen text of any length), and not a setting: an unbounded
+#: table keyed by provider text is an sp-flood hole.
+_FIELD_MEMO_SIZE = 1024
 
 
 class Sign(enum.Enum):
@@ -115,11 +126,13 @@ class DataDescription:
     attribute: Pattern = ANY
 
     @classmethod
+    @functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
     def parse(cls, text: str) -> "DataDescription":
         """Parse ``"es, et, ea"`` with trailing parts defaulting to ``*``.
 
         Commas inside ``{...}`` set patterns or ``/.../`` regex bodies
-        do not separate DDP fields.
+        do not separate DDP fields.  Memoised: equal text yields the
+        same (frozen) instance, shared between sps.
         """
         parts = [p.strip() for p in _split_ddp_fields(text)]
         if not 1 <= len(parts) <= 3:

@@ -10,6 +10,12 @@ Tuples are deliberately unaware of security punctuations: all policy
 state lives in the operators, never on the tuple (that is the whole
 point of the punctuation-based approach versus the tuple-embedded
 baseline in :mod:`repro.baselines.tuple_embedded`).
+
+A tuple is a *value object*: its four fields are set by the constructor
+and never assigned afterwards — ``__hash__`` has always assumed so, and
+the wire layer relies on it to serialise a delivered tuple once however
+many queries receive it (see :func:`repro.stream.wire.encode_element`).
+Operators that change a tuple (``project``, ``merge``) build a new one.
 """
 
 from __future__ import annotations
@@ -21,19 +27,28 @@ __all__ = ["DataTuple"]
 
 def _rebuild(sid: str, tid: object, values: dict,
              ts: float) -> "DataTuple":
-    """Unpickle fast path — the dict arrives fresh, skip the copy."""
+    """Fast path for a ``values`` dict nobody else holds (unpickling,
+    wire decode): skip the constructor's defensive copy."""
     tup = DataTuple.__new__(DataTuple)
     tup.sid = sid
     tup.tid = tid
     tup.values = values
     tup.ts = ts
+    tup._line = None
     return tup
 
 
 class DataTuple:
-    """One data tuple: ``[sid, tid, A, ts]``."""
+    """One data tuple: ``[sid, tid, A, ts]``.
 
-    __slots__ = ("sid", "tid", "values", "ts")
+    A value object: do not assign ``sid``/``tid``/``values``/``ts`` (or
+    mutate ``values``) after construction.  ``_line`` is the tuple's
+    wire line once :func:`repro.stream.wire.encode_element` has built
+    it, ``None`` before; only that function writes it, and it takes no
+    part in equality, hashing, ``repr`` or pickling.
+    """
+
+    __slots__ = ("sid", "tid", "values", "ts", "_line")
 
     def __init__(self, sid: str, tid: object, values: Mapping[str, object],
                  ts: float):
@@ -41,6 +56,7 @@ class DataTuple:
         self.tid = tid
         self.values = dict(values)
         self.ts = ts
+        self._line = None
 
     def __reduce__(self):
         # Generic slotted-object pickling builds a per-object state

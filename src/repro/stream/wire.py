@@ -11,6 +11,16 @@ with loss-less round-tripping of everything the engine uses:
   "p": provider}`` — the sp body reuses the paper's alphanumeric
   format via :meth:`SecurityPunctuation.to_text`.
 
+Each piece of serialisation work is done once.  Stream elements are
+value objects (a :class:`DataTuple`'s fields are never assigned after
+construction, a :class:`SecurityPunctuation` is frozen), so
+``encode_element`` memoises the line on the element: a tuple delivered
+to thirty-two queries is serialised once and the result lists share
+one ``str``.  ``decode_element`` adopts the ``"v"`` dict the JSON
+parser just built instead of copying it.  A line that is not a
+well-formed record is a :class:`StreamError`; a malformed sp *body* is
+the :class:`PunctuationError`/:class:`PatternError` its parser raises.
+
 ``dump_stream``/``load_stream`` handle files or iterables of lines, so
 a provider process can pipe its punctuated stream into the server with
 nothing but line-buffered text.
@@ -24,48 +34,85 @@ from typing import IO, Iterable, Iterator
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import StreamError
 from repro.stream.element import StreamElement
-from repro.stream.tuples import DataTuple
+from repro.stream.tuples import DataTuple, _rebuild
 
 __all__ = ["encode_element", "decode_element", "dump_stream", "load_stream"]
 
+# One encoder and one decoder for the module: the ``json`` module's
+# ``dumps`` with ``separators=`` constructs a fresh ``JSONEncoder`` per
+# call, and its ``loads`` runs two whitespace regexes around
+# ``raw_decode`` (``scripts/check.sh`` keeps both out of this file).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
+
 
 def encode_element(element: StreamElement) -> str:
-    """One wire line for one stream element."""
-    if isinstance(element, SecurityPunctuation):
-        record = {"k": "sp", "sp": element.to_text()}
-        if element.provider is not None:
-            record["p"] = element.provider
-        return json.dumps(record, separators=(",", ":"))
+    """One wire line for one stream element, built once per element."""
     if isinstance(element, DataTuple):
-        return json.dumps(
-            {"k": "t", "sid": element.sid, "tid": _jsonable(element.tid),
-             "v": element.values, "ts": element.ts},
-            separators=(",", ":"))
+        line = element._line
+        if line is None:
+            line = element._line = _encode(
+                {"k": "t", "sid": element.sid, "tid": element.tid,
+                 "v": element.values, "ts": element.ts})
+        return line
+    if isinstance(element, SecurityPunctuation):
+        line = getattr(element, "_line_cache", None)
+        if line is None:
+            record = {"k": "sp", "sp": element.to_text()}
+            if element.provider is not None:
+                record["p"] = element.provider
+            line = _encode(record)
+            object.__setattr__(element, "_line_cache", line)
+        return line
     raise StreamError(f"not a stream element: {element!r}")
 
 
-def _jsonable(tid: object) -> object:
-    if isinstance(tid, tuple):
-        return list(tid)
+def _malformed(line: str, why: str) -> StreamError:
+    return StreamError(f"malformed wire line: {why}: {line!r}")
+
+
+def _as_tid(tid: object, line: str) -> object:
+    """Pair tids (nested for a join of joins) travel as JSON arrays;
+    a JSON object is no tid (the engine hashes tids)."""
+    if type(tid) is list:
+        return tuple([_as_tid(part, line) for part in tid])
+    if type(tid) is dict:
+        raise _malformed(line, '"tid" holds an object')
     return tid
 
 
 def decode_element(line: str) -> StreamElement:
     """Parse one wire line back into a stream element."""
+    line = line.strip(_JSON_WHITESPACE)
     try:
-        record = json.loads(line)
+        record, end = _raw_decode(line)
     except json.JSONDecodeError as exc:
-        raise StreamError(f"malformed wire line: {line!r}") from exc
+        raise _malformed(line, "not JSON") from exc
+    if end != len(line):
+        raise _malformed(line, "data after the record")
+    if type(record) is not dict:
+        raise _malformed(line, "record is not an object")
     kind = record.get("k")
-    if kind == "sp":
-        return SecurityPunctuation.parse(record["sp"],
-                                         provider=record.get("p"))
     if kind == "t":
-        tid = record["tid"]
-        if isinstance(tid, list):
-            tid = tuple(tid)
-        return DataTuple(record["sid"], tid, record["v"],
-                         float(record["ts"]))
+        try:
+            sid, tid, values = record["sid"], record["tid"], record["v"]
+            ts = float(record["ts"])
+        except KeyError as exc:
+            raise _malformed(line, f"missing {exc}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise _malformed(line, '"ts" is not a number') from None
+        if type(values) is not dict:
+            raise _malformed(line, '"v" is not an object')
+        if type(tid) is list or type(tid) is dict:
+            tid = _as_tid(tid, line)
+        # The dict is fresh from the parser: adopt it, no copy.
+        return _rebuild(sid, tid, values, ts)
+    if kind == "sp":
+        body = record.get("sp")
+        if type(body) is not str:
+            raise _malformed(line, '"sp" is missing or not a string')
+        return SecurityPunctuation.parse(body, provider=record.get("p"))
     raise StreamError(f"unknown wire element kind: {kind!r}")
 
 

@@ -158,6 +158,25 @@ class TestParse:
         with pytest.raises(PatternError):
             parse_pattern("{unclosed")
 
+    def test_bar_that_splits_nothing_is_still_an_atom(self):
+        # parse_pattern only looks for a union when the text has a
+        # '|'; a '|' that yields a single part must parse as before.
+        assert isinstance(parse_pattern("/a|b/|/c/"), CompositePattern)
+        assert parse_pattern("a|").spec() == "a|"
+
+    def test_token_memo_is_bounded_and_type_preserving(self):
+        from repro.core import patterns
+
+        for i in range(10_000):
+            assert parse_pattern(f"tok{i}").matches(f"tok{i}")
+        info = patterns._coerce.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+        for _ in range(2):
+            assert parse_pattern("{1, 2.5, x}").values == {1, 2.5, "x"}
+            assert type(parse_pattern("7").value) is int
+            assert type(parse_pattern("7.0").value) is float
+
     def test_round_trip_spec(self):
         for text in ("*", "120", "{a, b}", "[120-133]", "/x+/"):
             pattern = parse_pattern(text)

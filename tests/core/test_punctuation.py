@@ -6,7 +6,7 @@ from repro.core.patterns import literal, numeric_range, one_of, parse_pattern
 from repro.core.punctuation import (DataDescription, Granularity,
                                     SecurityPunctuation, SecurityRestriction,
                                     Sign, SPBatch)
-from repro.errors import PunctuationError
+from repro.errors import PatternError, PunctuationError
 
 
 class TestSign:
@@ -143,6 +143,65 @@ class TestSecurityPunctuation:
         a = SecurityPunctuation.grant(["D"], ts=0.0)
         b = SecurityPunctuation.grant(["D"], ts=0.0)
         assert a.sp_id != b.sp_id
+
+
+class TestParseMemo:
+    """``DataDescription.parse`` and the role tokens are memoised per
+    text (bounded in entries); role sets and sps stay fresh instances."""
+
+    def test_sp_flood_cannot_grow_the_memos(self):
+        for i in range(10_000):
+            sp = SecurityPunctuation.parse(
+                f"<s{i}, {i}, * | {{flood{i}, r{i}}} | + | F | {i}.0>")
+            assert sp.roles() == {f"flood{i}", f"r{i}"}
+        from repro.core.patterns import _coerce
+
+        for memo in (DataDescription.parse, _coerce):
+            info = memo.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("text, error", [
+        ("<a, b, c, d | D | + | F | 1.0>", PunctuationError),
+        ("<{unclosed | D | + | F | 1.0>", PatternError),
+        ("<*, *, * | {} | + | F | 1.0>", PatternError),
+        ("<*, *, * | [9-1] | + | F | 1.0>", PatternError),
+    ])
+    def test_malformed_field_raises_the_same_error_every_time(
+            self, text, error):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                SecurityPunctuation.parse(text)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+
+    def test_equal_field_text_gives_equal_but_distinct_sps(self):
+        text = "<HeartRate, [120-133], * | {C, D} | - | T | 9.0>"
+        first = SecurityPunctuation.parse(text, provider="p")
+        again = SecurityPunctuation.parse(text, provider="p")
+        assert first == again and first is not again
+        assert first.sp_id != again.sp_id
+        assert first.ddp is again.ddp
+        later = SecurityPunctuation.parse(text.replace("9.0", "10.0"))
+        assert later.ts == 10.0 and later.provider is None
+        assert later.ddp is first.ddp and later != first
+
+    def test_round_trip_with_warm_memos(self):
+        sps = [
+            SecurityPunctuation.grant(["C", "D"], ts=1.0,
+                                      stream=literal("HeartRate"),
+                                      tuple_id=numeric_range(120, 133)),
+            SecurityPunctuation.deny(["E"], ts=2.0, immutable=True),
+            SecurityPunctuation.add_roles(["N"], ts=3.0,
+                                          attribute=one_of(["a", "b"])),
+        ]
+        for _ in range(2):  # second pass is served from the memos
+            for sp in sps:
+                back = SecurityPunctuation.parse(sp.to_text())
+                assert back == sp
+                assert back.to_text() == sp.to_text()
+                assert back.roles() == sp.roles()
 
 
 class TestSPBatch:

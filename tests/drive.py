@@ -1,5 +1,9 @@
-"""The element-wise reference driver shared by the equivalence tests."""
+"""The element-wise reference driver shared by the equivalence tests,
+and the reference wire encoder the memo tests compare against."""
 
+import json
+
+from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS, QueryResult
 from repro.stream.source import merge_sources
 
@@ -18,3 +22,21 @@ def push_all(dsms: DSMS) -> dict[str, QueryResult]:
     dsms.last_report = session.report()
     return {name: QueryResult(name, elements)
             for name, elements in delivered.items()}
+
+
+def fresh_line(element) -> str:
+    """The wire line of ``element``, serialised from a field-by-field
+    copy with a plain ``json.dumps`` — never from anything memoised on
+    the element.  ``encode_element`` must return exactly this."""
+    if isinstance(element, SecurityPunctuation):
+        copy = SecurityPunctuation(
+            ddp=element.ddp, srp=element.srp, ts=element.ts,
+            sign=element.sign, immutable=element.immutable,
+            provider=element.provider, incremental=element.incremental)
+        record = {"k": "sp", "sp": copy.to_text()}
+        if copy.provider is not None:
+            record["p"] = copy.provider
+    else:
+        record = {"k": "t", "sid": element.sid, "tid": element.tid,
+                  "v": dict(element.values), "ts": element.ts}
+    return json.dumps(record, separators=(",", ":"))

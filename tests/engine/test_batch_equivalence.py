@@ -36,9 +36,10 @@ from repro.observability import Observability
 from repro.operators.conditions import And, Comparison, FuncCondition
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
+from repro.stream.wire import encode_element
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
 
-from tests.drive import push_all
+from tests.drive import fresh_line, push_all
 
 SCHEMA = StreamSchema("s1", ("v",))
 
@@ -64,6 +65,13 @@ def assert_equivalent(plain, batched):
     for name in plain_results:
         assert (plain_results[name].elements
                 == batched_results[name].elements), name
+        # The wire line memoised on a delivered element is never stale,
+        # whichever operators built or shared the element on the way
+        # (first call builds or reads the memo, second surely reads it).
+        for results in (plain_results, batched_results):
+            for element in results[name].elements:
+                assert encode_element(element) == fresh_line(element)
+                assert encode_element(element) == fresh_line(element)
     plain_report = plain_dsms.last_report
     batched_report = batched_dsms.last_report
     assert plain_report.elements_in == batched_report.elements_in

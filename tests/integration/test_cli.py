@@ -93,6 +93,16 @@ class TestWireCommand:
     def test_missing_file(self, capsys):
         assert main(["wire", "/nonexistent/file.jsonl"]) == 2
 
+    @pytest.mark.parametrize("command", ["wire", "stats", "audit"])
+    def test_json_that_is_not_a_record_is_an_error_line(
+            self, command, tmp_path, capsys):
+        path = tmp_path / "hostile.jsonl"
+        path.write_text('{"k":"t","sid":"s","tid":1,"v":{"a":1},"ts":1}\n'
+                        '[1,2]\n')
+        assert main([command, str(path)]) == 2
+        assert "error: malformed wire line" in capsys.readouterr().err
+
+
 class TestStatsCommand:
     def test_demo_stream_table(self, capsys):
         code = main(["stats"])

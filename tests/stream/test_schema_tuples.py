@@ -6,6 +6,7 @@ from repro.errors import SchemaError, StreamError
 from repro.stream.schema import StreamSchema
 from repro.stream.stream import Stream
 from repro.stream.tuples import DataTuple
+from repro.stream.wire import encode_element
 from repro.core.punctuation import SecurityPunctuation
 
 
@@ -87,6 +88,16 @@ class TestDataTuple:
         assert a == b
         assert hash(a) == hash(b)
         assert a != DataTuple("s", 1, {"v": 2}, 1.0)
+
+    def test_wire_line_memo_is_not_part_of_the_value(self):
+        a = DataTuple("s", 1, {"v": 1}, 1.0)
+        b = DataTuple("s", 1, {"v": 1}, 1.0)
+        before = hash(a), repr(a)
+        encode_element(a)
+        assert a._line is not None and b._line is None
+        assert a == b and hash(a) == hash(b)
+        assert (hash(a), repr(a)) == before
+        assert a.__reduce__() == b.__reduce__()
 
 
 class TestStreamContainer:

@@ -1,17 +1,19 @@
 """Tests for the JSON-lines wire format."""
 
 import io
+import pickle
 
 import pytest
 from hypothesis import given, settings
 
 from repro.core.patterns import literal, numeric_range
 from repro.core.punctuation import SecurityPunctuation, Sign
-from repro.errors import StreamError
+from repro.errors import PatternError, PunctuationError, StreamError
 from repro.stream.tuples import DataTuple
 from repro.stream.wire import (decode_element, dump_stream, encode_element,
                                load_stream)
 
+from tests.drive import fresh_line
 from tests.properties.strategies import punctuated_streams
 
 
@@ -25,6 +27,16 @@ class TestRoundTrips:
         t = DataTuple("joined", (1, 2), {"v": 0}, 1.0)
         back = decode_element(encode_element(t))
         assert back.tid == (1, 2)
+
+    @pytest.mark.parametrize("tid", [
+        (1, (2, 3)), ((1, 2), (3, (4, "p"))), ((), 1)])
+    def test_nested_pair_tids_round_trip(self, tid):
+        # A join of joins nests its pair tids; JSON arrays must come
+        # back as tuples at every depth (equal, and hashable).
+        t = DataTuple("joined", tid, {"v": 0}, 1.0)
+        back = decode_element(encode_element(t))
+        assert back.tid == tid
+        assert back == t and hash(back) == hash(t)
 
     def test_sp_round_trip(self):
         sp = SecurityPunctuation.deny(
@@ -59,10 +71,90 @@ class TestRoundTrips:
         assert len(list(load_stream(lines))) == 1
 
 
+class TestEncodeOnce:
+    def test_line_is_memoised_on_the_element(self):
+        t = DataTuple("s", 1, {"v": 1}, 1.0)
+        sp = SecurityPunctuation.grant(["D"], ts=0.0, provider="p")
+        assert encode_element(t) is encode_element(t)
+        assert encode_element(sp) is encode_element(sp)
+
+    def test_derived_tuples_do_not_carry_the_line(self):
+        t = DataTuple("s", 1, {"a": 1, "b": 2}, 1.0)
+        other = DataTuple("r", 2, {"a": 3}, 2.0)
+        encode_element(t)
+        encode_element(other)
+        derived = [t.project(["a"]), t.merge(other, "out"),
+                   other.merge(t, "out"), pickle.loads(pickle.dumps(t))]
+        for d in derived:
+            assert d._line is None
+            assert encode_element(d) == fresh_line(d)
+
+    def test_derived_sps_do_not_carry_the_line(self):
+        sp = SecurityPunctuation.grant(["C", "D"], ts=1.0, provider="p")
+        line = encode_element(sp)
+        for d in (sp.with_ts(2.0), sp.with_sign(Sign.NEGATIVE),
+                  sp.with_roles(["E"])):
+            assert encode_element(d) == fresh_line(d) != line
+        assert encode_element(sp) is line
+
+    def test_decoded_tuple_adopts_values_and_stays_a_value(self):
+        line = encode_element(DataTuple("s", 1, {"v": [1, 2]}, 1.0))
+        a, b = decode_element(line), decode_element(line)
+        assert a == b and a.values is not b.values
+        assert encode_element(a) == line
+
+    @given(punctuated_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_line_is_the_plain_json_dumps(self, elements):
+        for element in elements:
+            assert encode_element(element) == fresh_line(element)
+            assert encode_element(element) == fresh_line(element)
+
+
 class TestErrors:
     def test_malformed_json(self):
         with pytest.raises(StreamError):
             decode_element("{not json")
+
+    def test_surrounding_whitespace_is_not_garbage(self):
+        line = encode_element(DataTuple("s", 1, {"v": 1}, 1.0))
+        assert decode_element(f"  {line}\r\n").tid == 1
+
+    @pytest.mark.parametrize("line", [
+        '{"k":"t","sid":"s","tid":1,"v":{},"ts":1} {"k":"t"}',
+        '{"k":"t","sid":"s","tid":1,"v":{},"ts":1}]',
+        "[1,2]", '"t"', "7", "null",
+        '{"k":"t"}',
+        '{"k":"t","tid":1,"v":{},"ts":1}',
+        '{"k":"t","sid":"s","v":{},"ts":1}',
+        '{"k":"t","sid":"s","tid":1,"ts":1}',
+        '{"k":"t","sid":"s","tid":1,"v":{}}',
+        '{"k":"t","sid":"s","tid":1,"v":[1],"ts":1}',
+        '{"k":"t","sid":"s","tid":1,"v":null,"ts":1}',
+        '{"k":"t","sid":"s","tid":1,"v":{},"ts":null}',
+        '{"k":"t","sid":"s","tid":1,"v":{},"ts":"soon"}',
+        '{"k":"t","sid":"s","tid":1,"v":{},"ts":[1]}',
+        '{"k":"t","sid":"s","tid":1,"v":{},"ts":1%s}' % ("0" * 400),
+        '{"k":"t","sid":"s","tid":{},"v":{},"ts":1}',
+        '{"k":"t","sid":"s","tid":[1,[2,{}]],"v":{},"ts":1}',
+        '{"k":"sp"}',
+        '{"k":"sp","sp":5}',
+    ])
+    def test_valid_json_but_not_a_record(self, line):
+        # A hostile provider gets a StreamError (a ReproError, which
+        # the CLI reports as ``error: ...``), never a bare
+        # AttributeError / KeyError / TypeError / ValueError.
+        with pytest.raises(StreamError, match="malformed wire line"):
+            decode_element(line)
+
+    @pytest.mark.parametrize("body, error", [
+        ("not an sp", PunctuationError),
+        ("<*, *, * | {a} | ? | F | 1.0>", PunctuationError),
+        ("<*, *, * | {} | + | F | 1.0>", PatternError),
+    ])
+    def test_malformed_sp_body_keeps_its_own_error(self, body, error):
+        with pytest.raises(error):
+            decode_element('{"k":"sp","sp":"%s"}' % body)
 
     def test_unknown_kind(self):
         with pytest.raises(StreamError):
