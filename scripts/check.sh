@@ -42,5 +42,12 @@ if grep -nE "json\.(dumps|loads)[(]" src/repro/stream/wire.py; then
     exit 1
 fi
 
+echo "== one decision record (no second copy of a security decision) =="
+if grep -rnE "provenance\.(shield|filter)|tracer\.record[(]|\.decision[(]|_prov_" src; then
+    echo "a security decision is recorded once, in the audit log;" \
+         "see docs/OBSERVABILITY.md, Causal tracing" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

@@ -20,19 +20,16 @@ Rules
 
 ``RL003`` — operators that count drops must audit them.  Any class
     under ``src/repro/operators`` that increments ``tuples_blocked``
-    must also reference the ``audit`` hook somewhere in its body, so
-    every denial can be recorded in the security audit trail.
+    must also reference the ``audit`` hook somewhere in its body: the
+    audit log is the one store of security decisions, so a denial
+    recorded there is also what ``repro audit`` and ``repro why``
+    show.
 
-``RL004`` — operators that count drops must attach provenance.  Any
-    class under ``src/repro/operators`` that increments
-    ``tuples_blocked`` must also reference the ``_tracer`` hook, so
-    every denial is reconstructable through ``repro why`` (causal
-    security provenance, the observability counterpart of RL003).
-    Additionally, operator files must not hand-build trace events:
-    raw ``SpanEvent(...)`` construction and flat ``.span(...)`` calls
-    bypass head sampling, the tail-based keep override and causal ids
-    — provenance must flow through the ``Tracer`` API
-    (``record``/``decision``/``op_span``).
+``RL004`` — operator files must not hand-build trace events.  Raw
+    ``SpanEvent(...)`` construction and flat ``.span(...)`` calls
+    bypass head sampling and causal ids; operator timing spans come
+    from the executor (``Tracer.op_span``), and a security decision is
+    an audit record (RL003), never a span.
 
 ``RL005`` — UDF conditions must declare their read-sets.  Any
     ``FuncCondition(...)`` construction under ``src/repro`` or
@@ -196,28 +193,8 @@ def check_rl003(path: Path, tree: ast.AST) -> "list[Finding]":
 
 
 def check_rl004(path: Path, tree: ast.AST) -> "list[Finding]":
-    """Drop-counting operators must be provenance-traceable."""
+    """No hand-built trace events in operator files."""
     findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        increments = [
-            sub for sub in ast.walk(node)
-            if isinstance(sub, ast.AugAssign)
-            and isinstance(sub.target, ast.Attribute)
-            and sub.target.attr == "tuples_blocked"
-        ]
-        if not increments:
-            continue
-        traced = any(
-            isinstance(sub, ast.Attribute) and sub.attr == "_tracer"
-            for sub in ast.walk(node))
-        if not traced:
-            findings.append(Finding(
-                path, increments[0].lineno, "RL004",
-                f"class {node.name!r} increments tuples_blocked but "
-                "never references the _tracer hook; denials must be "
-                "reconstructable through causal provenance"))
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -225,14 +202,13 @@ def check_rl004(path: Path, tree: ast.AST) -> "list[Finding]":
         if isinstance(func, ast.Name) and func.id == "SpanEvent":
             findings.append(Finding(
                 path, node.lineno, "RL004",
-                "raw SpanEvent(...) built in an operator; emit through "
-                "the Tracer API so sampling and causal ids apply"))
+                "raw SpanEvent(...) built in an operator; spans come "
+                "from the executor, decisions go to the audit log"))
         elif isinstance(func, ast.Attribute) and func.attr == "span":
             findings.append(Finding(
                 path, node.lineno, "RL004",
-                "flat .span(...) call in an operator; use the Tracer "
-                "provenance API (record/decision/op_span) so security "
-                "events keep their causal context"))
+                "flat .span(...) call in an operator; spans come from "
+                "the executor, decisions go to the audit log"))
     return findings
 
 

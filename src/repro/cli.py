@@ -24,10 +24,10 @@ Commands
     Same execution with the audit trail enabled; print (or export) the
     security decisions, or explain the fate of one tuple id.
 ``why <tid> [file]``
-    Same execution with causal tracing + audit enabled; reconstruct
-    the full security decision chain (governing sp → resolved policy →
-    shield/filter verdicts → delivery) for one tuple id, from the
-    trace — no replay.
+    Same execution with causal tracing + audit enabled; render the
+    full security decision chain (governing sp → resolved policy →
+    shield/filter verdicts → delivery) for one tuple id from the
+    audit log — no replay.
 ``trace [file] [--name N] [--jsonl PATH]``
     Same execution with causal tracing enabled; print the recorded
     spans (trace/span/parent ids, monotonic timestamps) or export the
@@ -296,12 +296,9 @@ def _cmd_why(args: argparse.Namespace) -> int:
     from repro.observability import reconstruct_why
 
     dsms, _results = _observed_run(args)
-    tracer = dsms.observability.tracer
-    tid: object = args.tid
-    report = reconstruct_why(tid, tracer.events(), audit=dsms.audit)
+    report = reconstruct_why(args.tid, dsms.audit)
     if not report.found() and args.tid.lstrip("-").isdigit():
-        tid = int(args.tid)
-        report = reconstruct_why(tid, tracer.events(), audit=dsms.audit)
+        report = reconstruct_why(int(args.tid), dsms.audit)
     print(report.render_text())
     return 0 if report.found() else 1
 
@@ -515,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observed_arguments(trace)
     trace.add_argument("--name", default=None,
                        help="only spans with this name "
-                            "(e.g. provenance.shield.drop)")
+                            "(e.g. op.process)")
     trace.add_argument("--jsonl", default=None, metavar="PATH",
                        help="export recorded spans as JSON lines and exit")
     trace.add_argument("--limit", type=int, default=50,

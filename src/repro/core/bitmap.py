@@ -100,7 +100,7 @@ class AbstractRoleSet:
     def names_sorted(self) -> list[str]:
         """Sorted role names, memoized per instance.
 
-        Provenance and audit records render the governing policy as a
+        Audit records render the governing policy as a
         sorted name list on every security verdict; role sets are
         immutable, so the render is computed once and shared (callers
         must not mutate the returned list).

@@ -382,7 +382,7 @@ class SecurityPunctuation:
         ``INC`` field; plain sps keep the paper's five-field format.
         Memoized per instance (like :meth:`roles`): every shield that
         sees this sp renders the same governing-sp text into its
-        provenance and audit records.
+        audit records.
         """
         cached = getattr(self, "_text_cache", None)
         if cached is not None:

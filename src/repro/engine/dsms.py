@@ -43,7 +43,7 @@ from repro.engine.executor import ExecutionReport, Executor
 from repro.engine.plan import PhysicalPlan
 from repro.engine.query import ContinuousQuery
 from repro.errors import PlanAnalysisError, PlanAnalysisWarning, QueryError
-from repro.observability import AuditLog, Observability, Tracer
+from repro.observability import AuditLog, Observability
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
 from repro.stream.batch import segment_feed
@@ -101,7 +101,9 @@ class DSMS:
 
     @property
     def audit(self) -> AuditLog | None:
-        """The security audit trail (``None`` when observability is off)."""
+        """The security audit trail — the one store of security
+        decisions (``None`` unless the hub has an audit log or a
+        causal tracer)."""
         return self.observability.audit
 
     # -- streams --------------------------------------------------------
@@ -264,8 +266,7 @@ class DSMS:
             result = optimizer.optimize_workload(
                 [self.queries[name].expr for name in names])
             workload_plans = dict(zip(names, result.plans))
-        tracer = self.observability.tracer
-        causal = tracer if isinstance(tracer, Tracer) else None
+        audit = self.observability.audit
         exprs: dict[str, LogicalExpr] = {}
         for name, query in self.queries.items():
             expr = query.expr
@@ -274,14 +275,13 @@ class DSMS:
             elif level is OptimizeLevel.PER_QUERY:
                 result = optimizer.optimize(expr)
                 expr = result.plan
-                if causal is not None and result.steps > 0:
+                if audit is not None and result.steps > 0:
                     # Table II rewrites are security-relevant plan
                     # surgery: record which queries were rewritten (and
-                    # what the prover refused) as kept provenance.
-                    causal.decision(
-                        "optimizer.rewrite", operator="optimizer",
-                        verdict="rewritten", query=name, keep=True,
-                        steps=result.steps,
+                    # what the prover refused).
+                    audit.record(
+                        "optimizer.rewrite", ts=0.0, operator="optimizer",
+                        query=name, steps=result.steps,
                         initial_cost=result.initial_cost,
                         cost=result.cost,
                         refusals=len(result.refusals))
@@ -342,13 +342,6 @@ class DSMS:
         if instruments is not None:
             for operator in plan.operators():
                 operator.bind_metrics(instruments)
-        # Causal tracing: every operator gets the tracer so security
-        # decision sites can attach provenance records.
-        tracer = self.observability.tracer
-        causal = tracer if isinstance(tracer, Tracer) else None
-        if causal is not None:
-            for operator in plan.operators():
-                operator.bind_tracer(causal)
         modes = {query.analyze for query in self.queries.values()}
         if modes != {"off"}:
             # Second analysis layer: the compiled DAG, where shared

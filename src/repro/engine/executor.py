@@ -113,7 +113,7 @@ class Executor:
                  instruments=None):
         self.plan = plan
         self.tracer = tracer if tracer is not None else NullTraceSink()
-        #: Causal tracer (trace contexts, operator spans, provenance);
+        #: Causal tracer (trace contexts, operator spans);
         #: ``None`` when the sink is a plain flat-event TraceSink.
         self._causal: Tracer | None = (
             self.tracer if isinstance(self.tracer, Tracer) else None)

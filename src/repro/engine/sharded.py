@@ -33,7 +33,11 @@ returning partial (potentially under-enforced) results.
 Per-shard audit events and trace spans are shipped back over the
 result pipe and re-recorded through the coordinator's Observability
 hub with a ``shard`` label, so the audit trail and flight recorder
-stay single-system views.
+stay single-system views.  Workers keep an audit log whenever the
+coordinator's hub has one — which every hub with a causal tracer does
+— so denials come back in every observed tier; workers run no causal
+tracer, so the *pass* verdicts of worker-local shields are not
+recorded (those of the coordinator's stateful suffix are).
 """
 
 from __future__ import annotations

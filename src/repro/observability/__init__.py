@@ -11,8 +11,10 @@ semantics:
 * :class:`AuditLog` — a bounded, structured record of every security
   decision (shield segment verdicts and per-tuple drops, analyzer
   server-policy refinements, SAJoin policy rejections and skip-rule
-  hits, delivery-shield rejections), queryable per query and
-  exportable as JSONL.
+  hits, delivery-shield rejections, and — for head-sampled traces —
+  shield/filter passes), queryable per query and exportable as JSONL.
+  It is the only place a decision is stored: :func:`reconstruct_why`
+  (``repro why``) renders ``AuditLog.explain``.
 * :class:`StageStats` — per-operator metrics (elements in/out, drops,
   processing-time EWMA, queue depth) snapshotted from every plan
   operator and aggregated into the

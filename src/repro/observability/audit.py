@@ -5,6 +5,10 @@ operator, under this role predicate, applied this sp to this element".
 :class:`AuditEvent` captures exactly that tuple of facts;
 :class:`AuditLog` keeps a bounded history of them.
 
+This log is the one place a security decision is stored — ``repro
+audit``, ``repro why``, the differ's denial counts and the shard
+coordinator all read it; no trace span repeats it.
+
 Event kinds currently recorded:
 
 ``shield.segment``
@@ -15,7 +19,15 @@ Event kinds currently recorded:
     tuple.  Exactly one event per denied tuple per shield.
 ``filter.drop``
     An access filter (pre-/post-filtering layouts) discarded one
-    tuple.
+    tuple; ``sp`` names the governing sp-batch (``None`` under
+    denial-by-default), as on ``shield.drop``.
+``shield.pass`` / ``filter.pass``
+    A shield or access filter let one tuple through.  Recorded only
+    while the hub's tracer has a head-sampled trace open (never by an
+    audit-only hub), and held apart — see *Retention* below.
+``optimizer.rewrite``
+    The optimizer rewrote a query's plan with the Table II rules
+    (``detail``: steps, cost before/after, refused rewrites).
 ``shield.rebind``
     A shield's predicate was rewritten at runtime
     (:meth:`~repro.operators.shield.SecurityShield.rebind`).
@@ -52,11 +64,17 @@ session).  The interleaving *across* operators follows the cut (a
 shield finishes a run before the next operator sees any of it) and is
 not part of the contract.
 
-The log is bounded: ``capacity`` bounds the held *decisions*; recording
-past it evicts whole records, oldest first (``evicted`` counts the
-decisions lost; a single run longer than ``capacity`` keeps its newest
-``capacity`` decisions).  Counts per kind are kept unbounded, so rates
-stay exact even after eviction.
+Retention.  The log is bounded, in two classes.  Every kind but the
+passes is *must-keep*: ``capacity`` bounds the held decisions;
+recording past it evicts whole records, oldest first (``evicted``
+counts the decisions lost; a single run longer than ``capacity`` keeps
+its newest ``capacity`` decisions); ``len()``, iteration and
+:meth:`~AuditLog.to_jsonl` speak of this class only.  Sampled
+``*.pass`` records sit in a ring of their own, bounded in *records*,
+so a flood of passes can never evict a denial; ``events()``,
+``explain()`` and ``last()`` read both classes in ``seq`` order.
+Counts per kind (passes included) are kept unbounded, so rates stay
+exact even after eviction.
 """
 
 from __future__ import annotations
@@ -64,11 +82,19 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterator, Sequence
+from heapq import merge
+from operator import attrgetter
+from typing import IO, Iterable, Iterator, Sequence
 
 __all__ = ["AuditEvent", "AuditLog"]
 
 DEFAULT_CAPACITY = 10_000
+
+#: Bound, in records, of the ring holding sampled ``*.pass`` verdicts
+#: (the flight recorder's default size).
+_PASS_RECORDS = 4096
+
+_BY_SEQ = attrgetter("seq")
 
 _ENCODER = json.JSONEncoder(default=str, separators=(",", ":"))
 
@@ -99,11 +125,17 @@ class AuditEvent:
     sp: str | None = None
     #: Kind-specific extras (counts, before/after role sets, ...).
     detail: dict = field(default_factory=dict)
+    #: Trace the verdict was taken in, when that trace is head-sampled
+    #: (joins the decision to its ``op.process`` spans).  Not part of
+    #: the decision itself: ignored by ``==``.
+    trace_id: int | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         record = asdict(self)
         record["predicate"] = list(self.predicate)
         record["policy"] = list(self.policy)
+        if self.trace_id is None:
+            del record["trace_id"]
         return record
 
     def __str__(self) -> str:
@@ -116,6 +148,8 @@ class AuditEvent:
             core += f" predicate={list(self.predicate)}"
         if self.sp:
             core += f" sp=<{self.sp}>"
+        if self.trace_id is not None:
+            core += f" trace={self.trace_id}"
         return core
 
 
@@ -140,13 +174,15 @@ class _RunRecord:
     detail: dict
     tids: list
     tss: list
+    trace_id: int | None = None
 
     def event(self, i: int) -> AuditEvent:
         return AuditEvent(seq=self.seq + i, kind=self.kind, ts=self.tss[i],
                           operator=self.operator, query=self.query,
                           sid=self.sid, tid=self.tids[i],
                           predicate=self.predicate, policy=self.policy,
-                          sp=self.sp, detail=dict(self.detail))
+                          sp=self.sp, detail=dict(self.detail),
+                          trace_id=self.trace_id)
 
     def events(self) -> Iterator[AuditEvent]:
         return map(self.event, range(len(self.tids)))
@@ -159,11 +195,17 @@ class AuditLog:
         if capacity <= 0:
             raise ValueError("audit log capacity must be positive")
         self.capacity = capacity
+        #: The hub's causal tracer, if any (set by ``Observability``):
+        #: its sampling verdict decides which passes are recorded, and
+        #: a sampled trace's id is stamped on the verdicts taken in it.
+        self.tracer = None
         self._records: deque[_RunRecord] = deque()
-        #: Decisions currently held (a run record counts its length).
+        #: Sampled ``*.pass`` records, apart so they never evict the rest.
+        self._passes: deque[_RunRecord] = deque(maxlen=_PASS_RECORDS)
+        #: Must-keep decisions held (a run record counts its length).
         self._held = 0
         self._seq = 0
-        #: Decisions recorded but no longer held (bounded-log eviction).
+        #: Must-keep decisions recorded but no longer held (eviction).
         self.evicted = 0
         #: Exact per-kind totals, unaffected by eviction.
         self.counts: Counter[str] = Counter()
@@ -197,18 +239,32 @@ class AuditLog:
 
         ``tuples`` is a non-empty run of same-stream data tuples that
         all received the verdict described by the other arguments.
-        Only their ``tid``/``ts`` columns are kept.
+        Only their ``tid``/``ts`` columns are kept.  A ``*.pass`` kind
+        goes to the pass ring (callers check :meth:`wants_passes`
+        first).
         """
         n = len(tuples)
-        self._records.append(_RunRecord(
+        tracer = self.tracer
+        run = _RunRecord(
             self._seq, kind, operator, query, tuples[0].sid, predicate,
             policy, sp, detail,
-            [item.tid for item in tuples], [item.ts for item in tuples]))
+            [item.tid for item in tuples], [item.ts for item in tuples],
+            tracer.trace_ref() if tracer is not None else None)
         self._seq += n
         self.counts[kind] += n
+        if kind.endswith(".pass"):
+            self._passes.append(run)
+            return
+        self._records.append(run)
         self._held += n
         if self._held > self.capacity:
             self._evict()
+
+    def wants_passes(self) -> bool:
+        """Whether a pass verdict taken now is worth recording: only
+        while the hub's tracer has a head-sampled trace open."""
+        tracer = self.tracer
+        return tracer is not None and tracer.active
 
     def _evict(self) -> None:
         """Drop whole records, oldest first, down to ``capacity``."""
@@ -228,11 +284,18 @@ class AuditLog:
             self.evicted += excess
 
     # -- querying ----------------------------------------------------------
+    def _all_records(self) -> "Iterable[_RunRecord]":
+        """Held records of both retention classes, in ``seq`` order."""
+        if not self._passes:
+            return self._records
+        return merge(self._records, self._passes, key=_BY_SEQ)
+
     def events(self, *, query: str | None = None,
                kind: str | None = None) -> list[AuditEvent]:
-        """Held events, optionally filtered by query and/or kind."""
+        """Held events (sampled passes included), optionally filtered
+        by query and/or kind."""
         out: list[AuditEvent] = []
-        for record in self._records:
+        for record in self._all_records():
             if query is not None and record.query != query:
                 continue
             if kind is not None and record.kind != kind:
@@ -250,7 +313,7 @@ class AuditLog:
         reused across streams.
         """
         out: list[AuditEvent] = []
-        for record in self._records:
+        for record in self._all_records():
             if sid is not None and record.sid != sid:
                 continue
             if tuple_id in record.tids:
@@ -261,14 +324,18 @@ class AuditLog:
 
     def last(self, kind: str | None = None) -> AuditEvent | None:
         """Most recent held event (of ``kind``, if given)."""
-        for record in reversed(self._records):
+        newest = None
+        for record in self._all_records():
             if kind is None or record.kind == kind:
-                return record.event(len(record.tids) - 1)
-        return None
+                newest = record
+        if newest is None:
+            return None
+        return newest.event(len(newest.tids) - 1)
 
     # -- export -------------------------------------------------------------
     def to_jsonl(self, fp: IO[str]) -> int:
-        """Write held events as JSON lines; returns the line count."""
+        """Write held must-keep events as JSON lines; returns the line
+        count."""
         count = 0
         for event in self:
             fp.write(_ENCODER.encode(event.to_dict()))
@@ -283,9 +350,10 @@ class AuditLog:
     # -- bookkeeping ---------------------------------------------------------
     def clear(self) -> None:
         """Back to the freshly constructed state (``seq`` restarts at 0,
-        so ``len(log) + log.evicted`` keeps equalling the decisions
-        recorded)."""
+        so ``len(log) + log.evicted`` keeps equalling the must-keep
+        decisions recorded)."""
         self._records.clear()
+        self._passes.clear()
         self.counts.clear()
         self._held = 0
         self._seq = 0
@@ -299,5 +367,5 @@ class AuditLog:
             yield from record.events()
 
     def __repr__(self) -> str:
-        return (f"AuditLog(held={self._held}, "
+        return (f"AuditLog(held={self._held}, passes={len(self._passes)}, "
                 f"recorded={self._seq}, evicted={self.evicted})")

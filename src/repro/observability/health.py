@@ -148,7 +148,7 @@ class HealthMonitor:
         causal = self.tracer if isinstance(self.tracer, Tracer) else None
         for alert in new:
             if causal is not None:
-                # Tail-based keep: alert spans survive head sampling.
+                # keep=True: alert spans survive head sampling.
                 causal.event("health.alert", keep=True,
                              **alert.to_dict())
             elif self.tracer.enabled:

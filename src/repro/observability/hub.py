@@ -10,6 +10,10 @@ checks.  :meth:`Observability.in_memory` turns everything on with
 bounded in-memory storage; :meth:`Observability.with_metrics` enables
 only the metrics registry (the cheapest always-on production
 configuration).
+
+Security decisions have one store, the audit log, so a hub with a
+causal :class:`Tracer` always carries one: sampling then decides which
+*passes* are recorded, never whether a denial is.
 """
 
 from __future__ import annotations
@@ -29,8 +33,12 @@ class Observability:
     def __init__(self, *, audit: AuditLog | None = None,
                  tracer: TraceSink | None = None,
                  metrics: MetricsRegistry | None = None):
-        self.audit = audit
         self.tracer = tracer if tracer is not None else NullTraceSink()
+        if isinstance(self.tracer, Tracer):
+            if audit is None:
+                audit = AuditLog()
+            audit.tracer = self.tracer
+        self.audit = audit
         self.metrics = metrics
         self._instruments: EngineInstruments | None = None
 
@@ -64,11 +72,12 @@ class Observability:
     def with_tracing(cls, *, sample: float = DEFAULT_SAMPLE_RATE,
                      recorder_capacity: int = 4096,
                      sink: TraceSink | None = None) -> "Observability":
-        """Causal tracing only — the leave-it-on production tier.
+        """Causal tracing — the leave-it-on production tier.
 
-        Head-samples one trace in ~64 by default, always keeps
-        security-drop provenance and feeds the always-on flight
-        recorder; no audit log and no metrics registry.
+        Head-samples one trace in ~64 by default (operator spans and
+        pass verdicts of those traces only) and feeds the always-on
+        flight recorder; every denial is recorded in the hub's audit
+        log regardless of sampling.  No metrics registry.
         """
         return cls(tracer=Tracer(sink, sample=sample,
                                  recorder_capacity=recorder_capacity))

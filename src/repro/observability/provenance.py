@@ -1,4 +1,4 @@
-"""Causal tracing with security provenance.
+"""Causal tracing, and ``why`` as a reading of the audit log.
 
 This module turns the flat :class:`~repro.observability.trace.SpanEvent`
 stream into *causal* traces:
@@ -7,22 +7,22 @@ stream into *causal* traces:
   a fresh ``trace_id`` — and each operator that touches it opens a
   child span (``parent_id`` chains back to the root), with durations
   measured on the monotonic clock.
-* Security decisions (shield pass/drop, denial-by-default, access
-  filter drops, optimizer Table II rewrites) attach a **provenance
-  record**: a ``provenance.*`` span naming the governing security
-  punctuation, the policy it resolved to and the role match, so
-  :func:`reconstruct_why` can rebuild "why was tuple *t* dropped /
-  delivered?" from the trace alone — no stream replay.
 * **Head-based sampling** keeps the cost low enough to leave on: the
   sampling verdict is a pure function of the trace id (a multiplicative
   hash against a threshold), so identical runs sample identical traces.
-  **Tail-based keep** overrides the head verdict for the records you
-  never want to lose: drops, denial-by-default and ``health.alert``
-  events are emitted even on unsampled traces.
+  ``health.alert`` events are emitted even on unsampled traces
+  (``Tracer.event(keep=True)``).
 * Everything emitted also lands in an always-on bounded
   :class:`FlightRecorder`; the :class:`~repro.observability.health.HealthMonitor`
   dumps a window of it to JSONL when an alert fires, giving a
   retroactive look at the spans *leading up to* the problem.
+
+Security decisions are **not** spans.  A shield or filter verdict is
+recorded once, in the hub's :class:`~repro.observability.audit.AuditLog`
+(denials always; passes while the trace is sampled, stamped with its
+``trace_id``), and :func:`reconstruct_why` renders
+``audit.explain(tid)`` — governing sp, resolved policy, role match,
+delivery — with no second copy in the span ring.
 
 The :class:`Tracer` is itself a :class:`TraceSink` (``enabled`` is
 True), so the engine's existing flat control points — ``executor.run``,
@@ -34,14 +34,19 @@ from __future__ import annotations
 import json
 import time
 
+from typing import TYPE_CHECKING
+
 from .trace import NullTraceSink, RingBufferTraceSink, SpanEvent, TraceSink
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .audit import AuditEvent, AuditLog
 
 __all__ = ["DEFAULT_SAMPLE_RATE", "TraceContext", "FlightRecorder",
            "Tracer", "WhyReport", "reconstruct_why"]
 
 #: Default head-sampling rate for the ``with_tracing`` tier: roughly
-#: one trace in 64 carries full operator spans; security drops are
-#: kept regardless (tail-based keep).
+#: one trace in 64 carries full operator spans and records its pass
+#: verdicts; denials are audit records and never sampled away.
 DEFAULT_SAMPLE_RATE = 1.0 / 64.0
 
 # Knuth's multiplicative hash constant (2^32 / phi). Sampling uses
@@ -108,7 +113,7 @@ class FlightRecorder(RingBufferTraceSink):
 
 
 class Tracer(TraceSink):
-    """Causal tracer: samples traces, keeps security decisions.
+    """Causal tracer: samples traces, times operators.
 
     Drop-in anywhere a :class:`TraceSink` is expected (``enabled`` is
     True so flat control spans keep flowing), but the engine gives it
@@ -118,10 +123,8 @@ class Tracer(TraceSink):
       take the sampling decision, open the root span if sampled.
     * :meth:`op_span` — child span per operator invocation (only on
       sampled traces — callers check :attr:`active`).
-    * :meth:`decision` — security-provenance record; ``keep=True``
-      (drops, denials) bypasses sampling.
-    * :meth:`event` — ad-hoc event with the same keep override, used
-      for ``health.alert``.
+    * :meth:`event` — ad-hoc event; ``keep=True`` bypasses sampling
+      (``health.alert``).
 
     Every emission lands in the always-on :attr:`recorder` ring and,
     when one is configured, the external :attr:`sink`.
@@ -138,18 +141,14 @@ class Tracer(TraceSink):
         self.sample = sample
         self._threshold = int(sample * 2**32)
         self.recorder = FlightRecorder(recorder_capacity)
-        # Bound method of the recorder's ring deque — the inlined
-        # emission path in :meth:`record` appends through this to skip
-        # two method hops per kept record (same package, stable ref:
-        # the recorder and its deque live as long as the tracer).
-        self._ring_append = self.recorder._events.append  # noqa: SLF001
         self._trace_seq = 0
         self._span_seq = 0
         self._flat_seq = 0
         self._trace_id = 0
         self._root_id = 0
         #: True while the current trace is head-sampled: operator
-        #: spans and pass-records are only worth building then.
+        #: spans and (in the audit log) pass records are only worth
+        #: building then.
         self.active = False
         self.traces = 0
         self.sampled_traces = 0
@@ -157,19 +156,13 @@ class Tracer(TraceSink):
     # ------------------------------------------------------------------
     # emission plumbing
 
-    def _emit(self, event: SpanEvent) -> None:
-        self.recorder.emit(event)
-        if self.sink.enabled:
-            self.sink.emit(event)
-
     def _emit_new(self, name: str, attrs: dict,
                   trace_id: "int | None" = None,
                   span_id: "int | None" = None,
                   parent_id: "int | None" = None) -> None:
         """Build and emit a stamped event, bypassing the frozen
-        dataclass ``__init__`` (7 ``object.__setattr__`` calls) on the
-        hot path — kept drop records are emitted on every trace, so
-        construction cost is part of the tracing overhead budget."""
+        dataclass ``__init__`` (7 ``object.__setattr__`` calls): at
+        ``sample=1.0`` this runs per element and per operator."""
         event = SpanEvent.__new__(SpanEvent)
         event.__dict__.update(
             name=name, wall=time.time(), attrs=attrs,
@@ -181,16 +174,17 @@ class Tracer(TraceSink):
 
     def emit(self, event: SpanEvent) -> None:
         """TraceSink protocol: forward externally-built events."""
-        self._emit(event)
+        self.recorder.emit(event)
+        if self.sink.enabled:
+            self.sink.emit(event)
 
     def span(self, name: str, **attrs) -> None:
         """Flat control span (no causal ids) — head-sampled.
 
         High-frequency control points (``analyzer.batch``, one per
         sp-batch) flow through here; sampling them like everything
-        else keeps the always-on tier within its overhead budget and
-        stops them crowding security records out of the flight
-        recorder.  At ``sample=1.0`` (the ``in_memory`` tier) every
+        else keeps the always-on tier within its overhead budget.
+        At ``sample=1.0`` (the ``in_memory`` tier) every
         span is kept, so plain-sink consumers see no change.
         """
         self._flat_seq = seq = self._flat_seq + 1
@@ -256,54 +250,6 @@ class Tracer(TraceSink):
                        span_id=sid, parent_id=parent_id or None)
         return sid
 
-    def decision(self, kind: str, *, operator: str,
-                 verdict: str, query: str | None = None,
-                 keep: bool = False, **attrs) -> None:
-        """Attach a security-provenance record to the current trace.
-
-        ``kind`` names the decision site ("shield.drop",
-        "filter.pass", "optimizer.rewrite", ...); the event is named
-        ``provenance.<kind>``. ``keep=True`` marks records that must
-        survive head sampling (drops, denial-by-default, rewrites).
-        """
-        if not (self.active or keep):
-            return
-        attrs["operator"] = operator
-        attrs["verdict"] = verdict
-        if query is not None:
-            attrs["query"] = query
-        self._span_seq = sid = self._span_seq + 1
-        self._emit_new("provenance." + kind, attrs,
-                       trace_id=self._trace_id or None, span_id=sid,
-                       parent_id=self._root_id or None)
-
-    def record(self, name: str, attrs: dict, *, keep: bool = False) -> None:
-        """:meth:`decision` with a pre-built attrs dict and full name.
-
-        The operators' hot path: shields build the whole attrs mapping
-        in one dict display and pass the complete event name
-        (``"provenance.shield.drop"``) as an interned constant — no
-        prefix concatenation, no keyword-argument repacking.  The dict
-        is owned by the emitted event — never reuse it.  Emission is
-        fully inlined (no :meth:`_emit_new` hop): kept drop records
-        run on every trace, sampled or not.
-        """
-        if not (self.active or keep):
-            return
-        self._span_seq = sid = self._span_seq + 1
-        event = SpanEvent.__new__(SpanEvent)
-        d = event.__dict__
-        d["name"] = name
-        d["wall"] = time.time()
-        d["attrs"] = attrs
-        d["mono"] = time.perf_counter_ns()
-        d["trace_id"] = self._trace_id or None
-        d["span_id"] = sid
-        d["parent_id"] = self._root_id or None
-        self._ring_append(event)
-        if self.sink.enabled:
-            self.sink.emit(event)
-
     def event(self, name: str, *, keep: bool = False, **attrs) -> None:
         """Ad-hoc causal event (health alerts use ``keep=True``)."""
         if not (self.active or keep):
@@ -329,92 +275,65 @@ class Tracer(TraceSink):
 # why-reconstruction
 
 
-def _mentions(event: SpanEvent, tid: object) -> bool:
-    attrs = event.attrs
-    if attrs.get("tid") == tid:
-        return True
-    tids = attrs.get("tids")
-    if tids and tid in tids:
-        return True
-    run = attrs.get("_run")
-    return run is not None and any(t.tid == tid for t in run)
+#: Kind suffixes that deny the tuple (``shield.drop``, ``filter.drop``,
+#: ``join.deny``).
+_DENIED = (".drop", ".deny")
 
 
 class WhyReport:
-    """Reconstructed decision chain for one tuple id."""
+    """The held decisions that touched one tuple id, in ``seq`` order."""
 
-    def __init__(self, tid: object, decisions: list[SpanEvent],
-                 audit_events: list | None = None):
+    def __init__(self, tid: object, decisions: "list[AuditEvent]"):
         self.tid = tid
         self.decisions = decisions
-        self.audit_events = audit_events or []
 
     @property
     def delivered_queries(self) -> list[str]:
         """Queries whose delivery shield passed the tuple."""
-        out = []
-        for event in self.decisions:
-            operator = event.attrs.get("operator", "")
-            if (operator.startswith("delivery:")
-                    and event.attrs.get("verdict") == "pass"):
-                query = operator.split(":", 1)[1]
-                if query not in out:
-                    out.append(query)
-        return out
+        return list(dict.fromkeys(
+            event.operator.split(":", 1)[1] for event in self.decisions
+            if event.operator.startswith("delivery:")
+            and event.kind.endswith(".pass")))
 
     @property
-    def denials(self) -> list[SpanEvent]:
-        return [e for e in self.decisions
-                if e.attrs.get("verdict") in ("drop", "denied")]
+    def denials(self) -> "list[AuditEvent]":
+        return [e for e in self.decisions if e.kind.endswith(_DENIED)]
 
     def found(self) -> bool:
-        return bool(self.decisions or self.audit_events)
+        return bool(self.decisions)
 
     def render_text(self) -> str:
         lines = [f"tuple {self.tid}:"]
         for event in self.decisions:
-            a = event.attrs
-            where = a.get("operator", "?")
-            verdict = a.get("verdict", "?")
+            verdict = event.kind.rpartition(".")[2]
             ref = (f"  trace {event.trace_id}"
                    if event.trace_id is not None else "")
-            lines.append(f"  {event.name} at {where}: {verdict}{ref}")
-            sp = a.get("sp")
-            if sp:
-                lines.append(f"    governed by sp: {sp}")
-            elif a.get("denial_by_default"):
+            lines.append(f"  {event.kind} at {event.operator}: {verdict}"
+                         f"  {event.sid}:{event.tid}@{event.ts}{ref}")
+            if event.sp:
+                lines.append(f"    governed by sp: {event.sp}")
+            elif event.kind.endswith(_DENIED):
                 lines.append("    no applicable sp (denial-by-default)")
-            policy = a.get("policy")
-            if policy:
-                lines.append(f"    policy roles: {', '.join(policy)}")
-            predicate = a.get("predicate")
-            if predicate:
+            if event.policy:
+                lines.append(f"    policy roles: {', '.join(event.policy)}")
+            if event.predicate:
                 lines.append(f"    role predicate: "
-                             f"{', '.join(predicate)}")
+                             f"{', '.join(event.predicate)}")
         delivered = self.delivered_queries
         if delivered:
             lines.append(f"  delivered to: {', '.join(delivered)}")
         elif self.denials:
             lines.append("  not delivered (denied)")
-        for record in self.audit_events:
-            lines.append(f"  audit: {record}")
         if not self.found():
-            lines.append("  no trace or audit records found")
+            lines.append("  no audit records found")
         return "\n".join(lines)
 
 
-def reconstruct_why(tid: object, spans: list[SpanEvent],
-                    audit=None) -> WhyReport:
-    """Rebuild the decision chain for tuple ``tid`` from spans + audit.
+def reconstruct_why(tid: object, audit: "AuditLog") -> WhyReport:
+    """The decision chain of tuple ``tid``: ``audit.explain(tid)``,
+    ready to render.
 
-    ``spans`` is any iterable of :class:`SpanEvent` (typically
-    ``tracer.events()`` or a parsed flight-recorder dump); provenance
-    records matching the tuple — directly via ``tid`` or through a
-    run-level ``tids`` list — are collected in emission order.
-    ``audit``, when given, is an ``AuditLog`` whose ``explain(tid)``
-    records are merged in for the full paper-level audit trail.
+    Denials are always there (until evicted); pass verdicts — and with
+    them "delivered to" — for the tuples whose trace was head-sampled.
     """
-    decisions = [e for e in spans
-                 if e.name.startswith("provenance.") and _mentions(e, tid)]
-    audit_events = list(audit.explain(tid)) if audit is not None else []
-    return WhyReport(tid, decisions, audit_events)
+    return WhyReport(tid, audit.explain(tid))

@@ -11,9 +11,9 @@ Every event carries *two* timestamps: ``wall`` (``time.time()``, for
 correlation with external logs) and ``mono`` (``time.perf_counter_ns()``,
 monotonic — durations derived from it can never go negative under a
 wall-clock adjustment).  Causal tracing (trace / span / parent ids,
-sampling, provenance records) lives in
-:mod:`repro.observability.provenance`; the optional id fields here are
-its carrier.
+sampling) lives in :mod:`repro.observability.provenance`; the optional
+id fields here are its carrier.  Security decisions are not spans: they
+live in the :class:`~repro.observability.audit.AuditLog`.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class SpanEvent:
         if self.parent_id is not None:
             record["parent_id"] = self.parent_id
         record.update(self.attrs)
-        run = record.pop("_run", None)
-        if run is not None:
-            # Lazily-built run record (see SecurityShield._prov_run):
-            # the denied run's tuple ids are rendered only when the
-            # event is actually serialized, not on the drop hot path.
-            record["tids"] = [t.tid for t in run]
         return record
 
     def __str__(self) -> str:

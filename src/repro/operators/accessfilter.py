@@ -48,7 +48,7 @@ class AccessFilter(UnaryOperator):
         self.tracker = PolicyTracker(stream_id)
         self._held_sps: list[SecurityPunctuation] = []
         self.tuples_blocked = 0
-        self._predicate_list = sorted(self.predicate.names())
+        self._predicate = tuple(sorted(self.predicate.names()))
 
     def _process(self, element: StreamElement,
                  port: int) -> list[StreamElement]:
@@ -60,16 +60,12 @@ class AccessFilter(UnaryOperator):
         assert isinstance(element, DataTuple)
         policy = self.tracker.policy_for(element)
         self.stats.comparisons += 1
-        tracer = self._tracer
-        if not policy.permits_any(self.predicate):
+        passing = policy.permits_any(self.predicate)
+        if self.audit is not None:
+            self._record((element,), passing)
+        if not passing:
             self.tuples_blocked += 1
-            if tracer is not None:
-                self._prov_item(element, policy, False)
-            if self.audit is not None:
-                self._audit_drop((element,), policy)
             return []
-        if tracer is not None and tracer.active:
-            self._prov_item(element, policy, True)
         out: list[StreamElement] = []
         if self._held_sps:
             out.extend(self._held_sps)
@@ -84,24 +80,16 @@ class AccessFilter(UnaryOperator):
         predicate = self.predicate
         tuples = batch.tuples
         self.stats.comparisons += len(tuples)
-        tracer = self._tracer
-        if self.audit is None and tracer is None:
+        if self.audit is None:
             passing = [item for item in tuples
                        if tracker.policy_for(item).permits_any(predicate)]
         else:
-            traced = tracer is not None and tracer.active
             passing = []
             for item in tuples:
-                policy = tracker.policy_for(item)
-                if policy.permits_any(predicate):
-                    if traced:
-                        self._prov_item(item, policy, True)
+                permitted = tracker.policy_for(item).permits_any(predicate)
+                self._record((item,), permitted)
+                if permitted:
                     passing.append(item)
-                else:
-                    if tracer is not None:
-                        self._prov_item(item, policy, False)
-                    if self.audit is not None:
-                        self._audit_drop((item,), policy)
         self.tuples_blocked += len(tuples) - len(passing)
         if not passing:
             return []
@@ -113,32 +101,21 @@ class AccessFilter(UnaryOperator):
                    else TupleBatch(passing))
         return out
 
-    def _prov_item(self, item: DataTuple, policy, passing: bool) -> None:
-        """Provenance record for one filter verdict.
-
-        Drops carry the tail-based keep override; passes are only
-        emitted while the trace is sampled (call sites gate on
-        ``tracer.active``).
+    def _record(self, tuples: Sequence[DataTuple], passing: bool) -> None:
+        """The filter's one decision recorder: one ``filter.drop`` /
+        ``filter.pass`` event per tuple of the run, naming the
+        governing sp (``None`` under denial-by-default).  A denial is
+        always recorded; a pass only on a head-sampled trace.
         """
+        audit = self.audit
+        if passing and not audit.wants_passes():
+            return
         sps = self.tracker.current_sps()
-        self._tracer.decision(
-            "filter.pass" if passing else "filter.drop",
-            operator=self.name,
-            verdict="pass" if passing else "drop",
-            query=self.audit_query, keep=not passing,
-            sid=item.sid, tid=item.tid, ts=item.ts,
-            predicate=list(self._predicate_list),
-            policy=policy.roles.names_sorted(),
+        audit.record_run(
+            "filter.pass" if passing else "filter.drop", tuples,
+            operator=self.name, query=self.audit_query,
+            predicate=self._predicate,
+            policy=tuple(
+                self.tracker.policy_for(tuples[0]).roles.names_sorted()),
             sp=" | ".join(sp.to_text() for sp in sps) if sps else None,
-            denial_by_default=not sps,
-        )
-
-    def _audit_drop(self, tuples: Sequence[DataTuple], policy) -> None:
-        """Exactly one ``filter.drop`` event per denied tuple; the run
-        ``tuples`` (denied under ``policy``) is held as one record."""
-        self.audit.record_run(
-            "filter.drop", tuples, operator=self.name,
-            query=self.audit_query,
-            predicate=tuple(self._predicate_list),
-            policy=tuple(policy.roles.names_sorted()),
         )

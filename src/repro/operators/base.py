@@ -106,9 +106,6 @@ class Operator:
         #: Latency histogram child (bound by :meth:`bind_metrics`;
         #: ``None`` keeps the fast path to a single attribute check).
         self._m_latency = None
-        #: Causal tracer security decisions attach provenance to (set
-        #: by :meth:`bind_tracer`; ``None`` keeps decisions silent).
-        self._tracer = None
 
     def process(self, element: StreamElement,
                 port: int = 0) -> list[StreamElement]:
@@ -225,16 +222,6 @@ class Operator:
             self.name, type(self).__name__)
         instruments.queue_depth.labels(self.name).set_function(
             self.state_size)
-
-    def bind_tracer(self, tracer) -> None:
-        """Point security-decision sites at a causal tracer.
-
-        ``tracer`` is a :class:`~repro.observability.provenance.Tracer`;
-        operators with decision sites (shields, access filters) emit
-        provenance records through it.  The base binding just stores
-        it — a single attribute check gates every decision site.
-        """
-        self._tracer = tracer
 
     def stage_stats(self) -> "StageStats":
         """Immutable snapshot of this operator's runtime metrics."""

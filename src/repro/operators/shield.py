@@ -21,6 +21,12 @@ test (the "predicate index on the roles in the SS state", cf. the
 grouped filter of CACQ/PSoup) and a deliberately naive linear scan of
 the role list, used as the unindexed baseline in the Figure 8b
 benchmark.
+
+Every verdict has one recorder, :meth:`SecurityShield._record`, and one
+store, the hub's :class:`~repro.observability.audit.AuditLog`: a denial
+is a ``shield.drop`` run record whenever a log is attached, a pass a
+``shield.pass`` one while the current trace is head-sampled.  Nothing
+else (no trace span, no second log) repeats the decision.
 """
 
 from __future__ import annotations
@@ -37,14 +43,6 @@ from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
 __all__ = ["SecurityShield"]
-
-#: Sentinel for the not-yet-computed sp-description cache.
-_UNSET = object()
-
-#: Interned provenance event names (record() takes the full name so
-#: the per-verdict hot path never concatenates).
-_REC_PASS = "provenance.shield.pass"
-_REC_DROP = "provenance.shield.drop"
 
 
 class SecurityShield(UnaryOperator):
@@ -109,16 +107,11 @@ class SecurityShield(UnaryOperator):
         self._segment_tuples = 0
         #: Whether the current segment runs under denial-by-default.
         self._segment_denial = False
-        #: Cached sp-batch description for provenance/audit records,
-        #: invalidated on sp arrival (one ``to_text`` render per
-        #: segment instead of per dropped tuple).
-        self._sp_text: object = _UNSET
-        #: Cached segment-constant provenance attrs (policy, sp,
-        #: predicate) — valid only while the tracker is uniform, and
-        #: invalidated with :attr:`_sp_text`.  Kept drop records are
-        #: emitted on *every* trace, so their cost must not include
-        #: re-sorting role names per record.
-        self._prov_base: dict | None = None
+        #: ``(predicate, policy, sp)`` of the audit records of the
+        #: current segment — cached only while the tracker is uniform
+        #: (every verdict of the segment then shares them), invalidated
+        #: on sp arrival and rebind.
+        self._segment_fields: tuple | None = None
 
     # -- metrics wiring -----------------------------------------------------
     def bind_metrics(self, instruments) -> None:
@@ -156,7 +149,7 @@ class SecurityShield(UnaryOperator):
         self._predicate_list = sorted(roles.names())
         self._conjunct_scans = (self._predicate_list,)
         self._decision_stale = True
-        self._prov_base = None
+        self._segment_fields = None
         self._permits_memo.clear()
         if self._instruments is not None:
             # The roles label changed: re-point the verdict counters at
@@ -265,8 +258,7 @@ class SecurityShield(UnaryOperator):
         if isinstance(element, SecurityPunctuation):
             self.tracker.observe_sp(element)
             self._decision_stale = True
-            self._sp_text = _UNSET
-            self._prov_base = None
+            self._segment_fields = None
             if self._m_prop is not None:
                 self._observe_segment_boundary()
             return []
@@ -294,22 +286,17 @@ class SecurityShield(UnaryOperator):
             passing = self._permits(policy)
         else:
             passing = self._segment_decision
-        tracer = self._tracer
+        if self.audit is not None:
+            self._record((item,), passing)
         if not passing:
             self.tuples_blocked += 1
             if self._m_drop is not None:
                 self._m_drop.inc()
                 if self._segment_denial:
                     self._m_denial.inc()
-            if tracer is not None:
-                self._prov_tuple(item, False)
-            if self.audit is not None:
-                self._audit_drop((item,))
             return []
         if self._m_pass is not None:
             self._m_pass.inc()
-        if tracer is not None and tracer.active:
-            self._prov_tuple(item, True)
         out: list[StreamElement] = []
         if self._held_sps:
             out.extend(self._held_sps)
@@ -343,15 +330,14 @@ class SecurityShield(UnaryOperator):
             permits = self._permits_cached
             m_pass, m_drop = self._m_pass, self._m_drop
             audit = self.audit
-            tracer = self._tracer
-            traced = tracer is not None and tracer.active
             blocked = 0
             for item in tuples:
-                if permits(policy_for(item)):
+                passing = permits(policy_for(item))
+                if audit is not None:
+                    self._record((item,), passing)
+                if passing:
                     if m_pass is not None:
                         m_pass.inc()
-                    if traced:
-                        self._prov_tuple(item, True)
                     if self._held_sps:
                         out.extend(self._held_sps)
                         self._held_sps = []
@@ -362,28 +348,19 @@ class SecurityShield(UnaryOperator):
                         m_drop.inc()
                         if self._segment_denial:
                             self._m_denial.inc()
-                    if tracer is not None:
-                        self._prov_tuple(item, False)
-                    if audit is not None:
-                        self._audit_drop((item,))
             self.tuples_blocked += blocked
             return out
-        tracer = self._tracer
+        if self.audit is not None:
+            self._record(tuples, decision)
         if not decision:
             self.tuples_blocked += len(tuples)
             if self._m_drop is not None:
                 self._m_drop.inc(len(tuples))
                 if self._segment_denial:
                     self._m_denial.inc(len(tuples))
-            if tracer is not None:
-                self._prov_run(tuples, False)
-            if self.audit is not None:
-                self._audit_drop(tuples)
             return []
         if self._m_pass is not None:
             self._m_pass.inc(len(tuples))
-        if tracer is not None and tracer.active:
-            self._prov_run(tuples, True)
         out = []
         if self._held_sps:
             out.extend(self._held_sps)
@@ -411,7 +388,7 @@ class SecurityShield(UnaryOperator):
             self._segment_decision = None
             self._held_sps = pending
         self._decision_stale = False
-        tracer = self._tracer
+        audit = self.audit
         if self._m_prop is not None:
             self._segment_denial = not self.tracker.current_sps()
             if self._sp_wall is not None:
@@ -419,148 +396,61 @@ class SecurityShield(UnaryOperator):
                 # paper's "speed of enforcement", measured.
                 lag = time.perf_counter() - self._sp_wall
                 self._m_prop.observe(lag)
-                if tracer is not None and tracer.active:
-                    self._m_prop.exemplar(lag, tracer.trace_id)
+                if audit is not None and audit.wants_passes():
+                    # A head-sampled trace is open: point at it.
+                    self._m_prop.exemplar(lag, audit.tracer.trace_id)
                 self._sp_wall = None
-        if tracer is not None and tracer.active:
-            self._prov_segment(item, policy)
-        if self.audit is not None:
-            self._audit_segment(item, policy)
-
-    # -- provenance recording -----------------------------------------------
-    def _sp_description(self) -> str | None:
-        """Cached :meth:`_describe_sps` (recomputed once per segment)."""
-        text = self._sp_text
-        if text is _UNSET:
-            text = self._sp_text = self._describe_sps()
-        return text  # type: ignore[return-value]
-
-    def _prov_attrs(self, item: DataTuple) -> dict:
-        """Prototype attrs for a verdict record (callers copy + patch).
-
-        Holds everything constant across a segment's verdicts:
-        operator, query, predicate, resolved policy roles and the
-        governing-sp text.  Under a uniform policy it is cached until
-        the next sp (one sorted role-name render and one sp
-        ``to_text`` per segment, shared by every record); non-uniform
-        trackers resolve the policy per tuple.  Uniformity is read off
-        the buffered segment decision (``None`` means per-tuple) —
-        cheaper than the tracker property, and always current here
-        since every caller runs after :meth:`_refresh_decision`.
-        """
-        if self._segment_decision is not None:
-            base = self._prov_base
-            if base is not None:
-                return base
-        sp = self._sp_description()
-        base = {
-            "operator": self.name,
-            "predicate": self._predicate_list,
-            "policy": self.tracker.policy_for(item).roles.names_sorted(),
-            "sp": sp, "denial_by_default": sp is None,
-        }
-        if self.audit_query is not None:
-            base["query"] = self.audit_query
-        if self._segment_decision is not None:
-            self._prov_base = base
-        return base
-
-    def _prov_tuple(self, item: DataTuple, passing: bool) -> None:
-        """Provenance record for one per-tuple verdict.
-
-        Drops are emitted with the tail-based keep override (they
-        survive head sampling); passes only while the trace is
-        sampled — call sites gate on ``tracer.active`` for those.
-        """
-        attrs = self._prov_attrs(item).copy()
-        attrs["verdict"] = "pass" if passing else "drop"
-        attrs["sid"] = item.sid
-        attrs["tid"] = item.tid
-        attrs["ts"] = item.ts
-        self._tracer.record(_REC_PASS if passing else _REC_DROP, attrs,
-                            keep=not passing)
-
-    def _prov_run(self, tuples: list, passing: bool) -> None:
-        """Provenance record for a whole-run uniform verdict.
-
-        One record names every tuple of the run (``tids``) — the
-        batched counterpart of :meth:`_prov_tuple`, same governing
-        sp/policy for the entire segment run by construction.  Built
-        as one dict display: in batched mode a segment usually emits
-        exactly one run record, so the prototype cache of
-        :meth:`_prov_attrs` never amortizes here.  The run itself is
-        stored under the lazy ``_run`` key — drop records run on every
-        trace, so the per-tuple id list is only rendered when the
-        record is read (``SpanEvent.to_dict``, ``reconstruct_why``),
-        not on the enforcement path.
-        """
-        first = tuples[0]
-        sp = self._sp_description()
-        attrs = {
-            "operator": self.name,
-            "predicate": self._predicate_list,
-            "policy": self.tracker.policy_for(first).roles.names_sorted(),
-            "sp": sp,
-            "denial_by_default": sp is None,
-            "verdict": "pass" if passing else "drop",
-            "sid": first.sid,
-            "ts": first.ts,
-            "_run": tuples,
-        }
-        if self.audit_query is not None:
-            attrs["query"] = self.audit_query
-        self._tracer.record(_REC_PASS if passing else _REC_DROP, attrs,
-                            keep=not passing)
-
-    def _prov_segment(self, item: DataTuple, policy) -> None:
-        """Segment-boundary provenance (sampled traces only)."""
-        if self._segment_decision is None:
-            verdict = "per-tuple"
-        else:
-            verdict = "pass" if self._segment_decision else "drop"
-        self._tracer.decision(
-            "shield.segment", operator=self.name, verdict=verdict,
-            query=self.audit_query,
-            predicate=list(self._predicate_list),
-            policy=policy.roles.names_sorted(),
-            sp=self._sp_description(),
-        )
+        if audit is not None:
+            self._audit_segment(item)
 
     # -- audit recording ----------------------------------------------------
-    def _describe_sps(self) -> str | None:
-        sps = self.tracker.current_sps()
-        if not sps:
-            return None
-        return " | ".join(sp.to_text() for sp in sps)
+    def _decision_fields(self, item: DataTuple) -> tuple:
+        """``(predicate, policy, sp)`` of a decision about ``item``.
 
-    def _audit_segment(self, item: DataTuple, policy: TuplePolicy) -> None:
+        Under a uniform policy they are the same for the whole segment
+        and rendered once; a non-uniform tracker (buffered segment
+        decision ``None``) resolves the policy per tuple.
+        """
+        fields = self._segment_fields
+        if fields is None:
+            sps = self.tracker.current_sps()
+            fields = (
+                tuple(self._predicate_list),
+                tuple(self.tracker.policy_for(item).roles.names_sorted()),
+                " | ".join(sp.to_text() for sp in sps) if sps else None)
+            if self._segment_decision is not None:
+                self._segment_fields = fields
+        return fields
+
+    def _audit_segment(self, item: DataTuple) -> None:
         """One ``shield.segment`` event per evaluated sp-batch."""
         if self._segment_decision is None:
             verdict = "per-tuple"
         else:
             verdict = "pass" if self._segment_decision else "drop"
+        predicate, policy, sp = self._decision_fields(item)
         self.audit.record(
             "shield.segment", ts=item.ts, operator=self.name,
-            query=self.audit_query,
-            predicate=tuple(self._predicate_list),
-            policy=tuple(policy.roles.names_sorted()),
-            sp=self._sp_description(), verdict=verdict,
+            query=self.audit_query, predicate=predicate, policy=policy,
+            sp=sp, verdict=verdict,
         )
 
-    def _audit_drop(self, tuples: Sequence[DataTuple]) -> None:
-        """Exactly one ``shield.drop`` event per denied tuple.
-
-        ``tuples`` is a run denied under one resolved policy (a single
-        tuple on the ``process()`` path); the log holds it as one run
-        record.
+    def _record(self, tuples: Sequence[DataTuple], passing: bool) -> None:
+        """The shield's one decision recorder: a verdict over ``tuples``,
+        a run decided under one resolved policy (a single tuple on the
+        ``process()`` path), held as one run record — one
+        ``shield.drop`` / ``shield.pass`` event per tuple.  A denial is
+        always recorded; a pass only while the log's tracer has a
+        head-sampled trace open.
         """
-        policy = self.tracker.policy_for(tuples[0])
-        self.audit.record_run(
-            "shield.drop", tuples, operator=self.name,
-            query=self.audit_query,
-            predicate=tuple(self._predicate_list),
-            policy=tuple(policy.roles.names_sorted()),
-            sp=self._sp_description(),
+        audit = self.audit
+        if passing and not audit.wants_passes():
+            return
+        predicate, policy, sp = self._decision_fields(tuples[0])
+        audit.record_run(
+            "shield.pass" if passing else "shield.drop", tuples,
+            operator=self.name, query=self.audit_query,
+            predicate=predicate, policy=policy, sp=sp,
         )
 
     def flush(self) -> list[StreamElement]:

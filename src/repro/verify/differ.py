@@ -127,8 +127,9 @@ class EngineConfig:
     level: str = "none"
     audit: bool = False
     #: Causal-tracing tier: run under ``Observability.with_tracing()``
-    #: so sampling, provenance records and op spans are live.  Tracing
-    #: must never change what is delivered — this config proves it.
+    #: so sampling, sampled pass records and op spans are live.
+    #: Tracing must never change what is delivered, and the hub's
+    #: audit log must hold every denial — these configs prove it.
     traced: bool = False
     #: Sharded tier: run through ``DSMS.run(shards=n_shards)`` — the
     #: partitioned multi-process executor — instead of in-process.
@@ -170,7 +171,8 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
     # records under ``run()``), so both paths run under an audit log.
     for mode in ("session-audited", "audited-batched"):
         configs.append(EngineConfig(label=f"{mode}/nl/none", audit=True))
-    configs.append(EngineConfig(label="traced/nl/none", traced=True))
+    for mode in ("traced", "session-traced"):
+        configs.append(EngineConfig(label=f"{mode}/nl/none", traced=True))
     # Sharded axis: the partitioned multi-process executor at 1, 2 and
     # 4 workers, plus audited and (with a join in the workload) one
     # index-join sharded run — every merge path.
@@ -182,6 +184,8 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
             label="sharded2/index/none", join_variant="index", n_shards=2))
     configs.append(EngineConfig(
         label="sharded2-audited-batched/nl/none", audit=True, n_shards=2))
+    configs.append(EngineConfig(
+        label="sharded2-traced/nl/none", traced=True, n_shards=2))
     return configs
 
 
@@ -192,11 +196,12 @@ class EngineOutcome:
     """What one engine run produced, in oracle-comparable form."""
 
     delivered: "dict[str, Counter]" = field(default_factory=dict)
-    #: Delivery-shield drop counts from the audit trail (audited runs).
+    #: Delivery-shield drop counts from the audit trail (every
+    #: observed run: audited and traced configs).
     denied: "dict[str, int] | None" = None
     #: ``audit.counts["shield.drop"]`` minus the ``shield.drop`` events
     #: the log expands to — non-zero means the log's run accounting
-    #: lost or invented decisions (audited runs, nothing evicted).
+    #: lost or invented decisions (observed runs, nothing evicted).
     audit_gap: int = 0
     total_drops: int = 0
 
@@ -220,9 +225,9 @@ def run_engine(scenario: Scenario, config: EngineConfig,
     if config.audit:
         observability: Observability | None = Observability.in_memory()
     elif config.traced:
-        # Full-rate sampling: every trace pays the provenance cost, so
-        # any result-changing interference tracing could cause is
-        # maximally exposed.
+        # Full-rate sampling: every trace pays for its spans and pass
+        # records, so any result-changing interference tracing could
+        # cause is maximally exposed.
         observability = Observability.with_tracing(sample=1.0)
     else:
         observability = None
@@ -260,7 +265,7 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         outcome.delivered[name] = _decode_sink(elements)
     if report is not None:
         outcome.total_drops = report.total_drops
-    if config.audit and dsms.audit is not None:
+    if dsms.audit is not None:
         # Delivery shields are named "delivery:<query>" in the plan.
         drops = dsms.audit.events(kind="shield.drop")
         by_operator: Counter = Counter(event.operator for event in drops)

@@ -85,25 +85,16 @@ class TestRL003:
 
 
 class TestRL004:
-    def test_untraced_drop_counter(self):
+    def test_drop_counter_is_rl003s_business(self):
+        """The merged rule: a drop counter needs the audit hook
+        (RL003) and nothing else — RL004 is about spans only."""
         source = (
             "class Op:\n"
             "    def f(self):\n"
             "        self.tuples_blocked += 1\n"
             "        self.audit.record('drop')\n")
-        found = findings(lint_rules.check_rl004, source)
-        assert len(found) == 1
-        assert found[0].rule == "RL004"
-        assert "Op" in found[0].message
-
-    def test_traced_drop_counter_allowed(self):
-        source = (
-            "class Op:\n"
-            "    def f(self):\n"
-            "        self.tuples_blocked += 1\n"
-            "        if self._tracer is not None:\n"
-            "            self._tracer.record('provenance.shield.drop', {})\n")
         assert findings(lint_rules.check_rl004, source) == []
+        assert findings(lint_rules.check_rl003, source) == []
 
     def test_raw_spanevent_flagged(self):
         found = findings(lint_rules.check_rl004,
@@ -119,10 +110,8 @@ class TestRL004:
 
     def test_tracer_api_calls_allowed(self):
         source = (
-            "tracer.record('provenance.shield.pass', {})\n"
-            "tracer.decision('shield', 'pass', {})\n"
-            "with tracer.op_span('shield'):\n"
-            "    pass\n")
+            "tracer.event('health.alert', keep=True)\n"
+            "tracer.op_span('op.process', 0, 12)\n")
         assert findings(lint_rules.check_rl004, source) == []
 
 

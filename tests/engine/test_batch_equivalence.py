@@ -9,9 +9,10 @@ element-wise reference — must produce
 * identical ordered result elements per query,
 * identical element counts and drop counts (whole-plan and per stage),
 * per operator, identical audit decision sequences (with
-  observability on) and identical ``audit.counts`` — the interleaving
-  *across* operators follows how the input was cut and is not
-  compared,
+  observability on; sampled pass verdicts included) and identical
+  ``audit.counts`` — the interleaving *across* operators follows how
+  the input was cut and is not compared — each decision recorded
+  exactly once, in the log and nowhere else,
 * identical security metric counters (shield verdicts,
   denial-by-default drops, segment/sp-batch size distributions) —
   latency histograms may legitimately differ in observation counts
@@ -23,7 +24,7 @@ segments, held-sp release, empty segments, denial-by-default prefixes
 and segment lengths from 1 tuple per sp upward.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict
 
 import pytest
@@ -34,6 +35,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.observability import Observability
 from repro.operators.conditions import And, Comparison, FuncCondition
+from repro.operators.shield import SecurityShield
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.stream.wire import encode_element
@@ -89,13 +91,17 @@ def assert_equivalent(plain, batched):
         assert (decisions_by_operator(plain_dsms)
                 == decisions_by_operator(batched_dsms))
         assert plain_dsms.audit.counts == batched_dsms.audit.counts
+        for dsms in (plain_dsms, batched_dsms):
+            assert_recorded_once(dsms)
     if plain_dsms.observability.metrics is not None:
         assert_security_metrics_equivalent(plain_dsms, batched_dsms)
 
 
 def decisions_by_operator(dsms):
-    """Expanded audit events grouped per deciding operator, ``seq``
-    dropped.  Shields of different queries share the default name, so
+    """Expanded audit events (sampled passes included) grouped per
+    deciding operator, ``seq`` and ``trace_id`` dropped — a trace is
+    one push in a session and one run under ``run()``.
+    Shields of different queries share the default name, so
     an operator is identified by (name, query) — which must then be
     unique among a query's shields: two shields in one group would
     compare their interleaving, which the contract does not cover."""
@@ -103,11 +109,41 @@ def decisions_by_operator(dsms):
         names = [shield.name for shield in dsms.shields(query)]
         assert len(names) == len(set(names)), (query, names)
     groups = defaultdict(list)
-    for event in dsms.audit:
+    for event in dsms.audit.events():
         record = asdict(event)
-        del record["seq"]
+        del record["seq"], record["trace_id"]
         groups[event.operator, event.query].append(record)
     return dict(groups)
+
+
+def assert_recorded_once(dsms):
+    """A decision has one stored form: no span repeats it, and every
+    denied (operator, query, tuple) is in exactly one held record.
+    With every trace sampled the passes are there as well.  (Tuples
+    are told apart on the input streams only — aggregate results may
+    share a tuple id and timestamp; above those the counts decide.)"""
+    log = dsms.audit
+    spans = dsms.observability.tracer.events()
+    assert spans and not any(e.name.startswith("provenance.")
+                             for e in spans)
+    held = list(log._records) + list(log._passes)
+    seen = Counter(
+        (record.operator, record.query, record.sid, tid, ts)
+        for record in held
+        if record.kind == "shield.drop" and record.sid in dsms.catalog
+        for tid, ts in zip(record.tids, record.tss))
+    assert set(seen.values()) <= {1}
+    assert not log.evicted
+    for kind in ("shield.drop", "shield.pass"):
+        assert log.counts[kind] == sum(
+            len(record.tids) for record in held if record.kind == kind)
+    blocked = passed = 0
+    for node in dsms._live_plan.nodes:
+        if isinstance(node.operator, SecurityShield):
+            blocked += node.operator.tuples_blocked
+            passed += node.operator.stats.tuples_out
+    assert log.counts["shield.drop"] == blocked
+    assert log.counts["shield.pass"] == passed
 
 
 #: Counter families whose per-series totals must match on both paths.

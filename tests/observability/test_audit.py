@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -305,3 +306,108 @@ class TestRunRecords:
         assert (event.kind, event.tid, event.ts) == ("shield.drop", 57, 58.0)
         assert event.query == "nurse" and event.predicate == ("ND",)
         assert event.policy == ("C",) and "| C |" in event.sp
+
+
+class TestPassRing:
+    """Sampled ``*.pass`` verdicts live in the same log, in a ring of
+    their own: they can be read back but never evict anything else."""
+
+    SHARED = dict(operator="ss", query="q", predicate=("ND",),
+                  policy=("D", "ND"), sp="<sp>")
+
+    def test_pass_flood_cannot_evict_a_denial(self):
+        from repro.observability.audit import _PASS_RECORDS
+
+        log = AuditLog(capacity=10)
+        log.record_run("shield.drop", [reading(0, 60, 0.0)], **self.SHARED)
+        for i in range(1, 20_001):
+            log.record_run("shield.pass", [reading(i, 60, float(i))],
+                           **self.SHARED)
+        (denial,) = log.explain(0)
+        assert denial.kind == "shield.drop"
+        assert log.evicted == 0 and len(log) == 1
+        assert [e.tid for e in log] == [0]
+        assert len(log._passes) == _PASS_RECORDS
+        assert log.counts == {"shield.drop": 1, "shield.pass": 20_000}
+        passes = log.events(kind="shield.pass")
+        assert [e.tid for e in passes] == list(
+            range(20_001 - _PASS_RECORDS, 20_001))
+        assert log.last().tid == 20_000
+        assert log.last("shield.drop") == denial
+        buffer = io.StringIO()
+        assert log.to_jsonl(buffer) == 1
+
+    def test_both_rings_read_in_seq_order(self):
+        log = AuditLog()
+        for tid, kind in enumerate(["shield.pass", "shield.drop",
+                                    "shield.pass", "shield.drop"]):
+            log.record_run(kind, [reading(tid, 60, 1.0),
+                                  reading(9, 60, 2.0)], **self.SHARED)
+        assert [e.seq for e in log.events()] == list(range(8))
+        assert [(e.seq, e.kind) for e in log.explain(9)] == [
+            (1, "shield.pass"), (3, "shield.drop"),
+            (5, "shield.pass"), (7, "shield.drop")]
+        assert len(log) == 4
+        log.clear()
+        assert log.events() == [] and not log.counts
+
+    @staticmethod
+    def explained(sample, tid):
+        dsms = DSMS(observability=Observability.with_tracing(sample=sample))
+        dsms.register_stream(SCHEMA, quickstart_elements())
+        dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
+        dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
+        push_all(dsms)
+        return dsms.audit.explain(tid)
+
+    def test_explain_carries_trace_ids_of_sampled_traces(self):
+        # Tuple 3: passes the doctor's shields, denied by the nurse's.
+        events = self.explained(1.0, 3)
+        assert [e.seq for e in events] == sorted(e.seq for e in events)
+        assert sorted((e.kind, e.operator, e.query) for e in events) == [
+            ("shield.drop", "SecurityShield", "nurse"),
+            ("shield.pass", "SecurityShield", "doc"),
+            ("shield.pass", "delivery:doc", "doc")]
+        # One push, one trace: the fifth element's.
+        assert {e.trace_id for e in events} == {5}
+        event = events[0]
+        assert "trace_id" in event.to_dict()
+        # ...which is where the decision was seen, not part of it.
+        assert replace(event, trace_id=None) == event
+
+    def test_unsampled_traces_record_denials_only(self):
+        (event,) = self.explained(0.0, 3)
+        assert event.kind == "shield.drop" and event.trace_id is None
+        assert "trace_id" not in event.to_dict()
+
+
+class TestFilterAudit:
+    """``filter.drop`` names the governing sp, as ``shield.drop`` does."""
+
+    @pytest.mark.parametrize("strip_sps", [
+        pytest.param(True, id="pre-filter"),
+        pytest.param(False, id="post-filter")])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_filter_drop_carries_governing_sp(self, strip_sps, batched):
+        from repro.operators.accessfilter import AccessFilter
+        from repro.stream.batch import TupleBatch
+
+        access = AccessFilter(["ND"], strip_sps=strip_sps)
+        access.audit = log = AuditLog()
+        early = [reading(8, 60, 0.25), reading(9, 61, 0.5)]
+        late = [reading(3, 148, 4.0), reading(4, 150, 5.0)]
+        for run in (early, [grant(["D", "C"], 3.0)], late):
+            if batched and not hasattr(run[0], "srp"):
+                access.process_batch(TupleBatch(run))
+            else:
+                for element in run:
+                    access.process(element)
+        drops = log.events(kind="filter.drop")
+        assert [(e.tid, e.policy) for e in drops] == [
+            (8, ()), (9, ()), (3, ("C", "D")), (4, ("C", "D"))]
+        # Before any sp: denial-by-default, no sp to name.
+        assert drops[0].sp is None and drops[1].sp is None
+        assert "{C, D}" in drops[2].sp and "3.0" in drops[2].sp
+        assert drops[2].sp == drops[3].sp
+        assert access.tuples_blocked == log.counts["filter.drop"] == 4
+        assert "filter.pass" not in log.counts  # audit-only: no passes

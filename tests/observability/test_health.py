@@ -118,8 +118,7 @@ class TestAlertRouting:
         tracer = Tracer(sample=1.0)
         for i in range(5):
             tracer.begin("tuple")
-            tracer.record("provenance.shield.drop",
-                          {"tid": i, "verdict": "drop"}, keep=True)
+            tracer.op_span("op.process", 0, 1000, operator="psi", rows=1)
         path = tmp_path / "flight.jsonl"
         instruments.mark_ingest(0.0)
         monitor = make_monitor(instruments, now=50.0, stall_after=5.0,
@@ -132,7 +131,7 @@ class TestAlertRouting:
         assert len(records) == monitor.flight_dumps[0][1]
         # spans leading up to the alert AND the alert itself are there
         names = [r["name"] for r in records]
-        assert "provenance.shield.drop" in names
+        assert names.count("ingest") == names.count("op.process") == 5
         assert "health.alert" in names
         # second check with no new alert: no second dump
         monitor.check()

@@ -1,20 +1,23 @@
-"""Tests for causal tracing, sampling and why-reconstruction."""
+"""Tests for causal tracing, sampling and why-reconstruction.
 
-import json
+A security decision is recorded once, in the audit log; the tracer
+holds spans only and ``reconstruct_why`` renders ``audit.explain``.
+"""
 
 import pytest
 
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.observability import Observability
+from repro.observability import AuditLog, Observability
 from repro.observability.provenance import (DEFAULT_SAMPLE_RATE,
                                             FlightRecorder, TraceContext,
                                             Tracer, _sampled,
                                             reconstruct_why)
-from repro.observability.trace import RingBufferTraceSink, SpanEvent
+from repro.observability.trace import SpanEvent
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
+from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
 
 from tests.drive import push_all
 
@@ -117,46 +120,40 @@ class TestTraceContext:
         assert hash(TraceContext(1, 2)) == hash(TraceContext(1, 2))
 
 
+def run_of(tids, ts=1.0):
+    return [DataTuple("hr", tid, {"patient": 1, "bpm": 70}, ts)
+            for tid in tids]
+
+
 class TestKeepSemantics:
     def test_unsampled_record_without_keep_vanishes(self):
         tracer = Tracer(sample=0.0)
         tracer.begin("tuple")
-        tracer.record("provenance.shield.pass", {"tid": 1})
+        tracer.event("debug", tid=1)
         assert tracer.events() == []
 
     def test_keep_overrides_head_sampling(self):
         tracer = Tracer(sample=0.0)
         tracer.begin("tuple")
-        tracer.record("provenance.shield.drop", {"tid": 1}, keep=True)
+        tracer.event("health.alert", keep=True, rule="stall")
         (event,) = tracer.events()
-        assert event.name == "provenance.shield.drop"
+        assert event.name == "health.alert"
         assert event.span_id is not None
 
     def test_decision_and_event_keep(self):
-        tracer = Tracer(sample=0.0)
+        """On an unsampled trace a denial decision is still recorded
+        (in the log — it is not a span), a pass is not; of events only
+        ``keep=True`` ones survive."""
+        hub = Observability.with_tracing(sample=0.0)
+        tracer, log = hub.tracer, hub.audit
         tracer.begin("tuple")
-        tracer.decision("shield.drop", operator="psi", verdict="drop",
-                        keep=True, tid=4)
+        assert not log.wants_passes()
+        log.record_run("shield.drop", run_of([4]), operator="psi")
         tracer.event("health.alert", keep=True, rule="stall")
-        tracer.decision("shield.pass", operator="psi", verdict="pass",
-                        tid=5)  # not kept: unsampled, keep=False
         tracer.event("debug", x=1)
-        names = [e.name for e in tracer.events()]
-        assert names == ["provenance.shield.drop", "health.alert"]
-
-    def test_lazy_run_record_materializes_at_read_time(self):
-        tracer = Tracer(sample=0.0)
-        tracer.begin("batch")
-        run = [DataTuple("hr", tid, {"patient": 1, "bpm": 70}, float(tid))
-               for tid in (11, 12, 13)]
-        tracer.record("provenance.shield.drop",
-                      {"verdict": "drop", "_run": run}, keep=True)
-        (event,) = tracer.events()
-        # the hot-path dict holds the shared run list, no tid copy
-        assert event.attrs["_run"] is run
-        rendered = event.to_dict()
-        assert rendered["tids"] == [11, 12, 13]
-        assert "_run" not in rendered
+        assert [e.name for e in tracer.events()] == ["health.alert"]
+        (denial,) = log.explain(4)
+        assert denial.kind == "shield.drop" and denial.trace_id is None
 
 
 class TestFlightRecorder:
@@ -167,76 +164,60 @@ class TestFlightRecorder:
         window = recorder.window(3.0)
         assert [e.attrs["i"] for e in window] == [3, 4]
 
-    def test_dump_jsonl_materializes_runs(self, tmp_path):
-        recorder = FlightRecorder(16)
-        run = [DataTuple("hr", 21, {"patient": 1, "bpm": 70}, 1.0)]
-        recorder.emit(SpanEvent("provenance.shield.drop", wall=1.0,
-                                attrs={"verdict": "drop", "_run": run}))
-        path = tmp_path / "flight.jsonl"
-        count = recorder.dump_jsonl(str(path))
-        assert count == 1
-        record = json.loads(path.read_text())
-        assert record["tids"] == [21]
-        assert "_run" not in record
-
     def test_always_on_and_bounded(self):
         tracer = Tracer(sample=0.0, recorder_capacity=8)
         for i in range(50):
             tracer.begin("tuple")
-            tracer.record("provenance.shield.drop", {"i": i}, keep=True)
+            tracer.event("health.alert", keep=True, i=i)
         assert len(tracer.recorder) == 8
         assert tracer.recorder.events()[-1].attrs["i"] == 49
 
 
 class TestMentionsAndWhy:
-    @staticmethod
-    def prov(attrs, name="provenance.shield.drop", trace_id=None):
-        return SpanEvent(name, wall=0.0, attrs=attrs, trace_id=trace_id)
+    """``reconstruct_why`` over hand-recorded logs."""
 
     def test_matches_direct_tid(self):
-        report = reconstruct_why(
-            7, [self.prov({"tid": 7, "verdict": "drop"})])
+        log = AuditLog()
+        log.record("shield.drop", ts=1.0, operator="psi", sid="hr", tid=7)
+        report = reconstruct_why(7, log)
         assert report.found()
         assert len(report.denials) == 1
-
-    def test_matches_tids_list_and_lazy_run(self):
-        run = [DataTuple("hr", 9, {"patient": 1, "bpm": 70}, 1.0)]
-        spans = [self.prov({"tids": [8, 9], "verdict": "drop"}),
-                 self.prov({"_run": run, "verdict": "drop"})]
-        assert len(reconstruct_why(9, spans).decisions) == 2
-        assert len(reconstruct_why(8, spans).decisions) == 1
-        assert not reconstruct_why(1, spans).found()
+        assert not reconstruct_why(1, log).found()
 
     def test_ignores_non_provenance_events(self):
-        spans = [SpanEvent("executor.run.end", wall=0.0,
-                           attrs={"tid": 7})]
-        assert not reconstruct_why(7, spans).found()
+        """Decisions are read from the log, never from spans."""
+        hub = Observability.with_tracing(sample=1.0)
+        hub.tracer.begin("tuple")
+        hub.tracer.event("executor.run.end", tid=7)
+        assert hub.tracer.events("executor.run.end")
+        assert not reconstruct_why(7, hub.audit).found()
 
     def test_render_names_sp_policy_and_denial(self):
-        spans = [
-            self.prov({"tid": 7, "operator": "psi", "verdict": "drop",
-                       "sp": "grant D on hr", "policy": ["C", "D"],
-                       "predicate": ["ND"]}, trace_id=3),
-            self.prov({"tid": 7, "operator": "shield",
-                       "verdict": "denied", "denial_by_default": True}),
-        ]
-        text = reconstruct_why(7, spans).render_text()
+        hub = Observability.with_tracing(sample=1.0)
+        log = hub.audit
+        for _ in range(3):
+            hub.tracer.begin("tuple")
+        log.record_run("shield.drop", run_of([7]), operator="psi",
+                       sp="grant D on hr", policy=("C", "D"),
+                       predicate=("ND",))
+        log.record_run("filter.drop", run_of([7], ts=2.0),
+                       operator="post")
+        text = reconstruct_why(7, log).render_text()
+        assert "shield.drop at psi: drop  hr:7@1.0  trace 3" in text
         assert "governed by sp: grant D on hr" in text
         assert "policy roles: C, D" in text
         assert "role predicate: ND" in text
         assert "no applicable sp (denial-by-default)" in text
         assert "not delivered (denied)" in text
-        assert "trace 3" in text
 
     def test_delivered_queries_from_delivery_shields(self):
-        spans = [
-            self.prov({"tid": 7, "operator": "delivery:doc",
-                       "verdict": "pass"}, name="provenance.shield.pass"),
-            self.prov({"tid": 7, "operator": "delivery:doc",
-                       "verdict": "pass"}, name="provenance.shield.pass"),
-        ]
-        report = reconstruct_why(7, spans)
+        log = AuditLog()
+        for ts in (1.0, 2.0):
+            log.record_run("shield.pass", run_of([7], ts=ts),
+                           operator="delivery:doc")
+        report = reconstruct_why(7, log)
         assert report.delivered_queries == ["doc"]
+        assert report.denials == []
         assert "delivered to: doc" in report.render_text()
 
 
@@ -249,16 +230,17 @@ class TestEndToEndWhy:
         delivered_tids = {t.tid for t in results["doc"].tuples}
         assert 105 in delivered_tids       # granted-D segment
         assert 505 not in delivered_tids   # granted-C segment, D query
-        events = dsms.observability.tracer.events()
 
-        delivered = reconstruct_why(105, events, audit=dsms.audit)
+        delivered = reconstruct_why(105, dsms.audit)
         assert delivered.found()
         assert delivered.delivered_queries == ["doc"]
         assert "delivered to: doc" in delivered.render_text()
 
-        denied = reconstruct_why(505, events, audit=dsms.audit)
+        denied = reconstruct_why(505, dsms.audit)
         assert denied.found()
-        assert denied.denials
+        # Each decision once: the query shield denied it, nothing else
+        # saw it.
+        assert [e.kind for e in denied.decisions] == ["shield.drop"]
         assert denied.delivered_queries == []
         text = denied.render_text()
         assert "not delivered (denied)" in text
@@ -267,21 +249,31 @@ class TestEndToEndWhy:
     @pytest.mark.parametrize("drive", MODES)
     def test_denial_by_default_reconstructs(self, drive):
         dsms, results = run_traced(1.0, drive)
-        report = reconstruct_why(
-            999, dsms.observability.tracer.events(), audit=dsms.audit)
+        report = reconstruct_why(999, dsms.audit)
         assert report.found()
         assert "denial-by-default" in report.render_text()
         assert all(t.tid != 999 for t in results["doc"].tuples)
 
-    @pytest.mark.parametrize("drive", MODES)
+    @pytest.mark.parametrize("drive", MODES + [
+        pytest.param(lambda dsms: dsms.run(shards=2), id="shards=2")])
     def test_denials_survive_default_sampling(self, drive):
-        """Tail-based keep: drops reconstruct even at 1/64 sampling."""
-        dsms, _results = run_traced(DEFAULT_SAMPLE_RATE, drive)
-        events = dsms.observability.tracer.events()
-        for tid in (505, 999):
-            report = reconstruct_why(tid, events)
-            assert report.found(), f"denied tuple {tid} left no provenance"
-            assert report.denials
+        """Denials are audit records, never sampled away: every one of
+        them reconstructs at the default 1/64 rate."""
+        dsms, results = run_traced(DEFAULT_SAMPLE_RATE, drive)
+        delivered = {t.tid for t in results["doc"].tuples}
+        denied = [e.tid for e in segmented_elements()
+                  if isinstance(e, DataTuple) and e.tid not in delivered]
+        assert 505 in denied and 999 in denied
+        assert dsms.audit.counts["shield.drop"] == len(denied)
+        for tid in denied:
+            report = reconstruct_why(tid, dsms.audit)
+            assert report.denials, f"denied tuple {tid} left no record"
+
+    @pytest.mark.parametrize("drive", MODES)
+    def test_no_decision_is_a_span(self, drive):
+        dsms, _results = run_traced(1.0, drive)
+        names = {e.name for e in dsms.observability.tracer.events()}
+        assert names and not any(n.startswith("provenance.") for n in names)
 
     @pytest.mark.parametrize("drive", MODES)
     def test_traced_results_identical_to_untraced(self, drive):
@@ -303,8 +295,52 @@ class TestCliWhy:
         out = capsys.readouterr().out
         assert "tuple 120:" in out
         assert "delivered to: q" in out
+        assert out.count("shield.drop at SecurityShield: drop") == 1
+        assert "audit:" not in out
+
+    def test_why_sharded_lists_the_drop_once(self, capsys):
+        from repro.cli import main
+        assert main(["why", "120", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("shield.drop at SecurityShield: drop") == 1
 
     def test_why_unknown_tuple_fails(self, capsys):
         from repro.cli import main
         assert main(["why", "424242"]) == 1
-        assert "no trace or audit records" in capsys.readouterr().out
+        assert "no audit records" in capsys.readouterr().out
+
+
+class TestShardedDecisions:
+    """Shard workers run no ``Tracer``, but a traced hub's denials
+    are audit records: they come back from the workers in every
+    observed tier."""
+
+    @staticmethod
+    def drops_by_operator(dsms):
+        groups = {}
+        for event in dsms.audit.events(kind="shield.drop"):
+            groups.setdefault(event.operator, []).append(
+                (event.query, event.sid, event.tid, event.ts,
+                 event.predicate, event.policy, event.sp))
+        return {op: sorted(rows) for op, rows in groups.items()}
+
+    def test_traced_hub_keeps_denials_under_shards(self):
+        elements = list(punctuated_stream(
+            400, tuples_per_sp=10, policy_size=3,
+            accessible_fraction=0.5, seed=3))
+
+        def run(**kwargs):
+            dsms = DSMS(observability=Observability.with_tracing(
+                sample=1.0))
+            dsms.register_stream(SYNTH_SCHEMA, elements)
+            dsms.register_query("q", ScanExpr("synthetic"),
+                                roles={"q_role"})
+            dsms.run(**kwargs)
+            return dsms
+
+        local, sharded = run(), run(shards=2)
+        assert local.audit is not None and sharded.audit is not None
+        drops = self.drops_by_operator(local)
+        assert drops and sum(map(len, drops.values())) \
+            == local.audit.counts["shield.drop"] > 0
+        assert self.drops_by_operator(sharded) == drops

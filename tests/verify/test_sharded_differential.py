@@ -10,9 +10,10 @@ is still caught when the engine runs sharded.
 
 import pytest
 
-from repro.verify.differ import configs_for, verify_scenario
+from repro.verify.differ import configs_for, run_engine, verify_scenario
 from repro.verify.faults import disable_denial_by_default
 from repro.verify.generator import generate_scenario
+from repro.verify.oracle import run_oracle
 
 
 def test_shard_axis_is_in_the_config_matrix():
@@ -28,6 +29,22 @@ def test_shard_axis_is_in_the_config_matrix():
     audited = {c.label for c in configs if c.audit}
     assert audited == {"session-audited/nl/none", "audited-batched/nl/none",
                        "sharded2-audited-batched/nl/none"}
+
+
+def test_traced_configs_check_denial_counts():
+    """A traced hub carries an audit log in every tier — ``run()``, a
+    session and a sharded run — so the oracle's per-query denial
+    counts are checked there as in the audited configs."""
+    scenario = generate_scenario(23, 0)
+    traced = [c for c in configs_for(scenario) if c.traced]
+    assert {c.label for c in traced} == {
+        "traced/nl/none", "session-traced/nl/none",
+        "sharded2-traced/nl/none"}
+    oracle = run_oracle(scenario.decoded(), scenario.queries)
+    for config in traced:
+        outcome = run_engine(scenario, config)
+        assert outcome.denied == oracle.denied, config.label
+        assert outcome.audit_gap == 0
 
 
 @pytest.mark.parametrize("seed,index", [(31, 0), (31, 1), (31, 2),
