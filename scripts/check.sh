@@ -49,5 +49,12 @@ if grep -rnE "provenance\.(shield|filter)|tracer\.record[(]|\.decision[(]|_prov_
     exit 1
 fi
 
+echo "== one tracer (no sink hierarchy, no flat-vs-causal fork, no tier aliases) =="
+if grep -rnE "NullTraceSink|RingBufferTraceSink|FlightRecorder|_causal\b|isinstance\([^)]*Tracer\)|with_tracing|with_metrics|shard_timing" src; then
+    echo "a span has one producer (Tracer) and off is None;" \
+         "see docs/OBSERVABILITY.md, Tracing" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

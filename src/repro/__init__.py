@@ -32,8 +32,7 @@ from repro.engine import DSMS, ContinuousQuery, OptimizeLevel, QueryResult
 from repro.errors import (PlanAnalysisError, PlanAnalysisWarning,
                           ReproError)
 from repro.observability import (AuditEvent, AuditLog, JsonlTraceSink,
-                                 NullTraceSink, Observability,
-                                 RingBufferTraceSink, StageStats, TraceSink)
+                                 Observability, StageStats, Tracer)
 from repro.operators import (IndexSAJoin, NestedLoopSAJoin, Project,
                              SecurityShield, Select)
 from repro.stream import DataTuple, StreamSchema
@@ -53,7 +52,6 @@ __all__ = [
     "JoinExpr",
     "JsonlTraceSink",
     "NestedLoopSAJoin",
-    "NullTraceSink",
     "Observability",
     "OptimizeLevel",
     "Optimizer",
@@ -64,7 +62,6 @@ __all__ = [
     "ProjectExpr",
     "QueryResult",
     "ReproError",
-    "RingBufferTraceSink",
     "RoleSet",
     "RoleUniverse",
     "SPAnalyzer",
@@ -78,7 +75,7 @@ __all__ = [
     "Sign",
     "StageStats",
     "StreamSchema",
-    "TraceSink",
+    "Tracer",
     "TuplePolicy",
     "__version__",
     "analyze_expr",

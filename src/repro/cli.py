@@ -307,7 +307,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     dsms, _results = _observed_run(args)
     tracer = dsms.observability.tracer
     if args.jsonl:
-        count = tracer.recorder.dump_jsonl(args.jsonl)
+        count = tracer.dump_jsonl(args.jsonl)
         print(f"wrote {count} spans to {args.jsonl}")
         return 0
     events = tracer.events(args.name)

@@ -45,7 +45,6 @@ from repro.core.policy import AccessPolicy, Policy
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
                                     SecurityRestriction, Sign, SPBatch)
 from repro.errors import PolicyError
-from repro.observability.trace import NullTraceSink
 
 __all__ = ["SPAnalyzer", "conjoin_patterns", "conjoin_ddp", "combine_batch"]
 
@@ -193,8 +192,8 @@ class SPAnalyzer:
         self.sps_out = 0
         #: Audit log for server-policy refinements (None = silent).
         self.audit = None
-        #: Trace sink for per-batch span events.
-        self.tracer = NullTraceSink()
+        #: Tracer for per-batch span events (None = tracing off).
+        self.tracer = None
         #: sp-batch-size histogram (None = metrics off).
         self._m_batch_size = None
 
@@ -377,9 +376,11 @@ class SPAnalyzer:
         self.sps_out += len(combined)
         if self._m_batch_size is not None and sps:
             self._m_batch_size.observe(len(sps))
-        if self.tracer.enabled:
-            self.tracer.span("analyzer.batch", ts=ts, sps_in=len(sps),
-                             sps_out=len(combined))
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            # Per sp-batch, so head-sampled with the current trace.
+            tracer.span("analyzer.batch", ts=ts, sps_in=len(sps),
+                        sps_out=len(combined))
         return combined
 
     def effective_policy(self, sps: Sequence[SecurityPunctuation]) -> AccessPolicy:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.access.rbac import RBACModel
-from repro.algebra.expressions import LogicalExpr, ShieldExpr, walk
+from repro.algebra.expressions import LogicalExpr, ShieldExpr
 from repro.algebra.optimizer import Optimizer
 from repro.algebra.rules import RewriteContext
 from repro.algebra.statistics import StreamStatistics
@@ -86,11 +86,11 @@ class DSMS:
             universe = rbac.universe if rbac is not None else RoleUniverse()
         self.universe = universe
         self.rbac = rbac
-        #: Audit log + trace sink; the default records nothing and
-        #: costs nothing (pass ``Observability.in_memory()`` to turn
-        #: the audit trail and tracing on).
+        #: Audit log + tracer + metrics; the default hub holds none
+        #: of them and costs nothing (pass
+        #: ``Observability.in_memory()`` to turn all three on).
         self.observability = (observability if observability is not None
-                              else Observability.disabled())
+                              else Observability())
         self.analyzer = SPAnalyzer(universe)
         self.analyzer.bind_observability(self.observability)
         self.catalog = StreamCatalog()
@@ -103,7 +103,7 @@ class DSMS:
     def audit(self) -> AuditLog | None:
         """The security audit trail — the one store of security
         decisions (``None`` unless the hub has an audit log or a
-        causal tracer)."""
+        tracer)."""
         return self.observability.audit
 
     # -- streams --------------------------------------------------------
@@ -305,10 +305,9 @@ class DSMS:
             raise QueryError("no queries registered")
         plan = PhysicalPlan(self.universe)
         sinks: dict[str, CollectingSink] = {}
-        self._live_shields = {}
         exprs = self._optimized_exprs(level)
+        deliveries = []
         for name, query in self.queries.items():
-            expr = exprs[name]
             sink = CollectingSink(name=f"sink:{name}")
             # The delivery shield is a fixed final check: results are
             # handed only to subjects holding the query's roles, no
@@ -317,31 +316,11 @@ class DSMS:
             # root shield passed also passes here).
             delivery = SecurityShield(RoleSet(query.roles),
                                       name=f"delivery:{name}")
-            plan.compile_chain(expr, [delivery, sink])
+            plan.compile_chain(exprs[name], [delivery, sink])
             sinks[name] = sink
-            shields = []
-            for node in walk(expr):
-                if not isinstance(node, ShieldExpr):
-                    continue
-                compiled = plan.compiled_node(node)
-                if compiled is not None and isinstance(
-                        compiled.operator, SecurityShield):
-                    shields.append(compiled.operator)
-            self._live_shields[name] = shields + [delivery]
-            for shield in self._live_shields[name]:
-                self.observability.bind(shield, query=name)
-        # Shared (query-anonymous) operators — joins, dup-elim,
-        # group-by — record through the same audit log.
-        if self.observability.audit is not None:
-            for operator in plan.operators():
-                if operator.audit is None:
-                    self.observability.bind(operator)
-        # Metrics: every operator pre-binds its instrument children
-        # once here, so recording sites cost one attribute check.
-        instruments = self.observability.instruments
-        if instruments is not None:
-            for operator in plan.operators():
-                operator.bind_metrics(instruments)
+            deliveries.append((name, exprs[name], delivery))
+        self._live_shields = plan.bind_observability(self.observability,
+                                                     deliveries)
         modes = {query.analyze for query in self.queries.values()}
         if modes != {"off"}:
             # Second analysis layer: the compiled DAG, where shared

@@ -30,10 +30,11 @@ The push loop is iterative (an explicit work stack, LIFO with reversed
 pushes to preserve depth-first order), so deep plans never hit Python's
 recursion limit and per-element call overhead stays flat.
 
-Observability: the executor emits ``executor.run`` span events to its
-:class:`~repro.observability.TraceSink` (no-op by default) and, at the
-end of a run, snapshots every operator's
-:class:`~repro.observability.StageStats` into the
+Observability: with a :class:`~repro.observability.Tracer` the
+executor opens one trace per feed element and emits the
+``executor.run.*`` / ``executor.flush`` control spans (``None``, the
+default, traces nothing); at the end of a run it snapshots every
+operator's :class:`~repro.observability.StageStats` into the
 :class:`ExecutionReport` — the per-stage breakdown the ``repro stats``
 CLI prints.
 """
@@ -46,7 +47,6 @@ from typing import Iterable, Sequence
 from repro.engine.plan import PhysicalPlan, PlanNode
 from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
-from repro.observability.trace import NullTraceSink, TraceSink
 from repro.core.punctuation import SecurityPunctuation
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
@@ -58,17 +58,13 @@ class ExecutionReport:
     """Summary of one plan execution, including per-stage metrics."""
 
     __slots__ = ("elements_in", "tuples_in", "sps_in", "wall_time",
-                 "shard_timing", "_stages", "_stage_index")
+                 "_stages", "_stage_index")
 
     def __init__(self):
         self.elements_in = 0
         self.tuples_in = 0
         self.sps_in = 0
         self.wall_time = 0.0
-        #: Sharded-run timing breakdown (``repro.engine.sharded``):
-        #: serial partition/merge/suffix seconds plus per-worker CPU
-        #: seconds; ``None`` for single-process runs.
-        self.shard_timing: dict | None = None
         self.stages = []
 
     @property
@@ -109,14 +105,11 @@ class Executor:
     """Drives a physical plan over a feed of stream elements."""
 
     def __init__(self, plan: PhysicalPlan,
-                 *, tracer: TraceSink | None = None,
+                 *, tracer: Tracer | None = None,
                  instruments=None):
         self.plan = plan
-        self.tracer = tracer if tracer is not None else NullTraceSink()
-        #: Causal tracer (trace contexts, operator spans);
-        #: ``None`` when the sink is a plain flat-event TraceSink.
-        self._causal: Tracer | None = (
-            self.tracer if isinstance(self.tracer, Tracer) else None)
+        #: ``None`` = tracing off.
+        self.tracer = tracer
         #: Engine metric instruments (``None`` = metrics off; the run
         #: loop then pays one ``is None`` check per element).
         self.instruments = instruments
@@ -129,14 +122,14 @@ class Executor:
         the sources.
         """
         report = ExecutionReport()
-        if self.tracer.enabled:
-            self.tracer.span("executor.run.start",
-                             operators=len(self.plan.nodes))
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.span("executor.run.start",
+                        operators=len(self.plan.nodes))
         start = time.perf_counter()
         entries = self.plan.entries
         push = self._push
         instruments = self.instruments
-        causal = self._causal
         get_targets = entries.get
         sp_type = SecurityPunctuation
         # Report counters accumulate in locals — one attribute store
@@ -151,22 +144,22 @@ class Executor:
                 tuples_in += size
                 if instruments is not None:
                     instruments.tuples_in.inc(size)
-                if causal is not None:
-                    causal.begin("batch", stream=stream_id, size=size)
+                if tracer is not None:
+                    tracer.begin("batch", stream=stream_id, size=size)
             elif isinstance(element, sp_type):
                 elements_in += 1
                 sps_in += 1
                 if instruments is not None:
                     instruments.sps_in.inc()
-                if causal is not None:
-                    causal.begin("sp", stream=stream_id, ts=element.ts)
+                if tracer is not None:
+                    tracer.begin("sp", stream=stream_id, ts=element.ts)
             else:
                 elements_in += 1
                 tuples_in += 1
                 if instruments is not None:
                     instruments.tuples_in.inc()
-                if causal is not None:
-                    causal.begin("tuple", stream=stream_id,
+                if tracer is not None:
+                    tracer.begin("tuple", stream=stream_id,
                                  ts=element.ts)
             targets = get_targets(stream_id)
             if targets:
@@ -181,13 +174,13 @@ class Executor:
             instruments.runs.inc()
             instruments.run_seconds.observe(report.wall_time)
         report.stages = self.stage_stats()
-        if self.tracer.enabled:
-            self.tracer.span("executor.run.end",
-                             elements_in=report.elements_in,
-                             tuples_in=report.tuples_in,
-                             sps_in=report.sps_in,
-                             drops=report.total_drops,
-                             wall_time=report.wall_time)
+        if tracer is not None:
+            tracer.span("executor.run.end",
+                        elements_in=report.elements_in,
+                        tuples_in=report.tuples_in,
+                        sps_in=report.sps_in,
+                        drops=report.total_drops,
+                        wall_time=report.wall_time)
         return report
 
     def stage_stats(self) -> list[StageStats]:
@@ -215,8 +208,9 @@ class Executor:
         per-operator latency histograms get exemplars pointing at the
         live trace — extra cost bounded by the sampling rate.
         """
-        causal = self._causal
-        tracer = causal if causal is not None and causal.active else None
+        tracer = self.tracer
+        if tracer is not None and not tracer.active:
+            tracer = None
         parent = tracer._root_id if tracer is not None else 0
         stack: list[tuple[PlanNode, object, int, int]] = []
         append = stack.append
@@ -252,7 +246,7 @@ class Executor:
 
     def _flush(self) -> None:
         """End-of-stream: flush operators in topological order."""
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.span("executor.flush")
         for node in self.plan.topological():
             for out in node.operator.flush():

@@ -11,12 +11,12 @@ single copy of its state.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr, UnionExpr)
+                                       ShieldExpr, UnionExpr, walk)
 from repro.core.bitmap import RoleUniverse
 from repro.errors import PlanError
 from repro.operators.base import Operator
@@ -178,15 +178,43 @@ class PhysicalPlan:
         raise PlanError(f"cannot compile {type(expr).__name__}")
 
     # -- introspection ----------------------------------------------------------
-    def compiled_node(self, expr: LogicalExpr) -> PlanNode | None:
-        """The plan node a compiled logical expression produced.
+    def bind_observability(
+        self, observability,
+        queries: "Iterable[tuple[str, LogicalExpr, SecurityShield]]",
+    ) -> dict[str, list[SecurityShield]]:
+        """Wire the compiled plan to an ``Observability`` hub.
 
-        Public accessor for callers (the DSMS facade, the audit layer)
-        that need to map query expressions back to live operators;
-        ``None`` for expressions not compiled into this plan (scans
-        compile to stream entries, not nodes).
+        ``queries`` names each compiled query as ``(name, expr,
+        delivery shield)``.  A query's shields — those its expression
+        compiled to, then its delivery shield — are bound with
+        ``query=name``; every other operator (joins, dup-elim,
+        group-by: shared, so query-anonymous) records through the same
+        audit log when there is one; with a metrics registry every
+        operator pre-binds its instrument children, so recording sites
+        cost one attribute check.  Returns each query's shields.
         """
-        return self._expr_cache.get(expr)
+        shields: dict[str, list[SecurityShield]] = {}
+        for name, expr, delivery in queries:
+            found = []
+            for sub in walk(expr):
+                # A ShieldExpr compiled into this plan maps to its node.
+                node = (self._expr_cache.get(sub)
+                        if isinstance(sub, ShieldExpr) else None)
+                if node is not None and isinstance(node.operator,
+                                                   SecurityShield):
+                    found.append(node.operator)
+            shields[name] = found + [delivery]
+            for shield in shields[name]:
+                observability.bind(shield, query=name)
+        if observability.audit is not None:
+            for operator in self.operators():
+                if operator.audit is None:
+                    observability.bind(operator)
+        instruments = observability.instruments
+        if instruments is not None:
+            for operator in self.operators():
+                operator.bind_metrics(instruments)
+        return shields
 
     def topological(self) -> list[PlanNode]:
         """Nodes ordered so parents precede children."""

@@ -31,7 +31,6 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.executor import ExecutionReport, Executor
 from repro.errors import QueryError, StreamError
-from repro.observability.provenance import Tracer
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
@@ -53,8 +52,6 @@ class StreamingSession:
         self._dsms = dsms
         self._plan, self._sinks = dsms.build_plan(optimize=optimize)
         self._tracer = dsms.observability.tracer
-        self._causal: Tracer | None = (
-            self._tracer if isinstance(self._tracer, Tracer) else None)
         self._instruments = dsms.observability.instruments
         # A push hands over one element, so there is no run to cut:
         # bare elements go straight to ``Executor.feed``.
@@ -68,7 +65,7 @@ class StreamingSession:
         self._closed = False
         self.elements_pushed = 0
         self._sps_pushed = 0
-        if self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.span("session.open",
                               queries=sorted(self._sinks),
                               operators=len(self._plan.nodes))
@@ -120,16 +117,12 @@ class StreamingSession:
                 instruments.sps_in.inc()
             else:
                 instruments.tuples_in.inc()
-        if self._causal is not None:
-            # Each push opens its own causal trace (the session is the
-            # ingest point); the root span doubles as the push event.
-            self._causal.begin("sp" if is_sp else "tuple",
+        if self._tracer is not None:
+            # Each push opens its own trace (the session is the ingest
+            # point); the root span doubles as the push event.
+            self._tracer.begin("sp" if is_sp else "tuple",
                                stream=stream_id, ts=element.ts,
                                name="session.push")
-        elif self._tracer.enabled:
-            self._tracer.span("session.push", stream=stream_id,
-                              ts=element.ts,
-                              kind="sp" if is_sp else "tuple")
 
         for item in self._ingest(stream_id, element, is_sp):
             self._executor.feed(stream_id, item)
@@ -214,7 +207,7 @@ class StreamingSession:
         self._pending_sps.clear()
         self._executor._flush()  # noqa: SLF001 - same package
         self._closed = True
-        if self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.span("session.close",
                               elements_pushed=self.elements_pushed)
         return self._collect_new()

@@ -30,14 +30,16 @@ terminated, a ``health.alert`` span is emitted through the DSMS's
 observability, and :class:`ShardExecutionError` is raised instead of
 returning partial (potentially under-enforced) results.
 
-Per-shard audit events and trace spans are shipped back over the
-result pipe and re-recorded through the coordinator's Observability
-hub with a ``shard`` label, so the audit trail and flight recorder
-stay single-system views.  Workers keep an audit log whenever the
-coordinator's hub has one — which every hub with a causal tracer does
-— so denials come back in every observed tier; workers run no causal
-tracer, so the *pass* verdicts of worker-local shields are not
-recorded (those of the coordinator's stateful suffix are).
+Per-shard audit events are shipped back over the result pipe and
+re-recorded through the coordinator's Observability hub with a
+``shard`` label, so the audit trail stays a single-system view.
+Workers keep an audit log whenever the coordinator's hub has one —
+which every hub with a tracer does — so denials come back in every
+observed configuration.  Workers run no tracer: the coordinator's
+tracer records one always-kept ``shard.run`` span per worker (its
+``shard`` index and element counts), and the *pass* verdicts of
+worker-local shields are not recorded (those of the coordinator's
+stateful suffix are).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.algebra.expressions import (LogicalExpr, ProjectExpr, ScanExpr,
-                                       SelectExpr, ShieldExpr, walk)
+                                       SelectExpr, ShieldExpr)
 from repro.core.analyzer import SPAnalyzer
 from repro.core.bitmap import RoleSet, RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
@@ -60,11 +62,9 @@ from repro.engine.partition import chunk_runs, merge_chunk_runs, \
     partition_spans, partition_stream, slice_spans
 from repro.engine.plan import PhysicalPlan
 from repro.errors import QueryError, ShardExecutionError
-from repro.observability import AuditLog, Observability, Tracer
+from repro.observability import AuditLog, Observability
 from repro.observability.audit import AuditEvent
 from repro.observability.stats import StageStats
-from repro.observability.trace import (NullTraceSink, RingBufferTraceSink,
-                                       SpanEvent)
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
 from repro.stream.batch import segment_feed
@@ -92,10 +92,6 @@ STATELESS_EXPRS = (ScanExpr, ShieldExpr, SelectExpr, ProjectExpr)
 #: Default per-run worker deadline.  Generous: this is a liveness
 #: backstop against a hung worker, not a performance budget.
 DEFAULT_TIMEOUT = 120.0
-
-#: Worker trace buffer: large enough to hold a full verification run's
-#: flat spans, still bounded against pathological emitters.
-_WORKER_TRACE_CAPACITY = 65536
 
 
 # -- workload splitting -------------------------------------------------------
@@ -208,7 +204,6 @@ class ShardTask:
     local_queries: "list[tuple[str, LogicalExpr, frozenset[str]]]"
     server_sps: "tuple[SecurityPunctuation, ...]" = ()
     audit: bool = False
-    tracing: bool = False
     #: Fault injection for the verification harness: ``"crash"`` kills
     #: the worker before it reports, ``"hang"`` blocks it forever.
     fault: str | None = None
@@ -234,12 +229,8 @@ class ShardResult:
     elements_in: int = 0
     tuples_in: int = 0
     sps_in: int = 0
-    #: Process-CPU seconds spent in the worker (analysis + execution
-    #: + output chunking) — the per-shard cost on the critical path.
-    cpu_seconds: float = 0.0
     stages: "list[StageStats]" = field(default_factory=list)
     audit_events: "list[AuditEvent]" = field(default_factory=list)
-    spans: "list[SpanEvent]" = field(default_factory=list)
 
 
 @dataclass
@@ -259,15 +250,12 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
     and — for local queries — the same ``delivery:<name>`` shield the
     DSMS facade installs.
     """
-    cpu_start = time.process_time()
     universe = RoleUniverse()
     analyzer = SPAnalyzer(universe)
     for sp in task.server_sps:
         analyzer.add_server_policy(sp)
-    observability = (Observability(audit=AuditLog())
-                     if task.audit else Observability.disabled())
-    trace_sink = (RingBufferTraceSink(_WORKER_TRACE_CAPACITY)
-                  if task.tracing else NullTraceSink())
+    observability = Observability(
+        audit=AuditLog() if task.audit else None)
 
     plan = PhysicalPlan(universe)
     unit_sinks: "dict[str, CollectingSink]" = {}
@@ -276,24 +264,15 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
         plan.compile_chain(expr, [sink])
         unit_sinks[unit_sid] = sink
     local_sinks: "dict[str, CollectingSink]" = {}
+    deliveries = []
     for name, expr, roles in task.local_queries:
         sink = CollectingSink(name=f"sink:{name}")
         delivery = SecurityShield(RoleSet(roles),
                                   name=f"delivery:{name}")
         plan.compile_chain(expr, [delivery, sink])
         local_sinks[name] = sink
-        observability.bind(delivery, query=name)
-        for sub in walk(expr):
-            if not isinstance(sub, ShieldExpr):
-                continue
-            compiled = plan.compiled_node(sub)
-            if compiled is not None and isinstance(
-                    compiled.operator, SecurityShield):
-                observability.bind(compiled.operator, query=name)
-    if observability.audit is not None:
-        for operator in plan.operators():
-            if operator.audit is None:
-                observability.bind(operator)
+        deliveries.append((name, expr, delivery))
+    plan.bind_observability(observability, deliveries)
 
     sources: "list[ListSource]" = []
     for sid in sorted(task.streams):
@@ -306,8 +285,7 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
         sources, analyzer,
         {sid for sid, analyze in task.analyze.items() if analyze})
 
-    executor = Executor(plan, tracer=trace_sink)
-    report = executor.run(feed)
+    report = Executor(plan).run(feed)
 
     result = ShardResult(
         shard_idx=task.shard_idx,
@@ -322,9 +300,6 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
     )
     if observability.audit is not None:
         result.audit_events = list(observability.audit)
-    if task.tracing and isinstance(trace_sink, RingBufferTraceSink):
-        result.spans = trace_sink.events()
-    result.cpu_seconds = time.process_time() - cpu_start
     return result
 
 
@@ -373,16 +348,13 @@ def _mp_context():
 def _emit_health_alert(observability: Observability, shard_idx: int,
                        n_shards: int, reason: str) -> None:
     """Route a shard failure through the health-alert span channel."""
-    attrs = dict(
-        rule="shard.worker", severity="critical",
-        message=(f"shard {shard_idx}/{n_shards} {reason}; "
-                 "run aborted fail-closed, no results delivered"),
-        value=float(shard_idx), threshold=float(n_shards))
-    tracer = observability.tracer
-    if isinstance(tracer, Tracer):
-        tracer.event("health.alert", keep=True, **attrs)
-    elif tracer.enabled:
-        tracer.span("health.alert", **attrs)
+    if observability.tracer is not None:
+        observability.tracer.event(
+            "health.alert", keep=True,
+            rule="shard.worker", severity="critical",
+            message=(f"shard {shard_idx}/{n_shards} {reason}; "
+                     "run aborted fail-closed, no results delivered"),
+            value=float(shard_idx), threshold=float(n_shards))
 
 
 def _terminate_all(workers) -> None:
@@ -497,7 +469,6 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
     if gc_was_enabled:
         gc.disable()
     try:
-        serial_start = time.process_time()
         schemas: "dict[str, tuple[str, ...]]" = {}
         analyze_map: "dict[str, bool]" = {}
         per_shard: "list[dict[str, list[StreamElement]]]" = [
@@ -523,12 +494,10 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                         partition_stream(sid, elements, n_shards)):
                     if part:
                         per_shard[shard_idx][sid] = part
-        partition_seconds = time.process_time() - serial_start
 
         units = [(unit_sid, expr)
                  for unit_sid, expr, _ in registry.ordered]
         audit_on = dsms.observability.audit is not None
-        tracing_on = dsms.observability.tracer.enabled
         workers = []
         for shard_idx in range(n_shards):
             task = ShardTask(
@@ -537,7 +506,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                 analyze=analyze_map, units=units,
                 local_queries=local_queries,
                 server_sps=dsms.analyzer.server_sps,
-                audit=audit_on, tracing=tracing_on,
+                audit=audit_on,
                 fault=(faults or {}).get(shard_idx),
                 spans=(per_shard_spans[shard_idx]
                        if fork_scatter else None),
@@ -548,16 +517,10 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
             proc.start()
             send_conn.close()
             workers.append((proc, recv_conn))
-        # Coordinator CPU spent in collection is (mostly) result
-        # deserialization — real serial cost on the critical path.
-        # The poll wait itself doesn't accrue process CPU time.
-        serial_start = time.process_time()
         results = _collect(workers, dsms.observability, n_shards,
                            timeout)
-        collect_seconds = time.process_time() - serial_start
 
         # Merge worker outputs back into exact single-stream order.
-        serial_start = time.process_time()
         unit_streams = {
             unit_sid: merge_chunk_runs(
                 [result.units.get(unit_sid, []) for result in results])
@@ -566,12 +529,11 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
             name: merge_chunk_runs(
                 [result.local.get(name, []) for result in results])
             for name, _, _ in local_queries}
-        merge_seconds = time.process_time() - serial_start
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    # Route shard audit events and spans through the coordinator's
+    # Route shard audit events through the coordinator's
     # Observability with shard labels (single-system audit view).
     if audit_on:
         log = dsms.observability.audit
@@ -583,21 +545,19 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                            predicate=event.predicate,
                            policy=event.policy, sp=event.sp,
                            shard=result.shard_idx, **event.detail)
-    if tracing_on:
-        tracer = dsms.observability.tracer
+    tracer = dsms.observability.tracer
+    if tracer is not None:
         for result in results:
-            for span in result.spans:
-                attrs = dict(span.attrs)
-                attrs["shard"] = result.shard_idx
-                tracer.emit(SpanEvent(span.name, span.wall, attrs,
-                                      mono=span.mono))
+            tracer.span("shard.run", shard=result.shard_idx,
+                        elements_in=result.elements_in,
+                        tuples_in=result.tuples_in,
+                        sps_in=result.sps_in)
 
     # Stateful suffixes run in-process over the merged unit streams,
     # sharing the coordinator's universe and observability so audit,
     # metrics and delivery shields look exactly like a local run.
     suffix_results: "dict[str, QueryResult]" = {}
     suffix_report: ExecutionReport | None = None
-    serial_start = time.process_time()
     if split_queries:
         suffix = DSMS(universe=dsms.universe,
                       observability=dsms.observability)
@@ -611,7 +571,6 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
         suffix_results = suffix.run(optimize=OptimizeLevel.NONE,
                                     analyze_sps=False)
         suffix_report = suffix.last_report
-    suffix_seconds = time.process_time() - serial_start
 
     report = ExecutionReport()
     report.elements_in = sum(r.elements_in for r in results)
@@ -627,20 +586,6 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
         stages.extend(suffix_report.stages)
     report.stages = stages
     report.wall_time = time.perf_counter() - wall_start
-    worker_cpu = [result.cpu_seconds for result in results]
-    report.shard_timing = {
-        "n_shards": n_shards,
-        "partition_seconds": partition_seconds,
-        "collect_seconds": collect_seconds,
-        "merge_seconds": merge_seconds,
-        "suffix_cpu_seconds": suffix_seconds,
-        "worker_cpu_seconds": worker_cpu,
-        "max_worker_cpu_seconds": max(worker_cpu, default=0.0),
-        "critical_path_seconds": (partition_seconds + collect_seconds
-                                  + merge_seconds + suffix_seconds
-                                  + max(worker_cpu, default=0.0)),
-        "elements_in": report.elements_in,
-    }
     dsms.last_report = report
 
     out: "dict[str, QueryResult]" = {}

@@ -1,4 +1,4 @@
-"""Measurement utilities: deep memory sizing, timing, throughput.
+"""Measurement utilities: deep memory sizing and timing.
 
 The Figure 7c memory comparison needs an honest byte count of each
 mechanism's state.  :func:`deep_sizeof` walks an object graph
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Iterable
 
-__all__ = ["deep_sizeof", "Timer", "OutputRateMeter"]
+__all__ = ["deep_sizeof", "Timer"]
 
 _ATOMIC = (int, float, bool, complex, type(None))
 
@@ -78,24 +77,3 @@ class Timer:
         if items <= 0:
             return 0.0
         return self.elapsed_ms / items
-
-
-class OutputRateMeter:
-    """Output rate in tuples per millisecond of processing time."""
-
-    def __init__(self):
-        self.tuples = 0
-        self.timer = Timer()
-
-    def rate(self) -> float:
-        if self.timer.elapsed <= 0:
-            return 0.0
-        return self.tuples / self.timer.elapsed_ms
-
-
-def consume(iterable: Iterable) -> int:
-    """Drain an iterator, returning the element count."""
-    count = 0
-    for _ in iterable:
-        count += 1
-    return count

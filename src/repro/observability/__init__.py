@@ -19,15 +19,16 @@ semantics:
   processing-time EWMA, queue depth) snapshotted from every plan
   operator and aggregated into the
   :class:`~repro.engine.executor.ExecutionReport`.
-* :class:`TraceSink` — a pluggable span-event protocol with a no-op
-  default (:class:`NullTraceSink`), an in-memory ring buffer
-  (:class:`RingBufferTraceSink`) and a JSONL file sink
-  (:class:`JsonlTraceSink`); span events are emitted by the executor,
-  streaming sessions and the SP Analyzer.
+* :class:`Tracer` — the one producer of :class:`SpanEvent` records:
+  head-sampled per-element traces with per-operator child spans plus
+  the control points of the executor, streaming sessions and the SP
+  Analyzer, kept in a bounded ring and optionally streamed to a
+  :class:`JsonlTraceSink`; "tracing off" is ``None``.
 * :class:`MetricsRegistry` — Prometheus-style counters, gauges and
-  log-bucketed latency histograms (:data:`CATALOG` lists the engine's
-  canonical families: per-operator latency, end-to-end tuple latency,
-  policy-propagation lag, shield verdicts, Lemma 5.1 skip rates, …),
+  log-bucketed latency histograms (:class:`EngineInstruments` declares
+  the engine's canonical families: per-operator latency, end-to-end
+  tuple latency, policy-propagation lag, shield verdicts, Lemma 5.1
+  skip rates, …),
   exported as Prometheus text or JSON (:func:`render_prometheus`,
   :func:`render_json`, :func:`serve_metrics`) and watched live by
   :class:`MonitorView`/:class:`HealthMonitor` (``repro monitor``).
@@ -51,28 +52,23 @@ from repro.observability.export import (MetricsServer, parse_prometheus,
                                         serve_metrics)
 from repro.observability.health import HealthAlert, HealthMonitor
 from repro.observability.hub import Observability
-from repro.observability.instruments import CATALOG, EngineInstruments
+from repro.observability.instruments import EngineInstruments
 from repro.observability.metrics import (Counter, Gauge, Histogram,
                                          MetricFamily, MetricsRegistry,
                                          log_buckets)
 from repro.observability.monitor import MonitorView, run_monitor
 from repro.observability.provenance import (DEFAULT_SAMPLE_RATE,
-                                            FlightRecorder, TraceContext,
-                                            Tracer, WhyReport,
-                                            reconstruct_why)
+                                            TraceContext, Tracer,
+                                            WhyReport, reconstruct_why)
 from repro.observability.stats import StageStats, aggregate_stages
-from repro.observability.trace import (JsonlTraceSink, NullTraceSink,
-                                       RingBufferTraceSink, SpanEvent,
-                                       TraceSink)
+from repro.observability.trace import JsonlTraceSink, SpanEvent
 
 __all__ = [
     "AuditEvent",
     "AuditLog",
-    "CATALOG",
     "Counter",
     "DEFAULT_SAMPLE_RATE",
     "EngineInstruments",
-    "FlightRecorder",
     "Gauge",
     "HealthAlert",
     "HealthMonitor",
@@ -82,13 +78,10 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "MonitorView",
-    "NullTraceSink",
     "Observability",
-    "RingBufferTraceSink",
     "SpanEvent",
     "StageStats",
     "TraceContext",
-    "TraceSink",
     "Tracer",
     "WhyReport",
     "aggregate_stages",

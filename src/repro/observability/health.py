@@ -17,8 +17,9 @@ reports :class:`HealthAlert` records:
   emit sps.
 
 Alerts are returned to the caller *and* raised through the hub's
-:class:`~repro.observability.trace.TraceSink` as ``health.alert``
-spans, so a JSONL trace of a long run doubles as its incident log.
+:class:`~repro.observability.provenance.Tracer` as always-kept
+``health.alert`` spans, so a JSONL trace of a long run doubles as its
+incident log.
 The monitor is pull-based: call :meth:`check` on whatever cadence
 suits (the ``repro monitor`` view does so once per frame).
 """
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 from repro.observability.instruments import EngineInstruments
 from repro.observability.provenance import Tracer
-from repro.observability.trace import NullTraceSink, TraceSink
 
 __all__ = ["HealthAlert", "HealthMonitor"]
 
@@ -59,7 +59,7 @@ class HealthMonitor:
     """Evaluate stall/lag/denial rules against live instruments."""
 
     def __init__(self, instruments: EngineInstruments, *,
-                 tracer: TraceSink | None = None,
+                 tracer: Tracer | None = None,
                  stall_after: float = 5.0,
                  propagation_p95: float = 0.5,
                  flight_path: str | None = None,
@@ -72,12 +72,11 @@ class HealthMonitor:
         if flight_window <= 0.0:
             raise ValueError("flight_window must be positive")
         self.instruments = instruments
-        self.tracer = tracer if tracer is not None else NullTraceSink()
+        self.tracer = tracer
         self.stall_after = stall_after
         self.propagation_p95 = propagation_p95
-        #: JSONL path the causal tracer's flight recorder is dumped to
-        #: when a rule fires (``None`` disables the dump; requires a
-        #: :class:`~repro.observability.provenance.Tracer` as tracer).
+        #: JSONL path the tracer's ring is dumped to when a rule fires
+        #: (``None`` disables the dump; it needs a tracer).
         self.flight_path = flight_path
         #: Wall-clock window (seconds before the alert) of the dump.
         self.flight_window = flight_window
@@ -145,21 +144,18 @@ class HealthMonitor:
         denial = self._check_denials()
         if denial is not None:
             new.append(denial)
-        causal = self.tracer if isinstance(self.tracer, Tracer) else None
-        for alert in new:
-            if causal is not None:
+        tracer = self.tracer
+        if new and tracer is not None:
+            for alert in new:
                 # keep=True: alert spans survive head sampling.
-                causal.event("health.alert", keep=True,
-                             **alert.to_dict())
-            elif self.tracer.enabled:
-                self.tracer.span("health.alert", **alert.to_dict())
-        if new and causal is not None and self.flight_path is not None:
-            # Retroactive context: dump the spans that led up to the
-            # alert (everything within flight_window of now).
-            count = causal.recorder.dump_jsonl(
-                self.flight_path,
-                since_wall=time.time() - self.flight_window)
-            self.flight_dumps.append((self.flight_path, count))
+                tracer.event("health.alert", keep=True, **alert.to_dict())
+            if self.flight_path is not None:
+                # Retroactive context: dump the spans that led up to
+                # the alert (everything within flight_window of now).
+                count = tracer.dump_jsonl(
+                    self.flight_path,
+                    since_wall=time.time() - self.flight_window)
+                self.flight_dumps.append((self.flight_path, count))
         self.alerts.extend(new)
         return new
 

@@ -1,18 +1,17 @@
 """The Observability hub: audit + tracing + metrics for one DSMS.
 
-:class:`Observability` bundles the optional :class:`AuditLog`, the
-:class:`TraceSink` and the optional
-:class:`~repro.observability.metrics.MetricsRegistry` a DSMS runs
-with.  The default (built by :meth:`Observability.disabled`) carries
-no audit log, a :class:`NullTraceSink` and no registry, so
-instrumented code paths reduce to cheap ``is None`` / ``enabled``
-checks.  :meth:`Observability.in_memory` turns everything on with
-bounded in-memory storage; :meth:`Observability.with_metrics` enables
-only the metrics registry (the cheapest always-on production
-configuration).
+:class:`Observability` bundles the three optional parts a DSMS runs
+with — an :class:`AuditLog`, a :class:`Tracer` and a
+:class:`~repro.observability.metrics.MetricsRegistry`.  Each is either
+an object or ``None``; the default hub carries none, so instrumented
+code paths reduce to ``is None`` checks.  Compose the parts you want
+(``Observability(metrics=MetricsRegistry())`` is the cheapest
+always-on configuration, ``Observability(tracer=Tracer())`` the
+leave-it-on tracing one); :meth:`Observability.in_memory` turns
+everything on with bounded in-memory storage.
 
 Security decisions have one store, the audit log, so a hub with a
-causal :class:`Tracer` always carries one: sampling then decides which
+:class:`Tracer` always carries one: sampling then decides which
 *passes* are recorded, never whether a denial is.
 """
 
@@ -21,71 +20,40 @@ from __future__ import annotations
 from repro.observability.audit import DEFAULT_CAPACITY, AuditLog
 from repro.observability.instruments import EngineInstruments
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.provenance import DEFAULT_SAMPLE_RATE, Tracer
-from repro.observability.trace import NullTraceSink, TraceSink
+from repro.observability.provenance import Tracer
 
 __all__ = ["Observability"]
 
 
 class Observability:
-    """Audit log + trace sink + metrics shared by one DSMS."""
+    """Audit log + tracer + metrics shared by one DSMS."""
 
     def __init__(self, *, audit: AuditLog | None = None,
-                 tracer: TraceSink | None = None,
+                 tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None):
-        self.tracer = tracer if tracer is not None else NullTraceSink()
-        if isinstance(self.tracer, Tracer):
+        if not isinstance(tracer, Tracer | None):
+            raise TypeError(
+                f"tracer must be a Tracer or None, not "
+                f"{type(tracer).__name__} (to stream spans to a file: "
+                f"Tracer(JsonlTraceSink(path)))")
+        if tracer is not None:
             if audit is None:
                 audit = AuditLog()
-            audit.tracer = self.tracer
+            audit.tracer = tracer
         self.audit = audit
+        self.tracer = tracer
         self.metrics = metrics
         self._instruments: EngineInstruments | None = None
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """No audit, no tracing, no metrics — the zero-overhead default."""
-        return cls()
 
     @classmethod
     def in_memory(cls, *, audit_capacity: int = DEFAULT_CAPACITY,
                   trace_capacity: int = 4096) -> "Observability":
-        """Bounded in-memory audit log + causal tracer + metrics
-        registry (everything on, every trace sampled)."""
+        """Bounded in-memory audit log + tracer + metrics registry
+        (everything on, every trace sampled)."""
         return cls(audit=AuditLog(audit_capacity),
                    tracer=Tracer(sample=1.0,
                                  recorder_capacity=trace_capacity),
                    metrics=MetricsRegistry())
-
-    @classmethod
-    def with_metrics(cls) -> "Observability":
-        """Metrics registry only: no audit trail, no tracing.
-
-        The configuration the overhead benchmark calls "registry on"
-        — counters, gauges and histograms are live, but nothing is
-        recorded per decision and batched fast paths stay enabled.
-        """
-        return cls(metrics=MetricsRegistry())
-
-    @classmethod
-    def with_tracing(cls, *, sample: float = DEFAULT_SAMPLE_RATE,
-                     recorder_capacity: int = 4096,
-                     sink: TraceSink | None = None) -> "Observability":
-        """Causal tracing — the leave-it-on production tier.
-
-        Head-samples one trace in ~64 by default (operator spans and
-        pass verdicts of those traces only) and feeds the always-on
-        flight recorder; every denial is recorded in the hub's audit
-        log regardless of sampling.  No metrics registry.
-        """
-        return cls(tracer=Tracer(sink, sample=sample,
-                                 recorder_capacity=recorder_capacity))
-
-    @property
-    def enabled(self) -> bool:
-        return (self.audit is not None or self.tracer.enabled
-                or self.metrics is not None)
 
     @property
     def instruments(self) -> EngineInstruments | None:
@@ -112,12 +80,7 @@ class Observability:
         if self.audit is not None:
             operator.audit = self.audit
 
-    def span(self, name: str, **attrs) -> None:
-        """Emit one trace span event (no-op when tracing is off)."""
-        if self.tracer.enabled:
-            self.tracer.span(name, **attrs)
-
     def __repr__(self) -> str:
         return (f"Observability(audit={self.audit!r}, "
-                f"tracer={type(self.tracer).__name__}, "
+                f"tracer={self.tracer!r}, "
                 f"metrics={self.metrics!r})")

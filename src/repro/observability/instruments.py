@@ -21,44 +21,7 @@ from __future__ import annotations
 from repro.observability.metrics import (LATENCY_BUCKETS, SIZE_BUCKETS,
                                          MetricsRegistry)
 
-__all__ = ["EngineInstruments", "CATALOG"]
-
-
-#: The engine metric catalog: (name, kind, labels, meaning).
-CATALOG: tuple[tuple[str, str, tuple[str, ...], str], ...] = (
-    ("repro_operator_latency_seconds", "histogram", ("operator", "kind"),
-     "Per-element processing latency inside each plan operator"),
-    ("repro_tuple_latency_seconds", "histogram", ("query",),
-     "End-to-end latency: source ingest / session push to sink emit"),
-    ("repro_policy_propagation_seconds", "histogram",
-     ("operator", "query"),
-     "Policy propagation lag: sp arrival to the first enforcement "
-     "decision taken under that policy"),
-    ("repro_segment_size_tuples", "histogram", ("operator",),
-     "Tuples per s-punctuated segment observed at each shield"),
-    ("repro_sp_batch_size_sps", "histogram", (),
-     "Security punctuations per sp-batch at the SP Analyzer"),
-    ("repro_shield_tuples_total", "counter",
-     ("operator", "query", "roles", "verdict"),
-     "Shield verdicts per tuple (verdict=pass|drop), per role "
-     "predicate"),
-    ("repro_denial_by_default_drops_total", "counter",
-     ("operator", "query"),
-     "Tuples dropped because no policy had arrived yet "
-     "(denial-by-default)"),
-    ("repro_spindex_entries_total", "gauge",
-     ("operator", "side", "outcome"),
-     "SPIndex probe accounting (outcome=scanned|skipped); the "
-     "skipped/scanned ratio is the Lemma 5.1 skipping-rule hit rate"),
-    ("repro_queue_depth", "gauge", ("operator",),
-     "Elements currently held in operator state"),
-    ("repro_elements_total", "counter", ("kind",),
-     "Stream elements entering the plan (kind=tuple|sp)"),
-    ("repro_runs_total", "counter", (),
-     "Completed executor runs"),
-    ("repro_run_seconds", "histogram", (),
-     "Wall-clock duration of whole executor runs"),
-)
+__all__ = ["EngineInstruments"]
 
 
 class EngineInstruments:

@@ -1,7 +1,8 @@
-"""Causal tracing, and ``why`` as a reading of the audit log.
+"""The tracer, and ``why`` as a reading of the audit log.
 
-This module turns the flat :class:`~repro.observability.trace.SpanEvent`
-stream into *causal* traces:
+:class:`Tracer` is the only producer of
+:class:`~repro.observability.trace.SpanEvent` records; "tracing off" is
+``None`` wherever a tracer is held.
 
 * Every element the engine ingests opens a **trace** — a root span with
   a fresh ``trace_id`` — and each operator that touches it opens a
@@ -10,12 +11,16 @@ stream into *causal* traces:
 * **Head-based sampling** keeps the cost low enough to leave on: the
   sampling verdict is a pure function of the trace id (a multiplicative
   hash against a threshold), so identical runs sample identical traces.
-  ``health.alert`` events are emitted even on unsampled traces
-  (``Tracer.event(keep=True)``).
-* Everything emitted also lands in an always-on bounded
-  :class:`FlightRecorder`; the :class:`~repro.observability.health.HealthMonitor`
-  dumps a window of it to JSONL when an alert fires, giving a
-  retroactive look at the spans *leading up to* the problem.
+  It is the one sampling rule: per-element and per-sp-batch spans are
+  kept while the current trace is sampled; once-per-run and
+  once-per-session control points and ``health.alert`` events are
+  always kept.
+* Every kept span lands in one bounded ring (the flight recorder); the
+  :class:`~repro.observability.health.HealthMonitor` dumps a window of
+  it to JSONL when an alert fires, giving a retroactive look at the
+  spans *leading up to* the problem.  A
+  :class:`~repro.observability.trace.JsonlTraceSink` handed to the
+  tracer streams the same spans to a file.
 
 Security decisions are **not** spans.  A shield or filter verdict is
 recorded once, in the hub's :class:`~repro.observability.audit.AuditLog`
@@ -23,28 +28,23 @@ recorded once, in the hub's :class:`~repro.observability.audit.AuditLog`
 ``trace_id``), and :func:`reconstruct_why` renders
 ``audit.explain(tid)`` — governing sp, resolved policy, role match,
 delivery — with no second copy in the span ring.
-
-The :class:`Tracer` is itself a :class:`TraceSink` (``enabled`` is
-True), so the engine's existing flat control points — ``executor.run``,
-``session.push``, ``analyzer.batch`` — flow through it unchanged.
 """
 
 from __future__ import annotations
 
-import json
 import time
-
+from collections import deque
 from typing import TYPE_CHECKING
 
-from .trace import NullTraceSink, RingBufferTraceSink, SpanEvent, TraceSink
+from .trace import JsonlTraceSink, SpanEvent
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .audit import AuditEvent, AuditLog
 
-__all__ = ["DEFAULT_SAMPLE_RATE", "TraceContext", "FlightRecorder",
-           "Tracer", "WhyReport", "reconstruct_why"]
+__all__ = ["DEFAULT_SAMPLE_RATE", "TraceContext", "Tracer", "WhyReport",
+           "reconstruct_why"]
 
-#: Default head-sampling rate for the ``with_tracing`` tier: roughly
+#: Default head-sampling rate of a :class:`Tracer`: roughly
 #: one trace in 64 carries full operator spans and records its pass
 #: verdicts; denials are audit records and never sampled away.
 DEFAULT_SAMPLE_RATE = 1.0 / 64.0
@@ -89,78 +89,61 @@ class TraceContext:
         return hash((self.trace_id, self.span_id, self.parent_id))
 
 
-class FlightRecorder(RingBufferTraceSink):
-    """Always-on bounded ring of recent spans, dumpable after the fact.
+class Tracer:
+    """Samples traces, times operators, keeps the recent spans.
 
-    Unlike a plain ring sink it knows how to cut a *window*: the
-    health monitor asks for "everything since N seconds before the
-    alert" and writes it to JSONL for post-mortem inspection.
-    """
-
-    def window(self, since_wall: float) -> list[SpanEvent]:
-        return [e for e in self.events() if e.wall >= since_wall]
-
-    def dump_jsonl(self, path: str, *,
-                   since_wall: float | None = None) -> int:
-        events = (self.events() if since_wall is None
-                  else self.window(since_wall))
-        with open(path, "w", encoding="utf-8") as fp:
-            for event in events:
-                fp.write(json.dumps(event.to_dict(), default=str,
-                                    separators=(",", ":")))
-                fp.write("\n")
-        return len(events)
-
-
-class Tracer(TraceSink):
-    """Causal tracer: samples traces, times operators.
-
-    Drop-in anywhere a :class:`TraceSink` is expected (``enabled`` is
-    True so flat control spans keep flowing), but the engine gives it
-    extra calls:
+    There is one sampling rule, the head-sampling verdict of the
+    current trace (:attr:`active`): :meth:`begin` takes it from the
+    trace id, and :meth:`op_span`, :meth:`event` and the SP Analyzer's
+    per-batch span are only emitted while it holds.  What is not
+    sampled is always kept: :meth:`span` (the once-per-run and
+    once-per-session control points) and ``event(keep=True)``
+    (``health.alert``).
 
     * :meth:`begin` — on each ingested element: allocate a trace id,
       take the sampling decision, open the root span if sampled.
     * :meth:`op_span` — child span per operator invocation (only on
       sampled traces — callers check :attr:`active`).
-    * :meth:`event` — ad-hoc event; ``keep=True`` bypasses sampling
-      (``health.alert``).
+    * :meth:`event` — ad-hoc event of the current trace.
+    * :meth:`span` — flat control span (no causal ids).
 
-    Every emission lands in the always-on :attr:`recorder` ring and,
-    when one is configured, the external :attr:`sink`.
+    Every kept span is appended to one ring of ``recorder_capacity``
+    events (:meth:`events`, :meth:`dump_jsonl`) and, when one is
+    configured, written to the :attr:`sink`.
     """
 
-    enabled = True
-
-    def __init__(self, sink: TraceSink | None = None, *,
+    def __init__(self, sink: JsonlTraceSink | None = None, *,
                  sample: float = DEFAULT_SAMPLE_RATE,
                  recorder_capacity: int = 4096):
         if not 0.0 <= sample <= 1.0:
             raise ValueError("sample rate must be within [0, 1]")
-        self.sink = sink if sink is not None else NullTraceSink()
+        if recorder_capacity <= 0:
+            raise ValueError("recorder_capacity must be positive")
+        self.sink = sink
         self.sample = sample
         self._threshold = int(sample * 2**32)
-        self.recorder = FlightRecorder(recorder_capacity)
+        self._events: deque[SpanEvent] = deque(maxlen=recorder_capacity)
         self._trace_seq = 0
         self._span_seq = 0
-        self._flat_seq = 0
         self._trace_id = 0
         self._root_id = 0
         #: True while the current trace is head-sampled: operator
         #: spans and (in the audit log) pass records are only worth
-        #: building then.
-        self.active = False
+        #: building then.  Before the first :meth:`begin` it is the
+        #: verdict of trace id 0 (sampled at any positive rate), which
+        #: covers the sp-batch analyzed ahead of a run's first element.
+        self.active = _sampled(0, self._threshold)
         self.traces = 0
         self.sampled_traces = 0
 
     # ------------------------------------------------------------------
-    # emission plumbing
+    # emission
 
     def _emit_new(self, name: str, attrs: dict,
                   trace_id: "int | None" = None,
                   span_id: "int | None" = None,
                   parent_id: "int | None" = None) -> None:
-        """Build and emit a stamped event, bypassing the frozen
+        """Build and keep a stamped event, bypassing the frozen
         dataclass ``__init__`` (7 ``object.__setattr__`` calls): at
         ``sample=1.0`` this runs per element and per operator."""
         event = SpanEvent.__new__(SpanEvent)
@@ -168,31 +151,23 @@ class Tracer(TraceSink):
             name=name, wall=time.time(), attrs=attrs,
             mono=time.perf_counter_ns(), trace_id=trace_id,
             span_id=span_id, parent_id=parent_id)
-        self.recorder.emit(event)
-        if self.sink.enabled:
-            self.sink.emit(event)
-
-    def emit(self, event: SpanEvent) -> None:
-        """TraceSink protocol: forward externally-built events."""
-        self.recorder.emit(event)
-        if self.sink.enabled:
+        self._events.append(event)
+        if self.sink is not None:
             self.sink.emit(event)
 
     def span(self, name: str, **attrs) -> None:
-        """Flat control span (no causal ids) — head-sampled.
+        """Flat control span (no causal ids), always kept.
 
-        High-frequency control points (``analyzer.batch``, one per
-        sp-batch) flow through here; sampling them like everything
-        else keeps the always-on tier within its overhead budget.
-        At ``sample=1.0`` (the ``in_memory`` tier) every
-        span is kept, so plain-sink consumers see no change.
+        For control points that occur once per run or per session
+        (``executor.run.*``, ``session.open``, ``shard.run``); anything
+        per element or per sp-batch is gated on :attr:`active` by its
+        caller instead.
         """
-        self._flat_seq = seq = self._flat_seq + 1
-        if (seq * _HASH) & _MASK < self._threshold:
-            self._emit_new(name, attrs)
+        self._emit_new(name, attrs)
 
     def close(self) -> None:
-        self.sink.close()
+        if self.sink is not None:
+            self.sink.close()
 
     # ------------------------------------------------------------------
     # causal API
@@ -228,8 +203,8 @@ class Tracer(TraceSink):
         return self._trace_id
 
     def trace_ref(self) -> int | None:
-        """Current trace id if the trace is sampled, else None."""
-        return self._trace_id if self.active else None
+        """Current trace id if there is one and it is sampled."""
+        return (self._trace_id or None) if self.active else None
 
     def context(self) -> TraceContext | None:
         """Root context of the current trace when sampled."""
@@ -259,16 +234,34 @@ class Tracer(TraceSink):
                        span_id=sid, parent_id=self._root_id or None)
 
     # ------------------------------------------------------------------
-    # recorder views (keeps in-memory consumers working unchanged)
+    # the ring
 
     def events(self, name: str | None = None) -> list[SpanEvent]:
-        return self.recorder.events(name)
+        """The kept spans, oldest first (optionally one name only)."""
+        if name is None:
+            return list(self._events)
+        return [e for e in self._events if e.name == name]
+
+    def dump_jsonl(self, path: str, *,
+                   since_wall: float | None = None) -> int:
+        """Write the ring (or its window since ``since_wall``) to
+        ``path`` as JSONL; returns the number of spans written."""
+        events = [e for e in self._events
+                  if since_wall is None or e.wall >= since_wall]
+        with JsonlTraceSink(path) as out:
+            for event in events:
+                out.emit(event)
+        return len(events)
 
     def clear(self) -> None:
-        self.recorder.clear()
+        self._events.clear()
 
     def __len__(self) -> int:
-        return len(self.recorder)
+        return len(self._events)
+
+    def __repr__(self) -> str:
+        return (f"Tracer(sample={self.sample}, spans={len(self._events)}, "
+                f"traces={self.traces})")
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,14 @@
-"""Pluggable tracing: span events from the engine's control points.
+"""Span records and the JSONL file sink.
 
-A :class:`TraceSink` receives :class:`SpanEvent` records from the
-executor (run start/end, flush), streaming sessions (open, push,
-close) and the SP Analyzer (per processed sp-batch).  The protocol is
-deliberately tiny — ``enabled`` plus ``emit`` — so emission sites can
-guard attribute construction behind a single flag check and the
-default :class:`NullTraceSink` costs nothing on the hot path.
+A :class:`SpanEvent` is one trace record.  Spans have one producer,
+:class:`~repro.observability.provenance.Tracer`, which keeps the most
+recent ones in its own bounded ring; a :class:`JsonlTraceSink` handed
+to the tracer additionally streams every span to a file.
 
 Every event carries *two* timestamps: ``wall`` (``time.time()``, for
 correlation with external logs) and ``mono`` (``time.perf_counter_ns()``,
 monotonic — durations derived from it can never go negative under a
-wall-clock adjustment).  Causal tracing (trace / span / parent ids,
-sampling) lives in :mod:`repro.observability.provenance`; the optional
-id fields here are its carrier.  Security decisions are not spans: they
+wall-clock adjustment).  Security decisions are not spans: they
 live in the :class:`~repro.observability.audit.AuditLog`.
 """
 
@@ -20,13 +16,10 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO
 
-__all__ = ["SpanEvent", "TraceSink", "NullTraceSink",
-           "RingBufferTraceSink", "JsonlTraceSink"]
+__all__ = ["SpanEvent", "JsonlTraceSink"]
 
 
 @dataclass(frozen=True)
@@ -66,61 +59,7 @@ class SpanEvent:
         return f"{prefix}{self.name} {parts}".rstrip()
 
 
-class TraceSink:
-    """Base protocol: subclasses implement :meth:`emit`.
-
-    ``enabled`` lets emission sites skip building event attributes
-    entirely; sinks that record must leave it ``True``.
-    """
-
-    enabled = True
-
-    def emit(self, event: SpanEvent) -> None:
-        raise NotImplementedError
-
-    def span(self, name: str, **attrs) -> None:
-        """Convenience: build and emit one event stamped now."""
-        if self.enabled:
-            self.emit(SpanEvent(name, time.time(), attrs,
-                                mono=time.perf_counter_ns()))
-
-    def close(self) -> None:
-        """Release resources (file sinks); default no-op."""
-
-
-class NullTraceSink(TraceSink):
-    """The default sink: records nothing, costs nothing."""
-
-    enabled = False
-
-    def emit(self, event: SpanEvent) -> None:
-        pass
-
-
-class RingBufferTraceSink(TraceSink):
-    """Keeps the most recent ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("trace ring buffer capacity must be positive")
-        self._events: deque[SpanEvent] = deque(maxlen=capacity)
-
-    def emit(self, event: SpanEvent) -> None:
-        self._events.append(event)
-
-    def events(self, name: str | None = None) -> list[SpanEvent]:
-        if name is None:
-            return list(self._events)
-        return [e for e in self._events if e.name == name]
-
-    def clear(self) -> None:
-        self._events.clear()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-
-class JsonlTraceSink(TraceSink):
+class JsonlTraceSink:
     """Streams every event to a JSONL file (or open file object).
 
     ``max_bytes`` bounds the trace file of a long (or crashing) run:
@@ -148,8 +87,11 @@ class JsonlTraceSink(TraceSink):
         self.emitted = 0
         #: Completed rotations (0 until ``max_bytes`` first overflows).
         self.rotations = 0
+        self.closed = False
 
     def emit(self, event: SpanEvent) -> None:
+        if self.closed:
+            return
         line = json.dumps(event.to_dict(), default=str,
                           separators=(",", ":"))
         if (self.max_bytes is not None and self._owned
@@ -174,11 +116,11 @@ class JsonlTraceSink(TraceSink):
 
         Called from ``__exit__`` on both the clean and the error path,
         so a crashing traced run never loses buffered events.  A
-        closed sink reports ``enabled = False``, so late emitters — a
-        health alert firing during shutdown, a tracer outliving its
-        sink — skip it instead of hitting a closed file.
+        closed sink ignores :meth:`emit`, so late emitters — a health
+        alert firing during shutdown, a tracer outliving its sink —
+        never hit a closed file.
         """
-        self.enabled = False
+        self.closed = True
         if self._fp.closed:
             return
         self._fp.flush()

@@ -42,26 +42,20 @@ __all__ = ["OperatorStats", "Operator", "UnaryOperator", "BinaryOperator",
 _POSITIVE = Sign.POSITIVE
 
 
-#: Default smoothing factor for the per-element processing-time EWMA.
+#: Smoothing factor of the per-element processing-time EWMA: smaller
+#: values average over a longer history, larger values track the
+#: current rate more nervously.
 EWMA_ALPHA = 0.05
 
 
 class OperatorStats:
-    """Counters and timing for one operator instance.
+    """Counters and timing for one operator instance."""
 
-    ``alpha`` is the smoothing factor of the per-element
-    processing-time EWMA: smaller values average over a longer
-    history, larger values track the current rate more nervously.
-    """
-
-    __slots__ = ("alpha", "tuples_in", "tuples_out", "sps_in", "sps_out",
+    __slots__ = ("tuples_in", "tuples_out", "sps_in", "sps_out",
                  "comparisons", "state_ops", "processing_time",
                  "ewma_seconds")
 
-    def __init__(self, alpha: float = EWMA_ALPHA):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("EWMA alpha must be within (0, 1]")
-        self.alpha = alpha
+    def __init__(self):
         self.tuples_in = 0
         self.tuples_out = 0
         self.sps_in = 0
@@ -80,7 +74,7 @@ class OperatorStats:
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def reset(self) -> None:
-        self.__init__(self.alpha)
+        self.__init__()
 
     def __repr__(self) -> str:
         return (f"OperatorStats(in={self.tuples_in}t/{self.sps_in}sp, "
@@ -94,10 +88,9 @@ class Operator:
     #: Number of input ports (1 for unary, 2 for binary operators).
     arity = 1
 
-    def __init__(self, name: str | None = None, *,
-                 ewma_alpha: float = EWMA_ALPHA):
+    def __init__(self, name: str | None = None):
         self.name = name or type(self).__name__
-        self.stats = OperatorStats(ewma_alpha)
+        self.stats = OperatorStats()
         #: Audit log to record security decisions into (set by the
         #: observability hub; ``None`` keeps the fast path silent).
         self.audit = None
@@ -121,7 +114,7 @@ class Operator:
         out = self._process(element, port)
         elapsed = time.perf_counter() - start
         stats.processing_time += elapsed
-        stats.ewma_seconds += stats.alpha * (elapsed - stats.ewma_seconds)
+        stats.ewma_seconds += EWMA_ALPHA * (elapsed - stats.ewma_seconds)
         if self._m_latency is not None:
             self._m_latency.observe(elapsed)
         if isinstance(element, SecurityPunctuation):
@@ -164,8 +157,8 @@ class Operator:
         n = len(batch)
         if n:
             # Per-element EWMA, updated once with the run's mean cost.
-            stats.ewma_seconds += stats.alpha * (elapsed / n
-                                                 - stats.ewma_seconds)
+            stats.ewma_seconds += EWMA_ALPHA * (elapsed / n
+                                                - stats.ewma_seconds)
             if self._m_latency is not None:
                 # One observation per run, at the run's mean
                 # per-element cost (histogram counts therefore depend

@@ -35,7 +35,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.engine.executor import ExecutionReport
-from repro.observability import Observability
+from repro.observability import Observability, Tracer
 from repro.operators.conditions import Comparison
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
@@ -126,7 +126,7 @@ class EngineConfig:
     join_variant: str = "nl"
     level: str = "none"
     audit: bool = False
-    #: Causal-tracing tier: run under ``Observability.with_tracing()``
+    #: Traced: run under ``Observability(tracer=Tracer(sample=1.0))``
     #: so sampling, sampled pass records and op spans are live.
     #: Tracing must never change what is delivered, and the hub's
     #: audit log must hold every denial — these configs prove it.
@@ -228,7 +228,7 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         # Full-rate sampling: every trace pays for its spans and pass
         # records, so any result-changing interference tracing could
         # cause is maximally exposed.
-        observability = Observability.with_tracing(sample=1.0)
+        observability = Observability(tracer=Tracer(sample=1.0))
     else:
         observability = None
     dsms = DSMS(observability=observability)

@@ -53,7 +53,7 @@ def run_both(make_dsms, *, observability: bool = True):
     for drive in (push_all, DSMS.run):
         dsms = make_dsms(
             Observability.in_memory() if observability
-            else Observability.disabled())
+            else Observability())
         outcomes.append((drive(dsms), dsms))
     return outcomes
 

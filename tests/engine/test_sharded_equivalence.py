@@ -4,11 +4,12 @@
 every composition it claims: stateless (worker-local) queries, split
 stateful queries (joins), multi-query workloads, every optimizer
 level, and audited runs — same delivered elements, same drop totals,
-plus the sharded extras (shard-labelled stages and audit events, the
-``shard_timing`` breakdown).
+plus the sharded extras (shard-labelled stages and audit events, one
+``shard.run`` span per worker).
 """
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -16,9 +17,9 @@ from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
-from repro.engine.sharded import split_workload
+from repro.engine.sharded import ShardResult, split_workload
 from repro.errors import QueryError, ShardExecutionError
-from repro.observability import Observability
+from repro.observability import Observability, Tracer
 from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
@@ -102,22 +103,6 @@ def test_stage_stats_carry_shard_labels():
                for name in names if "/" not in name)
 
 
-def test_shard_timing_breakdown():
-    dsms = build_dsms(6)
-    dsms.run(shards=2)
-    timing = dsms.last_report.shard_timing
-    assert timing is not None
-    assert timing["n_shards"] == 2
-    assert len(timing["worker_cpu_seconds"]) == 2
-    assert timing["critical_path_seconds"] >= (
-        timing["partition_seconds"] + timing["merge_seconds"])
-    assert timing["elements_in"] == dsms.last_report.elements_in
-    # Single-process runs carry no shard timing.
-    base = build_dsms(6)
-    base.run()
-    assert base.last_report.shard_timing is None
-
-
 def test_audit_events_match_and_carry_shard_labels():
     base_dsms = build_dsms(7, observability=Observability.in_memory())
     base = delivered(base_dsms.run())
@@ -140,16 +125,20 @@ def test_audit_events_match_and_carry_shard_labels():
 
 
 def test_tracing_tier_composes_with_shard_attrs():
-    dsms = build_dsms(8, observability=Observability.with_tracing(
-        sample=1.0))
+    dsms = build_dsms(8, observability=Observability(
+        tracer=Tracer(sample=1.0)))
     base = delivered(build_dsms(8).run())
     got = delivered(dsms.run(shards=2))
     assert got == base
-    tracer = dsms.observability.tracer
-    shard_attrs = {event.attrs.get("shard")
-                   for event in tracer.events()
-                   if "shard" in event.attrs}
-    assert shard_attrs & {0, 1}
+    # Workers run no tracer and ship no spans: the coordinator records
+    # one ``shard.run`` per worker.
+    runs = dsms.observability.tracer.events("shard.run")
+    assert [event.attrs["shard"] for event in runs] == [0, 1]
+    report = dsms.last_report
+    for key in ("elements_in", "tuples_in", "sps_in"):
+        assert sum(event.attrs[key] for event in runs) \
+            == getattr(report, key)
+    assert "spans" not in {f.name for f in fields(ShardResult)}
 
 
 def test_incremental_sp_stream_still_matches():

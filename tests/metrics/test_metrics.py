@@ -2,8 +2,7 @@
 
 import time
 
-from repro.metrics.measurement import (OutputRateMeter, Timer, consume,
-                                       deep_sizeof)
+from repro.metrics.measurement import Timer, deep_sizeof
 from repro.metrics.reporting import format_number, format_table
 
 
@@ -51,18 +50,6 @@ class TestTimer:
         timer.elapsed = 1.0
         assert timer.per_item_ms(1000) == 1.0
         assert timer.per_item_ms(0) == 0.0
-
-
-class TestMeters:
-    def test_output_rate(self):
-        meter = OutputRateMeter()
-        meter.tuples = 100
-        meter.timer.elapsed = 0.1  # 100ms
-        assert meter.rate() == 1.0
-        assert OutputRateMeter().rate() == 0.0
-
-    def test_consume(self):
-        assert consume(iter(range(5))) == 5
 
 
 class TestReporting:

@@ -11,7 +11,7 @@ import pytest
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.observability import AuditLog, Observability
+from repro.observability import AuditLog, Observability, Tracer
 from repro.operators.join import NestedLoopSAJoin
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
@@ -353,7 +353,8 @@ class TestPassRing:
 
     @staticmethod
     def explained(sample, tid):
-        dsms = DSMS(observability=Observability.with_tracing(sample=sample))
+        dsms = DSMS(observability=Observability(
+            tracer=Tracer(sample=sample)))
         dsms.register_stream(SCHEMA, quickstart_elements())
         dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
         dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})

@@ -5,7 +5,7 @@ import pytest
 from repro.observability.health import HealthMonitor
 from repro.observability.instruments import EngineInstruments
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.trace import RingBufferTraceSink
+from repro.observability.provenance import Tracer
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ class TestDenialChurn:
 
 class TestAlertRouting:
     def test_alerts_reach_the_trace_sink(self, instruments):
-        tracer = RingBufferTraceSink()
+        tracer = Tracer()
         instruments.mark_ingest(0.0)
         monitor = make_monitor(instruments, now=50.0, stall_after=5.0,
                                tracer=tracer)
@@ -98,8 +98,6 @@ class TestAlertRouting:
         assert len(monitor.alerts) == 2
 
     def test_causal_alert_survives_head_sampling(self, instruments):
-        from repro.observability.provenance import Tracer
-
         tracer = Tracer(sample=0.0)  # no trace is ever head-sampled
         instruments.mark_ingest(0.0)
         monitor = make_monitor(instruments, now=50.0, stall_after=5.0,
@@ -112,8 +110,6 @@ class TestAlertRouting:
     def test_alert_dumps_flight_recorder_window(self, instruments,
                                                 tmp_path):
         import json
-
-        from repro.observability.provenance import Tracer
 
         tracer = Tracer(sample=1.0)
         for i in range(5):

@@ -18,6 +18,7 @@ from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.observability import Observability
+from repro.observability.metrics import MetricsRegistry
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
@@ -44,7 +45,7 @@ def get_series(instruments, family_name: str) -> dict:
 class TestPropagationLag:
     def test_sp_then_tuple_observes_lag(self):
         """The scripted sp→tuple session: lag measured at the shield."""
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             session.push("s1", SecurityPunctuation.grant(["D"], 1.0))
@@ -59,7 +60,7 @@ class TestPropagationLag:
         assert 0.0 < shield_hist.sum < 1.0
 
     def test_one_observation_per_sp_batch(self):
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             for segment in range(5):
@@ -74,7 +75,7 @@ class TestPropagationLag:
 
     def test_sp_with_no_following_tuple_is_not_observed(self):
         """Lag is sp -> first decision; with no decision, no sample."""
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             session.push("s1", SecurityPunctuation.grant(["D"], 1.0))
@@ -86,7 +87,7 @@ class TestPropagationLag:
 
 class TestTupleLatency:
     def test_each_delivered_tuple_observed(self):
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             session.push("s1", SecurityPunctuation.grant(["D"], 1.0))
@@ -100,7 +101,7 @@ class TestTupleLatency:
         assert hist.max < 1.0  # sub-second in-process delivery
 
     def test_dropped_tuples_are_not_observed(self):
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             session.push("s1", SecurityPunctuation.grant(["N"], 1.0))
@@ -111,7 +112,7 @@ class TestTupleLatency:
 
 class TestShieldCounters:
     def test_pass_drop_and_denial_counts(self):
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             # Denial-by-default prefix: no policy yet.
@@ -140,7 +141,7 @@ class TestShieldCounters:
                     reading(1, 3.0), reading(2, 4.0),
                     SecurityPunctuation.grant(["N"], 5.0),
                     reading(3, 6.0)]
-        dsms = DSMS(observability=Observability.with_metrics())
+        dsms = DSMS(observability=Observability(metrics=MetricsRegistry()))
         dsms.register_stream(SCHEMA, elements)
         dsms.register_query("q", ScanExpr("s1"), roles={"D"})
         results = dsms.run()
@@ -158,7 +159,7 @@ class TestShieldCounters:
 
 class TestDistributions:
     def test_segment_and_batch_sizes(self):
-        dsms = make_dsms(Observability.with_metrics())
+        dsms = make_dsms(Observability(metrics=MetricsRegistry()))
         instruments = dsms.observability.instruments
         with dsms.open_session() as session:
             for segment in range(3):
@@ -198,7 +199,7 @@ class TestSPIndexGauges:
                                       {"k": k, "a": tid}, ts))
                 right.append(DataTuple("right", tid,
                                        {"k": k, "b": tid}, ts + 0.25))
-        dsms = DSMS(observability=Observability.with_metrics())
+        dsms = DSMS(observability=Observability(metrics=MetricsRegistry()))
         dsms.register_stream(left_schema, left)
         dsms.register_stream(right_schema, right)
         expr = ScanExpr("left").join(ScanExpr("right"), "k", "k", 30.0,
@@ -219,7 +220,6 @@ class TestExemplars:
         from repro.observability.export import render_json
         import json
 
-        from repro.observability.metrics import MetricsRegistry
         from repro.observability.provenance import Tracer
 
         tracer = Tracer(sample=1.0)
@@ -245,7 +245,6 @@ class TestExemplars:
         assert any("exemplars" in entry for entry in entries)
 
     def test_unsampled_traces_leave_no_exemplars(self):
-        from repro.observability.metrics import MetricsRegistry
         from repro.observability.provenance import Tracer
 
         dsms = DSMS(observability=Observability(
@@ -264,14 +263,14 @@ class TestExemplars:
 
 class TestZeroCostWhenOff:
     def test_disabled_dsms_has_no_instruments(self):
-        dsms = make_dsms(Observability.disabled())
+        dsms = make_dsms(Observability())
         assert dsms.observability.instruments is None
         plan, _sinks = dsms.build_plan()
         for operator in plan.operators():
             assert operator._m_latency is None  # noqa: SLF001
 
     def test_run_and_session_work_without_metrics(self):
-        dsms = make_dsms(Observability.disabled())
+        dsms = make_dsms(Observability())
         with dsms.open_session() as session:
             session.push("s1", SecurityPunctuation.grant(["D"], 1.0))
             session.push("s1", reading(0, 2.0))

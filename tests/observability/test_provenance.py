@@ -9,12 +9,11 @@ import pytest
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.observability import AuditLog, Observability
+from repro.core.analyzer import SPAnalyzer
+from repro.observability import AuditLog, Observability, provenance
 from repro.observability.provenance import (DEFAULT_SAMPLE_RATE,
-                                            FlightRecorder, TraceContext,
-                                            Tracer, _sampled,
+                                            TraceContext, Tracer, _sampled,
                                             reconstruct_why)
-from repro.observability.trace import SpanEvent
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
@@ -47,7 +46,7 @@ def segmented_elements(n_per_segment=40):
 
 
 def run_traced(sample, drive):
-    dsms = DSMS(observability=Observability.with_tracing(sample=sample))
+    dsms = DSMS(observability=Observability(tracer=Tracer(sample=sample)))
     dsms.register_stream(SCHEMA, segmented_elements())
     dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
     results = drive(dsms)
@@ -95,15 +94,23 @@ class TestSampling:
             Tracer(sample=-0.1)
 
     def test_flat_span_is_head_sampled(self):
-        kept_all = Tracer(sample=1.0)
-        for _ in range(50):
-            kept_all.span("analyzer.batch")
-        assert len(kept_all.events("analyzer.batch")) == 50
-        sparse = Tracer(sample=DEFAULT_SAMPLE_RATE)
-        for _ in range(1000):
-            sparse.span("analyzer.batch")
+        """The per-sp-batch ``analyzer.batch`` span follows the one
+        sampling rule: kept while the current trace is sampled."""
+        def batches(sample, n):
+            analyzer = SPAnalyzer()
+            analyzer.bind_observability(
+                Observability(tracer=Tracer(sample=sample)))
+            for i in range(n):
+                analyzer.tracer.begin("sp")
+                analyzer.process_batch(
+                    [SecurityPunctuation.grant(["D"], float(i))])
+            return analyzer.tracer
+
+        assert len(batches(1.0, 50).events("analyzer.batch")) == 50
+        sparse = batches(DEFAULT_SAMPLE_RATE, 1000)
         kept = len(sparse.events("analyzer.batch"))
-        assert 0 < kept < 1000 // 16
+        assert 0 < kept == sparse.sampled_traces < 1000 // 16
+        assert batches(0.0, 50).events() == []
 
 
 class TestTraceContext:
@@ -144,7 +151,7 @@ class TestKeepSemantics:
         """On an unsampled trace a denial decision is still recorded
         (in the log — it is not a span), a pass is not; of events only
         ``keep=True`` ones survive."""
-        hub = Observability.with_tracing(sample=0.0)
+        hub = Observability(tracer=Tracer(sample=0.0))
         tracer, log = hub.tracer, hub.audit
         tracer.begin("tuple")
         assert not log.wants_passes()
@@ -157,20 +164,33 @@ class TestKeepSemantics:
 
 
 class TestFlightRecorder:
-    def test_window_cuts_by_wall_time(self):
-        recorder = FlightRecorder(16)
+    """The tracer's ring as a flight recorder: bounded, dumpable."""
+
+    def test_window_cuts_by_wall_time(self, tmp_path, monkeypatch):
+        import json
+        import time
+        import types
+
+        walls = iter(range(5))
+        monkeypatch.setattr(provenance, "time", types.SimpleNamespace(
+            time=lambda: float(next(walls)),
+            perf_counter_ns=time.perf_counter_ns))
+        tracer = Tracer(recorder_capacity=16)
         for i in range(5):
-            recorder.emit(SpanEvent("tick", wall=float(i), attrs={"i": i}))
-        window = recorder.window(3.0)
-        assert [e.attrs["i"] for e in window] == [3, 4]
+            tracer.span("tick", i=i)
+        path = tmp_path / "window.jsonl"
+        assert tracer.dump_jsonl(str(path), since_wall=3.0) == 2
+        assert [json.loads(line)["i"]
+                for line in path.read_text().splitlines()] == [3, 4]
+        assert tracer.dump_jsonl(str(path)) == 5
 
     def test_always_on_and_bounded(self):
         tracer = Tracer(sample=0.0, recorder_capacity=8)
         for i in range(50):
             tracer.begin("tuple")
             tracer.event("health.alert", keep=True, i=i)
-        assert len(tracer.recorder) == 8
-        assert tracer.recorder.events()[-1].attrs["i"] == 49
+        assert len(tracer) == 8
+        assert tracer.events()[-1].attrs["i"] == 49
 
 
 class TestMentionsAndWhy:
@@ -186,14 +206,14 @@ class TestMentionsAndWhy:
 
     def test_ignores_non_provenance_events(self):
         """Decisions are read from the log, never from spans."""
-        hub = Observability.with_tracing(sample=1.0)
+        hub = Observability(tracer=Tracer(sample=1.0))
         hub.tracer.begin("tuple")
         hub.tracer.event("executor.run.end", tid=7)
         assert hub.tracer.events("executor.run.end")
         assert not reconstruct_why(7, hub.audit).found()
 
     def test_render_names_sp_policy_and_denial(self):
-        hub = Observability.with_tracing(sample=1.0)
+        hub = Observability(tracer=Tracer(sample=1.0))
         log = hub.audit
         for _ in range(3):
             hub.tracer.begin("tuple")
@@ -284,8 +304,8 @@ class TestEndToEndWhy:
             return [(t.tid, t.ts, t.values)
                     for t in drive(dsms)["doc"].tuples]
 
-        assert delivered(Observability.disabled()) \
-            == delivered(Observability.with_tracing())
+        assert delivered(Observability()) \
+            == delivered(Observability(tracer=Tracer()))
 
 
 class TestCliWhy:
@@ -330,8 +350,8 @@ class TestShardedDecisions:
             accessible_fraction=0.5, seed=3))
 
         def run(**kwargs):
-            dsms = DSMS(observability=Observability.with_tracing(
-                sample=1.0))
+            dsms = DSMS(observability=Observability(
+                tracer=Tracer(sample=1.0)))
             dsms.register_stream(SYNTH_SCHEMA, elements)
             dsms.register_query("q", ScanExpr("synthetic"),
                                 roles={"q_role"})

@@ -1,4 +1,5 @@
-"""Tests for the pluggable trace sinks and engine emission sites."""
+"""Tests for the tracer's ring, the JSONL sink and engine emission
+sites."""
 
 import io
 import json
@@ -8,8 +9,8 @@ import pytest
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.observability import (JsonlTraceSink, NullTraceSink, Observability,
-                                 RingBufferTraceSink)
+from repro.observability import (DEFAULT_SAMPLE_RATE, JsonlTraceSink,
+                                 Observability, Tracer)
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
@@ -23,16 +24,16 @@ def elements():
     ]
 
 
-def traced_dsms(sink):
-    dsms = DSMS(observability=Observability(tracer=sink))
-    dsms.register_stream(SCHEMA, elements())
+def traced_dsms(tracer, stream=None):
+    dsms = DSMS(observability=Observability(tracer=tracer))
+    dsms.register_stream(SCHEMA, elements() if stream is None else stream)
     dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
     return dsms
 
 
 class TestEngineSpans:
     def test_run_emits_executor_and_analyzer_spans(self):
-        sink = RingBufferTraceSink()
+        sink = Tracer(sample=1.0)
         dsms = traced_dsms(sink)
         dsms.run()
         names = [e.name for e in sink.events()]
@@ -47,33 +48,62 @@ class TestEngineSpans:
         assert end.attrs["elements_in"] == 2
 
     def test_session_lifecycle_spans(self):
-        sink = RingBufferTraceSink()
-        dsms = DSMS(observability=Observability(tracer=sink))
-        dsms.register_stream(SCHEMA, [])
-        dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
+        sink = Tracer(sample=1.0)
+        dsms = traced_dsms(sink, stream=[])
         with dsms.open_session() as session:
             for element in elements():
                 session.push("hr", element)
         opens = sink.events("session.open")
         assert len(opens) == 1
         assert opens[0].attrs["queries"] == ["doc"]
+        # exactly one span per push, each the root of its own trace
         pushes = sink.events("session.push")
         assert [e.attrs["kind"] for e in pushes] == ["sp", "tuple"]
+        assert [e.trace_id for e in pushes] == [1, 2]
+        assert all(e.parent_id is None and e.span_id for e in pushes)
         closes = sink.events("session.close")
         assert len(closes) == 1
         assert closes[0].attrs["elements_pushed"] == 2
 
+    def test_lifecycle_spans_survive_default_sampling(self):
+        """Once-per-run and once-per-session control points are not
+        sampled: at the default 1/64 rate each is there exactly once."""
+        stream = elements() + [
+            DataTuple("hr", i, {"patient": 1, "bpm": 70}, float(i))
+            for i in range(2, 200)]
+        tracer = Tracer()
+        assert tracer.sample == DEFAULT_SAMPLE_RATE
+        traced_dsms(tracer, stream).run()
+        for name in ("executor.run.start", "executor.run.end",
+                     "executor.flush"):
+            assert len(tracer.events(name)) == 1, name
+        tracer = Tracer()
+        with traced_dsms(tracer, stream=[]).open_session() as session:
+            for element in stream:
+                session.push("hr", element)
+        assert len(tracer.events("session.open")) == 1
+        assert len(tracer.events("session.close")) == 1
+        # per-element spans stay head-sampled
+        assert 0 < len(tracer.events("session.push")) \
+            == tracer.sampled_traces < len(stream) // 8
+
     def test_default_sink_is_silent_null(self):
-        dsms = DSMS()
-        assert isinstance(dsms.observability.tracer, NullTraceSink)
-        assert not dsms.observability.tracer.enabled
-        # span() on a disabled sink must not build or emit anything
-        dsms.observability.tracer.span("anything", x=1)
+        """Tracing off is ``None``, not a null object."""
+        assert DSMS().observability.tracer is None
+
+    def test_hub_rejects_a_tracer_that_is_not_a_tracer(self, tmp_path):
+        with pytest.raises(TypeError):
+            Observability(tracer=object())
+        with JsonlTraceSink(str(tmp_path / "t.jsonl")) as sink:
+            with pytest.raises(TypeError, match="Tracer"):
+                Observability(tracer=sink)
 
 
 class TestRingBufferTraceSink:
+    """The tracer's own ring: every kept span, flat or causal."""
+
     def test_bounded(self):
-        sink = RingBufferTraceSink(capacity=3)
+        sink = Tracer(recorder_capacity=3)
         for i in range(10):
             sink.span("tick", i=i)
         assert len(sink) == 3
@@ -82,7 +112,7 @@ class TestRingBufferTraceSink:
         assert len(sink) == 0
 
     def test_filter_by_name(self):
-        sink = RingBufferTraceSink()
+        sink = Tracer()
         sink.span("a")
         sink.span("b")
         sink.span("a")
@@ -91,14 +121,28 @@ class TestRingBufferTraceSink:
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            RingBufferTraceSink(capacity=0)
+            Tracer(recorder_capacity=0)
+
+    def test_flat_and_causal_events_share_one_ring_in_order(self):
+        tracer = Tracer(sample=1.0)
+        tracer.span("run.start")
+        tracer.begin("tuple")
+        tracer.op_span("op.process", 1, 10, operator="psi", rows=1)
+        tracer.event("note")
+        tracer.span("run.end")
+        events = tracer.events()
+        assert [e.name for e in events] == [
+            "run.start", "ingest", "op.process", "note", "run.end"]
+        assert [e.trace_id for e in events] == [None, 1, 1, 1, None]
+        monos = [e.mono for e in events]
+        assert monos == sorted(monos)
 
 
 class TestJsonlTraceSink:
     def test_writes_parseable_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlTraceSink(str(path)) as sink:
-            dsms = traced_dsms(sink)
+            dsms = traced_dsms(Tracer(sink, sample=1.0))
             dsms.run()
             assert sink.emitted > 0
         lines = path.read_text().splitlines()
@@ -110,16 +154,16 @@ class TestJsonlTraceSink:
     def test_file_object_target_left_open(self):
         buffer = io.StringIO()
         sink = JsonlTraceSink(buffer)
-        sink.span("x", n=1)
+        Tracer(sink).span("x", n=1)
         sink.close()
         assert not buffer.closed
         assert json.loads(buffer.getvalue())["n"] == 1
 
     def test_events_carry_monotonic_stamps(self):
         buffer = io.StringIO()
-        sink = JsonlTraceSink(buffer)
-        sink.span("a")
-        sink.span("b")
+        tracer = Tracer(JsonlTraceSink(buffer))
+        tracer.span("a")
+        tracer.span("b")
         monos = [json.loads(line)["mono"]
                  for line in buffer.getvalue().splitlines()]
         assert all(isinstance(m, int) for m in monos)
@@ -128,9 +172,10 @@ class TestJsonlTraceSink:
     def test_max_bytes_rotation(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = JsonlTraceSink(str(path), max_bytes=400)
+        tracer = Tracer(sink)
         for i in range(100):
-            sink.span("tick", i=i)
-        sink.close()
+            tracer.span("tick", i=i)
+        tracer.close()
         assert sink.rotations >= 1
         rotated = tmp_path / "trace.jsonl.1"
         assert rotated.exists()
@@ -147,23 +192,24 @@ class TestJsonlTraceSink:
     def test_rotation_never_touches_caller_owned_files(self):
         buffer = io.StringIO()
         sink = JsonlTraceSink(buffer, max_bytes=10)
+        tracer = Tracer(sink)
         for i in range(20):
-            sink.span("tick", i=i)
+            tracer.span("tick", i=i)
         assert sink.rotations == 0
         assert len(buffer.getvalue().splitlines()) == 20
 
     def test_closed_sink_reads_as_disabled(self, tmp_path):
-        from repro.observability.provenance import Tracer
-
-        sink = JsonlTraceSink(str(tmp_path / "trace.jsonl"))
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlTraceSink(str(path))
         tracer = Tracer(sink, sample=1.0)
         tracer.begin("tuple")
         sink.close()
-        assert not sink.enabled
+        assert sink.closed
         # late emitters (e.g. a shutdown health alert) skip the sink
         tracer.event("health.alert", keep=True, rule="stall")
         (span,) = tracer.events("health.alert")
         assert span.attrs["rule"] == "stall"
+        assert sink.emitted == 1 == len(path.read_text().splitlines())
 
     def test_rejects_nonpositive_max_bytes(self):
         with pytest.raises(ValueError):
@@ -173,7 +219,7 @@ class TestJsonlTraceSink:
         path = tmp_path / "trace.jsonl"
         with pytest.raises(RuntimeError):
             with JsonlTraceSink(str(path)) as sink:
-                sink.span("before.crash", n=1)
+                Tracer(sink).span("before.crash", n=1)
                 raise RuntimeError("traced run crashed")
         # __exit__ closed (hence flushed) the file despite the error
         record = json.loads(path.read_text().splitlines()[0])
