@@ -9,6 +9,11 @@ roles of its own policy, visiting only policy-wise compatible segments
 and — thanks to the skipping rule — visiting each at most once no
 matter how many roles the policies share.
 
+Beyond the paper: both windows are keyed on the join attribute
+(:mod:`repro.stream.window`), so a probe meets only the equal-key bucket
+of each compatible segment, and never reaches the SPIndex when no live
+opposite tuple carries its value.  The hash only picks candidates.
+
 Policy collection and invalidation are identical to the nested-loop
 SAJoin and inherited from :class:`~repro.operators.join.SAJoinBase`.
 """
@@ -28,6 +33,8 @@ __all__ = ["IndexSAJoin"]
 
 class IndexSAJoin(SAJoinBase):
     """SAJoin with per-window SPIndexes for compatible-policy lookup."""
+
+    keyed_windows = True
 
     def __init__(self, left_on: str, right_on: str, window: float, *,
                  universe: RoleUniverse | None = None,
@@ -54,7 +61,9 @@ class IndexSAJoin(SAJoinBase):
 
         The skipped/scanned ratio per side is the Lemma 5.1
         skipping-rule hit rate; callbacks read the index counters at
-        collection time, so probing pays nothing extra.
+        collection time, so probing pays nothing extra.  They (and
+        ``join.skip`` records) see only probes that reach the index: a
+        tuple with no live equal-key partner returns before it.
         """
         super().bind_metrics(instruments)
         for side, index in zip(("left", "right"), self.indexes):
@@ -69,32 +78,38 @@ class IndexSAJoin(SAJoinBase):
     def _probe(self, item: DataTuple, policy: TuplePolicy,
                port: int) -> list[StreamElement]:
         out: list[StreamElement] = []
+        value = item.values.get(self.on[port])
+        try:
+            if not self.windows[1 - port].may_hold(value):
+                return out  # no equal-key partner is live: skip the index
+        except TypeError:
+            pass  # unhashable join value: every segment is scanned
         index = self.indexes[1 - port]
         skipped_before = index.entries_skipped
         seen: set[int] | None = None if self.skipping else set()
         for segment in index.probe(policy.roles.names()):
+            candidates = segment.candidates(value)
             if seen is not None:
                 # Ablation mode (skipping rule off): the index yields a
                 # segment once per common role; suppress duplicate
-                # *output* while still paying the duplicate scan cost.
+                # *output* while still paying the duplicate visit cost.
                 if id(segment) in seen:
-                    for other in segment.tuples:
-                        self.stats.comparisons += 1  # wasted re-scan
+                    self.stats.comparisons += len(candidates)  # wasted
                     continue
                 seen.add(id(segment))
             if segment.uniform:
-                if not segment.tuples:
+                if not candidates:
                     continue
                 seg_policy = segment.policy_for(segment.tuples[0])
                 if not seg_policy.roles.intersects(policy.roles):
                     continue  # superset index roles: false positive
-                for other in segment.tuples:
+                for other in candidates:
                     self.pairs_checked += 1
                     self.stats.comparisons += 1
                     if self._match(item, other, port):
                         self._emit(item, other, policy, seg_policy, port, out)
             else:
-                for other in segment.tuples:
+                for other in candidates:
                     other_policy = segment.policy_for(other)
                     self.stats.comparisons += 1
                     if not other_policy.roles.intersects(policy.roles):
@@ -115,8 +130,3 @@ class IndexSAJoin(SAJoinBase):
                 skipped=skipped,
             )
         return out
-
-    def _match(self, item: DataTuple, other: DataTuple, port: int) -> bool:
-        if port == 0:
-            return self._values_match(item, other)
-        return self._values_match(other, item)

@@ -65,6 +65,9 @@ def segment_index_roles(segment: Segment) -> frozenset[str]:
 class SAJoinBase(BinaryOperator):
     """Shared machinery of the nested-loop and index SAJoins."""
 
+    #: Key the windows on the join attribute (index variant only).
+    keyed_windows = False
+
     def __init__(self, left_on: str, right_on: str, window: float, *,
                  left_sid: str = "left", right_sid: str = "right",
                  output_sid: str = "joined",
@@ -74,8 +77,9 @@ class SAJoinBase(BinaryOperator):
         self.on = (left_on, right_on)
         self.output_sid = output_sid
         self.predicate = predicate
-        self.windows = (PunctuatedWindow(left_sid, window),
-                        PunctuatedWindow(right_sid, window))
+        keys = self.on if self.keyed_windows else (None, None)
+        self.windows = (PunctuatedWindow(left_sid, window, keys[0]),
+                        PunctuatedWindow(right_sid, window, keys[1]))
         self._batches: list[list[SecurityPunctuation]] = [[], []]
         self.emitter = SPEmitter()
         #: Figure 9 cost decomposition, in seconds.
@@ -178,6 +182,11 @@ class SAJoinBase(BinaryOperator):
         raise NotImplementedError
 
     # -- result emission ------------------------------------------------------
+    def _match(self, item: DataTuple, other: DataTuple, port: int) -> bool:
+        if port == 0:
+            return self._values_match(item, other)
+        return self._values_match(other, item)
+
     def _values_match(self, left: DataTuple, right: DataTuple) -> bool:
         if left.values.get(self.on[0]) != right.values.get(self.on[1]):
             return False
@@ -281,8 +290,3 @@ class NestedLoopSAJoin(SAJoinBase):
                             self._emit(item, other, policy, other_policy,
                                        port, out)
         return out
-
-    def _match(self, item: DataTuple, other: DataTuple, port: int) -> bool:
-        if port == 0:
-            return self._values_match(item, other)
-        return self._values_match(other, item)

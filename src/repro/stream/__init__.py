@@ -11,14 +11,13 @@ from repro.stream.source import (CallbackSource, ListSource, StreamSource,
                                  merge_sources)
 from repro.stream.stream import Stream
 from repro.stream.tuples import DataTuple
-from repro.stream.window import (CountPunctuatedWindow, PunctuatedWindow,
-                                 Segment, policy_is_uniform)
+from repro.stream.window import (PunctuatedWindow, Segment,
+                                 policy_is_uniform)
 from repro.stream.wire import (decode_element, dump_stream, encode_element,
                                load_stream)
 
 __all__ = [
     "CallbackSource",
-    "CountPunctuatedWindow",
     "DataTuple",
     "TupleBatch",
     "decode_element",

@@ -21,12 +21,19 @@ discriminate between tuples (wildcard tuple-id/attribute DDPs — the
 common case) shares a single resolved :class:`TuplePolicy` across all
 its tuples, which is precisely the memory advantage of the sp model
 over tuple-embedded policies.
+
+A window given a join attribute (``key=``; the index SAJoin's two) is
+*keyed*: each segment also files its tuples under their join value
+(:attr:`Segment.buckets`) and the window counts live tuples per value
+(:attr:`PunctuatedWindow.live_keys`), both maintained in ``insert`` and
+``invalidate``, so an equijoin probe looks candidates up, not scans.
+An unhashable join value un-keys its segment: that one is scanned.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
                                TuplePolicy, has_attribute_scope)
@@ -34,8 +41,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.errors import StreamError
 from repro.stream.tuples import DataTuple
 
-__all__ = ["Segment", "PunctuatedWindow", "CountPunctuatedWindow",
-           "policy_is_uniform"]
+__all__ = ["Segment", "PunctuatedWindow", "policy_is_uniform"]
 
 
 def policy_is_uniform(policy: AccessPolicy | None, stream_id: str) -> bool:
@@ -62,15 +68,18 @@ def policy_is_uniform(policy: AccessPolicy | None, stream_id: str) -> bool:
 class Segment:
     """One s-punctuated segment: an sp-batch and the tuples it covers."""
 
-    __slots__ = ("access", "sps", "tuples", "_uniform", "_shared",
-                 "_cache", "stream_id")
+    __slots__ = ("access", "sps", "tuples", "buckets", "_uniform",
+                 "_shared", "_cache", "stream_id")
 
     def __init__(self, stream_id: str, access: AccessPolicy | None,
-                 sps: Iterable[SecurityPunctuation] = ()):
+                 sps: Iterable[SecurityPunctuation] = (), keyed: bool = False):
         self.stream_id = stream_id
         self.access = access
         self.sps: list[SecurityPunctuation] = list(sps)
         self.tuples: deque[DataTuple] = deque()
+        #: Join value → its tuples in insertion order (lists: a tenth of
+        #: a deque's footprint, and buckets are short); ``None``: scan.
+        self.buckets: dict | None = {} if keyed else None
         self._uniform = policy_is_uniform(access, stream_id)
         #: Per-sid shared resolution (uniform segments).
         self._shared: dict[str, TuplePolicy] = {}
@@ -110,6 +119,16 @@ class Segment:
             self._cache[key] = cached
         return cached
 
+    def candidates(self, value: object) -> Sequence[DataTuple]:
+        """Tuples that may carry join value ``value``, oldest first: its
+        bucket, or every tuple (unkeyed segment, unhashable value)."""
+        if self.buckets is not None:
+            try:
+                return self.buckets.get(value, ())
+            except TypeError:
+                pass
+        return self.tuples
+
     def __len__(self) -> int:
         return len(self.tuples)
 
@@ -121,11 +140,18 @@ class Segment:
 class PunctuatedWindow:
     """Time-based sliding window over a punctuated stream."""
 
-    def __init__(self, stream_id: str, extent: float):
+    def __init__(self, stream_id: str, extent: float,
+                 key: str | None = None):
         if extent <= 0:
             raise StreamError("window extent must be positive")
         self.stream_id = stream_id
         self.extent = extent
+        #: Join attribute the segments are keyed by (``None``: unkeyed).
+        self.key = key
+        #: Join value → number of live tuples in keyed segments.
+        self.live_keys: dict[object, int] = {}
+        #: Live segments without buckets (all, in an unkeyed window).
+        self._unkeyed = 0
         self._segments: deque[Segment] = deque()
         #: Running counters used by the cost accounting of Section VI.A.
         self.tuples_inserted = 0
@@ -137,8 +163,9 @@ class PunctuatedWindow:
     def open_segment(self, access: AccessPolicy | None,
                      sps: Iterable[SecurityPunctuation] = ()) -> Segment:
         """Start a new s-punctuated segment for an arriving sp-batch."""
-        segment = Segment(self.stream_id, access, sps)
+        segment = Segment(self.stream_id, access, sps, self.key is not None)
         self.sps_inserted += len(segment.sps)
+        self._unkeyed += segment.buckets is None
         self._segments.append(segment)
         return segment
 
@@ -149,9 +176,34 @@ class PunctuatedWindow:
         denial-by-default segment (no sp ⇒ nobody has access).
         """
         if not self._segments:
-            self._segments.append(Segment(self.stream_id, None))
-        self._segments[-1].tuples.append(item)
+            self.open_segment(None)
+        segment = self._segments[-1]
+        segment.tuples.append(item)
         self.tuples_inserted += 1
+        buckets = segment.buckets
+        if buckets is not None:
+            value = item.values.get(self.key)
+            try:
+                buckets.setdefault(value, []).append(item)
+            except TypeError:  # no hash: stop keying this segment
+                for held, bucket in buckets.items():
+                    self._forget(held, len(bucket))
+                segment.buckets = None
+                self._unkeyed += 1
+            else:
+                self.live_keys[value] = self.live_keys.get(value, 0) + 1
+
+    def _forget(self, value: object, count: int = 1) -> None:
+        left = self.live_keys[value] - count
+        if left:
+            self.live_keys[value] = left
+        else:
+            del self.live_keys[value]
+
+    def may_hold(self, value: object) -> bool:
+        """Whether a live tuple may carry join value ``value`` (``False``
+        is exact).  Raises ``TypeError`` for an unhashable value."""
+        return value in self.live_keys or self._unkeyed > 0
 
     # -- invalidation ------------------------------------------------------
     def invalidate(self, now: float) -> tuple[int, list[Segment]]:
@@ -169,13 +221,24 @@ class PunctuatedWindow:
         purged_segments: list[Segment] = []
         while self._segments:
             segment = self._segments[0]
+            buckets = segment.buckets
             while segment.tuples and segment.tuples[0].ts <= horizon:
-                segment.tuples.popleft()
+                item = segment.tuples.popleft()
                 expired += 1
+                if buckets is not None:
+                    # The oldest tuple of the segment heads its bucket.
+                    value = item.values.get(self.key)
+                    bucket = buckets[value]
+                    if len(bucket) == 1:
+                        del buckets[value]
+                    else:
+                        del bucket[0]
+                    self._forget(value)
             if not segment.tuples and len(self._segments) > 1:
                 purged_segments.append(segment)
                 self.sps_purged += len(segment.sps)
                 self._segments.popleft()
+                self._unkeyed -= buckets is None
             else:
                 break
         self.tuples_expired += expired
@@ -209,39 +272,3 @@ class PunctuatedWindow:
         return (f"PunctuatedWindow({self.stream_id!r}, extent={self.extent}, "
                 f"segments={len(self._segments)}, "
                 f"tuples={self.tuple_count()})")
-
-
-class CountPunctuatedWindow(PunctuatedWindow):
-    """Count-based sliding window: keeps the last ``count`` tuples.
-
-    Shares the segment/policy machinery of the time-based window;
-    eviction happens on insertion instead of by timestamp.  Offered as
-    the standard count-window alternative of stream engines (the
-    paper's experiments use time-based windows throughout).
-    """
-
-    def __init__(self, stream_id: str, count: int):
-        if count <= 0:
-            raise StreamError("window count must be positive")
-        # The time-based machinery is reused; extent is irrelevant.
-        super().__init__(stream_id, float("inf"))
-        self.count = count
-
-    def insert(self, item: DataTuple) -> list[Segment]:
-        """Insert and evict; returns segments purged by the eviction."""
-        super().insert(item)
-        purged: list[Segment] = []
-        while self.tuple_count() > self.count:
-            head = self._segments[0]
-            if head.tuples:
-                head.tuples.popleft()
-                self.tuples_expired += 1
-            if not head.tuples and len(self._segments) > 1:
-                purged.append(head)
-                self.sps_purged += len(head.sps)
-                self._segments.popleft()
-        return purged
-
-    def invalidate(self, now: float) -> tuple[int, list[Segment]]:
-        """Count windows do not expire by time; nothing to do."""
-        return 0, []

@@ -124,14 +124,27 @@ class TestFig9:
         for row in rows:
             by_sigma.setdefault(row["sigma_sp"], {})[row["variant"]] = row
         for sigma, variants in by_sigma.items():
-            index_total = variants["index"]["total_ms"]
-            nl_total = variants["nested-loop"]["total_ms"]
-            if sigma >= 1.0:
-                # The paper's own margin at σ_sp = 1 is only 2%; allow
-                # timing noise of the same order on loaded machines.
-                assert index_total < nl_total * 1.10, sigma
+            assert (variants["index"]["total_ms"]
+                    < variants["nested-loop"]["total_ms"]), sigma
+
+    def test_value_comparisons_are_exact(self, rows):
+        """The figure's shape in counts, which need no clock: the keyed
+        index compares a value only with an equal-key candidate (every
+        comparison of a pure equijoin is a hit, none at σ_sp = 0), the
+        nested loop compares with the whole opposite window whatever
+        the policies say."""
+        for row in rows:
+            if row["variant"] == "index":
+                assert row["pairs_checked"] == row["results"], row
             else:
-                assert index_total < nl_total, sigma
+                assert row["pairs_checked"] == 184_776, row
+        zero = next(r for r in rows
+                    if r["variant"] == "index" and r["sigma_sp"] == 0.0)
+        assert zero["pairs_checked"] == 0
+
+    def test_default_size_nested_loop_scan_is_unchanged(self):
+        rows = fig9.experiment_fig9(selectivities=(0.5,))
+        assert [r["pairs_checked"] for r in rows] == [957_690, 1_631]
 
     def test_join_gap_largest_at_sigma_zero(self, rows):
         by = {(r["sigma_sp"], r["variant"]): r for r in rows}
