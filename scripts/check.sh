@@ -56,5 +56,12 @@ if grep -rnE "NullTraceSink|RingBufferTraceSink|FlightRecorder|_causal\b|isinsta
     exit 1
 fi
 
+echo "== one kernel (no operator batch path calls a Condition per tuple) =="
+if grep -nE "for \w+ in .* if (self\.)?condition[(]" -r src/repro/operators; then
+    echo "a run is filtered by Condition.filter;" \
+         "see docs/PERFORMANCE.md, What a segment costs a query" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

@@ -142,6 +142,8 @@ def combine_batch(
     enumerable are passed through unchanged.  Input order of distinct
     (ddp, sign) groups is preserved.
     """
+    if len(sps) == 1:
+        return list(sps)  # nothing to merge with
     merged: dict[tuple, list[SecurityPunctuation]] = {}
     order: list[tuple] = []
     passthrough: list[SecurityPunctuation] = []

@@ -29,10 +29,14 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.patterns import ANY, Pattern, one_of, parse_pattern
+from repro.core.patterns import (ANY, CompositePattern, LiteralPattern,
+                                 Pattern, SetPattern, one_of, parse_pattern)
 from repro.errors import PunctuationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.policy import TuplePolicy
 
 __all__ = [
     "Sign",
@@ -194,10 +198,8 @@ class SecurityRestriction:
         if not roles:
             raise PunctuationError("SRP requires at least one role")
         srp = cls(roles=one_of(roles), model_type=model_type)
-        # The roles are known here; memoize so the hot path never
-        # re-enumerates the pattern.
-        object.__setattr__(srp, "_concrete_cache",
-                           frozenset(str(r) for r in roles))
+        # Known here: seed the memo ``concrete_roles`` would fill.
+        object.__setattr__(srp, "_concrete_cache", frozenset(map(str, roles)))
         return srp
 
     @classmethod
@@ -209,12 +211,14 @@ class SecurityRestriction:
 
         Literal / set / union-of-those patterns enumerate their roles;
         wildcards, ranges and regexes require resolution against a role
-        universe (see :meth:`resolve`).
+        universe (see :meth:`resolve`).  Memoized per instance.
         """
-        cached = getattr(self, "_concrete_cache", None)
-        if cached is not None:
-            return cached
-        return _enumerate_pattern(self.roles)
+        try:
+            return self._concrete_cache
+        except AttributeError:
+            concrete = _enumerate_pattern(self.roles)
+            object.__setattr__(self, "_concrete_cache", concrete)
+            return concrete
 
     def resolve(self, all_roles: Iterable[str]) -> frozenset[str]:
         """``eval(R, er)``: the authorized subset of ``all_roles``."""
@@ -229,11 +233,12 @@ class SecurityRestriction:
     def spec(self) -> str:
         return self.roles.spec()
 
+    def __reduce__(self):
+        # Fields only: the memo is rebuilt on first use, not shipped.
+        return (SecurityRestriction, (self.roles, self.model_type))
+
 
 def _enumerate_pattern(pattern: Pattern) -> frozenset[str] | None:
-    from repro.core.patterns import (CompositePattern, LiteralPattern,
-                                     SetPattern)
-
     if isinstance(pattern, LiteralPattern):
         return frozenset({str(pattern.value)})
     if isinstance(pattern, SetPattern):
@@ -373,6 +378,39 @@ class SecurityPunctuation:
             )
         object.__setattr__(self, "_roles_cache", concrete)
         return concrete
+
+    def segment_policy(self) -> "TuplePolicy | None":
+        """Resolved policy of a segment this sp *alone* governs, else ``None``.
+
+        Not ``None`` only for a positive, non-incremental sp with a fully
+        wildcard DDP and enumerable roles: it resolves identically for
+        every tuple, tracker and role universe, so one immutable policy
+        over the frozenset :meth:`roles` caches serves every reader.
+        Memoized like :meth:`roles` (only this method writes the memo);
+        it says nothing about a batch of several sps.
+        """
+        try:
+            return self._policy_cache
+        except AttributeError:
+            pass
+        policy = None
+        ddp = self.ddp
+        if (self.sign is Sign.POSITIVE and not self.incremental
+                and ddp.stream.is_wildcard() and ddp.tuple_id.is_wildcard()
+                and ddp.attribute.is_wildcard()
+                and self.srp.concrete_roles() is not None):
+            from repro.core.policy import TuplePolicy
+
+            policy = TuplePolicy(self.roles(), ts=self.ts)
+        object.__setattr__(self, "_policy_cache", policy)
+        return policy
+
+    def __reduce__(self):
+        # Fields only, ``sp_id`` included: the four memos (roles, text,
+        # wire line, segment policy) are rebuilt on use, not shipped.
+        return (SecurityPunctuation, (
+            self.ddp, self.srp, self.ts, self.sign, self.immutable,
+            self.provider, self.incremental, self.sp_id))
 
     # -- text round trip --------------------------------------------------
     def to_text(self) -> str:

@@ -157,10 +157,11 @@ class StreamingSession:
 
     # -- result delivery ----------------------------------------------------
     def _collect_new(self) -> dict[str, list[StreamElement]]:
-        out: dict[str, list[StreamElement]] = {}
-        for name in self._sinks:
-            out[name] = self._drain(name)
-        return out
+        # Only a sink that grew is drained; each query gets a fresh list.
+        consumed = self._consumed
+        return {name: (self._drain(name)
+                       if len(sink.elements) != consumed[name] else [])
+                for name, sink in self._sinks.items()}
 
     def _drain(self, name: str) -> list[StreamElement]:
         sink = self._sinks[name]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.observability.metrics import MetricsRegistry
 
@@ -222,6 +221,9 @@ class MetricsServer:
 
     def __init__(self, registry: MetricsRegistry,
                  host: str = "127.0.0.1", port: int = 0):
+        # Lazy: only ``repro metrics --serve`` needs the HTTP stack.
+        from http.server import ThreadingHTTPServer
+
         self.registry = registry
         handler = self._make_handler(registry)
         self._httpd = ThreadingHTTPServer((host, port), handler)
@@ -229,6 +231,8 @@ class MetricsServer:
 
     @staticmethod
     def _make_handler(registry: MetricsRegistry):
+        from http.server import BaseHTTPRequestHandler
+
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 - http.server API
                 if self.path.split("?")[0] == "/metrics":

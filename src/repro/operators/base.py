@@ -117,12 +117,13 @@ class Operator:
         stats.ewma_seconds += EWMA_ALPHA * (elapsed - stats.ewma_seconds)
         if self._m_latency is not None:
             self._m_latency.observe(elapsed)
-        if isinstance(element, SecurityPunctuation):
+        # Exact type: no sp subclass exists; all else counts as a tuple.
+        if type(element) is SecurityPunctuation:
             stats.sps_in += 1
         else:
             stats.tuples_in += 1
         for item in out:
-            if isinstance(item, SecurityPunctuation):
+            if type(item) is SecurityPunctuation:
                 stats.sps_out += 1
             else:
                 stats.tuples_out += 1
@@ -154,7 +155,7 @@ class Operator:
         out = self._process_batch(batch, port)
         elapsed = time.perf_counter() - start
         stats.processing_time += elapsed
-        n = len(batch)
+        n = len(batch.tuples)
         if n:
             # Per-element EWMA, updated once with the run's mean cost.
             stats.ewma_seconds += EWMA_ALPHA * (elapsed / n
@@ -166,9 +167,9 @@ class Operator:
                 self._m_latency.observe(elapsed / n)
         stats.tuples_in += n
         for item in out:
-            if isinstance(item, TupleBatch):
-                stats.tuples_out += len(item)
-            elif isinstance(item, SecurityPunctuation):
+            if type(item) is TupleBatch:
+                stats.tuples_out += len(item.tuples)
+            elif type(item) is SecurityPunctuation:
                 stats.sps_out += 1
             else:
                 stats.tuples_out += 1
@@ -300,7 +301,10 @@ class PolicyTracker:
         batch = self._batch
         if not batch:
             return
-        if any(sp.incremental for sp in batch):
+        # A lone sp that resolves by itself (a plain grant) brings the
+        # policy every tracker reading the object shares; it is absolute.
+        shared = batch[0].segment_policy() if len(batch) == 1 else None
+        if shared is None and any(sp.incremental for sp in batch):
             if not all(sp.incremental for sp in batch):
                 raise PolicyError(
                     "an sp-batch must not mix incremental and "
@@ -325,8 +329,11 @@ class PolicyTracker:
         self._current_ts = ts
         self._current = None
         self._shared = {}
-        self._shared_any = None
+        self._shared_any = shared
         self._cache = {}
+        if shared is not None:
+            self._uniform = True
+            return
         # Sid-independent fast path: a batch of positive sps with fully
         # wildcard DDPs resolves identically for every tuple.
         fast = True
@@ -339,12 +346,9 @@ class PolicyTracker:
                 break
         if fast:
             self._uniform = True
-            if len(batch) == 1:
-                roles: frozenset[str] | set[str] = batch[0].roles()
-            else:
-                roles = set()
-                for sp in batch:
-                    roles |= sp.roles()
+            roles: set[str] = set()
+            for sp in batch:
+                roles |= sp.roles()
             self._shared_any = TuplePolicy(RoleSet(roles), ts=ts)
         else:
             self._materialize()

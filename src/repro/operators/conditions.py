@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import PlanError, UdfDeclarationWarning
 from repro.stream.tuples import DataTuple
@@ -39,6 +39,17 @@ class Condition:
 
     def __call__(self, item: DataTuple) -> bool:
         raise NotImplementedError
+
+    def filter(self, tuples: Sequence[DataTuple]) -> list[DataTuple]:
+        """The tuples of one run that satisfy the condition, in order.
+
+        Always equal to ``[t for t in tuples if self(t)]``, the default:
+        one call per tuple in run order, so a raising or side-effecting
+        part aborts the run at the same tuple after the same calls.  An
+        override returns a new list, leaves the run alone, and may
+        evaluate another way (inline, a tuple twice) only if pure.
+        """
+        return [item for item in tuples if self(item)]
 
     def attributes(self) -> frozenset[str]:
         """Attributes the condition reads (for commuting with project)."""
@@ -94,6 +105,25 @@ class Comparison(Condition):
         except TypeError:
             return False
 
+    def filter(self, tuples: Sequence[DataTuple]) -> list[DataTuple]:
+        """Run kernel: one comprehension, no frame per tuple.  On a
+        ``TypeError`` (incomparable values in the run) the run is redone
+        through the pure ``__call__``: at most two compares per tuple."""
+        attribute, fn, value = self.attribute, self._fn, self.value
+        try:
+            if self.rhs_attribute:
+                return [item for item in tuples
+                        if (left := item.values.get(attribute)) is not None
+                        and (right := item.values.get(value)) is not None
+                        and fn(left, right)]
+            if value is None:
+                return []
+            return [item for item in tuples
+                    if (left := item.values.get(attribute)) is not None
+                    and fn(left, value)]
+        except TypeError:
+            return super().filter(tuples)
+
     def attributes(self) -> frozenset[str]:
         if self.rhs_attribute:
             return frozenset({self.attribute, str(self.value)})
@@ -112,9 +142,20 @@ class And(Condition):
             else:
                 flat.append(part)
         self.parts = tuple(flat)
+        #: Every part pure by construction (exact types: a subclass may
+        #: override ``__call__``): filter part by part, not tuple by tuple.
+        self._pure = bool(flat) and all(
+            type(part) in (Comparison, TrueCondition) for part in flat)
 
     def __call__(self, item: DataTuple) -> bool:
         return all(part(item) for part in self.parts)
+
+    def filter(self, tuples: Sequence[DataTuple]) -> list[DataTuple]:
+        if not self._pure:
+            return super().filter(tuples)
+        for part in self.parts:
+            tuples = part.filter(tuples)
+        return tuples
 
     def attributes(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()

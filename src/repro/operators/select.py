@@ -67,12 +67,11 @@ class Select(UnaryOperator):
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        """Batch fast path: filter the whole run in one comprehension."""
+        """Batch fast path: the condition filters the whole run."""
         self._after_tuple = True
         tuples = batch.tuples
-        condition = self.condition
         self.stats.comparisons += len(tuples)
-        passing = [item for item in tuples if condition(item)]
+        passing = self.condition.filter(tuples)
         self.tuples_dropped += len(tuples) - len(passing)
         if not passing:
             return []

@@ -1,5 +1,7 @@
 """Tests for the security punctuation structure (Definition 3.1)."""
 
+import pickle
+
 import pytest
 
 from repro.core.patterns import literal, numeric_range, one_of, parse_pattern
@@ -202,6 +204,69 @@ class TestParseMemo:
                 assert back == sp
                 assert back.to_text() == sp.to_text()
                 assert back.roles() == sp.roles()
+
+
+class TestMemosStayHome:
+    """An sp carries four memos (roles, text, wire line, segment
+    policy).  They are derived, so they are neither shipped nor copied."""
+
+    SPS = [
+        SecurityPunctuation.grant(["C", "D", "N"], ts=1.0, provider="p"),
+        SecurityPunctuation.parse("<*, *, * | {C, D, N} | + | F | 1.0>"),
+        SecurityPunctuation.deny(["E"], ts=2.0, immutable=True),
+        SecurityPunctuation.add_roles(["N"], ts=3.0),
+        SecurityPunctuation.grant("D", ts=4.0, stream=literal("s")),
+    ]
+
+    @pytest.mark.parametrize("sp", SPS, ids=[
+        "grant", "parsed", "deny", "incremental", "scoped"])
+    def test_pickle_ships_the_fields_only(self, sp):
+        from repro.stream.wire import encode_element
+
+        cold = SecurityPunctuation(
+            ddp=sp.ddp, srp=SecurityRestriction(sp.srp.roles), ts=sp.ts,
+            sign=sp.sign, immutable=sp.immutable, provider=sp.provider,
+            incremental=sp.incremental, sp_id=sp.sp_id)
+        size = len(pickle.dumps(cold))
+        for warm in (sp.roles, sp.to_text, sp.segment_policy,
+                     lambda: encode_element(sp)):
+            warm()
+            assert len(pickle.dumps(sp)) == size
+        back = pickle.loads(pickle.dumps(sp))
+        assert back == sp and back.sp_id == sp.sp_id
+        assert not {"_roles_cache", "_text_cache", "_line_cache",
+                    "_policy_cache"} & set(vars(back))
+        assert "_concrete_cache" not in vars(back.srp)
+        assert back.roles() == sp.roles()
+        assert back.segment_policy() == sp.segment_policy()
+
+    def test_segment_policy_is_built_over_the_cached_role_set(self):
+        sp = SecurityPunctuation.grant(
+            [f"role{i}" for i in range(10_000)], ts=1.0)
+        policy = sp.segment_policy()
+        assert policy.roles.names() is sp.roles()  # no second copy
+        assert policy.ts == 1.0
+        assert sp.segment_policy() is policy
+
+    def test_parsed_roles_enumerate_once(self, monkeypatch):
+        from repro.core import punctuation
+
+        calls = []
+        enumerate_pattern = punctuation._enumerate_pattern
+
+        def counting(pattern):
+            calls.append(pattern)
+            return enumerate_pattern(pattern)
+
+        monkeypatch.setattr(punctuation, "_enumerate_pattern", counting)
+        sp = SecurityPunctuation.parse("<*, *, * | C | + | F | 1.0>")
+        assert sp.srp.concrete_roles() == sp.roles() == {"C"}
+        assert sp.segment_policy().roles.names() is sp.roles()
+        assert len(calls) == 1
+        open_ended = SecurityPunctuation.parse("<*, *, * | * | + | F | 1.0>")
+        assert open_ended.srp.concrete_roles() is None
+        assert open_ended.srp.concrete_roles() is None
+        assert len(calls) == 2
 
 
 class TestSPBatch:

@@ -73,6 +73,52 @@ class TestPushPull:
             assert session.push("s", tup(1, 1.0))["q"] == []
 
 
+class TestFanOutCollection:
+    """A push drains only the sinks it reached; what it returns and the
+    order it calls back in do not depend on that."""
+
+    ROLES = ("D", "N", "X")
+    FEED = [grant(["D"], 0.0), tup(1, 1.0), tup(5, 2.0), grant(["N"], 3.0),
+            tup(6, 4.0), grant(["Z"], 5.0), tup(7, 6.0),
+            grant(["D", "X"], 7.0), tup(8, 8.0), tup(0, 9.0)]
+
+    @pytest.mark.parametrize("queries", [1, 4, 32])
+    def test_return_value_and_callback_order(self, queries):
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA)
+        names = [f"q{i}" for i in range(queries)]
+        for i, name in enumerate(names):
+            dsms.register_query(
+                name, ScanExpr("s").select(Comparison("v", ">", i / 8)),
+                roles={self.ROLES[i % 3]})
+        subscribed = names[::2]
+        log = []
+        granted: set = set()
+        with dsms.open_session() as session:
+            for name in subscribed:
+                session.subscribe(
+                    name, lambda e, name=name: log.append((name, e)))
+            for element in self.FEED:
+                seen = len(log)
+                out = session.push("s", element)
+                assert list(out) == names
+                # Every name has its own fresh list, delivered or not.
+                assert len({id(new) for new in out.values()}) == queries
+                assert log[seen:] == [(name, e) for name in subscribed
+                                      for e in out[name]]
+                if isinstance(element, SecurityPunctuation):
+                    granted = element.roles()
+                    assert not any(out.values())
+                    continue
+                for i, name in enumerate(names):
+                    expected = ([element.tid]
+                                if self.ROLES[i % 3] in granted
+                                and element.tid > i / 8 else [])
+                    assert [e.tid for e in out[name]
+                            if isinstance(e, DataTuple)] == expected
+            assert session.close() == {name: [] for name in names}
+
+
 class TestSubscriptions:
     def test_callback_receives_results(self, dsms):
         got = []

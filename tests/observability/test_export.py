@@ -1,6 +1,9 @@
 """Exposition surfaces: Prometheus text, JSON, scrape endpoint."""
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -197,3 +200,17 @@ class TestScrapeEndpoint:
                 urllib.request.urlopen(
                     server.url.replace("/metrics", "/nope"), timeout=5)
             assert excinfo.value.code == 404
+
+    def test_import_repro_starts_no_http_stack(self):
+        """Only ``MetricsServer`` needs ``http.server`` (and with it
+        ``socketserver``, ``email``, ``ssl``…): a plain import — paid in
+        every process start — must not load it, serving still must
+        (``test_serves_text_and_json``)."""
+        code = ("import sys, repro, repro.observability.export\n"
+                "print([m for m in ('http.server', 'socketserver')"
+                " if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

@@ -1,8 +1,13 @@
 """Tests for the Security Shield operator (Table I: ψ)."""
 
-from repro.core.bitmap import RoleSet
-from repro.core.patterns import numeric_range
+import pytest
+
+from repro.core.analyzer import SPAnalyzer
+from repro.core.bitmap import RoleSet, RoleUniverse
+from repro.core.patterns import literal, numeric_range
 from repro.core.punctuation import SecurityPunctuation
+from repro.errors import PunctuationError
+from repro.operators.base import PolicyTracker
 from repro.operators.shield import SecurityShield
 from repro.stream.tuples import DataTuple
 
@@ -150,3 +155,119 @@ class TestIndexedVsUnindexed:
     def test_state_size(self):
         shield = SecurityShield(["a", "b", "c"])
         assert shield.state_size() == 3
+
+
+# -- one resolution per sp: a shared policy changes no answer ---------------
+
+def parent_style(sp):
+    """A field-by-field copy of ``sp`` that declines to share a policy,
+    so a tracker fed with it resolves the way the trackers did before
+    sps memoised their own segment policy."""
+    copy = SecurityPunctuation(
+        ddp=sp.ddp, srp=sp.srp, ts=sp.ts, sign=sp.sign,
+        immutable=sp.immutable, provider=sp.provider,
+        incremental=sp.incremental)
+    object.__setattr__(copy, "_policy_cache", None)
+    return copy
+
+
+def wide(tid, ts, sid="s1"):
+    return DataTuple(sid, tid, {"v": tid, "w": 0}, ts)
+
+
+OPEN_ENDED = SecurityPunctuation.parse("<*, *, * | * | + | F | 1.0>")
+UNIVERSE = RoleUniverse(["D", "N"])
+
+#: name -> (elements fed in order, {probe tid: (roles, policy ts)}).
+ONE_SP_BATCHES = {
+    "plain grant": (
+        [grant(["D", "N"], 1.0), tup(1, 1.5)], {1: ({"D", "N"}, 1.0)}),
+    "negative": (
+        [SecurityPunctuation.deny("D", 1.0), tup(1, 1.5)],
+        {1: (set(), 1.0)}),
+    "incremental add": (
+        [grant("D", 1.0), tup(1, 1.5),
+         SecurityPunctuation.add_roles("N", 2.0), tup(2, 2.5)],
+        {1: ({"D"}, 1.0), 2: ({"D", "N"}, 2.0)}),
+    "incremental retract": (
+        [grant(["D", "N"], 1.0), tup(1, 1.5),
+         SecurityPunctuation.retract_roles("N", 2.0), tup(2, 2.5)],
+        {1: ({"D", "N"}, 1.0), 2: ({"D"}, 2.0)}),
+    "stream-scoped": (
+        [grant("D", 1.0, stream=literal("s1")), tup(1, 1.5),
+         tup(2, 1.6, sid="s2")],
+        {1: ({"D"}, 1.0), 2: (set(), 1.0)}),
+    "tuple-scoped": (
+        [grant("D", 1.0, tuple_id=numeric_range(0, 5)), tup(3, 1.5),
+         tup(9, 1.6)],
+        {3: ({"D"}, 1.0), 9: (set(), 1.0)}),
+    "attribute-scoped": (
+        [grant("D", 1.0, attribute=literal("v")), tup(1, 1.5),
+         wide(2, 1.6)],
+        {1: ({"D"}, 1.0), 2: (set(), 1.0)}),
+    "open-ended, normalized": (
+        [SPAnalyzer(UNIVERSE)._normalize(OPEN_ENDED), tup(1, 1.5)],
+        {1: ({"D", "N"}, 1.0)}),
+    "immutable": (
+        [grant("D", 1.0, immutable=True), tup(1, 1.5)],
+        {1: ({"D"}, 1.0)}),
+    "older sp after a newer one": (
+        [grant("D", 5.0), tup(1, 5.5), grant("N", 3.0), tup(2, 5.6)],
+        {1: ({"D"}, 5.0), 2: ({"D"}, 5.0)}),
+}
+
+
+class TestOneResolutionPerSp:
+    @pytest.mark.parametrize("name", ONE_SP_BATCHES)
+    def test_tracker_answers_are_the_parents(self, name):
+        elements, expected = ONE_SP_BATCHES[name]
+        tracker, reference = PolicyTracker("s1"), PolicyTracker("s1")
+        for element in elements:
+            if isinstance(element, SecurityPunctuation):
+                tracker.observe_sp(element)
+                reference.observe_sp(parent_style(element))
+                continue
+            policy = tracker.policy_for(element)
+            theirs = reference.policy_for(element)
+            roles, ts = expected[element.tid]
+            assert policy == theirs
+            assert policy.ts == theirs.ts == ts
+            assert policy.roles.names() == theirs.roles.names() == roles
+            assert tracker.is_uniform == reference.is_uniform
+            assert tracker.current_sps() == reference.current_sps()
+            assert tracker.take_pending_sps() == reference.take_pending_sps()
+
+    def test_open_ended_roles_still_need_a_universe(self):
+        tracker = PolicyTracker("s1")
+        tracker.observe_sp(OPEN_ENDED)
+        with pytest.raises(PunctuationError):
+            tracker.policy_for(tup(1, 1.5))
+
+    def test_rebind_mid_segment_re_decides(self):
+        shield = SecurityShield(RoleSet(["C"]), "s1")
+        out = drive(shield, [grant(["D"], 0.0), tup(1, 1.0), tup(2, 2.0)])
+        assert out_tids(out) == []
+        shield.rebind(["D"])
+        assert out_tids(drive(shield, [tup(3, 3.0)])) == [3]
+        shield.rebind(["C"])
+        assert out_tids(drive(shield, [tup(4, 4.0)])) == []
+
+
+class TestSharedSegmentPolicy:
+    def test_only_a_lone_plain_grant_shares_its_policy(self):
+        sp = grant(["D", "N"], 1.0)
+        first, second = PolicyTracker("s1"), PolicyTracker("s2")
+        first.observe_sp(sp)
+        second.observe_sp(sp)
+        assert (first.policy_for(tup(1, 1.5)) is sp.segment_policy()
+                is second.policy_for(tup(2, 1.5, sid="s2")))
+        for name in ("negative", "stream-scoped", "tuple-scoped",
+                     "attribute-scoped"):
+            assert ONE_SP_BATCHES[name][0][0].segment_policy() is None
+        assert OPEN_ENDED.segment_policy() is None
+        assert SecurityPunctuation.add_roles("N", 2.0).segment_policy() is None
+        # Two sps are one policy: neither's own resolution may stand in.
+        both = PolicyTracker("s1")
+        both.observe_sp(sp)
+        both.observe_sp(grant("C", 1.0))
+        assert both.policy_for(tup(1, 1.5)).roles.names() == {"C", "D", "N"}
