@@ -63,5 +63,13 @@ if grep -nE "for \w+ in .* if (self\.)?condition[(]" -r src/repro/operators; the
     exit 1
 fi
 
+echo "== one sp-batch interpreter (only PolicyTracker turns sps into a policy) =="
+if grep -rnE "\b_batches\b|apply_incremental_batch[(]|Policy[(]tuple[(]" src/repro \
+        | grep -vE "^src/repro/operators/base\.py:|:def apply_incremental_batch"; then
+    echo "sp-batch semantics live in operators/base.py::PolicyTracker;" \
+         "see DESIGN.md section 6" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

@@ -25,7 +25,8 @@ from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
                                PolicyIntersection, PolicyUnion, TuplePolicy,
                                apply_incremental_batch, deny_all_sp,
                                has_attribute_scope, override,
-                               policy_from_sps, resolve_tuple_policy,
+                               policy_from_sps, policy_is_uniform,
+                               resolve_tuple_policy,
                                wildcard_policy_roles)
 from repro.core.punctuation import (DataDescription, Granularity,
                                     SecurityPunctuation, SecurityRestriction,
@@ -60,6 +61,7 @@ __all__ = [
     "override",
     "parse_pattern",
     "policy_from_sps",
+    "policy_is_uniform",
     "regex",
     "resolve_tuple_policy",
     "sp_for_roles",

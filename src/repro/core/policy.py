@@ -51,6 +51,7 @@ __all__ = [
     "has_attribute_scope",
     "override",
     "policy_from_sps",
+    "policy_is_uniform",
     "resolve_tuple_policy",
     "wildcard_policy_roles",
     "EMPTY_POLICY",
@@ -365,6 +366,27 @@ def has_attribute_scope(policy: AccessPolicy | None) -> bool:
     if parts is not None:
         return any(has_attribute_scope(part) for part in parts)
     return True  # unknown policy type: be conservative
+
+
+def policy_is_uniform(policy: AccessPolicy | None) -> bool:
+    """Whether ``policy`` resolves identically for every tuple of a stream.
+
+    True when every sp of the (leaf) policy has wildcard tuple-id and
+    attribute patterns, so the authorized role set cannot depend on
+    which tuple is asked about.  Composite policies are uniform when
+    all their parts are.
+    """
+    if policy is None:
+        return True
+    if isinstance(policy, Policy):
+        return all(
+            sp.ddp.tuple_id.is_wildcard() and sp.ddp.attribute.is_wildcard()
+            for sp in policy.sps
+        )
+    parts = getattr(policy, "parts", None)
+    if parts is not None:
+        return all(policy_is_uniform(part) for part in parts)
+    return False
 
 
 def resolve_tuple_policy(policy: AccessPolicy, item) -> TuplePolicy:

@@ -11,9 +11,10 @@ coordinator all read it; no trace span repeats it.
 
 Event kinds currently recorded:
 
-``shield.segment``
-    A Security Shield evaluated a newly finalized sp-batch against its
-    predicate; the verdict governs every tuple of the segment.
+``shield.segment`` / ``filter.segment``
+    A Security Shield (an access filter is one, under the ``filter.*``
+    kinds) evaluated a newly finalized sp-batch against its predicate;
+    the verdict governs every tuple of the segment.
 ``shield.drop``
     A shield (including the per-query delivery shield) discarded one
     tuple.  Exactly one event per denied tuple per shield.

@@ -7,7 +7,7 @@ list of elements it emits.  Operators are synchronous, deterministic
 and single-output, which the executor and the plan-equivalence tests
 rely on.
 
-Two reusable pieces live here:
+Three reusable pieces live here:
 
 * :class:`OperatorStats` — per-operator counters and accumulated
   processing time, feeding both the experiment harness and the
@@ -26,15 +26,14 @@ from __future__ import annotations
 import time
 
 from repro.core.bitmap import RoleSet
-from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
-                               TuplePolicy, apply_incremental_batch,
-                               has_attribute_scope, wildcard_policy_roles)
+from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
+                               apply_incremental_batch, has_attribute_scope,
+                               policy_is_uniform, wildcard_policy_roles)
 from repro.core.punctuation import SecurityPunctuation, Sign
 from repro.errors import PlanError, PolicyError
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
-from repro.stream.window import policy_is_uniform
 
 __all__ = ["OperatorStats", "Operator", "UnaryOperator", "BinaryOperator",
            "PolicyTracker", "SPEmitter"]
@@ -250,33 +249,36 @@ class BinaryOperator(Operator):
 
 
 class PolicyTracker:
-    """Interprets the sp sub-stream of one input.
+    """The one interpreter of an input's sp sub-stream (Section III.E).
 
     Maintains the *current* access policy as sps arrive:
 
     * consecutive sps with equal timestamps and no intervening tuple
       form an sp-batch and are interpreted as a single policy
-      (union semantics);
-    * a batch with a newer timestamp overrides the previous policy;
+      (union semantics); an all-incremental batch edits the policy in
+      force and is replaced by its absolute equivalent;
+    * a batch with a newer timestamp overrides the previous policy, an
+      older (stale) one is discarded whole;
     * tuples arriving before any sp fall under denial-by-default.
 
     ``policy_for(t)`` resolves the current policy for a concrete tuple,
     sharing one resolved :class:`TuplePolicy` across a whole segment
-    when the policy is uniform (wildcard tuple/attribute DDPs).
+    when the policy is uniform (wildcard tuple/attribute DDPs).  Every
+    sp-aware operator asks a tracker; the stateful ones (join,
+    intersection) store its answers in their windows and open a
+    segment from :meth:`take_pending_sps`.
     """
 
     __slots__ = ("stream_id", "_current", "_current_raw", "_current_ts",
                  "_batch", "_pending", "_uniform", "_shared",
-                 "_shared_any", "_cache", "attribute")
+                 "_shared_any", "_cache")
 
-    def __init__(self, stream_id: str, attribute: str | None = None):
+    def __init__(self, stream_id: str):
         #: Nominal input stream (informational; resolution always uses
         #: each tuple's own ``sid``, so shields placed above derived
         #: operators still match stream-scoped sps correctly).
         self.stream_id = stream_id
-        #: Resolve policies for this attribute (None = whole tuple).
-        self.attribute = attribute
-        self._current: AccessPolicy | None = None
+        self._current: Policy | None = None
         #: Raw sp batch of the current policy, materialized into a
         #: :class:`Policy` lazily (fast path skips construction).
         self._current_raw: tuple[SecurityPunctuation, ...] | None = None
@@ -289,7 +291,7 @@ class PolicyTracker:
         #: Sid-independent resolution (uniform + wildcard streams) —
         #: the hot path for segment-shared policies.
         self._shared_any: TuplePolicy | None = None
-        self._cache: dict[tuple[str, object], TuplePolicy] = {}
+        self._cache: dict[tuple, TuplePolicy] = {}
 
     # -- sp arrival -------------------------------------------------------
     def observe_sp(self, sp: SecurityPunctuation) -> None:
@@ -309,60 +311,47 @@ class PolicyTracker:
                 raise PolicyError(
                     "an sp-batch must not mix incremental and "
                     "absolute sps")
-            current = wildcard_policy_roles(self.current_policy_if_simple())
+            current = wildcard_policy_roles(self._materialized())
             if current is None:
                 raise PolicyError(
                     "incremental sps require a segment-scoped "
                     "(wildcard-DDP) current policy")
             batch = apply_incremental_batch(current, batch)
-            self._batch = batch
         ts = batch[0].ts
+        self._batch = []
         if self._current_ts is not None and ts < self._current_ts:
             # A policy older than the current one never takes over
             # (override() semantics); in an ordered stream this only
             # happens with reordering slack at play.
-            self._batch = []
             return
         self._pending = batch
-        self._batch = []
         self._current_raw = tuple(batch)
         self._current_ts = ts
         self._current = None
         self._shared = {}
         self._shared_any = shared
         self._cache = {}
+        self._uniform = True
         if shared is not None:
-            self._uniform = True
             return
         # Sid-independent fast path: a batch of positive sps with fully
         # wildcard DDPs resolves identically for every tuple.
-        fast = True
         for sp in batch:
             ddp = sp.ddp
             if not (sp.sign is _POSITIVE and ddp.stream.is_wildcard()
                     and ddp.tuple_id.is_wildcard()
                     and ddp.attribute.is_wildcard()):
-                fast = False
-                break
-        if fast:
-            self._uniform = True
-            roles: set[str] = set()
-            for sp in batch:
-                roles |= sp.roles()
-            self._shared_any = TuplePolicy(RoleSet(roles), ts=ts)
-        else:
-            self._materialize()
+                self._uniform = policy_is_uniform(self._materialized())
+                return
+        roles: set[str] = set()
+        for sp in batch:
+            roles |= sp.roles()
+        self._shared_any = TuplePolicy(RoleSet(roles), ts=ts)
 
-    def _materialize(self) -> None:
-        """Build the full :class:`Policy` for the current batch."""
-        assert self._current_raw is not None
-        self._current = Policy(self._current_raw)
-        self._uniform = policy_is_uniform(self._current, self.stream_id)
-
-    def current_policy_if_simple(self) -> AccessPolicy | None:
-        """Current policy without finalizing a pending batch."""
+    def _materialized(self) -> Policy | None:
+        """The current batch as a :class:`Policy` (``None`` before any sp)."""
         if self._current is None and self._current_raw is not None:
-            self._materialize()
+            self._current = Policy(self._current_raw)
         return self._current
 
     def _resolve_shared(self, sid: str) -> TuplePolicy:
@@ -374,16 +363,14 @@ class PolicyTracker:
         """
         current = self._current
         assert current is not None
-        if isinstance(current, Policy) and all(
-                sp.is_positive for sp in current.sps):
+        if all(sp.is_positive for sp in current.sps):
             roles: set[str] = set()
             for sp in current.sps:
                 if sp.ddp.stream.matches(sid):
                     roles |= sp.roles()
             resolved = TuplePolicy(RoleSet(roles), ts=current.ts)
         else:
-            resolved = current.resolve_for_tuple(
-                sid, attribute=self.attribute)
+            resolved = current.resolve_for_tuple(sid)
         self._shared[sid] = resolved
         return resolved
 
@@ -394,46 +381,29 @@ class PolicyTracker:
             self._finalize_batch()
         if self._shared_any is not None:
             return self._shared_any
-        if self._current is None:
-            if self._current_raw is None:
-                return EMPTY_POLICY
-            self._materialize()
+        current = self._current
+        if current is None:
+            # No sp yet (a batch with no shared policy is materialized
+            # when it is finalised): denial-by-default.
+            return EMPTY_POLICY
         if self._uniform:
             shared = self._shared.get(item.sid)
             if shared is None:
                 shared = self._resolve_shared(item.sid)
             return shared
-        current = self._current
-        assert current is not None
-        if self.attribute is not None:
-            key = (item.sid, item.tid)
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = current.resolve_for_tuple(
-                    item.sid, item.tid, self.attribute)
-                self._cache[key] = cached
-            return cached
         if has_attribute_scope(current):
-            key = (item.sid, item.tid, tuple(item.values))
+            key: tuple = (item.sid, item.tid, tuple(item.values))
             cached = self._cache.get(key)
             if cached is None:
-                cached = current.resolve_for_attributes(
+                cached = self._cache[key] = current.resolve_for_attributes(
                     item.sid, item.tid, item.values.keys())
-                self._cache[key] = cached
             return cached
         key = (item.sid, item.tid)
         cached = self._cache.get(key)
         if cached is None:
-            cached = current.resolve_for_tuple(item.sid, item.tid)
-            self._cache[key] = cached
+            cached = self._cache[key] = current.resolve_for_tuple(
+                item.sid, item.tid)
         return cached
-
-    @property
-    def current_policy(self) -> AccessPolicy | None:
-        self._finalize_batch()
-        if self._current is None and self._current_raw is not None:
-            self._materialize()
-        return self._current
 
     @property
     def is_uniform(self) -> bool:
@@ -442,18 +412,16 @@ class PolicyTracker:
         return self._uniform
 
     def take_pending_sps(self) -> list[SecurityPunctuation]:
-        """Sps of the current policy not yet propagated downstream.
+        """Sps of the current policy not yet handed on (at most once).
 
-        Operators that *delay* sp propagation (select — emit sps only
-        once a covered tuple passes) call this at emission time; the
-        pending list is cleared so each sp is propagated at most once.
+        Operators that *delay* sp propagation (select, shield — emit
+        sps only once a covered tuple passes) call this at emission
+        time; windowed operators open a segment from it.  A discarded
+        stale batch never shows up here.
         """
         self._finalize_batch()
         pending, self._pending = self._pending, []
         return pending
-
-    def has_pending_sps(self) -> bool:
-        return bool(self._pending) or bool(self._batch)
 
     def current_sps(self) -> tuple[SecurityPunctuation, ...]:
         """Raw sp-batch of the policy currently in force.

@@ -8,8 +8,11 @@ intersection.
 
 The algorithm has three steps per arriving tuple (Section V.B.1):
 
-1. **Policy collection** — arriving sps are stored in the sliding
-   window, opening a new s-punctuated segment for the upcoming tuples.
+1. **Policy collection** — arriving sps go to the port's
+   :class:`~repro.operators.base.PolicyTracker`, the one interpreter of
+   sp-batches (a stale batch is discarded there, a delta applied
+   there); the batch that took over is stored in the sliding window,
+   opening a new s-punctuated segment, with the first tuple it governs.
 2. **Invalidation** — the new tuple's timestamp expires tuples from the
    head of the *opposite* window; once every tuple of a segment is
    invalidated, its sps are purged too.
@@ -21,8 +24,13 @@ The algorithm has three steps per arriving tuple (Section V.B.1):
      policy-wise compatible segments first, then probe only those
      tuples with the join value.
 
-Cost accounting splits processing into join time, sp maintenance and
-tuple maintenance, which is exactly the decomposition of Figure 9.
+The join interprets no sp itself: a tuple's policy is the one its
+tracker resolved, stored in its segment at insert and read back at
+probe time, so the join and a shield over the same input always agree.
+
+Cost accounting splits processing into join time, sp maintenance (the
+tracker calls, segment opening, SPIndex upkeep) and tuple maintenance,
+which is exactly the decomposition of Figure 9.
 """
 
 from __future__ import annotations
@@ -30,11 +38,10 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.core.policy import (Policy, TuplePolicy, apply_incremental_batch,
-                               wildcard_policy_roles)
+from repro.core.policy import TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
-from repro.errors import PlanError, PolicyError
-from repro.operators.base import BinaryOperator, SPEmitter
+from repro.errors import PlanError
+from repro.operators.base import BinaryOperator, PolicyTracker, SPEmitter
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 from repro.stream.window import PunctuatedWindow, Segment
@@ -51,8 +58,6 @@ def segment_index_roles(segment: Segment) -> frozenset[str]:
     the per-pair policy check then rejects; correctness is never at
     risk and no join partner can be missed.
     """
-    if segment.access is None:
-        return frozenset()
     roles: set[str] = set()
     for sp in segment.sps:
         if sp.is_positive:
@@ -80,7 +85,7 @@ class SAJoinBase(BinaryOperator):
         keys = self.on if self.keyed_windows else (None, None)
         self.windows = (PunctuatedWindow(left_sid, window, keys[0]),
                         PunctuatedWindow(right_sid, window, keys[1]))
-        self._batches: list[list[SecurityPunctuation]] = [[], []]
+        self.trackers = (PolicyTracker(left_sid), PolicyTracker(right_sid))
         self.emitter = SPEmitter()
         #: Figure 9 cost decomposition, in seconds.
         self.join_time = 0.0
@@ -95,37 +100,10 @@ class SAJoinBase(BinaryOperator):
                  port: int) -> list[StreamElement]:
         if isinstance(element, SecurityPunctuation):
             start = time.perf_counter()
-            batch = self._batches[port]
-            if batch and element.ts != batch[0].ts:
-                self._open_segment(port)
-            self._batches[port].append(element)
+            self.trackers[port].observe_sp(element)
             self.sp_maintenance_time += time.perf_counter() - start
             return []
         return self._process_tuple(element, port)
-
-    def _open_segment(self, port: int) -> Segment | None:
-        batch = self._batches[port]
-        if not batch:
-            return None
-        if any(sp.incremental for sp in batch):
-            if not all(sp.incremental for sp in batch):
-                raise PolicyError(
-                    "an sp-batch must not mix incremental and "
-                    "absolute sps")
-            previous = self.windows[port].current_segment()
-            current = wildcard_policy_roles(
-                previous.access if previous is not None else None)
-            if current is None:
-                raise PolicyError(
-                    "incremental sps require a segment-scoped "
-                    "(wildcard-DDP) current policy")
-            batch = apply_incremental_batch(current, batch)
-        policy = Policy(tuple(batch))
-        segment = self.windows[port].open_segment(policy, batch)
-        self._batches[port] = []
-        self.stats.state_ops += len(batch)
-        self._segment_opened(segment, port)
-        return segment
 
     def _segment_opened(self, segment: Segment, port: int) -> None:
         """Hook for the index variant (SPIndex insertion)."""
@@ -136,9 +114,17 @@ class SAJoinBase(BinaryOperator):
     # -- tuple arrival -----------------------------------------------------
     def _process_tuple(self, item: DataTuple, port: int) -> list[StreamElement]:
         opposite = 1 - port
+        window = self.windows[port]
 
+        # Policy collection: the batch that took over opens a segment.
         start = time.perf_counter()
-        self._open_segment(port)
+        tracker = self.trackers[port]
+        policy = tracker.policy_for(item)
+        batch = tracker.take_pending_sps()
+        if batch:
+            segment = window.open_segment(batch, tracker.is_uniform)
+            self.stats.state_ops += len(batch)
+            self._segment_opened(segment, port)
         self.sp_maintenance_time += time.perf_counter() - start
 
         # Invalidation of the opposite window.
@@ -154,14 +140,9 @@ class SAJoinBase(BinaryOperator):
 
         # Insertion into the own window.
         start = time.perf_counter()
-        window = self.windows[port]
-        segment = window.current_segment()
-        window.insert(item)
-        if segment is None:
-            segment = window.current_segment()
-        policy = segment.policy_for(item) if segment is not None else None
+        window.insert(item, policy)
         self.tuple_maintenance_time += time.perf_counter() - start
-        if policy is None or policy.is_empty():
+        if policy.is_empty():
             # Denial-by-default: a tuple nobody may access joins with
             # nothing (any intersection would be empty).
             if self.audit is not None:

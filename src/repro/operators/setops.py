@@ -15,13 +15,17 @@ present in both windows, under the *intersection* of the base tuples'
 policies (empty intersections are suppressed), mirroring the join
 semantics of Table I.  Pair it with duplicate elimination for set
 (rather than bag) semantics.
+
+Both read their inputs' sps through one
+:class:`~repro.operators.base.PolicyTracker` per port and interpret
+none themselves; the intersection's windows store what the trackers
+resolved, as the SAJoin's do.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.policy import Policy, TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PlanError
 from repro.operators.base import (BinaryOperator, PolicyTracker, SPEmitter)
@@ -84,37 +88,28 @@ class Intersect(BinaryOperator):
             raise PlanError("Intersect window must be positive")
         self.windows = (PunctuatedWindow(left_sid, window),
                         PunctuatedWindow(right_sid, window))
-        self._batches: list[list[SecurityPunctuation]] = [[], []]
+        self.trackers = (PolicyTracker(left_sid), PolicyTracker(right_sid))
         self.emitter = SPEmitter()
         self.policy_rejects = 0
 
     def _key(self, item: DataTuple) -> tuple:
         return tuple(item.values.get(a) for a in self.attributes)
 
-    def _open_segment(self, port: int) -> None:
-        batch = self._batches[port]
-        if batch:
-            self.windows[port].open_segment(Policy(tuple(batch)), batch)
-            self._batches[port] = []
-
     def _process(self, element: StreamElement,
                  port: int) -> list[StreamElement]:
+        tracker = self.trackers[port]
         if isinstance(element, SecurityPunctuation):
-            batch = self._batches[port]
-            if batch and element.ts != batch[0].ts:
-                self._open_segment(port)
-            self._batches[port].append(element)
+            tracker.observe_sp(element)
             return []
         assert isinstance(element, DataTuple)
-        self._open_segment(port)
+        policy = tracker.policy_for(element)
+        batch = tracker.take_pending_sps()
+        if batch:
+            self.windows[port].open_segment(batch, tracker.is_uniform)
         opposite = 1 - port
         self.windows[opposite].invalidate(element.ts)
-        window = self.windows[port]
-        window.insert(element)
-        segment = window.current_segment()
-        policy = (segment.policy_for(element) if segment is not None
-                  else None)
-        if policy is None or policy.is_empty():
+        self.windows[port].insert(element, policy)
+        if policy.is_empty():
             return []
         key = self._key(element)
         out: list[StreamElement] = []

@@ -48,6 +48,10 @@ __all__ = ["SecurityShield"]
 class SecurityShield(UnaryOperator):
     """Access-control filter driven by streaming security punctuations."""
 
+    #: Audit kinds of a pass, a denial and an evaluated sp-batch.
+    _KIND_PASS, _KIND_DROP, _KIND_SEGMENT = (
+        "shield.pass", "shield.drop", "shield.segment")
+
     def __init__(self, roles: Iterable[str] | AbstractRoleSet,
                  stream_id: str = "*", *, indexed: bool = True,
                  conjuncts: Iterable[AbstractRoleSet] | None = None,
@@ -430,7 +434,7 @@ class SecurityShield(UnaryOperator):
             verdict = "pass" if self._segment_decision else "drop"
         predicate, policy, sp = self._decision_fields(item)
         self.audit.record(
-            "shield.segment", ts=item.ts, operator=self.name,
+            self._KIND_SEGMENT, ts=item.ts, operator=self.name,
             query=self.audit_query, predicate=predicate, policy=policy,
             sp=sp, verdict=verdict,
         )
@@ -448,7 +452,7 @@ class SecurityShield(UnaryOperator):
             return
         predicate, policy, sp = self._decision_fields(tuples[0])
         audit.record_run(
-            "shield.pass" if passing else "shield.drop", tuples,
+            self._KIND_PASS if passing else self._KIND_DROP, tuples,
             operator=self.name, query=self.audit_query,
             predicate=predicate, policy=policy, sp=sp,
         )
@@ -467,5 +471,5 @@ class SecurityShield(UnaryOperator):
         return self.tuples_blocked
 
     def __repr__(self) -> str:
-        return (f"SecurityShield({sorted(self.predicate.names())}, "
+        return (f"{type(self).__name__}({sorted(self.predicate.names())}, "
                 f"indexed={self.indexed})")

@@ -11,8 +11,7 @@ from repro.stream.source import (CallbackSource, ListSource, StreamSource,
                                  merge_sources)
 from repro.stream.stream import Stream
 from repro.stream.tuples import DataTuple
-from repro.stream.window import (PunctuatedWindow, Segment,
-                                 policy_is_uniform)
+from repro.stream.window import PunctuatedWindow, Segment
 from repro.stream.wire import (decode_element, dump_stream, encode_element,
                                load_stream)
 
@@ -42,7 +41,6 @@ __all__ = [
     "iter_sps",
     "iter_tuples",
     "merge_sources",
-    "policy_is_uniform",
     "reorder",
     "segment_feed",
     "split_elements",

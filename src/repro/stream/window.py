@@ -1,26 +1,31 @@
 """Punctuated sliding windows (paper Section V, Figure 6).
 
-Sp-aware stateful operators (SAJoin, duplicate elimination, group-by)
-keep their input state in a time-based sliding window in which security
-punctuations are interleaved with tuples in chronological order.  The
-sps "partition" the tuple list into *s-punctuated segments*: all tuples
-of a segment share the policy of the sp-batch that opened it.
+The windowed sp-aware operators (SAJoin, intersection) keep their input
+state in a time-based sliding window in which security punctuations are
+interleaved with tuples in chronological order.  The sps "partition"
+the tuple list into *s-punctuated segments*: all tuples of a segment
+fall under the sp-batch that opened it.
 
 The window supports the three steps of the SAJoin algorithm:
 
-1. *Policy collection* — arriving sp-batches open a new segment
-   (:meth:`PunctuatedWindow.open_segment`).
+1. *Policy collection* — an sp-batch that took over opens a new segment
+   for the tuples it governs (:meth:`PunctuatedWindow.open_segment`).
 2. *Invalidation* — a new tuple's timestamp expires tuples from the
    window head; when every tuple of a segment has been invalidated, the
    segment's sps are purged too (:meth:`PunctuatedWindow.invalidate`).
 3. *Join probing* — iteration over live ``(tuple, policy)`` pairs,
    segment by segment (:meth:`PunctuatedWindow.iter_entries`).
 
-Per-segment policies are resolved lazily: a segment whose sps do not
-discriminate between tuples (wildcard tuple-id/attribute DDPs — the
-common case) shares a single resolved :class:`TuplePolicy` across all
-its tuples, which is precisely the memory advantage of the sp model
-over tuple-embedded policies.
+The window interprets no sp.  Sp-batch semantics (batch grouping,
+``override()``, incremental deltas, denial-by-default) live in the
+operator's :class:`~repro.operators.base.PolicyTracker`; a segment is
+opened from the batch the tracker finalised and *stores* the
+:class:`TuplePolicy` the tracker resolved for each tuple at insert.  A
+segment whose sps do not discriminate between tuples (wildcard
+tuple-id/attribute DDPs — the common case) holds one policy per stream
+id — for a lone plain grant the sp's own ``segment_policy()`` object —
+which is precisely the memory advantage of the sp model over
+tuple-embedded policies; any other segment holds one per tuple.
 
 A window given a join attribute (``key=``; the index SAJoin's two) is
 *keyed*: each segment also files its tuples under their join value
@@ -35,89 +40,46 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
-                               TuplePolicy, has_attribute_scope)
+from repro.core.policy import TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import StreamError
 from repro.stream.tuples import DataTuple
 
-__all__ = ["Segment", "PunctuatedWindow", "policy_is_uniform"]
-
-
-def policy_is_uniform(policy: AccessPolicy | None, stream_id: str) -> bool:
-    """Whether ``policy`` resolves identically for every tuple of a stream.
-
-    True when every sp of the (leaf) policy has wildcard tuple-id and
-    attribute patterns, so the authorized role set cannot depend on
-    which tuple is asked about.  Composite policies are uniform when
-    all their parts are.
-    """
-    if policy is None:
-        return True
-    if isinstance(policy, Policy):
-        return all(
-            sp.ddp.tuple_id.is_wildcard() and sp.ddp.attribute.is_wildcard()
-            for sp in policy.sps
-        )
-    parts = getattr(policy, "parts", None)
-    if parts is not None:
-        return all(policy_is_uniform(part, stream_id) for part in parts)
-    return False
+__all__ = ["Segment", "PunctuatedWindow"]
 
 
 class Segment:
-    """One s-punctuated segment: an sp-batch and the tuples it covers."""
+    """One s-punctuated segment: an sp-batch, the tuples it covers and
+    the policy resolved for each of them."""
 
-    __slots__ = ("access", "sps", "tuples", "buckets", "_uniform",
-                 "_shared", "_cache", "stream_id")
+    __slots__ = ("sps", "uniform", "tuples", "buckets", "_policies")
 
-    def __init__(self, stream_id: str, access: AccessPolicy | None,
-                 sps: Iterable[SecurityPunctuation] = (), keyed: bool = False):
-        self.stream_id = stream_id
-        self.access = access
+    def __init__(self, sps: Iterable[SecurityPunctuation] = (),
+                 uniform: bool = True, keyed: bool = False):
         self.sps: list[SecurityPunctuation] = list(sps)
+        #: Whether the batch resolves identically for every tuple of a
+        #: stream (the tracker's ``is_uniform`` when it was finalised).
+        self.uniform = uniform
         self.tuples: deque[DataTuple] = deque()
         #: Join value → its tuples in insertion order (lists: a tenth of
         #: a deque's footprint, and buckets are short); ``None``: scan.
         self.buckets: dict | None = {} if keyed else None
-        self._uniform = policy_is_uniform(access, stream_id)
-        #: Per-sid shared resolution (uniform segments).
-        self._shared: dict[str, TuplePolicy] = {}
-        self._cache: dict[tuple[str, object], TuplePolicy] = {}
+        #: Stored policies: one per sid (uniform), else one per tuple.
+        self._policies: dict[object, TuplePolicy] = {}
 
-    @property
-    def uniform(self) -> bool:
-        return self._uniform
+    def hold(self, item: DataTuple, policy: TuplePolicy) -> None:
+        """Append ``item`` under the ``policy`` its tracker resolved."""
+        self.tuples.append(item)
+        if self.uniform:
+            self._policies[item.sid] = policy
+        else:
+            self._policies[item.sid, item.tid, tuple(item.values)] = policy
 
     def policy_for(self, item: DataTuple) -> TuplePolicy:
-        """Resolved policy of one tuple in this segment (cached).
-
-        Resolution uses the tuple's own ``sid`` so stream-scoped sps
-        match correctly even when the window's nominal stream id is a
-        placeholder.
-        """
-        if self.access is None:
-            return EMPTY_POLICY
-        if self._uniform:
-            shared = self._shared.get(item.sid)
-            if shared is None:
-                shared = self.access.resolve_for_tuple(item.sid)
-                self._shared[item.sid] = shared
-            return shared
-        if has_attribute_scope(self.access):
-            key: tuple = (item.sid, item.tid, tuple(item.values))
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = self.access.resolve_for_attributes(
-                    item.sid, item.tid, item.values.keys())
-                self._cache[key] = cached
-            return cached
-        key = (item.sid, item.tid)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.access.resolve_for_tuple(item.sid, item.tid)
-            self._cache[key] = cached
-        return cached
+        """The policy stored for a tuple this segment holds."""
+        if self.uniform:
+            return self._policies[item.sid]
+        return self._policies[item.sid, item.tid, tuple(item.values)]
 
     def candidates(self, value: object) -> Sequence[DataTuple]:
         """Tuples that may carry join value ``value``, oldest first: its
@@ -133,8 +95,7 @@ class Segment:
         return len(self.tuples)
 
     def __repr__(self) -> str:
-        return (f"Segment(stream={self.stream_id!r}, sps={len(self.sps)}, "
-                f"tuples={len(self.tuples)})")
+        return f"Segment(sps={len(self.sps)}, tuples={len(self.tuples)})"
 
 
 class PunctuatedWindow:
@@ -160,25 +121,26 @@ class PunctuatedWindow:
         self.sps_purged = 0
 
     # -- policy collection ---------------------------------------------------
-    def open_segment(self, access: AccessPolicy | None,
-                     sps: Iterable[SecurityPunctuation] = ()) -> Segment:
-        """Start a new s-punctuated segment for an arriving sp-batch."""
-        segment = Segment(self.stream_id, access, sps, self.key is not None)
+    def open_segment(self, sps: Iterable[SecurityPunctuation] = (),
+                     uniform: bool = True) -> Segment:
+        """Start a new s-punctuated segment for a finalised sp-batch."""
+        segment = Segment(sps, uniform, self.key is not None)
         self.sps_inserted += len(segment.sps)
         self._unkeyed += segment.buckets is None
         self._segments.append(segment)
         return segment
 
-    def insert(self, item: DataTuple) -> None:
-        """Append a tuple to the current (most recent) segment.
+    def insert(self, item: DataTuple, policy: TuplePolicy) -> None:
+        """Append a tuple and its resolved policy to the current (most
+        recent) segment.
 
-        A tuple arriving before any sp lands in an implicit
-        denial-by-default segment (no sp ⇒ nobody has access).
+        A tuple arriving before any sp lands in an implicit sp-less
+        segment (its tracker resolved denial-by-default).
         """
         if not self._segments:
-            self.open_segment(None)
+            self.open_segment()
         segment = self._segments[-1]
-        segment.tuples.append(item)
+        segment.hold(item, policy)
         self.tuples_inserted += 1
         buckets = segment.buckets
         if buckets is not None:

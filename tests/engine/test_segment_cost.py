@@ -2,13 +2,20 @@
 every shield that reads it, and one condition kernel per run — with the
 answers of the per-tuple, per-reader engine."""
 
+import gc
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 from repro.algebra.expressions import ScanExpr
+from repro.core.bitmap import RoleSet
+from repro.core.policy import Policy
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.operators.conditions import Comparison
+from repro.operators.dupelim import DuplicateElimination
+from repro.operators.index_join import IndexSAJoin
+from repro.operators.setops import Intersect
 from repro.operators.shield import SecurityShield
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
@@ -103,6 +110,25 @@ class TestGuards:
             for shield in seen:
                 assert shield.tracker.policy_for(probe) is sp.segment_policy()
 
+    def test_windows_share_the_sps_policy_too(self):
+        """One plain grant read by a shield, a dup-elim, both ports of
+        an index SAJoin and of an intersection: one policy object."""
+        sp = SecurityPunctuation.grant(["D", "N"], 0.0)
+        item = tup(1)
+        shield, dupelim = SecurityShield(["D"]), DuplicateElimination(9.0)
+        windowed = IndexSAJoin("v", "v", 9.0), Intersect(("v",), 9.0)
+        for operator in (shield, dupelim, *windowed):
+            for port in range(operator.arity):
+                operator.process(sp, port)
+                operator.process(item, port)
+        held = [shield.tracker.policy_for(item),
+                dupelim.tracker.policy_for(item)]
+        held += [policy for operator in windowed
+                 for window in operator.windows
+                 for _, policy in window.iter_entries()]
+        assert len(held) == 6
+        assert all(policy is sp.segment_policy() for policy in held)
+
     def test_a_run_calls_no_comparison_per_tuple(self):
         elements = segments()
         tuples = sum(isinstance(e, DataTuple) for e in elements)
@@ -141,3 +167,38 @@ class TestBoundedState:
             tracemalloc.stop()
         session.close()
         assert kept < 16 * 1024  # 10^4 sps at >= 400 B each would be 4 MB
+
+    def test_live_segments_hold_no_policy_of_their_own(self):
+        """What 10^4 *live* sps in a join window weigh beyond the sps
+        themselves: a plain grant's segment stores the sp's own policy,
+        so no ``Policy``, no ``RoleSet`` and nothing else the policy
+        layer allocates is retained per segment."""
+        count = 10_000
+        sps = [SecurityPunctuation.grant(["D", "N", "C"][i % 3], 2.0 * i)
+               for i in range(count)]
+        memos = [sp.segment_policy() for sp in sps]  # paid per sp, before
+        join = IndexSAJoin("v", "v", 1e9)
+
+        def census():
+            return Counter(type(o) for o in gc.get_objects()
+                           if type(o) in (Policy, RoleSet))
+
+        before = census()
+        tracemalloc.start()
+        try:
+            for i, sp in enumerate(sps):
+                join.process(sp, 0)
+                join.process(tup(i, 2 * i + 1), 0)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        segments = list(join.windows[0].iter_segments())
+        assert len(segments) == count == join.indexes[0].entry_count()
+        policy_layer = snapshot.filter_traces([
+            tracemalloc.Filter(True, "*/repro/core/policy.py"),
+            tracemalloc.Filter(True, "*/repro/core/bitmap.py")])
+        kept = sum(stat.size for stat in policy_layer.statistics("filename"))
+        assert kept < 16 * 1024  # 10^4 role sets at >= 100 B would be 1 MB
+        assert census() == before
+        assert all(segment.policy_for(segment.tuples[0]) is memo
+                   for segment, memo in zip(segments, memos))

@@ -9,6 +9,8 @@ every change exactly.
 
 import random
 
+import pytest
+
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
@@ -105,3 +107,33 @@ class TestChurn:
             out.extend(join.process(element, port))
         tids = [e.tid for e in out if isinstance(e, DataTuple)]
         assert tids == [(1, 3)]
+
+
+class TestStaleBatch:
+    """A batch older than the policy in force never takes over — at a
+    join as at a shield (``override()``, Section III.E)."""
+
+    @pytest.mark.parametrize("variant", ["nl", "index"])
+    def test_stale_batch_widens_nothing_at_a_join(self, variant):
+        def delivered(role):
+            dsms = DSMS()
+            dsms.register_stream(StreamSchema("l", ("k",)), [
+                SecurityPunctuation.grant(["D"], 5.0),
+                DataTuple("l", 1, {"k": 0}, 6.0),
+                SecurityPunctuation.grant(["X"], 2.0),  # stale: discarded
+                DataTuple("l", 2, {"k": 0}, 7.0)])
+            dsms.register_stream(StreamSchema("r", ("k",)), [
+                SecurityPunctuation.grant(["D", "X"], 1.0),
+                DataTuple("r", 1, {"k": 0}, 6.5),
+                DataTuple("r", 2, {"k": 0}, 7.5)])
+            dsms.register_query("select", ScanExpr("l"), roles={role})
+            dsms.register_query(
+                "join", ScanExpr("l").join(ScanExpr("r"), "k", "k",
+                                           window=100.0, variant=variant),
+                roles={role})
+            return {name: sorted(t.tid for t in result.tuples)
+                    for name, result in dsms.run().items()}
+
+        assert delivered("X") == {"select": [], "join": []}
+        assert delivered("D") == {
+            "select": [1, 2], "join": [(1, 1), (1, 2), (2, 1), (2, 2)]}

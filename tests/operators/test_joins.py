@@ -8,8 +8,11 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PlanError
 from repro.operators.index_join import IndexSAJoin
 from repro.operators.join import NestedLoopSAJoin
+from repro.operators.setops import Intersect
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import join_streams
+
+from tests.operators.test_shield import ONE_SP_BATCHES
 
 
 def grant(roles, ts, **scope):
@@ -331,3 +334,40 @@ class TestIndexSpecifics:
             (1, grant(["A", "B"], 0.0)), (1, right(2, 7, 2.0)),
         ])
         assert result_tids(out) == [(1, 2)]
+
+
+# -- one sp-batch interpreter: a window stores the tracker's answers --------
+
+WINDOWED = {
+    "nl-pf": lambda: NestedLoopSAJoin("v", "v", 100.0, method="PF"),
+    "nl-fp": lambda: NestedLoopSAJoin("v", "v", 100.0, method="FP"),
+    "index": lambda: IndexSAJoin("v", "v", 100.0),
+    "intersect": lambda: Intersect(("v",), 100.0),
+}
+
+
+class TestWindowsStoreTheTrackersAnswer:
+    @pytest.mark.parametrize("operator", WINDOWED)
+    @pytest.mark.parametrize("name", ONE_SP_BATCHES)
+    def test_policy_stored_for_a_port_0_tuple(self, name, operator):
+        elements, expected = ONE_SP_BATCHES[name]
+        op = WINDOWED[operator]()
+        for element in elements:
+            op.process(element, 0)
+        stored = {item.tid: policy
+                  for item, policy in op.windows[0].iter_entries()}
+        assert stored.keys() == expected.keys()
+        for tid, (roles, ts) in expected.items():
+            assert stored[tid].roles.names() == roles
+            assert stored[tid].ts == ts
+
+    def test_a_discarded_stale_batch_leaves_no_state(self):
+        newer, first, stale, second = \
+            ONE_SP_BATCHES["older sp after a newer one"][0]
+        join = IndexSAJoin("v", "v", 100.0)
+        drive(join, [(0, newer), (0, first)])
+        before = join.state_size()
+        drive(join, [(0, stale), (0, second)])
+        assert join.state_size() == before + 1  # the tuple, not the sp
+        assert join.indexes[0].entry_count() == 1
+        assert join.windows[0].segment_count() == 1

@@ -6,6 +6,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PlanError
 from repro.operators.accessfilter import AccessFilter
 from repro.operators.setops import Intersect, Union
+from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink, CountingSink
 from repro.stream.tuples import DataTuple
 
@@ -106,6 +107,22 @@ class TestAccessFilter:
         f.process(grant(["D"], 0.0))
         assert f.process(tup(1, "a", 1.0)) == []
         assert f.tuples_blocked == 1
+
+    def test_denied_segment_is_discarded_with_its_sps(self):
+        """Table I, as the shield: the sp of a segment nothing passed
+        from must not ride out with the next segment's first tuple."""
+        denied, granted = grant(["D"], 1.0), grant(["X"], 3.0)
+        feed = [denied, tup(1, "a", 2.0), granted, tup(2, "b", 4.0)]
+        for operator in (AccessFilter(["X"], strip_sps=False),
+                         SecurityShield(["X"])):
+            out = [item for element in feed
+                   for item in operator.process(element)]
+            assert out == [granted, feed[3]]
+            assert out[0] is granted
+            assert operator.tuples_blocked == 1
+        stripped = AccessFilter(["X"])
+        assert [item for element in feed
+                for item in stripped.process(element)] == [feed[3]]
 
 
 class TestSinks:

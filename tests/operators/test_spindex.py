@@ -1,7 +1,6 @@
 """Tests for the SPIndex structure and the skipping rule (Lemma 5.1)."""
 
 from repro.core.bitmap import RoleUniverse
-from repro.core.policy import Policy
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.spindex import SPIndex
 from repro.stream.window import Segment
@@ -9,7 +8,7 @@ from repro.stream.window import Segment
 
 def make_segment(roles, ts=0.0):
     sp = SecurityPunctuation.grant(sorted(roles), ts)
-    return Segment("s", Policy([sp]), [sp])
+    return Segment([sp])
 
 
 class TestMaintenance:

@@ -68,24 +68,22 @@ class TestWindowProperties:
     @settings(max_examples=40, deadline=None)
     def test_invalidation_keeps_exactly_in_window_tuples(self, elements,
                                                          extent):
-        from repro.core.policy import Policy
         from repro.core.punctuation import SecurityPunctuation
+        from repro.operators.base import PolicyTracker
         from repro.stream.window import PunctuatedWindow
 
         window = PunctuatedWindow("s", extent)
+        tracker = PolicyTracker("s")
         inserted = []
-        batch = []
         for element in elements:
             if isinstance(element, SecurityPunctuation):
-                if batch and element.ts != batch[0].ts:
-                    window.open_segment(Policy(tuple(batch)), batch)
-                    batch = []
-                batch.append(element)
+                tracker.observe_sp(element)
             else:
+                policy = tracker.policy_for(element)
+                batch = tracker.take_pending_sps()
                 if batch:
-                    window.open_segment(Policy(tuple(batch)), batch)
-                    batch = []
-                window.insert(element)
+                    window.open_segment(batch, tracker.is_uniform)
+                window.insert(element, policy)
                 inserted.append(element)
         if not inserted:
             return

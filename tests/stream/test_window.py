@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.patterns import literal, numeric_range
-from repro.core.policy import Policy
+from repro.core.policy import Policy, policy_is_uniform
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import StreamError
+from repro.operators.base import PolicyTracker
 from repro.stream.tuples import DataTuple
-from repro.stream.window import PunctuatedWindow, policy_is_uniform
+from repro.stream.window import PunctuatedWindow
 
 
 def grant(roles, ts=1.0, **kwargs):
@@ -18,20 +19,37 @@ def tup(tid, ts, sid="s1"):
     return DataTuple(sid, tid, {"v": tid}, ts)
 
 
+class Feed:
+    """A window fed by hand the way an operator feeds it: the tracker
+    interprets the sps, the window stores what it resolved."""
+
+    def __init__(self, window):
+        self.window = window
+        self.tracker = PolicyTracker(window.stream_id)
+
+    def open_segment(self, sp):
+        self.tracker.observe_sp(sp)
+        self.window.open_segment(self.tracker.take_pending_sps(),
+                                 self.tracker.is_uniform)
+
+    def insert(self, item):
+        self.window.insert(item, self.tracker.policy_for(item))
+
+
 class TestUniformity:
     def test_wildcard_policy_is_uniform(self):
-        assert policy_is_uniform(Policy([grant(["D"])]), "s1")
+        assert policy_is_uniform(Policy([grant(["D"])]))
 
     def test_tuple_scoped_policy_not_uniform(self):
         policy = Policy([grant(["D"], tuple_id=numeric_range(1, 5))])
-        assert not policy_is_uniform(policy, "s1")
+        assert not policy_is_uniform(policy)
 
     def test_attribute_scoped_policy_not_uniform(self):
         policy = Policy([grant(["D"], attribute=literal("temp"))])
-        assert not policy_is_uniform(policy, "s1")
+        assert not policy_is_uniform(policy)
 
     def test_none_policy_uniform(self):
-        assert policy_is_uniform(None, "s1")
+        assert policy_is_uniform(None)
 
 
 class TestWindow:
@@ -41,9 +59,10 @@ class TestWindow:
 
     def test_segment_policies_resolve(self):
         window = PunctuatedWindow("s1", 100.0)
+        feed = Feed(window)
         sp = grant(["D", "ND"], ts=1.0)
-        window.open_segment(Policy([sp]), [sp])
-        window.insert(tup(1, 2.0))
+        feed.open_segment(sp)
+        feed.insert(tup(1, 2.0))
         entries = list(window.iter_entries())
         assert len(entries) == 1
         _, policy = entries[0]
@@ -51,26 +70,29 @@ class TestWindow:
 
     def test_tuple_before_any_sp_denied_by_default(self):
         window = PunctuatedWindow("s1", 100.0)
-        window.insert(tup(1, 1.0))
+        feed = Feed(window)
+        feed.insert(tup(1, 1.0))
         (_, policy), = window.iter_entries()
         assert policy.is_empty()
 
     def test_tuple_scoped_resolution_per_tuple(self):
         window = PunctuatedWindow("s1", 100.0)
+        feed = Feed(window)
         sp = grant(["GP"], ts=0.0, tuple_id=numeric_range(120, 133))
-        window.open_segment(Policy([sp]), [sp])
-        window.insert(tup(125, 1.0))
-        window.insert(tup(200, 2.0))
+        feed.open_segment(sp)
+        feed.insert(tup(125, 1.0))
+        feed.insert(tup(200, 2.0))
         entries = list(window.iter_entries())
         assert entries[0][1].roles.names() == frozenset({"GP"})
         assert entries[1][1].is_empty()
 
     def test_invalidation_expires_old_tuples(self):
         window = PunctuatedWindow("s1", 10.0)
+        feed = Feed(window)
         sp = grant(["D"], ts=0.0)
-        window.open_segment(Policy([sp]), [sp])
+        feed.open_segment(sp)
         for ts in (1.0, 2.0, 3.0):
-            window.insert(tup(int(ts), ts))
+            feed.insert(tup(int(ts), ts))
         expired, purged = window.invalidate(12.5)
         assert expired == 2  # ts 1.0 and 2.0 are <= 12.5 - 10
         assert purged == []
@@ -78,12 +100,13 @@ class TestWindow:
 
     def test_sp_purged_with_empty_segment_when_newer_exists(self):
         window = PunctuatedWindow("s1", 10.0)
+        feed = Feed(window)
         sp1 = grant(["D"], ts=0.0)
-        window.open_segment(Policy([sp1]), [sp1])
-        window.insert(tup(1, 1.0))
+        feed.open_segment(sp1)
+        feed.insert(tup(1, 1.0))
         sp2 = grant(["C"], ts=5.0)
-        window.open_segment(Policy([sp2]), [sp2])
-        window.insert(tup(2, 6.0))
+        feed.open_segment(sp2)
+        feed.insert(tup(2, 6.0))
         expired, purged = window.invalidate(20.0)
         assert expired == 2
         # Old segment purged entirely; newest kept as the live policy.
@@ -93,9 +116,10 @@ class TestWindow:
 
     def test_latest_segment_survives_even_when_empty(self):
         window = PunctuatedWindow("s1", 10.0)
+        feed = Feed(window)
         sp = grant(["D"], ts=0.0)
-        window.open_segment(Policy([sp]), [sp])
-        window.insert(tup(1, 1.0))
+        feed.open_segment(sp)
+        feed.insert(tup(1, 1.0))
         expired, purged = window.invalidate(100.0)
         assert expired == 1
         assert purged == []  # only segment: governs upcoming tuples
@@ -103,10 +127,11 @@ class TestWindow:
 
     def test_counters(self):
         window = PunctuatedWindow("s1", 10.0)
+        feed = Feed(window)
         sp = grant(["D"], ts=0.0)
-        window.open_segment(Policy([sp]), [sp])
-        window.insert(tup(1, 1.0))
-        window.insert(tup(2, 2.0))
+        feed.open_segment(sp)
+        feed.insert(tup(1, 1.0))
+        feed.insert(tup(2, 2.0))
         window.invalidate(50.0)
         assert window.tuples_inserted == 2
         assert window.tuples_expired == 2
@@ -114,10 +139,11 @@ class TestWindow:
 
     def test_resolution_uses_tuple_sid(self):
         window = PunctuatedWindow("placeholder", 100.0)
+        feed = Feed(window)
         sp = grant(["C"], ts=0.0, stream=literal("HeartRate"))
-        window.open_segment(Policy([sp]), [sp])
-        window.insert(tup(1, 1.0, sid="HeartRate"))
-        window.insert(tup(2, 2.0, sid="Other"))
+        feed.open_segment(sp)
+        feed.insert(tup(1, 1.0, sid="HeartRate"))
+        feed.insert(tup(2, 2.0, sid="Other"))
         entries = list(window.iter_entries())
         assert entries[0][1].roles.names() == frozenset({"C"})
         assert entries[1][1].is_empty()
