@@ -63,6 +63,14 @@ if grep -nE "for \w+ in .* if (self\.)?condition[(]" -r src/repro/operators; the
     exit 1
 fi
 
+echo "== one frame per operator (_process is the run-of-one kernel; a push allocates no list) =="
+if grep -rn "_process_tuple" src/repro/operators \
+        || grep -nE "setdefault\([^)]*\[\]\)" src/repro/engine/session.py; then
+    echo "fold the helper into _process / keep StreamingSession.push allocation-free;" \
+         "see docs/PERFORMANCE.md, What an element costs a query" >&2
+    exit 1
+fi
+
 echo "== one sp-batch interpreter (only PolicyTracker turns sps into a policy) =="
 if grep -rnE "\b_batches\b|apply_incremental_batch[(]|Policy[(]tuple[(]" src/repro \
         | grep -vE "^src/repro/operators/base\.py:|:def apply_incremental_batch"; then

@@ -312,8 +312,12 @@ class DSMS:
             # The delivery shield is a fixed final check: results are
             # handed only to subjects holding the query's roles, no
             # matter how the optimizer moved the in-plan shields.  For
-            # an unrewritten plan it is a cheap no-op (everything the
-            # root shield passed also passes here).
+            # an unrewritten plan it repeats the root shield's work on
+            # everything that shield passed — roughly half of
+            # ``operators.shield.busy_s``; eliding it was sized at -13 %
+            # of a ``fanout_filter`` ``run()`` and not done (why/
+            # provenance/plancheck/stats read this operator; see
+            # docs/PERFORMANCE.md, "What an element costs a query").
             delivery = SecurityShield(RoleSet(query.roles),
                                       name=f"delivery:{name}")
             plan.compile_chain(exprs[name], [delivery, sink])

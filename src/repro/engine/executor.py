@@ -26,9 +26,13 @@ nothing about dispatch (a verdict over a run is one run record), so
 the interleaving of audit events *across* operators follows the cut
 and is not part of the contract.
 
-The push loop is iterative (an explicit work stack, LIFO with reversed
-pushes to preserve depth-first order), so deep plans never hit Python's
-recursion limit and per-element call overhead stays flat.
+The push loop is iterative, so deep plans never hit Python's recursion
+limit and per-element call overhead stays flat.  Its first hop is a
+plain walk over the stream's entry operators; the explicit work stack
+(LIFO with reversed pushes to preserve depth-first order) exists only
+below a hop that emitted something, so an element every query rejects
+at its first operator costs the executor one loop step per query and
+nothing else.
 
 Observability: with a :class:`~repro.observability.Tracer` the
 executor opens one trace per feed element and emits the
@@ -196,10 +200,14 @@ class Executor:
         """Deliver ``element`` (or a TupleBatch) depth-first to each
         ``(node, port)`` of ``targets`` in turn.
 
-        Iterative equivalent of the recursive push: the work stack is
-        LIFO, so pending work is pushed in reverse to process outputs
-        (and fan-out edges) in plan order — the exact delivery order of
-        the recursive formulation, without per-element Python frames.
+        Iterative equivalent of the recursive push.  The first hop is
+        the plain walk over ``targets``; only a hop that emitted
+        something into a node with a downstream puts work on the stack
+        (LIFO, pushed in reverse so outputs and fan-out edges are
+        processed in plan order), and a target's subtree is drained
+        before the next target is entered — the exact delivery order of
+        the recursive formulation, without per-element Python frames
+        and at no executor cost for a hop that emits nothing.
 
         While the current trace is head-sampled, every operator
         invocation is timed on the monotonic clock and emitted as a
@@ -211,38 +219,35 @@ class Executor:
         tracer = self.tracer
         if tracer is not None and not tracer.active:
             tracer = None
-        parent = tracer._root_id if tracer is not None else 0
+        root = tracer._root_id if tracer is not None else 0
         stack: list[tuple[PlanNode, object, int, int]] = []
-        append = stack.append
-        pop = stack.pop
-        for node, port in reversed(targets):
-            append((node, element, port, parent))
-        while stack:
-            node, element, port, parent = pop()
-            operator = node.operator
-            batch = type(element) is TupleBatch
-            if tracer is None:
-                outputs = (operator.process_batch(element, port) if batch
-                           else operator.process(element, port))
-            else:
-                rows = len(element.tuples) if batch else 1
-                begun = time.perf_counter_ns()
-                outputs = (operator.process_batch(element, port) if batch
-                           else operator.process(element, port))
-                dur_ns = time.perf_counter_ns() - begun
-                parent = tracer.op_span("op.process", parent, dur_ns,
-                                        operator=operator.name, rows=rows)
-                if operator._m_latency is not None:
-                    operator._m_latency.exemplar(dur_ns / rows * 1e-9,
-                                                 tracer.trace_id)
-            if not outputs:
-                continue
-            downstream = node.downstream
-            if not downstream:
-                continue
-            for out in reversed(outputs):
-                for child, child_port in reversed(downstream):
-                    append((child, out, child_port, parent))
+        for node, port in targets:
+            item, parent = element, root
+            while True:
+                operator = node.operator
+                batch = type(item) is TupleBatch
+                if tracer is None:
+                    outputs = (operator.process_batch(item, port) if batch
+                               else operator.process(item, port))
+                else:
+                    rows = len(item.tuples) if batch else 1
+                    begun = time.perf_counter_ns()
+                    outputs = (operator.process_batch(item, port) if batch
+                               else operator.process(item, port))
+                    dur_ns = time.perf_counter_ns() - begun
+                    parent = tracer.op_span("op.process", parent, dur_ns,
+                                            operator=operator.name,
+                                            rows=rows)
+                    if operator._m_latency is not None:
+                        operator._m_latency.exemplar(dur_ns / rows * 1e-9,
+                                                     tracer.trace_id)
+                if outputs and (downstream := node.downstream):
+                    for out in reversed(outputs):
+                        for child, child_port in reversed(downstream):
+                            stack.append((child, out, child_port, parent))
+                if not stack:
+                    break
+                node, item, port, parent = stack.pop()
 
     def _flush(self) -> None:
         """End-of-stream: flush operators in topological order."""

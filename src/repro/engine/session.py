@@ -60,6 +60,9 @@ class StreamingSession:
         self._analyze = analyze_sps
         self._callbacks: dict[str, ResultCallback] = {}
         self._consumed: dict[str, int] = {name: 0 for name in self._sinks}
+        #: ``(query, its sink's element list)`` — what a push reads back.
+        self._results = [(name, sink.elements)
+                         for name, sink in self._sinks.items()]
         self._last_ts: dict[str, float] = {}
         self._pending_sps: dict[str, list[SecurityPunctuation]] = {}
         self._closed = False
@@ -124,27 +127,30 @@ class StreamingSession:
                                stream=stream_id, ts=element.ts,
                                name="session.push")
 
-        for item in self._ingest(stream_id, element, is_sp):
-            self._executor.feed(stream_id, item)
+        feed = self._executor.feed
+        if stream_id in self._pending_sps or (is_sp and self._analyze):
+            for item in self._ingest(stream_id, element, is_sp):
+                feed(stream_id, item)
+        else:
+            feed(stream_id, element)
         return self._collect_new()
 
     def _ingest(self, stream_id: str, element: StreamElement, is_sp: bool):
-        """Apply analyzer batch semantics to pushed sps."""
-        if not self._analyze:
-            return [element]
-        pending = self._pending_sps.setdefault(stream_id, [])
-        if is_sp:
-            if pending and element.ts != pending[0].ts:
-                released = self._dsms.analyzer.process_batch(pending)
+        """Analyzer batch semantics: hold a pushed sp; what the element
+        that ends a held sp-batch releases into the plan."""
+        pending = self._pending_sps.get(stream_id)
+        if is_sp and (pending is None or element.ts == pending[0].ts):
+            if pending is None:
                 self._pending_sps[stream_id] = [element]
-                return released
-            pending.append(element)
-            return []
-        if pending:
-            released = self._dsms.analyzer.process_batch(pending)
-            self._pending_sps[stream_id] = []
-            return list(released) + [element]
-        return [element]
+            else:
+                pending.append(element)
+            return ()
+        released = self._dsms.analyzer.process_batch(pending)
+        if is_sp:
+            self._pending_sps[stream_id] = [element]
+            return released
+        del self._pending_sps[stream_id]
+        return [*released, element]
 
     def push_many(self, stream_id: str, elements) -> dict[str, list]:
         """Push a sequence of elements; returns accumulated results."""
@@ -159,19 +165,27 @@ class StreamingSession:
     def _collect_new(self) -> dict[str, list[StreamElement]]:
         # Only a sink that grew is drained; each query gets a fresh list.
         consumed = self._consumed
-        return {name: (self._drain(name)
-                       if len(sink.elements) != consumed[name] else [])
-                for name, sink in self._sinks.items()}
+        out = {}
+        for name, elements in self._results:
+            out[name] = (self._drain(name)
+                         if len(elements) != consumed[name] else [])
+        return out
 
     def _drain(self, name: str) -> list[StreamElement]:
-        sink = self._sinks[name]
-        new = sink.elements[self._consumed[name]:]
-        self._consumed[name] = len(sink.elements)
+        elements = self._sinks[name].elements
+        consumed = self._consumed
+        start = consumed[name]
         callback = self._callbacks.get(name)
-        if callback is not None:
-            for element in new:
-                callback(element)
-        return new
+        if callback is None:
+            consumed[name] = len(elements)
+        else:
+            # The cursor moves one element at a time: an element whose
+            # callback raised was delivered (at most once), the rest of
+            # the slice is delivered by the next push or close.
+            while (at := consumed[name]) < len(elements):
+                consumed[name] = at + 1
+                callback(elements[at])
+        return elements[start:consumed[name]]
 
     def results(self, query_name: str) -> list[DataTuple]:
         """All data tuples delivered to a query so far."""
@@ -202,9 +216,8 @@ class StreamingSession:
         if self._closed:
             return {name: [] for name in self._sinks}
         for stream_id, pending in self._pending_sps.items():
-            if pending:
-                for item in self._dsms.analyzer.process_batch(pending):
-                    self._executor.feed(stream_id, item)
+            for item in self._dsms.analyzer.process_batch(pending):
+                self._executor.feed(stream_id, item)
         self._pending_sps.clear()
         self._executor._flush()  # noqa: SLF001 - same package
         self._closed = True

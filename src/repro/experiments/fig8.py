@@ -89,7 +89,8 @@ def experiment_fig8b(n_tuples: int = 5000, role_counts=PAPER_ROLE_COUNTS,
     the stream.  The default is the paper's baseline SS, which scans
     its state per sp (cost λsp·(NRsp + NR)); ``indexed=True`` applies
     the predicate-index remedy the paper suggests for large states,
-    flattening the curve.
+    flattening the curve.  ``comparisons`` is the exact count of state
+    probes behind ``ss_ms`` — the curve's shape without a clock.
     """
     rows: list[dict] = []
     for role_count in role_counts:
@@ -100,5 +101,6 @@ def experiment_fig8b(n_tuples: int = 5000, role_counts=PAPER_ROLE_COUNTS,
         state_roles = role_names(role_count, prefix="qr") + [QUERY_ROLE]
         shield = SecurityShield(state_roles, indexed=indexed)
         timings = run_pipeline(elements, shield)
-        rows.append({"roles": role_count, **timings})
+        rows.append({"roles": role_count, **timings,
+                     "comparisons": shield.stats.comparisons})
     return rows

@@ -23,7 +23,7 @@ Three reusable pieces live here:
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
 from repro.core.bitmap import RoleSet
 from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
@@ -109,9 +109,9 @@ class Operator:
         if not 0 <= port < self.arity:
             raise PlanError(f"{self.name}: invalid port {port}")
         stats = self.stats
-        start = time.perf_counter()
+        start = perf_counter()
         out = self._process(element, port)
-        elapsed = time.perf_counter() - start
+        elapsed = perf_counter() - start
         stats.processing_time += elapsed
         stats.ewma_seconds += EWMA_ALPHA * (elapsed - stats.ewma_seconds)
         if self._m_latency is not None:
@@ -121,11 +121,12 @@ class Operator:
             stats.sps_in += 1
         else:
             stats.tuples_in += 1
-        for item in out:
-            if type(item) is SecurityPunctuation:
-                stats.sps_out += 1
-            else:
-                stats.tuples_out += 1
+        if out:
+            for item in out:
+                if type(item) is SecurityPunctuation:
+                    stats.sps_out += 1
+                else:
+                    stats.tuples_out += 1
         return out
 
     def _process(self, element: StreamElement,
@@ -150,9 +151,9 @@ class Operator:
         if not 0 <= port < self.arity:
             raise PlanError(f"{self.name}: invalid port {port}")
         stats = self.stats
-        start = time.perf_counter()
+        start = perf_counter()
         out = self._process_batch(batch, port)
-        elapsed = time.perf_counter() - start
+        elapsed = perf_counter() - start
         stats.processing_time += elapsed
         n = len(batch.tuples)
         if n:
@@ -165,13 +166,14 @@ class Operator:
                 # on how the input was cut; values don't skew).
                 self._m_latency.observe(elapsed / n)
         stats.tuples_in += n
-        for item in out:
-            if type(item) is TupleBatch:
-                stats.tuples_out += len(item.tuples)
-            elif type(item) is SecurityPunctuation:
-                stats.sps_out += 1
-            else:
-                stats.tuples_out += 1
+        if out:
+            for item in out:
+                if type(item) is TupleBatch:
+                    stats.tuples_out += len(item.tuples)
+                elif type(item) is SecurityPunctuation:
+                    stats.sps_out += 1
+                else:
+                    stats.tuples_out += 1
         return out
 
     def _process_batch(self, batch: TupleBatch,

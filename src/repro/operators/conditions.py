@@ -96,8 +96,9 @@ class Comparison(Condition):
         self._fn = _OPS[op]
 
     def __call__(self, item: DataTuple) -> bool:
-        left = item.get(self.attribute)
-        right = item.get(self.value) if self.rhs_attribute else self.value
+        values = item.values
+        left = values.get(self.attribute)
+        right = values.get(self.value) if self.rhs_attribute else self.value
         if left is None or right is None:
             return False
         try:

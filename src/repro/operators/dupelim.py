@@ -91,9 +91,6 @@ class DuplicateElimination(UnaryOperator):
             self.tracker.observe_sp(element)
             return []
         assert isinstance(element, DataTuple)
-        return self._process_tuple(element)
-
-    def _process_tuple(self, element: DataTuple) -> list[StreamElement]:
         self._expire(element.ts)
         policy = self.tracker.policy_for(element)
         if policy.is_empty():

@@ -127,9 +127,6 @@ class GroupBy(UnaryOperator):
             self.tracker.observe_sp(element)
             return []
         assert isinstance(element, DataTuple)
-        return self._process_tuple(element)
-
-    def _process_tuple(self, element: DataTuple) -> list[StreamElement]:
         out: list[StreamElement] = []
         self._expire(element.ts, out)
         policy = self.tracker.policy_for(element)

@@ -95,7 +95,7 @@ class SAJoinBase(BinaryOperator):
         self.pairs_checked = 0
         self.policy_rejects = 0
 
-    # -- policy collection ---------------------------------------------------
+    # -- element arrival (sp: policy collection; tuple: maintain, probe) -----
     def _process(self, element: StreamElement,
                  port: int) -> list[StreamElement]:
         if isinstance(element, SecurityPunctuation):
@@ -103,17 +103,7 @@ class SAJoinBase(BinaryOperator):
             self.trackers[port].observe_sp(element)
             self.sp_maintenance_time += time.perf_counter() - start
             return []
-        return self._process_tuple(element, port)
-
-    def _segment_opened(self, segment: Segment, port: int) -> None:
-        """Hook for the index variant (SPIndex insertion)."""
-
-    def _segment_purged(self, segment: Segment, port: int) -> None:
-        """Hook for the index variant (SPIndex entry removal)."""
-
-    # -- tuple arrival -----------------------------------------------------
-    def _process_tuple(self, item: DataTuple, port: int) -> list[StreamElement]:
-        opposite = 1 - port
+        item, opposite = element, 1 - port
         window = self.windows[port]
 
         # Policy collection: the batch that took over opens a segment.
@@ -157,6 +147,12 @@ class SAJoinBase(BinaryOperator):
         out = self._probe(item, policy, port)
         self.join_time += time.perf_counter() - start
         return out
+
+    def _segment_opened(self, segment: Segment, port: int) -> None:
+        """Hook for the index variant (SPIndex insertion)."""
+
+    def _segment_purged(self, segment: Segment, port: int) -> None:
+        """Hook for the index variant (SPIndex entry removal)."""
 
     def _probe(self, item: DataTuple, policy: TuplePolicy,
                port: int) -> list[StreamElement]:

@@ -16,7 +16,6 @@ from repro.operators.base import UnaryOperator
 from repro.operators.conditions import Condition, FuncCondition
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
-from repro.stream.tuples import DataTuple
 
 __all__ = ["Select"]
 
@@ -50,19 +49,15 @@ class Select(UnaryOperator):
             self._after_tuple = False
             self._held_sps.append(element)
             return []
-        return self._process_tuple(element)
-
-    def _process_tuple(self, item: DataTuple) -> list[StreamElement]:
         self._after_tuple = True
         self.stats.comparisons += 1
-        if not self.condition(item):
+        if not self.condition(element):
             self.tuples_dropped += 1
             return []
-        out: list[StreamElement] = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
-        out.append(item)
+        # The held sps lead the first passing tuple of their segment;
+        # the list is handed over, not copied.
+        out, self._held_sps = self._held_sps, []
+        out.append(element)
         return out
 
     def _process_batch(self, batch: TupleBatch,
@@ -75,10 +70,7 @@ class Select(UnaryOperator):
         self.tuples_dropped += len(tuples) - len(passing)
         if not passing:
             return []
-        out: list[StreamElement] = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
+        out, self._held_sps = self._held_sps, []
         out.append(passing[0] if len(passing) == 1
                    else TupleBatch(passing))
         return out

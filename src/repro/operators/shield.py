@@ -268,7 +268,26 @@ class SecurityShield(UnaryOperator):
             return []
         if self._m_seg is not None:
             self._segment_tuples += 1
-        return self._process_tuple(element)
+        if self._decision_stale:
+            self._refresh_decision(element)
+        passing = self._segment_decision
+        if passing is None:
+            # Non-uniform policy: decide per tuple.
+            passing = self._permits(self.tracker.policy_for(element))
+        if self.audit is not None:
+            self._record((element,), passing)
+        if not passing:
+            self.tuples_blocked += 1
+            if self._m_drop is not None:
+                self._m_drop.inc()
+                if self._segment_denial:
+                    self._m_denial.inc()
+            return []
+        if self._m_pass is not None:
+            self._m_pass.inc()
+        out, self._held_sps = self._held_sps, []
+        out.append(element)
+        return out
 
     def _observe_segment_boundary(self) -> None:
         """Metrics at an sp arrival: close the previous segment's size
@@ -280,33 +299,6 @@ class SecurityShield(UnaryOperator):
         if self._segment_tuples:
             self._m_seg.observe(self._segment_tuples)
             self._segment_tuples = 0
-
-    def _process_tuple(self, item: DataTuple) -> list[StreamElement]:
-        if self._decision_stale:
-            self._refresh_decision(item)
-        if self._segment_decision is None:
-            # Non-uniform policy: decide per tuple.
-            policy = self.tracker.policy_for(item)
-            passing = self._permits(policy)
-        else:
-            passing = self._segment_decision
-        if self.audit is not None:
-            self._record((item,), passing)
-        if not passing:
-            self.tuples_blocked += 1
-            if self._m_drop is not None:
-                self._m_drop.inc()
-                if self._segment_denial:
-                    self._m_denial.inc()
-            return []
-        if self._m_pass is not None:
-            self._m_pass.inc()
-        out: list[StreamElement] = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
-        out.append(item)
-        return out
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
@@ -365,10 +357,7 @@ class SecurityShield(UnaryOperator):
             return []
         if self._m_pass is not None:
             self._m_pass.inc(len(tuples))
-        out = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
+        out, self._held_sps = self._held_sps, []
         out.append(batch)
         return out
 

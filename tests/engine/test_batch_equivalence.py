@@ -385,14 +385,14 @@ def test_groupby_plan(seed):
     assert_equivalent(*run_both(make, observability=False))
 
 
-@pytest.mark.parametrize("run_len", [1, 4])
-@pytest.mark.parametrize("variant", ["nl", "index"])
-def test_join_plan(variant, run_len):
-    """Each side arrives in runs of ``run_len`` tuples: 1 alternates
-    left and right (no batch ever forms), 4 hands the join whole
-    ``TupleBatch`` runs on both ports."""
-    left_schema = StreamSchema("left", ("k", "a"))
-    right_schema = StreamSchema("right", ("k", "b"))
+LEFT_SCHEMA = StreamSchema("left", ("k", "a"))
+RIGHT_SCHEMA = StreamSchema("right", ("k", "b"))
+
+
+def join_streams(run_len):
+    """Two punctuated streams whose sides arrive in runs of ``run_len``
+    tuples: 1 alternates left and right (no batch ever forms), 4 hands
+    the join whole ``TupleBatch`` runs on both ports."""
     left, right = [], []
     ts = 0.0
     for segment in range(6):
@@ -408,11 +408,18 @@ def test_join_plan(variant, run_len):
                     tid = segment * 4 + k
                     out.append(DataTuple(
                         side, tid, {"k": k % 3, attr: tid}, ts))
+    return left, right
+
+
+@pytest.mark.parametrize("run_len", [1, 4])
+@pytest.mark.parametrize("variant", ["nl", "index"])
+def test_join_plan(variant, run_len):
+    left, right = join_streams(run_len)
 
     def make(observability):
         dsms = DSMS(observability=observability)
-        dsms.register_stream(left_schema, left)
-        dsms.register_stream(right_schema, right)
+        dsms.register_stream(LEFT_SCHEMA, left)
+        dsms.register_stream(RIGHT_SCHEMA, right)
         expr = ScanExpr("left").join(ScanExpr("right"), "k", "k", 30.0,
                                      variant=variant)
         dsms.register_query("q", expr, roles={"D"})

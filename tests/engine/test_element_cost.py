@@ -1,0 +1,170 @@
+"""What an element costs a query: one Python frame per operator plus
+the condition, nothing in the executor for a hop that emits nothing —
+and every counter of the engine that pays more.  No clock here: frames
+are counted with ``sys.setprofile``, counters against literals."""
+
+import sys
+from unittest import mock
+
+import pytest
+
+from repro.algebra.expressions import ScanExpr
+from repro.core.punctuation import SecurityPunctuation
+from repro.engine.dsms import DSMS
+from repro.engine.executor import Executor
+from repro.operators.conditions import Comparison
+from repro.operators.select import Select
+from repro.operators.shield import SecurityShield
+from repro.operators.sink import CollectingSink
+from repro.stream.source import merge_sources
+
+from tests.engine.test_batch_equivalence import (LEFT_SCHEMA, RIGHT_SCHEMA,
+                                                 join_streams)
+from tests.engine.test_segment_cost import SCHEMA, fan_out, segments, tup
+
+
+def profile_push(session, element):
+    """``(python calls, appends made by Executor._push)`` of one push."""
+    calls = appends = 0
+    push_code = Executor._push.__code__
+
+    def profiler(frame, event, arg):
+        nonlocal calls, appends
+        if event == "call":
+            calls += 1
+        elif (event == "c_call" and frame.f_code is push_code
+              and arg.__name__ == "append"):
+            appends += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        session.push("s", element)
+    finally:
+        sys.setprofile(previous)
+    return calls, appends
+
+
+def warm_session(queries):
+    """A fan-out session past its first segment boundary, so a pushed
+    tuple releases no sp and refreshes no decision."""
+    session = fan_out(queries=queries).open_session()
+    session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 0.0))
+    assert all(session.push("s", tup(99, 1.0)).values())
+    return session
+
+
+class TestRunOfOnePath:
+    def test_a_rejected_tuple_costs_three_frames_per_query(self):
+        """``Operator.process`` → ``Select._process`` → the condition:
+        the slope of the call count over the fan-out."""
+        rejected = {}
+        for queries in (4, 32):
+            session = warm_session(queries)
+            calls, _ = profile_push(session, tup(-1, 2.0))
+            assert not any(session.push("s", tup(-2, 3.0)).values())
+            rejected[queries] = calls
+        assert (rejected[32] - rejected[4]) / 28 <= 3
+
+    def test_no_work_stack_below_a_hop_that_emits_nothing(self):
+        session = warm_session(4)
+        assert profile_push(session, tup(-1, 2.0))[1] == 0
+        # The spy does see a stack: a delivered tuple goes three hops down.
+        assert profile_push(session, tup(50, 3.0))[1] == 3 * 4
+
+    @pytest.mark.parametrize("drive", ["session", "run"])
+    def test_fan_out_is_delivered_depth_first(self, drive):
+        """Query 0's sp and tuple reach its sink before query 1's select
+        has seen the tuple."""
+        sp, item = SecurityPunctuation.grant(["D", "N", "C"], 0.0), tup(9, 1.0)
+        dsms = fan_out([sp, item], queries=3)
+        seen = []
+        collect = CollectingSink._process
+
+        def recorder(sink, element, port):
+            seen.append((sink.name, element))
+            return collect(sink, element, port)
+
+        with mock.patch.object(CollectingSink, "_process", recorder):
+            if drive == "run":
+                dsms.run()
+            else:
+                with dsms.open_session() as session:
+                    session.push("s", sp)
+                    session.push("s", item)
+        assert seen == [(f"sink:q{i}", element)
+                        for i in range(3) for element in (sp, item)]
+
+
+def pushed_counters(dsms):
+    """Push every source element one at a time; per operator in plan
+    order ``(name, tuples_in, tuples_out, sps_in, sps_out, comparisons,
+    state_ops)`` plus a select's ``(tuples_dropped, sps_discarded)`` or
+    a shield's ``(tuples_blocked, sps_blocked)``."""
+    session = dsms.open_session()
+    for stream_id, element in merge_sources(dsms.catalog.sources()):
+        session.push(stream_id, element)
+    session.close()
+    rows = []
+    for node in session._plan.nodes:
+        op, stats = node.operator, node.operator.stats
+        row = (op.name, stats.tuples_in, stats.tuples_out, stats.sps_in,
+               stats.sps_out, stats.comparisons, stats.state_ops)
+        if isinstance(op, Select):
+            row += (op.tuples_dropped, op.sps_discarded)
+        elif isinstance(op, SecurityShield):
+            row += (op.tuples_blocked, op.sps_blocked)
+        rows.append(row)
+    return rows
+
+
+class TestCountersAreNotPartOfTheSaving:
+    """Literals computed once at the parent of the run-of-one change:
+    the path got cheaper by frames and allocations, not by counting
+    less."""
+
+    def test_select_shield_fan_out(self):
+        # Six segments of five tuples (v = 1..35) under [D|N|C, X], a
+        # trailing tuple-less sp and a tuple every select rejects;
+        # q0/q1/q2 hold D/N/C and select v > 0, 8, 20.
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, segments() + [
+            SecurityPunctuation.grant(["D"], 36.0), tup(-1, 37.0)])
+        for i, role in enumerate("DNC"):
+            dsms.register_query(
+                f"q{i}", ScanExpr("s").select(
+                    Comparison("v", ">", (0, 8, 20)[i])), roles={role})
+        assert pushed_counters(dsms) == EXPECTED_FAN_OUT
+
+    def test_join_plan(self):
+        left, right = join_streams(run_len=1)
+        dsms = DSMS()
+        dsms.register_stream(LEFT_SCHEMA, left)
+        dsms.register_stream(RIGHT_SCHEMA, right)
+        dsms.register_query("q", ScanExpr("left").join(
+            ScanExpr("right"), "k", "k", 30.0), roles={"D"})
+        assert pushed_counters(dsms) == EXPECTED_JOIN
+
+
+# (name, tuples_in, tuples_out, sps_in, sps_out, comparisons, state_ops
+#  [, dropped/blocked tuples, discarded/blocked sps]) in plan order.
+EXPECTED_FAN_OUT = [
+    ("delivery:q0", 10, 10, 2, 2, 4, 0, 0, 0),
+    ("sink:q0", 10, 0, 2, 0, 0, 0),
+    ("Select", 31, 30, 7, 6, 31, 0, 1, 1),
+    ("SecurityShield", 30, 10, 6, 2, 12, 0, 20, 4),
+    ("delivery:q1", 8, 8, 2, 2, 4, 0, 0, 0),
+    ("sink:q1", 8, 0, 2, 0, 0, 0),
+    ("Select", 31, 23, 7, 5, 31, 0, 8, 2),
+    ("SecurityShield", 23, 8, 5, 2, 10, 0, 15, 3),
+    ("delivery:q2", 5, 5, 1, 1, 2, 0, 0, 0),
+    ("sink:q2", 5, 0, 1, 0, 0, 0),
+    ("Select", 31, 13, 7, 3, 31, 0, 18, 4),
+    ("SecurityShield", 13, 5, 3, 1, 6, 0, 8, 2),
+]
+EXPECTED_JOIN = [
+    ("delivery:q", 88, 88, 1, 1, 1, 0, 0, 0),
+    ("sink:q", 88, 0, 1, 0, 0, 0),
+    ("IndexSAJoin", 48, 88, 12, 1, 88, 45),
+    ("SecurityShield", 88, 88, 1, 1, 1, 0, 0, 0),
+]

@@ -129,6 +129,31 @@ class TestSubscriptions:
         tids = [e.tid for e in got if isinstance(e, DataTuple)]
         assert tids == [1]
 
+    def test_raising_subscriber_loses_no_result(self, dsms):
+        """A callback that raises has had its element (at most once);
+        what the same push put behind it is delivered by the next push,
+        and a query drained after the raiser loses nothing either."""
+        dsms.register_query("r", ScanExpr("s"), roles={"D"})
+        sp, t1, t2 = grant(["D"], 0.0), tup(1, 1.0), tup(2, 2.0)
+        got_q, got_r = [], []
+
+        def fragile(element):
+            if isinstance(element, SecurityPunctuation):
+                raise RuntimeError("subscriber down")
+            got_q.append(element)
+
+        session = dsms.open_session()
+        session.subscribe("q", fragile)
+        session.subscribe("r", got_r.append)
+        assert session.push("s", sp) == {"q": [], "r": []}
+        with pytest.raises(RuntimeError):
+            session.push("s", t1)  # releases the sp, then t1, to q and r
+        assert got_q == [] and got_r == []
+        assert session.push("s", t2) == {"q": [t1, t2], "r": [sp, t1, t2]}
+        assert got_q == [t1, t2] and got_r == [sp, t1, t2]
+        assert session.close() == {"q": [], "r": []}
+        assert session.results("q") == session.results("r") == [t1, t2]
+
     def test_unknown_query_rejected(self, dsms):
         session = dsms.open_session()
         with pytest.raises(QueryError):
