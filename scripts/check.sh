@@ -79,5 +79,12 @@ if grep -rnE "\b_batches\b|apply_incremental_batch[(]|Policy[(]tuple[(]" src/rep
     exit 1
 fi
 
+echo "== one query compiler (delivery shields are built by PhysicalPlan.compile_queries only) =="
+if grep -rnE "name=f?[\"']delivery:" src/repro | grep -v "^src/repro/engine/plan\.py:"; then
+    echo "compile queries through PhysicalPlan.compile_queries;" \
+         "see docs/PERFORMANCE.md, One shield per query" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

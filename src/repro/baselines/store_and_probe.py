@@ -51,6 +51,9 @@ class PolicyTable:
         self.updates = 0
         self.probes = 0
         self.scan_steps = 0
+        #: Policy roles materialised: each stored row's role set and
+        #: the policy each probe resolves for its tuple.
+        self.roles_materialised = 0
 
     # -- updates ------------------------------------------------------------
     def store(self, sp: SecurityPunctuation) -> None:
@@ -63,6 +66,7 @@ class PolicyTable:
         """
         self.updates += 1
         stored = _StoredPolicy(sp)
+        self.roles_materialised += len(stored.roles or ())
         exact_keys = self._exact_keys(sp)
         if exact_keys is not None:
             for key in exact_keys:
@@ -136,6 +140,7 @@ class PolicyTable:
                 if stored.roles is None:
                     granted = {r for r in granted
                                if not stored.sp.srp.authorizes(r)}
+        self.roles_materialised += len(granted)
         return TuplePolicy(RoleSet(granted), ts=best_ts)
 
     # -- accounting --------------------------------------------------------

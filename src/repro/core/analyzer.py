@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.bitmap import RoleUniverse
 from repro.core.patterns import (ANY, CompositePattern, LiteralPattern,
                                  Pattern, RangePattern, SetPattern, one_of)
-from repro.core.policy import AccessPolicy, Policy
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
                                     SecurityRestriction, Sign, SPBatch)
 from repro.errors import PolicyError
@@ -384,17 +383,6 @@ class SPAnalyzer:
             tracer.span("analyzer.batch", ts=ts, sps_in=len(sps),
                         sps_out=len(combined))
         return combined
-
-    def effective_policy(self, sps: Sequence[SecurityPunctuation]) -> AccessPolicy:
-        """The :class:`AccessPolicy` one arriving batch denotes."""
-        processed = self.process_batch(sps)
-        if not processed:
-            # Everything refined away: nobody has access.
-            ts = sps[0].ts if sps else 0.0
-            return Policy((SecurityPunctuation(
-                ddp=DataDescription(), srp=SecurityRestriction(roles=_EMPTY),
-                sign=Sign.POSITIVE, ts=ts),))
-        return Policy(processed)
 
     # -- streaming interface ---------------------------------------------------
     def analyze(self, elements: Iterable) -> Iterator:

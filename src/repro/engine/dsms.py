@@ -208,7 +208,9 @@ class DSMS:
 
         Updates the registered query's roles and, if a compiled plan is
         live, rewrites the predicates of that query's Security Shields
-        in place — taking effect from the next processed element.
+        in place — taking effect from the next processed element.  A
+        shield another query also reaches (never an outlet) keeps its
+        predicate, so the other query's results do not change.
         """
         query = self.queries.get(name)
         if query is None:
@@ -220,14 +222,19 @@ class DSMS:
         new_expr = _replace_shield_roles(old_expr, query.roles, roles)
         self.queries[name] = query.with_expr(new_expr)
         self.queries[name].roles = roles  # type: ignore[misc]
+        shared = {shield for other, shields in self._live_shields.items()
+                  if other != name for shield in shields}
         for shield in self._live_shields.get(name, ()):
-            shield.rebind(RoleSet(roles))
+            if shield not in shared:
+                shield.rebind(RoleSet(roles))
 
     def shields(self, query_name: str) -> tuple[SecurityShield, ...]:
         """Read-only view of a query's live Security Shields.
 
-        Includes the per-query delivery shield; empty until a plan has
-        been compiled (:meth:`build_plan`, :meth:`run` or
+        The shields its plan compiled to, then its outlet — the shield
+        that hands the query its results (its root shield, or the
+        ``delivery:<name>`` backstop); empty until a plan has been
+        compiled (:meth:`build_plan`, :meth:`run` or
         :meth:`open_session`).  This is the public surface callers and
         the audit layer use instead of reaching into plan internals.
         """
@@ -304,31 +311,20 @@ class DSMS:
         if not self.queries:
             raise QueryError("no queries registered")
         plan = PhysicalPlan(self.universe)
-        sinks: dict[str, CollectingSink] = {}
         exprs = self._optimized_exprs(level)
-        deliveries = []
-        for name, query in self.queries.items():
-            sink = CollectingSink(name=f"sink:{name}")
-            # The delivery shield is a fixed final check: results are
-            # handed only to subjects holding the query's roles, no
-            # matter how the optimizer moved the in-plan shields.  For
-            # an unrewritten plan it repeats the root shield's work on
-            # everything that shield passed — roughly half of
-            # ``operators.shield.busy_s``; eliding it was sized at -13 %
-            # of a ``fanout_filter`` ``run()`` and not done (why/
-            # provenance/plancheck/stats read this operator; see
-            # docs/PERFORMANCE.md, "What an element costs a query").
-            delivery = SecurityShield(RoleSet(query.roles),
-                                      name=f"delivery:{name}")
-            plan.compile_chain(exprs[name], [delivery, sink])
-            sinks[name] = sink
-            deliveries.append((name, exprs[name], delivery))
-        self._live_shields = plan.bind_observability(self.observability,
-                                                     deliveries)
+        # Each query's results leave through one fixed check for its
+        # roles, its outlet: the root shield when that already is the
+        # check, else a ``delivery:<name>`` backstop, wherever the
+        # optimizer moved the in-plan shields (docs/PERFORMANCE.md,
+        # "One shield per query").
+        sinks = plan.compile_queries(
+            (name, exprs[name], query.roles)
+            for name, query in self.queries.items())
+        self._live_shields = plan.bind_observability(self.observability)
         modes = {query.analyze for query in self.queries.values()}
         if modes != {"off"}:
             # Second analysis layer: the compiled DAG, where shared
-            # subplans, optimizer rewrites and the delivery shields
+            # subplans, optimizer rewrites and the delivery backstops
             # are all concrete.
             mode = "strict" if "strict" in modes else "warn"
             self._apply_analysis(analyze_plan(plan,

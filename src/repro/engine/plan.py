@@ -6,18 +6,21 @@ from logical expressions (:meth:`PhysicalPlan.compile_expr`).  The
 compiler hash-conses on structural expression equality, so queries
 sharing a subexpression share the corresponding operator nodes — the
 shared subplans of Figure 5 — and each shared stateful operator keeps a
-single copy of its state.
+single copy of its state.  Registered queries compile through
+:meth:`PhysicalPlan.compile_queries`, the one place that decides which
+shield hands each query its results.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
                                        ShieldExpr, UnionExpr, walk)
-from repro.core.bitmap import RoleUniverse
+from repro.core.bitmap import RoleSet, RoleUniverse
 from repro.errors import PlanError
 from repro.operators.base import Operator
 from repro.operators.dupelim import DuplicateElimination
@@ -28,6 +31,7 @@ from repro.operators.project import Project
 from repro.operators.select import Select
 from repro.operators.setops import Intersect, Union
 from repro.operators.shield import SecurityShield
+from repro.operators.sink import CollectingSink
 
 __all__ = ["PlanNode", "PhysicalPlan"]
 
@@ -56,6 +60,9 @@ class PhysicalPlan:
         #: stream id -> [(entry node, port)]
         self.entries: dict[str, list[tuple[PlanNode, int]]] = {}
         self._expr_cache: dict[LogicalExpr, PlanNode] = {}
+        #: query name -> (compiled expression, outlet shield), filled by
+        #: :meth:`compile_queries`.
+        self.queries: dict[str, tuple[LogicalExpr, SecurityShield]] = {}
 
     # -- construction ------------------------------------------------------
     def add(self, operator: Operator) -> PlanNode:
@@ -101,6 +108,36 @@ class PhysicalPlan:
             self.connect(parent, child)
         return nodes
 
+    def compile_queries(
+        self, queries: "Iterable[tuple[str, LogicalExpr, Iterable[str]]]",
+    ) -> dict[str, CollectingSink]:
+        """Compile ``(name, expr, roles)`` queries; returns their sinks.
+
+        A query's *outlet* hands its sink results for ``roles`` only.
+        It is the root when the root is ψ_roles and exclusive (Table II
+        Rule 1: ψ_p(ψ_p(T)) ≡ ψ_p(T)), else a ``delivery:<name>``
+        shield.  Exclusive — no other query reaches the node, nothing
+        compiled before (a shard unit) reads it — is a security
+        condition: role re-binding rewrites outlets.
+        """
+        queries = [(name, expr, frozenset(roles))
+                   for name, expr, roles in queries]
+        reach = Counter(sub for _, expr, _ in queries
+                        for sub in set(walk(expr)))
+        sinks: dict[str, CollectingSink] = {}
+        for name, expr, roles in queries:
+            sink = sinks[name] = CollectingSink(name=f"sink:{name}")
+            if (isinstance(expr, ShieldExpr) and expr.predicates == (roles,)
+                    and reach[expr] == 1 and expr not in self._expr_cache):
+                self.compile_chain(expr, [sink])
+                outlet = self._expr_cache[expr].operator
+            else:
+                outlet = SecurityShield(RoleSet(roles),
+                                        name=f"delivery:{name}")
+                self.compile_chain(expr, [outlet, sink])
+            self.queries[name] = (expr, outlet)
+        return sinks
+
     def _attach(self, outlet: "str | PlanNode", node: PlanNode,
                 port: int) -> None:
         if isinstance(outlet, str):
@@ -136,7 +173,6 @@ class PhysicalPlan:
             for role in sorted(expr.roles):
                 self.universe.register(role)
             conjuncts = [frozenset(p) for p in expr.predicates]
-            from repro.core.bitmap import RoleSet
             return SecurityShield(
                 RoleSet(expr.roles), sid(children[0], "*"),
                 conjuncts=[RoleSet(c) for c in conjuncts],
@@ -179,31 +215,30 @@ class PhysicalPlan:
 
     # -- introspection ----------------------------------------------------------
     def bind_observability(
-        self, observability,
-        queries: "Iterable[tuple[str, LogicalExpr, SecurityShield]]",
-    ) -> dict[str, list[SecurityShield]]:
+            self, observability) -> dict[str, list[SecurityShield]]:
         """Wire the compiled plan to an ``Observability`` hub.
 
-        ``queries`` names each compiled query as ``(name, expr,
-        delivery shield)``.  A query's shields — those its expression
-        compiled to, then its delivery shield — are bound with
-        ``query=name``; every other operator (joins, dup-elim,
-        group-by: shared, so query-anonymous) records through the same
-        audit log when there is one; with a metrics registry every
-        operator pre-binds its instrument children, so recording sites
-        cost one attribute check.  Returns each query's shields.
+        A query's shields (:attr:`queries`) — those its expression
+        compiled to, then its outlet — are bound with ``query=name``,
+        and the outlet is marked so its pass records say the tuple was
+        delivered; every other operator (joins, dup-elim, group-by:
+        shared, so query-anonymous) records through the same audit log
+        when there is one; with a metrics registry every operator
+        pre-binds its instrument children, so recording sites cost one
+        attribute check.  Returns each query's shields, outlet last.
         """
         shields: dict[str, list[SecurityShield]] = {}
-        for name, expr, delivery in queries:
+        for name, (expr, outlet) in self.queries.items():
             found = []
             for sub in walk(expr):
                 # A ShieldExpr compiled into this plan maps to its node.
                 node = (self._expr_cache.get(sub)
                         if isinstance(sub, ShieldExpr) else None)
-                if node is not None and isinstance(node.operator,
-                                                   SecurityShield):
+                if (node is not None and node.operator is not outlet
+                        and isinstance(node.operator, SecurityShield)):
                     found.append(node.operator)
-            shields[name] = found + [delivery]
+            shields[name] = found + [outlet]
+            outlet.outlet = True
             for shield in shields[name]:
                 observability.bind(shield, query=name)
         if observability.audit is not None:

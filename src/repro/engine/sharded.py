@@ -7,13 +7,13 @@ processes.  The pipeline:
    level over every registered query, so workers execute exactly the
    plans a single-process run would.
 2. **Split queries** — a fully stateless plan ({scan, shield, select,
-   project}) runs entirely inside the workers, including its
-   ``delivery:<name>`` shield and sink.  A plan with stateful
-   operators (joins, group-by, dup-elim, set ops) is split: each
-   maximal stateless subtree becomes a *prefix unit* executed in the
-   workers, and the coordinator runs the rewritten stateful suffix
-   over the merged unit outputs.  Structurally equal subtrees share
-   one unit (the shared-subplan property of the single-process plan).
+   project}) runs entirely inside the workers, including its outlet
+   shield and sink.  A plan with stateful operators (joins,
+   group-by, dup-elim, set ops) is split: each maximal stateless
+   subtree becomes a *prefix unit* executed in the workers, and the
+   coordinator runs the rewritten stateful suffix over the merged
+   unit outputs.  Structurally equal subtrees share one unit (the
+   shared-subplan property of the single-process plan).
 3. **Partition** — every input stream is cut into s-punctuated
    segment chunks (:mod:`repro.engine.partition`) and hash-routed to
    the workers; each worker runs its own SP Analyzer, shield state
@@ -23,9 +23,9 @@ processes.  The pipeline:
    suffixes then run in-process over the merged virtual streams.
 
 Denial-by-default is preserved by construction: a tuple can only be
-delivered by a worker's delivery shield or the coordinator suffix's
-delivery shield, never raw.  The lifecycle is fail-closed: a worker
-that dies or hangs aborts the whole run — every other worker is
+delivered through a query's outlet shield, in a worker or in the
+coordinator's suffix, never raw.  The lifecycle is fail-closed: a
+worker that dies or hangs aborts the whole run — every other worker is
 terminated, a ``health.alert`` span is emitted through the DSMS's
 observability, and :class:`ShardExecutionError` is raised instead of
 returning partial (potentially under-enforced) results.
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 from repro.algebra.expressions import (LogicalExpr, ProjectExpr, ScanExpr,
                                        SelectExpr, ShieldExpr)
 from repro.core.analyzer import SPAnalyzer
-from repro.core.bitmap import RoleSet, RoleUniverse
+from repro.core.bitmap import RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.executor import ExecutionReport, Executor
@@ -65,7 +65,6 @@ from repro.errors import QueryError, ShardExecutionError
 from repro.observability import AuditLog, Observability
 from repro.observability.audit import AuditEvent
 from repro.observability.stats import StageStats
-from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
 from repro.stream.batch import segment_feed
 from repro.stream.element import StreamElement
@@ -247,8 +246,8 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
     Mirrors the single-process run: a fresh SP Analyzer (with the
     server policies applied), a hash-consed physical plan over the
     shard's units and local queries, the segment-batched executor,
-    and — for local queries — the same ``delivery:<name>`` shield the
-    DSMS facade installs.
+    and — for local queries — the same outlet the DSMS facade compiles
+    (:meth:`~repro.engine.plan.PhysicalPlan.compile_queries`).
     """
     universe = RoleUniverse()
     analyzer = SPAnalyzer(universe)
@@ -263,16 +262,8 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
         sink = CollectingSink(name=f"sink:{unit_sid}")
         plan.compile_chain(expr, [sink])
         unit_sinks[unit_sid] = sink
-    local_sinks: "dict[str, CollectingSink]" = {}
-    deliveries = []
-    for name, expr, roles in task.local_queries:
-        sink = CollectingSink(name=f"sink:{name}")
-        delivery = SecurityShield(RoleSet(roles),
-                                  name=f"delivery:{name}")
-        plan.compile_chain(expr, [delivery, sink])
-        local_sinks[name] = sink
-        deliveries.append((name, expr, delivery))
-    plan.bind_observability(observability, deliveries)
+    local_sinks = plan.compile_queries(task.local_queries)
+    plan.bind_observability(observability)
 
     sources: "list[ListSource]" = []
     for sid in sorted(task.streams):
@@ -555,7 +546,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
 
     # Stateful suffixes run in-process over the merged unit streams,
     # sharing the coordinator's universe and observability so audit,
-    # metrics and delivery shields look exactly like a local run.
+    # metrics and outlet shields look exactly like a local run.
     suffix_results: "dict[str, QueryResult]" = {}
     suffix_report: ExecutionReport | None = None
     if split_queries:

@@ -32,9 +32,10 @@ def _fig7ab(scale: float) -> None:
 def _fig7cd(scale: float) -> None:
     rows = fig7.experiment_fig7cd(n_tuples=int(4000 * scale))
     print_table(
-        ("|R|", "mechanism", "memory (MB)", "cost/100 tuples (ms)"),
+        ("|R|", "mechanism", "memory (MB)", "cost/100 tuples (ms)",
+         "roles materialised"),
         [(r["policy_size"], r["mechanism"], r["memory_mb"],
-          r["per_100_tuples_ms"]) for r in rows],
+          r["per_100_tuples_ms"], r["roles_materialised"]) for r in rows],
         title="Figure 7c/7d — enforcement mechanisms vs policy size",
     )
 

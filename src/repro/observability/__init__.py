@@ -12,7 +12,8 @@ semantics:
   decision (shield segment verdicts and per-tuple drops, analyzer
   server-policy refinements, SAJoin policy rejections and skip-rule
   hits, delivery-shield rejections, and — for head-sampled traces —
-  shield/filter passes), queryable per query and exportable as JSONL.
+  shield/filter passes, a query's outlet marking its delivered
+  tuples), queryable per query and exportable as JSONL.
   It is the only place a decision is stored: :func:`reconstruct_why`
   (``repro why``) renders ``AuditLog.explain``.
 * :class:`StageStats` — per-operator metrics (elements in/out, drops,
@@ -57,8 +58,7 @@ from repro.observability.metrics import (Counter, Gauge, Histogram,
                                          MetricFamily, MetricsRegistry,
                                          log_buckets)
 from repro.observability.monitor import MonitorView, run_monitor
-from repro.observability.provenance import (DEFAULT_SAMPLE_RATE,
-                                            TraceContext, Tracer,
+from repro.observability.provenance import (DEFAULT_SAMPLE_RATE, Tracer,
                                             WhyReport, reconstruct_why)
 from repro.observability.stats import StageStats, aggregate_stages
 from repro.observability.trace import JsonlTraceSink, SpanEvent
@@ -81,7 +81,6 @@ __all__ = [
     "Observability",
     "SpanEvent",
     "StageStats",
-    "TraceContext",
     "Tracer",
     "WhyReport",
     "aggregate_stages",

@@ -23,7 +23,8 @@ Event kinds currently recorded:
     tuple; ``sp`` names the governing sp-batch (``None`` under
     denial-by-default), as on ``shield.drop``.
 ``shield.pass`` / ``filter.pass``
-    A shield or access filter let one tuple through.  Recorded only
+    A shield or access filter let one tuple through (``outlet=True`` in
+    ``detail`` at a query's outlet: delivered).  Recorded only
     while the hub's tracer has a head-sampled trace open (never by an
     audit-only hub), and held apart — see *Retention* below.
 ``optimizer.rewrite``

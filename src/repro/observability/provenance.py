@@ -41,8 +41,7 @@ from .trace import JsonlTraceSink, SpanEvent
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .audit import AuditEvent, AuditLog
 
-__all__ = ["DEFAULT_SAMPLE_RATE", "TraceContext", "Tracer", "WhyReport",
-           "reconstruct_why"]
+__all__ = ["DEFAULT_SAMPLE_RATE", "Tracer", "WhyReport", "reconstruct_why"]
 
 #: Default head-sampling rate of a :class:`Tracer`: roughly
 #: one trace in 64 carries full operator spans and records its pass
@@ -58,35 +57,6 @@ _MASK = 0xFFFFFFFF
 
 def _sampled(trace_id: int, threshold: int) -> bool:
     return (trace_id * _HASH) & _MASK < threshold
-
-
-class TraceContext:
-    """Immutable causal coordinates of one span: who am I, who made me."""
-
-    __slots__ = ("trace_id", "span_id", "parent_id")
-
-    def __init__(self, trace_id: int, span_id: int,
-                 parent_id: int | None = None):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-
-    def child(self, span_id: int) -> "TraceContext":
-        return TraceContext(self.trace_id, span_id, self.span_id)
-
-    def __repr__(self) -> str:
-        return (f"TraceContext(trace_id={self.trace_id}, "
-                f"span_id={self.span_id}, parent_id={self.parent_id})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceContext):
-            return NotImplemented
-        return (self.trace_id == other.trace_id
-                and self.span_id == other.span_id
-                and self.parent_id == other.parent_id)
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id, self.parent_id))
 
 
 class Tracer:
@@ -206,12 +176,6 @@ class Tracer:
         """Current trace id if there is one and it is sampled."""
         return (self._trace_id or None) if self.active else None
 
-    def context(self) -> TraceContext | None:
-        """Root context of the current trace when sampled."""
-        if not self.active:
-            return None
-        return TraceContext(self._trace_id, self._root_id)
-
     def op_span(self, name: str, parent_id: int, dur_ns: int,
                 **attrs) -> int:
         """Emit a completed child span; returns its span id.
@@ -282,11 +246,11 @@ class WhyReport:
 
     @property
     def delivered_queries(self) -> list[str]:
-        """Queries whose delivery shield passed the tuple."""
+        """Queries whose outlet — the shield that hands the query its
+        results — passed the tuple."""
         return list(dict.fromkeys(
-            event.operator.split(":", 1)[1] for event in self.decisions
-            if event.operator.startswith("delivery:")
-            and event.kind.endswith(".pass")))
+            event.query for event in self.decisions
+            if event.detail.get("outlet") and event.kind.endswith(".pass")))
 
     @property
     def denials(self) -> "list[AuditEvent]":

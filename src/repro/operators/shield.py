@@ -51,6 +51,9 @@ class SecurityShield(UnaryOperator):
     #: Audit kinds of a pass, a denial and an evaluated sp-batch.
     _KIND_PASS, _KIND_DROP, _KIND_SEGMENT = (
         "shield.pass", "shield.drop", "shield.segment")
+    #: Whether this shield hands a query its results — set by
+    #: :meth:`~repro.engine.plan.PhysicalPlan.bind_observability`.
+    outlet = False
 
     def __init__(self, roles: Iterable[str] | AbstractRoleSet,
                  stream_id: str = "*", *, indexed: bool = True,
@@ -435,15 +438,18 @@ class SecurityShield(UnaryOperator):
         ``shield.drop`` / ``shield.pass`` event per tuple.  A denial is
         always recorded; a pass only while the log's tracer has a
         head-sampled trace open.
+        A pass at a query's outlet carries ``outlet=True``: the tuple
+        was delivered.
         """
         audit = self.audit
         if passing and not audit.wants_passes():
             return
         predicate, policy, sp = self._decision_fields(tuples[0])
+        detail = {"outlet": True} if passing and self.outlet else {}
         audit.record_run(
             self._KIND_PASS if passing else self._KIND_DROP, tuples,
             operator=self.name, query=self.audit_query,
-            predicate=predicate, policy=policy, sp=sp,
+            predicate=predicate, policy=policy, sp=sp, **detail,
         )
 
     def flush(self) -> list[StreamElement]:

@@ -69,8 +69,10 @@ class TestRunOfOnePath:
     def test_no_work_stack_below_a_hop_that_emits_nothing(self):
         session = warm_session(4)
         assert profile_push(session, tup(-1, 2.0))[1] == 0
-        # The spy does see a stack: a delivered tuple goes three hops down.
-        assert profile_push(session, tup(50, 3.0))[1] == 3 * 4
+        # The spy does see a stack: a delivered tuple goes two hops down,
+        # select → root shield → sink (three while a delivery backstop
+        # stood behind the root shield).
+        assert profile_push(session, tup(50, 3.0))[1] == 2 * 4
 
     @pytest.mark.parametrize("drive", ["session", "run"])
     def test_fan_out_is_delivered_depth_first(self, drive):
@@ -147,23 +149,24 @@ class TestCountersAreNotPartOfTheSaving:
 
 
 # (name, tuples_in, tuples_out, sps_in, sps_out, comparisons, state_ops
-#  [, dropped/blocked tuples, discarded/blocked sps]) in plan order.
+#  [, dropped/blocked tuples, discarded/blocked sps]) in plan order.  Each
+# root shield is its query's outlet; the "delivery:<q>" backstop the
+# literals also carried before it was elided — ("delivery:q0", 10, 10, 2,
+# 2, 4, 0, 0, 0), ("delivery:q1", 8, 8, 2, 2, 4, 0, 0, 0), ("delivery:q2",
+# 5, 5, 1, 1, 2, 0, 0, 0) and ("delivery:q", 88, 88, 1, 1, 1, 0, 0, 0) —
+# passed everything its root shield passed and blocked nothing.
 EXPECTED_FAN_OUT = [
-    ("delivery:q0", 10, 10, 2, 2, 4, 0, 0, 0),
     ("sink:q0", 10, 0, 2, 0, 0, 0),
     ("Select", 31, 30, 7, 6, 31, 0, 1, 1),
     ("SecurityShield", 30, 10, 6, 2, 12, 0, 20, 4),
-    ("delivery:q1", 8, 8, 2, 2, 4, 0, 0, 0),
     ("sink:q1", 8, 0, 2, 0, 0, 0),
     ("Select", 31, 23, 7, 5, 31, 0, 8, 2),
     ("SecurityShield", 23, 8, 5, 2, 10, 0, 15, 3),
-    ("delivery:q2", 5, 5, 1, 1, 2, 0, 0, 0),
     ("sink:q2", 5, 0, 1, 0, 0, 0),
     ("Select", 31, 13, 7, 3, 31, 0, 18, 4),
     ("SecurityShield", 13, 5, 3, 1, 6, 0, 8, 2),
 ]
 EXPECTED_JOIN = [
-    ("delivery:q", 88, 88, 1, 1, 1, 0, 0, 0),
     ("sink:q", 88, 0, 1, 0, 0, 0),
     ("IndexSAJoin", 48, 88, 12, 1, 88, 45),
     ("SecurityShield", 88, 88, 1, 1, 1, 0, 0, 0),

@@ -1,0 +1,129 @@
+"""One shield per query: which shield hands a query its results.
+
+``PhysicalPlan.compile_queries`` makes an auto-shielded query's root
+ψ_roles its *outlet* when no other query reaches that node; everywhere
+else a ``delivery:<name>`` backstop stays.  Exclusivity is a security
+condition — role re-binding rewrites an outlet, and a node another query
+reads must keep its predicate.
+"""
+
+import warnings
+
+from repro.algebra.expressions import ScanExpr, ShieldExpr
+from repro.core.punctuation import SecurityPunctuation
+from repro.engine.dsms import DSMS
+from repro.engine.plan import PhysicalPlan
+from repro.operators.conditions import Comparison
+from repro.operators.shield import SecurityShield
+from repro.operators.sink import CollectingSink
+from repro.stream.schema import StreamSchema
+from repro.stream.tuples import DataTuple
+
+SCHEMA = StreamSchema("s", ("a",))
+
+
+def segments():
+    """Segments granted R (tids 0, 1), X (10, 11), R (20, 21), X (30, 31)."""
+    out = []
+    for i, role in enumerate("RXRX"):
+        ts = 10.0 * i
+        out.append(SecurityPunctuation.grant([role], ts))
+        out += [DataTuple("s", 10 * i + j, {"a": j}, ts + 1 + j)
+                for j in range(2)]
+    return out
+
+
+def shield(expr, *roles):
+    return ShieldExpr(expr, frozenset(roles))
+
+
+#: q1 = ψ_R(s) is an inner node of q2 = ψ_R(σ_{a≥0}(ψ_R(s))).
+HAZARD = {
+    "q1": shield(ScanExpr("s"), "R"),
+    "q2": shield(shield(ScanExpr("s"), "R").select(
+        Comparison("a", ">=", 0)), "R"),
+}
+
+
+def outlet_names(queries, roles=frozenset({"R"})):
+    plan = PhysicalPlan()
+    plan.compile_queries((name, expr, roles)
+                         for name, expr in queries.items())
+    return {name: outlet.name for name, (_, outlet) in plan.queries.items()}
+
+
+class TestCompileQueries:
+    def test_auto_shielded_root_is_the_outlet(self):
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, segments())
+        dsms.register_query("q", ScanExpr("s").select(
+            Comparison("a", ">=", 0)), roles={"R"})
+        plan, sinks = dsms.build_plan()
+        (root,) = plan.find_operators(SecurityShield)
+        assert dsms.shields("q") == (root,)
+        (node,) = [n for n in plan.nodes if n.operator is root]
+        assert node.downstream == [(plan.nodes[0], 0)]
+        assert plan.nodes[0].operator is sinks["q"]
+
+    def test_shared_root_keeps_its_backstop(self):
+        """q1's root is q2's inner shield: q1 keeps ``delivery:q1``, q2's
+        own root is its outlet."""
+        names = outlet_names(HAZARD)
+        assert names == {"q1": "delivery:q1", "q2": "SecurityShield"}
+
+    def test_equal_roots_keep_their_backstops(self):
+        expr = shield(ScanExpr("s"), "R")
+        assert outlet_names({"q1": expr, "q2": expr}) == {
+            "q1": "delivery:q1", "q2": "delivery:q2"}
+
+    def test_root_that_is_not_the_delivery_check_keeps_its_backstop(self):
+        assert outlet_names({
+            "select_root": shield(ScanExpr("s"), "R").select(
+                Comparison("a", ">=", 0)),
+            "foreign_roles": shield(ScanExpr("s"), "R", "X"),
+            "two_conjuncts": ShieldExpr(ScanExpr("s"), (
+                frozenset({"R"}), frozenset({"R", "X"}))),
+        }) == {"select_root": "delivery:select_root",
+               "foreign_roles": "delivery:foreign_roles",
+               "two_conjuncts": "delivery:two_conjuncts"}
+
+    def test_node_compiled_before_keeps_its_backstop(self):
+        """A shard unit compiled into the same plan reads the root."""
+        plan = PhysicalPlan()
+        expr = shield(ScanExpr("s"), "R")
+        plan.compile_chain(expr, [CollectingSink()])
+        plan.compile_queries([("q", expr, {"R"})])
+        assert plan.queries["q"][1].name == "delivery:q"
+
+    def test_auto_shielded_queries_analyze_silently(self):
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, segments())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, role in enumerate("RX"):
+                dsms.register_query(f"q{i}", ScanExpr("s").select(
+                    Comparison("a", ">", i)), roles={role},
+                    analyze="warn")
+            dsms.build_plan()
+
+
+class TestRebindSharedShields:
+    def test_update_query_roles_leaves_a_shared_shield_alone(self):
+        """Re-binding q2 must not rewrite the ψ_R node q1 reads."""
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, [])
+        for name, expr in HAZARD.items():
+            dsms.register_query(name, expr, roles={"R"})
+        elements = segments()
+        got = {"q1": [], "q2": []}
+        with dsms.open_session() as session:
+            for index, element in enumerate(elements):
+                if index == len(elements) // 2:
+                    dsms.update_query_roles("q2", {"X"})
+                    got["q2"].clear()
+                for name, out in session.push("s", element).items():
+                    got[name] += [e.tid for e in out
+                                  if isinstance(e, DataTuple)]
+        assert got["q1"] == [0, 1, 20, 21]
+        # After the update q2 holds X only: nothing granted R alone.
+        assert set(got["q2"]) <= {30, 31}

@@ -365,10 +365,14 @@ class TestPassRing:
         # Tuple 3: passes the doctor's shields, denied by the nurse's.
         events = self.explained(1.0, 3)
         assert [e.seq for e in events] == sorted(e.seq for e in events)
+        # The doctor's root shield is its outlet, so its pass is the
+        # delivery (a "delivery:doc" shield behind it recorded a second
+        # pass).
         assert sorted((e.kind, e.operator, e.query) for e in events) == [
             ("shield.drop", "SecurityShield", "nurse"),
-            ("shield.pass", "SecurityShield", "doc"),
-            ("shield.pass", "delivery:doc", "doc")]
+            ("shield.pass", "SecurityShield", "doc")]
+        assert [e.detail for e in events if e.kind == "shield.pass"] == [
+            {"outlet": True}]
         # One push, one trace: the fifth element's.
         assert {e.trace_id for e in events} == {5}
         event = events[0]

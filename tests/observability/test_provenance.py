@@ -11,9 +11,9 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.core.analyzer import SPAnalyzer
 from repro.observability import AuditLog, Observability, provenance
-from repro.observability.provenance import (DEFAULT_SAMPLE_RATE,
-                                            TraceContext, Tracer, _sampled,
-                                            reconstruct_why)
+from repro.observability.provenance import (DEFAULT_SAMPLE_RATE, Tracer,
+                                            _sampled, reconstruct_why)
+from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
@@ -82,10 +82,8 @@ class TestSampling:
             assert tracer.active == verdict
             if verdict:
                 assert tracer.trace_ref() == expected_tid
-                assert tracer.context() is not None
             else:
                 assert tracer.trace_ref() is None
-                assert tracer.context() is None
 
     def test_rejects_out_of_range_rate(self):
         with pytest.raises(ValueError):
@@ -111,20 +109,6 @@ class TestSampling:
         kept = len(sparse.events("analyzer.batch"))
         assert 0 < kept == sparse.sampled_traces < 1000 // 16
         assert batches(0.0, 50).events() == []
-
-
-class TestTraceContext:
-    def test_child_chains_parent(self):
-        root = TraceContext(7, 1)
-        child = root.child(2)
-        assert child.trace_id == 7
-        assert child.span_id == 2
-        assert child.parent_id == 1
-
-    def test_equality_and_hash(self):
-        assert TraceContext(1, 2, 3) == TraceContext(1, 2, 3)
-        assert TraceContext(1, 2, 3) != TraceContext(1, 2, 4)
-        assert hash(TraceContext(1, 2)) == hash(TraceContext(1, 2))
 
 
 def run_of(tids, ts=1.0):
@@ -231,10 +215,15 @@ class TestMentionsAndWhy:
         assert "not delivered (denied)" in text
 
     def test_delivered_queries_from_delivery_shields(self):
+        """A delivery is a pass at the query's outlet (``outlet=True``,
+        set when the plan is bound), whatever the shield is named; an
+        in-plan pass is not one."""
         log = AuditLog()
-        for ts in (1.0, 2.0):
+        log.record_run("shield.pass", run_of([7]), operator="SecurityShield",
+                       query="nurse")
+        for ts, operator in ((1.0, "SecurityShield"), (2.0, "delivery:doc")):
             log.record_run("shield.pass", run_of([7], ts=ts),
-                           operator="delivery:doc")
+                           operator=operator, query="doc", outlet=True)
         report = reconstruct_why(7, log)
         assert report.delivered_queries == ["doc"]
         assert report.denials == []
@@ -265,6 +254,28 @@ class TestEndToEndWhy:
         text = denied.render_text()
         assert "not delivered (denied)" in text
         assert "governed by sp" in text
+
+    @pytest.mark.parametrize("drive", MODES)
+    def test_inner_pass_is_not_a_delivery(self, drive):
+        """ψ_D(σ(ψ_D(hr))): both shields are named ``SecurityShield``
+        and bound to ``doc``; a tuple the select drops after the inner
+        shield passed it was not delivered."""
+        dsms = DSMS(observability=Observability(tracer=Tracer(sample=1.0)))
+        dsms.register_stream(SCHEMA, [
+            SecurityPunctuation.grant(["D"], 0.0, provider="patient"),
+            DataTuple("hr", 1, {"patient": 1, "bpm": 70}, 1.0),
+            DataTuple("hr", 2, {"patient": 1, "bpm": 90}, 2.0)])
+        dsms.register_query("doc", ScanExpr("hr").shield({"D"}).select(
+            Comparison("bpm", ">", 80)).shield({"D"}), roles={"D"})
+        results = drive(dsms)
+        assert [t.tid for t in results["doc"].tuples] == [2]
+        dropped, delivered = (reconstruct_why(tid, dsms.audit)
+                              for tid in (1, 2))
+        assert [e.kind for e in dropped.decisions] == ["shield.pass"]
+        assert dropped.delivered_queries == []
+        assert "delivered to" not in dropped.render_text()
+        assert [e.kind for e in delivered.decisions] == ["shield.pass"] * 2
+        assert delivered.delivered_queries == ["doc"]
 
     @pytest.mark.parametrize("drive", MODES)
     def test_denial_by_default_reconstructs(self, drive):

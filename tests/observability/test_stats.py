@@ -33,8 +33,9 @@ class TestStageStats:
         dsms, _ = run_dsms()
         report = dsms.last_report
         assert report is not None
-        # Root shield, delivery shield, sink.
-        assert len(report.stages) == 3
+        # Root shield (the query's outlet) and sink; a delivery shield
+        # behind the root made three.
+        assert len(report.stages) == 2
         assert {s.kind for s in report.stages} == {
             "SecurityShield", "CollectingSink"}
 
@@ -59,7 +60,7 @@ class TestStageStats:
         assert report.stage("sink:doc") is not None
         assert report.stage("no-such-operator") is None
         totals = report.totals()
-        assert totals["operators"] == 3
+        assert totals["operators"] == 2  # 3 with a delivery shield
         assert totals["drops"] == report.total_drops == 1
         assert totals["processing_time"] > 0.0
 
