@@ -86,5 +86,12 @@ if grep -rnE "name=f?[\"']delivery:" src/repro | grep -v "^src/repro/engine/plan
     exit 1
 fi
 
+echo "== role names are names (no SRP token is read as a number) =="
+if grep -n "_coerce" src/repro/core/punctuation.py; then
+    echo "role tokens are names: read SRP text with patterns.parse_names;" \
+         "see DESIGN.md section 1, The sp text format" >&2
+    exit 1
+fi
+
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

@@ -30,7 +30,7 @@ from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
                                wildcard_policy_roles)
 from repro.core.punctuation import (DataDescription, Granularity,
                                     SecurityPunctuation, SecurityRestriction,
-                                    Sign, SPBatch, sp_for_roles)
+                                    Sign, SPBatch)
 
 __all__ = [
     "ANY",
@@ -64,6 +64,5 @@ __all__ = [
     "policy_is_uniform",
     "regex",
     "resolve_tuple_policy",
-    "sp_for_roles",
     "wildcard_policy_roles",
 ]

@@ -27,8 +27,8 @@ layer relies on for cheap policy-equality checks, and all expose:
     the paper's ``eval(N, e)`` — the matching subset, preserving input
     order.
 
-A compact text syntax is supported via :func:`parse_pattern`, used by
-the CQL layer::
+A compact text syntax is read by :func:`parse_pattern` (and, over role
+names, where a token is never a number, by :func:`parse_names`)::
 
     *                 wildcard
     120               literal
@@ -60,6 +60,7 @@ __all__ = [
     "numeric_range",
     "regex",
     "parse_pattern",
+    "parse_names",
 ]
 
 
@@ -168,11 +169,16 @@ class SetPattern(Pattern):
         if not values:
             raise PatternError("SetPattern requires at least one value")
         self._values = values
-        self._texts = frozenset(str(v) for v in values)
+        self._texts = (values if set(map(type, values)) == {str}  # names
+                       else frozenset(map(str, values)))
 
     @property
     def values(self) -> frozenset:
         return self._values
+
+    @property
+    def texts(self) -> frozenset[str]:  # ``values`` itself for names
+        return self._texts
 
     def matches(self, value: object) -> bool:
         return value in self._values or str(value) in self._texts
@@ -272,10 +278,12 @@ def literal(value: Hashable) -> LiteralPattern:
 
 
 def one_of(values: Iterable[Hashable]) -> Pattern:
-    """Pattern matching any of ``values``; collapses singletons."""
-    values = list(values)
+    """Pattern matching any of ``values``; collapses singletons.  A
+    frozenset is kept as is, as the set pattern's values."""
+    if not isinstance(values, frozenset):
+        values = list(values)
     if len(values) == 1:
-        return LiteralPattern(values[0])
+        return LiteralPattern(next(iter(values)))
     return SetPattern(values)
 
 
@@ -299,6 +307,29 @@ def parse_pattern(text: str) -> Pattern:
     >>> parse_pattern("{a, b}").matches("b")
     True
     """
+    return _parse(text, False)
+
+
+def parse_names(text: str) -> Pattern:
+    """:func:`parse_pattern` over *names* (an SRP's roles): a literal or
+    set token, also in a union, is the name as written (``007`` stays
+    ``"007"``) and must be one (:func:`is_name`, else PatternError); a
+    set's names are one frozenset, its values and texts alike."""
+    return _parse(text, True)
+
+
+#: Pattern and sp-text syntax other than ``,``: no name contains one.
+_SYNTAX = re.compile(r"[|{}\[\]/<>]")
+
+
+def is_name(text: str) -> bool:
+    """Whether :func:`parse_names` reads ``text`` back as itself: not
+    empty, not ``*``, unpadded, none of ``, | { } [ ] / < >``."""
+    return (text not in ("", "*") and text == text.strip()
+            and "," not in text and _SYNTAX.search(text) is None)
+
+
+def _parse(text: str, names: bool) -> Pattern:
     text = text.strip()
     if not text:
         raise PatternError("empty pattern")
@@ -307,8 +338,8 @@ def parse_pattern(text: str) -> Pattern:
         parts = _split_union(text)
         if len(parts) > 1:
             return CompositePattern(
-                tuple(parse_pattern(part) for part in parts))
-    return _parse_atom(text)
+                tuple(_parse(part, names) for part in parts))
+    return _parse_atom(text, names)
 
 
 def _split_union(text: str) -> list[str]:
@@ -344,7 +375,7 @@ _RANGE_RE = re.compile(
 )
 
 
-def _parse_atom(text: str) -> Pattern:
+def _parse_atom(text: str, names: bool) -> Pattern:
     if text == "*":
         return ANY
     if text.startswith("/") and text.endswith("/") and len(text) >= 2:
@@ -353,8 +384,14 @@ def _parse_atom(text: str) -> Pattern:
         inner = text[1:-1].strip()
         if not inner:
             raise PatternError(f"empty set pattern: {text!r}")
-        values = [_coerce(v.strip()) for v in inner.split(",")]
-        return one_of(values)
+        tokens = map(str.strip, inner.split(","))
+        if not names:
+            return one_of([_coerce(token) for token in tokens])
+        found = frozenset(tokens)
+        # is_name for every token, as one scan of the set body.
+        if _SYNTAX.search(inner) or "" in found or "*" in found:
+            raise PatternError(f"not a set of names: {text!r}")
+        return one_of(found)
     match = _RANGE_RE.match(text)
     if match:
         low = _coerce(match.group(1))
@@ -362,11 +399,13 @@ def _parse_atom(text: str) -> Pattern:
         return RangePattern(float(low), float(high))
     if any(ch in text for ch in "[]{}"):
         raise PatternError(f"malformed pattern: {text!r}")
-    return LiteralPattern(_coerce(text))
+    if names and not is_name(text):
+        raise PatternError(f"not a name: {text!r}")
+    return LiteralPattern(text if names else _coerce(text))
 
 
 #: Bound of the token memo, in entries (not bytes): tokens come from
-#: provider-sent sp text.
+#: provider-sent sp text, but never a role token (see parse_names).
 _TOKEN_MEMO_SIZE = 4096
 
 

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from repro.core.bitmap import AbstractRoleSet, RoleSet
 from repro.core.patterns import ANY, Pattern, literal
-from repro.core.punctuation import (SecurityPunctuation, Sign, SPBatch)
+from repro.core.punctuation import SecurityPunctuation, Sign
 from repro.errors import PolicyError
 
 __all__ = [
@@ -142,10 +142,6 @@ class Policy(AccessPolicy):
         self._sps = sps
         self._ts = ts
         self._immutable = any(sp.immutable for sp in sps)
-
-    @classmethod
-    def from_batch(cls, batch: SPBatch) -> "Policy":
-        return cls(batch.sps)
 
     @classmethod
     def from_sp(cls, sp: SecurityPunctuation) -> "Policy":

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.patterns import (ANY, CompositePattern, LiteralPattern,
-                                 Pattern, SetPattern, one_of, parse_pattern)
+                                 Pattern, SetPattern, is_name, one_of,
+                                 parse_names, parse_pattern)
 from repro.errors import PunctuationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,7 +46,6 @@ __all__ = [
     "SecurityRestriction",
     "SecurityPunctuation",
     "SPBatch",
-    "sp_for_roles",
     "RBAC_MODEL",
 ]
 
@@ -58,10 +58,10 @@ _sp_counter = itertools.count(1)
 #: timestamp is inside the text) but the DDP does — ``*, *, *`` on
 #: nearly every sp — so the memo sits on the field parser.  Role *sets*
 #: do not repeat (hit rate 0–5 % on five of six ledger workloads), so
-#: ``SecurityRestriction.parse`` has no memo; its role *tokens* do, see
-#: ``patterns._coerce``.  Bounded in entries, not bytes (the keys are
-#: provider-chosen text of any length), and not a setting: an unbounded
-#: table keyed by provider text is an sp-flood hole.
+#: ``SecurityRestriction.parse`` has no memo; its role tokens are names,
+#: read without the token memo.  Bounded in entries, not bytes (the keys
+#: are provider-chosen text of any length), and not a setting: an
+#: unbounded table keyed by provider text is an sp-flood hole.
 _FIELD_MEMO_SIZE = 1024
 
 
@@ -73,7 +73,8 @@ class Sign(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Sign":
-        text = text.strip().lower()
+        if text not in ("+", "-"):  # what to_text() writes, checked first
+            text = text.strip().lower()
         if text in ("+", "positive", "grant"):
             return cls.POSITIVE
         if text in ("-", "negative", "deny"):
@@ -191,20 +192,28 @@ class SecurityRestriction:
     @classmethod
     def for_roles(cls, roles: Iterable[str] | str,
                   model_type: str = RBAC_MODEL) -> "SecurityRestriction":
-        """SRP authorizing an explicit set of roles."""
+        """SRP authorizing an explicit set of roles, each a name the SRP
+        text reads back as itself (``patterns.is_name``)."""
         if isinstance(roles, str):
             roles = (roles,)
-        roles = list(roles)
-        if not roles:
+        names = frozenset(map(str, roles))
+        if not names:
             raise PunctuationError("SRP requires at least one role")
-        srp = cls(roles=one_of(roles), model_type=model_type)
+        for name in names:
+            if not is_name(name):
+                raise PunctuationError(f"not a role name: {name!r}")
+        srp = cls(roles=one_of(names), model_type=model_type)
         # Known here: seed the memo ``concrete_roles`` would fill.
-        object.__setattr__(srp, "_concrete_cache", frozenset(map(str, roles)))
+        object.__setattr__(srp, "_concrete_cache", names)
         return srp
 
     @classmethod
     def parse(cls, text: str, model_type: str = RBAC_MODEL) -> "SecurityRestriction":
-        return cls(roles=parse_pattern(text), model_type=model_type)
+        """One pass: role tokens are names; their set seeds the memo."""
+        roles = parse_names(text)
+        srp = cls(roles, model_type)
+        object.__setattr__(srp, "_concrete_cache", _enumerate_pattern(roles))
+        return srp
 
     def concrete_roles(self) -> frozenset[str] | None:
         """Explicit role names, or ``None`` if the pattern is open-ended.
@@ -239,10 +248,10 @@ class SecurityRestriction:
 
 
 def _enumerate_pattern(pattern: Pattern) -> frozenset[str] | None:
-    if isinstance(pattern, LiteralPattern):
-        return frozenset({str(pattern.value)})
     if isinstance(pattern, SetPattern):
-        return frozenset(str(v) for v in pattern.values)
+        return pattern.texts
+    if isinstance(pattern, LiteralPattern):
+        return frozenset({pattern.spec()})
     if isinstance(pattern, CompositePattern):
         out: set[str] = set()
         for part in pattern.parts:
@@ -459,15 +468,12 @@ class SecurityPunctuation:
             ts = float(ts_text)
         except ValueError:
             raise PunctuationError(f"invalid timestamp: {ts_text!r}") from None
-        return cls(
-            ddp=DataDescription.parse(ddp_text),
-            srp=SecurityRestriction.parse(srp_text),
-            sign=Sign.parse(sign_text),
-            immutable=immutable_text.startswith("T"),
-            ts=ts,
-            provider=provider,
-            incremental=incremental,
-        )
+        # Fields in declaration order: a positional call is the cheaper
+        # one, and this runs once per sp on the wire.
+        return cls(DataDescription.parse(ddp_text),
+                   SecurityRestriction.parse(srp_text), ts,
+                   Sign.parse(sign_text), immutable_text.startswith("T"),
+                   provider, incremental)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -510,9 +516,3 @@ class SPBatch:
 
     def __repr__(self) -> str:
         return f"SPBatch(ts={self.ts}, sps={len(self._sps)})"
-
-
-def sp_for_roles(roles: Iterable[str] | str, ts: float,
-                 **kwargs) -> SecurityPunctuation:
-    """Shorthand for the common positive tuple-granularity sp."""
-    return SecurityPunctuation.grant(roles, ts, **kwargs)

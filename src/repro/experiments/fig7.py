@@ -256,6 +256,7 @@ def experiment_fig7ab(n_tuples: int = 5000,
                 "output_rate": best.output_rate,
                 "per_tuple_ms": best.per_tuple_ms,
                 "tuples_out": best.tuples_out,
+                "roles_materialised": best.roles_materialised,
             })
     return rows
 

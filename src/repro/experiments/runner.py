@@ -22,9 +22,10 @@ __all__ = ["run_all", "main"]
 def _fig7ab(scale: float) -> None:
     rows = fig7.experiment_fig7ab(n_tuples=int(5000 * scale))
     print_table(
-        ("sp:tuple", "mechanism", "output rate (t/ms)", "cost/tuple (ms)"),
-        [(r["ratio"], r["mechanism"], r["output_rate"], r["per_tuple_ms"])
-         for r in rows],
+        ("sp:tuple", "mechanism", "output rate (t/ms)", "cost/tuple (ms)",
+         "roles materialised"),
+        [(r["ratio"], r["mechanism"], r["output_rate"], r["per_tuple_ms"],
+          r["roles_materialised"]) for r in rows],
         title="Figure 7a/7b — enforcement mechanisms vs sp:tuple ratio",
     )
 

@@ -1,0 +1,117 @@
+"""Golden digests: what the six ledger workloads deliver, pinned.
+
+Each workload is generated at a reduced size by the ledger's own
+generator (``benchmarks/ledger/workloads.py``, imported, not copied),
+decoded from its wire files and driven through ``DSMS.run()``, through
+an element-wise session (``tests/drive.py::push_all``) and, for
+``fanout_filter``, through ``run(shards=2)``.  Every path must deliver
+the same encoded lines in the same order, and one sha256 over those
+lines per workload and seed is pinned in ``GOLDEN``.  A digest may
+change only together with a CHANGES.md line that says why.
+"""
+
+import hashlib
+import importlib.util
+import json
+import os
+
+import pytest
+
+from repro import DSMS, Observability, ScanExpr, StreamSchema
+from repro.operators import Comparison
+from repro.stream.wire import encode_element, load_stream
+
+from tests.drive import push_all
+
+_LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, os.pardir, "benchmarks", "ledger",
+                       "workloads.py")
+_spec = importlib.util.spec_from_file_location("ledger_workloads", _LEDGER)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+#: Share of each workload's ledger size that is generated here.
+SCALE = 0.2
+
+GOLDEN = {
+    ("bulk_delivery", 61):
+        "9b547447c421349b618262e82ea2b0d2f6c918125a03c51a7199ed2e90218828",
+    ("bulk_delivery", 17):
+        "fe7718bc4b3fc5d431a8470daa4d22028231be8ad427f15a0607ec27f13058dd",
+    ("fanout_filter", 61):
+        "91341d0835733264657287be5c87cbd1695795220360a63980851a442dee4203",
+    ("fanout_filter", 17):
+        "7ac6369f3c8817c62e5e345719fbd60be0e1196a7b36906f71442a9e48a54899",
+    ("sp_dense", 61):
+        "f1b6baaade43134f3fd10f08f3fec7a2fc88d8be565de11fdd4c2bc42741c5ff",
+    ("sp_dense", 17):
+        "82555e5779c1122db72494bed5cebfd2be0dc0f0bdccb1de77b0d7f2efd521ea",
+    ("sajoin_window", 61):
+        "ced7c712e820425ededcb2c51d307d3fbefdf01f6e7051138231b86f82d59a4e",
+    ("sajoin_window", 17):
+        "2b800cc1bacbfc37a3c1c70ce13233581db386939315678c6e935f4082e1cb1f",
+    ("session_push", 61):
+        "daf08c3ad22df1507c22c4b59d133796a8e2c912fd4b8cd1b50291a1ac122640",
+    ("session_push", 17):
+        "c1d8b83a8d1f505c62e181636b3288e5dfdc6fb5d4c578ba3d8e77a47c408356",
+    ("audited_filter", 61):
+        "4d07cd0935d7f5177ba68c6cf8e787a4b3f7fc5bd39749e39112aaf7870f1671",
+    ("audited_filter", 17):
+        "a0e03c0001c5eeb40fa5f0150e6e12654e19eca976be99c06cc01c9fa15322e1",
+}
+
+
+def new_dsms(spec: dict) -> DSMS:
+    """The ledger's facade set-up: queries, then the decoded streams."""
+    dsms = (DSMS(observability=Observability.in_memory())
+            if spec["audited"] else DSMS())
+    for query in spec["queries"]:
+        if "select" in query:
+            sel = query["select"]
+            expr = ScanExpr(sel["stream"]).select(
+                Comparison(sel["attr"], sel["op"], sel["value"]))
+        else:
+            join = query["join"]
+            expr = ScanExpr(join["left"]).join(
+                ScanExpr(join["right"]), join["on"], join["on"],
+                join["window"], variant=join["variant"])
+        dsms.register_query(query["name"], expr, roles=set(query["roles"]))
+    for stream in spec["streams"]:
+        with open(stream["path"]) as fp:
+            elements = list(load_stream(fp))
+        dsms.register_stream(
+            StreamSchema(stream["sid"], tuple(stream["attributes"]),
+                         key=stream["key"]),
+            elements)
+    return dsms
+
+
+def lines(results) -> dict[str, list[str]]:
+    return {name: [encode_element(e) for e in results[name].elements]
+            for name in sorted(results)}
+
+
+def digest(delivered: dict[str, list[str]]) -> str:
+    h = hashlib.sha256()
+    for name, encoded in delivered.items():
+        for line in encoded:
+            h.update(f"{name}\t{line}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [61, 17])
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_every_path_delivers_the_pinned_lines(name, seed, tmp_path):
+    spec, _ = workloads.build(name, seed, str(tmp_path), scale=SCALE)
+    delivered = lines(new_dsms(spec).run())
+    if spec["expected"] is not None:
+        # The generator's own answer, computed without the engine.
+        assert workloads.digest({
+            name: [record["tid"] for record in map(json.loads, encoded)
+                   if record["k"] == "t"]
+            for name, encoded in delivered.items()}) == spec["expected"]
+    assert any(delivered.values()), "the workload delivers nothing"
+    assert lines(push_all(new_dsms(spec))) == delivered
+    if name == "fanout_filter":
+        assert lines(new_dsms(spec).run(shards=2)) == delivered
+    assert digest(delivered) == GOLDEN[name, seed]

@@ -1,0 +1,84 @@
+"""Property: an sp's role names survive their own text and wire line.
+
+A role name is any text that is not empty, has no surrounding
+whitespace, contains none of ``, | { } [ ] / < >`` and is not ``*``.
+Such a name reads back from ``to_text()`` as itself — never as a
+number, a wildcard, a range, a regex or two names — every constructor
+that takes role names refuses anything else, and so does the reader.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.policy import TuplePolicy
+from repro.core.punctuation import (SecurityPunctuation, SecurityRestriction,
+                                    Sign)
+from repro.errors import PatternError, PunctuationError
+from repro.stream.wire import decode_element, encode_element
+
+#: Digits, ``_``, ``.``, ``e``, ``+`` and ``-`` spell numbers (``1_0``,
+#: ``007``, ``1e3``, ``-2.5``); a space and ``*`` may sit inside a name.
+ALPHABET = "0123456789_.e+-ab *"
+
+names = st.text(ALPHABET, min_size=1, max_size=6).filter(
+    lambda name: name == name.strip() and name != "*")
+role_lists = st.lists(names, min_size=1, max_size=5)
+
+NOT_NAMES = ["", "*", " a", "a ", "a\n", "a,b", "a|b", "{x}", "{x",
+             "x}", "[1-3]", "a[", "/r.*/", "a/b", "<a", "a>"]
+
+
+@given(role_lists, st.sampled_from(list(Sign)), st.booleans(),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_names_survive_their_text_and_wire_line(roles, sign, immutable,
+                                                 incremental):
+    sp = SecurityPunctuation.grant(roles, 1.5, immutable=immutable,
+                                   incremental=incremental).with_sign(sign)
+    back = SecurityPunctuation.parse(sp.to_text())
+    assert back == sp
+    assert back.to_text() == sp.to_text()
+    assert back.roles() == sp.roles() == set(roles)
+    line = encode_element(sp)
+    decoded = decode_element(line)
+    assert decoded.roles() == sp.roles()
+    assert encode_element(decoded) == line
+
+
+@pytest.mark.parametrize("bad", NOT_NAMES)
+def test_every_constructor_refuses_a_name_that_would_not_read_back(bad):
+    sp = SecurityPunctuation.grant(["ok"], 1.0)
+    for build in (
+            lambda: SecurityRestriction.for_roles([bad, "ok"]),
+            lambda: SecurityRestriction.for_roles(bad),
+            lambda: SecurityPunctuation.grant([bad], 1.0),
+            lambda: SecurityPunctuation.deny(["ok", bad], 1.0),
+            lambda: sp.with_roles([bad]),
+            lambda: TuplePolicy([bad, "ok"]).to_sp(1.0)):
+        with pytest.raises(PunctuationError):
+            build()
+
+
+@pytest.mark.parametrize("srp", [
+    "{ok, *}", "{ok, , b}", "{ok, a/b}", "{ok, <a}", "{ok, a>}",
+    "{ok, a|b}", "{ok, {x}}", "{ok, [1-3]}", "{ok, a[}",
+    "a/b", "<a", "a>", "a,b", "a|", "{ok, a/b}|/r.*/"])
+def test_the_reader_refuses_a_token_no_constructor_would_write(srp):
+    # Whatever SRP text reads as a role could be re-emitted by a join's
+    # or group-by's ``to_sp``; a name that cannot be written back is
+    # refused at the wire, not mid-run.
+    with pytest.raises(PatternError):
+        SecurityRestriction.parse(srp)
+    if "|" not in srp:  # on the wire '|' separates the sp's fields
+        with pytest.raises(PatternError):
+            decode_element(
+                '{"k":"sp","sp":"<*, *, * | %s | + | F | 1.0>"}' % srp)
+
+
+@given(names, st.sampled_from([",", "|", "{", "}", "[", "]", "/", "<",
+                                ">"]), st.integers(0, 6))
+def test_a_name_with_pattern_syntax_inside_is_refused(name, char, at):
+    at = min(at, len(name))
+    with pytest.raises(PunctuationError):
+        SecurityPunctuation.grant([name[:at] + char + name[at:]], 1.0)

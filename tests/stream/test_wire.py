@@ -6,8 +6,10 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
+from repro import DSMS, ScanExpr, StreamSchema
 from repro.core.patterns import literal, numeric_range
-from repro.core.punctuation import SecurityPunctuation, Sign
+from repro.core.punctuation import (SecurityPunctuation, SecurityRestriction,
+                                    Sign)
 from repro.errors import PatternError, PunctuationError, StreamError
 from repro.stream.tuples import DataTuple
 from repro.stream.wire import (decode_element, dump_stream, encode_element,
@@ -163,6 +165,43 @@ class TestErrors:
     def test_non_element_rejected(self):
         with pytest.raises(StreamError):
             encode_element("a plain string")
+
+
+class TestRoleNamesAreNames:
+    """A role token on the wire is a name, never a number: ``1_0`` is
+    not ``10``, so the wire cannot hand a segment to another role."""
+
+    @staticmethod
+    def deliveries(elements) -> dict[str, list]:
+        dsms = DSMS()
+        dsms.register_stream(StreamSchema("s", ("a",)), elements)
+        dsms.register_query("ten", ScanExpr("s"), roles={"10"})
+        dsms.register_query("one_zero", ScanExpr("s"), roles={"1_0"})
+        return {name: [t.tid for t in result.tuples]
+                for name, result in dsms.run().items()}
+
+    def test_wire_lines_deliver_what_the_objects_deliver(self):
+        elements = [SecurityPunctuation.grant(["1_0"], 1.0),
+                    DataTuple("s", 1, {"a": 1}, 2.0)]
+        wire = [encode_element(e) for e in elements]
+        expected = {"ten": [], "one_zero": [1]}
+        assert self.deliveries(elements) == expected
+        assert self.deliveries(list(load_stream(wire))) == expected
+
+    @pytest.mark.parametrize("text, names", [
+        ("{007, x}", {"007", "x"}),
+        ("1_0", {"1_0"}),
+        ("{1e3, 1_0, 007}", {"1e3", "1_0", "007"}),
+        ("{007, x}|1e3", {"007", "x", "1e3"}),
+    ])
+    def test_role_tokens_keep_their_spelling(self, text, names):
+        assert SecurityRestriction.parse(text).concrete_roles() == names
+
+    def test_union_with_a_regex_part_keeps_the_names(self):
+        srp = SecurityRestriction.parse("{007, x}|/r[0-9]/")
+        assert srp.concrete_roles() is None
+        assert srp.resolve(["007", "7", "x", "r1", "r10"]) == {
+            "007", "x", "r1"}
 
 
 class TestPropertyRoundTrip:
