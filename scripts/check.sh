@@ -42,6 +42,14 @@ if grep -nE "json\.(dumps|loads)[(]" src/repro/stream/wire.py; then
     exit 1
 fi
 
+echo "== one line builder (a tuple's wire line is written field by field, no record dict) =="
+# One or more spaces: the dict literal, not the compact line it writes.
+if grep -nE '"k": +"t"' src/repro/stream/wire.py; then
+    echo "stream/wire.py writes a tuple line around one prebuilt encoder;" \
+         "see docs/PERFORMANCE.md, Wire layer" >&2
+    exit 1
+fi
+
 echo "== one decision record (no second copy of a security decision) =="
 if grep -rnE "provenance\.(shield|filter)|tracer\.record[(]|\.decision[(]|_prov_" src; then
     echo "a security decision is recorded once, in the audit log;" \

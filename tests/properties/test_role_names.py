@@ -5,16 +5,19 @@ whitespace, contains none of ``, | { } [ ] / < >`` and is not ``*``.
 Such a name reads back from ``to_text()`` as itself — never as a
 number, a wildcard, a range, a regex or two names — every constructor
 that takes role names refuses anything else, and so does the reader.
+A pattern union or regex alternation has no wire spelling, so the
+wire refuses to write it.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.patterns import ANY, literal, regex
 from repro.core.policy import TuplePolicy
-from repro.core.punctuation import (SecurityPunctuation, SecurityRestriction,
-                                    Sign)
-from repro.errors import PatternError, PunctuationError
+from repro.core.punctuation import (DataDescription, SecurityPunctuation,
+                                    SecurityRestriction, Sign)
+from repro.errors import PatternError, PunctuationError, StreamError
 from repro.stream.wire import decode_element, encode_element
 
 #: Digits, ``_``, ``.``, ``e``, ``+`` and ``-`` spell numbers (``1_0``,
@@ -74,6 +77,42 @@ def test_the_reader_refuses_a_token_no_constructor_would_write(srp):
         with pytest.raises(PatternError):
             decode_element(
                 '{"k":"sp","sp":"<*, *, * | %s | + | F | 1.0>"}' % srp)
+
+
+def _sp(srp, stream=ANY, incremental=False):
+    return SecurityPunctuation(DataDescription(stream=stream),
+                               SecurityRestriction(srp), 1.0,
+                               incremental=incremental)
+
+
+@pytest.mark.parametrize("sp", [
+    _sp(regex("r.*") | literal("a")),
+    _sp(literal("a"), literal("s1") | literal("s2")),
+    _sp(regex("r1|r2")),
+    _sp(regex("r1|r2"), incremental=True),
+], ids=["srp union", "ddp union", "regex alternation", "incremental"])
+def test_the_wire_refuses_an_sp_it_cannot_spell(sp):
+    # '|' separates an sp's fields, so a union or an alternation inside
+    # the DDP or SRP would write a line the reader cannot take apart.
+    text = sp.to_text()  # still total: audit records render it
+    with pytest.raises(StreamError, match="no wire spelling"):
+        encode_element(sp)
+    assert getattr(sp, "_line_cache", None) is None
+    with pytest.raises(PunctuationError):
+        SecurityPunctuation.parse(text)
+
+
+@pytest.mark.parametrize("sp", [
+    _sp(regex("r[0-9]")),
+    _sp(literal("a"), literal("s1"), incremental=True),
+], ids=["regex", "incremental"])
+def test_a_spellable_sp_still_round_trips(sp):
+    line = encode_element(sp)
+    back = decode_element(line)
+    assert back.srp.spec() == sp.srp.spec()
+    assert back.ddp.spec() == sp.ddp.spec()
+    assert back.incremental == sp.incremental
+    assert encode_element(back) == line
 
 
 @given(names, st.sampled_from([",", "|", "{", "}", "[", "]", "/", "<",

@@ -1,16 +1,22 @@
 """Tests for the JSON-lines wire format."""
 
+import importlib
 import io
+import json
+import json.encoder
+import math
 import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DSMS, ScanExpr, StreamSchema
 from repro.core.patterns import literal, numeric_range
 from repro.core.punctuation import (SecurityPunctuation, SecurityRestriction,
                                     Sign)
 from repro.errors import PatternError, PunctuationError, StreamError
+from repro.stream import wire
 from repro.stream.tuples import DataTuple
 from repro.stream.wire import (decode_element, dump_stream, encode_element,
                                load_stream)
@@ -111,6 +117,89 @@ class TestEncodeOnce:
         for element in elements:
             assert encode_element(element) == fresh_line(element)
             assert encode_element(element) == fresh_line(element)
+
+
+#: Text the tuple line writes escaped: quotes, backslashes, control
+#: characters, non-ASCII and astral code points.
+hostile_text = st.text(st.sampled_from(
+    ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f",
+     "\x7f", "\u00e9", "\u20ac", "\u2028", "\U0001f600"]), max_size=8)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), hostile_text)
+json_keys = st.one_of(hostile_text, st.integers(), st.floats(),
+                      st.booleans(), st.none())
+nested_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(json_keys, inner, max_size=3)),
+    max_leaves=8)
+tids = st.recursive(
+    st.one_of(st.integers(), st.just(True), st.none(), st.floats(),
+              hostile_text),
+    lambda inner: st.tuples(inner, inner), max_leaves=4)
+timestamps = st.one_of(
+    st.floats(), st.integers(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+
+def record_line(sid, tid, values, ts) -> str:
+    """What the wire wrote before tuple lines were built field by
+    field: the record dict through a plain ``JSONEncoder``."""
+    return json.JSONEncoder(separators=(",", ":")).encode(
+        {"k": "t", "sid": sid, "tid": tid, "v": values, "ts": ts})
+
+
+class TestTupleLineBytes:
+    @given(st.one_of(hostile_text, st.integers()), tids,
+           st.dictionaries(json_keys, nested_values, max_size=4),
+           timestamps)
+    @settings(max_examples=300, deadline=None)
+    def test_line_is_the_record_dict_encoding(self, sid, tid, values, ts):
+        t = DataTuple(sid, tid, values, ts)
+        assert encode_element(t) == record_line(sid, tid, values, ts)
+
+    @pytest.mark.parametrize("sid, tid, values", [
+        ("s", 1, {"v": object()}),
+        ("s", 1, {"v": [1, {2: {3}}]}),
+        (object(), 1, {"v": 1}),
+        ("s", (1, (2, b"x")), {"v": 1}),
+        ("s", 1, {(1, 2): 1}),
+    ])
+    def test_an_unserialisable_tuple_raises_and_memoises_nothing(
+            self, sid, tid, values):
+        t = DataTuple(sid, tid, values, 1.0)
+        with pytest.raises(TypeError) as expected:
+            record_line(sid, tid, values, 1.0)
+        for _ in range(2):  # the second try fails the same way
+            with pytest.raises(TypeError) as raised:
+                encode_element(t)
+            assert str(raised.value) == str(expected.value)
+            assert t._line is None
+        ok = DataTuple("s", 2, {"v": [1, {"w": 2}]}, 2.0)
+        assert encode_element(ok) == fresh_line(ok)
+
+    def test_without_the_c_accelerator_the_line_is_the_same(
+            self, monkeypatch):
+        t = DataTuple("sé", (1, True), {"v": [1.5, None], 2: "x"},
+                      math.inf)
+        expected = record_line(t.sid, t.tid, t.values, t.ts)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        try:
+            importlib.reload(wire)
+            assert wire._value is wire._encode
+            assert wire.encode_element(t) == expected
+        finally:
+            monkeypatch.undo()
+            importlib.reload(wire)
+
+    def test_a_circular_value_raises_as_the_record_dict_did(self):
+        inner: list = []
+        inner.append(inner)
+        t = DataTuple("s", 1, {"v": inner}, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Circular reference"):
+                encode_element(t)
+            assert t._line is None
 
 
 class TestErrors:
