@@ -81,9 +81,10 @@ fi
 
 echo "== one sp-batch interpreter (only PolicyTracker turns sps into a policy) =="
 if grep -rnE "\b_batches\b|apply_incremental_batch[(]|Policy[(]tuple[(]" src/repro \
-        | grep -vE "^src/repro/operators/base\.py:|:def apply_incremental_batch"; then
-    echo "sp-batch semantics live in operators/base.py::PolicyTracker;" \
-         "see DESIGN.md section 6" >&2
+        | grep -vE "^src/repro/operators/base\.py:|:def apply_incremental_batch" \
+        || grep -rnE "AbstractRoleSet|\bRoleSet\b|policy_from_sps|PolicyIntersection|PolicyUnion|names_sorted" src; then
+    echo "sp-batch semantics live in operators/base.py::PolicyTracker and a" \
+         "role set is a frozenset; see DESIGN.md section 6" >&2
     exit 1
 fi
 

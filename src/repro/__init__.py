@@ -26,8 +26,8 @@ from repro.algebra import (CostModel, JoinExpr, Optimizer, ProjectExpr,
                            ScanExpr, SelectExpr, ShieldExpr)
 from repro.analysis import (AnalysisReport, Diagnostic, Severity,
                             analyze_expr, analyze_plan)
-from repro.core import (Policy, RoleSet, RoleUniverse, SecurityPunctuation,
-                        Sign, SPAnalyzer, TuplePolicy)
+from repro.core import (Policy, RoleUniverse, SecurityPunctuation, Sign,
+                        SPAnalyzer, TuplePolicy)
 from repro.engine import DSMS, ContinuousQuery, OptimizeLevel, QueryResult
 from repro.errors import (PlanAnalysisError, PlanAnalysisWarning,
                           ReproError)
@@ -62,7 +62,6 @@ __all__ = [
     "ProjectExpr",
     "QueryResult",
     "ReproError",
-    "RoleSet",
     "RoleUniverse",
     "SPAnalyzer",
     "ScanExpr",

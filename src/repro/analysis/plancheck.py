@@ -71,8 +71,7 @@ def _transfer(node: "PlanNode", state: PathState, facts: StreamFacts,
     if isinstance(operator, SecurityShield):
         if operator.name.startswith(DELIVERY_PREFIX):
             return state.with_delivery()
-        conjuncts = tuple(frozenset(c.names())
-                          for c in operator.conjuncts)
+        conjuncts = operator.conjuncts
         if state.shielded and dominates(state.shields, conjuncts):
             report.add(
                 "SEC003", Severity.WARNING, _node_path(node),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.bitmap import AbstractRoleSet, RoleSet
+from repro.core.bitmap import role_set
 from repro.core.patterns import LiteralPattern, SetPattern
 from repro.core.policy import TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
@@ -35,7 +35,7 @@ class _StoredPolicy:
         #: Granted roles for positive sps; ``None`` for negative sps
         #: (denials are pattern-matched via the SRP, which also covers
         #: wildcard-denial markers with non-enumerable role patterns).
-        self.roles = RoleSet(sp.roles()) if sp.is_positive else None
+        self.roles = sp.roles() if sp.is_positive else None
 
 
 class PolicyTable:
@@ -134,14 +134,14 @@ class PolicyTable:
         granted: set[str] = set()
         for stored in governing:
             if stored.roles is not None:
-                granted |= stored.roles.names()
+                granted |= stored.roles
         if granted:
             for stored in governing:
                 if stored.roles is None:
                     granted = {r for r in granted
                                if not stored.sp.srp.authorizes(r)}
         self.roles_materialised += len(granted)
-        return TuplePolicy(RoleSet(granted), ts=best_ts)
+        return TuplePolicy(frozenset(granted), ts=best_ts)
 
     # -- accounting --------------------------------------------------------
     def policy_count(self) -> int:
@@ -165,11 +165,9 @@ class StoreAndProbeEnforcer:
     authorized by probing the table.
     """
 
-    def __init__(self, roles: Iterable[str] | AbstractRoleSet,
+    def __init__(self, roles: Iterable[str] | str,
                  table: PolicyTable | None = None):
-        if not isinstance(roles, AbstractRoleSet):
-            roles = RoleSet(roles)
-        self.roles = roles
+        self.roles = role_set(roles)
         self.table = table if table is not None else PolicyTable()
         self.tuples_in = 0
         self.tuples_out = 0

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.bitmap import (AbstractRoleSet, RoleBitmap, RoleSet,
-                               RoleUniverse)
+from repro.core.bitmap import RoleBitmap, RoleUniverse, role_set
 from repro.core.punctuation import SecurityPunctuation
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
@@ -27,12 +26,13 @@ class PolicyTuple:
 
     __slots__ = ("tuple", "policy")
 
-    def __init__(self, item: DataTuple, policy: AbstractRoleSet):
+    def __init__(self, item: DataTuple,
+                 policy: frozenset[str] | RoleBitmap):
         self.tuple = item
         self.policy = policy
 
     def __repr__(self) -> str:
-        return f"PolicyTuple({self.tuple!r}, roles={sorted(self.policy.names())})"
+        return f"PolicyTuple({self.tuple!r}, roles={sorted(self.policy)})"
 
 
 def embed_policies(elements: Iterable[StreamElement], *,
@@ -75,20 +75,19 @@ def embed_policies(elements: Iterable[StreamElement], *,
             batch = []
             batch_ts = None
         if bitmap:
-            policy: AbstractRoleSet = RoleBitmap(universe, current_roles)
+            policy: frozenset[str] | RoleBitmap = RoleBitmap(universe,
+                                                            current_roles)
         else:
             # A fresh private copy per tuple — the redundancy under test.
-            policy = RoleSet(set(current_roles))
+            policy = frozenset(set(current_roles))
         yield PolicyTuple(element, policy)
 
 
 class TupleEmbeddedEnforcer:
     """Per-tuple access control on an embedded-policy stream."""
 
-    def __init__(self, roles: Iterable[str] | AbstractRoleSet):
-        if not isinstance(roles, AbstractRoleSet):
-            roles = RoleSet(roles)
-        self.roles = roles
+    def __init__(self, roles: Iterable[str] | str):
+        self.roles = role_set(roles)
         self.tuples_in = 0
         self.tuples_out = 0
         self.checks = 0
@@ -97,6 +96,6 @@ class TupleEmbeddedEnforcer:
         for policy_tuple in stream:
             self.tuples_in += 1
             self.checks += 1
-            if policy_tuple.policy.intersects(self.roles):
+            if not policy_tuple.policy.isdisjoint(self.roles):
                 self.tuples_out += 1
                 yield policy_tuple.tuple

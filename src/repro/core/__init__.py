@@ -9,41 +9,37 @@ Submodules
     The sp structure ``<DDP | SRP | Sign | Immutable | ts>`` and
     sp-batches.
 ``policy``
-    Policy semantics: ``match``/``union``/``intersect``/``override``,
-    denial-by-default, and the resolved per-tuple :class:`TuplePolicy`.
+    The leaf interpretation of one sp-batch (:class:`Policy`,
+    denial-by-default) and the resolved per-tuple :class:`TuplePolicy`
+    (a frozenset of role names).  The combination rules
+    (``union``/``intersect``/``override``) live in the SP Analyzer and
+    :class:`~repro.operators.base.PolicyTracker`.
 ``bitmap``
-    Role universes plus plain-set and bitmap role-set encodings.
+    Role universes plus the bitmap role-set encoding.
 ``analyzer``
     The server-edge SP Analyzer (combination + server-side refinement).
 """
 
 from repro.core.analyzer import SPAnalyzer, combine_batch
-from repro.core.bitmap import RoleBitmap, RoleSet, RoleUniverse
+from repro.core.bitmap import RoleBitmap, RoleUniverse
 from repro.core.patterns import (ANY, Pattern, literal, numeric_range, one_of,
                                  parse_pattern, regex)
-from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
-                               PolicyIntersection, PolicyUnion, TuplePolicy,
-                               apply_incremental_batch, deny_all_sp,
-                               has_attribute_scope, override,
-                               policy_from_sps, policy_is_uniform,
-                               resolve_tuple_policy,
+from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
+                               has_attribute_scope, policy_is_uniform,
                                wildcard_policy_roles)
 from repro.core.punctuation import (DataDescription, Granularity,
                                     SecurityPunctuation, SecurityRestriction,
-                                    Sign, SPBatch)
+                                    Sign, SPBatch, apply_incremental_batch,
+                                    deny_all_sp)
 
 __all__ = [
     "ANY",
-    "AccessPolicy",
     "DataDescription",
     "EMPTY_POLICY",
     "Granularity",
     "Pattern",
     "Policy",
-    "PolicyIntersection",
-    "PolicyUnion",
     "RoleBitmap",
-    "RoleSet",
     "RoleUniverse",
     "SPAnalyzer",
     "SPBatch",
@@ -58,11 +54,8 @@ __all__ = [
     "literal",
     "numeric_range",
     "one_of",
-    "override",
     "parse_pattern",
-    "policy_from_sps",
     "policy_is_uniform",
     "regex",
-    "resolve_tuple_policy",
     "wildcard_policy_roles",
 ]

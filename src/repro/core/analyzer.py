@@ -39,10 +39,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.bitmap import RoleUniverse
-from repro.core.patterns import (ANY, CompositePattern, LiteralPattern,
-                                 Pattern, RangePattern, SetPattern, one_of)
+from repro.core.patterns import (CompositePattern, LiteralPattern, Pattern,
+                                 RangePattern, SetPattern, one_of)
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
-                                    SecurityRestriction, Sign, SPBatch)
+                                    SecurityRestriction, deny_all_sp)
 from repro.errors import PolicyError
 
 __all__ = ["SPAnalyzer", "conjoin_patterns", "conjoin_ddp", "combine_batch"]
@@ -367,12 +367,7 @@ class SPAnalyzer:
             # sp is the explicit "grant nobody" policy.  (An
             # *incremental* batch refined away is a no-op delta: the
             # current policy legitimately stays in force.)
-            refined = [SecurityPunctuation(
-                ddp=DataDescription(),
-                srp=SecurityRestriction(roles=ANY),
-                sign=Sign.NEGATIVE,
-                ts=ts,
-            )]
+            refined = [deny_all_sp(ts)]
         combined = combine_batch(refined)
         self.sps_out += len(combined)
         if self._m_batch_size is not None and sps:

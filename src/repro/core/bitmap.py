@@ -1,13 +1,14 @@
-"""Role universes and role-set encodings.
+"""Role universes and the bitmap role-set encoding.
 
-Security punctuations authorize *sets of roles*.  The paper notes
-(Section I.C) that policies "can also be encoded in a bitmap format for
-compactness".  This module provides both encodings behind one protocol:
-
-* :class:`RoleSet` — a frozenset-backed role set (the alphanumeric
-  format the paper uses for presentation).
-* :class:`RoleBitmap` — an integer-bitmap role set over a
-  :class:`RoleUniverse`, used by the bitmap ablation benchmarks.
+Security punctuations authorize *sets of roles*.  On the engine path a
+role set is a plain ``frozenset`` of role names (the alphanumeric
+format the paper uses for presentation).  The paper notes (Section
+I.C) that policies "can also be encoded in a bitmap format for
+compactness": :class:`RoleBitmap` is that encoding over a
+:class:`RoleUniverse`, read by the tuple-embedded baseline and the
+bitmap ablation bench.  It answers frozenset's operations under
+frozenset's names, so both encodings take the same check,
+``not policy.isdisjoint(roles)``.
 
 A :class:`RoleUniverse` assigns each role a stable integer id.  The id
 order is the role order the SPIndex skipping rule (Lemma 5.1) relies
@@ -21,7 +22,17 @@ from typing import Iterable, Iterator
 
 from repro.errors import AccessControlError
 
-__all__ = ["RoleUniverse", "AbstractRoleSet", "RoleSet", "RoleBitmap"]
+__all__ = ["RoleUniverse", "RoleBitmap", "role_set"]
+
+
+def role_set(roles: Iterable[str] | str) -> frozenset[str]:
+    """``roles`` as a frozenset of names; a bare string is one name.
+
+    Operators that hold a role predicate call this once at
+    construction.  A plain ``frozenset(roles)`` would split ``"CD"``
+    into roles ``C`` and ``D`` and so widen a predicate.
+    """
+    return frozenset((roles,) if isinstance(roles, str) else roles)
 
 
 class RoleUniverse:
@@ -85,113 +96,13 @@ class RoleUniverse:
         return self.register(role)
 
 
-class AbstractRoleSet:
-    """Protocol shared by :class:`RoleSet` and :class:`RoleBitmap`.
-
-    All operations are non-mutating and return the same concrete type
-    as ``self``.
-    """
-
-    __slots__ = ("_sorted_cache",)
-
-    def names(self) -> frozenset[str]:
-        raise NotImplementedError
-
-    def names_sorted(self) -> list[str]:
-        """Sorted role names, memoized per instance.
-
-        Audit records render the governing policy as a
-        sorted name list on every security verdict; role sets are
-        immutable, so the render is computed once and shared (callers
-        must not mutate the returned list).
-        """
-        cached = getattr(self, "_sorted_cache", None)
-        if cached is None:
-            cached = self._sorted_cache = sorted(self.names())
-        return cached
-
-    def intersect(self, other: "AbstractRoleSet") -> "AbstractRoleSet":
-        raise NotImplementedError
-
-    def union(self, other: "AbstractRoleSet") -> "AbstractRoleSet":
-        raise NotImplementedError
-
-    def difference(self, other: "AbstractRoleSet") -> "AbstractRoleSet":
-        raise NotImplementedError
-
-    def is_empty(self) -> bool:
-        raise NotImplementedError
-
-    def __contains__(self, role: str) -> bool:
-        return role in self.names()
-
-    def __len__(self) -> int:
-        return len(self.names())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.names()))
-
-    def __bool__(self) -> bool:
-        return not self.is_empty()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbstractRoleSet):
-            return NotImplemented
-        return self.names() == other.names()
-
-    def __hash__(self) -> int:
-        return hash(self.names())
-
-    def intersects(self, other: "AbstractRoleSet") -> bool:
-        """Fast non-empty-intersection test (the SS/join predicate)."""
-        return not self.intersect(other).is_empty()
-
-
-class RoleSet(AbstractRoleSet):
-    """Frozenset-backed role set."""
-
-    __slots__ = ("_roles",)
-
-    def __init__(self, roles: Iterable[str] = ()):
-        if isinstance(roles, str):
-            roles = (roles,)
-        self._roles = frozenset(roles)
-
-    @classmethod
-    def of(cls, *roles: str) -> "RoleSet":
-        """Convenience constructor: ``RoleSet.of("D", "ND")``."""
-        return cls(roles)
-
-    def names(self) -> frozenset[str]:
-        return self._roles
-
-    def intersect(self, other: AbstractRoleSet) -> "RoleSet":
-        return RoleSet(self._roles & other.names())
-
-    def union(self, other: AbstractRoleSet) -> "RoleSet":
-        return RoleSet(self._roles | other.names())
-
-    def difference(self, other: AbstractRoleSet) -> "RoleSet":
-        return RoleSet(self._roles - other.names())
-
-    def is_empty(self) -> bool:
-        return not self._roles
-
-    def intersects(self, other: AbstractRoleSet) -> bool:
-        if isinstance(other, RoleSet):
-            return not self._roles.isdisjoint(other._roles)
-        return not self._roles.isdisjoint(other.names())
-
-    def __repr__(self) -> str:
-        return f"RoleSet({{{', '.join(sorted(self._roles))}}})"
-
-
-class RoleBitmap(AbstractRoleSet):
+class RoleBitmap:
     """Integer-bitmap role set over a :class:`RoleUniverse`.
 
     Set operations are single integer bitwise operations, making the
     encoding attractive for large policies (cf. the paper's Eddies
-    bitmap discussion).
+    bitmap discussion).  The other operand may be a bitmap over the
+    same universe or any iterable of role names.
     """
 
     __slots__ = ("_universe", "_mask")
@@ -199,32 +110,9 @@ class RoleBitmap(AbstractRoleSet):
     def __init__(self, universe: RoleUniverse, roles: Iterable[str] = (), *,
                  mask: int | None = None):
         self._universe = universe
-        if mask is not None:
-            self._mask = mask
-        else:
-            bits = 0
-            for role in roles:
-                bits |= 1 << universe.register(role)
-            self._mask = bits
+        self._mask = self._mask_of(roles) if mask is None else mask
 
-    @property
-    def universe(self) -> RoleUniverse:
-        return self._universe
-
-    @property
-    def mask(self) -> int:
-        return self._mask
-
-    def names(self) -> frozenset[str]:
-        out = []
-        mask = self._mask
-        while mask:
-            low = mask & -mask
-            out.append(self._universe.name_of(low.bit_length() - 1))
-            mask ^= low
-        return frozenset(out)
-
-    def _coerce_mask(self, other: AbstractRoleSet) -> int:
+    def _mask_of(self, other: "RoleBitmap | Iterable[str]") -> int:
         if isinstance(other, RoleBitmap):
             if other._universe is not self._universe:
                 raise AccessControlError(
@@ -232,24 +120,22 @@ class RoleBitmap(AbstractRoleSet):
                 )
             return other._mask
         bits = 0
-        for role in other.names():
+        for role in other:
             bits |= 1 << self._universe.register(role)
         return bits
 
-    def intersect(self, other: AbstractRoleSet) -> "RoleBitmap":
-        return RoleBitmap(self._universe, mask=self._mask & self._coerce_mask(other))
+    def isdisjoint(self, other: "RoleBitmap | Iterable[str]") -> bool:
+        return not self._mask & self._mask_of(other)
 
-    def union(self, other: AbstractRoleSet) -> "RoleBitmap":
-        return RoleBitmap(self._universe, mask=self._mask | self._coerce_mask(other))
+    def __and__(self, other: "RoleBitmap | Iterable[str]") -> "RoleBitmap":
+        return RoleBitmap(self._universe, mask=self._mask & self._mask_of(other))
 
-    def difference(self, other: AbstractRoleSet) -> "RoleBitmap":
-        return RoleBitmap(self._universe, mask=self._mask & ~self._coerce_mask(other))
+    def __or__(self, other: "RoleBitmap | Iterable[str]") -> "RoleBitmap":
+        return RoleBitmap(self._universe, mask=self._mask | self._mask_of(other))
 
-    def is_empty(self) -> bool:
-        return self._mask == 0
-
-    def intersects(self, other: AbstractRoleSet) -> bool:
-        return bool(self._mask & self._coerce_mask(other))
+    def __sub__(self, other: "RoleBitmap | Iterable[str]") -> "RoleBitmap":
+        return RoleBitmap(self._universe,
+                          mask=self._mask & ~self._mask_of(other))
 
     def __len__(self) -> int:
         return self._mask.bit_count()
@@ -259,5 +145,13 @@ class RoleBitmap(AbstractRoleSet):
             return False
         return bool(self._mask & (1 << self._universe.id_of(role)))
 
+    def __iter__(self) -> Iterator[str]:
+        """Role names in universe (id) order."""
+        mask = self._mask
+        while mask:
+            low = mask & -mask
+            yield self._universe.name_of(low.bit_length() - 1)
+            mask ^= low
+
     def __repr__(self) -> str:
-        return f"RoleBitmap({{{', '.join(sorted(self.names()))}}})"
+        return f"RoleBitmap({{{', '.join(sorted(self))}}})"

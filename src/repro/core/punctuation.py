@@ -29,15 +29,13 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.patterns import (ANY, CompositePattern, LiteralPattern,
                                  Pattern, SetPattern, is_name, one_of,
                                  parse_names, parse_pattern)
-from repro.errors import PunctuationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.policy import TuplePolicy
+from repro.core.policy import TuplePolicy
+from repro.errors import PolicyError, PunctuationError
 
 __all__ = [
     "Sign",
@@ -47,6 +45,8 @@ __all__ = [
     "SecurityPunctuation",
     "SPBatch",
     "RBAC_MODEL",
+    "apply_incremental_batch",
+    "deny_all_sp",
 ]
 
 #: The access-control model used throughout the paper's examples.
@@ -388,7 +388,7 @@ class SecurityPunctuation:
         object.__setattr__(self, "_roles_cache", concrete)
         return concrete
 
-    def segment_policy(self) -> "TuplePolicy | None":
+    def segment_policy(self) -> TuplePolicy | None:
         """Resolved policy of a segment this sp *alone* governs, else ``None``.
 
         Not ``None`` only for a positive, non-incremental sp with a fully
@@ -408,8 +408,6 @@ class SecurityPunctuation:
                 and ddp.stream.is_wildcard() and ddp.tuple_id.is_wildcard()
                 and ddp.attribute.is_wildcard()
                 and self.srp.concrete_roles() is not None):
-            from repro.core.policy import TuplePolicy
-
             policy = TuplePolicy(self.roles(), ts=self.ts)
         object.__setattr__(self, "_policy_cache", policy)
         return policy
@@ -516,3 +514,52 @@ class SPBatch:
 
     def __repr__(self) -> str:
         return f"SPBatch(ts={self.ts}, sps={len(self._sps)})"
+
+
+def deny_all_sp(ts: float) -> SecurityPunctuation:
+    """The explicit "grant nobody" policy marker (wildcard denial)."""
+    return SecurityPunctuation(
+        ddp=DataDescription(),
+        srp=SecurityRestriction(roles=ANY),
+        sign=Sign.NEGATIVE,
+        ts=ts,
+    )
+
+
+def apply_incremental_batch(
+    current_roles: frozenset[str],
+    batch: Sequence[SecurityPunctuation],
+) -> list[SecurityPunctuation]:
+    """Apply an incremental sp-batch to the roles currently in force.
+
+    Paper future work ("incremental access control policies"): the
+    batch *edits* the policy — positive sps add their roles, negative
+    sps retract theirs, applied in order.  The result is a normalized
+    full replacement batch (one grant sp, or a wildcard deny when
+    nobody is left), so downstream consumers never need to know the
+    policy arrived as a delta.
+
+    Incremental sps are supported for segment-scoped policies
+    (wildcard DDPs) — the granularity of the paper's experiments;
+    finer-scoped deltas raise :class:`~repro.errors.PolicyError`.
+    """
+    if not batch:
+        raise PolicyError("empty incremental batch")
+    roles = set(current_roles)
+    ts = batch[0].ts
+    provider = batch[0].provider
+    for sp in batch:
+        ddp = sp.ddp
+        if not (ddp.stream.is_wildcard() and ddp.tuple_id.is_wildcard()
+                and ddp.attribute.is_wildcard()):
+            raise PolicyError(
+                "incremental sps require wildcard DDPs "
+                "(segment-scoped policies)")
+        if sp.is_positive:
+            roles |= sp.roles()
+        else:
+            roles -= sp.roles()
+    if roles:
+        return [SecurityPunctuation.grant(sorted(roles), ts,
+                                          provider=provider)]
+    return [deny_all_sp(ts)]

@@ -35,7 +35,7 @@ from repro.analysis.exprcheck import analyze_expr
 from repro.analysis.lattice import StreamFacts
 from repro.analysis.plancheck import analyze_plan
 from repro.core.analyzer import SPAnalyzer
-from repro.core.bitmap import RoleSet, RoleUniverse
+from repro.core.bitmap import RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.catalog import StreamCatalog
@@ -226,7 +226,7 @@ class DSMS:
                   if other != name for shield in shields}
         for shield in self._live_shields.get(name, ()):
             if shield not in shared:
-                shield.rebind(RoleSet(roles))
+                shield.rebind(roles)
 
     def shields(self, query_name: str) -> tuple[SecurityShield, ...]:
         """Read-only view of a query's live Security Shields.

@@ -20,7 +20,7 @@ from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
                                        ShieldExpr, UnionExpr, walk)
-from repro.core.bitmap import RoleSet, RoleUniverse
+from repro.core.bitmap import RoleUniverse
 from repro.errors import PlanError
 from repro.operators.base import Operator
 from repro.operators.dupelim import DuplicateElimination
@@ -132,8 +132,7 @@ class PhysicalPlan:
                 self.compile_chain(expr, [sink])
                 outlet = self._expr_cache[expr].operator
             else:
-                outlet = SecurityShield(RoleSet(roles),
-                                        name=f"delivery:{name}")
+                outlet = SecurityShield(roles, name=f"delivery:{name}")
                 self.compile_chain(expr, [outlet, sink])
             self.queries[name] = (expr, outlet)
         return sinks
@@ -172,11 +171,8 @@ class PhysicalPlan:
         if isinstance(expr, ShieldExpr):
             for role in sorted(expr.roles):
                 self.universe.register(role)
-            conjuncts = [frozenset(p) for p in expr.predicates]
-            return SecurityShield(
-                RoleSet(expr.roles), sid(children[0], "*"),
-                conjuncts=[RoleSet(c) for c in conjuncts],
-            )
+            return SecurityShield(expr.roles, sid(children[0], "*"),
+                                  conjuncts=expr.predicates)
         if isinstance(expr, SelectExpr):
             return Select(expr.condition)
         if isinstance(expr, ProjectExpr):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.bitmap import AbstractRoleSet
 from repro.operators.shield import SecurityShield
 from repro.stream.tuples import DataTuple
 
@@ -38,7 +37,7 @@ class AccessFilter(SecurityShield):
     _KIND_PASS, _KIND_DROP, _KIND_SEGMENT = (
         "filter.pass", "filter.drop", "filter.segment")
 
-    def __init__(self, roles: Iterable[str] | AbstractRoleSet, *,
+    def __init__(self, roles: Iterable[str] | str, *,
                  stream_id: str = "*", strip_sps: bool = True,
                  name: str | None = None):
         super().__init__(roles, stream_id, name=name)

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.core.bitmap import RoleSet
 from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
-                               apply_incremental_batch, has_attribute_scope,
-                               policy_is_uniform, wildcard_policy_roles)
-from repro.core.punctuation import SecurityPunctuation, Sign
+                               has_attribute_scope, policy_is_uniform,
+                               wildcard_policy_roles)
+from repro.core.punctuation import (SecurityPunctuation, Sign,
+                                    apply_incremental_batch)
 from repro.errors import PlanError, PolicyError
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
@@ -348,7 +348,7 @@ class PolicyTracker:
         roles: set[str] = set()
         for sp in batch:
             roles |= sp.roles()
-        self._shared_any = TuplePolicy(RoleSet(roles), ts=ts)
+        self._shared_any = TuplePolicy(frozenset(roles), ts=ts)
 
     def _materialized(self) -> Policy | None:
         """The current batch as a :class:`Policy` (``None`` before any sp)."""
@@ -370,7 +370,7 @@ class PolicyTracker:
             for sp in current.sps:
                 if sp.ddp.stream.matches(sid):
                     roles |= sp.roles()
-            resolved = TuplePolicy(RoleSet(roles), ts=current.ts)
+            resolved = TuplePolicy(frozenset(roles), ts=current.ts)
         else:
             resolved = current.resolve_for_tuple(sid)
         self._shared[sid] = resolved
@@ -456,7 +456,7 @@ class SPEmitter:
         """Append sp(s) for ``policy`` to ``out`` if it changed."""
         if self._last is not None and policy == self._last:
             return
-        out.append(policy.to_sp(ts))
+        out.append(SecurityPunctuation.grant(policy.roles, ts))
         self._last = policy
 
     def reset(self) -> None:

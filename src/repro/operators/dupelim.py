@@ -123,8 +123,8 @@ class DuplicateElimination(UnaryOperator):
                     "dupelim.suppress", ts=element.ts, operator=self.name,
                     query=self.audit_query, sid=element.sid,
                     tid=element.tid,
-                    policy=tuple(sorted(new.roles.names())),
-                    seen_by=sorted(old.roles.names()),
+                    policy=tuple(sorted(new.roles)),
+                    seen_by=sorted(old.roles),
                 )
         else:  # case 3
             fresh = new.difference(common)

@@ -135,7 +135,7 @@ class GroupBy(UnaryOperator):
         group_value = self._group_key(element)
         subgroups = self._groups.setdefault(group_value, [])
         matching = [sg for sg in subgroups
-                    if sg.policy.roles.intersects(policy.roles)]
+                    if not sg.policy.roles.isdisjoint(policy.roles)]
         self.stats.comparisons += len(subgroups)
         if not matching:
             target = _Subgroup(policy, self.agg_name, self._next_serial)
@@ -154,7 +154,7 @@ class GroupBy(UnaryOperator):
                     "groupby.merge", ts=element.ts, operator=self.name,
                     query=self.audit_query, sid=element.sid,
                     tid=element.tid,
-                    policy=tuple(sorted(policy.roles.names())),
+                    policy=tuple(sorted(policy.roles)),
                     merged=len(matching) - 1,
                     group=(group_value if self.key is not None else "*"),
                 )

@@ -87,7 +87,8 @@ class IndexSAJoin(SAJoinBase):
         index = self.indexes[1 - port]
         skipped_before = index.entries_skipped
         seen: set[int] | None = None if self.skipping else set()
-        for segment in index.probe(policy.roles.names()):
+        roles = policy.roles
+        for segment in index.probe(roles):
             candidates = segment.candidates(value)
             if seen is not None:
                 # Ablation mode (skipping rule off): the index yields a
@@ -101,7 +102,7 @@ class IndexSAJoin(SAJoinBase):
                 if not candidates:
                     continue
                 seg_policy = segment.policy_for(segment.tuples[0])
-                if not seg_policy.roles.intersects(policy.roles):
+                if seg_policy.roles.isdisjoint(roles):
                     continue  # superset index roles: false positive
                 for other in candidates:
                     self.pairs_checked += 1
@@ -112,7 +113,7 @@ class IndexSAJoin(SAJoinBase):
                 for other in candidates:
                     other_policy = segment.policy_for(other)
                     self.stats.comparisons += 1
-                    if not other_policy.roles.intersects(policy.roles):
+                    if other_policy.roles.isdisjoint(roles):
                         continue
                     self.pairs_checked += 1
                     self.stats.comparisons += 1
@@ -126,7 +127,7 @@ class IndexSAJoin(SAJoinBase):
             self.audit.record(
                 "join.skip", ts=item.ts, operator=self.name,
                 query=self.audit_query, sid=item.sid, tid=item.tid,
-                policy=tuple(sorted(policy.roles.names())),
+                policy=tuple(sorted(roles)),
                 skipped=skipped,
             )
         return out

@@ -183,9 +183,9 @@ class SAJoinBase(BinaryOperator):
                 self.audit.record(
                     "join.policy_reject", ts=item.ts, operator=self.name,
                     query=self.audit_query, sid=item.sid, tid=item.tid,
-                    policy=tuple(sorted(policy.roles.names())),
+                    policy=tuple(sorted(policy.roles)),
                     other_sid=other.sid, other_tid=other.tid,
-                    other_policy=sorted(other_policy.roles.names()),
+                    other_policy=sorted(other_policy.roles),
                 )
             return
         if port == 0:
@@ -247,7 +247,7 @@ class NestedLoopSAJoin(SAJoinBase):
                     seg_policy = (segment.policy_for(segment.tuples[0])
                                   if segment.tuples else None)
                     if seg_policy is None or \
-                            not seg_policy.roles.intersects(probe_roles):
+                            seg_policy.roles.isdisjoint(probe_roles):
                         continue
                     for other in segment.tuples:
                         self.pairs_checked += 1
@@ -259,7 +259,7 @@ class NestedLoopSAJoin(SAJoinBase):
                     for other in segment.tuples:
                         other_policy = segment.policy_for(other)
                         self.stats.comparisons += 1
-                        if not other_policy.roles.intersects(probe_roles):
+                        if other_policy.roles.isdisjoint(probe_roles):
                             continue
                         self.pairs_checked += 1
                         self.stats.comparisons += 1

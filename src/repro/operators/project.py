@@ -11,7 +11,7 @@ When *every* sp of an sp-batch is pruned this way, the batch boundary
 must not vanish silently: downstream operators would keep resolving
 tuples against the *previous* segment's policy, widening access.  The
 projection instead emits an explicit wildcard-denial marker
-(:func:`~repro.core.policy.deny_all_sp`) at the batch's timestamp, so
+(:func:`~repro.core.punctuation.deny_all_sp`) at the batch's timestamp, so
 the pruned segment correctly resolves to denial-by-default — exactly
 what resolving the original batch against the retained attributes
 yields (no surviving sp describes any of them).
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.policy import deny_all_sp
-from repro.core.punctuation import SecurityPunctuation
+from repro.core.punctuation import SecurityPunctuation, deny_all_sp
 from repro.errors import PlanError
 from repro.operators.base import UnaryOperator
 from repro.stream.batch import TupleBatch

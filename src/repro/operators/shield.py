@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Sequence
 
-from repro.core.bitmap import AbstractRoleSet, RoleSet
+from repro.core.bitmap import role_set
 from repro.core.policy import TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.base import PolicyTracker, UnaryOperator
@@ -55,34 +55,24 @@ class SecurityShield(UnaryOperator):
     #: :meth:`~repro.engine.plan.PhysicalPlan.bind_observability`.
     outlet = False
 
-    def __init__(self, roles: Iterable[str] | AbstractRoleSet,
+    def __init__(self, roles: Iterable[str] | str,
                  stream_id: str = "*", *, indexed: bool = True,
-                 conjuncts: Iterable[AbstractRoleSet] | None = None,
+                 conjuncts: Iterable[Iterable[str] | str] | None = None,
                  name: str | None = None):
         super().__init__(name)
-        if not isinstance(roles, AbstractRoleSet):
-            roles = RoleSet(roles)
-        if conjuncts is None:
-            conjuncts = (roles,)
-        else:
-            conjuncts = tuple(
-                c if isinstance(c, AbstractRoleSet) else RoleSet(c)
-                for c in conjuncts
-            ) or (roles,)
+        roles = role_set(roles)
         #: The security predicate: a conjunction of role sets
         #: (ψ_{p1∧..∧pn}); a tuple passes iff its policy intersects
         #: every conjunct.  A single conjunct is the common case.
-        self.conjuncts: tuple[AbstractRoleSet, ...] = tuple(conjuncts)
+        self.conjuncts: tuple[frozenset[str], ...] = tuple(
+            role_set(c) for c in conjuncts or ()) or (roles,)
         #: Union of all conjunct roles — the SS *state* whose size the
         #: Figure 8b experiment varies.
-        self.predicate = self.conjuncts[0]
-        for extra in self.conjuncts[1:]:
-            self.predicate = self.predicate.union(extra)
-        self._predicate_list = sorted(self.predicate.names())
+        self.predicate: frozenset[str] = frozenset().union(*self.conjuncts)
+        self._predicate_list = sorted(self.predicate)
         #: Per-conjunct sorted role lists for the unindexed scan,
         #: precomputed so the per-tuple path never re-sorts.
-        self._conjunct_scans = tuple(
-            sorted(c.names()) for c in self.conjuncts)
+        self._conjunct_scans = tuple(sorted(c) for c in self.conjuncts)
         self.indexed = indexed
         self.tracker = PolicyTracker(stream_id)
         #: Memoized per-role-set verdicts for non-uniform segments:
@@ -90,7 +80,7 @@ class SecurityShield(UnaryOperator):
         #: deterministic given (roles, conjuncts, indexed), so replaying
         #: the recorded comparison delta keeps the scan-cost accounting
         #: bit-identical to an uncached evaluation.  Cleared on rebind.
-        self._permits_memo: dict[AbstractRoleSet, tuple[bool, int]] = {}
+        self._permits_memo: dict[frozenset[str], tuple[bool, int]] = {}
         #: Decision for the current uniform segment (None = per-tuple).
         self._segment_decision: bool | None = None
         self._decision_stale = True
@@ -137,7 +127,7 @@ class SecurityShield(UnaryOperator):
         self._m_denial = instruments.denial_drops.labels(self.name, query)
 
     # -- predicate management (used by SS split/merge rewrites) -------------
-    def rebind(self, roles: Iterable[str] | AbstractRoleSet) -> None:
+    def rebind(self, roles: Iterable[str] | str) -> None:
         """Rewrite the security predicate at runtime (role re-binding).
 
         The paper's future-work item of runtime role changes:
@@ -149,11 +139,10 @@ class SecurityShield(UnaryOperator):
         switch is recorded as a ``shield.rebind`` event.
         """
         old_predicate = tuple(self._predicate_list)
-        if not isinstance(roles, AbstractRoleSet):
-            roles = RoleSet(roles)
+        roles = role_set(roles)
         self.predicate = roles
         self.conjuncts = (roles,)
-        self._predicate_list = sorted(roles.names())
+        self._predicate_list = sorted(roles)
         self._conjunct_scans = (self._predicate_list,)
         self._decision_stale = True
         self._segment_fields = None
@@ -201,7 +190,7 @@ class SecurityShield(UnaryOperator):
                name: str | None = None) -> "SecurityShield":
         """Rule 1 (reverse): one SS carrying all conjuncts of the inputs."""
         shields = list(shields)
-        conjuncts: list[AbstractRoleSet] = []
+        conjuncts: list[frozenset[str]] = []
         stream_id = "*"
         indexed = True
         for shield in shields:
@@ -220,16 +209,16 @@ class SecurityShield(UnaryOperator):
         probes hash sets per policy role.
         """
         stats = self.stats
+        roles = policy.roles
         if self.indexed:
             for conjunct in self.conjuncts:
                 # One hash probe per policy role, per conjunct probed
                 # (short-circuit: a failed conjunct ends the check).
-                stats.comparisons += len(policy.roles)
-                if not policy.permits_any(conjunct):
+                stats.comparisons += len(roles)
+                if roles.isdisjoint(conjunct):
                     return False
             return True
         passing = True
-        roles = policy.roles
         for scan_list in self._conjunct_scans:
             hit = False
             for role in scan_list:
@@ -412,7 +401,7 @@ class SecurityShield(UnaryOperator):
             sps = self.tracker.current_sps()
             fields = (
                 tuple(self._predicate_list),
-                tuple(self.tracker.policy_for(item).roles.names_sorted()),
+                tuple(sorted(self.tracker.policy_for(item).roles)),
                 " | ".join(sp.to_text() for sp in sps) if sps else None)
             if self._segment_decision is not None:
                 self._segment_fields = fields
@@ -466,5 +455,5 @@ class SecurityShield(UnaryOperator):
         return self.tuples_blocked
 
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}({sorted(self.predicate.names())}, "
+        return (f"{type(self).__name__}({self._predicate_list}, "
                 f"indexed={self.indexed})")

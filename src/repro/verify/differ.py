@@ -30,7 +30,6 @@ from repro.algebra.expressions import (DupElimExpr, GroupByExpr, JoinExpr,
                                        SelectExpr, ShieldExpr)
 from repro.baselines.store_and_probe import PolicyTable
 from repro.baselines.tuple_embedded import embed_policies
-from repro.core.bitmap import RoleSet
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
@@ -293,22 +292,20 @@ def run_baseline_store_probe(scenario: Scenario,
             table.store(element)
             continue
         policy = table.probe(element)
-        roles = frozenset(policy.roles.names())
-        if roles & qroles:
-            sigs[signature(element, roles)] += 1
+        if policy.permits_any(qroles):
+            sigs[signature(element, policy.roles)] += 1
     return sigs
 
 
 def run_baseline_tuple_embedded(scenario: Scenario,
                                 name: str, query: dict) -> Counter:
     """Tuple-embedded delivery for one query (single-stream scenarios)."""
-    qroles = RoleSet(query["roles"])
+    qroles = frozenset(query["roles"])
     sigs: Counter = Counter()
     (elements,) = scenario.decoded().values()
     for policy_tuple in embed_policies(elements):
-        if policy_tuple.policy.intersects(qroles):
-            sigs[signature(policy_tuple.tuple,
-                           frozenset(policy_tuple.policy.names()))] += 1
+        if not policy_tuple.policy.isdisjoint(qroles):
+            sigs[signature(policy_tuple.tuple, policy_tuple.policy)] += 1
     return sigs
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.access.dac import DACModel, user_principal
 from repro.access.mac import DEFAULT_LEVELS, MACModel, level_principal
 from repro.access.model import Subject
-from repro.core.bitmap import RoleSet
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import AccessControlError
 from repro.operators.shield import SecurityShield
@@ -83,10 +82,10 @@ class TestMAC:
         for clearance in DEFAULT_LEVELS:
             model.set_clearance(f"user_{clearance}", clearance)
         for classification in DEFAULT_LEVELS:
-            object_principals = RoleSet(
+            object_principals = frozenset(
                 model.principals_for_classification(classification))
             for clearance in DEFAULT_LEVELS:
                 subject = Subject(f"user_{clearance}")
-                subject_principals = RoleSet(model.principals_for(subject))
-                allowed = object_principals.intersects(subject_principals)
+                allowed = not object_principals.isdisjoint(
+                    model.principals_for(subject))
                 assert allowed == model.dominates(clearance, classification)

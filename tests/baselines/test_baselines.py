@@ -24,13 +24,13 @@ class TestPolicyTable:
         table = PolicyTable()
         table.store(grant(["D"], 0.0, stream=literal("s1"),
                           tuple_id=literal(7)))
-        assert table.probe(tup(7, 1.0)).roles.names() == frozenset({"D"})
+        assert table.probe(tup(7, 1.0)).roles == frozenset({"D"})
         assert table.probe(tup(8, 1.0)).is_empty()
 
     def test_pattern_policy_scanned(self):
         table = PolicyTable()
         table.store(grant(["GP"], 0.0, tuple_id=numeric_range(120, 133)))
-        assert table.probe(tup(125, 1.0)).roles.names() == frozenset({"GP"})
+        assert table.probe(tup(125, 1.0)).roles == frozenset({"GP"})
         assert table.probe(tup(200, 1.0)).is_empty()
         assert table.scan_steps > 0
 
@@ -38,14 +38,14 @@ class TestPolicyTable:
         table = PolicyTable()
         table.store(grant(["D"], 0.0))
         table.store(grant(["C"], 5.0))
-        assert table.probe(tup(1, 6.0)).roles.names() == frozenset({"C"})
+        assert table.probe(tup(1, 6.0)).roles == frozenset({"C"})
         assert table.policy_count() == 1  # same DDP: replaced
 
     def test_same_ts_policies_union(self):
         table = PolicyTable()
         table.store(grant(["D"], 1.0, stream=literal("s1")))
         table.store(grant(["C"], 1.0, tuple_id=literal(1)))
-        roles = table.probe(tup(1, 2.0)).roles.names()
+        roles = table.probe(tup(1, 2.0)).roles
         assert roles == frozenset({"D", "C"})
 
     def test_update_counter(self):
@@ -78,7 +78,7 @@ class TestTupleEmbedded:
         elements = [grant(["D", "ND"], 0.0), tup(1, 1.0), tup(2, 2.0)]
         embedded = list(embed_policies(elements))
         assert len(embedded) == 2
-        assert all(pt.policy.names() == frozenset({"D", "ND"})
+        assert all(pt.policy == frozenset({"D", "ND"})
                    for pt in embedded)
         # Copies, not shared objects — the architecture's redundancy.
         assert embedded[0].policy is not embedded[1].policy
@@ -91,19 +91,19 @@ class TestTupleEmbedded:
             tup(2, 3.0),
         ]
         embedded = list(embed_policies(elements))
-        assert embedded[0].policy.names() == frozenset({"D", "ND"})
-        assert embedded[1].policy.names() == frozenset({"C"})
+        assert embedded[0].policy == frozenset({"D", "ND"})
+        assert embedded[1].policy == frozenset({"C"})
 
     def test_tuple_before_sp_gets_empty_policy(self):
         embedded = list(embed_policies([tup(1, 1.0)]))
-        assert embedded[0].policy.is_empty()
+        assert not embedded[0].policy
 
     def test_bitmap_mode(self):
         universe = RoleUniverse()
         elements = [grant(["D"], 0.0), tup(1, 1.0)]
         embedded = list(embed_policies(elements, universe=universe,
                                        bitmap=True))
-        assert embedded[0].policy.names() == frozenset({"D"})
+        assert set(embedded[0].policy) == {"D"}
         assert type(embedded[0].policy).__name__ == "RoleBitmap"
 
     def test_enforcer(self):

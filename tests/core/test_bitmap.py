@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core.bitmap import RoleBitmap, RoleSet, RoleUniverse
+from repro.baselines.store_and_probe import StoreAndProbeEnforcer
+from repro.baselines.tuple_embedded import TupleEmbeddedEnforcer
+from repro.core.bitmap import RoleBitmap, RoleUniverse, role_set
 from repro.errors import AccessControlError
+from repro.operators.shield import SecurityShield
 
 
 class TestRoleUniverse:
@@ -39,58 +42,52 @@ class TestRoleUniverse:
 
 
 class TestRoleSet:
-    def test_basic_ops(self):
-        a = RoleSet(["C", "D"])
-        b = RoleSet(["D", "E"])
-        assert a.intersect(b).names() == frozenset({"D"})
-        assert a.union(b).names() == frozenset({"C", "D", "E"})
-        assert a.difference(b).names() == frozenset({"C"})
-
-    def test_intersects_fast_path(self):
-        assert RoleSet(["a"]).intersects(RoleSet(["a", "b"]))
-        assert not RoleSet(["a"]).intersects(RoleSet(["b"]))
-
-    def test_string_treated_as_single_role(self):
-        assert RoleSet("doctor").names() == frozenset({"doctor"})
+    """The set encoding is a plain frozenset, built by ``role_set``."""
 
     def test_emptiness_and_bool(self):
-        assert RoleSet().is_empty()
-        assert not RoleSet()
-        assert RoleSet(["x"])
+        assert role_set(()) == frozenset()
+        assert not role_set(())
+        assert role_set(["x"])
 
-    def test_of_constructor(self):
-        assert RoleSet.of("a", "b").names() == frozenset({"a", "b"})
-
-    def test_iteration_sorted(self):
-        assert list(RoleSet(["b", "a"])) == ["a", "b"]
+    def test_string_treated_as_single_role(self):
+        assert role_set("doctor") == frozenset({"doctor"})
+        assert SecurityShield("CD").predicate == frozenset({"CD"})
+        assert SecurityShield("CD", conjuncts=["C", "D"]).conjuncts == (
+            frozenset({"C"}), frozenset({"D"}))
+        assert TupleEmbeddedEnforcer("CD").roles == frozenset({"CD"})
+        assert StoreAndProbeEnforcer("CD").roles == frozenset({"CD"})
 
 
 class TestRoleBitmap:
     def test_round_trip_names(self):
         universe = RoleUniverse()
         bitmap = RoleBitmap(universe, ["C", "D", "ND"])
-        assert bitmap.names() == frozenset({"C", "D", "ND"})
+        assert frozenset(bitmap) == frozenset({"C", "D", "ND"})
         assert len(bitmap) == 3
 
     def test_bitwise_ops(self):
         universe = RoleUniverse()
         a = RoleBitmap(universe, ["C", "D"])
         b = RoleBitmap(universe, ["D", "E"])
-        assert a.intersect(b).names() == frozenset({"D"})
-        assert a.union(b).names() == frozenset({"C", "D", "E"})
-        assert a.difference(b).names() == frozenset({"C"})
-        assert a.intersects(b)
+        assert set(a & b) == {"D"}
+        assert set(a | b) == {"C", "D", "E"}
+        assert set(a - b) == {"C"}
+        assert not a.isdisjoint(b)
+        assert a.isdisjoint(RoleBitmap(universe, ["E"]))
 
     def test_cross_encoding_ops(self):
         universe = RoleUniverse()
         bitmap = RoleBitmap(universe, ["C", "D"])
-        plain = RoleSet(["D", "E"])
-        assert bitmap.intersect(plain).names() == frozenset({"D"})
-        assert plain.intersect(bitmap).names() == frozenset({"D"})
+        plain = frozenset(["D", "E"])
+        assert set(bitmap & plain) == {"D"}
+        assert not bitmap.isdisjoint(plain)
+        assert not plain.isdisjoint(bitmap)
+        assert plain.isdisjoint(RoleBitmap(universe, ["C"]))
 
     def test_set_and_bitmap_equal_when_same_roles(self):
         universe = RoleUniverse()
-        assert RoleBitmap(universe, ["a", "b"]) == RoleSet(["a", "b"])
+        assert frozenset(RoleBitmap(universe, ["a", "b"])) \
+            == frozenset(["a", "b"])
 
     def test_contains(self):
         universe = RoleUniverse()
@@ -102,7 +99,9 @@ class TestRoleBitmap:
         a = RoleBitmap(RoleUniverse(), ["x"])
         b = RoleBitmap(RoleUniverse(), ["x"])
         with pytest.raises(AccessControlError):
-            a.intersect(b)
+            _ = a & b
+        with pytest.raises(AccessControlError):
+            a.isdisjoint(b)
 
     def test_registers_roles_in_universe(self):
         universe = RoleUniverse()

@@ -244,7 +244,7 @@ class TestMemosStayHome:
         sp = SecurityPunctuation.grant(
             [f"role{i}" for i in range(10_000)], ts=1.0)
         policy = sp.segment_policy()
-        assert policy.roles.names() is sp.roles()  # no second copy
+        assert policy.roles is sp.roles()  # no second copy
         assert policy.ts == 1.0
         assert sp.segment_policy() is policy
 
@@ -261,7 +261,7 @@ class TestMemosStayHome:
         monkeypatch.setattr(punctuation, "_enumerate_pattern", counting)
         sp = SecurityPunctuation.parse("<*, *, * | C | + | F | 1.0>")
         assert sp.srp.concrete_roles() == sp.roles() == {"C"}
-        assert sp.segment_policy().roles.names() is sp.roles()
+        assert sp.segment_policy().roles is sp.roles()
         assert len(calls) == 1
         open_ended = SecurityPunctuation.parse("<*, *, * | * | + | F | 1.0>")
         assert open_ended.srp.concrete_roles() is None

@@ -67,7 +67,7 @@ class TestShieldsView:
         shields = dsms.shields("q")
         assert shields and all(isinstance(s, SecurityShield)
                                for s in shields)
-        assert all(s.predicate.names() == frozenset({"D"}) for s in shields)
+        assert all(s.predicate == frozenset({"D"}) for s in shields)
 
     def test_before_any_run_is_empty(self):
         dsms = DSMS()
@@ -82,7 +82,7 @@ class TestShieldRebind:
         shield.process(SecurityPunctuation.grant(["D"], 0.0))
         assert shield.process(DataTuple("s", 1, {"x": 1}, 1.0))
         shield.rebind({"C"})
-        assert shield.predicate.names() == frozenset({"C"})
+        assert shield.predicate == frozenset({"C"})
         # Cached segment decision must not survive the rebind.
         assert shield.process(DataTuple("s", 2, {"x": 2}, 2.0)) == []
 
@@ -97,7 +97,7 @@ class TestShieldRebind:
                                            {"patient": 1, "bpm": 70}, 1.0))
         assert [t.tid for t in out["q"] if isinstance(t, DataTuple)] == [1]
         dsms.update_query_roles("q", {"C"})
-        assert all(s.predicate.names() == frozenset({"C"})
+        assert all(s.predicate == frozenset({"C"})
                    for s in dsms.shields("q"))
         out = session.push("hr", DataTuple("hr", 2,
                                            {"patient": 2, "bpm": 80}, 2.0))

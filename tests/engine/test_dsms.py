@@ -164,7 +164,7 @@ class TestRuntimeRoleChange:
         dsms.update_query_roles("q", {"C"})
         shields = dsms.shields("q")
         assert shields
-        assert shields[0].predicate.names() == frozenset({"C"})
+        assert shields[0].predicate == frozenset({"C"})
 
 
 class TestImmutablePolicies:

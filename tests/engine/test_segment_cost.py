@@ -8,8 +8,7 @@ from collections import Counter
 from unittest import mock
 
 from repro.algebra.expressions import ScanExpr
-from repro.core.bitmap import RoleSet
-from repro.core.policy import Policy
+from repro.core.policy import Policy, TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.operators.conditions import Comparison
@@ -171,7 +170,7 @@ class TestBoundedState:
     def test_live_segments_hold_no_policy_of_their_own(self):
         """What 10^4 *live* sps in a join window weigh beyond the sps
         themselves: a plain grant's segment stores the sp's own policy,
-        so no ``Policy``, no ``RoleSet`` and nothing else the policy
+        so no ``Policy``, no ``TuplePolicy`` and nothing else the policy
         layer allocates is retained per segment."""
         count = 10_000
         sps = [SecurityPunctuation.grant(["D", "N", "C"][i % 3], 2.0 * i)
@@ -181,7 +180,7 @@ class TestBoundedState:
 
         def census():
             return Counter(type(o) for o in gc.get_objects()
-                           if type(o) in (Policy, RoleSet))
+                           if type(o) in (Policy, TuplePolicy))
 
         before = census()
         tracemalloc.start()

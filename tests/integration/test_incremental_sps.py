@@ -9,7 +9,7 @@ CQL declaration and the wire format.
 import pytest
 
 from repro.core.analyzer import SPAnalyzer
-from repro.core.policy import apply_incremental_batch
+from repro.core.punctuation import apply_incremental_batch
 from repro.core.punctuation import SecurityPunctuation
 from repro.cql.translator import compile_statement
 from repro.errors import PolicyError

@@ -358,7 +358,7 @@ class TestWindowsStoreTheTrackersAnswer:
                   for item, policy in op.windows[0].iter_entries()}
         assert stored.keys() == expected.keys()
         for tid, (roles, ts) in expected.items():
-            assert stored[tid].roles.names() == roles
+            assert stored[tid].roles == roles
             assert stored[tid].ts == ts
 
     def test_a_discarded_stale_batch_leaves_no_state(self):

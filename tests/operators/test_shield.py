@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import SPAnalyzer
-from repro.core.bitmap import RoleSet, RoleUniverse
+from repro.core.bitmap import RoleUniverse
 from repro.core.patterns import literal, numeric_range
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PunctuationError
@@ -112,8 +112,7 @@ class TestTupleGranularity:
 class TestConjunctivePredicates:
     def test_all_conjuncts_must_intersect(self):
         shield = SecurityShield(
-            RoleSet(["A", "B"]),
-            conjuncts=[RoleSet(["A"]), RoleSet(["B"])])
+            ["A", "B"], conjuncts=[["A"], ["B"]])
         out = drive(shield, [grant(["A", "B"], 0.0), tup(1, 1.0)])
         assert out_tids(out) == [1]
         out = drive(shield, [grant(["A"], 2.0), tup(2, 3.0)])
@@ -121,8 +120,7 @@ class TestConjunctivePredicates:
 
     def test_split_preserves_semantics(self):
         merged = SecurityShield(
-            RoleSet(["A", "B"]),
-            conjuncts=[RoleSet(["A"]), RoleSet(["B"])])
+            ["A", "B"], conjuncts=[["A"], ["B"]])
         first, second = merged.split()
         elements = [grant(["A", "B"], 0.0), tup(1, 1.0),
                     grant(["A"], 2.0), tup(2, 3.0)]
@@ -135,7 +133,7 @@ class TestConjunctivePredicates:
         b = SecurityShield(["B"])
         merged = SecurityShield.merged([a, b])
         assert merged.conjuncts == (a.predicate, b.predicate)
-        assert merged.predicate.names() == frozenset({"A", "B"})
+        assert merged.predicate == frozenset({"A", "B"})
 
 
 class TestIndexedVsUnindexed:
@@ -232,7 +230,7 @@ class TestOneResolutionPerSp:
             roles, ts = expected[element.tid]
             assert policy == theirs
             assert policy.ts == theirs.ts == ts
-            assert policy.roles.names() == theirs.roles.names() == roles
+            assert policy.roles == theirs.roles == roles
             assert tracker.is_uniform == reference.is_uniform
             assert tracker.current_sps() == reference.current_sps()
             assert tracker.take_pending_sps() == reference.take_pending_sps()
@@ -244,7 +242,7 @@ class TestOneResolutionPerSp:
             tracker.policy_for(tup(1, 1.5))
 
     def test_rebind_mid_segment_re_decides(self):
-        shield = SecurityShield(RoleSet(["C"]), "s1")
+        shield = SecurityShield(["C"], "s1")
         out = drive(shield, [grant(["D"], 0.0), tup(1, 1.0), tup(2, 2.0)])
         assert out_tids(out) == []
         shield.rebind(["D"])
@@ -270,4 +268,4 @@ class TestSharedSegmentPolicy:
         both = PolicyTracker("s1")
         both.observe_sp(sp)
         both.observe_sp(grant("C", 1.0))
-        assert both.policy_for(tup(1, 1.5)).roles.names() == {"C", "D", "N"}
+        assert both.policy_for(tup(1, 1.5)).roles == {"C", "D", "N"}

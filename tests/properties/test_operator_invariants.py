@@ -153,7 +153,7 @@ class TestGroupByIncrementalCorrectness:
                 assert not [e for e in out if isinstance(e, DataTuple)]
                 continue
             members = reference.add(
-                element.values.get("key"), policy.roles.names(),
+                element.values.get("key"), policy.roles,
                 element.ts, element.values["v"])
             result_tuples = [e for e in out if isinstance(e, DataTuple)]
             assert result_tuples, "visible tuple must refresh its ASG"

@@ -18,6 +18,7 @@ from repro.core.policy import TuplePolicy
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
                                     SecurityRestriction, Sign)
 from repro.errors import PatternError, PunctuationError, StreamError
+from repro.operators.base import SPEmitter
 from repro.stream.wire import decode_element, encode_element
 
 #: Digits, ``_``, ``.``, ``e``, ``+`` and ``-`` spell numbers (``1_0``,
@@ -58,7 +59,8 @@ def test_every_constructor_refuses_a_name_that_would_not_read_back(bad):
             lambda: SecurityPunctuation.grant([bad], 1.0),
             lambda: SecurityPunctuation.deny(["ok", bad], 1.0),
             lambda: sp.with_roles([bad]),
-            lambda: TuplePolicy([bad, "ok"]).to_sp(1.0)):
+            lambda: SPEmitter().emit(
+                TuplePolicy(frozenset({bad, "ok"})), 1.0, [])):
         with pytest.raises(PunctuationError):
             build()
 
@@ -69,7 +71,7 @@ def test_every_constructor_refuses_a_name_that_would_not_read_back(bad):
     "a/b", "<a", "a>", "a,b", "a|", "{ok, a/b}|/r.*/"])
 def test_the_reader_refuses_a_token_no_constructor_would_write(srp):
     # Whatever SRP text reads as a role could be re-emitted by a join's
-    # or group-by's ``to_sp``; a name that cannot be written back is
+    # or group-by's ``SPEmitter``; a name that cannot be written back is
     # refused at the wire, not mid-run.
     with pytest.raises(PatternError):
         SecurityRestriction.parse(srp)

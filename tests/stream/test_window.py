@@ -66,7 +66,7 @@ class TestWindow:
         entries = list(window.iter_entries())
         assert len(entries) == 1
         _, policy = entries[0]
-        assert policy.roles.names() == frozenset({"D", "ND"})
+        assert policy.roles == frozenset({"D", "ND"})
 
     def test_tuple_before_any_sp_denied_by_default(self):
         window = PunctuatedWindow("s1", 100.0)
@@ -83,7 +83,7 @@ class TestWindow:
         feed.insert(tup(125, 1.0))
         feed.insert(tup(200, 2.0))
         entries = list(window.iter_entries())
-        assert entries[0][1].roles.names() == frozenset({"GP"})
+        assert entries[0][1].roles == frozenset({"GP"})
         assert entries[1][1].is_empty()
 
     def test_invalidation_expires_old_tuples(self):
@@ -145,5 +145,5 @@ class TestWindow:
         feed.insert(tup(1, 1.0, sid="HeartRate"))
         feed.insert(tup(2, 2.0, sid="Other"))
         entries = list(window.iter_entries())
-        assert entries[0][1].roles.names() == frozenset({"C"})
+        assert entries[0][1].roles == frozenset({"C"})
         assert entries[1][1].is_empty()

@@ -53,14 +53,14 @@ class TestReprs:
     """Reprs are part of the debugging UX; keep them informative."""
 
     def test_core_reprs(self):
-        from repro.core import (Policy, RoleSet, SecurityPunctuation,
-                                TuplePolicy)
+        from repro.core import (Policy, RoleBitmap, RoleUniverse,
+                                SecurityPunctuation, TuplePolicy)
 
         sp = SecurityPunctuation.grant(["D"], ts=1.0)
         assert "D" in str(sp)
         assert "Policy(ts=1.0" in repr(Policy([sp]))
-        assert "D" in repr(TuplePolicy(["D"]))
-        assert "RoleSet" in repr(RoleSet(["D"]))
+        assert "D" in repr(TuplePolicy(frozenset({"D"})))
+        assert "RoleBitmap({D})" == repr(RoleBitmap(RoleUniverse(), ["D"]))
 
     def test_stream_reprs(self):
         from repro.stream import (DataTuple, PunctuatedWindow, Stream,
