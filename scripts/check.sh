@@ -66,8 +66,16 @@ fi
 
 echo "== one kernel (no operator batch path calls a Condition per tuple) =="
 if grep -nE "for \w+ in .* if (self\.)?condition[(]" -r src/repro/operators; then
-    echo "a run is filtered by Condition.filter;" \
+    echo "sibling indexable comparisons are evaluated by the selection" \
+         "group, everything else by Condition.filter;" \
          "see docs/PERFORMANCE.md, What a segment costs a query" >&2
+    exit 1
+fi
+
+echo "== one select state machine (the executor drives a Select through hold/emit only) =="
+if grep -rnE "_held_sps|_after_tuple" src/repro/engine; then
+    echo "a grouped select is driven through Select.hold / Select.emit;" \
+         "see docs/PERFORMANCE.md, One hop for a stream's selections" >&2
     exit 1
 fi
 

@@ -28,11 +28,11 @@ and is not part of the contract.
 
 The push loop is iterative, so deep plans never hit Python's recursion
 limit and per-element call overhead stays flat.  Its first hop is a
-plain walk over the stream's entry operators; the explicit work stack
-(LIFO with reversed pushes to preserve depth-first order) exists only
-below a hop that emitted something, so an element every query rejects
-at its first operator costs the executor one loop step per query and
-nothing else.
+walk over the stream's entry targets (sibling selects are one
+:class:`SelectGroup` target); the explicit work stack (LIFO with
+reversed pushes to preserve depth-first order) exists only below a hop
+that emitted something, so an element every query rejects at its first
+operator costs the executor one loop step per target and nothing else.
 
 Observability: with a :class:`~repro.observability.Tracer` the
 executor opens one trace per feed element and emits the
@@ -45,13 +45,16 @@ CLI prints.
 
 from __future__ import annotations
 
-import time
+from itertools import repeat
+from time import perf_counter, perf_counter_ns
 from typing import Iterable, Sequence
 
-from repro.engine.plan import PhysicalPlan, PlanNode
+from repro.engine.plan import PhysicalPlan, PlanNode, SelectGroup
 from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
 from repro.core.punctuation import SecurityPunctuation
+from repro.operators.base import credit
+from repro.operators.select import Select
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
 
@@ -112,6 +115,7 @@ class Executor:
                  *, tracer: Tracer | None = None,
                  instruments=None):
         self.plan = plan
+        self._sites = plan.push_sites()
         #: ``None`` = tracing off.
         self.tracer = tracer
         #: Engine metric instruments (``None`` = metrics off; the run
@@ -130,18 +134,17 @@ class Executor:
         if tracer is not None:
             tracer.span("executor.run.start",
                         operators=len(self.plan.nodes))
-        start = time.perf_counter()
-        entries = self.plan.entries
+        start = perf_counter()
         push = self._push
         instruments = self.instruments
-        get_targets = entries.get
+        get_site = self._sites.get
         sp_type = SecurityPunctuation
         # Report counters accumulate in locals — one attribute store
         # after the loop instead of three loads+stores per element.
         elements_in = tuples_in = sps_in = 0
         for stream_id, element in feed:
             if instruments is not None:
-                instruments.mark_ingest(time.perf_counter())
+                instruments.mark_ingest(perf_counter())
             if type(element) is TupleBatch:
                 size = len(element.tuples)
                 elements_in += size
@@ -165,14 +168,13 @@ class Executor:
                 if tracer is not None:
                     tracer.begin("tuple", stream=stream_id,
                                  ts=element.ts)
-            targets = get_targets(stream_id)
-            if targets:
-                push(targets, element)
+            hops, serial = get_site(stream_id, ((), False))
+            push(hops, serial, element)
         report.elements_in = elements_in
         report.tuples_in = tuples_in
         report.sps_in = sps_in
         self._flush()
-        report.wall_time = time.perf_counter() - start
+        report.wall_time = perf_counter() - start
         if instruments is not None:
             instruments.ingest_wall = None
             instruments.runs.inc()
@@ -193,10 +195,11 @@ class Executor:
 
     def feed(self, stream_id: str, element: StreamElement) -> None:
         """Push one element into the plan (incremental driving)."""
-        self._push(self.plan.entries.get(stream_id, ()), element)
+        hops, serial = self._sites.get(stream_id, ((), False))
+        self._push(hops, serial, element)
 
-    def _push(self, targets: "Sequence[tuple[PlanNode, int]]",
-              element) -> None:
+    def _push(self, targets: "Sequence[tuple[PlanNode, int] | SelectGroup]",
+              serial: bool, element) -> None:
         """Deliver ``element`` (or a TupleBatch) depth-first to each
         ``(node, port)`` of ``targets`` in turn.
 
@@ -207,7 +210,8 @@ class Executor:
         processed in plan order), and a target's subtree is drained
         before the next target is entered — the exact delivery order of
         the recursive formulation, without per-element Python frames
-        and at no executor cost for a hop that emits nothing.
+        and at no executor cost for a hop that emits nothing (a group is
+        one hop; a serial site goes tuple by tuple, see ``push_sites``).
 
         While the current trace is head-sampled, every operator
         invocation is timed on the monotonic clock and emitted as a
@@ -216,13 +220,28 @@ class Executor:
         per-operator latency histograms get exemplars pointing at the
         live trace — extra cost bounded by the sampling rate.
         """
+        if serial and type(element) is TupleBatch:
+            for item in element.tuples:
+                self._push(targets, False, item)
+            return
         tracer = self.tracer
         if tracer is not None and not tracer.active:
             tracer = None
         root = tracer._root_id if tracer is not None else 0
         stack: list[tuple[PlanNode, object, int, int]] = []
-        for node, port in targets:
-            item, parent = element, root
+        for target in targets:
+            if type(target) is SelectGroup:
+                for node, outputs, parent in reversed(
+                        self._hop_group(target, element, tracer, root)):
+                    for out in reversed(outputs):
+                        for child, child_port in reversed(node.downstream):
+                            stack.append((child, out, child_port, parent))
+                if not stack:
+                    continue
+                node, item, port, parent = stack.pop()
+            else:
+                node, port = target
+                item, parent = element, root
             while True:
                 operator = node.operator
                 batch = type(item) is TupleBatch
@@ -231,10 +250,10 @@ class Executor:
                                else operator.process(item, port))
                 else:
                     rows = len(item.tuples) if batch else 1
-                    begun = time.perf_counter_ns()
+                    begun = perf_counter_ns()
                     outputs = (operator.process_batch(item, port) if batch
                                else operator.process(item, port))
-                    dur_ns = time.perf_counter_ns() - begun
+                    dur_ns = perf_counter_ns() - begun
                     parent = tracer.op_span("op.process", parent, dur_ns,
                                             operator=operator.name,
                                             rows=rows)
@@ -242,6 +261,8 @@ class Executor:
                         operator._m_latency.exemplar(dur_ns / rows * 1e-9,
                                                      tracer.trace_id)
                 if outputs and (downstream := node.downstream):
+                    if node.serial:
+                        outputs = _tuple_by_tuple(outputs)
                     for out in reversed(outputs):
                         for child, child_port in reversed(downstream):
                             stack.append((child, out, child_port, parent))
@@ -249,10 +270,45 @@ class Executor:
                     break
                 node, item, port, parent = stack.pop()
 
+    def _hop_group(self, group: SelectGroup, element, tracer, root) -> list:
+        """``(node, outputs, parent span)`` of each member that emitted."""
+        selects, start = group.selects, perf_counter()
+        if type(element) is SecurityPunctuation:
+            for select in selects:
+                select.hold(element)
+            size, sps, outs = 0, 1, [[]] * len(selects)
+        else:
+            run = element.tuples if type(element) is TupleBatch else (element,)
+            size, sps = len(run), 0
+            outs = list(map(Select.emit, selects, repeat(size),
+                            group.passing(run)))
+        elapsed = perf_counter() - start
+        credit(selects, elapsed, size, sps, outs)
+        if tracer is None and not any(outs):
+            return []
+        share, emitted = elapsed / len(selects), []
+        for node, select, out in zip(group.nodes, selects, outs):
+            parent = root
+            if tracer is not None:
+                parent = tracer.op_span("op.process", root, round(share * 1e9),
+                                        operator=select.name, rows=size + sps)
+                if select._m_latency is not None:
+                    select._m_latency.exemplar(share / (size + sps),
+                                               tracer.trace_id)
+            if out:
+                emitted.append((node, _tuple_by_tuple(out) if node.serial
+                                else out, parent))
+        return emitted
+
     def _flush(self) -> None:
         """End-of-stream: flush operators in topological order."""
         if self.tracer is not None:
             self.tracer.span("executor.flush")
         for node in self.plan.topological():
             for out in node.operator.flush():
-                self._push(node.downstream, out)
+                self._push(node.downstream, node.serial, out)
+
+
+def _tuple_by_tuple(elements: list) -> list:
+    return [item for element in elements for item in (
+        element.tuples if type(element) is TupleBatch else (element,))]

@@ -13,8 +13,9 @@ shield hands each query its results.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence, cast
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
@@ -23,6 +24,7 @@ from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
 from repro.core.bitmap import RoleUniverse
 from repro.errors import PlanError
 from repro.operators.base import Operator
+from repro.operators.conditions import Comparison
 from repro.operators.dupelim import DuplicateElimination
 from repro.operators.groupby import GroupBy
 from repro.operators.index_join import IndexSAJoin
@@ -32,23 +34,66 @@ from repro.operators.select import Select
 from repro.operators.setops import Intersect, Union
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
+from repro.stream.tuples import DataTuple
 
-__all__ = ["PlanNode", "PhysicalPlan"]
+__all__ = ["PlanNode", "PhysicalPlan", "SelectGroup"]
 
 
 class PlanNode:
     """One operator in the DAG plus its downstream edges."""
 
-    __slots__ = ("operator", "downstream", "node_id")
+    __slots__ = ("operator", "downstream", "node_id", "serial")
 
     def __init__(self, operator: Operator, node_id: int):
         self.operator = operator
         self.node_id = node_id
         #: (child node, child input port) pairs.
         self.downstream: list[tuple["PlanNode", int]] = []
+        #: Two downstream edges reach one operator (``push_sites``).
+        self.serial = False
 
     def __repr__(self) -> str:
         return f"PlanNode#{self.node_id}({self.operator.name})"
+
+
+class SelectGroup:
+    """Entry selects ``attr <op> c_i`` of one stream on one attribute and
+    ordering op, served by one executor hop: a value passes a prefix of
+    the members sorted by constant (negated for ``<``/``<=``)."""
+
+    def __init__(self, nodes: "list[PlanNode]"):
+        self.nodes = tuple(nodes)  # plan order
+        self.selects = tuple(cast(Select, node.operator) for node in nodes)
+        conditions = [cast(Comparison, s.condition) for s in self.selects]
+        self.attribute, op = conditions[0].attribute, conditions[0].op
+        self._sign = sign = -1 if op in ("<", "<=") else 1
+        keys = [sign * cast(float, c.value) for c in conditions]
+        self._order = sorted(range(len(keys)), key=keys.__getitem__)  # by key
+        self._keys = [keys[i] for i in self._order]
+        #: A strict op passes the constants below the value.
+        self._cut = bisect_left if op in ("<", ">") else bisect_right
+        self._none: list[list[DataTuple]] = [[]] * len(keys)
+
+    def passing(self, tuples: Sequence[DataTuple]) -> list[list[DataTuple]]:
+        """Per member, its passing tuples of one run (``None`` passes none;
+        a non-number or NaN sends the run to ``Condition.filter``)."""
+        attribute, keys, cut, sign, order = (
+            self.attribute, self._keys, self._cut, self._sign, self._order)
+        lists = none = self._none
+        for item in tuples:
+            value = item.values.get(attribute)
+            if value is None:
+                continue
+            kind = type(value)
+            if kind is not int and (kind is not float or value != value):
+                return [select.condition.filter(tuples)
+                        for select in self.selects]
+            count = cut(keys, sign * value)
+            if count and lists is none:
+                lists = [[] for _ in keys]
+            for rank in range(count):
+                lists[order[rank]].append(item)
+        return lists
 
 
 class PhysicalPlan:
@@ -208,6 +253,48 @@ class PhysicalPlan:
                              left_sid=sid(children[0], "left"),
                              right_sid=sid(children[1], "right"))
         raise PlanError(f"cannot compile {type(expr).__name__}")
+
+    # -- dispatch -------------------------------------------------------------
+    def push_sites(self) -> "dict[str, tuple[tuple, bool]]":
+        """Per stream ``(hops, serial)``: a push site (entry list, node
+        downstream) where two targets reach one operator (a self-join)
+        takes runs tuple by tuple, as a session does; elsewhere, entry
+        selects a bisection can serve are one :class:`SelectGroup`."""
+        # Two paths first meet at a node with two inputs: reach only those.
+        inputs = Counter(child for targets in [*self.entries.values(), *(
+            node.downstream for node in self.nodes)] for child, _ in targets)
+        reach: dict[PlanNode, set[PlanNode]] = {}
+        for node in reversed(self.topological()):
+            reach[node] = ({node} if inputs[node] > 1 else set()).union(
+                *(reach[child] for child, _ in node.downstream))
+
+        def crossing(targets: "list[tuple[PlanNode, int]]") -> bool:
+            below = [reach[node] for node, _ in targets]
+            return sum(map(len, below)) > len(set().union(*below))
+
+        for node in self.nodes:
+            node.serial = crossing(node.downstream)
+        sites: dict[str, tuple[tuple, bool]] = {}
+        for stream_id, targets in self.entries.items():
+            serial, siblings = crossing(targets), {}
+            for node, _ in targets:
+                condition = getattr(node.operator, "condition", None)
+                bisectable = (not serial and type(node.operator) is Select
+                              and type(condition) is Comparison
+                              and not condition.rhs_attribute
+                              and condition.op in ("<", "<=", ">", ">=")
+                              and type(condition.value) in (int, float)
+                              and condition.value == condition.value)
+                siblings.setdefault((condition.attribute, condition.op)
+                                    if bisectable else None, []).append(node)
+            groups = {nodes[0]: SelectGroup(nodes)
+                      for key, nodes in siblings.items()
+                      if key is not None and len(nodes) > 1}
+            later = set().union(*(g.nodes[1:] for g in groups.values()))
+            sites[stream_id] = (tuple(
+                groups.get(node, (node, port)) for node, port in targets
+                if node not in later), serial)
+        return sites
 
     # -- introspection ----------------------------------------------------------
     def bind_observability(

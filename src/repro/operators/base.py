@@ -24,6 +24,7 @@ Three reusable pieces live here:
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Sequence
 
 from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
                                has_attribute_scope, policy_is_uniform,
@@ -36,7 +37,7 @@ from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
 __all__ = ["OperatorStats", "Operator", "UnaryOperator", "BinaryOperator",
-           "PolicyTracker", "SPEmitter"]
+           "PolicyTracker", "SPEmitter", "credit"]
 
 _POSITIVE = Sign.POSITIVE
 
@@ -103,8 +104,8 @@ class Operator:
                 port: int = 0) -> list[StreamElement]:
         """Consume one element on ``port``; return emitted elements.
 
-        Wraps :meth:`_process` with stats accounting; subclasses
-        implement :meth:`_process`.
+        Wraps :meth:`_process` with stats accounting (:func:`credit`,
+        inlined); subclasses implement :meth:`_process`.
         """
         if not 0 <= port < self.arity:
             raise PlanError(f"{self.name}: invalid port {port}")
@@ -140,40 +141,16 @@ class Operator:
 
         :meth:`process` is this method's run-of-one specialisation (a
         run of one is never wrapped, and a session pushes bare
-        elements).  Here stats counters are updated in amortized
-        per-batch increments (one wrapper, one pair of clock reads per
-        run instead of per element).  Emitted elements may include
-        :class:`TupleBatch` envelopes, which count as their length.
-        Subclasses whose work per run differs from their work per
-        tuple override :meth:`_process_batch`; the default loops
+        elements).  One pair of clock reads and one :func:`credit` per
+        run.  Subclasses whose work per run differs from their work
+        per tuple override :meth:`_process_batch`; the default loops
         :meth:`_process`, so plans stay correct by construction.
         """
         if not 0 <= port < self.arity:
             raise PlanError(f"{self.name}: invalid port {port}")
-        stats = self.stats
         start = perf_counter()
         out = self._process_batch(batch, port)
-        elapsed = perf_counter() - start
-        stats.processing_time += elapsed
-        n = len(batch.tuples)
-        if n:
-            # Per-element EWMA, updated once with the run's mean cost.
-            stats.ewma_seconds += EWMA_ALPHA * (elapsed / n
-                                                - stats.ewma_seconds)
-            if self._m_latency is not None:
-                # One observation per run, at the run's mean
-                # per-element cost (histogram counts therefore depend
-                # on how the input was cut; values don't skew).
-                self._m_latency.observe(elapsed / n)
-        stats.tuples_in += n
-        if out:
-            for item in out:
-                if type(item) is TupleBatch:
-                    stats.tuples_out += len(item.tuples)
-                elif type(item) is SecurityPunctuation:
-                    stats.sps_out += 1
-                else:
-                    stats.tuples_out += 1
+        credit((self,), perf_counter() - start, len(batch.tuples), 0, (out,))
         return out
 
     def _process_batch(self, batch: TupleBatch,
@@ -240,6 +217,32 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
+
+
+def credit(operators: "Sequence[Operator]", elapsed: float, tuples: int,
+           sps: int, outs: "Sequence[list[StreamElement]]") -> None:
+    """Credit one hop (``tuples`` or ``sps`` in, ``outs``) to each of
+    ``operators``: a share of ``elapsed``, EWMA and latency per element."""
+    share = elapsed / len(operators)
+    per_row = share / (tuples + sps) if tuples or sps else None
+    for operator, out in zip(operators, outs):
+        stats = operator.stats
+        stats.processing_time += share
+        if tuples:
+            stats.tuples_in += tuples
+        else:
+            stats.sps_in += sps
+        if per_row is not None:
+            stats.ewma_seconds += EWMA_ALPHA * (per_row - stats.ewma_seconds)
+            if operator._m_latency is not None:
+                operator._m_latency.observe(per_row)
+        for item in out:
+            if type(item) is TupleBatch:
+                stats.tuples_out += len(item.tuples)
+            elif type(item) is SecurityPunctuation:
+                stats.sps_out += 1
+            else:
+                stats.tuples_out += 1
 
 
 class UnaryOperator(Operator):

@@ -16,6 +16,7 @@ from repro.operators.base import UnaryOperator
 from repro.operators.conditions import Condition, FuncCondition
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
+from repro.stream.tuples import DataTuple
 
 __all__ = ["Select"]
 
@@ -38,42 +39,42 @@ class Select(UnaryOperator):
         self.sps_discarded = 0
         self.tuples_dropped = 0
 
-    def _process(self, element: StreamElement,
-                 port: int) -> list[StreamElement]:
-        if isinstance(element, SecurityPunctuation):
-            if self._after_tuple and self._held_sps:
-                # The previous segment ended without any passing tuple:
-                # its sps are dropped.
-                self.sps_discarded += len(self._held_sps)
-                self._held_sps = []
-            self._after_tuple = False
-            self._held_sps.append(element)
-            return []
+    def hold(self, sp: SecurityPunctuation) -> None:
+        """Hold ``sp`` until a tuple of its segment passes."""
+        if self._after_tuple and self._held_sps:
+            # The previous segment ended without any passing tuple:
+            # its sps are dropped.
+            self.sps_discarded += len(self._held_sps)
+            self._held_sps = []
+        self._after_tuple = False
+        self._held_sps.append(sp)
+
+    def emit(self, size: int,
+             passing: list[DataTuple]) -> list[StreamElement]:
+        """Emit for a run of ``size`` tuples; ``passing`` (taken over)."""
         self._after_tuple = True
-        self.stats.comparisons += 1
-        if not self.condition(element):
-            self.tuples_dropped += 1
+        self.stats.comparisons += size
+        self.tuples_dropped += size - len(passing)
+        if not passing:
             return []
         # The held sps lead the first passing tuple of their segment;
         # the list is handed over, not copied.
         out, self._held_sps = self._held_sps, []
-        out.append(element)
+        out.append(passing[0] if len(passing) == 1 else TupleBatch(passing))
         return out
+
+    def _process(self, element: StreamElement,
+                 port: int) -> list[StreamElement]:
+        if isinstance(element, SecurityPunctuation):
+            self.hold(element)
+            return []
+        return self.emit(1, [element] if self.condition(element) else [])
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
         """Batch fast path: the condition filters the whole run."""
-        self._after_tuple = True
-        tuples = batch.tuples
-        self.stats.comparisons += len(tuples)
-        passing = self.condition.filter(tuples)
-        self.tuples_dropped += len(tuples) - len(passing)
-        if not passing:
-            return []
-        out, self._held_sps = self._held_sps, []
-        out.append(passing[0] if len(passing) == 1
-                   else TupleBatch(passing))
-        return out
+        return self.emit(len(batch.tuples),
+                         self.condition.filter(batch.tuples))
 
     def flush(self) -> list[StreamElement]:
         self.sps_discarded += len(self._held_sps)

@@ -397,13 +397,16 @@ def generate_scenario(seed: int, index: int) -> Scenario:
         sid = add_stream(0)
         plan = _maybe_shield(rng, _scan(sid), qroles, p=0.5)
         other_roles = sorted(rng.sample(ROLE_POOL, rng.randint(1, 2)))
-        queries["q1"] = {
-            "roles": other_roles,
-            "plan": _maybe_shield(rng, {
-                "op": "select", "input": _scan(sid),
-                "condition": _select_spec(rng, _stream_attrs(0)),
-            }, other_roles, p=0.5),
-        }
+        condition = _select_spec(rng, _stream_attrs(0))
+        if sibling := rng.random() < 0.5:  # q0 a sibling select of q1
+            condition["op"] = rng.choice(["<", "<=", ">", ">="])
+        select = {"op": "select", "input": _scan(sid), "condition": condition}
+        queries["q1"] = {"roles": other_roles, "plan": _maybe_shield(
+            rng, select, other_roles, p=0.5)}
+        if sibling:
+            twin = dict(condition, value=rng.randint(0, 6))
+            plan = _maybe_shield(rng, dict(select, input=_scan(sid),
+                                           condition=twin), qroles, p=0.5)
     else:  # baseline
         sid = add_stream(0, wildcard_only=True)
         plan = _scan(sid)

@@ -429,6 +429,42 @@ def test_join_plan(variant, run_len):
     assert_equivalent(*run_both(make, observability=False))
 
 
+SELF_SCHEMA = StreamSchema("s", ("k",))
+
+
+def self_join_stream():
+    """One grant, then twelve tuples alternating between two keys."""
+    return [SecurityPunctuation.grant(["D"], 0.0)] + [
+        DataTuple("s", i, {"k": i % 2}, float(i + 1)) for i in range(12)]
+
+
+@pytest.mark.parametrize("shape", ["scans", "selects", "shared select"])
+@pytest.mark.parametrize("variant", ["nl", "index"])
+def test_self_join(variant, shape):
+    """One stream into both ports of a join.  A run reaches the two
+    ports tuple by tuple, in the order a session pushes it: 12 pairs on
+    every path (a whole run on port 0 before port 1 made it 42)."""
+    def make(observability):
+        dsms = DSMS(observability=observability)
+        dsms.register_stream(SELF_SCHEMA, self_join_stream())
+        left = right = ScanExpr("s")
+        if shape == "selects":
+            left = left.select(Comparison("k", ">=", 0))
+            right = right.select(Comparison("k", "<", 2))
+        elif shape == "shared select":
+            left = right = left.select(Comparison("k", ">=", 0))
+        dsms.register_query("q", left.join(right, "k", "k", 2.0,
+                                           variant=variant), roles={"D"})
+        return dsms
+
+    outcomes = run_both(make)
+    assert_equivalent(*outcomes)
+    assert_equivalent(*run_both(make, observability=False))
+    delivered = outcomes[1][0]["q"].tuples
+    assert len(delivered) == 12
+    assert make(Observability()).run(shards=2)["q"].tuples == delivered
+
+
 @pytest.mark.parametrize("seed", [5, 7])
 def test_multi_query_shared_plan(seed):
     """Fan-out: one shared subplan feeding several query shields."""

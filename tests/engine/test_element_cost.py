@@ -1,5 +1,5 @@
-"""What an element costs a query: one Python frame per operator plus
-the condition, nothing in the executor for a hop that emits nothing —
+"""What an element costs a query: a grouped select's emit step,
+nothing in the executor for a hop that emits nothing —
 and every counter of the engine that pays more.  No clock here: frames
 are counted with ``sys.setprofile``, counters against literals."""
 
@@ -55,16 +55,19 @@ def warm_session(queries):
 
 
 class TestRunOfOnePath:
-    def test_a_rejected_tuple_costs_three_frames_per_query(self):
-        """``Operator.process`` → ``Select._process`` → the condition:
-        the slope of the call count over the fan-out."""
+    def test_a_rejected_tuple_costs_one_frame_per_query(self):
+        """The fan-out's selects are one selection group: per member,
+        its ``emit`` step (one ``credit`` call serves them all) — the
+        slope of the call count over the fan-out.  A lone select pays
+        ``Operator.process`` → ``Select._process`` → the condition →
+        ``emit``."""
         rejected = {}
         for queries in (4, 32):
             session = warm_session(queries)
             calls, _ = profile_push(session, tup(-1, 2.0))
             assert not any(session.push("s", tup(-2, 3.0)).values())
             rejected[queries] = calls
-        assert (rejected[32] - rejected[4]) / 28 <= 3
+        assert (rejected[32] - rejected[4]) / 28 <= 1
 
     def test_no_work_stack_below_a_hop_that_emits_nothing(self):
         session = warm_session(4)
@@ -76,8 +79,9 @@ class TestRunOfOnePath:
 
     @pytest.mark.parametrize("drive", ["session", "run"])
     def test_fan_out_is_delivered_depth_first(self, drive):
-        """Query 0's sp and tuple reach its sink before query 1's select
-        has seen the tuple."""
+        """Query 0's sp and tuple reach its sink before anything query
+        1's select emitted moves on (the selects' one group hop has
+        decided for all of them)."""
         sp, item = SecurityPunctuation.grant(["D", "N", "C"], 0.0), tup(9, 1.0)
         dsms = fan_out([sp, item], queries=3)
         seen = []

@@ -129,15 +129,20 @@ class TestGuards:
         assert all(policy is sp.segment_policy() for policy in held)
 
     def test_a_run_calls_no_comparison_per_tuple(self):
+        """Neither the run kernel nor the selection group calls the
+        condition per tuple; a lone select pushed element-wise does."""
         elements = segments()
         tuples = sum(isinstance(e, DataTuple) for e in elements)
         call = Comparison.__call__
         with mock.patch.object(Comparison, "__call__", autospec=True,
                                side_effect=call) as spy:
             batch = tids(fan_out(elements).run())
-            assert spy.call_count == 0
+            assert tids(fan_out(elements, queries=1).run()) == {
+                "q0": batch["q0"]}
             pushed = tids(push_all(fan_out(elements)))
-            assert spy.call_count == tuples * QUERIES
+            assert spy.call_count == 0
+            push_all(fan_out(elements, queries=1))
+            assert spy.call_count == tuples
         assert batch == pushed and any(batch.values())
 
 

@@ -1,0 +1,197 @@
+"""Sibling selections served by one executor hop.
+
+A stream's entry selects that keep ``attr <op> c`` on one attribute
+with one ordering op form a :class:`~repro.engine.plan.SelectGroup`: a
+run is read once and bisected against the members' sorted constants.
+Whatever the values — ints, floats, ``-0.0``, infinities, huge ints,
+bools, ``None``, NaN, strings, a missing attribute — every query must
+deliver, and its select must count, exactly what the same query does
+registered alone (no sibling, so no group), under ``run()``, under an
+element-wise session and under arbitrary run cuts.
+"""
+
+import math
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.algebra.expressions import ScanExpr
+from repro.core.punctuation import SecurityPunctuation
+from repro.engine.dsms import DSMS
+from repro.engine.executor import Executor
+from repro.engine.plan import PhysicalPlan, SelectGroup
+from repro.operators.conditions import And, Comparison, FuncCondition
+from repro.operators.select import Select
+from repro.operators.sink import CollectingSink
+from repro.stream.batch import TupleBatch
+from repro.stream.schema import StreamSchema
+from repro.stream.tuples import DataTuple
+
+from tests.drive import push_all
+
+SCHEMA = StreamSchema("s", ("v", "w"))
+#: A tuple without ``v``.
+MISSING = "missing"
+CONSTANTS = [-1, 0, 1, 2, 0.0, -0.0, 1.5, 2.0, math.inf, -math.inf, 10**30]
+VALUES = CONSTANTS + [True, False, None, math.nan, "a", 10**40, -(10**40),
+                      0.5, MISSING]
+OPS = ["<", "<=", ">", ">="]
+
+members = st.lists(st.tuples(st.sampled_from(OPS),
+                             st.sampled_from(CONSTANTS)),
+                   min_size=2, max_size=8)
+#: Segments: the sp-batch's grants (one or two sps, one timestamp) and
+#: the segment's ``v`` values.
+segments = st.lists(
+    st.tuples(st.lists(st.sampled_from([("D",), ("N",), ("D", "N")]),
+                       min_size=1, max_size=2),
+              st.lists(st.sampled_from(VALUES), max_size=6)),
+    min_size=1, max_size=6)
+
+
+def stream(spec) -> list:
+    elements, ts, tid = [], 0.0, 0
+    for grants, values in spec:
+        ts += 1.0
+        elements.extend(SecurityPunctuation.grant(roles, ts)
+                        for roles in grants)
+        for value in values:
+            ts += 1.0
+            elements.append(DataTuple(
+                "s", tid, {"w": 0} if value is MISSING else {"v": value},
+                ts))
+            tid += 1
+    return elements
+
+
+def new_dsms(elements, queries) -> DSMS:
+    dsms = DSMS()
+    dsms.register_stream(SCHEMA, elements)
+    for name, (op, value) in queries:
+        dsms.register_query(
+            name, ScanExpr("s").select(Comparison("v", op, value)),
+            roles={"D"})
+    return dsms
+
+
+def cut_runs(elements, rng) -> list:
+    """The feed with each segment's tuples cut into random runs."""
+    feed, run = [], []
+
+    def close():
+        if run:
+            feed.append(("s", run[0] if len(run) == 1
+                         else TupleBatch(list(run))))
+            run.clear()
+
+    for element in elements:
+        if isinstance(element, DataTuple):
+            if rng.random() < 0.3:
+                close()
+            run.append(element)
+        else:
+            close()
+            feed.append(("s", element))
+    close()
+    return feed
+
+
+def drive(elements, queries, how, seed):
+    """Delivered elements per query, and the plan that delivered them."""
+    dsms = new_dsms(elements, queries)
+    if how == "run":
+        results = {name: r.elements for name, r in dsms.run().items()}
+    elif how == "session":
+        results = {name: r.elements for name, r in push_all(dsms).items()}
+    else:
+        plan, sinks = dsms.build_plan()
+        Executor(plan).run(cut_runs(elements, random.Random(seed)))
+        results = {name: sink.elements for name, sink in sinks.items()}
+    return results, dsms._live_plan
+
+
+def select_counts(plan, name) -> tuple:
+    """The counters of the select feeding query ``name``'s sink."""
+    parent = {id(child.operator): node
+              for node in plan.nodes for child, _ in node.downstream}
+    node = next(node for node in plan.nodes
+                if node.operator.name == f"sink:{name}")
+    while type(node.operator) is not Select:
+        node = parent[id(node.operator)]
+    op, stats = node.operator, node.operator.stats
+    return (stats.tuples_in, stats.tuples_out, stats.sps_in, stats.sps_out,
+            stats.comparisons, op.tuples_dropped, op.sps_discarded)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(members=members, spec=segments, seed=st.integers(0, 2**16))
+def test_every_member_answers_as_it_does_alone(members, spec, seed):
+    elements = stream(spec)
+    queries = [(f"q{i}", member) for i, member in enumerate(members)]
+    for how in ("run", "session", "cuts"):
+        grouped, plan = drive(elements, queries, how, seed)
+        for name, member in queries:
+            alone, alone_plan = drive(elements, [(name, member)], how, seed)
+            assert grouped[name] == alone[name], (how, name, member)
+            assert (select_counts(plan, name)
+                    == select_counts(alone_plan, name)), (how, name, member)
+
+
+def entry_hops(*conditions) -> tuple:
+    plan = PhysicalPlan()
+    for condition in conditions:
+        select = plan.add(Select(condition))
+        plan.connect(select, plan.add(CollectingSink()))
+        plan.connect_source("s", select)
+    return plan.push_sites()["s"]
+
+
+def test_groups_form_per_attribute_and_op():
+    hops, serial = entry_hops(
+        Comparison("v", ">", 1), Comparison("w", ">", 1),
+        Comparison("v", "<", 1), Comparison("v", ">", 2.5),
+        Comparison("w", ">", -math.inf), Comparison("v", "<", 10**30))
+    assert not serial
+    groups = [hop for hop in hops if type(hop) is SelectGroup]
+    assert [len(group.nodes) for group in groups] == [2, 2, 2]
+    # Each group sits where its first member was, members in plan order.
+    assert [group.attribute for group in groups] == ["v", "w", "v"]
+    assert [c.value for c in (s.condition for s in groups[0].selects)] == [
+        1, 2.5]
+
+
+def test_only_indexable_comparisons_join_a_group():
+    """A UDF, ``=``/``!=``, an rhs attribute, a non-number constant
+    (``str``, ``bool``, NaN, ``None``) or a composite condition stays an
+    ordinary entry target."""
+
+    class Lone(Select):
+        pass
+
+    plain = [
+        FuncCondition(lambda t: True, ["v"], label="udf"),
+        Comparison("v", "=", 1), Comparison("v", "!=", 1),
+        Comparison("v", "==", 1), Comparison("v", "<>", 1),
+        Comparison("v", ">", "w", rhs_attribute=True),
+        Comparison("v", ">", "a"), Comparison("v", ">", True),
+        Comparison("v", ">", math.nan), Comparison("v", ">", None),
+        And([Comparison("v", ">", 1), Comparison("v", ">", 2)]),
+    ]
+    for condition in plain:
+        hops, _ = entry_hops(condition, condition)
+        assert not any(type(hop) is SelectGroup for hop in hops), condition
+    plan = PhysicalPlan()
+    for select in (Lone(Comparison("v", ">", 1)),
+                   Lone(Comparison("v", ">", 2))):
+        node = plan.add(select)
+        plan.connect_source("s", node)
+    hops, _ = plan.push_sites()["s"]
+    assert len(hops) == 2 and not any(
+        type(hop) is SelectGroup for hop in hops)
+
+
+def test_a_lone_select_is_no_group():
+    hops, _ = entry_hops(Comparison("v", ">", 1))
+    assert [type(hop) for hop in hops] == [tuple]

@@ -6,8 +6,10 @@ decoded from its wire files and driven through ``DSMS.run()``, through
 an element-wise session (``tests/drive.py::push_all``) and, for
 ``fanout_filter``, through ``run(shards=2)``.  Every path must deliver
 the same encoded lines in the same order, and one sha256 over those
-lines per workload and seed is pinned in ``GOLDEN``.  A digest may
-change only together with a CHANGES.md line that says why.
+lines per workload and seed is pinned in ``GOLDEN``.  A seventh shape,
+a self-join over ``sajoin_window``'s left stream, is pinned in
+``SELF_JOIN`` and driven all three ways.  A digest may change only
+together with a CHANGES.md line that says why.
 """
 
 import hashlib
@@ -115,3 +117,27 @@ def test_every_path_delivers_the_pinned_lines(name, seed, tmp_path):
     if name == "fanout_filter":
         assert lines(new_dsms(spec).run(shards=2)) == delivered
     assert digest(delivered) == GOLDEN[name, seed]
+
+
+#: The seventh shape: ``sajoin_window``'s left stream into both ports
+#: of its join (a self-join).
+SELF_JOIN = {
+    61: "3eba99ad63d4874f4c4a1c59c0f2f2d92a9099c56a6a373a1118961c4c507b67",
+    17: "da4c6fb3b8407262738417618cbd2c90e8c8f2e5ec55364913a2300c71023767",
+}
+
+
+@pytest.mark.parametrize("seed", [61, 17])
+def test_the_self_join_delivers_the_pinned_lines(seed, tmp_path):
+    spec, _ = workloads.build("sajoin_window", seed, str(tmp_path),
+                              scale=SCALE)
+    left = spec["streams"][0]
+    (query,) = spec["queries"]
+    assert left["sid"] == query["join"]["left"]
+    spec = dict(spec, streams=[left], queries=[dict(
+        query, join=dict(query["join"], right=left["sid"]))])
+    delivered = lines(new_dsms(spec).run())
+    assert any(delivered.values()), "the self-join delivers nothing"
+    assert lines(push_all(new_dsms(spec))) == delivered
+    assert lines(new_dsms(spec).run(shards=2)) == delivered
+    assert digest(delivered) == SELF_JOIN[seed]
