@@ -39,6 +39,16 @@ Rules
     ``FuncCondition.wrap(fn)`` to declare the statically inferred
     read-set automatically.
 
+Grep guards
+-----------
+
+``GUARDS`` lists the retired names and second code paths that must not
+come back, one row each: a regular expression, the paths it scans, an
+optional allow-list and the message.  A line matching the pattern (and
+not the allow-list, which is matched against ``path:line:text``) is a
+``GUARD`` finding.  The guards run when the script lints the whole
+tree (no file arguments).
+
 Output is ``path:line: RLxxx message`` per finding; exit status 1 when
 anything is flagged.
 """
@@ -46,8 +56,10 @@ anything is flagged.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -65,6 +77,93 @@ CLOCK_CALLS = frozenset({
     ("time", "time_ns"), ("time", "monotonic_ns"),
     ("datetime", "now"), ("datetime", "utcnow"),
 })
+
+
+class Guard(NamedTuple):
+    """One grep guard: ``pattern`` must not match under ``paths``."""
+
+    name: str
+    pattern: str
+    paths: "tuple[str, ...]"
+    message: str
+    allow: "str | None" = None
+
+
+#: A pattern whose paths include ``scripts`` brackets a letter so that
+#: it does not match its own row.
+GUARDS = (
+    Guard("one execution mode",
+          r"batching *[=]|prebatche[d]|coalesce_element[s]|coalesce[=]",
+          ("src", "tests", "examples", "scripts", "docs", "README.md",
+           "DESIGN.md", ".github"),
+          "an execution-mode flag is back; see DESIGN.md section 6"),
+    Guard("one encoder, one decoder",
+          r"json\.(dumps|loads)[(]", ("src/repro/stream/wire.py",),
+          "stream/wire.py must use its module-level encoder/decoder; "
+          "see docs/PERFORMANCE.md, Wire layer"),
+    Guard("one line builder",
+          r'"k": +"t"', ("src/repro/stream/wire.py",),
+          "stream/wire.py writes a tuple line field by field around one "
+          "prebuilt encoder, no record dict; see docs/PERFORMANCE.md, "
+          "Wire layer"),
+    Guard("one decision record",
+          r"provenance\.(shield|filter)|tracer\.record[(]|\.decision[(]"
+          r"|_prov_", ("src",),
+          "a security decision is recorded once, in the audit log; see "
+          "docs/OBSERVABILITY.md, Causal tracing"),
+    Guard("one tracer",
+          r"NullTraceSink|RingBufferTraceSink|FlightRecorder|_causal\b"
+          r"|isinstance\([^)]*Tracer\)|with_tracing|with_metrics"
+          r"|shard_timing", ("src",),
+          "a span has one producer (Tracer) and off is None; see "
+          "docs/OBSERVABILITY.md, Tracing"),
+    Guard("one kernel",
+          r"for \w+ in .* if (self\.)?condition[(]",
+          ("src/repro/operators",),
+          "no operator batch path calls a Condition per tuple: sibling "
+          "indexable comparisons are evaluated by the selection group, "
+          "everything else by Condition.filter; see docs/PERFORMANCE.md, "
+          "What a segment costs a query"),
+    Guard("one select state machine",
+          r"_held_sps|_after_tuple", ("src/repro/engine",),
+          "the executor drives a grouped select through Select.hold / "
+          "Select.emit only; see docs/PERFORMANCE.md, One hop for a "
+          "stream's selections"),
+    Guard("one frame per operator",
+          r"_process_tuple", ("src/repro/operators",),
+          "_process is the run-of-one kernel, fold the helper into it; "
+          "see docs/PERFORMANCE.md, What an element costs a query"),
+    Guard("an allocation-free push",
+          r"setdefault\([^)]*\[\]\)", ("src/repro/engine/session.py",),
+          "keep StreamingSession.push allocation-free; see "
+          "docs/PERFORMANCE.md, What an element costs a query"),
+    Guard("one sp-batch interpreter",
+          r"\b_batches\b|apply_incremental_batch[(]|Policy[(]tuple[(]",
+          ("src/repro",),
+          "sp-batch semantics live in operators/base.py::PolicyTracker; "
+          "see DESIGN.md section 6",
+          allow=r"^src/repro/operators/base\.py:"
+                r"|:def apply_incremental_batch"),
+    Guard("one role set",
+          r"AbstractRoleSet|\bRoleSet\b|policy_from_sps|PolicyIntersection"
+          r"|PolicyUnion|names_sorted", ("src",),
+          "a role set is a frozenset; see DESIGN.md section 6"),
+    Guard("one query compiler",
+          r"name=f?[\"']delivery:", ("src/repro",),
+          "delivery shields are built by PhysicalPlan.compile_queries "
+          "only; see docs/PERFORMANCE.md, One shield per query",
+          allow=r"^src/repro/engine/plan\.py:"),
+    Guard("role names are names",
+          r"_coerce", ("src/repro/core/punctuation.py",),
+          "role tokens are names: read SRP text with patterns.parse_names; "
+          "see DESIGN.md section 1, The sp text format"),
+    Guard("one analysis per question",
+          r"analyze_plan|plancheck|_bytecode_reads|with_delivery"
+          r"|DELIVERY_PREFIX", ("src",),
+          "build_plan re-checks the compiled expressions with "
+          "analyze_expr, and a UDF's read-set comes from its source "
+          "alone; see docs/ANALYSIS.md"),
+)
 
 
 class Finding:
@@ -256,8 +355,41 @@ def lint_file(path: Path) -> "list[Finding]":
     return findings
 
 
+def _guarded_files(root: Path, paths: "tuple[str, ...]"):
+    for name in paths:
+        path = root / name
+        if path.is_file():
+            yield path
+        elif path.is_dir():
+            for sub in sorted(path.rglob("*")):
+                if sub.is_file() and "__pycache__" not in sub.parts:
+                    yield sub
+
+
+def check_guards(root: Path = REPO) -> "list[Finding]":
+    """Every ``GUARDS`` match in the tree under ``root``."""
+    findings = []
+    for guard in GUARDS:
+        pattern = re.compile(guard.pattern)
+        allow = re.compile(guard.allow) if guard.allow else None
+        for path in _guarded_files(root, guard.paths):
+            try:
+                lines = path.read_text(encoding="utf-8").splitlines()
+            except UnicodeDecodeError:
+                continue  # binary: nothing a guard is about
+            shown = path.relative_to(root).as_posix()
+            for number, text in enumerate(lines, 1):
+                if pattern.search(text) and not (
+                        allow and allow.search(f"{shown}:{number}:{text}")):
+                    findings.append(Finding(
+                        path, number, "GUARD",
+                        f"{guard.name}: {text.strip()!r}; "
+                        f"{guard.message}"))
+    return findings
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    """Lint the given files (default: all of ``src/repro``)."""
+    """Lint the given files (default: the whole tree, grep guards too)."""
     argv = sys.argv[1:] if argv is None else argv
     paths = ([Path(arg).resolve() for arg in argv] if argv
              else sorted(SRC.rglob("*.py"))
@@ -265,6 +397,8 @@ def main(argv: "list[str] | None" = None) -> int:
     findings: "list[Finding]" = []
     for path in paths:
         findings.extend(lint_file(path))
+    if not argv:
+        findings.extend(check_guards())
     for finding in findings:
         print(finding)
     checked = len(paths)

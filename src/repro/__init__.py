@@ -25,7 +25,7 @@ Quickstart::
 from repro.algebra import (CostModel, JoinExpr, Optimizer, ProjectExpr,
                            ScanExpr, SelectExpr, ShieldExpr)
 from repro.analysis import (AnalysisReport, Diagnostic, Severity,
-                            analyze_expr, analyze_plan)
+                            analyze_expr)
 from repro.core import (Policy, RoleUniverse, SecurityPunctuation, Sign,
                         SPAnalyzer, TuplePolicy)
 from repro.engine import DSMS, ContinuousQuery, OptimizeLevel, QueryResult
@@ -78,5 +78,4 @@ __all__ = [
     "TuplePolicy",
     "__version__",
     "analyze_expr",
-    "analyze_plan",
 ]

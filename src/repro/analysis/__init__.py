@@ -14,9 +14,10 @@ sp's pruning (SEC008).
 
 Entry points:
 
-* :func:`analyze_expr` — logical expressions (registration time);
-* :func:`analyze_plan` — compiled :class:`PhysicalPlan` DAGs
-  (compilation time, consulted by ``DSMS.build_plan``);
+* :func:`analyze_expr` — logical expressions: the registered plan at
+  registration time, and the plan actually compiled (after the
+  optimizer, with the per-query outlet assumed) at
+  ``DSMS.build_plan`` time;
 * :func:`lint_file` / :func:`lint_scenario` — plan-spec and scenario
   JSON (the ``repro lint`` CLI and the differential harness);
 * :mod:`repro.analysis.rewrites` — the precondition prover the
@@ -31,7 +32,6 @@ from repro.analysis.diagnostics import (CATALOG, AnalysisReport,
 from repro.analysis.exprcheck import analyze_expr
 from repro.analysis.lattice import (PathState, StreamFacts, dominates,
                                     join_states)
-from repro.analysis.plancheck import analyze_plan
 from repro.analysis.rewrites import (PRECONDITIONS, Precondition, Proof,
                                      hazard_absent, hazard_sites,
                                      proof_for, prove_absent,
@@ -57,7 +57,6 @@ __all__ = [
     "StreamFacts",
     "analyze_callable",
     "analyze_expr",
-    "analyze_plan",
     "condition_udfs",
     "condition_verified",
     "dominates",

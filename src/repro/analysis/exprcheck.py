@@ -5,8 +5,8 @@ from every scan to the plan root and reports:
 
 * **SEC001** — the root is reachable without crossing a Security
   Shield.  Without ``assume_delivery`` this is an *error* (nothing in
-  the plan enforces access control); with it — the DSMS always appends
-  a per-query delivery shield at the sink — it degrades to a warning:
+  the plan enforces access control); with it — the DSMS gives every
+  query an outlet shield ahead of its sink — it degrades to a warning:
   results are still policy-checked, but only at the very end, with no
   in-plan enforcement or early filtering.
 * **SEC002** — a projection/aggregation prunes an attribute that an
@@ -49,9 +49,10 @@ def analyze_expr(expr: LogicalExpr, *,
 
     ``facts`` carries what is known about the input streams
     (:meth:`StreamFacts.unknown` keeps fact-dependent checks silent).
-    ``assume_delivery`` models the DSMS delivery shield appended at the
-    sink; ``roles`` (the query specifier's roles) only sharpen the
-    messages.  ``name`` prefixes every diagnostic path.
+    ``assume_delivery`` models the outlet shield the DSMS gives every
+    query (``PhysicalPlan.compile_queries``); ``roles`` (the query
+    specifier's roles) only sharpen the messages.  ``name`` prefixes
+    every diagnostic path.
     """
     facts = facts if facts is not None else StreamFacts.unknown()
     report = AnalysisReport()

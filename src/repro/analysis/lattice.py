@@ -6,8 +6,6 @@ every route that reaches the current node:
 
 * ``shields`` — the set of in-plan Security Shield conjuncts every
   route has crossed (empty ⇒ unshielded so far);
-* ``delivery`` — whether every route crossed the per-query delivery
-  shield (the fixed backstop the DSMS appends at the sink);
 * ``pruned`` — attributes some projection/aggregation on the path has
   dropped;
 * ``streams`` — stream ids feeding the node;
@@ -49,7 +47,6 @@ class PathState:
     """What is guaranteed on every route into one plan node."""
 
     shields: frozenset = frozenset()  # frozenset[Conjunct]
-    delivery: bool = False
     pruned: frozenset = frozenset()  # frozenset[str]
     streams: frozenset = frozenset()  # frozenset[str]
     attrs: "frozenset | None" = None  # frozenset[str] | None
@@ -69,9 +66,6 @@ class PathState:
         return replace(self, shields=self.shields | frozenset(
             frozenset(c) for c in conjuncts))
 
-    def with_delivery(self) -> "PathState":
-        return replace(self, delivery=True)
-
     def project(self, kept: Iterable[str]) -> "PathState":
         """State after a projection keeping exactly ``kept``."""
         kept_set = frozenset(kept)
@@ -88,7 +82,6 @@ def join_states(a: PathState, b: PathState) -> PathState:
         attrs = None
     return PathState(
         shields=a.shields & b.shields,
-        delivery=a.delivery and b.delivery,
         pruned=a.pruned | b.pruned,
         streams=a.streams | b.streams,
         attrs=attrs,

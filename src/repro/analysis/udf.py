@@ -7,14 +7,15 @@ that declaration until now — a UDF that reads an undeclared,
 sp-protected attribute silently defeats SEC002/SEC004 and every
 fail-closed guard built on ``Condition.attributes()``.
 
-This module lifts each callable at query-registration time and infers,
-through a CPython **AST + bytecode** effect analysis:
+This module lifts each callable at query-registration time and infers:
 
 * the **attribute read-set** — which tuple attributes the callable can
   observe, via abstract interpretation of ``item.values[...]``,
   ``item[...]``, ``item.get(...)`` and ``... in item`` chains on the
-  tuple parameter (AST when source is recoverable, a small symbolic
-  bytecode machine otherwise);
+  tuple parameter over its source AST.  A callable whose source
+  ``inspect.getsource`` cannot recover or single out (REPL/``exec``
+  definitions, two same-argument lambdas on one line) has an UNKNOWN
+  read-set;
 * **purity** — no global/closure mutation, no I/O, no mutating method
   reachable through a bounded call-graph walk over resolvable
   globals, closure cells and nested code objects;
@@ -22,6 +23,9 @@ through a CPython **AST + bytecode** effect analysis:
   other per-process state reachable the same way (``hash`` of a str
   is ``PYTHONHASHSEED``-dependent, so it is nondeterministic *across
   shard worker processes*).
+
+Purity and determinism come from a scan of the callable's bytecode,
+so they are decided with or without source.
 
 Every verdict is three-valued (:class:`~repro.analysis.rewrites.Proof`)
 and **fails closed**: dynamic dispatch, computed ``getattr`` names,
@@ -167,9 +171,13 @@ def analyze_callable(fn: Callable[..., object],
     if cached is not None and cached[0] is fn:
         return cached[1]
     report = _analyze(fn, _depth, _seen or frozenset())
-    if len(_CACHE) > _CACHE_LIMIT:  # unbounded plans: drop, don't grow
-        _CACHE.clear()
-    _CACHE[key] = (fn, report)
+    if _seen is None:
+        # A helper's verdict depends on the depth and the call cycle it
+        # was reached through (a cycle's back edge reads as PROVEN), so
+        # only a top-level verdict is memoised.
+        if len(_CACHE) > _CACHE_LIMIT:  # unbounded plans: drop, don't grow
+            _CACHE.clear()
+        _CACHE[key] = (fn, report)
     return report
 
 
@@ -196,10 +204,8 @@ def _analyze(fn: Callable[..., object], depth: int,
         reads = ast_result.reads
         scan.reasons.extend(ast_result.reasons)
     else:
-        reads = _bytecode_reads(code)
-        if reads is None:
-            scan.reasons.append(
-                "read-set not recoverable from source or bytecode")
+        scan.reasons.append(
+            "read-set not recoverable: source unavailable or ambiguous")
     return EffectReport(reads, scan.purity, scan.determinism,
                         tuple(dict.fromkeys(scan.reasons)))
 
@@ -609,129 +615,6 @@ def _assigned_names(node: ast.AST) -> "list[str]":
             if isinstance(sub, ast.Name):
                 names.append(sub.id)
     return names
-
-
-# -- bytecode fallback read-set -----------------------------------------------
-
-def _bytecode_reads(code: types.CodeType) -> "frozenset[str] | None":
-    """Small symbolic machine for source-less callables.
-
-    Models only the canonical chains (``LOAD_FAST param`` →
-    ``LOAD_ATTR values`` → ``LOAD_CONST k`` → ``BINARY_SUBSCR`` and the
-    ``.get`` method call); any other consumption of the parameter
-    yields UNKNOWN.
-    """
-    param = _param_name(code)
-    if param is None:
-        return None
-    if param in code.co_cellvars:
-        # The parameter is captured by a nested function; its reads
-        # happen through LOAD_DEREF in a nested code object that this
-        # single-frame machine does not model.
-        return None
-    reads: "set[str]" = set()
-    # Symbolic top-of-stack trace: (kind, payload) where kind is one
-    # of "param", "values", "getter", "const", "other".
-    stack: "list[tuple[str, object]]" = []
-
-    def push(kind: str, payload: object = None) -> None:
-        stack.append((kind, payload))
-
-    def pop(n: int = 1) -> "list[tuple[str, object]]":
-        out = []
-        for _ in range(n):
-            out.append(stack.pop() if stack else ("other", None))
-        return out
-
-    for instr in dis.get_instructions(code):
-        op, arg = instr.opname, instr.argval
-        if op in ("RESUME", "CACHE", "NOP", "PRECALL", "POP_TOP",
-                  "RETURN_VALUE", "RETURN_CONST", "COPY_FREE_VARS",
-                  "MAKE_CELL", "EXTENDED_ARG", "PUSH_NULL"):
-            if op == "POP_TOP":
-                pop()
-            continue
-        if op == "LOAD_FAST":
-            push("param" if arg == param else "other")
-        elif op == "LOAD_CONST":
-            push("const", arg)
-        elif op in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF"):
-            push("other")
-        elif op in ("LOAD_ATTR", "LOAD_METHOD"):
-            (top,) = pop()
-            if top[0] == "param" and arg == "values":
-                push("values")
-            elif top[0] in ("param", "values") and arg == "get":
-                push("getter")
-            elif top[0] == "param" and arg in TUPLE_METADATA:
-                push("other")
-            elif top[0] in ("param", "values", "getter"):
-                return None  # unmodelled use of the tuple
-            else:
-                push("other")
-        elif op == "BINARY_SUBSCR":
-            key, container = pop(2)
-            if container[0] in ("param", "values"):
-                if key[0] == "const" and isinstance(key[1], str):
-                    reads.add(key[1])
-                    push("other")
-                else:
-                    return None
-            elif key[0] in ("param", "values", "getter"):
-                return None
-            else:
-                push("other")
-        elif op == "CALL":
-            n = int(instr.arg or 0)
-            args = pop(n)
-            (callee,) = pop()
-            if callee[0] == "getter":
-                key = args[-1] if args else ("other", None)
-                if n >= 1 and key[0] == "const" \
-                        and isinstance(key[1], str):
-                    reads.add(key[1])
-                    push("other")
-                else:
-                    return None
-            elif any(a[0] in ("param", "values", "getter")
-                     for a in args) or callee[0] in ("param", "values"):
-                return None
-            else:
-                push("other")
-        elif op in ("COMPARE_OP", "BINARY_OP", "CONTAINS_OP", "IS_OP"):
-            left, right = pop(2)
-            if op == "CONTAINS_OP" and right[0] == "const" \
-                    and isinstance(right[1], str) \
-                    and left[0] in ("param", "values"):
-                # ``"k" in item`` compiles with the container on top.
-                reads.add(right[1])
-            elif any(v[0] in ("param", "values", "getter")
-                     for v in (left, right)):
-                if left[0] in ("param", "values") \
-                        and right[0] == "const" \
-                        and isinstance(right[1], str):
-                    reads.add(right[1])
-                else:
-                    return None
-            push("other")
-        elif op in ("POP_JUMP_IF_FALSE", "POP_JUMP_IF_TRUE",
-                    "POP_JUMP_IF_NONE", "POP_JUMP_IF_NOT_NONE"):
-            pop()
-        elif op in ("JUMP_IF_TRUE_OR_POP", "JUMP_IF_FALSE_OR_POP",
-                    "JUMP_FORWARD", "JUMP_BACKWARD", "COPY", "SWAP",
-                    "UNARY_NOT", "UNARY_NEGATIVE", "UNARY_POSITIVE",
-                    "TO_BOOL"):
-            continue  # stack-shape-preserving enough for our model
-        elif op == "STORE_FAST":
-            (top,) = pop()
-            if top[0] in ("param", "values", "getter"):
-                return None  # aliasing: AST handles this, not here
-        else:
-            if any(kind in ("param", "values", "getter")
-                   for kind, _ in stack):
-                return None
-            stack.clear()
-    return frozenset(reads)
 
 
 # -- condition-level verdicts -------------------------------------------------

@@ -33,7 +33,6 @@ from repro.algebra.statistics import StreamStatistics
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.exprcheck import analyze_expr
 from repro.analysis.lattice import StreamFacts
-from repro.analysis.plancheck import analyze_plan
 from repro.core.analyzer import SPAnalyzer
 from repro.core.bitmap import RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
@@ -137,8 +136,9 @@ class DSMS:
         or ``"strict"`` (error-severity findings raise
         :class:`PlanAnalysisError` and the query is *not* registered —
         rejection happens before a single tuple flows).  The chosen
-        mode also re-runs the analysis over the compiled operator DAG
-        at :meth:`build_plan` time.
+        mode also re-runs the analysis at :meth:`build_plan` time over
+        the plan actually compiled (after the optimizer, with the
+        query's outlet shield assumed).
         """
         if name in self.queries:
             raise QueryError(f"query {name!r} already registered")
@@ -312,6 +312,16 @@ class DSMS:
             raise QueryError("no queries registered")
         plan = PhysicalPlan(self.universe)
         exprs = self._optimized_exprs(level)
+        facts = self._stream_facts()
+        for name, query in self.queries.items():
+            if query.analyze != "off":
+                # Re-check what is compiled: the optimizer may have
+                # rewritten the plan, and every query gets an outlet.
+                self._apply_analysis(
+                    analyze_expr(exprs[name], facts=facts,
+                                 roles=sorted(query.roles),
+                                 assume_delivery=True, name=name),
+                    query.analyze, where="compiled plan")
         # Each query's results leave through one fixed check for its
         # roles, its outlet: the root shield when that already is the
         # check, else a ``delivery:<name>`` backstop, wherever the
@@ -321,15 +331,6 @@ class DSMS:
             (name, exprs[name], query.roles)
             for name, query in self.queries.items())
         self._live_shields = plan.bind_observability(self.observability)
-        modes = {query.analyze for query in self.queries.values()}
-        if modes != {"off"}:
-            # Second analysis layer: the compiled DAG, where shared
-            # subplans, optimizer rewrites and the delivery backstops
-            # are all concrete.
-            mode = "strict" if "strict" in modes else "warn"
-            self._apply_analysis(analyze_plan(plan,
-                                              facts=self._stream_facts()),
-                                 mode, where="compiled plan")
         self._live_plan = plan
         return plan, sinks
 

@@ -13,7 +13,6 @@ class TestPathState:
         assert state.streams == {"s"}
         assert state.attrs == {"a", "b"}
         assert not state.shielded
-        assert not state.delivery
 
     def test_shield_and_project(self):
         state = PathState.source("s", ("a", "b"))
@@ -32,12 +31,11 @@ class TestPathState:
 class TestJoinStates:
     def test_meet_is_must_analysis(self):
         left = PathState.source("l", ("a",)).with_shield(
-            [frozenset({"R1"})]).with_delivery()
+            [frozenset({"R1"})])
         right = PathState.source("r", ("b",))
         met = join_states(left, right)
         # A guarantee survives only if both routes provide it.
         assert not met.shielded
-        assert not met.delivery
         assert met.streams == {"l", "r"}
         assert met.attrs == {"a", "b"}
 

@@ -147,6 +147,57 @@ class TestRL005:
         assert found == []
 
 
+#: One violating line per guard, by guard name.  The execution-mode
+#: seed is split so that this file does not match that guard itself.
+SEEDS = {
+    "one execution mode": ("docs/x.md", "dsms.run(batch" + "ing=True)"),
+    "one encoder, one decoder": ("src/repro/stream/wire.py",
+                                 "line = json.dumps(record)"),
+    "one line builder": ("src/repro/stream/wire.py",
+                         'record = {"k": "t"}'),
+    "one decision record": ("src/x.py", "tracer.record(event)"),
+    "one tracer": ("src/x.py", "sink = NullTraceSink()"),
+    "one kernel": ("src/repro/operators/x.py",
+                   "out = [t for t in run if self.condition(t)]"),
+    "one select state machine": ("src/repro/engine/x.py",
+                                 "select._held_sps = []"),
+    "one frame per operator": ("src/repro/operators/x.py",
+                               "def _process_tuple(self, item):"),
+    "an allocation-free push": ("src/repro/engine/session.py",
+                                "out.setdefault(name, []).append(e)"),
+    "one sp-batch interpreter": ("src/repro/x.py",
+                                 "policy = Policy(tuple(roles))"),
+    "one role set": ("src/x.py", "roles = RoleSet(names)"),
+    "one query compiler": ("src/repro/x.py",
+                           'SecurityShield(r, name=f"delivery:{q}")'),
+    "role names are names": ("src/repro/core/punctuation.py",
+                             "value = _coerce(token)"),
+    "one analysis per question": ("src/x.py",
+                                  "from repro.analysis import analyze_plan"),
+}
+
+#: Lines a guard's allow-list lets through.
+ALLOWED = [
+    ("src/repro/engine/plan.py", 'SecurityShield(r, name=f"delivery:{q}")'),
+    ("src/repro/operators/base.py", "self._batches = []"),
+]
+
+
+class TestGuards:
+    def test_every_guard_has_a_seed(self):
+        assert set(SEEDS) == {guard.name for guard in lint_rules.GUARDS}
+
+    def test_each_guard_fires_on_its_seed_only(self, tmp_path):
+        for relpath, line in [*SEEDS.values(), *ALLOWED]:
+            path = tmp_path / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with path.open("a", encoding="utf-8") as out:
+                out.write(line + "\n")
+        fired = [finding.message.split(":")[0]
+                 for finding in lint_rules.check_guards(tmp_path)]
+        assert sorted(fired) == sorted(SEEDS)
+
+
 class TestWholeTree:
     def test_src_repro_is_clean(self):
         result = subprocess.run(

@@ -1,4 +1,4 @@
-"""DSMS registration-time analysis: analyze="off"/"warn"/"strict"."""
+"""DSMS analysis modes ("off"/"warn"/"strict") at registration and build."""
 
 import warnings
 
@@ -9,6 +9,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.errors import (PlanAnalysisError, PlanAnalysisWarning,
                           QueryError)
+from repro.operators.conditions import FuncCondition
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
@@ -20,6 +21,26 @@ def make_dsms():
         DataTuple("s", 0, {"a": 1}, 1.0),
     ])
     return dsms
+
+
+def reads_undeclared(t):
+    return t.get("a", 0) > 0 and t.get("b", 0) > 0
+
+
+def register_quietly(dsms, name, expr, **kwargs):
+    """Register, leaving out the registration-time warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PlanAnalysisWarning)
+        dsms.register_query(name, expr, **kwargs)
+
+
+def build_findings(dsms):
+    """The messages ``build_plan`` warns with."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PlanAnalysisWarning)
+        dsms.build_plan()
+    return [str(w.message) for w in caught
+            if issubclass(w.category, PlanAnalysisWarning)]
 
 
 class TestStrictMode:
@@ -85,6 +106,62 @@ class TestWarnMode:
             dsms.register_query("q", ScanExpr("s"), roles={"R1"},
                                 analyze="warn")
             dsms.run()
+
+
+class TestBuildTimeAnalysis:
+    """``build_plan`` re-checks each query's compiled plan in its mode."""
+
+    def test_auto_shielded_plan_is_clean(self):
+        dsms = make_dsms()
+        register_quietly(dsms, "q", ScanExpr("s"), roles={"R1"},
+                         analyze="warn")
+        assert build_findings(dsms) == []
+
+    def test_delivery_only_plan_warns_sec001(self):
+        dsms = make_dsms()
+        register_quietly(dsms, "q", ScanExpr("s"), roles={"R1"},
+                         auto_shield=False, analyze="warn")
+        (finding,) = build_findings(dsms)
+        assert finding.startswith("compiled plan: SEC001 warning at q:")
+
+    def test_outlet_root_is_not_sec003(self):
+        # The root shield is the query's outlet, not a second check.
+        dsms = make_dsms()
+        register_quietly(dsms, "q", ScanExpr("s"), roles={"R1"},
+                         analyze="warn")
+        assert build_findings(dsms) == []
+        assert len(dsms.shields("q")) == 1
+
+    def test_dominated_inplan_shield_flagged(self):
+        dsms = make_dsms()
+        expr = ShieldExpr(ShieldExpr(ScanExpr("s"), frozenset({"R1"})),
+                          frozenset({"R1", "R2"}))
+        register_quietly(dsms, "q", expr, roles={"R1"}, analyze="warn")
+        (finding,) = build_findings(dsms)
+        assert finding.startswith("compiled plan: SEC003 warning at q/")
+
+    def test_shared_scan_checked_per_query(self):
+        # Two queries over one scan: each route must carry its own
+        # shield, so only q2's (outlet-only) plan is reported.
+        dsms = make_dsms()
+        register_quietly(dsms, "q1", ScanExpr("s"), roles={"R1"},
+                         analyze="warn")
+        register_quietly(dsms, "q2", ScanExpr("s"), roles={"R2"},
+                         auto_shield=False, analyze="warn")
+        (finding,) = build_findings(dsms)
+        assert finding.startswith("compiled plan: SEC001 warning at q2:")
+
+    def test_each_query_keeps_its_own_mode(self):
+        # A warn query's error-severity finding warns even when a
+        # strict query shares the plan.
+        dsms = make_dsms()
+        udf = FuncCondition(reads_undeclared, ("a",), label="cheat")
+        register_quietly(dsms, "q1", ScanExpr("s").select(udf),
+                         roles={"R1"}, analyze="warn")
+        register_quietly(dsms, "q2", ScanExpr("s"), roles={"R1"},
+                         analyze="strict")
+        (finding,) = build_findings(dsms)
+        assert finding.startswith("compiled plan: SEC006 error at q1/")
 
 
 class TestModeHandling:

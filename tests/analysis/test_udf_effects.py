@@ -1,12 +1,14 @@
 """UDF effect analyzer: read-sets, purity proofs, SEC006–SEC008.
 
 The fixture callables live at module level because the analyzer's
-read-set proofs are AST-primary: ``inspect.getsource``
-must be able to recover their source, which it can for file-backed
-test modules but not for REPL/``exec``-defined functions (those fall
-back to the bytecode scan and stay UNKNOWN where the AST would prove).
+read-sets come from source alone: ``inspect.getsource`` must recover
+and single out their source, which it can for file-backed test
+modules.  An ``exec``-defined function, or one of two same-argument
+lambdas on one line, has an UNKNOWN read-set while the bytecode scan
+still decides its purity (``TestSourceless``).
 """
 
+import math
 import random
 import warnings
 from pathlib import Path
@@ -97,6 +99,105 @@ def prints(t):
     return True
 
 
+# -- purity-scan branches ----------------------------------------------------
+
+_LAST_SEEN = None
+
+
+def stores_global(t):
+    global _LAST_SEEN
+    _LAST_SEEN = t.get("x", 0)
+    return True
+
+
+def _closing_over(value):
+    def udf(t):
+        return value is not None and t.get("x", 0) > 1
+    return udf
+
+
+closes_over_random = _closing_over(random)
+closes_over_math = _closing_over(math)
+closes_over_list = _closing_over([1, 2])
+
+
+def _pure_helper(v):
+    return v * 2
+
+
+def _impure_helper(v):
+    print(v)
+    return v
+
+
+def calls_pure_helper(t):
+    return _pure_helper(t.get("x", 0)) > 1
+
+
+def calls_impure_helper(t):
+    return _impure_helper(t.get("x", 0)) > 1
+
+
+def _depth4(v):
+    return v
+
+
+def _depth3(v):
+    return _depth4(v)
+
+
+def _depth2(v):
+    return _depth3(v)
+
+
+def _depth1(v):
+    return _depth2(v)
+
+
+def calls_deep_chain(t):
+    return _depth1(t.get("x", 0)) > 1
+
+
+def countdown(t, n=3):
+    return n <= 0 or countdown(t, n - 1)
+
+
+def _ping(t):
+    print(t)
+    return _pong(t)
+
+
+def _pong(t):
+    return _ping(t)
+
+
+def loads_mutator(t):
+    seen = []
+    seen.append(t.get("x", 0))
+    return bool(seen)
+
+
+def imports_at_call_time(t):
+    import math as m
+    return m.floor(t.get("x", 0)) > 1
+
+
+def reads_unresolvable_global(t):
+    return t.get("x", 0) > _NOT_DEFINED_ANYWHERE  # noqa: F821
+
+
+# -- callables without a unique source ----------------------------------------
+
+_EXEC_NAMESPACE: dict = {}
+exec("def exec_pure(t):\n    return t.get('x', 0) > 1\n"
+     "def exec_prints(t):\n    print(t)\n    return True\n",
+     _EXEC_NAMESPACE)
+exec_pure = _EXEC_NAMESPACE["exec_pure"]
+exec_prints = _EXEC_NAMESPACE["exec_prints"]
+twin_x, twin_y = (lambda t: t["x"] > 1), (lambda t: t["y"] > 1)
+SOURCELESS = [exec_pure, twin_x, twin_y]
+
+
 class TestReadSets:
     @pytest.mark.parametrize("fn,expected", [
         (reads_get, {"x"}),
@@ -142,6 +243,75 @@ class TestAdversarialFixtures:
         assert report.purity is Proof.REFUTED
         # t escapes into print(), so its reads are unknowable.
         assert report.reads is None
+
+
+class TestPurityScan:
+    def test_store_global_refutes_purity(self):
+        assert analyze_callable(stores_global).purity is Proof.REFUTED
+
+    @pytest.mark.parametrize("fn,purity,determinism", [
+        (closes_over_random, Proof.REFUTED, Proof.REFUTED),
+        (closes_over_math, Proof.PROVEN, Proof.PROVEN),
+        (closes_over_list, Proof.PROVEN, Proof.UNKNOWN),
+    ], ids=["nondet-module", "safe-module", "mutable-value"])
+    def test_closure_cell_values(self, fn, purity, determinism):
+        report = analyze_callable(fn)
+        assert (report.purity, report.determinism) == (purity,
+                                                       determinism)
+
+    def test_helper_call_chain(self):
+        assert analyze_callable(calls_pure_helper).proven_pure
+        assert analyze_callable(
+            calls_impure_helper).purity is Proof.REFUTED
+        deep = analyze_callable(calls_deep_chain)
+        assert (deep.purity, deep.determinism) == (Proof.UNKNOWN,
+                                                   Proof.UNKNOWN)
+        assert "helper '_depth1': purity unknown" in deep.reasons
+
+    def test_recursion(self):
+        assert analyze_callable(countdown).proven_pure
+
+    def test_mutual_recursion_verdict_is_order_free(self):
+        # _pong reaches _ping's print through the cycle; analyzing
+        # _ping first must not leave _pong a verdict that hides it.
+        assert analyze_callable(_ping).purity is Proof.REFUTED
+        assert analyze_callable(_pong).purity is Proof.REFUTED
+
+    def test_mutating_method_load(self):
+        assert analyze_callable(loads_mutator).purity is Proof.UNKNOWN
+
+    def test_import_at_call_time(self):
+        report = analyze_callable(imports_at_call_time)
+        assert report.purity is Proof.UNKNOWN
+        assert any("imports" in r for r in report.reasons)
+
+    def test_unresolvable_global(self):
+        report = analyze_callable(reads_unresolvable_global)
+        assert (report.purity, report.determinism) == (Proof.UNKNOWN,
+                                                       Proof.UNKNOWN)
+
+
+class TestSourceless:
+    @pytest.mark.parametrize("fn,purity", [
+        (exec_pure, Proof.PROVEN), (exec_prints, Proof.REFUTED),
+        (twin_x, Proof.PROVEN), (twin_y, Proof.PROVEN),
+    ], ids=["exec", "exec-prints", "twin-x", "twin-y"])
+    def test_read_set_is_unknown_purity_still_decided(self, fn, purity):
+        report = analyze_callable(fn)
+        assert report.reads is None
+        assert report.purity is purity
+
+    @pytest.mark.parametrize("fn", SOURCELESS, ids=["exec", "twin-x",
+                                                    "twin-y"])
+    def test_every_consumer_fails_closed(self, fn):
+        with pytest.warns(UdfDeclarationWarning):
+            wrapped = FuncCondition.wrap(fn, label="sourceless")
+        assert wrapped.attributes() == frozenset()
+        declared = FuncCondition(fn, ("x",), label="sourceless")
+        diags = udf_diagnostics(declared, "plan/select")
+        assert [(d.code, d.severity) for d in diags] == [
+            ("SEC006", Severity.WARNING)]
+        assert condition_verified(declared) is Proof.UNKNOWN
 
 
 class TestDeclarations:
