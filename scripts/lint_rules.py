@@ -34,10 +34,10 @@ Rules
 ``RL005`` — UDF conditions must declare their read-sets.  Any
     ``FuncCondition(...)`` construction under ``src/repro`` or
     ``examples/`` must pass an explicit ``attributes=`` (second
-    positional or keyword) argument: an empty declaration makes the
-    optimizer and SEC002's pruning analysis reason as if the predicate read nothing.  Use
-    ``FuncCondition.wrap(fn)`` to declare the statically inferred
-    read-set automatically.
+    positional or keyword) argument: an empty declaration makes
+    SEC002's pruning analysis reason as if the predicate read
+    nothing.  Use ``FuncCondition.wrap(fn)`` to declare the statically
+    inferred read-set automatically.
 
 Grep guards
 -----------
@@ -163,6 +163,12 @@ GUARDS = (
           "build_plan re-checks the compiled expressions with "
           "analyze_expr, and a UDF's read-set comes from its source "
           "alone; see docs/ANALYSIS.md"),
+    Guard("one plan, as registered",
+          r"Optimizer|OptimizeLevel|CostModel|StatisticsCatalog"
+          r"|RewriteContext", ("src",),
+          "every query compiles as registered; Table II is a tested "
+          "theorem (tests/algebra/table2.py), not a search; see "
+          "docs/PERFORMANCE.md, Why there is no optimizer"),
 )
 
 
@@ -329,7 +335,7 @@ def check_rl005(path: Path, tree: ast.AST) -> "list[Finding]":
             findings.append(Finding(
                 path, node.lineno, "RL005",
                 "FuncCondition built without an attributes "
-                "declaration; the optimizer reasons from "
+                "declaration; the static analysis reasons from "
                 "Condition.attributes(), so an empty declaration is an "
                 "unsound input (use attributes=(...) or "
                 "FuncCondition.wrap)"))

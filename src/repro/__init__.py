@@ -4,9 +4,9 @@ A from-scratch reproduction of *"A Security Punctuation Framework for
 Enforcing Access Control on Streaming Data"* (Nehme, Rundensteiner,
 Bertino — ICDE 2008): in-stream access-control metadata (security
 punctuations), a security-aware stream algebra with the Security
-Shield operator and SAJoin, equivalence rules with a cost-based
-optimizer, a pipelined DSMS, the paper's baselines, and the full
-Section VII experiment harness.
+Shield operator and SAJoin, a pipelined DSMS that compiles each query
+as registered, the paper's baselines, and the full Section VII
+experiment harness.
 
 Quickstart::
 
@@ -22,13 +22,13 @@ Quickstart::
     print(dsms.run()["q"].tuples)
 """
 
-from repro.algebra import (CostModel, JoinExpr, Optimizer, ProjectExpr,
-                           ScanExpr, SelectExpr, ShieldExpr)
+from repro.algebra import (JoinExpr, ProjectExpr, ScanExpr, SelectExpr,
+                           ShieldExpr)
 from repro.analysis import (AnalysisReport, Diagnostic, Severity,
                             analyze_expr)
 from repro.core import (Policy, RoleUniverse, SecurityPunctuation, Sign,
                         SPAnalyzer, TuplePolicy)
-from repro.engine import DSMS, ContinuousQuery, OptimizeLevel, QueryResult
+from repro.engine import DSMS, ContinuousQuery, QueryResult
 from repro.errors import (PlanAnalysisError, PlanAnalysisWarning,
                           ReproError)
 from repro.observability import (AuditEvent, AuditLog, JsonlTraceSink,
@@ -44,7 +44,6 @@ __all__ = [
     "AuditEvent",
     "AuditLog",
     "ContinuousQuery",
-    "CostModel",
     "DSMS",
     "DataTuple",
     "Diagnostic",
@@ -53,8 +52,6 @@ __all__ = [
     "JsonlTraceSink",
     "NestedLoopSAJoin",
     "Observability",
-    "OptimizeLevel",
-    "Optimizer",
     "PlanAnalysisError",
     "PlanAnalysisWarning",
     "Policy",

@@ -1,40 +1,22 @@
-"""Security-aware algebra: logical expressions, rules, cost model, optimizer."""
+"""Security-aware algebra: logical expressions and their EXPLAIN form."""
 
-from repro.algebra.cost import CostModel, PlanCost
 from repro.algebra.explain import explain, node_label
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
                                        ShieldExpr, UnionExpr, walk)
-from repro.algebra.optimizer import OptimizationResult, Optimizer
-from repro.algebra.rules import (ALL_RULES, RewriteContext, Rule, apply_at,
-                                 equivalent_forms)
-from repro.algebra.statistics import (DerivedStats, StatisticsCatalog,
-                                      StreamStatistics)
 
 __all__ = [
-    "ALL_RULES",
-    "CostModel",
-    "DerivedStats",
     "DupElimExpr",
     "GroupByExpr",
     "IntersectExpr",
     "JoinExpr",
     "LogicalExpr",
-    "OptimizationResult",
-    "Optimizer",
-    "PlanCost",
     "ProjectExpr",
-    "RewriteContext",
-    "Rule",
     "ScanExpr",
     "SelectExpr",
     "ShieldExpr",
-    "StatisticsCatalog",
-    "StreamStatistics",
     "UnionExpr",
-    "apply_at",
-    "equivalent_forms",
     "explain",
     "node_label",
     "walk",

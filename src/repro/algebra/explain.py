@@ -1,21 +1,16 @@
 """EXPLAIN for security-aware plans.
 
-Renders a logical plan as an indented operator tree, optionally
-annotated with the Section VI.A cost model's per-node estimates —
-per-unit-time cost, and the tuple/sp rates flowing out of each node.
-Useful for inspecting what the optimizer did and for teaching the
-cost model::
+Renders a logical plan as an indented operator tree::
 
-    >>> print(explain(plan, cost_model))        # doctest: +SKIP
-    π[object_id]                        cost=110.0  out=50.0t/s 5.0sp/s
-      ψ[{retail}]                       cost=135.0  out=50.0t/s 5.0sp/s
-        σ[(x > 10)]                     cost=110.0  out=50.0t/s 7.1sp/s
-          Scan(locations)                           out=100.0t/s 10.0sp/s
+    >>> print(explain(plan))        # doctest: +SKIP
+    π[object_id]
+      ψ[{retail}]
+        σ[(x > 10)]
+          Scan(locations)
 """
 
 from __future__ import annotations
 
-from repro.algebra.cost import CostModel
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
@@ -52,45 +47,14 @@ def node_label(expr: LogicalExpr) -> str:
     return type(expr).__name__
 
 
-def explain(expr: LogicalExpr, cost_model: CostModel | None = None,
-            *, indent: int = 2) -> str:
-    """Indented tree rendering, cost-annotated when a model is given."""
-    annotations: dict[int, str] = {}
-    if cost_model is not None:
-        annotations = _annotate(expr, cost_model)
-
+def explain(expr: LogicalExpr, *, indent: int = 2) -> str:
+    """Indented tree rendering, one node per line."""
     lines: list[str] = []
 
     def visit(node: LogicalExpr, depth: int) -> None:
-        label = " " * (indent * depth) + node_label(node)
-        note = annotations.get(id(node), "")
-        if note:
-            lines.append(f"{label:<48}{note}")
-        else:
-            lines.append(label)
+        lines.append(" " * (indent * depth) + node_label(node))
         for child in node.children():
             visit(child, depth + 1)
 
     visit(expr, 0)
     return "\n".join(lines)
-
-
-def _annotate(expr: LogicalExpr, cost_model: CostModel) -> dict[int, str]:
-    """Per-node cost/rate annotations keyed by node identity."""
-    notes: dict[int, str] = {}
-
-    def visit(node: LogicalExpr) -> tuple[float, object]:
-        child_results = [visit(child) for child in node.children()]
-        breakdown: dict[str, float] = {}
-        total, stats = cost_model._visit(node, breakdown, "x")  # noqa: SLF001
-        own = total - sum(cost for cost, _ in child_results)
-        rate = (f"out={stats.tuple_rate:.1f}t/s "
-                f"{stats.sp_rate:.1f}sp/s")
-        if isinstance(node, ScanExpr):
-            notes[id(node)] = rate
-        else:
-            notes[id(node)] = f"cost={own:.1f}  {rate}"
-        return total, stats
-
-    visit(expr)
-    return notes

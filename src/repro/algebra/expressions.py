@@ -1,10 +1,11 @@
 """The security-aware logical algebra (Table I).
 
-Logical expressions form the tree the optimizer rewrites (Rules 1-5 in
-:mod:`repro.algebra.rules`) and the engine compiles into physical
-operators.  The algebra is the classic windowed stream algebra —
-select σ, project π, join ⋈, duplicate elimination δ, group-by G —
-extended with the Security Shield ψ.
+Logical expressions form the tree the engine compiles into physical
+operators, as registered; Table II's rewrites of it (Rules 1-5) are
+proved to preserve deliveries in ``tests/algebra/table2.py``.  The
+algebra is the classic windowed stream algebra — select σ, project π,
+join ⋈, duplicate elimination δ, group-by G — extended with the
+Security Shield ψ.
 
 Expressions are immutable value objects: equality is structural, which
 gives the engine common-subexpression sharing (shared subplans across

@@ -15,8 +15,11 @@ from every scan to the plan root and reports:
   govern (the widening bug class of ``project-prune-widening.json``).
 * **SEC003** — a shield every route into which is already dominated
   by upstream shields with equal-or-narrower conjuncts: dead weight.
-* **SEC004** — delegated to
-  :func:`repro.analysis.rewrites.hazard_sites`.
+* **SEC004** — a shield adjacent to a projection or a stateful
+  operator whose commute concrete stream facts refute, and each nested
+  join (:func:`hazard_sites`): the placements Table II's guarded
+  rewrites would change, where a hand-rewritten plan would deliver
+  differently.
 * **SEC006-SEC008** — delegated to
   :func:`repro.analysis.udf.udf_diagnostics` for every selection or
   join predicate carrying a ``FuncCondition`` (undeclared reads,
@@ -26,18 +29,18 @@ from every scan to the plan root and reports:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.algebra.expressions import (GroupByExpr, LogicalExpr,
+from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
+                                       IntersectExpr, JoinExpr, LogicalExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr)
+                                       ShieldExpr, UnionExpr, walk)
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.lattice import (PathState, StreamFacts, dominates,
                                     join_states)
-from repro.analysis.rewrites import expr_label, hazard_sites
 from repro.analysis.udf import udf_diagnostics
 
-__all__ = ["analyze_expr"]
+__all__ = ["analyze_expr", "hazard_sites"]
 
 
 def analyze_expr(expr: LogicalExpr, *,
@@ -142,3 +145,107 @@ def _output_attributes(expr: LogicalExpr) -> tuple:
     if expr.key is not None:
         kept.append(expr.key)
     return tuple(kept)
+
+
+# -- SEC004 -------------------------------------------------------------------
+
+def expr_label(expr: LogicalExpr) -> str:
+    """Short node label used in diagnostic paths."""
+    if isinstance(expr, ScanExpr):
+        return f"scan[{expr.stream_id}]"
+    for cls, label in ((ShieldExpr, "shield"), (SelectExpr, "select"),
+                       (ProjectExpr, "project"), (DupElimExpr, "dupelim"),
+                       (GroupByExpr, "groupby"), (JoinExpr, "join"),
+                       (UnionExpr, "union"), (IntersectExpr, "intersect")):
+        if isinstance(expr, cls):
+            return label
+    return type(expr).__name__.lower()
+
+
+def _iter_paths(expr: LogicalExpr,
+                root: str) -> Iterator[tuple[str, LogicalExpr]]:
+    """Yield ``(path, node)`` pairs in pre-order."""
+    path = f"{root}/{expr_label(expr)}"
+    yield path, expr
+    for child in expr.children():
+        yield from _iter_paths(child, path)
+
+
+#: Operator beside a shield -> the Table II commute that would move it.
+_COMMUTES = {ProjectExpr: "commute-project-shield",
+             DupElimExpr: "commute-dupelim-shield",
+             GroupByExpr: "commute-groupby-shield"}
+
+
+def _guarded_sites(
+        expr: LogicalExpr,
+        root: str) -> Iterator[tuple[str, str, LogicalExpr]]:
+    """``(rule name, path, node)`` for guarded-rule shapes in a plan:
+    a shield directly above or below a projection or a stateful
+    operator, and a join whose left input is a join."""
+    for path, node in _iter_paths(expr, root):
+        if isinstance(node, ShieldExpr):
+            rule = _COMMUTES.get(type(node.input))
+        elif isinstance(node, tuple(_COMMUTES)) and isinstance(
+                node.input, ShieldExpr):
+            rule = _COMMUTES[type(node)]
+        else:
+            rule = None
+        if rule is not None:
+            yield rule, path, node
+        if isinstance(node, JoinExpr) and isinstance(node.left, JoinExpr):
+            yield "associate-join", path, node
+
+
+_KEEP_PLACEMENT = ("keep the shield placement fixed (the engine compiles "
+                   "the plan as registered, so only a hand rewrite "
+                   "could commute them)")
+
+
+def hazard_sites(expr: LogicalExpr, facts: StreamFacts,
+                 root: str = "plan") -> AnalysisReport:
+    """SEC004 findings where stream facts *refute* a precondition.
+
+    These sites are adjacent shield/operator pairs whose commute is
+    provably unsound for the concrete streams — the shape class behind
+    ``dupelim-shield-commute.json``.  The engine compiles every plan as
+    registered and never commutes them, hence warnings, not errors.
+    """
+    report = AnalysisReport()
+    if not facts.known:
+        return report
+    for rule_name, path, node in _guarded_sites(expr, root):
+        streams = frozenset(n.stream_id for n in walk(node)
+                            if isinstance(n, ScanExpr))
+        if rule_name in ("commute-dupelim-shield",
+                         "commute-groupby-shield"):
+            if facts.heterogeneous(streams):
+                stateful = ("duplicate-elimination"
+                            if "dupelim" in rule_name else "group-by")
+                report.add(
+                    "SEC004", Severity.WARNING, path,
+                    f"shield adjacent to stateful {stateful} over "
+                    f"stream(s) {sorted(streams)} that interleave "
+                    f"differing policies; commuting them changes "
+                    f"which tuples the stateful operator sees "
+                    f"({rule_name} precondition refuted)",
+                    fixit=_KEEP_PLACEMENT)
+        elif rule_name == "commute-project-shield":
+            governed = facts.governed_attributes(streams)
+            if governed:
+                report.add(
+                    "SEC004", Severity.WARNING, path,
+                    f"shield adjacent to a projection over stream(s) "
+                    f"{sorted(streams)} carrying attribute-scoped sps "
+                    f"for {sorted(governed)}; commuting changes which "
+                    f"sp-batches the projection prunes "
+                    f"({rule_name} precondition refuted)",
+                    fixit=_KEEP_PLACEMENT)
+        else:
+            report.add(
+                "SEC004", Severity.INFO, path,
+                "nested join: re-associating it is unsound under "
+                "strict window semantics (associate-join precondition "
+                "unprovable for timed windows)")
+    return report
+

@@ -1,11 +1,11 @@
 """UDF effect and taint analysis (verified read-sets, purity proofs).
 
 ``FuncCondition`` is the plan algebra's trusted escape hatch: an
-arbitrary Python callable whose ``attributes`` declaration the
-optimizer and the sharded executor both rely on.  Nothing verified
-that declaration until now — a UDF that reads an undeclared,
-sp-protected attribute silently defeats SEC002/SEC004 and every
-fail-closed guard built on ``Condition.attributes()``.
+arbitrary Python callable whose ``attributes`` declaration the static
+analysis reasons from, and whose state the sharded executor would
+copy into every worker.  A UDF that reads an undeclared, sp-protected
+attribute silently defeats SEC002 and every check built on
+``Condition.attributes()``.
 
 This module lifts each callable at query-registration time and infers:
 
@@ -27,11 +27,10 @@ This module lifts each callable at query-registration time and infers:
 Purity and determinism come from a scan of the callable's bytecode,
 so they are decided with or without source.
 
-Every verdict is three-valued (:class:`~repro.analysis.rewrites.Proof`)
-and **fails closed**: dynamic dispatch, computed ``getattr`` names,
-``eval``, C extensions and any unmodelled construct yield UNKNOWN,
-which preserves today's conservative behaviour everywhere a proof is
-consulted.
+Every verdict is three-valued (:class:`Proof`) and **fails closed**:
+dynamic dispatch, computed ``getattr`` names, ``eval``, C extensions
+and any unmodelled construct yield UNKNOWN, which every consumer
+treats as a refusal.
 
 Consumers:
 
@@ -41,9 +40,6 @@ Consumers:
   through :func:`repro.analysis.exprcheck.analyze_expr` and thus
   ``register_query(analyze=...)``, ``verify_scenario`` and
   ``repro lint``;
-* :func:`condition_verified` — the proof the Table II select rewrites
-  (:mod:`repro.algebra.rules`) consult before moving a UDF across a
-  Security Shield or a join;
 * :func:`shard_safe` — the static shard-safety proof
   :mod:`repro.engine.sharded` uses to pin unproven closures onto the
   coordinator instead of forking them across workers.
@@ -55,12 +51,12 @@ import ast
 import dis
 import inspect
 import textwrap
+import enum
 import types
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.rewrites import Proof
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.lattice import StreamFacts
@@ -68,13 +64,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "EffectReport",
+    "Proof",
     "analyze_callable",
     "condition_udfs",
-    "condition_verified",
     "shard_safe",
     "udf_diagnostics",
-    "verify_declaration",
 ]
+
+
+class Proof(enum.Enum):
+    """Outcome of trying to prove a property of a callable."""
+
+    #: The property holds on every path the analysis checked.
+    PROVEN = "proven"
+    #: The property provably fails.
+    REFUTED = "refuted"
+    #: Nothing is known; fail closed.
+    UNKNOWN = "unknown"
 
 #: Builtins that are pure, deterministic and safe to call from a UDF.
 SAFE_BUILTINS = frozenset({
@@ -141,7 +147,7 @@ class EffectReport:
 
     @property
     def proven_pure(self) -> bool:
-        """Pure *and* deterministic — the rewrite/shard bar."""
+        """Pure *and* deterministic — the shard bar."""
         return (self.purity is Proof.PROVEN
                 and self.determinism is Proof.PROVEN)
 
@@ -639,37 +645,6 @@ def condition_udfs(cond: "Condition") -> "list[FuncCondition]":
             if isinstance(leaf, FuncCondition)]
 
 
-def verify_declaration(cond: "FuncCondition") -> Proof:
-    """Prove the declared attribute set covers the inferred read-set."""
-    effects = cond.effects
-    if effects.reads is None:
-        return Proof.UNKNOWN
-    if effects.reads <= cond.attributes():
-        return Proof.PROVEN
-    return Proof.REFUTED
-
-
-def condition_verified(cond: "Condition") -> Proof:
-    """The proof rewrite rules consult before moving a condition.
-
-    PROVEN when every UDF leaf is proven pure, deterministic *and*
-    read-verified (its declaration covers its inferred reads) — the
-    algebraic leaves (``Comparison`` etc.) are trivially proven.
-    Moving an unproven UDF across a Security Shield or a join would
-    change what tuples its side effects can observe, so UNKNOWN
-    refuses the rewrite (fail closed), matching the three-valued
-    hazard flags of :class:`~repro.algebra.rules.RewriteContext`.
-    """
-    proof = Proof.PROVEN
-    for udf in condition_udfs(cond):
-        effects = udf.effects
-        proof = _meet(proof, effects.purity, effects.determinism,
-                      verify_declaration(udf))
-        if proof is Proof.REFUTED:
-            return proof
-    return proof
-
-
 def shard_safe(cond: "Condition") -> bool:
     """Static shard-safety proof for a select condition.
 
@@ -716,7 +691,7 @@ def udf_diagnostics(cond: "Condition", path: str, *,
                 "SEC006", Severity.ERROR, where,
                 f"UDF {udf.label!r} reads attribute(s) "
                 f"{sorted(undeclared)} not in its declared set "
-                f"{sorted(declared)}; the optimizer reasons "
+                f"{sorted(declared)}; the static analysis reasons "
                 "from the declaration, so the undeclared read "
                 "escapes every attribute-based safety proof",
                 fixit=f"declare attributes={sorted(effects.reads or ())}"
@@ -728,8 +703,8 @@ def udf_diagnostics(cond: "Condition", path: str, *,
                     "SEC006", Severity.ERROR, where,
                     f"UDF {udf.label!r} declares no attributes and its "
                     f"read-set is not statically determinable ({why}); "
-                    "an empty declaration on a non-trivial callable is "
-                    "an unsound optimizer input",
+                    "an empty declaration on a non-trivial callable "
+                    "hides every read from the static analysis",
                     fixit="pass attributes=(...) naming every "
                           "attribute the callable reads"))
             else:
@@ -748,8 +723,8 @@ def udf_diagnostics(cond: "Condition", path: str, *,
                 f"provably {trait} UDF {udf.label!r} on an enforcement "
                 f"path ({why}); its side effects observe tuples that "
                 "shield placement and run cutting are free to "
-                "reorder, and the fail-closed optimizer keeps every "
-                "select rewrite off this plan",
+                "reorder, and the sharded executor keeps the select "
+                "on the coordinator",
                 fixit="make the callable a pure function of its tuple "
                       "argument"))
         if facts is not None and facts.known and streams is not None:

@@ -5,9 +5,9 @@ Commands
 
 ``experiments [--quick]``
     Regenerate every figure of the paper's Section VII evaluation.
-``explain <cql> [--roles R1,R2] [--optimize]``
-    Parse a CQL SELECT, shield it for the given roles, optionally
-    optimize, and print the (cost-annotated) plan.
+``explain <cql> [--roles R1,R2]``
+    Parse a CQL SELECT, shield it for the given roles, and print the
+    plan as an operator tree.
 ``sp <insert-sp-statement>``
     Parse an ``INSERT SP`` statement and print the resulting
     punctuation in the paper's alphanumeric format.
@@ -42,8 +42,8 @@ Commands
     shield verdicts, policy-propagation lag and health alerts.
 ``verify [--seed N] [--runs K] [--faults] [--replay FILE...]``
     Differential verification: fuzz random scenarios, run every engine
-    configuration (session/``run()``, NL/SPIndex join, optimizer
-    levels, baselines) against the reference oracle, optionally inject
+    configuration (session/``run()``, NL/SPIndex join, shards,
+    baselines) against the reference oracle, optionally inject
     sp faults, and shrink any mismatch to a minimal JSON reproducer.
 ``lint <file>... [--format text|json] [--strict]``
     Static security analysis of plan-spec / scenario JSON files:
@@ -73,11 +73,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.algebra.cost import CostModel
     from repro.algebra.explain import explain
     from repro.algebra.expressions import ShieldExpr
-    from repro.algebra.optimizer import Optimizer
-    from repro.algebra.rules import RewriteContext
     from repro.cql.translator import compile_statement
     from repro.core.punctuation import SecurityPunctuation
 
@@ -90,19 +87,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         roles = frozenset(r.strip() for r in args.roles.split(",")
                           if r.strip())
         expr = ShieldExpr(expr, roles)
-    cost_model = CostModel()
-    if args.optimize:
-        from repro.algebra.expressions import ScanExpr, walk
-        streams = frozenset(node.stream_id for node in walk(expr)
-                            if isinstance(node, ScanExpr))
-        optimizer = Optimizer(cost_model,
-                              RewriteContext(policy_streams=streams))
-        result = optimizer.optimize(expr)
-        print(f"-- optimized: {result.initial_cost:,.0f} -> "
-              f"{result.cost:,.0f} est. cost "
-              f"({result.improvement:.0%} cheaper)\n")
-        expr = result.plan
-    print(explain(expr, cost_model))
+    print(explain(expr))
     return 0
 
 
@@ -187,7 +172,6 @@ def _load_wire_elements(path: str):
 def _observed_run(args: argparse.Namespace):
     """Build a DSMS with in-memory observability, run, return it."""
     from repro.algebra.expressions import ScanExpr
-    from repro.engine.api import OptimizeLevel
     from repro.engine.dsms import DSMS
     from repro.observability import Observability
     from repro.stream.schema import StreamSchema
@@ -215,8 +199,7 @@ def _observed_run(args: argparse.Namespace):
     dsms = DSMS(observability=Observability.in_memory())
     dsms.register_stream(StreamSchema(stream_id, attributes), elements)
     dsms.register_query("q", expr, roles=roles)
-    results = dsms.run(optimize=OptimizeLevel(args.optimize),
-                       shards=args.shards)
+    results = dsms.run(shards=args.shards)
     return dsms, results
 
 
@@ -228,9 +211,6 @@ def _add_observed_arguments(parser: argparse.ArgumentParser) -> None:
                         help="CQL SELECT to run (default: scan the stream)")
     parser.add_argument("--roles", default="ND",
                         help="comma-separated query roles (default: ND)")
-    parser.add_argument("--optimize", default="none",
-                        choices=["none", "per_query", "workload"],
-                        help="plan optimization level")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
                         help="run on the partitioned multi-process "
                              "executor with N shard workers (default: "
@@ -349,7 +329,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.algebra.expressions import ScanExpr
-    from repro.engine.api import OptimizeLevel
     from repro.engine.dsms import DSMS
     from repro.observability import Observability
     from repro.observability.health import HealthMonitor
@@ -378,7 +357,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     dsms = DSMS(observability=Observability.in_memory())
     dsms.register_stream(StreamSchema(stream_id, attributes), [])
     dsms.register_query("q", expr, roles=roles)
-    session = dsms.open_session(optimize=OptimizeLevel(args.optimize))
+    session = dsms.open_session()
     instruments = dsms.observability.instruments
     assert instruments is not None
     health = HealthMonitor(instruments,
@@ -465,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("statement")
     explain_cmd.add_argument("--roles", default="",
                              help="comma-separated query roles")
-    explain_cmd.add_argument("--optimize", action="store_true")
     explain_cmd.set_defaults(fn=_cmd_explain)
 
     sp_cmd = sub.add_parser("sp", help="translate an INSERT SP statement")

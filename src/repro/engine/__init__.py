@@ -1,6 +1,5 @@
 """Query engine: physical plans, pipelined executor, DSMS facade."""
 
-from repro.engine.api import OptimizeLevel
 from repro.engine.catalog import RegisteredStream, StreamCatalog
 from repro.engine.dsms import DSMS, QueryResult
 from repro.engine.executor import ExecutionReport, Executor
@@ -12,7 +11,6 @@ __all__ = [
     "DSMS",
     "ExecutionReport",
     "Executor",
-    "OptimizeLevel",
     "PhysicalPlan",
     "PlanNode",
     "QueryResult",

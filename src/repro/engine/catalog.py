@@ -1,10 +1,9 @@
-"""Stream catalog: registered streams, their sources and statistics."""
+"""Stream catalog: registered streams and their sources."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.statistics import StatisticsCatalog, StreamStatistics
 from repro.errors import StreamError
 from repro.stream.schema import StreamSchema
 from repro.stream.source import StreamSource
@@ -18,8 +17,8 @@ class RegisteredStream:
 
     schema: StreamSchema
     source: StreamSource | None
-    #: Whether this stream carries security punctuations (drives the
-    #: one- vs two-sided variants of Rule 3).
+    #: Whether this stream carries security punctuations (a stream
+    #: that does not bypasses the SP Analyzer in ``DSMS.run``).
     carries_policies: bool = True
 
 
@@ -28,19 +27,15 @@ class StreamCatalog:
 
     def __init__(self):
         self._streams: dict[str, RegisteredStream] = {}
-        self.statistics = StatisticsCatalog()
 
     def register(self, schema: StreamSchema,
                  source: StreamSource | None = None, *,
-                 carries_policies: bool = True,
-                 stats: StreamStatistics | None = None) -> None:
+                 carries_policies: bool = True) -> None:
         stream_id = schema.stream_id
         if stream_id in self._streams:
             raise StreamError(f"stream {stream_id!r} already registered")
         self._streams[stream_id] = RegisteredStream(
             schema, source, carries_policies)
-        if stats is not None:
-            self.statistics.set_stream(stream_id, stats)
 
     def get(self, stream_id: str) -> RegisteredStream:
         try:

@@ -27,16 +27,12 @@ from dataclasses import dataclass, field
 
 from repro.access.rbac import RBACModel
 from repro.algebra.expressions import LogicalExpr, ShieldExpr
-from repro.algebra.optimizer import Optimizer
-from repro.algebra.rules import RewriteContext
-from repro.algebra.statistics import StreamStatistics
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.exprcheck import analyze_expr
 from repro.analysis.lattice import StreamFacts
 from repro.core.analyzer import SPAnalyzer
 from repro.core.bitmap import RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.catalog import StreamCatalog
 from repro.engine.executor import ExecutionReport, Executor
 from repro.engine.plan import PhysicalPlan
@@ -108,13 +104,12 @@ class DSMS:
     # -- streams --------------------------------------------------------
     def register_stream(self, schema: StreamSchema,
                         elements=None, *, source: StreamSource | None = None,
-                        carries_policies: bool = True,
-                        stats: StreamStatistics | None = None) -> None:
+                        carries_policies: bool = True) -> None:
         """Register an input stream with its element source."""
         if source is None and elements is not None:
             source = ListSource(schema, list(elements))
-        self.catalog.register(schema, source, carries_policies=carries_policies,
-                              stats=stats)
+        self.catalog.register(schema, source,
+                              carries_policies=carries_policies)
 
     def add_server_policy(self, sp: SecurityPunctuation) -> None:
         """Server-side policy, intersected with provider sps on entry."""
@@ -137,8 +132,8 @@ class DSMS:
         :class:`PlanAnalysisError` and the query is *not* registered —
         rejection happens before a single tuple flows).  The chosen
         mode also re-runs the analysis at :meth:`build_plan` time over
-        the plan actually compiled (after the optimizer, with the
-        query's outlet shield assumed).
+        the plan actually compiled (with the query's outlet shield
+        assumed).
         """
         if name in self.queries:
             raise QueryError(f"query {name!r} already registered")
@@ -243,100 +238,33 @@ class DSMS:
         return tuple(self._live_shields.get(query_name, ()))
 
     # -- execution -----------------------------------------------------------
-    def _optimized_exprs(self, level: OptimizeLevel
-                         ) -> dict[str, LogicalExpr]:
-        """Each registered query's logical plan at ``level``.
-
-        The optimization step shared by :meth:`build_plan` and the
-        sharded executor (:mod:`repro.engine.sharded`), so both paths
-        execute identical plans.  The executing engine must assume the
-        worst about runtime streams: attribute-granular sps, segments
-        with differing policies and real window semantics can all
-        occur, so the rewrites those facts invalidate stay off here
-        (pure-algebra exploration can still opt back in via its own
-        context).
-        """
-        context = RewriteContext(
-            policy_streams=self.catalog.policy_streams(),
-            attribute_policies_possible=True,
-            heterogeneous_policies_possible=True,
-            strict_join_windows=True,
-            schemas={
-                sid: frozenset(self.catalog.get(sid).schema.attributes)
-                for sid in self.catalog.stream_ids()
-            })
-        optimizer = Optimizer(context=context)
-        optimizer.cost_model.catalog = self.catalog.statistics
-        workload_plans: dict[str, LogicalExpr] = {}
-        if level is OptimizeLevel.WORKLOAD:
-            names = list(self.queries)
-            result = optimizer.optimize_workload(
-                [self.queries[name].expr for name in names])
-            workload_plans = dict(zip(names, result.plans))
-        audit = self.observability.audit
-        exprs: dict[str, LogicalExpr] = {}
-        for name, query in self.queries.items():
-            expr = query.expr
-            if level is OptimizeLevel.WORKLOAD:
-                expr = workload_plans[name]
-            elif level is OptimizeLevel.PER_QUERY:
-                result = optimizer.optimize(expr)
-                expr = result.plan
-                if audit is not None and result.steps > 0:
-                    # Table II rewrites are security-relevant plan
-                    # surgery: record which queries were rewritten (and
-                    # what the prover refused).
-                    audit.record(
-                        "optimizer.rewrite", ts=0.0, operator="optimizer",
-                        query=name, steps=result.steps,
-                        initial_cost=result.initial_cost,
-                        cost=result.cost,
-                        refusals=len(result.refusals))
-            exprs[name] = expr
-        return exprs
-
-    def build_plan(self, *,
-                   optimize: OptimizeLevel = OptimizeLevel.NONE
-                   ) -> tuple[PhysicalPlan, dict[str, CollectingSink]]:
-        """Compile all registered queries into one shared physical plan.
-
-        ``optimize`` is an :class:`~repro.engine.api.OptimizeLevel`:
-        ``NONE`` (compile as registered), ``PER_QUERY`` (optimize each
-        query in isolation) or ``WORKLOAD`` (Section VI.C multi-query
-        optimization: choose per-query plans that minimize the cost of
-        the workload with shared subplans counted once); anything else
-        raises :class:`~repro.errors.QueryError`.
-        """
-        level = OptimizeLevel.coerce(optimize)
+    def build_plan(self) -> tuple[PhysicalPlan, dict[str, CollectingSink]]:
+        """Compile all registered queries, as registered, into one
+        shared physical plan."""
         if not self.queries:
             raise QueryError("no queries registered")
         plan = PhysicalPlan(self.universe)
-        exprs = self._optimized_exprs(level)
         facts = self._stream_facts()
         for name, query in self.queries.items():
             if query.analyze != "off":
-                # Re-check what is compiled: the optimizer may have
-                # rewritten the plan, and every query gets an outlet.
+                # Re-check what is compiled: every query gets an outlet.
                 self._apply_analysis(
-                    analyze_expr(exprs[name], facts=facts,
+                    analyze_expr(query.expr, facts=facts,
                                  roles=sorted(query.roles),
                                  assume_delivery=True, name=name),
                     query.analyze, where="compiled plan")
         # Each query's results leave through one fixed check for its
         # roles, its outlet: the root shield when that already is the
-        # check, else a ``delivery:<name>`` backstop, wherever the
-        # optimizer moved the in-plan shields (docs/PERFORMANCE.md,
-        # "One shield per query").
+        # check, else a ``delivery:<name>`` backstop behind the in-plan
+        # shields (docs/PERFORMANCE.md, "One shield per query").
         sinks = plan.compile_queries(
-            (name, exprs[name], query.roles)
+            (name, query.expr, query.roles)
             for name, query in self.queries.items())
         self._live_shields = plan.bind_observability(self.observability)
         self._live_plan = plan
         return plan, sinks
 
-    def open_session(self, *,
-                     optimize: OptimizeLevel = OptimizeLevel.NONE,
-                     analyze_sps: bool = True):
+    def open_session(self, *, analyze_sps: bool = True):
         """Open a live :class:`~repro.engine.session.StreamingSession`.
 
         The session keeps the compiled plan and lets the caller push
@@ -346,17 +274,11 @@ class DSMS:
         """
         from repro.engine.session import StreamingSession
 
-        return StreamingSession(self, optimize=optimize,
-                                analyze_sps=analyze_sps)
+        return StreamingSession(self, analyze_sps=analyze_sps)
 
-    def run(self, *,
-            optimize: OptimizeLevel = OptimizeLevel.NONE,
-            analyze_sps: bool = True,
+    def run(self, *, analyze_sps: bool = True,
             shards: int | None = None) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.
-
-        ``optimize`` as in :meth:`build_plan` (an
-        :class:`~repro.engine.api.OptimizeLevel`).
 
         Execution is segment-batched: the sources are cut into runs of
         tuples sharing one sp-batch
@@ -382,9 +304,8 @@ class DSMS:
             from repro.engine.sharded import run_sharded
 
             return run_sharded(self, n_shards=shards,
-                               optimize=optimize,
                                analyze_sps=analyze_sps)
-        plan, sinks = self.build_plan(optimize=optimize)
+        plan, sinks = self.build_plan()
         sources = self.catalog.sources()
         policy_streams: frozenset[str] = frozenset()
         if analyze_sps:

@@ -4,8 +4,8 @@ A continuous query pairs a logical expression with the roles of the
 query specifier registered to receive its results (paper Section II.B:
 "each query inherits the security restriction(s) associated with the
 query specifier").  The DSMS guards every query with a Security Shield
-for those roles — by default at the plan root, after which the
-optimizer is free to interleave it per Rules 2-5.
+for those roles — by default at the plan root — and compiles the
+expression as registered.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class ContinuousQuery:
         return any(isinstance(node, ShieldExpr) for node in walk(expr))
 
     def with_expr(self, expr: LogicalExpr) -> "ContinuousQuery":
-        """Same query, rewritten plan (used after optimization)."""
+        """Same query over ``expr`` (role re-binding rewrites its shields)."""
         clone = ContinuousQuery.__new__(ContinuousQuery)
         clone.name = self.name
         clone.roles = self.roles

@@ -28,7 +28,6 @@ import time
 from typing import Callable
 
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.executor import ExecutionReport, Executor
 from repro.errors import QueryError, StreamError
 from repro.stream.element import StreamElement
@@ -46,11 +45,9 @@ class StreamingSession:
     instantiated directly.
     """
 
-    def __init__(self, dsms, *,
-                 optimize: OptimizeLevel = OptimizeLevel.NONE,
-                 analyze_sps: bool = True):
+    def __init__(self, dsms, *, analyze_sps: bool = True):
         self._dsms = dsms
-        self._plan, self._sinks = dsms.build_plan(optimize=optimize)
+        self._plan, self._sinks = dsms.build_plan()
         self._tracer = dsms.observability.tracer
         self._instruments = dsms.observability.instruments
         # A push hands over one element, so there is no run to cut:

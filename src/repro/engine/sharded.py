@@ -3,9 +3,9 @@
 :func:`run_sharded` executes a DSMS workload across a pool of worker
 processes.  The pipeline:
 
-1. **Optimize first** — the coordinator runs the configured optimizer
-   level over every registered query, so workers execute exactly the
-   plans a single-process run would.
+1. **Registered plans** — the coordinator takes every query's
+   expression as registered, so workers execute exactly the plans a
+   single-process run would.
 2. **Split queries** — a fully stateless plan ({scan, shield, select,
    project}) runs entirely inside the workers, including its outlet
    shield and sink.  A plan with stateful operators (joins,
@@ -56,7 +56,6 @@ from repro.algebra.expressions import (LogicalExpr, ProjectExpr, ScanExpr,
 from repro.core.analyzer import SPAnalyzer
 from repro.core.bitmap import RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.executor import ExecutionReport, Executor
 from repro.engine.partition import chunk_runs, merge_chunk_runs, \
     partition_spans, partition_stream, slice_spans
@@ -162,7 +161,7 @@ def _rewrite_suffix(expr: LogicalExpr,
 
 def split_workload(exprs: "dict[str, LogicalExpr]",
                    roles: "dict[str, frozenset[str]]"):
-    """Split optimized query plans into worker and coordinator parts.
+    """Split query plans into worker and coordinator parts.
 
     Returns ``(local_queries, split_queries, registry)`` where
     ``local_queries`` is ``[(name, expr, roles)]`` run wholly in the
@@ -412,7 +411,6 @@ def _collect(workers, observability: Observability, n_shards: int,
 # -- the coordinator ----------------------------------------------------------
 
 def run_sharded(dsms: "DSMS", *, n_shards: int,
-                optimize: OptimizeLevel = OptimizeLevel.NONE,
                 analyze_sps: bool = True,
                 timeout: float = DEFAULT_TIMEOUT,
                 faults: "dict[int, str] | None" = None,
@@ -431,8 +429,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
     if not dsms.queries:
         raise QueryError("no queries registered")
     wall_start = time.perf_counter()
-    level = OptimizeLevel.coerce(optimize)
-    exprs = dsms._optimized_exprs(level)
+    exprs = {name: query.expr for name, query in dsms.queries.items()}
     roles = {name: frozenset(query.roles)
              for name, query in dsms.queries.items()}
     local_queries, split_queries, registry = split_workload(
@@ -559,8 +556,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
         for name, expr in split_queries.items():
             suffix.register_query(name, expr, roles=roles[name],
                                   auto_shield=False)
-        suffix_results = suffix.run(optimize=OptimizeLevel.NONE,
-                                    analyze_sps=False)
+        suffix_results = suffix.run(analyze_sps=False)
         suffix_report = suffix.last_report
 
     report = ExecutionReport()

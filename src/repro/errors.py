@@ -78,16 +78,12 @@ class UdfDeclarationWarning(UserWarning):
 
     Emitted at construction time when the ``attributes`` declaration is
     empty (or provably incomplete) for a non-trivial callable: every
-    layer that reasons from ``Condition.attributes()`` — the Table II
-    optimizer, SEC002's pruning analysis — would silently treat the
-    UDF as reading nothing.  Strict-mode analysis
+    layer that reasons from ``Condition.attributes()`` — SEC002's
+    pruning analysis — would silently treat the UDF as reading
+    nothing.  Strict-mode analysis
     (``register_query(analyze="strict")``) upgrades the same condition
     to a SEC006 error.
     """
-
-
-class OptimizerError(ReproError):
-    """The optimizer was asked to perform an inapplicable rewrite."""
 
 
 class CQLSyntaxError(ReproError):

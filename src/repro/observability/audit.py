@@ -27,9 +27,6 @@ Event kinds currently recorded:
     ``detail`` at a query's outlet: delivered).  Recorded only
     while the hub's tracer has a head-sampled trace open (never by an
     audit-only hub), and held apart — see *Retention* below.
-``optimizer.rewrite``
-    The optimizer rewrote a query's plan with the Table II rules
-    (``detail``: steps, cost before/after, refused rewrites).
 ``shield.rebind``
     A shield's predicate was rewritten at runtime
     (:meth:`~repro.operators.shield.SecurityShield.rebind`).

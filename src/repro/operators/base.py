@@ -10,8 +10,8 @@ rely on.
 Three reusable pieces live here:
 
 * :class:`OperatorStats` — per-operator counters and accumulated
-  processing time, feeding both the experiment harness and the
-  statistics module of the optimizer.
+  processing time, feeding the experiment harness and the
+  observability layer's stage stats.
 * :class:`PolicyTracker` — the state machine every sp-aware operator
   uses to interpret arriving sps: it groups consecutive same-timestamp
   sps into sp-batches, applies ``override()`` semantics between

@@ -1,9 +1,9 @@
 """Selection and join conditions.
 
 Conditions are introspectable predicate objects rather than bare
-lambdas so the optimizer can reason about them (selectivity estimates,
-attribute footprints for commuting rules) and the CQL layer can build
-them from parsed expressions.  They are all callable on a
+lambdas so the static analysis can reason about them (attribute
+footprints, UDF effects), a run can be filtered in one kernel, and the
+CQL layer can build them from parsed expressions.  They are all callable on a
 :class:`~repro.stream.tuples.DataTuple`.
 """
 
@@ -208,11 +208,11 @@ class Not(Condition):
 class FuncCondition(Condition):
     """Escape hatch: wrap an arbitrary callable.
 
-    ``attributes`` must be declared so the optimizer stays correct;
-    the UDF effect analyzer (:mod:`repro.analysis.udf`) verifies the
-    declaration against the callable's inferred read-set at analysis
-    time (SEC006) and proves purity/determinism so proven UDFs can
-    commute with shields and run inside shard workers.
+    ``attributes`` must be declared so the static analysis stays
+    correct; the UDF effect analyzer (:mod:`repro.analysis.udf`)
+    verifies the declaration against the callable's inferred read-set
+    at analysis time (SEC006) and proves purity/determinism so proven
+    UDFs can run inside shard workers.
 
     Constructing one with an *empty* declaration and a non-trivial
     callable emits :class:`~repro.errors.UdfDeclarationWarning`
@@ -237,8 +237,8 @@ class FuncCondition(Condition):
                         else f"attributes {sorted(effects.reads)}")
                 warnings.warn(
                     f"FuncCondition {label!r} declares no attributes "
-                    f"but its callable reads {read}; the optimizer "
-                    "and SEC002 pruning both reason from the "
+                    f"but its callable reads {read}; SEC002 pruning "
+                    "and the SEC006 check reason from the "
                     "declaration — pass attributes=(...) (or use "
                     "FuncCondition.wrap) to keep them sound",
                     UdfDeclarationWarning, stacklevel=2)

@@ -126,7 +126,7 @@ class SecurityShield(UnaryOperator):
         self._m_seg = instruments.segment_size.labels(self.name)
         self._m_denial = instruments.denial_drops.labels(self.name, query)
 
-    # -- predicate management (used by SS split/merge rewrites) -------------
+    # -- predicate management (role re-binding) ------------------------------
     def rebind(self, roles: Iterable[str] | str) -> None:
         """Rewrite the security predicate at runtime (role re-binding).
 

@@ -2,10 +2,10 @@
 
 For one scenario this module runs the full cross product of engine
 configurations — ``run()`` (segment-batched) vs a streaming session
-pushed one element at a time, NL vs SPIndex join, optimizer off /
-per-query / workload — plus audited runs on both paths and (where
-expressible) the two Section I.C baselines, and diffs
-each against :func:`repro.verify.oracle.run_oracle`:
+pushed one element at a time, NL vs SPIndex join, in one process or
+sharded — plus audited and traced runs on both paths and (where
+expressible) the two Section I.C baselines, and diffs each against
+:func:`repro.verify.oracle.run_oracle`:
 
 * the multiset of delivered tuples per query, each tagged with its
   resolved role set (so a policy that *widens* is a mismatch even when
@@ -31,7 +31,6 @@ from repro.algebra.expressions import (DupElimExpr, GroupByExpr, JoinExpr,
 from repro.baselines.store_and_probe import PolicyTable
 from repro.baselines.tuple_embedded import embed_policies
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.engine.executor import ExecutionReport
 from repro.observability import Observability, Tracer
@@ -113,7 +112,7 @@ def _has_join(spec: dict) -> bool:
 class EngineConfig:
     """One way to run the engine over a scenario.
 
-    ``label`` is ``<mode>/<join variant>/<optimizer level>``.  A mode
+    ``label`` is ``<mode>/<join variant>``.  A mode
     starting with ``session`` drives a
     :class:`~repro.engine.session.StreamingSession` one element at a
     time — the production push path, and the element-wise reference
@@ -123,7 +122,6 @@ class EngineConfig:
 
     label: str
     join_variant: str = "nl"
-    level: str = "none"
     audit: bool = False
     #: Traced: run under ``Observability(tracer=Tracer(sample=1.0))``
     #: so sampling, sampled pass records and op spans are live.
@@ -155,36 +153,28 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
     """The engine configurations a scenario is checked under."""
     join = any(_has_join(q["plan"]) for q in scenario.queries.values())
     variants = ("nl", "index") if join else ("nl",)
-    levels = ["none", "per_query"]
-    if len(scenario.queries) > 1:
-        levels.append("workload")
-    configs = []
-    for variant in variants:
-        for level in levels:
-            for mode in ("session", "batched"):
-                configs.append(EngineConfig(
-                    label=f"{mode}/{variant}/{level}",
-                    join_variant=variant, level=level))
+    configs = [EngineConfig(label=f"{mode}/{variant}", join_variant=variant)
+               for variant in variants for mode in ("session", "batched")]
     # Audited axis: the trail's per-decision view must not depend on
     # how decisions are held (one event per push in a session, run
     # records under ``run()``), so both paths run under an audit log.
     for mode in ("session-audited", "audited-batched"):
-        configs.append(EngineConfig(label=f"{mode}/nl/none", audit=True))
+        configs.append(EngineConfig(label=f"{mode}/nl", audit=True))
     for mode in ("traced", "session-traced"):
-        configs.append(EngineConfig(label=f"{mode}/nl/none", traced=True))
+        configs.append(EngineConfig(label=f"{mode}/nl", traced=True))
     # Sharded axis: the partitioned multi-process executor at 1, 2 and
     # 4 workers, plus audited and (with a join in the workload) one
     # index-join sharded run — every merge path.
     for n_shards in (1, 2, 4):
         configs.append(EngineConfig(
-            label=f"sharded{n_shards}/nl/none", n_shards=n_shards))
+            label=f"sharded{n_shards}/nl", n_shards=n_shards))
     if join:
         configs.append(EngineConfig(
-            label="sharded2/index/none", join_variant="index", n_shards=2))
+            label="sharded2/index", join_variant="index", n_shards=2))
     configs.append(EngineConfig(
-        label="sharded2-audited-batched/nl/none", audit=True, n_shards=2))
+        label="sharded2-audited-batched/nl", audit=True, n_shards=2))
     configs.append(EngineConfig(
-        label="sharded2-traced/nl/none", traced=True, n_shards=2))
+        label="sharded2-traced/nl", traced=True, n_shards=2))
     return configs
 
 
@@ -241,11 +231,10 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         dsms.register_query(
             name, expr_from_spec(query["plan"], config.join_variant),
             roles=frozenset(query["roles"]), auto_shield=False)
-    level = OptimizeLevel(config.level)
     if config.session:
         # Faults reorder sps only inside an sp-batch (one timestamp),
         # so every stream stays in the order ``push`` insists on.
-        session = dsms.open_session(optimize=level)
+        session = dsms.open_session()
         delivered: "dict[str, list[StreamElement]]" = {
             name: [] for name in scenario.queries}
         for name, elements in delivered.items():
@@ -257,7 +246,7 @@ def run_engine(scenario: Scenario, config: EngineConfig,
     else:
         delivered = {
             name: result.elements for name, result in dsms.run(
-                optimize=level, shards=config.n_shards or None).items()}
+                shards=config.n_shards or None).items()}
         report = dsms.last_report
     outcome = EngineOutcome()
     for name, elements in delivered.items():
@@ -387,7 +376,7 @@ def verify_scenario(scenario: Scenario, *,
             str(diagnostic)))
     if oracle is None:
         oracle = run_oracle(scenario.decoded(), scenario.queries)
-    drops_by_plan: dict[tuple, dict[str, int]] = {}
+    drops_by_plan: dict[str, dict[str, int]] = {}
     for config in configs_for(scenario):
         report.configs_run += 1
         try:
@@ -416,15 +405,14 @@ def verify_scenario(scenario: Scenario, *,
                 f"audit.counts and the expanded shield.drop events "
                 f"differ by {outcome.audit_gap}"))
         if not config.audit:
-            plan_key = (config.join_variant, config.level)
-            drops_by_plan.setdefault(plan_key, {})[config.mode] = \
-                outcome.total_drops
-    for plan_key, by_mode in drops_by_plan.items():
+            drops_by_plan.setdefault(config.join_variant, {})[
+                config.mode] = outcome.total_drops
+    for variant, by_mode in drops_by_plan.items():
         if len(by_mode) > 1 and len(set(by_mode.values())) > 1:
             detail = " != ".join(f"{mode} drops {count}"
                                  for mode, count in sorted(by_mode.items()))
             report.mismatches.append(Mismatch(
-                descr, f"*/{plan_key[0]}/{plan_key[1]}", "*", "drops",
+                descr, f"*/{variant}", "*", "drops",
                 detail))
     if include_baselines and scenario.baseline_compatible() \
             and element_mutator is None:

@@ -2,7 +2,7 @@
 
 This module is the ground truth the differential harness compares every
 engine configuration against.  It is deliberately simple — no batching,
-no indexes, no optimizer, no operator fusion — and interprets a
+no indexes, no operator fusion — and interprets a
 *scenario plan spec* (plain nested dicts, see
 :mod:`repro.verify.generator`) rather than compiled physical operators,
 so a bug in the engine cannot leak into the oracle through shared code.

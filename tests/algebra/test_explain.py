@@ -1,10 +1,8 @@
 """Tests for plan explain/pretty-printing."""
 
-from repro.algebra.cost import CostModel
 from repro.algebra.explain import explain, node_label
 from repro.algebra.expressions import (JoinExpr, ScanExpr, ShieldExpr,
                                        UnionExpr)
-from repro.algebra.statistics import StatisticsCatalog, StreamStatistics
 from repro.operators.conditions import Comparison
 
 
@@ -44,23 +42,11 @@ class TestExplain:
         assert lines[2].startswith("    σ[")
         assert lines[3].startswith("      Scan(s)")
 
-    def test_cost_annotations(self):
-        catalog = StatisticsCatalog()
-        catalog.set_stream("s", StreamStatistics(tuple_rate=100.0,
-                                                 sp_rate=10.0))
-        text = explain(sample_plan(), CostModel(catalog))
-        assert "cost=" in text
-        assert "out=" in text
-        # Scan nodes show rates but carry no cost of their own.
-        scan_line = [l for l in text.splitlines() if "Scan(s)" in l][0]
-        assert "cost=" not in scan_line
-        assert "out=100.0t/s" in scan_line
-
     def test_binary_plans(self):
         plan = ShieldExpr(
             JoinExpr(ScanExpr("a"), ScanExpr("b"), "x", "x", 5.0),
             frozenset({"D"}))
-        text = explain(plan, CostModel())
+        text = explain(plan)
         lines = text.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("ψ[{D}]")

@@ -16,16 +16,15 @@ from collections import Counter
 import pytest
 
 from repro.algebra.expressions import JoinExpr, ScanExpr, ShieldExpr
-from repro.algebra.rules import (ALL_RULES, AssociateJoin,
-                                 CommuteDupElimShield, CommuteGroupByShield,
-                                 RewriteContext, apply_at)
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.verify.differ import _decode_sink, expr_from_spec
 from repro.verify.generator import generate_scenario
+from tests.algebra.table2 import (ALL_RULES, AssociateJoin,
+                                  CommuteDupElimShield, CommuteGroupByShield,
+                                  RewriteContext, apply_at)
 
 #: Table II rule families, by rule name.
 FAMILIES = {
@@ -55,7 +54,7 @@ def run_expr(scenario, expr, roles):
                              scenario.decoded()[sid])
     dsms.register_query("q", expr, roles=frozenset(roles),
                         auto_shield=False)
-    results = dsms.run(optimize=OptimizeLevel.NONE)
+    results = dsms.run()
     return _decode_sink(results["q"].elements)
 
 

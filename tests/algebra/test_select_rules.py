@@ -1,15 +1,10 @@
 """Tests for the classical selection rules (split/merge/pushdown)."""
 
-import pytest
-
-from repro.algebra.cost import CostModel
 from repro.algebra.expressions import (JoinExpr, ScanExpr, SelectExpr,
                                        ShieldExpr)
-from repro.algebra.optimizer import Optimizer
-from repro.algebra.rules import (MergeSelects, PushSelectIntoJoin,
-                                 RewriteContext, SplitSelect)
-from repro.algebra.statistics import StatisticsCatalog, StreamStatistics
 from repro.operators.conditions import And, Comparison
+from tests.algebra.table2 import (MergeSelects, PushSelectIntoJoin,
+                                  RewriteContext, SplitSelect)
 
 LEFT_COND = Comparison("x", ">", 1)
 RIGHT_COND = Comparison("y", "<", 5)
@@ -103,17 +98,3 @@ class TestPushdown:
             return sorted(t.tid for t in sink.operator.tuples())
 
         assert run(expr) == run(pushed) == [(2, 3)]
-
-
-class TestOptimizerUsesSelectionPushdown:
-    def test_selective_condition_pushed_below_join(self):
-        catalog = StatisticsCatalog(condition_selectivity=0.05)
-        catalog.set_stream("a", StreamStatistics(tuple_rate=100.0,
-                                                 sp_rate=10.0))
-        catalog.set_stream("b", StreamStatistics(tuple_rate=100.0,
-                                                 sp_rate=10.0))
-        optimizer = Optimizer(CostModel(catalog), CTX)
-        plan = SelectExpr(join(), LEFT_COND)
-        result = optimizer.optimize(plan)
-        assert result.cost < result.initial_cost
-        assert isinstance(result.plan, JoinExpr)

@@ -174,6 +174,8 @@ SEEDS = {
                              "value = _coerce(token)"),
     "one analysis per question": ("src/x.py",
                                   "from repro.analysis import analyze_plan"),
+    "one plan, as registered": ("src/x.py",
+                                "dsms.run(optimize=OptimizeLevel.WORKLOAD)"),
 }
 
 #: Lines a guard's allow-list lets through.

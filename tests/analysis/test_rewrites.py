@@ -1,49 +1,21 @@
-"""Rewrite-precondition proofs: fail-closed guards and SEC004 sites."""
+"""Table II's fail-closed guards and the SEC004 sites they mirror."""
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr, JoinExpr,
                                        ProjectExpr, ScanExpr, ShieldExpr)
-from repro.algebra.rules import (ALL_RULES, RewriteContext,
-                                 equivalent_forms)
+from repro.analysis import hazard_sites
 from repro.analysis.lattice import StreamFacts
-from repro.analysis.rewrites import (Proof, hazard_absent, hazard_sites,
-                                     precondition_for, proof_for,
-                                     prove_absent, refusal_reason,
-                                     refused_rewrites)
 from repro.core.patterns import literal
 from repro.core.punctuation import SecurityPunctuation
 from repro.stream.tuples import DataTuple
+from tests.algebra.table2 import (ALL_RULES, RewriteContext,
+                                  equivalent_forms, hazard_absent)
 
 
 class TestProofs:
-    def test_three_valued_interpretation(self):
-        assert prove_absent(False) is Proof.PROVEN
-        assert prove_absent(True) is Proof.REFUTED
-        assert prove_absent(None) is Proof.UNKNOWN
-
     def test_only_proven_admits(self):
         assert hazard_absent(False)
         assert not hazard_absent(True)
         assert not hazard_absent(None)
-
-    def test_every_guarded_rule_has_a_precondition(self):
-        for rule in ("commute-project-shield", "commute-dupelim-shield",
-                     "commute-groupby-shield", "associate-join"):
-            precondition = precondition_for(rule)
-            assert precondition is not None
-            assert hasattr(RewriteContext(), precondition.flag)
-
-    def test_unguarded_rules_are_proven(self):
-        ctx = RewriteContext()
-        assert proof_for("split-shield", ctx) is Proof.PROVEN
-        assert refusal_reason("split-shield", ctx) is None
-
-    def test_refusal_reason_states_the_proof_state(self):
-        refuted = RewriteContext(strict_join_windows=True)
-        unknown = RewriteContext()
-        assert "proven present" in refusal_reason("associate-join",
-                                                  refuted)
-        assert "not provable" in refusal_reason("associate-join",
-                                                unknown)
 
 
 class TestFailClosedDefault:
@@ -107,25 +79,6 @@ class TestFailClosedDefault:
         assert commuted in opened
 
 
-class TestRefusedRewrites:
-    def test_unknown_context_reports_refusals(self):
-        expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
-                          frozenset({"R1"}))
-        diagnostics = refused_rewrites(expr, RewriteContext())
-        assert any(d.code == "SEC004" for d in diagnostics)
-        assert all(d.severity.label == "info" for d in diagnostics)
-
-    def test_proven_context_reports_nothing(self):
-        expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
-                          frozenset({"R1"}))
-        ctx = RewriteContext(heterogeneous_policies_possible=False)
-        assert refused_rewrites(expr, ctx) == []
-
-    def test_unguarded_plan_reports_nothing(self):
-        expr = ShieldExpr(ScanExpr("s"), frozenset({"R1"}))
-        assert refused_rewrites(expr, RewriteContext()) == []
-
-
 def _hetero_facts():
     elements = [
         SecurityPunctuation.grant(["R1"], 0.0, provider="s"),
@@ -173,14 +126,3 @@ class TestHazardSites:
         expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
                           frozenset({"R1"}))
         assert len(hazard_sites(expr, StreamFacts.unknown())) == 0
-
-
-class TestOptimizerIntegration:
-    def test_optimize_reports_refusals(self):
-        from repro.algebra.optimizer import Optimizer
-
-        expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
-                          frozenset({"R1"}))
-        result = Optimizer(context=RewriteContext(
-            policy_streams=frozenset({"s"}))).optimize(expr)
-        assert any(d.code == "SEC004" for d in result.refusals)

@@ -16,18 +16,18 @@ from pathlib import Path
 import pytest
 
 from repro.algebra.expressions import ScanExpr, SelectExpr, ShieldExpr
-from repro.algebra.rules import RewriteContext, equivalent_forms
-from repro.analysis import (analyze_callable, condition_verified, lint_file,
-                            shard_safe, udf_diagnostics, verify_declaration)
+from repro.analysis import (Proof, analyze_callable, lint_file, shard_safe,
+                            udf_diagnostics)
 from repro.analysis.diagnostics import Severity
 from repro.analysis.lattice import StreamFacts
-from repro.analysis.rewrites import Proof, refused_rewrites
 from repro.engine.dsms import DSMS
 from repro.engine.sharded import split_workload
 from repro.errors import PlanAnalysisError, UdfDeclarationWarning
 from repro.operators.conditions import And, Comparison, FuncCondition, Not
 from repro.operators.udfs import named_udf, registered_udfs, udf_entry
 from repro.stream.schema import StreamSchema
+from tests.algebra.table2 import (RewriteContext, condition_verified,
+                                  equivalent_forms, verify_declaration)
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -402,8 +402,9 @@ class TestDiagnostics:
         assert "SEC007" in [d.code for d in rng_diags]
 
     def test_sec007_silent_on_unknown_purity(self):
-        # UNKNOWN purity refuses optimizations but is not reportable:
-        # flagging every unprovable callable would drown real findings.
+        # UNKNOWN purity pins a select to the shard coordinator but is
+        # not reportable: flagging every unprovable callable would
+        # drown real findings.
         cond = FuncCondition(closure_mutator, ("x",), label="maybe")
         assert "SEC007" not in [d.code for d in self._diags(cond)]
 
@@ -472,22 +473,6 @@ class TestRewriteFlip:
         opaque = FuncCondition(computed_getattr, ("x",), label="opaque")
         assert not self._select_pushed(self._forms(cheater))
         assert not self._select_pushed(self._forms(opaque))
-
-    def test_refusal_is_reported_as_sec004(self):
-        cheater = FuncCondition(undeclared_cheater, ("x",), label="cheat")
-        root = ShieldExpr(SelectExpr(ScanExpr("cars"), cheater),
-                          (frozenset({"police"}),))
-        diags = refused_rewrites(root, self.CTX)
-        udf_refusals = [d for d in diags
-                        if "UDF" in d.message and d.code == "SEC004"]
-        assert udf_refusals and udf_refusals[0].severity is Severity.INFO
-
-    def test_proven_udf_leaves_no_refusal(self):
-        root = ShieldExpr(SelectExpr(ScanExpr("cars"),
-                                     named_udf("in_region")),
-                          (frozenset({"police"}),))
-        assert [d for d in refused_rewrites(root, self.CTX)
-                if "UDF" in d.message] == []
 
 
 class TestShardSafety:

@@ -1,15 +1,13 @@
 """Tests for the redesigned execution API surface.
 
-Covers :class:`OptimizeLevel` (enum members only; the retired bool/str
-spellings are rejected), the public ``DSMS.shields`` view, and
-``SecurityShield.rebind``.
+Covers the retired execution keywords (a ``TypeError``), the public
+``DSMS.shields`` view, and ``SecurityShield.rebind``.
 """
 
 import pytest
 
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.errors import QueryError
 from repro.operators.shield import SecurityShield
@@ -19,31 +17,10 @@ from repro.stream.tuples import DataTuple
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
 
 
-class TestOptimizeLevelCoercion:
-    def test_enum_values_pass_through(self):
-        for level in OptimizeLevel:
-            assert OptimizeLevel.coerce(level) is level
-
-    def test_none_means_no_optimization(self):
-        assert OptimizeLevel.coerce(None) is OptimizeLevel.NONE
-
-    @pytest.mark.parametrize("legacy", [False, True, "workload",
-                                        "per_query", "turbo", 3])
-    def test_non_enum_values_rejected(self, legacy):
-        with pytest.raises(QueryError):
-            OptimizeLevel.coerce(legacy)
-
-    def test_dsms_run_rejects_legacy_bool(self):
-        dsms = DSMS()
-        dsms.register_stream(SCHEMA, [])
-        dsms.register_query("q", ScanExpr("hr"), roles={"D"})
-        with pytest.raises(QueryError):
-            dsms.run(optimize=True)
-
-
 def test_run_takes_no_execution_mode():
-    """Segment-batched execution is the only mode; the old switch is a
-    ``TypeError``, on ``run()`` and on the executor."""
+    """Segment-batched execution of the plan as registered is the only
+    mode; the old switches are a ``TypeError``, on ``run()``,
+    ``open_session()``, ``build_plan()`` and the executor."""
     from repro.engine.executor import Executor
     from repro.engine.plan import PhysicalPlan
 
@@ -51,6 +28,12 @@ def test_run_takes_no_execution_mode():
         DSMS().run(**{"batching": False})
     with pytest.raises(TypeError):
         Executor(PhysicalPlan(), **{"batching": False})
+    dsms = DSMS()
+    dsms.register_stream(SCHEMA, [])
+    dsms.register_query("q", ScanExpr("hr"), roles={"D"})
+    for entry in (dsms.run, dsms.open_session, dsms.build_plan):
+        with pytest.raises(TypeError):
+            entry(**{"optimize": None})
 
 
 class TestShieldsView:

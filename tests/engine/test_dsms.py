@@ -5,7 +5,6 @@ import pytest
 from repro.access.rbac import RBACModel
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.errors import QueryError, StreamError
 from repro.operators.conditions import Comparison
@@ -75,15 +74,6 @@ class TestEnforcement:
         dsms.register_query("q", expr, roles={"D"})
         results = dsms.run()
         assert [t.tid for t in results["q"].tuples] == [2]
-
-    def test_optimized_run_same_results(self):
-        dsms = DSMS()
-        dsms.register_stream(SCHEMA, basic_elements())
-        expr = ScanExpr("hr").select(Comparison("bpm", ">", 80))
-        dsms.register_query("q", expr, roles={"D"})
-        plain = dsms.run()["q"].tuples
-        optimized = dsms.run(optimize=OptimizeLevel.PER_QUERY)["q"].tuples
-        assert [t.tid for t in plain] == [t.tid for t in optimized]
 
     def test_server_policy_refines(self):
         dsms = DSMS()

@@ -2,8 +2,8 @@
 
 ``DSMS.run(shards=N)`` must be observably identical to ``run()`` for
 every composition it claims: stateless (worker-local) queries, split
-stateful queries (joins), multi-query workloads, every optimizer
-level, and audited runs — same delivered elements, same drop totals,
+stateful queries (joins), multi-query workloads and audited runs —
+same delivered elements, same drop totals,
 plus the sharded extras (shard-labelled stages and audit events, one
 ``shard.run`` span per worker).
 """
@@ -15,7 +15,6 @@ import pytest
 
 from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.engine.sharded import ShardResult, split_workload
 from repro.errors import QueryError, ShardExecutionError
@@ -80,15 +79,6 @@ def test_local_and_split_queries_match(seed, n_shards):
     assert (dsms.last_report.total_drops
             == base_dsms.last_report.total_drops)
     assert dsms.last_report.elements_in == base_dsms.last_report.elements_in
-
-
-@pytest.mark.parametrize("level", [OptimizeLevel.NONE,
-                                   OptimizeLevel.PER_QUERY,
-                                   OptimizeLevel.WORKLOAD])
-def test_optimize_levels_match(level):
-    base = delivered(build_dsms(3).run(optimize=level))
-    got = delivered(build_dsms(3).run(optimize=level, shards=2))
-    assert got == base
 
 
 def test_stage_stats_carry_shard_labels():

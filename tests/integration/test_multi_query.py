@@ -1,8 +1,7 @@
-"""Multi-query optimization: shared subplans bracketed by shields."""
+"""Multi-query plans: shared subplans bracketed by shields."""
 
 from repro.algebra.expressions import ScanExpr, ShieldExpr
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.engine.plan import PhysicalPlan
 from repro.operators.conditions import Comparison
@@ -109,17 +108,3 @@ class TestSharedSubplans:
         (select,) = plan.find_operators(Select)
         # The shared select processed the stream once, not twice.
         assert select.stats.tuples_in == 12
-
-
-class TestWorkloadOptimizedRun:
-    def test_workload_mode_same_results_as_plain(self):
-        dsms = DSMS()
-        dsms.register_stream(SCHEMA, elements())
-        base = ScanExpr("s").select(Comparison("v", ">=", 0))
-        for role in ("a", "b", "c"):
-            dsms.register_query(f"q_{role}", base, roles={role})
-        plain = dsms.run()
-        workload = dsms.run(optimize=OptimizeLevel.WORKLOAD)
-        for name in plain:
-            assert ([t.tid for t in plain[name].tuples]
-                    == [t.tid for t in workload[name].tuples])

@@ -7,12 +7,12 @@ tree (Rule 5) preserves the delivered results.
 """
 
 from repro.algebra.expressions import JoinExpr, ScanExpr, ShieldExpr
-from repro.algebra.rules import AssociateJoin, RewriteContext
 from repro.core.patterns import literal
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
+from tests.algebra.table2 import AssociateJoin, RewriteContext
 
 HR = StreamSchema("HeartRate", ("patient_id", "bpm"), key="patient_id")
 BT = StreamSchema("BodyTemperature", ("patient_id", "temp"),

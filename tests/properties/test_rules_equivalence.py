@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.algebra.expressions import (JoinExpr, ScanExpr, SelectExpr,
                                        ShieldExpr)
-from repro.algebra.rules import RewriteContext, equivalent_forms
 from repro.engine.executor import Executor
 from repro.engine.plan import PhysicalPlan
 from repro.operators.conditions import Comparison
@@ -21,6 +20,7 @@ from repro.stream.schema import StreamSchema
 from repro.stream.source import ListSource
 from repro.stream.tuples import DataTuple
 
+from tests.algebra.table2 import RewriteContext, equivalent_forms
 from tests.properties.strategies import ROLE_POOL, punctuated_streams
 
 SCHEMA_S = StreamSchema("s", ("key", "v"))

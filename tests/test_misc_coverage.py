@@ -89,13 +89,12 @@ class TestReprs:
         assert "entries=0" in repr(SPIndex(RoleUniverse()))
 
     def test_algebra_reprs(self):
-        from repro.algebra import (CostModel, Optimizer, ScanExpr,
-                                   StreamStatistics)
+        from repro.algebra import ScanExpr
+        from repro.operators.conditions import Comparison
 
-        result = Optimizer(CostModel()).optimize(
-            ScanExpr("s").shield({"D"}))
-        assert "OptimizationResult" in repr(result)
-        assert StreamStatistics().tuple_rate == 100.0
+        assert repr(ScanExpr("s").shield({"D"})) == "ψ[{D}](Scan(s))"
+        assert (repr(ScanExpr("s").select(Comparison("v", ">", 1)))
+                == "σ[(v > 1)](Scan(s))")
 
 
 class TestSubjectsAndSessions:

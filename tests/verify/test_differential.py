@@ -47,9 +47,9 @@ def test_fuzz_smoke_run_is_clean():
 
 
 def test_session_is_the_element_wise_axis():
-    """Every (join variant, level) plan is driven both by ``run()`` and
-    by a session pushed element by element; no flag-selected
-    element-wise run is left."""
+    """Every join variant's plan is driven both by ``run()`` and by a
+    session pushed element by element; no flag-selected element-wise
+    run is left."""
     shapes = set()
     for index in range(12):
         scenario = generate_scenario(17, index)
@@ -58,13 +58,13 @@ def test_session_is_the_element_wise_axis():
         assert not any("elementwise" in c.label for c in configs)
         plain = [c for c in configs
                  if not (c.audit or c.traced or c.n_shards)]
-        for plan in {(c.join_variant, c.level) for c in plain}:
+        for variant in {c.join_variant for c in plain}:
             modes = sorted(c.mode for c in plain
-                           if (c.join_variant, c.level) == plan)
-            assert modes == ["batched", "session"], plan
+                           if c.join_variant == variant)
+            assert modes == ["batched", "session"], variant
         assert [c.label for c in configs if c.audit and c.session] \
-            == ["session-audited/nl/none"]
-    assert {"join", "multi_query"} <= shapes  # index variant, workload level
+            == ["session-audited/nl"]
+    assert {"join", "multi_query"} <= shapes  # index variant, shared plans
 
 
 class TestKnownBadMutation:

@@ -65,7 +65,8 @@ class TestLegality:
     def test_shield_conjuncts_contain_query_roles(self):
         # Table II Rule 3's two-sided push is delivery-equivalent only
         # when every conjunct contains the query's roles; the generator
-        # must respect that to keep optimizer diffs explainable.
+        # must respect that to keep Table II rewrites of its plans
+        # delivery-equivalent (tests/algebra/table2.py).
         for seed, index in SAMPLE:
             scenario = generate_scenario(seed, index)
             for query in scenario.queries.values():

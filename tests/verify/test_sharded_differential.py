@@ -22,13 +22,13 @@ def test_shard_axis_is_in_the_config_matrix():
     shard_counts = sorted({c.n_shards for c in configs if c.n_shards})
     assert shard_counts == [1, 2, 4]
     labels = [c.label for c in configs]
-    assert "sharded2-audited-batched/nl/none" in labels
+    assert "sharded2-audited-batched/nl" in labels
     assert "sharded2" in {c.mode for c in configs if c.n_shards}
     # Audited: a session and run() in-process, run() sharded (workers
     # only ever execute segment-batched).
     audited = {c.label for c in configs if c.audit}
-    assert audited == {"session-audited/nl/none", "audited-batched/nl/none",
-                       "sharded2-audited-batched/nl/none"}
+    assert audited == {"session-audited/nl", "audited-batched/nl",
+                       "sharded2-audited-batched/nl"}
 
 
 def test_traced_configs_check_denial_counts():
@@ -38,8 +38,8 @@ def test_traced_configs_check_denial_counts():
     scenario = generate_scenario(23, 0)
     traced = [c for c in configs_for(scenario) if c.traced]
     assert {c.label for c in traced} == {
-        "traced/nl/none", "session-traced/nl/none",
-        "sharded2-traced/nl/none"}
+        "traced/nl", "session-traced/nl",
+        "sharded2-traced/nl"}
     oracle = run_oracle(scenario.decoded(), scenario.queries)
     for config in traced:
         outcome = run_engine(scenario, config)

@@ -2,7 +2,7 @@
 
 A ``{"udf": name}`` select condition must deliver the oracle's exact
 multiset under every configuration ``configs_for`` generates —
-element-wise / segment-batched, every optimizer level, and the
+element-wise / segment-batched, NL / index join, and the
 1/2/4-worker sharded executor — because the registered callable *is*
 the semantics on both sides: the oracle calls it directly while the
 engine routes it through ``FuncCondition``, the effect analyzer's
