@@ -169,6 +169,12 @@ GUARDS = (
           "every query compiles as registered; Table II is a tested "
           "theorem (tests/algebra/table2.py), not a search; see "
           "docs/PERFORMANCE.md, Why there is no optimizer"),
+    Guard("one process",
+          r"run_sharded|ShardTask|partition_spans|merge_chunk_runs"
+          r"|shard_safe|ShardExecutionError|n_shards|shards=",
+          ("src", "examples"),
+          "the engine runs in one process; see docs/PERFORMANCE.md, "
+          "Why there is no sharded executor"),
 )
 
 

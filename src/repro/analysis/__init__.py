@@ -21,7 +21,7 @@ Entry points:
   JSON (the ``repro lint`` CLI and the differential harness);
 * :mod:`repro.analysis.udf` / :func:`analyze_callable` — the UDF
   effect analyzer (read-sets, purity, determinism) whose proofs the
-  SEC006-SEC008 checks and the sharded executor consume.
+  SEC006-SEC008 checks consume.
 """
 
 from repro.analysis.diagnostics import (CATALOG, AnalysisReport,
@@ -33,8 +33,7 @@ from repro.analysis.speclint import (facts_for_streams, lint_file,
                                      lint_scenario, lint_scenario_object,
                                      lint_spec)
 from repro.analysis.udf import (EffectReport, Proof, analyze_callable,
-                                condition_udfs, shard_safe,
-                                udf_diagnostics)
+                                condition_udfs, udf_diagnostics)
 
 __all__ = [
     "CATALOG",
@@ -56,6 +55,5 @@ __all__ = [
     "lint_scenario",
     "lint_scenario_object",
     "lint_spec",
-    "shard_safe",
     "udf_diagnostics",
 ]

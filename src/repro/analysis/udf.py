@@ -2,8 +2,7 @@
 
 ``FuncCondition`` is the plan algebra's trusted escape hatch: an
 arbitrary Python callable whose ``attributes`` declaration the static
-analysis reasons from, and whose state the sharded executor would
-copy into every worker.  A UDF that reads an undeclared, sp-protected
+analysis reasons from.  A UDF that reads an undeclared, sp-protected
 attribute silently defeats SEC002 and every check built on
 ``Condition.attributes()``.
 
@@ -22,7 +21,7 @@ This module lifts each callable at query-registration time and infers:
 * **determinism** — no ``random``/``time``/``id()``/``hash()`` or
   other per-process state reachable the same way (``hash`` of a str
   is ``PYTHONHASHSEED``-dependent, so it is nondeterministic *across
-  shard worker processes*).
+  processes*).
 
 Purity and determinism come from a scan of the callable's bytecode,
 so they are decided with or without source.
@@ -39,10 +38,7 @@ Consumers:
   SEC008 (read-set widens an attribute-scoped sp's pruning), emitted
   through :func:`repro.analysis.exprcheck.analyze_expr` and thus
   ``register_query(analyze=...)``, ``verify_scenario`` and
-  ``repro lint``;
-* :func:`shard_safe` — the static shard-safety proof
-  :mod:`repro.engine.sharded` uses to pin unproven closures onto the
-  coordinator instead of forking them across workers.
+  ``repro lint``.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ __all__ = [
     "Proof",
     "analyze_callable",
     "condition_udfs",
-    "shard_safe",
     "udf_diagnostics",
 ]
 
@@ -96,7 +91,7 @@ IMPURE_BUILTINS = frozenset({
 })
 
 #: Names/modules that refute *determinism* (per-process or wall-clock
-#: state; ``hash``/``id`` differ across shard worker processes).
+#: state; ``hash``/``id`` differ across processes).
 NONDET_NAMES = frozenset({"id", "hash"})
 NONDET_MODULES = frozenset({
     "random", "time", "datetime", "os", "uuid", "secrets", "socket",
@@ -147,7 +142,7 @@ class EffectReport:
 
     @property
     def proven_pure(self) -> bool:
-        """Pure *and* deterministic — the shard bar."""
+        """Pure *and* deterministic."""
         return (self.purity is Proof.PROVEN
                 and self.determinism is Proof.PROVEN)
 
@@ -645,19 +640,6 @@ def condition_udfs(cond: "Condition") -> "list[FuncCondition]":
             if isinstance(leaf, FuncCondition)]
 
 
-def shard_safe(cond: "Condition") -> bool:
-    """Static shard-safety proof for a select condition.
-
-    A condition may run inside forked shard workers only when every
-    UDF leaf is proven pure and deterministic: a stateful closure
-    would accumulate per-worker state (results then depend on the
-    partitioning), and process-specific values (``id``/``hash``)
-    diverge across workers.  UNKNOWN fails closed — the sharded
-    executor pins the subtree onto the coordinator instead.
-    """
-    return all(udf.effects.proven_pure for udf in condition_udfs(cond))
-
-
 # -- SEC006-SEC008 diagnostics ------------------------------------------------
 
 def udf_diagnostics(cond: "Condition", path: str, *,
@@ -723,8 +705,7 @@ def udf_diagnostics(cond: "Condition", path: str, *,
                 f"provably {trait} UDF {udf.label!r} on an enforcement "
                 f"path ({why}); its side effects observe tuples that "
                 "shield placement and run cutting are free to "
-                "reorder, and the sharded executor keeps the select "
-                "on the coordinator",
+                "reorder",
                 fixit="make the callable a pure function of its tuple "
                       "argument"))
         if facts is not None and facts.known and streams is not None:

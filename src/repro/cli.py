@@ -42,9 +42,10 @@ Commands
     shield verdicts, policy-propagation lag and health alerts.
 ``verify [--seed N] [--runs K] [--faults] [--replay FILE...]``
     Differential verification: fuzz random scenarios, run every engine
-    configuration (session/``run()``, NL/SPIndex join, shards,
-    baselines) against the reference oracle, optionally inject
-    sp faults, and shrink any mismatch to a minimal JSON reproducer.
+    configuration (session/``run()``, NL/SPIndex join, audited and
+    traced runs, baselines) against the reference oracle, optionally
+    inject sp faults, and shrink any mismatch to a minimal JSON
+    reproducer.
 ``lint <file>... [--format text|json] [--strict]``
     Static security analysis of plan-spec / scenario JSON files:
     shield coverage (SEC001), attribute-leak (SEC002), redundant
@@ -183,8 +184,6 @@ def _observed_run(args: argparse.Namespace):
     roles = frozenset(r.strip() for r in args.roles.split(",") if r.strip())
     if not roles:
         raise ReproError("provide at least one role via --roles")
-    if args.shards is not None and args.shards < 1:
-        raise ReproError("--shards takes a worker count >= 1")
     if args.query:
         from repro.core.punctuation import SecurityPunctuation
         from repro.cql.translator import compile_statement
@@ -199,7 +198,7 @@ def _observed_run(args: argparse.Namespace):
     dsms = DSMS(observability=Observability.in_memory())
     dsms.register_stream(StreamSchema(stream_id, attributes), elements)
     dsms.register_query("q", expr, roles=roles)
-    results = dsms.run(shards=args.shards)
+    results = dsms.run()
     return dsms, results
 
 
@@ -211,10 +210,6 @@ def _add_observed_arguments(parser: argparse.ArgumentParser) -> None:
                         help="CQL SELECT to run (default: scan the stream)")
     parser.add_argument("--roles", default="ND",
                         help="comma-separated query roles (default: ND)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run on the partitioned multi-process "
-                             "executor with N shard workers (default: "
-                             "single-process)")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -203,9 +203,13 @@ class DSMS:
 
         Updates the registered query's roles and, if a compiled plan is
         live, rewrites the predicates of that query's Security Shields
-        in place — taking effect from the next processed element.  A
-        shield another query also reaches (never an outlet) keeps its
-        predicate, so the other query's results do not change.
+        in place — taking effect from the next processed element, so
+        the query answers as if registered with ``roles``.
+
+        Raises :class:`~repro.errors.QueryError`, and changes nothing,
+        when one of the query's live shields is also another query's:
+        that shield must keep its predicate for the other query, and
+        the re-bound query would silently get old ∩ new roles.
         """
         query = self.queries.get(name)
         if query is None:
@@ -213,15 +217,19 @@ class DSMS:
         roles = frozenset(roles)
         if not roles:
             raise QueryError("a query must keep at least one role")
-        old_expr = query.expr
-        new_expr = _replace_shield_roles(old_expr, query.roles, roles)
-        self.queries[name] = query.with_expr(new_expr)
-        self.queries[name].roles = roles  # type: ignore[misc]
+        live = self._live_shields.get(name, ())
         shared = {shield for other, shields in self._live_shields.items()
                   if other != name for shield in shields}
-        for shield in self._live_shields.get(name, ()):
-            if shield not in shared:
-                shield.rebind(roles)
+        if shared.intersection(live):
+            raise QueryError(
+                f"cannot re-bind query {name!r}: its compiled plan "
+                "shares a Security Shield with another query, which "
+                "would narrow it to the old roles ∩ the new")
+        new_expr = _replace_shield_roles(query.expr, query.roles, roles)
+        self.queries[name] = query.with_expr(new_expr)
+        self.queries[name].roles = roles  # type: ignore[misc]
+        for shield in live:
+            shield.rebind(roles)
 
     def shields(self, query_name: str) -> tuple[SecurityShield, ...]:
         """Read-only view of a query's live Security Shields.
@@ -276,8 +284,7 @@ class DSMS:
 
         return StreamingSession(self, analyze_sps=analyze_sps)
 
-    def run(self, *, analyze_sps: bool = True,
-            shards: int | None = None) -> dict[str, QueryResult]:
+    def run(self, *, analyze_sps: bool = True) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.
 
         Execution is segment-batched: the sources are cut into runs of
@@ -289,22 +296,7 @@ class DSMS:
         observability on, each operator's audit decisions — are those
         of a :meth:`open_session` pushed the same elements one at a
         time, which is what the equivalence tests compare against.
-
-        ``shards`` selects the partitioned multi-process executor
-        (:mod:`repro.engine.sharded`): input streams are cut on
-        s-punctuated segment boundaries and hash-routed across
-        ``shards`` worker processes, each running its own SP Analyzer
-        and shield state; stateful operators and delivery run over the
-        merged, order-restored streams.  ``None`` (the default) keeps
-        the single-process path; results, drop counters and audit
-        streams are equivalent either way, per the differential
-        oracle.
         """
-        if shards is not None:
-            from repro.engine.sharded import run_sharded
-
-            return run_sharded(self, n_shards=shards,
-                               analyze_sps=analyze_sps)
         plan, sinks = self.build_plan()
         sources = self.catalog.sources()
         policy_streams: frozenset[str] = frozenset()

@@ -162,8 +162,8 @@ class PhysicalPlan:
         It is the root when the root is ψ_roles and exclusive (Table II
         Rule 1: ψ_p(ψ_p(T)) ≡ ψ_p(T)), else a ``delivery:<name>``
         shield.  Exclusive — no other query reaches the node, nothing
-        compiled before (a shard unit) reads it — is a security
-        condition: role re-binding rewrites outlets.
+        compiled before (by :meth:`compile_chain`) reads it — is a
+        security condition: role re-binding rewrites outlets.
         """
         queries = [(name, expr, frozenset(roles))
                    for name, expr, roles in queries]

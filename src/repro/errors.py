@@ -103,12 +103,3 @@ class CQLSyntaxError(ReproError):
 
 class QueryError(ReproError):
     """A continuous query is invalid (unknown stream, no roles, ...)."""
-
-
-class ShardExecutionError(ReproError):
-    """A shard worker died or hung; the run was aborted fail-closed.
-
-    Raised by the partitioned executor (:mod:`repro.engine.sharded`)
-    instead of ever returning partial — potentially under-enforced —
-    results.
-    """

@@ -6,8 +6,8 @@ operator, under this role predicate, applied this sp to this element".
 :class:`AuditLog` keeps a bounded history of them.
 
 This log is the one place a security decision is stored — ``repro
-audit``, ``repro why``, the differ's denial counts and the shard
-coordinator all read it; no trace span repeats it.
+audit``, ``repro why`` and the differ's denial counts all read it;
+no trace span repeats it.
 
 Event kinds currently recorded:
 

@@ -129,7 +129,7 @@ class Tracer:
         """Flat control span (no causal ids), always kept.
 
         For control points that occur once per run or per session
-        (``executor.run.*``, ``session.open``, ``shard.run``); anything
+        (``executor.run.*``, ``session.open``); anything
         per element or per sp-batch is gated on :attr:`active` by its
         caller instead.
         """

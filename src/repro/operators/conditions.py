@@ -211,8 +211,7 @@ class FuncCondition(Condition):
     ``attributes`` must be declared so the static analysis stays
     correct; the UDF effect analyzer (:mod:`repro.analysis.udf`)
     verifies the declaration against the callable's inferred read-set
-    at analysis time (SEC006) and proves purity/determinism so proven
-    UDFs can run inside shard workers.
+    at analysis time (SEC006) and proves purity/determinism (SEC007).
 
     Constructing one with an *empty* declaration and a non-trivial
     callable emits :class:`~repro.errors.UdfDeclarationWarning`

@@ -13,7 +13,7 @@ registry gives those a *named* escape hatch:
 Each :class:`RegisteredUdf` pairs a callable with its declared
 attribute read-set; :func:`named_udf` materializes it as a
 :class:`~repro.operators.conditions.FuncCondition` so the full effect
-analysis (SEC006-SEC008) and the shard-safety proof apply unchanged.
+analysis (SEC006-SEC008) applies unchanged.
 The reference oracle evaluates the *same* registered callable — by construction the callable is the semantics,
 so registered UDFs must stay pure and deterministic or the
 differential harness (and SEC007) will flag them.
@@ -21,7 +21,7 @@ differential harness (and SEC007) will flag them.
 The built-ins below are written in the analyzer's provable fragment
 (``.get`` reads, ``None`` guards, arithmetic and constant
 comparisons) on purpose: they double as end-to-end fixtures proving
-that a declared-correct pure UDF vectorizes, commutes and shards.
+that a declared-correct pure UDF filters whole runs and commutes.
 """
 
 from __future__ import annotations

@@ -60,10 +60,9 @@ class DataTuple:
 
     def __reduce__(self):
         # Generic slotted-object pickling builds a per-object state
-        # dict and replays it through ``__setstate__``; shard workers
-        # stream whole result sets over pipes, where that protocol is
-        # the dominant IPC cost.  A plain constructor tuple roughly
-        # halves both pickling directions.
+        # dict (``_line`` included) and replays it through
+        # ``__setstate__``.  A plain constructor tuple ships the fields
+        # only and roughly halves both pickling directions.
         return (_rebuild, (self.sid, self.tid, self.values, self.ts))
 
     def __getitem__(self, attribute: str) -> object:

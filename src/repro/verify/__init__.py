@@ -9,7 +9,7 @@ semantics and the engine's optimized implementations:
   plans with shields at random legal positions, interleaved sp/tuple
   streams;
 * :mod:`repro.verify.differ` — runs every engine configuration
-  (session/``run()`` × NL/SPIndex × shards × baselines)
+  (session/``run()`` × NL/SPIndex × audited/traced × baselines)
   and diffs deliveries, denial counts and drop counters against the
   oracle;
 * :mod:`repro.verify.shrink` — delta-debugs failing scenarios into

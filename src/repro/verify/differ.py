@@ -2,9 +2,9 @@
 
 For one scenario this module runs the full cross product of engine
 configurations — ``run()`` (segment-batched) vs a streaming session
-pushed one element at a time, NL vs SPIndex join, in one process or
-sharded — plus audited and traced runs on both paths and (where
-expressible) the two Section I.C baselines, and diffs each against
+pushed one element at a time, NL vs SPIndex join — plus audited and
+traced runs on both paths and (where expressible) the two Section I.C
+baselines, and diffs each against
 :func:`repro.verify.oracle.run_oracle`:
 
 * the multiset of delivered tuples per query, each tagged with its
@@ -128,20 +128,12 @@ class EngineConfig:
     #: Tracing must never change what is delivered, and the hub's
     #: audit log must hold every denial — these configs prove it.
     traced: bool = False
-    #: Sharded tier: run through ``DSMS.run(shards=n_shards)`` — the
-    #: partitioned multi-process executor — instead of in-process.
-    #: ``0`` keeps the single-process path.  Sharding must never change
-    #: what is delivered, denied or dropped; these configs prove it
-    #: (including ``n_shards=1``, which exercises the partition/merge
-    #: machinery with a single worker).
-    n_shards: int = 0
 
     @property
     def mode(self) -> str:
-        """How the plan is driven: session / batched / traced /
-        sharded<N> — one label per way, so the cross-mode drop check
-        also proves sharded total drops equal every single-process
-        mode's."""
+        """How the plan is driven: session / batched / audited /
+        traced — one label per way, so the cross-mode drop check
+        proves every mode's total drops equal."""
         return self.label.partition("/")[0]
 
     @property
@@ -162,19 +154,6 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
         configs.append(EngineConfig(label=f"{mode}/nl", audit=True))
     for mode in ("traced", "session-traced"):
         configs.append(EngineConfig(label=f"{mode}/nl", traced=True))
-    # Sharded axis: the partitioned multi-process executor at 1, 2 and
-    # 4 workers, plus audited and (with a join in the workload) one
-    # index-join sharded run — every merge path.
-    for n_shards in (1, 2, 4):
-        configs.append(EngineConfig(
-            label=f"sharded{n_shards}/nl", n_shards=n_shards))
-    if join:
-        configs.append(EngineConfig(
-            label="sharded2/index", join_variant="index", n_shards=2))
-    configs.append(EngineConfig(
-        label="sharded2-audited-batched/nl", audit=True, n_shards=2))
-    configs.append(EngineConfig(
-        label="sharded2-traced/nl", traced=True, n_shards=2))
     return configs
 
 
@@ -245,8 +224,8 @@ def run_engine(scenario: Scenario, config: EngineConfig,
         report: ExecutionReport | None = session.report()
     else:
         delivered = {
-            name: result.elements for name, result in dsms.run(
-                shards=config.n_shards or None).items()}
+            name: result.elements
+            for name, result in dsms.run().items()}
         report = dsms.last_report
     outcome = EngineOutcome()
     for name, elements in delivered.items():

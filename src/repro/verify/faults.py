@@ -47,7 +47,6 @@ __all__ = [
     "disable_denial_by_default",
     "malformed_sp_texts",
     "run_fault_campaign",
-    "run_shard_fault_drill",
 ]
 
 #: Operators through which shrinking a tuple's role set can only
@@ -190,82 +189,6 @@ def malformed_sp_texts(sp: SecurityPunctuation) -> "list[str]":
     ]
 
 
-# -- shard worker faults ------------------------------------------------------
-
-def run_shard_fault_drill(scenario: Scenario,
-                          *, hang_timeout: float = 1.0
-                          ) -> "list[Mismatch]":
-    """Kill and hang a shard worker mid-run; the run must fail closed.
-
-    For each fault kind the partitioned executor
-    (:mod:`repro.engine.sharded`) is driven over the scenario with one
-    worker sabotaged.  Expectations:
-
-    * :class:`~repro.errors.ShardExecutionError` is raised — no result
-      dict (and so no tuple that never met its shield) is ever
-      returned;
-    * a ``health.alert`` span reaches the coordinator's tracer;
-    * the pool drains bounded: no worker process outlives the run.
-    """
-    import multiprocessing
-
-    from repro.engine.dsms import DSMS
-    from repro.engine.sharded import run_sharded
-    from repro.errors import ShardExecutionError
-    from repro.observability import Observability
-    from repro.stream.schema import StreamSchema
-    from repro.verify.differ import expr_from_spec
-
-    mismatches: "list[Mismatch]" = []
-    descr = scenario.describe()
-    for kind, timeout in (("crash", 30.0), ("hang", hang_timeout)):
-        label = f"fault:shard-{kind}"
-        observability = Observability.in_memory()
-        dsms = DSMS(observability=observability)
-        for sid, spec in scenario.streams.items():
-            dsms.register_stream(
-                StreamSchema(sid, tuple(spec["attributes"])),
-                scenario.decoded()[sid])
-        for name, query in scenario.queries.items():
-            dsms.register_query(
-                name, expr_from_spec(query["plan"]),
-                roles=frozenset(query["roles"]), auto_shield=False)
-        delivered = None
-        try:
-            delivered = run_sharded(dsms, n_shards=2, timeout=timeout,
-                                    faults={0: kind})
-        except ShardExecutionError:
-            pass
-        except Exception as exc:  # noqa: BLE001 — wrong failure shape
-            mismatches.append(Mismatch(
-                descr, label, "*", "error",
-                f"expected ShardExecutionError, got "
-                f"{type(exc).__name__}: {exc}"))
-        if delivered is not None:
-            total = sum(len(r.tuples) for r in delivered.values())
-            mismatches.append(Mismatch(
-                descr, label, "*", "fail-open",
-                f"worker {kind} returned results "
-                f"({total} tuples) instead of failing closed"))
-        tracer = observability.tracer
-        alerts = tracer.events("health.alert")
-        if not alerts:
-            mismatches.append(Mismatch(
-                descr, label, "*", "no-alert",
-                f"worker {kind} raised no health.alert span"))
-        leaked = [p for p in multiprocessing.active_children()
-                  if p.is_alive()]
-        if leaked:
-            for proc in leaked:  # pragma: no cover - cleanup on failure
-                proc.terminate()
-                proc.join(timeout=5.0)
-            mismatches.append(Mismatch(
-                descr, label, "*", "leak",
-                f"{len(leaked)} worker process(es) outlived the "
-                f"{kind} drill"))
-    return mismatches
-
-
 # -- the campaign -------------------------------------------------------------
 
 @dataclass
@@ -344,12 +267,6 @@ def run_fault_campaign(scenario: Scenario,
                                 name, "widened",
                                 f"role {role!r} gained access to "
                                 f"{key[0]}:{key[1]}@{key[2]} after sp loss"))
-
-    # Shard worker faults: a dying or hung worker must abort the
-    # sharded run fail-closed — error raised, health.alert emitted,
-    # pool drained — never deliver partially-enforced results.
-    outcome.faults_run += 2
-    outcome.mismatches.extend(run_shard_fault_drill(scenario))
 
     # Malformed sp text must die at the parse boundary.
     for elements in scenario.decoded().values():

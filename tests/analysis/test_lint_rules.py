@@ -176,6 +176,7 @@ SEEDS = {
                                   "from repro.analysis import analyze_plan"),
     "one plan, as registered": ("src/x.py",
                                 "dsms.run(optimize=OptimizeLevel.WORKLOAD)"),
+    "one process": ("examples/x.py", "results = dsms.run(shards=2)"),
 }
 
 #: Lines a guard's allow-list lets through.

@@ -16,12 +16,11 @@ from pathlib import Path
 import pytest
 
 from repro.algebra.expressions import ScanExpr, SelectExpr, ShieldExpr
-from repro.analysis import (Proof, analyze_callable, lint_file, shard_safe,
-                            udf_diagnostics)
+from repro.analysis import (Proof, analyze_callable, condition_udfs,
+                            lint_file, udf_diagnostics)
 from repro.analysis.diagnostics import Severity
 from repro.analysis.lattice import StreamFacts
 from repro.engine.dsms import DSMS
-from repro.engine.sharded import split_workload
 from repro.errors import PlanAnalysisError, UdfDeclarationWarning
 from repro.operators.conditions import And, Comparison, FuncCondition, Not
 from repro.operators.udfs import named_udf, registered_udfs, udf_entry
@@ -370,7 +369,13 @@ class TestConditionVerified:
             cond = named_udf(name)
             assert condition_verified(cond) is Proof.PROVEN, name
             assert cond.effects.proven_pure, name
-            assert shard_safe(cond), name
+
+    def test_select_udf_leaves_carry_their_purity(self):
+        proven = named_udf("in_region")
+        stateful = FuncCondition(closure_mutator, ("x",), label="stateful")
+        cond = And([proven, Not(stateful)])
+        assert [udf.effects.proven_pure
+                for udf in condition_udfs(cond)] == [True, False]
 
 
 class TestDiagnostics:
@@ -402,9 +407,8 @@ class TestDiagnostics:
         assert "SEC007" in [d.code for d in rng_diags]
 
     def test_sec007_silent_on_unknown_purity(self):
-        # UNKNOWN purity pins a select to the shard coordinator but is
-        # not reportable: flagging every unprovable callable would
-        # drown real findings.
+        # UNKNOWN purity is not reportable: flagging every unprovable
+        # callable would drown real findings.
         cond = FuncCondition(closure_mutator, ("x",), label="maybe")
         assert "SEC007" not in [d.code for d in self._diags(cond)]
 
@@ -473,18 +477,6 @@ class TestRewriteFlip:
         opaque = FuncCondition(computed_getattr, ("x",), label="opaque")
         assert not self._select_pushed(self._forms(cheater))
         assert not self._select_pushed(self._forms(opaque))
-
-
-class TestShardSafety:
-    def test_unproven_select_pins_to_coordinator(self):
-        proven = ScanExpr("cars").select(named_udf("in_region"))
-        opaque = ScanExpr("cars").select(
-            FuncCondition(closure_mutator, ("x",), label="stateful"))
-        local, split, _ = split_workload(
-            {"ok": proven, "pinned": opaque},
-            {"ok": frozenset({"a"}), "pinned": frozenset({"b"})})
-        assert [name for name, _, _ in local] == ["ok"]
-        assert set(split) == {"pinned"}
 
 
 class TestZeroFalsePositives:

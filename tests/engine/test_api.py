@@ -17,15 +17,23 @@ from repro.stream.tuples import DataTuple
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
 
 
-def test_run_takes_no_execution_mode():
-    """Segment-batched execution of the plan as registered is the only
-    mode; the old switches are a ``TypeError``, on ``run()``,
-    ``open_session()``, ``build_plan()`` and the executor."""
+def test_run_takes_no_execution_mode(capsys):
+    """Segment-batched execution of the plan as registered, in one
+    process, is the only mode; the old switches are a ``TypeError``, on
+    ``run()``, ``open_session()``, ``build_plan()`` and the executor,
+    and the CLI has no ``--shards``."""
+    from repro.cli import main
     from repro.engine.executor import Executor
     from repro.engine.plan import PhysicalPlan
 
     with pytest.raises(TypeError):
         DSMS().run(**{"batching": False})
+    with pytest.raises(TypeError):
+        DSMS().run(**{"shards": 2})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["why", "120", "--shards", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
     with pytest.raises(TypeError):
         Executor(PhysicalPlan(), **{"batching": False})
     dsms = DSMS()

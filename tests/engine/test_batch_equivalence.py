@@ -462,7 +462,6 @@ def test_self_join(variant, shape):
     assert_equivalent(*run_both(make, observability=False))
     delivered = outcomes[1][0]["q"].tuples
     assert len(delivered) == 12
-    assert make(Observability()).run(shards=2)["q"].tuples == delivered
 
 
 @pytest.mark.parametrize("seed", [5, 7])

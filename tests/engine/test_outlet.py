@@ -9,10 +9,13 @@ reads must keep its predicate.
 
 import warnings
 
+import pytest
+
 from repro.algebra.expressions import ScanExpr, ShieldExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.engine.plan import PhysicalPlan
+from repro.errors import QueryError
 from repro.operators.conditions import Comparison
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
@@ -88,7 +91,8 @@ class TestCompileQueries:
                "two_conjuncts": "delivery:two_conjuncts"}
 
     def test_node_compiled_before_keeps_its_backstop(self):
-        """A shard unit compiled into the same plan reads the root."""
+        """A chain compiled into the same plan by ``compile_chain``
+        reads the root."""
         plan = PhysicalPlan()
         expr = shield(ScanExpr("s"), "R")
         plan.compile_chain(expr, [CollectingSink()])
@@ -107,23 +111,73 @@ class TestCompileQueries:
             dsms.build_plan()
 
 
+def tids(elements):
+    return [e.tid for e in elements if isinstance(e, DataTuple)]
+
+
+def registered(queries, elements=()):
+    dsms = DSMS()
+    dsms.register_stream(SCHEMA, list(elements))
+    for name, (expr, roles) in queries.items():
+        dsms.register_query(name, expr, roles=roles)
+    return dsms
+
+
+def push_halfway(dsms, rebind):
+    """Push ``segments()`` through a session, calling ``rebind()``
+    halfway; returns the deliveries before and after that point."""
+    elements = segments()
+    before = {name: [] for name in dsms.queries}
+    after = {name: [] for name in dsms.queries}
+    with dsms.open_session() as session:
+        for index, element in enumerate(elements):
+            got = before if index < len(elements) // 2 else after
+            if index == len(elements) // 2:
+                rebind()
+            for name, out in session.push("s", element).items():
+                got[name] += tids(out)
+    return before, after
+
+
+def fresh_run(dsms, elements):
+    """``run()`` over ``dsms``'s current registration, on ``elements``."""
+    fresh = registered({name: (query.expr, query.roles)
+                        for name, query in dsms.queries.items()}, elements)
+    return {name: tids(result.elements)
+            for name, result in fresh.run().items()}
+
+
 class TestRebindSharedShields:
     def test_update_query_roles_leaves_a_shared_shield_alone(self):
-        """Re-binding q2 must not rewrite the ψ_R node q1 reads."""
-        dsms = DSMS()
-        dsms.register_stream(SCHEMA, [])
-        for name, expr in HAZARD.items():
-            dsms.register_query(name, expr, roles={"R"})
+        """Re-binding q2 would rewrite the ψ_R node q1 reads, or leave
+        q2 with R ∩ X: it is refused, and both queries go on as
+        registered."""
+        dsms = registered({name: (expr, {"R"})
+                           for name, expr in HAZARD.items()})
+
+        def rebind():
+            with pytest.raises(QueryError, match="shares"):
+                dsms.update_query_roles("q2", {"X"})
+
+        before, after = push_halfway(dsms, rebind)
+        assert before == {"q1": [0, 1], "q2": [0, 1]}
+        assert after == {"q1": [20, 21], "q2": [20, 21]}
         elements = segments()
-        got = {"q1": [], "q2": []}
-        with dsms.open_session() as session:
-            for index, element in enumerate(elements):
-                if index == len(elements) // 2:
-                    dsms.update_query_roles("q2", {"X"})
-                    got["q2"].clear()
-                for name, out in session.push("s", element).items():
-                    got[name] += [e.tid for e in out
-                                  if isinstance(e, DataTuple)]
-        assert got["q1"] == [0, 1, 20, 21]
-        # After the update q2 holds X only: nothing granted R alone.
-        assert set(got["q2"]) <= {30, 31}
+        assert after == fresh_run(dsms, elements[len(elements) // 2:])
+        assert dsms.queries["q2"].expr == HAZARD["q2"]
+        assert dsms.queries["q2"].roles == {"R"}
+
+    def test_rebind_without_a_shared_shield_answers_as_registered(self):
+        """No shield is shared: from the re-bind on, the session
+        delivers what ``run()`` over the updated registration delivers
+        on the remaining elements."""
+        dsms = registered({
+            "q1": (shield(ScanExpr("s"), "R"), {"R"}),
+            "q2": (shield(ScanExpr("s").select(
+                Comparison("a", ">=", 0)), "R"), {"R"})})
+        before, after = push_halfway(
+            dsms, lambda: dsms.update_query_roles("q2", {"X"}))
+        assert before == {"q1": [0, 1], "q2": [0, 1]}
+        elements = segments()
+        assert after == fresh_run(dsms, elements[len(elements) // 2:])
+        assert after == {"q1": [20, 21], "q2": [30, 31]}

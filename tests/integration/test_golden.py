@@ -2,13 +2,12 @@
 
 Each workload is generated at a reduced size by the ledger's own
 generator (``benchmarks/ledger/workloads.py``, imported, not copied),
-decoded from its wire files and driven through ``DSMS.run()``, through
-an element-wise session (``tests/drive.py::push_all``) and, for
-``fanout_filter``, through ``run(shards=2)``.  Every path must deliver
-the same encoded lines in the same order, and one sha256 over those
-lines per workload and seed is pinned in ``GOLDEN``.  A seventh shape,
-a self-join over ``sajoin_window``'s left stream, is pinned in
-``SELF_JOIN`` and driven all three ways.  A digest may change only
+decoded from its wire files and driven through ``DSMS.run()`` and
+through an element-wise session (``tests/drive.py::push_all``).  Both
+paths must deliver the same encoded lines in the same order, and one
+sha256 over those lines per workload and seed is pinned in ``GOLDEN``.
+A seventh shape, a self-join over ``sajoin_window``'s left stream, is
+pinned in ``SELF_JOIN`` and driven both ways.  A digest may change only
 together with a CHANGES.md line that says why.
 """
 
@@ -114,8 +113,6 @@ def test_every_path_delivers_the_pinned_lines(name, seed, tmp_path):
             for name, encoded in delivered.items()}) == spec["expected"]
     assert any(delivered.values()), "the workload delivers nothing"
     assert lines(push_all(new_dsms(spec))) == delivered
-    if name == "fanout_filter":
-        assert lines(new_dsms(spec).run(shards=2)) == delivered
     assert digest(delivered) == GOLDEN[name, seed]
 
 
@@ -139,5 +136,4 @@ def test_the_self_join_delivers_the_pinned_lines(seed, tmp_path):
     delivered = lines(new_dsms(spec).run())
     assert any(delivered.values()), "the self-join delivers nothing"
     assert lines(push_all(new_dsms(spec))) == delivered
-    assert lines(new_dsms(spec).run(shards=2)) == delivered
     assert digest(delivered) == SELF_JOIN[seed]

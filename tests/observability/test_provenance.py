@@ -16,7 +16,6 @@ from repro.observability.provenance import (DEFAULT_SAMPLE_RATE, Tracer,
 from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
-from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
 
 from tests.drive import push_all
 
@@ -285,8 +284,7 @@ class TestEndToEndWhy:
         assert "denial-by-default" in report.render_text()
         assert all(t.tid != 999 for t in results["doc"].tuples)
 
-    @pytest.mark.parametrize("drive", MODES + [
-        pytest.param(lambda dsms: dsms.run(shards=2), id="shards=2")])
+    @pytest.mark.parametrize("drive", MODES)
     def test_denials_survive_default_sampling(self, drive):
         """Denials are audit records, never sampled away: every one of
         them reconstructs at the default 1/64 rate."""
@@ -329,49 +327,7 @@ class TestCliWhy:
         assert out.count("shield.drop at SecurityShield: drop") == 1
         assert "audit:" not in out
 
-    def test_why_sharded_lists_the_drop_once(self, capsys):
-        from repro.cli import main
-        assert main(["why", "120", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("shield.drop at SecurityShield: drop") == 1
-
     def test_why_unknown_tuple_fails(self, capsys):
         from repro.cli import main
         assert main(["why", "424242"]) == 1
         assert "no audit records" in capsys.readouterr().out
-
-
-class TestShardedDecisions:
-    """Shard workers run no ``Tracer``, but a traced hub's denials
-    are audit records: they come back from the workers in every
-    observed tier."""
-
-    @staticmethod
-    def drops_by_operator(dsms):
-        groups = {}
-        for event in dsms.audit.events(kind="shield.drop"):
-            groups.setdefault(event.operator, []).append(
-                (event.query, event.sid, event.tid, event.ts,
-                 event.predicate, event.policy, event.sp))
-        return {op: sorted(rows) for op, rows in groups.items()}
-
-    def test_traced_hub_keeps_denials_under_shards(self):
-        elements = list(punctuated_stream(
-            400, tuples_per_sp=10, policy_size=3,
-            accessible_fraction=0.5, seed=3))
-
-        def run(**kwargs):
-            dsms = DSMS(observability=Observability(
-                tracer=Tracer(sample=1.0)))
-            dsms.register_stream(SYNTH_SCHEMA, elements)
-            dsms.register_query("q", ScanExpr("synthetic"),
-                                roles={"q_role"})
-            dsms.run(**kwargs)
-            return dsms
-
-        local, sharded = run(), run(shards=2)
-        assert local.audit is not None and sharded.audit is not None
-        drops = self.drops_by_operator(local)
-        assert drops and sum(map(len, drops.values())) \
-            == local.audit.counts["shield.drop"] > 0
-        assert self.drops_by_operator(sharded) == drops

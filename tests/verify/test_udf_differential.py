@@ -2,18 +2,17 @@
 
 A ``{"udf": name}`` select condition must deliver the oracle's exact
 multiset under every configuration ``configs_for`` generates —
-element-wise / segment-batched, NL / index join, and the
-1/2/4-worker sharded executor — because the registered callable *is*
-the semantics on both sides: the oracle calls it directly while the
-engine routes it through ``FuncCondition``, the effect analyzer's
-proofs and the shard-safety gate.  Zero mismatches here is the PR's acceptance
-bar for the whole proof chain.
+element-wise / segment-batched, NL / index join, audited and traced —
+because the registered callable *is* the semantics on both sides: the
+oracle calls it directly while the engine routes it through
+``FuncCondition`` and the effect analyzer's proofs.  Zero mismatches
+here is the acceptance bar for the whole proof chain.
 """
 
 import json
 
 from repro.operators.udfs import udf_entry
-from repro.verify.differ import verify_scenario
+from repro.verify.differ import configs_for, verify_scenario
 from repro.verify.generator import Scenario
 
 
@@ -75,8 +74,9 @@ def _udf_scenario():
 
 def test_udf_select_matches_oracle_everywhere():
     """Zero mismatches across the full engine-configuration matrix."""
-    report = verify_scenario(_udf_scenario())
-    assert report.configs_run >= 10
+    scenario = _udf_scenario()
+    report = verify_scenario(scenario)
+    assert report.configs_run >= len(configs_for(scenario)) >= 6
     assert not report.mismatches, [str(m) for m in report.mismatches]
 
 
