@@ -228,7 +228,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"({report.tuples_in} tuples, {report.sps_in} sps)")
     print(f"delivered:    "
           f"{sum(len(r.tuples) for r in results.values())} tuples")
-    print(f"drops:        {totals['drops']}")
+    print(f"drops:        {totals['drops'] + report.entry_drops} "
+          f"({report.entry_drops} at stream entries)")
     print(f"wall time:    {report.wall_time:.4f}s")
     analyzer = dsms.analyzer
     print(f"analyzer:     {analyzer.sps_in} sps in, "

@@ -138,7 +138,9 @@ def combine_batch(
 
     This is the analyzer's "combine similar policies" duty: the merged
     sp authorizes the union of the merged roles.  Sps whose SRP is not
-    enumerable are passed through unchanged.  Input order of distinct
+    enumerable are passed through unchanged, and so are incremental
+    ones: an incremental batch edits the policy in order, and merging
+    same-sign sps would reorder its edits.  Input order of distinct
     (ddp, sign) groups is preserved.
     """
     if len(sps) == 1:
@@ -147,11 +149,11 @@ def combine_batch(
     order: list[tuple] = []
     passthrough: list[SecurityPunctuation] = []
     for sp in sps:
-        if sp.srp.concrete_roles() is None:
+        if sp.incremental or sp.srp.concrete_roles() is None:
             passthrough.append(sp)
             continue
         key = (sp.ddp, sp.sign, sp.ts, sp.immutable, sp.provider,
-               sp.srp.model_type, sp.incremental)
+               sp.srp.model_type)
         if key not in merged:
             merged[key] = []
             order.append(key)

@@ -90,6 +90,8 @@ class DSMS:
         self.analyzer.bind_observability(self.observability)
         self.catalog = StreamCatalog()
         self.queries: dict[str, ContinuousQuery] = {}
+        #: The last compiled plan, whose shields and entry gates
+        #: :meth:`update_query_roles` rewrites.
         self._live_plan: PhysicalPlan | None = None
         self._live_shields: dict[str, list[SecurityShield]] = {}
         self.last_report: ExecutionReport | None = None
@@ -164,7 +166,6 @@ class DSMS:
                     self.rbac.unlock(user_id)
                 raise
         self.queries[name] = query
-        self._live_plan = None
         return query
 
     def _stream_facts(self) -> StreamFacts:
@@ -196,7 +197,6 @@ class DSMS:
             raise QueryError(f"unknown query: {name!r}")
         if query.user_id is not None and self.rbac is not None:
             self.rbac.unlock(query.user_id)
-        self._live_plan = None
 
     def update_query_roles(self, name: str, roles) -> None:
         """Runtime role re-binding (paper future work).
@@ -230,6 +230,9 @@ class DSMS:
         self.queries[name].roles = roles  # type: ignore[misc]
         for shield in live:
             shield.rebind(roles)
+        if self._live_plan is not None:
+            # ∪R at every stream entry follows the outlets' predicates.
+            self._live_plan.refresh_gates()
 
     def shields(self, query_name: str) -> tuple[SecurityShield, ...]:
         """Read-only view of a query's live Security Shields.

@@ -26,6 +26,13 @@ nothing about dispatch (a verdict over a run is one run record), so
 the interleaving of audit events *across* operators follows the cut
 and is not part of the contract.
 
+An element first meets its stream's entry gate
+(:class:`~repro.engine.plan.EntryGate`, one per stream): it holds an
+sp-batch until the segment's first tuple, then hands the batch on
+normalised — or, on a gated stream, drops the segment when its plain
+grant names no role of any query reading the stream.  That
+is the one place where ``run`` and ``feed`` do more than push.
+
 The push loop is iterative, so deep plans never hit Python's recursion
 limit and per-element call overhead stays flat.  Its first hop is a
 walk over the stream's entry targets (sibling selects are one
@@ -60,18 +67,23 @@ from repro.stream.element import StreamElement
 
 __all__ = ["Executor", "ExecutionReport"]
 
+#: The site of a stream no operator reads.
+_NO_SITE = ((), False, None)
+
 
 class ExecutionReport:
     """Summary of one plan execution, including per-stage metrics."""
 
     __slots__ = ("elements_in", "tuples_in", "sps_in", "wall_time",
-                 "_stages", "_stage_index")
+                 "entry_drops", "_stages", "_stage_index")
 
     def __init__(self):
         self.elements_in = 0
         self.tuples_in = 0
         self.sps_in = 0
         self.wall_time = 0.0
+        #: Tuples the stream entries dropped (no operator stage saw them).
+        self.entry_drops = 0
         self.stages = []
 
     @property
@@ -115,7 +127,11 @@ class Executor:
                  *, tracer: Tracer | None = None,
                  instruments=None):
         self.plan = plan
-        self._sites = plan.push_sites()
+        gates = plan.entry_gates()
+        #: stream id -> ``(hops, serial, entry gate or None)``.
+        self._sites = {stream_id: (hops, serial, gates.get(stream_id))
+                       for stream_id, (hops, serial)
+                       in plan.push_sites().items()}
         #: ``None`` = tracing off.
         self.tracer = tracer
         #: Engine metric instruments (``None`` = metrics off; the run
@@ -135,9 +151,8 @@ class Executor:
             tracer.span("executor.run.start",
                         operators=len(self.plan.nodes))
         start = perf_counter()
-        push = self._push
+        feed_one = self.feed
         instruments = self.instruments
-        get_site = self._sites.get
         sp_type = SecurityPunctuation
         # Report counters accumulate in locals — one attribute store
         # after the loop instead of three loads+stores per element.
@@ -168,8 +183,7 @@ class Executor:
                 if tracer is not None:
                     tracer.begin("tuple", stream=stream_id,
                                  ts=element.ts)
-            hops, serial = get_site(stream_id, ((), False))
-            push(hops, serial, element)
+            feed_one(stream_id, element)
         report.elements_in = elements_in
         report.tuples_in = tuples_in
         report.sps_in = sps_in
@@ -180,6 +194,7 @@ class Executor:
             instruments.runs.inc()
             instruments.run_seconds.observe(report.wall_time)
         report.stages = self.stage_stats()
+        report.entry_drops = self.entry_drops()
         if tracer is not None:
             tracer.span("executor.run.end",
                         elements_in=report.elements_in,
@@ -193,9 +208,27 @@ class Executor:
         """Current per-operator metric snapshots (plan order)."""
         return [node.operator.stage_stats() for node in self.plan.nodes]
 
+    def entry_drops(self) -> int:
+        """Tuples the stream entries dropped so far."""
+        return sum(gate.dropped for _, _, gate in self._sites.values()
+                   if gate is not None)
+
     def feed(self, stream_id: str, element: StreamElement) -> None:
-        """Push one element into the plan (incremental driving)."""
-        hops, serial = self._sites.get(stream_id, ((), False))
+        """Push one element into the plan (incremental driving).
+
+        The stream's entry gate holds an sp and decides a tuple or run;
+        what it lets on is pushed.
+        """
+        hops, serial, gate = self._sites.get(stream_id, _NO_SITE)
+        if gate is not None:
+            if type(element) is SecurityPunctuation:
+                gate.observe_sp(element)
+                return
+            sps = gate.admit(element)
+            if sps is None:
+                return
+            for sp in sps:
+                self._push(hops, serial, sp)
         self._push(hops, serial, element)
 
     def _push(self, targets: "Sequence[tuple[PlanNode, int] | SelectGroup]",

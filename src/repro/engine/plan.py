@@ -22,8 +22,10 @@ from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        ProjectExpr, ScanExpr, SelectExpr,
                                        ShieldExpr, UnionExpr, walk)
 from repro.core.bitmap import RoleUniverse
+from repro.core.patterns import ANY
+from repro.core.punctuation import SecurityPunctuation, Sign
 from repro.errors import PlanError
-from repro.operators.base import Operator
+from repro.operators.base import Operator, PolicyTracker
 from repro.operators.conditions import Comparison
 from repro.operators.dupelim import DuplicateElimination
 from repro.operators.groupby import GroupBy
@@ -34,9 +36,19 @@ from repro.operators.select import Select
 from repro.operators.setops import Intersect, Union
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
+from repro.stream.batch import TupleBatch
 from repro.stream.tuples import DataTuple
 
-__all__ = ["PlanNode", "PhysicalPlan", "SelectGroup"]
+__all__ = ["EntryGate", "PlanNode", "PhysicalPlan", "SelectGroup"]
+
+_POSITIVE = Sign.POSITIVE
+
+#: Operators below which a tuple no query's role may see can change no
+#: delivered result (σ, π, ψ, ⋈, ∪, the sinks).  δ, G and ∩ merge a
+#: tuple's policy with other tuples' — a G subgroup's policy is the
+#: union of its members' — so a stream that reaches one is not gated.
+_GATEABLE = frozenset({Select, Project, SecurityShield, NestedLoopSAJoin,
+                       IndexSAJoin, Union, CollectingSink})
 
 
 class PlanNode:
@@ -96,6 +108,121 @@ class SelectGroup:
         return lists
 
 
+class EntryGate(PolicyTracker):
+    """A stream's entry: one ψ_{∪R} check every query shares.
+
+    It is the stream's first :class:`PolicyTracker`: it holds each
+    sp-batch (:meth:`observe_sp`) until the first tuple of its segment,
+    then hands on the batch that took over — an incremental batch as
+    its absolute equivalent, a stale one never — so nothing below an
+    entry needs a batch an operator discarded.  A gated entry
+    (``outlets`` given) also drops a segment, its batch and every run
+    of it, when the batch is a *plain grant* (positive,
+    non-incremental, fully wildcard-scoped sps with concrete roles:
+    what :meth:`~SecurityPunctuation.segment_policy` requires) none of
+    whose roles is in ∪R, the union of the predicates of the outlets of
+    the queries reading the stream.  The decision is made once per
+    sp-batch, from the sps' role sets, never through a resolved policy
+    (it never calls :meth:`policy_for`); each query's outlet stays its
+    own check.
+    """
+
+    __slots__ = ("outlets", "union", "audit", "dropped", "_sps", "_roles",
+                 "_drop", "_fields")
+
+    #: Audit kind of a dropped run.
+    KIND = "entry.drop"
+
+    def __init__(self, stream_id: str,
+                 outlets: "Sequence[tuple[str, SecurityShield]] | None",
+                 audit=None):
+        super().__init__(stream_id)
+        #: ``(query, outlet)`` of every query reading the stream, or
+        #: ``None``: the entry normalises and never drops.
+        self.outlets = outlets
+        self.union: frozenset[str] | None = None
+        self.audit = audit
+        #: Tuples dropped so far.
+        self.dropped = 0
+        #: Sps of the segment in force not yet handed on.
+        self._sps: "Sequence[SecurityPunctuation]" = ()
+        #: Roles of the batch in force if it is a plain grant, else None.
+        self._roles: frozenset[str] | None = None
+        self._drop = False
+        #: ``(predicate, policy, sp, queries)`` of the segment's audit
+        #: records, rendered once per dropped segment.
+        self._fields: tuple | None = None
+        self.rebind()
+
+    def rebind(self) -> None:
+        """Recompute ∪R from the outlets (after a role re-binding); the
+        segment in force is decided again before the next element."""
+        if self.outlets is None:
+            return
+        self.union = frozenset().union(
+            *(outlet.predicate for _, outlet in self.outlets))
+        self._fields = None
+        self._drop = (self._roles is not None
+                      and self._roles.isdisjoint(self.union))
+
+    def admit(self, run) -> "Sequence[SecurityPunctuation] | None":
+        """The sps to push ahead of ``run`` (a tuple or a
+        :class:`TupleBatch`), or ``None``: the run is dropped."""
+        if self._batch:  # an sp arrived since the last tuple
+            self._finalize_batch()
+            pending = self._pending
+            if pending:  # else a stale batch: the segment goes on
+                self._pending = ()
+                self._sps = pending
+                self._fields = None
+                if self.union is not None:
+                    self._roles = roles = (
+                        None if self.delta else _plain_grant_roles(pending))
+                    self._drop = (roles is not None
+                                  and roles.isdisjoint(self.union))
+        if self._drop:
+            tuples = run.tuples if type(run) is TupleBatch else (run,)
+            self.dropped += len(tuples)
+            if self.audit is not None:
+                self._record(tuples)
+            return None
+        sps = self._sps
+        if sps:
+            self._sps = ()
+        return sps
+
+    def _record(self, tuples) -> None:
+        """One must-keep ``entry.drop`` run record per dropped run."""
+        fields = self._fields
+        if fields is None:
+            fields = self._fields = (
+                tuple(sorted(self.union)), tuple(sorted(self._roles)),
+                " | ".join(sp.to_text() for sp in self.current_sps()),
+                tuple(name for name, _ in self.outlets))
+        predicate, policy, sp, queries = fields
+        self.audit.record_run(self.KIND, tuples,
+                              operator=f"entry:{self.stream_id}",
+                              predicate=predicate, policy=policy, sp=sp,
+                              queries=queries)
+
+
+def _plain_grant_roles(batch) -> frozenset[str] | None:
+    """The roles of a plain grant (each sp's ``roles()``, read off its
+    SRP without writing the sp's memo), else ``None``."""
+    for sp in batch:
+        roles = sp.srp.concrete_roles()
+        ddp = sp.ddp
+        if not (roles is not None and sp.sign is _POSITIVE
+                and not sp.incremental
+                and (ddp.stream is ANY or ddp.stream.is_wildcard())
+                and (ddp.tuple_id is ANY or ddp.tuple_id.is_wildcard())
+                and (ddp.attribute is ANY or ddp.attribute.is_wildcard())):
+            return None
+    if len(batch) == 1:
+        return roles
+    return frozenset().union(*(sp.srp.concrete_roles() for sp in batch))
+
+
 class PhysicalPlan:
     """An executable operator DAG."""
 
@@ -108,6 +235,13 @@ class PhysicalPlan:
         #: query name -> (compiled expression, outlet shield), filled by
         #: :meth:`compile_queries`.
         self.queries: dict[str, tuple[LogicalExpr, SecurityShield]] = {}
+        #: A query's sink -> ``(query, outlet)`` (:meth:`compile_queries`).
+        self._sinks: dict[Operator, tuple[str, SecurityShield]] = {}
+        #: stream id -> its :class:`EntryGate`, built by :meth:`entry_gates`.
+        self.gates: dict[str, EntryGate] = {}
+        #: The audit log entry drops are recorded into
+        #: (:meth:`bind_observability`).
+        self.audit = None
 
     # -- construction ------------------------------------------------------
     def add(self, operator: Operator) -> PlanNode:
@@ -180,6 +314,7 @@ class PhysicalPlan:
                 outlet = SecurityShield(roles, name=f"delivery:{name}")
                 self.compile_chain(expr, [outlet, sink])
             self.queries[name] = (expr, outlet)
+            self._sinks[sink] = (name, outlet)
         return sinks
 
     def _attach(self, outlet: "str | PlanNode", node: PlanNode,
@@ -296,6 +431,49 @@ class PhysicalPlan:
                 if node not in later), serial)
         return sites
 
+    def entry_gates(self) -> dict[str, EntryGate]:
+        """A fresh :class:`EntryGate` per stream entry.
+
+        A stream is gated — its entry may drop — when everything
+        reachable from it is σ, π, ψ, ⋈, ∪ or a sink, and every node
+        with nothing downstream is the sink of a query compiled by
+        :meth:`compile_queries`; ∪R is then the union of those queries'
+        outlet predicates (:meth:`refresh_gates` recomputes it).
+        Otherwise — a hand-built reader, a δ, G or ∩ — the entry only
+        normalises.
+        """
+        self.gates = {}
+        order = {name: rank for rank, name in enumerate(self.queries)}
+        for stream_id, targets in self.entries.items():
+            outlets: "list[tuple[str, SecurityShield]] | None" = []
+            seen: set[PlanNode] = set()
+            stack = [node for node, _ in targets]
+            while stack and outlets is not None:
+                node = stack.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                operator = node.operator
+                if type(operator) not in _GATEABLE:
+                    outlets = None
+                elif not node.downstream:
+                    query = self._sinks.get(operator)
+                    if query is None:
+                        outlets = None
+                    else:
+                        outlets.append(query)
+                stack.extend(child for child, _ in node.downstream)
+            if outlets is not None:
+                outlets.sort(key=lambda query: order[query[0]])
+            self.gates[stream_id] = EntryGate(stream_id, outlets, self.audit)
+        return self.gates
+
+    def refresh_gates(self) -> None:
+        """Recompute each gate's ∪R from the outlets' predicates (role
+        re-binding: takes effect from the next element)."""
+        for gate in self.gates.values():
+            gate.rebind()
+
     # -- introspection ----------------------------------------------------------
     def bind_observability(
             self, observability) -> dict[str, list[SecurityShield]]:
@@ -325,6 +503,7 @@ class PhysicalPlan:
             for shield in shields[name]:
                 observability.bind(shield, query=name)
         if observability.audit is not None:
+            self.audit = observability.audit
             for operator in self.operators():
                 if operator.audit is None:
                     observability.bind(operator)

@@ -205,6 +205,7 @@ class StreamingSession:
         report.sps_in = self._sps_pushed
         report.tuples_in = self.elements_pushed - self._sps_pushed
         report.stages = self._executor.stage_stats()
+        report.entry_drops = self._executor.entry_drops()
         return report
 
     # -- lifecycle -------------------------------------------------------------

@@ -18,6 +18,13 @@ Event kinds currently recorded:
 ``shield.drop``
     A shield (including the per-query delivery shield) discarded one
     tuple.  Exactly one event per denied tuple per shield.
+``entry.drop``
+    A stream's entry (:class:`~repro.engine.plan.EntryGate`) dropped
+    one tuple of a segment whose plain grant names no role of any
+    query reading the stream; ``predicate`` is that union of roles,
+    ``policy`` the grant's roles, ``sp`` the governing sp-batch and
+    ``detail["queries"]`` the queries reading the stream.  Held as
+    one run record per dropped run.
 ``filter.drop``
     An access filter (pre-/post-filtering layouts) discarded one
     tuple; ``sp`` names the governing sp-batch (``None`` under

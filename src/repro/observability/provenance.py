@@ -27,7 +27,9 @@ recorded once, in the hub's :class:`~repro.observability.audit.AuditLog`
 (denials always; passes while the trace is sampled, stamped with its
 ``trace_id``), and :func:`reconstruct_why` renders
 ``audit.explain(tid)`` — governing sp, resolved policy, role match,
-delivery — with no second copy in the span ring.
+delivery — with no second copy in the span ring.  A run a stream's
+entry dropped (``entry.drop``) is rendered as the reason for every
+query reading the stream.
 """
 
 from __future__ import annotations
@@ -276,6 +278,11 @@ class WhyReport:
             if event.predicate:
                 lines.append(f"    role predicate: "
                              f"{', '.join(event.predicate)}")
+            queries = event.detail.get("queries")
+            if queries:
+                # An entry drop: no query reading the stream may see it.
+                lines.append(f"    denied to every query reading "
+                             f"{event.sid}: {', '.join(queries)}")
         delivered = self.delivered_queries
         if delivered:
             lines.append(f"  delivered to: {', '.join(delivered)}")

@@ -268,15 +268,18 @@ class PolicyTracker:
 
     ``policy_for(t)`` resolves the current policy for a concrete tuple,
     sharing one resolved :class:`TuplePolicy` across a whole segment
-    when the policy is uniform (wildcard tuple/attribute DDPs).  Every
-    sp-aware operator asks a tracker; the stateful ones (join,
-    intersection) store its answers in their windows and open a
+    when the policy is uniform (wildcard tuple/attribute DDPs).  A
+    batch is resolved by the first ``policy_for`` (or ``is_uniform``)
+    after it took over, never when it is finalised, so a reader that
+    only takes the pending sps — a stream's entry gate — builds no
+    policy.  Every sp-aware operator asks a tracker; the stateful ones
+    (join, intersection) store its answers in their windows and open a
     segment from :meth:`take_pending_sps`.
     """
 
     __slots__ = ("stream_id", "_current", "_current_raw", "_current_ts",
                  "_batch", "_pending", "_uniform", "_shared",
-                 "_shared_any", "_cache")
+                 "_shared_any", "_cache", "_resolved", "delta")
 
     def __init__(self, stream_id: str):
         #: Nominal input stream (informational; resolution always uses
@@ -297,6 +300,11 @@ class PolicyTracker:
         #: the hot path for segment-shared policies.
         self._shared_any: TuplePolicy | None = None
         self._cache: dict[tuple, TuplePolicy] = {}
+        #: Whether the current batch has been resolved (:meth:`_resolve`).
+        self._resolved = True
+        #: Whether the policy in force arrived as an incremental batch
+        #: (and is held as its absolute equivalent).
+        self.delta = False
 
     # -- sp arrival -------------------------------------------------------
     def observe_sp(self, sp: SecurityPunctuation) -> None:
@@ -305,13 +313,15 @@ class PolicyTracker:
         self._batch.append(sp)
 
     def _finalize_batch(self) -> None:
+        """Install the arrived batch as the policy in force (or discard
+        it if stale); resolving it waits for the first tuple that asks
+        (:meth:`_resolve`), so a reader that never asks pays nothing."""
         batch = self._batch
         if not batch:
             return
-        # A lone sp that resolves by itself (a plain grant) brings the
-        # policy every tracker reading the object shares; it is absolute.
-        shared = batch[0].segment_policy() if len(batch) == 1 else None
-        if shared is None and any(sp.incremental for sp in batch):
+        delta = batch[0].incremental or (
+            len(batch) > 1 and any(sp.incremental for sp in batch))
+        if delta:
             if not all(sp.incremental for sp in batch):
                 raise PolicyError(
                     "an sp-batch must not mix incremental and "
@@ -333,12 +343,24 @@ class PolicyTracker:
         self._current_raw = tuple(batch)
         self._current_ts = ts
         self._current = None
+        self._shared_any = None
+        self._resolved = False
+        self.delta = delta
+
+    def _resolve(self) -> None:
+        """Resolution state of the batch in force (once per batch)."""
+        self._resolved = True
+        batch = self._current_raw
         self._shared = {}
-        self._shared_any = shared
         self._cache = {}
         self._uniform = True
-        if shared is not None:
-            return
+        # A lone sp that resolves by itself (a plain grant) brings the
+        # policy every tracker reading the object shares.
+        if len(batch) == 1:
+            shared = batch[0].segment_policy()
+            if shared is not None:
+                self._shared_any = shared
+                return
         # Sid-independent fast path: a batch of positive sps with fully
         # wildcard DDPs resolves identically for every tuple.
         for sp in batch:
@@ -351,7 +373,7 @@ class PolicyTracker:
         roles: set[str] = set()
         for sp in batch:
             roles |= sp.roles()
-        self._shared_any = TuplePolicy(frozenset(roles), ts=ts)
+        self._shared_any = TuplePolicy(frozenset(roles), ts=batch[0].ts)
 
     def _materialized(self) -> Policy | None:
         """The current batch as a :class:`Policy` (``None`` before any sp)."""
@@ -386,10 +408,14 @@ class PolicyTracker:
             self._finalize_batch()
         if self._shared_any is not None:
             return self._shared_any
+        if not self._resolved:
+            self._resolve()
+            if self._shared_any is not None:
+                return self._shared_any
         current = self._current
         if current is None:
             # No sp yet (a batch with no shared policy is materialized
-            # when it is finalised): denial-by-default.
+            # when it is resolved): denial-by-default.
             return EMPTY_POLICY
         if self._uniform:
             shared = self._shared.get(item.sid)
@@ -414,6 +440,8 @@ class PolicyTracker:
     def is_uniform(self) -> bool:
         """Whether the current policy resolves identically for all tuples."""
         self._finalize_batch()
+        if not self._resolved:
+            self._resolve()
         return self._uniform
 
     def take_pending_sps(self) -> list[SecurityPunctuation]:

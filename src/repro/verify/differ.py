@@ -167,9 +167,10 @@ class EngineOutcome:
     #: Delivery-shield drop counts from the audit trail (every
     #: observed run: audited and traced configs).
     denied: "dict[str, int] | None" = None
-    #: ``audit.counts["shield.drop"]`` minus the ``shield.drop`` events
-    #: the log expands to — non-zero means the log's run accounting
-    #: lost or invented decisions (observed runs, nothing evicted).
+    #: ``audit.counts`` of ``shield.drop`` and ``entry.drop`` minus the
+    #: events of those kinds the log expands to — non-zero means the
+    #: log's run accounting lost or invented decisions (observed runs,
+    #: nothing evicted).
     audit_gap: int = 0
     total_drops: int = 0
 
@@ -241,8 +242,10 @@ def run_engine(scenario: Scenario, config: EngineConfig,
             for name in scenario.queries
         }
         if not dsms.audit.evicted:
-            outcome.audit_gap = (dsms.audit.counts["shield.drop"]
-                                 - len(drops))
+            outcome.audit_gap = sum(
+                dsms.audit.counts[kind]
+                - len(dsms.audit.events(kind=kind))
+                for kind in ("shield.drop", "entry.drop"))
     return outcome
 
 
@@ -381,7 +384,7 @@ def verify_scenario(scenario: Scenario, *,
         if outcome.audit_gap:
             report.mismatches.append(Mismatch(
                 descr, config.label, "*", "denied",
-                f"audit.counts and the expanded shield.drop events "
+                f"audit.counts and the expanded drop events "
                 f"differ by {outcome.audit_gap}"))
         if not config.audit:
             drops_by_plan.setdefault(config.join_variant, {})[

@@ -4,11 +4,12 @@ Streams in the wild lose, duplicate and reorder elements.  The paper's
 model gives each fault a precise expected outcome, and this module
 checks the engine against it:
 
-* **Benign faults** — reordering sps *within* one sp-batch and
-  duplicating an sp inside its batch.  An sp-batch is one policy
-  (union semantics: order-insensitive, idempotent), so the engine run
-  over the faulted stream must match the oracle over the *original*
-  stream exactly.
+* **Benign faults** — reordering sps *within* one absolute sp-batch
+  and duplicating an sp inside its batch.  An sp-batch is one policy
+  (union semantics: order-insensitive, idempotent; an incremental
+  batch's edits are applied in order, so only duplication is benign
+  there), so the engine run over the faulted stream must match the
+  oracle over the *original* stream exactly.
 * **Consistency faults** — dropping an sp, dropping a whole batch,
   truncating a batch.  These change the policy, so the expected
   behaviour is whatever the oracle computes over the *faulted* stream;
@@ -76,11 +77,15 @@ def _sp_batches(elements: "list[StreamElement]") -> "list[tuple[int, int]]":
 
 
 def reorder_within_batches(rng: random.Random):
-    """Shuffle each sp-batch in place (benign: a batch is a set)."""
+    """Shuffle each absolute sp-batch in place (benign: a batch is a
+    set).  An incremental batch edits the policy in order, so it keeps
+    its order."""
     def mutate(sid, elements):
         out = list(elements)
         for start, stop in _sp_batches(out):
             chunk = out[start:stop]
+            if chunk[0].incremental:
+                continue
             rng.shuffle(chunk)
             out[start:stop] = chunk
         return out

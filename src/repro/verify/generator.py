@@ -7,10 +7,11 @@ them directly, the differ compiles them to engine expressions) and the
 knob settings that produced them.
 
 Determinism discipline: every random draw comes from one
-``random.Random(f"sp-verify:{seed}:{index}")`` instance — no wall
-clock, no global random state — so ``repro verify --seed N`` is
-byte-reproducible and every scenario can be regenerated from its
-``(seed, index)`` pair alone.
+``random.Random(f"sp-verify:{seed}:{index}")`` instance (plus one
+draw of its own deciding whether a ``select``/``multi_query`` scenario
+carries incremental sp-batches) — no wall clock, no global random
+state — so ``repro verify --seed N`` is byte-reproducible and every
+scenario can be regenerated from its ``(seed, index)`` pair alone.
 
 Generated shield predicates always *contain* the query's roles
 (conjunct = query roles ∪ extras).  This matches how shields arise in
@@ -182,9 +183,21 @@ def _gen_sp_batch(rng: random.Random, state: _StreamState,
     state.ts += round(rng.uniform(0.5, 2.0), 2)
     batch_ts = state.ts
     size = rng.randint(1, knobs["sp_batch_max"])
+    if knobs.get("p_incremental") and rng.random() < knobs["p_incremental"]:
+        # An incremental batch edits the roles in force, sp by sp in
+        # order (its stream carries wildcard-scoped sps only).
+        for _ in range(size):
+            sp = SecurityPunctuation.grant(
+                _draw_roles(rng, 2), batch_ts, provider=state.sid,
+                incremental=True)
+            if rng.random() < 0.4:
+                sp = sp.with_sign(Sign.NEGATIVE)
+            state.elements.append(sp)
+        return
     for position in range(size):
         stream_pattern = (literal(state.sid)
-                          if rng.random() < 0.8 else ANY)
+                          if rng.random() < knobs["p_stream_scoped"]
+                          else ANY)
         tuple_pattern = ANY
         attribute_pattern = ANY
         if rng.random() < knobs["p_tuple_scoped"] and upcoming_tids:
@@ -232,10 +245,13 @@ def _gen_tuples(rng: random.Random, state: _StreamState, count: int,
 def _gen_stream(rng: random.Random, sid: str, attributes: tuple,
                 knobs: dict, *, wildcard_only: bool = False) -> dict:
     state = _StreamState(sid, attributes, ts=rng.choice([0.0, 0.25, 0.5]))
-    local = dict(knobs)
-    if wildcard_only:
+    local = dict(knobs, p_stream_scoped=0.8)
+    if wildcard_only or knobs.get("p_incremental"):
         local["p_tuple_scoped"] = 0.0
         local["p_attr_scoped"] = 0.0
+    if knobs.get("p_incremental"):
+        # Incremental sps edit a fully wildcard-scoped policy only.
+        local["p_stream_scoped"] = 0.0
     # Denial-by-default prefix: tuples before any sp.
     if rng.random() < 0.3:
         _gen_tuples(rng, state, rng.randint(1, 2), share_batch_ts=False)
@@ -319,6 +335,13 @@ def generate_scenario(seed: int, index: int) -> Scenario:
     knobs = _knobs(rng)
     shapes, weights = zip(*SHAPES)
     shape = rng.choices(shapes, weights=weights, k=1)[0]
+    if shape in ("select", "multi_query") and random.Random(
+            f"sp-verify:{seed}:{index}:incremental").random() < 0.5:
+        # Incremental batches in the shapes that carry a select (σ
+        # discards the sps of a segment none of whose tuples passes).
+        # Drawn apart from ``rng``: a scenario without them is the one
+        # generated before they existed.
+        knobs["p_incremental"] = 0.4
 
     streams: dict = {}
     queries: dict = {}

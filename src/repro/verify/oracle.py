@@ -13,7 +13,9 @@ Semantics implemented here, straight from the paper:
   (one policy); the tuples up to the next batch form an s-punctuated
   segment governed by it (``match``/``union`` within the batch,
   ``override`` across batches — a newer batch replaces, an equal-ts
-  batch refreshes, a stale batch is discarded).
+  batch refreshes, a stale batch is discarded).  An all-incremental
+  batch edits the roles of the (wildcard-scoped) policy in force, in
+  order: a positive sp adds its roles, a negative one removes them.
 * **Denial-by-default**: a tuple preceded by no applicable positive sp
   resolves to the empty role set and is invisible everywhere.
 * **Resolution**: positive sps whose DDP describes the object grant
@@ -25,6 +27,11 @@ Semantics implemented here, straight from the paper:
   Derived tuples (join results, aggregates, re-emitted duplicates)
   carry their resolved role set directly, mirroring how the engine
   propagates wildcard grant sps for them.
+* **Entry drops**: delivery is computed over every tuple; the per-query
+  denial counts over what a stream's entry lets on.  A stream no δ or
+  G sits above drops a tuple whose governing batch is a *plain grant*
+  (positive, absolute, fully wildcard-scoped sps with enumerable
+  roles) none of whose roles any query reading the stream holds.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ __all__ = [
     "NaiveTracker",
     "OracleOutcome",
     "canonical_tid",
+    "entry_feed",
+    "entry_readers",
     "merge_streams",
     "resolve_batch",
     "run_oracle",
@@ -64,6 +73,8 @@ class NaiveTracker:
         self._pending: list[SecurityPunctuation] = []
         self._current: tuple[SecurityPunctuation, ...] = ()
         self._current_ts = float("-inf")
+        #: Whether the governing batch arrived as an incremental one.
+        self.delta = False
 
     def observe(self, sp: SecurityPunctuation) -> None:
         if self._pending and sp.ts != self._pending[0].ts:
@@ -75,10 +86,37 @@ class NaiveTracker:
             return
         batch = tuple(self._pending)
         self._pending = []
-        if batch[0].ts < self._current_ts:
+        ts = batch[0].ts
+        if ts < self._current_ts:
             return  # stale policy: discarded, the newer one stays
-        self._current = batch
-        self._current_ts = batch[0].ts
+        self.delta = any(sp.incremental for sp in batch)
+        self._current = self._edited(batch) if self.delta else batch
+        self._current_ts = ts
+
+    def _edited(self, batch: tuple) -> tuple:
+        """The governing roles edited by an all-incremental ``batch``,
+        as one wildcard grant (none: nobody is left)."""
+        if not all(sp.incremental for sp in batch):
+            raise ValueError("an sp-batch mixes incremental and absolute sps")
+        roles: set[str] = set()
+        for sp in self._current:
+            ddp = sp.ddp
+            if not (ddp.stream.is_wildcard() and ddp.tuple_id.is_wildcard()
+                    and ddp.attribute.is_wildcard()):
+                raise ValueError("incremental sps edit a wildcard policy only")
+            if sp.is_positive:
+                roles |= sp.roles()
+        for sp in self._current:
+            if not sp.is_positive:
+                roles = {r for r in roles if not sp.srp.authorizes(r)}
+        for sp in batch:
+            if sp.is_positive:
+                roles |= sp.roles()
+            else:
+                roles -= sp.roles()
+        if not roles:
+            return ()
+        return (SecurityPunctuation.grant(sorted(roles), batch[0].ts),)
 
     def governing(self) -> tuple[SecurityPunctuation, ...]:
         """The batch governing a tuple arriving now (finalizes pending)."""
@@ -532,6 +570,92 @@ class OracleOutcome:
     denied: dict[str, int] = field(default_factory=dict)
 
 
+def _scans(spec: dict, merged: bool = False):
+    """``(stream, merged)`` per scan of ``spec``: ``merged`` when a δ or
+    G sits above it (it merges a tuple's policy with other tuples')."""
+    if spec["op"] == "scan":
+        yield spec["stream"], merged
+        return
+    merged = merged or spec["op"] in ("dupelim", "groupby")
+    for key in ("input", "left", "right"):
+        child = spec.get(key)
+        if child is not None:
+            yield from _scans(child, merged)
+
+
+def entry_readers(queries: "dict[str, dict]") -> "dict[str, frozenset | None]":
+    """Per stream a query reads, the union of the roles of the queries
+    reading it — ``None`` where a δ or G sits above one of its scans,
+    so its entry drops nothing."""
+    readers: dict[str, frozenset | None] = {}
+    merged_streams: set[str] = set()
+    for query in queries.values():
+        for sid, merged in _scans(query["plan"]):
+            readers[sid] = readers.get(sid, frozenset()) | frozenset(
+                query["roles"])
+            if merged:
+                merged_streams.add(sid)
+    return {sid: None if sid in merged_streams else roles
+            for sid, roles in readers.items()}
+
+
+def _plain_grant_roles(
+        batch: Sequence[SecurityPunctuation]) -> frozenset[str] | None:
+    """Roles of a plain grant — positive, absolute sps with fully
+    wildcard DDPs and enumerable roles — else ``None``."""
+    if not batch:
+        return None
+    roles: set[str] = set()
+    for sp in batch:
+        ddp = sp.ddp
+        if not (sp.is_positive and not sp.incremental
+                and ddp.stream.is_wildcard() and ddp.tuple_id.is_wildcard()
+                and ddp.attribute.is_wildcard()
+                and sp.srp.concrete_roles() is not None):
+            return None
+        roles |= sp.roles()
+    return frozenset(roles)
+
+
+def entry_feed(feed: "list[tuple[str, StreamElement]]",
+               queries: "dict[str, dict]") -> list:
+    """``feed`` without the tuples a stream's entry drops: those of a
+    segment governed by a plain grant (not an incremental edit) that
+    names no role of any query reading the stream."""
+    readers = entry_readers(queries)
+    trackers = {sid: NaiveTracker() for sid, roles in readers.items()
+                if roles is not None}
+    out = []
+    for sid, element in feed:
+        tracker = trackers.get(sid)
+        if tracker is not None:
+            if isinstance(element, SecurityPunctuation):
+                tracker.observe(element)
+            else:
+                roles = _plain_grant_roles(tracker.governing())
+                if (not tracker.delta and roles is not None
+                        and roles.isdisjoint(readers[sid])):
+                    continue
+        out.append((sid, element))
+    return out
+
+
+def _interpret(plan: dict, qroles: frozenset[str],
+               feed: "list[tuple[str, StreamElement]]") -> tuple[list, int]:
+    """``(delivered signatures, denied count)`` of one query over ``feed``."""
+    root = build_node(plan)
+    delivered: list[tuple] = []
+    denied = 0
+    for sid, element in feed:
+        for item, annot in root.feed(sid, element):
+            roles = resolve(annot, item)
+            if roles & qroles:
+                delivered.append(signature(item, roles))
+            else:
+                denied += 1
+    return delivered, denied
+
+
 def run_oracle(streams: "dict[str, list[StreamElement]]",
                queries: "dict[str, dict]") -> OracleOutcome:
     """Interpret every query independently over the merged feed.
@@ -540,22 +664,18 @@ def run_oracle(streams: "dict[str, list[StreamElement]]",
     A delivered tuple's signature carries its *full* resolved role set
     (the delivery check only gates on intersection with the query's
     roles, it does not narrow the emitted policy — exactly what the
-    engine's delivery shield does).
+    engine's delivery shield does).  Delivery is read off the whole
+    feed; the denial counts off what the streams' entries let on
+    (:func:`entry_feed`).
     """
     feed = merge_streams(streams)
+    entered = entry_feed(feed, queries)
     outcome = OracleOutcome()
     for name, query in queries.items():
-        root = build_node(query["plan"])
         qroles = frozenset(query["roles"])
-        delivered: list[tuple] = []
-        denied = 0
-        for sid, element in feed:
-            for item, annot in root.feed(sid, element):
-                roles = resolve(annot, item)
-                if roles & qroles:
-                    delivered.append(signature(item, roles))
-                else:
-                    denied += 1
+        delivered, denied = _interpret(query["plan"], qroles, feed)
+        if len(entered) != len(feed):
+            _, denied = _interpret(query["plan"], qroles, entered)
         outcome.delivered[name] = delivered
         outcome.denied[name] = denied
     return outcome

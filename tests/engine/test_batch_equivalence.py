@@ -301,7 +301,9 @@ def test_select_project_shield_chain():
 
 def test_opaque_condition_call_count_and_order():
     """An opaque UDF conjunct is called once per tuple that survived
-    the conjuncts before it, in stream order, on both paths."""
+    the conjuncts before it, in stream order, on both paths — and never
+    on a tuple of a segment no role of the query may see: the stream's
+    entry drops those first."""
     elements = uniform_stream(5, 10, n_tuples=120)
     calls = []
 
@@ -318,9 +320,15 @@ def test_opaque_condition_call_count_and_order():
                             roles={"q_role"})
         return dsms
 
-    survivors = [e.tid for e in elements
-                 if isinstance(e, DataTuple) and e.values["x"] > 300.0]
-    assert survivors
+    survivors, visible = [], False
+    for e in elements:
+        if isinstance(e, SecurityPunctuation):
+            visible = "q_role" in e.roles()
+        elif visible and e.values["x"] > 300.0:
+            survivors.append(e.tid)
+    # 94 tuples pass x > 300; 39 of them are in segments q_role may not
+    # see (the UDF was called on all 94 before entries dropped).
+    assert len(survivors) == 55
     for observability in (True, False):
         calls.clear()
         plain, batched = run_both(make, observability=observability)
@@ -491,11 +499,20 @@ def test_udf_raising_mid_run_fails_closed(k):
     same per operator; the aborted run is all-or-nothing under
     ``run()`` (the select never hands it on) and a row prefix in the
     session, and neither decides anything about the failing row or a
-    later one.
+    later one.  The run is the first at or after tuple 50 that q_role
+    may see: a run of a segment nobody may see is dropped at the
+    stream's entry and never reaches the UDF.
     """
     elements = uniform_stream(2, 10, n_tuples=120)
-    tuples = [e for e in elements if isinstance(e, DataTuple)]
-    run_start, failing = tuples[50], tuples[50 + k]
+    runs, visible = [], False
+    for e in elements:
+        if isinstance(e, SecurityPunctuation):
+            visible = "q_role" in e.roles()
+            runs.append([])
+        elif visible and e.tid >= 50:
+            runs[-1].append(e)
+    run = next(run for run in runs if run)
+    run_start, failing = run[0], run[k]
 
     def explode(item):
         if item is failing:

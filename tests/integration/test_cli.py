@@ -134,7 +134,9 @@ class TestAuditCommand:
         code = main(["audit"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "shield.drop" in out
+        # The demo's one denial is its {C, D} segment, dropped at the
+        # stream's entry.
+        assert "entry.drop" in out
         assert "recorded:" in out
 
     def test_explain_tuple(self, capsys):
@@ -163,7 +165,7 @@ class TestAuditCommand:
         assert "wrote" in out
         records = [json.loads(line)
                    for line in path.read_text().splitlines()]
-        assert any(r["kind"] == "shield.drop" for r in records)
+        assert any(r["kind"] == "entry.drop" for r in records)
 
 
 class TestMetricsCommand:

@@ -49,6 +49,9 @@ class TestShieldAudit:
     def test_denied_tuple_produces_exactly_one_drop_record(self):
         dsms = observed_dsms()
         dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
+        # A D query keeps the {C, D} segment past the stream's entry,
+        # so the nurse shield decides it.
+        dsms.register_query("doctor", ScanExpr("hr"), roles={"D"})
         dsms.run()
         drops = dsms.audit.events(kind="shield.drop")
         # Tuple 3 is in the {C, D} segment; the nurse shield denies it
@@ -88,11 +91,32 @@ class TestShieldAudit:
     def test_segment_verdicts_recorded(self):
         dsms = observed_dsms()
         dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
+        # A D query keeps the {C, D} segment past the stream's entry,
+        # so the nurse shield evaluates it.
+        dsms.register_query("doctor", ScanExpr("hr"), roles={"D"})
         dsms.run()
-        segments = dsms.audit.events(kind="shield.segment")
+        segments = dsms.audit.events(kind="shield.segment",
+                                     query="nurse")
         verdicts = [e.detail["verdict"] for e in segments
                     if e.operator == "SecurityShield"]
         assert verdicts == ["pass", "drop"]
+
+    def test_segment_no_query_may_see_is_one_entry_record(self):
+        """Alone, the nurse query leaves no role of the {C, D} segment
+        registered: the stream's entry drops it, and the drop is an
+        ``entry.drop`` record naming ∪R, the grant and the readers."""
+        dsms = observed_dsms()
+        dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
+        dsms.run()
+        assert not dsms.audit.events(kind="shield.drop")
+        (event,) = dsms.audit.events(kind="entry.drop")
+        assert (event.tid, event.sid, event.operator) == (3, "hr", "entry:hr")
+        assert event.query is None and event.detail["queries"] == ("nurse",)
+        assert event.predicate == ("ND",) and event.policy == ("C", "D")
+        assert event.sp is not None and "3.0" in event.sp
+        verdicts = [e.detail["verdict"]
+                    for e in dsms.audit.events(kind="shield.segment")]
+        assert verdicts == ["pass"]
 
     def test_disabled_observability_records_nothing(self):
         dsms = DSMS()
@@ -123,7 +147,10 @@ class TestMidSessionRebind:
         assert all(e.predicate == ("C",) for e in rebinds)
         assert all(e.detail["previous"] == ["D"] for e in rebinds)
 
-        drops = dsms.audit.events(kind="shield.drop")
+        # The re-bind left no registered role the {D} segment grants,
+        # so the stream's entry drops tuple 2 under the new ∪R.
+        assert not dsms.audit.events(kind="shield.drop")
+        drops = dsms.audit.events(kind="entry.drop")
         assert [e.tid for e in drops] == [2]
         assert drops[0].predicate == ("C",)
         # The trail shows the order: rebind happened before the drop.
@@ -289,8 +316,9 @@ class TestRunRecords:
         pytest.param(push_all, 100, id="session"),
         pytest.param(DSMS.run, 1, id="run")])
     def test_all_denied_segment(self, drive, held_records):
-        """100 tuples denied by one verdict: ``run()`` holds them as
-        one record, a session pushed tuple by tuple as 100; either way
+        """100 tuples denied by one verdict — the stream's entry, since
+        no query may see the {C} segment: ``run()`` holds them as one
+        record, a session pushed tuple by tuple as 100; either way
         ``explain`` names the sp."""
         elements = [grant(["C"], 0.0)] + [
             reading(i, 70, 1.0 + i) for i in range(100)]
@@ -299,12 +327,13 @@ class TestRunRecords:
         dsms.register_query("nurse", ScanExpr("hr"), roles={"ND"})
         drive(dsms)
         log = dsms.audit
-        assert log.counts["shield.drop"] == 100
-        held = [r for r in log._records if r.kind == "shield.drop"]
+        assert log.counts["entry.drop"] == 100
+        held = [r for r in log._records if r.kind == "entry.drop"]
         assert len(held) == held_records
         (event,) = log.explain(57)
-        assert (event.kind, event.tid, event.ts) == ("shield.drop", 57, 58.0)
-        assert event.query == "nurse" and event.predicate == ("ND",)
+        assert (event.kind, event.tid, event.ts) == ("entry.drop", 57, 58.0)
+        assert event.detail["queries"] == ("nurse",)
+        assert event.predicate == ("ND",)
         assert event.policy == ("C",) and "| C |" in event.sp
 
 

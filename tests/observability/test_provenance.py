@@ -246,13 +246,14 @@ class TestEndToEndWhy:
 
         denied = reconstruct_why(505, dsms.audit)
         assert denied.found()
-        # Each decision once: the query shield denied it, nothing else
-        # saw it.
-        assert [e.kind for e in denied.decisions] == ["shield.drop"]
+        # Each decision once: no query may see the {C} segment, so the
+        # stream's entry denied it and no operator saw it.
+        assert [e.kind for e in denied.decisions] == ["entry.drop"]
         assert denied.delivered_queries == []
         text = denied.render_text()
         assert "not delivered (denied)" in text
         assert "governed by sp" in text
+        assert "denied to every query reading hr: doc" in text
 
     @pytest.mark.parametrize("drive", MODES)
     def test_inner_pass_is_not_a_delivery(self, drive):
@@ -293,7 +294,9 @@ class TestEndToEndWhy:
         denied = [e.tid for e in segmented_elements()
                   if isinstance(e, DataTuple) and e.tid not in delivered]
         assert 505 in denied and 999 in denied
-        assert dsms.audit.counts["shield.drop"] == len(denied)
+        # 999 (denial-by-default) at the shield, the {C} run at the entry.
+        assert dsms.audit.counts["shield.drop"] == 1
+        assert dsms.audit.counts["entry.drop"] == len(denied) - 1
         for tid in denied:
             report = reconstruct_why(tid, dsms.audit)
             assert report.denials, f"denied tuple {tid} left no record"
@@ -324,10 +327,35 @@ class TestCliWhy:
         out = capsys.readouterr().out
         assert "tuple 120:" in out
         assert "delivered to: q" in out
-        assert out.count("shield.drop at SecurityShield: drop") == 1
+        # The demo's {C, D} segment names no role of q: its stream's
+        # entry drops it.
+        assert out.count("entry.drop at entry:HeartRate: drop") == 1
+        assert "denied to every query reading HeartRate: q" in out
         assert "audit:" not in out
 
     def test_why_unknown_tuple_fails(self, capsys):
         from repro.cli import main
         assert main(["why", "424242"]) == 1
         assert "no audit records" in capsys.readouterr().out
+
+    def test_why_renders_an_entry_drop(self, tmp_path, capsys):
+        """A tuple of a segment no registered role may see is dropped at
+        its stream's entry; ``repro why`` names that one record as the
+        reason for every query reading the stream."""
+        from repro.cli import main
+        from repro.stream.wire import encode_element
+
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(encode_element(e) for e in [
+            SecurityPunctuation.grant(["ND"], 0.0),
+            DataTuple("s", 1, {"v": 1}, 1.0),
+            SecurityPunctuation.grant(["C"], 2.0),
+            DataTuple("s", 7, {"v": 2}, 3.0)]))
+        assert main(["why", "7", str(path), "--roles", "ND"]) == 0
+        out = capsys.readouterr().out
+        assert "entry.drop at entry:s: drop  s:7@3.0" in out
+        assert "governed by sp: <*, *, * | C | + | F | 2.0>" in out
+        assert "policy roles: C" in out and "role predicate: ND" in out
+        assert "denied to every query reading s: q" in out
+        assert "not delivered (denied)" in out
+        assert "shield.drop" not in out
