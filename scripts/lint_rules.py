@@ -175,6 +175,11 @@ GUARDS = (
           ("src", "examples"),
           "the engine runs in one process; see docs/PERFORMANCE.md, "
           "Why there is no sharded executor"),
+    Guard("one sp-batch buffer per stream",
+          r"\b_pending_sps|analyze_sps|carries_policies|policy_streams"
+          r"|process_sps|CallbackSource", ("src",),
+          "a stream's entry gate is its one sp-batch holder and runs the "
+          "SP Analyzer; see docs/PERFORMANCE.md, A stream's entry"),
 )
 
 

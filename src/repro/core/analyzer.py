@@ -1,7 +1,9 @@
 """The SP Analyzer (Figure 1 of the paper).
 
 The DSMS server runs a *security punctuation analyzer* at the stream
-ingestion edge.  It serves two purposes:
+ingestion edge: each stream's entry gate
+(:class:`~repro.engine.plan.EntryGate`) calls :meth:`SPAnalyzer.process_batch`
+on every sp-batch it closes.  It serves two purposes:
 
 1. **Combining** security punctuations with similar policies, to reduce
    memory and processing overhead downstream (e.g. several sps of one
@@ -36,6 +38,7 @@ happened.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.bitmap import RoleUniverse
@@ -356,11 +359,16 @@ class SPAnalyzer:
         for sp in sps:
             refined.extend(self._refine(self._normalize(sp)))
         # Negative server sps join the batch (re-stamped to the batch
-        # timestamp so they belong to the same policy).
+        # timestamp so they belong to the same policy); an incremental
+        # batch takes them as retractions, since a batch never mixes
+        # deltas with absolute sps.
         for server_sp in self._server_sps:
             if not server_sp.is_positive:
                 if any(not sp.immutable for sp in sps):
-                    refined.append(server_sp.with_ts(ts))
+                    restamped = server_sp.with_ts(ts)
+                    refined.append(
+                        replace(restamped, incremental=True)
+                        if all(sp.incremental for sp in sps) else restamped)
         if not refined and sps and not all(sp.incremental for sp in sps):
             # The whole batch was refined away: nobody may access the
             # upcoming segment.  The boundary must still be announced —
@@ -408,16 +416,12 @@ class SPAnalyzer:
 
     def analyze_batched(self, elements: Iterable, *,
                         max_batch: int | None = None) -> Iterator:
-        """:meth:`analyze` fused with run coalescing in one generator.
-
-        :func:`~repro.stream.batch.coalesce_stream` with this
-        analyzer's :meth:`process_batch` applied to every sp-batch:
-        rewritten sps *and* :class:`~repro.stream.batch.TupleBatch`
-        runs from one loop, the same feed as
+        """:meth:`analyze` cut into runs: rewritten sps *and*
+        :class:`~repro.stream.batch.TupleBatch` runs, the same feed as
         :func:`~repro.stream.batch.coalesce_feed` over :meth:`analyze`.
         """
         from repro.stream.batch import DEFAULT_MAX_BATCH, coalesce_stream
 
         return coalesce_stream(
-            elements, self.process_batch,
+            self.analyze(elements),
             max_batch=DEFAULT_MAX_BATCH if max_batch is None else max_batch)

@@ -17,9 +17,6 @@ class RegisteredStream:
 
     schema: StreamSchema
     source: StreamSource | None
-    #: Whether this stream carries security punctuations (a stream
-    #: that does not bypasses the SP Analyzer in ``DSMS.run``).
-    carries_policies: bool = True
 
 
 class StreamCatalog:
@@ -29,13 +26,11 @@ class StreamCatalog:
         self._streams: dict[str, RegisteredStream] = {}
 
     def register(self, schema: StreamSchema,
-                 source: StreamSource | None = None, *,
-                 carries_policies: bool = True) -> None:
+                 source: StreamSource | None = None) -> None:
         stream_id = schema.stream_id
         if stream_id in self._streams:
             raise StreamError(f"stream {stream_id!r} already registered")
-        self._streams[stream_id] = RegisteredStream(
-            schema, source, carries_policies)
+        self._streams[stream_id] = RegisteredStream(schema, source)
 
     def get(self, stream_id: str) -> RegisteredStream:
         try:
@@ -51,11 +46,6 @@ class StreamCatalog:
 
     def stream_ids(self) -> list[str]:
         return sorted(self._streams)
-
-    def policy_streams(self) -> frozenset[str]:
-        return frozenset(
-            sid for sid, reg in self._streams.items() if reg.carries_policies
-        )
 
     def sources(self) -> list[StreamSource]:
         return [reg.source for reg in self._streams.values()

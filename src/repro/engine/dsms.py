@@ -105,13 +105,12 @@ class DSMS:
 
     # -- streams --------------------------------------------------------
     def register_stream(self, schema: StreamSchema,
-                        elements=None, *, source: StreamSource | None = None,
-                        carries_policies: bool = True) -> None:
+                        elements=None, *,
+                        source: StreamSource | None = None) -> None:
         """Register an input stream with its element source."""
         if source is None and elements is not None:
             source = ListSource(schema, list(elements))
-        self.catalog.register(schema, source,
-                              carries_policies=carries_policies)
+        self.catalog.register(schema, source)
 
     def add_server_policy(self, sp: SecurityPunctuation) -> None:
         """Server-side policy, intersected with provider sps on entry."""
@@ -255,6 +254,8 @@ class DSMS:
         if not self.queries:
             raise QueryError("no queries registered")
         plan = PhysicalPlan(self.universe)
+        # Every stream entry runs the SP Analyzer on its sp-batches.
+        plan.analyzer = self.analyzer
         facts = self._stream_facts()
         for name, query in self.queries.items():
             if query.analyze != "off":
@@ -275,7 +276,7 @@ class DSMS:
         self._live_plan = plan
         return plan, sinks
 
-    def open_session(self, *, analyze_sps: bool = True):
+    def open_session(self):
         """Open a live :class:`~repro.engine.session.StreamingSession`.
 
         The session keeps the compiled plan and lets the caller push
@@ -285,9 +286,9 @@ class DSMS:
         """
         from repro.engine.session import StreamingSession
 
-        return StreamingSession(self, analyze_sps=analyze_sps)
+        return StreamingSession(self)
 
-    def run(self, *, analyze_sps: bool = True) -> dict[str, QueryResult]:
+    def run(self) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.
 
         Execution is segment-batched: the sources are cut into runs of
@@ -295,20 +296,20 @@ class DSMS:
         (:func:`~repro.stream.batch.segment_feed`) and each run is
         pushed through the plan as one
         :class:`~repro.stream.batch.TupleBatch`, so per-segment
-        decisions amortize over whole runs.  Results — and, with
-        observability on, each operator's audit decisions — are those
-        of a :meth:`open_session` pushed the same elements one at a
-        time, which is what the equivalence tests compare against.
+        decisions amortize over whole runs.  The SP Analyzer runs in
+        each stream's entry gate, as in a session.  Results, the
+        :class:`~repro.engine.executor.ExecutionReport`'s element
+        counts and, with observability on, each operator's audit
+        decisions are those of a :meth:`open_session` pushed the same
+        elements one at a time, which is what the equivalence tests
+        compare against.
         """
         plan, sinks = self.build_plan()
-        sources = self.catalog.sources()
-        policy_streams: frozenset[str] = frozenset()
-        if analyze_sps:
-            # Analysed streams merge in stream-id order (the tie-break
-            # for equal timestamps); without analysis, as registered.
-            sources.sort(key=lambda source: source.stream_id)
-            policy_streams = self.catalog.policy_streams()
-        feed = segment_feed(sources, self.analyzer, policy_streams)
+        # Streams merge in stream-id order (the tie-break for equal
+        # timestamps).
+        sources = sorted(self.catalog.sources(),
+                         key=lambda source: source.stream_id)
+        feed = segment_feed(sources)
         executor = Executor(plan, tracer=self.observability.tracer,
                             instruments=self.observability.instruments)
         self.last_report = executor.run(feed)

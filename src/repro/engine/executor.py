@@ -28,10 +28,13 @@ and is not part of the contract.
 
 An element first meets its stream's entry gate
 (:class:`~repro.engine.plan.EntryGate`, one per stream): it holds an
-sp-batch until the segment's first tuple, then hands the batch on
-normalised — or, on a gated stream, drops the segment when its plain
-grant names no role of any query reading the stream.  That
-is the one place where ``run`` and ``feed`` do more than push.
+sp-batch until the segment's first tuple, runs the SP Analyzer on it
+as it closes it, then hands the batch on normalised — or, on a gated
+stream, drops the segment when its plain grant names no role of any
+query reading the stream.  That is the one place where ``run`` and
+``feed`` do more than push, and the one place an sp-batch is held:
+``run`` and a session feed raw sps, and :meth:`_flush` closes a
+trailing batch.
 
 The push loop is iterative, so deep plans never hit Python's recursion
 limit and per-element call overhead stays flat.  Its first hop is a
@@ -143,7 +146,9 @@ class Executor:
 
         ``feed`` yields ``(stream_id, sp | DataTuple | TupleBatch)`` in
         execution order — :func:`repro.stream.batch.segment_feed` over
-        the sources.
+        the sources, sps as the providers sent them.  The report counts
+        the feed's elements, so it equals a session's pushed the same
+        elements.
         """
         report = ExecutionReport()
         tracer = self.tracer
@@ -334,9 +339,13 @@ class Executor:
         return emitted
 
     def _flush(self) -> None:
-        """End-of-stream: flush operators in topological order."""
+        """End-of-stream: close each entry's trailing sp-batch, then
+        flush operators in topological order."""
         if self.tracer is not None:
             self.tracer.span("executor.flush")
+        for _, _, gate in self._sites.values():
+            if gate is not None:
+                gate.close()
         for node in self.plan.topological():
             for out in node.operator.flush():
                 self._push(node.downstream, node.serial, out)

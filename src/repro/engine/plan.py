@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Iterator, Sequence, cast
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        IntersectExpr, JoinExpr, LogicalExpr,
@@ -38,6 +38,9 @@ from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
 from repro.stream.batch import TupleBatch
 from repro.stream.tuples import DataTuple
+
+if TYPE_CHECKING:
+    from repro.core.analyzer import SPAnalyzer
 
 __all__ = ["EntryGate", "PlanNode", "PhysicalPlan", "SelectGroup"]
 
@@ -111,11 +114,13 @@ class SelectGroup:
 class EntryGate(PolicyTracker):
     """A stream's entry: one ψ_{∪R} check every query shares.
 
-    It is the stream's first :class:`PolicyTracker`: it holds each
-    sp-batch (:meth:`observe_sp`) until the first tuple of its segment,
-    then hands on the batch that took over — an incremental batch as
-    its absolute equivalent, a stale one never — so nothing below an
-    entry needs a batch an operator discarded.  A gated entry
+    It is the stream's first :class:`PolicyTracker` and its one sp-batch
+    holder: it holds each sp-batch (:meth:`observe_sp`) until the first
+    tuple of its segment, runs the SP Analyzer (``analyzer``, the
+    DSMS's, when the plan has one) on it as it closes it, then hands on
+    the batch that took over — an incremental batch as its absolute
+    equivalent, a stale one never — so nothing below an entry needs a
+    batch an operator discarded.  A gated entry
     (``outlets`` given) also drops a segment, its batch and every run
     of it, when the batch is a *plain grant* (positive,
     non-incremental, fully wildcard-scoped sps with concrete roles:
@@ -127,21 +132,22 @@ class EntryGate(PolicyTracker):
     own check.
     """
 
-    __slots__ = ("outlets", "union", "audit", "dropped", "_sps", "_roles",
-                 "_drop", "_fields")
+    __slots__ = ("outlets", "union", "audit", "analyzer", "dropped", "_sps",
+                 "_roles", "_drop", "_fields")
 
     #: Audit kind of a dropped run.
     KIND = "entry.drop"
 
     def __init__(self, stream_id: str,
                  outlets: "Sequence[tuple[str, SecurityShield]] | None",
-                 audit=None):
+                 audit=None, analyzer: "SPAnalyzer | None" = None):
         super().__init__(stream_id)
         #: ``(query, outlet)`` of every query reading the stream, or
         #: ``None``: the entry normalises and never drops.
         self.outlets = outlets
         self.union: frozenset[str] | None = None
         self.audit = audit
+        self.analyzer = analyzer
         #: Tuples dropped so far.
         self.dropped = 0
         #: Sps of the segment in force not yet handed on.
@@ -164,6 +170,19 @@ class EntryGate(PolicyTracker):
         self._fields = None
         self._drop = (self._roles is not None
                       and self._roles.isdisjoint(self.union))
+
+    def _finalize_batch(self) -> None:
+        """Close the arrived sp-batch: what the analyzer makes of it is
+        the batch the tracker installs (an empty answer, a no-op delta,
+        leaves the policy in force)."""
+        if self.analyzer is not None and self._batch:
+            self._batch = self.analyzer.process_batch(self._batch)
+        super()._finalize_batch()
+
+    def close(self) -> None:
+        """End of stream: close a trailing sp-batch.  No tuple follows,
+        so nothing is handed on."""
+        self._finalize_batch()
 
     def admit(self, run) -> "Sequence[SecurityPunctuation] | None":
         """The sps to push ahead of ``run`` (a tuple or a
@@ -242,6 +261,10 @@ class PhysicalPlan:
         #: The audit log entry drops are recorded into
         #: (:meth:`bind_observability`).
         self.audit = None
+        #: The SP Analyzer every entry gate runs on its sp-batches
+        #: (``DSMS.build_plan`` sets the DSMS's; ``None`` analyses
+        #: nothing).
+        self.analyzer: "SPAnalyzer | None" = None
 
     # -- construction ------------------------------------------------------
     def add(self, operator: Operator) -> PlanNode:
@@ -465,7 +488,8 @@ class PhysicalPlan:
                 stack.extend(child for child, _ in node.downstream)
             if outlets is not None:
                 outlets.sort(key=lambda query: order[query[0]])
-            self.gates[stream_id] = EntryGate(stream_id, outlets, self.audit)
+            self.gates[stream_id] = EntryGate(stream_id, outlets, self.audit,
+                                              self.analyzer)
         return self.gates
 
     def refresh_gates(self) -> None:

@@ -45,7 +45,7 @@ class StreamingSession:
     instantiated directly.
     """
 
-    def __init__(self, dsms, *, analyze_sps: bool = True):
+    def __init__(self, dsms):
         self._dsms = dsms
         self._plan, self._sinks = dsms.build_plan()
         self._tracer = dsms.observability.tracer
@@ -54,14 +54,12 @@ class StreamingSession:
         # bare elements go straight to ``Executor.feed``.
         self._executor = Executor(self._plan, tracer=self._tracer,
                                   instruments=self._instruments)
-        self._analyze = analyze_sps
         self._callbacks: dict[str, ResultCallback] = {}
         self._consumed: dict[str, int] = {name: 0 for name in self._sinks}
         #: ``(query, its sink's element list)`` — what a push reads back.
         self._results = [(name, sink.elements)
                          for name, sink in self._sinks.items()]
         self._last_ts: dict[str, float] = {}
-        self._pending_sps: dict[str, list[SecurityPunctuation]] = {}
         self._closed = False
         self.elements_pushed = 0
         self._sps_pushed = 0
@@ -89,10 +87,10 @@ class StreamingSession:
              element: StreamElement) -> dict[str, list[StreamElement]]:
         """Feed one element; returns the new results per query.
 
-        Elements of one stream must arrive in timestamp order.  Sps
-        pass through the DSMS's SP Analyzer (batch-buffered: an
-        sp-batch is released to the plan when its first tuple — or an
-        sp with a different timestamp — arrives).
+        Elements of one stream must arrive in timestamp order.  The
+        element goes to the stream's entry gate, which holds an
+        sp-batch and runs the DSMS's SP Analyzer on it when its first
+        tuple — or an sp with a different timestamp — arrives.
         """
         if self._closed:
             raise StreamError("session is closed")
@@ -123,31 +121,8 @@ class StreamingSession:
             self._tracer.begin("sp" if is_sp else "tuple",
                                stream=stream_id, ts=element.ts,
                                name="session.push")
-
-        feed = self._executor.feed
-        if stream_id in self._pending_sps or (is_sp and self._analyze):
-            for item in self._ingest(stream_id, element, is_sp):
-                feed(stream_id, item)
-        else:
-            feed(stream_id, element)
+        self._executor.feed(stream_id, element)
         return self._collect_new()
-
-    def _ingest(self, stream_id: str, element: StreamElement, is_sp: bool):
-        """Analyzer batch semantics: hold a pushed sp; what the element
-        that ends a held sp-batch releases into the plan."""
-        pending = self._pending_sps.get(stream_id)
-        if is_sp and (pending is None or element.ts == pending[0].ts):
-            if pending is None:
-                self._pending_sps[stream_id] = [element]
-            else:
-                pending.append(element)
-            return ()
-        released = self._dsms.analyzer.process_batch(pending)
-        if is_sp:
-            self._pending_sps[stream_id] = [element]
-            return released
-        del self._pending_sps[stream_id]
-        return [*released, element]
 
     def push_many(self, stream_id: str, elements) -> dict[str, list]:
         """Push a sequence of elements; returns accumulated results."""
@@ -197,8 +172,8 @@ class StreamingSession:
         Unlike :meth:`~repro.engine.dsms.DSMS.run`'s report this can be
         taken mid-session: counts and stage metrics reflect everything
         pushed so far.  The element counts are of pushed elements, so
-        they equal a ``run()`` report's field by field whenever the SP
-        Analyzer emits as many sps as it takes in.
+        they equal a ``run()`` report's over the same elements field by
+        field.
         """
         report = ExecutionReport()
         report.elements_in = self.elements_pushed
@@ -210,13 +185,10 @@ class StreamingSession:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> dict[str, list[StreamElement]]:
-        """Flush held sp-batches and operator state; final results."""
+        """Close trailing sp-batches, flush operator state; final
+        results."""
         if self._closed:
             return {name: [] for name in self._sinks}
-        for stream_id, pending in self._pending_sps.items():
-            for item in self._dsms.analyzer.process_batch(pending):
-                self._executor.feed(stream_id, item)
-        self._pending_sps.clear()
         self._executor._flush()  # noqa: SLF001 - same package
         self._closed = True
         if self._tracer is not None:

@@ -7,8 +7,7 @@ from repro.stream.element import (StreamElement, count_elements, element_ts,
                                   iter_tuples, split_elements)
 from repro.stream.ordering import ReorderBuffer, ensure_ordered, reorder
 from repro.stream.schema import StreamSchema
-from repro.stream.source import (CallbackSource, ListSource, StreamSource,
-                                 merge_sources)
+from repro.stream.source import ListSource, StreamSource, merge_sources
 from repro.stream.stream import Stream
 from repro.stream.tuples import DataTuple
 from repro.stream.window import PunctuatedWindow, Segment
@@ -16,7 +15,6 @@ from repro.stream.wire import (decode_element, dump_stream, encode_element,
                                load_stream)
 
 __all__ = [
-    "CallbackSource",
     "DataTuple",
     "TupleBatch",
     "decode_element",

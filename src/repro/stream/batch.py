@@ -26,24 +26,22 @@ oracle compare ``run()`` against.
 
 How a feed is cut into runs is decided here and nowhere else:
 :func:`segment_feed` builds the executor's input from the sources,
-choosing between the fused single-source cutter
-(:func:`coalesce_stream`) and :func:`coalesce_feed` over a timestamp
-merge.  Neither ever reorders elements, which is what makes ``run()``
-and a session pushed element by element deliver identical results.
+choosing between the single-source cutter (:func:`coalesce_stream`)
+and :func:`coalesce_feed` over a timestamp merge.  Neither ever
+reorders elements nor touches an sp — the SP Analyzer runs in each
+stream's entry gate, for ``run()`` and a session alike — which is what
+makes ``run()`` and a session pushed element by element deliver
+identical results.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.punctuation import SecurityPunctuation
-from repro.stream.source import CallbackSource, StreamSource, merge_sources
+from repro.stream.source import StreamSource, merge_sources
 from repro.stream.tuples import DataTuple
-
-if TYPE_CHECKING:
-    from repro.core.analyzer import SPAnalyzer
 
 __all__ = ["TupleBatch", "coalesce_feed", "coalesce_stream", "segment_feed",
            "DEFAULT_MAX_BATCH"]
@@ -115,32 +113,21 @@ def coalesce_feed(
 
 def coalesce_stream(
     elements: Iterable["DataTuple | SecurityPunctuation"],
-    process_sps: "Callable[[list[SecurityPunctuation]], "
-                 "Iterable[SecurityPunctuation]] | None" = None,
     *, max_batch: int = DEFAULT_MAX_BATCH,
 ) -> Iterator[object]:
     """Cut one stream's elements into runs — the single-source cutter.
 
-    The one-stream counterpart of :func:`coalesce_feed`, fused with
-    sp-batch processing so a policy-carrying stream costs one generator
-    layer instead of an analyzer stacked under a coalescer (two layers,
-    two per-element type dispatches — the overhead that dominates
-    sp-dense feeds, one tuple per sp).  Consecutive sps sharing a
-    timestamp form one sp-batch, handed to ``process_sps`` (the SP
-    Analyzer's ``process_batch``) and replaced by what it returns;
-    ``None`` passes sps through unchanged, for a stream that is not
-    analysed.  Run breaks (every sp, ``max_batch`` tuples) and the
-    single-tuple unwrap are those of :func:`coalesce_feed`, so this
-    yields exactly ``coalesce_feed`` over ``SPAnalyzer.analyze`` of the
-    same one-stream input.
+    The one-stream counterpart of :func:`coalesce_feed`, without the
+    ``(stream_id, element)`` pairs.  Sps pass as they are: an sp-batch
+    is held and analysed by the stream's entry gate, never here.  Run
+    breaks (every sp, ``max_batch`` tuples) and the single-tuple unwrap
+    are those of :func:`coalesce_feed`, so this yields exactly
+    ``coalesce_feed`` over the same one-stream input.
     """
-    if process_sps is None:
-        process_sps = iter  # not analysed: an sp-batch passes as it is
     # Per-element hot loop: the punctuation test is inlined and the
     # run-append bound once per run (rebound on flush — ``TupleBatch``
     # keeps the list by reference, so a run must be a fresh list).
     sp_type = SecurityPunctuation
-    pending: list[SecurityPunctuation] = []
     run: list[DataTuple] = []
     run_append = run.append
     for element in elements:
@@ -156,14 +143,8 @@ def coalesce_stream(
                     yield TupleBatch(run)
                     run = []
                     run_append = run.append
-            if pending and element.ts != pending[-1].ts:
-                yield from process_sps(pending)
-                pending = []
-            pending.append(element)
+            yield element
         else:
-            if pending:
-                yield from process_sps(pending)
-                pending = []
             run_append(element)
             if len(run) >= max_batch:
                 if len(run) == 1:
@@ -173,41 +154,25 @@ def coalesce_stream(
                     yield TupleBatch(run)
                     run = []
                     run_append = run.append
-    # At most one of the two buffers is non-empty here: an sp flushes
-    # the tuple run on arrival, a tuple flushes the pending sps.
-    if pending:
-        yield from process_sps(pending)
     if run:
         yield run[0] if len(run) == 1 else TupleBatch(run)
 
 
 def segment_feed(
     sources: Iterable[StreamSource],
-    analyzer: "SPAnalyzer | None" = None,
-    policy_streams: Collection[str] = (),
 ) -> Iterator[tuple[str, object]]:
     """The executor's input: every source cut into segment runs.
 
     Yields ``(stream_id, sp | DataTuple | TupleBatch)`` in execution
-    order.  Streams named in ``policy_streams`` pass through
-    ``analyzer`` (the SP Analyzer) on the way.  This is the one place
-    that decides how a feed is cut: a single source needs no timestamp
-    merge, so it takes the fused :func:`coalesce_stream`; several
-    sources are analysed one by one, merged in timestamp order and cut
-    by :func:`coalesce_feed`.  Both produce the same runs for the same
-    elements.
+    order, sps as the sources hold them (the SP Analyzer runs in each
+    stream's entry gate).  This is the one place that decides how a
+    feed is cut: a single source needs no timestamp merge, so it takes
+    :func:`coalesce_stream`; several sources are merged in timestamp
+    order and cut by :func:`coalesce_feed`.  Both produce the same runs
+    for the same elements.
     """
     sources = list(sources)
     if len(sources) == 1:
         (source,) = sources
-        process_sps = (
-            analyzer.process_batch
-            if analyzer is not None and source.stream_id in policy_streams
-            else None)
-        return zip(repeat(source.stream_id),
-                   coalesce_stream(source, process_sps))
-    return coalesce_feed(merge_sources(
-        CallbackSource(source.schema, partial(analyzer.analyze, source))
-        if analyzer is not None and source.stream_id in policy_streams
-        else source
-        for source in sources))
+        return zip(repeat(source.stream_id), coalesce_stream(source))
+    return coalesce_feed(merge_sources(sources))

@@ -9,13 +9,13 @@ DSMS sees interleaved arrivals from many data providers.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
 from repro.stream.stream import Stream
 
-__all__ = ["StreamSource", "ListSource", "CallbackSource", "merge_sources"]
+__all__ = ["StreamSource", "ListSource", "merge_sources"]
 
 
 class StreamSource:
@@ -49,18 +49,6 @@ class ListSource(StreamSource):
 
     def __len__(self) -> int:
         return len(self._elements)
-
-
-class CallbackSource(StreamSource):
-    """Source over a generator factory, re-iterable."""
-
-    def __init__(self, schema: StreamSchema,
-                 factory: Callable[[], Iterable[StreamElement]]):
-        super().__init__(schema)
-        self._factory = factory
-
-    def __iter__(self) -> Iterator[StreamElement]:
-        return iter(self._factory())
 
 
 def merge_sources(

@@ -177,12 +177,15 @@ SEEDS = {
     "one plan, as registered": ("src/x.py",
                                 "dsms.run(optimize=OptimizeLevel.WORKLOAD)"),
     "one process": ("examples/x.py", "results = dsms.run(shards=2)"),
+    "one sp-batch buffer per stream": ("src/x.py",
+                                       "dsms.open_session(analyze_sps=False)"),
 }
 
-#: Lines a guard's allow-list lets through.
+#: Lines no guard flags: an allow-listed line, or a near miss.
 ALLOWED = [
     ("src/repro/engine/plan.py", 'SecurityShield(r, name=f"delivery:{q}")'),
     ("src/repro/operators/base.py", "self._batches = []"),
+    ("src/x.py", "batch = tracker.take_pending_sps()"),
 ]
 
 

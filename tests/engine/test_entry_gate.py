@@ -45,9 +45,11 @@ def tids(result):
     return [item.tid for item in result.tuples]
 
 
-def make(elements, queries):
+def make(elements, queries, server=()):
     dsms = DSMS()
     dsms.register_stream(SCHEMA, elements)
+    for sp in server:
+        dsms.add_server_policy(sp)
     for name, expr, roles in queries:
         dsms.register_query(name, expr, roles=roles)
     return dsms
@@ -75,27 +77,32 @@ def widening_queries(other):
     return queries
 
 
+#: The SP Analyzer runs in the entry gate: with no server policy, or
+#: refining every batch by a server grant that keeps its roles.
+SERVER = pytest.mark.parametrize(
+    "server", [(), (grant(["R", "X", "Y"], 0.0),)],
+    ids=["analyzed", "grant"])
+
+
 @pytest.mark.parametrize("other", [False, True], ids=["alone", "with-o"])
 @pytest.mark.parametrize("later", [INCREMENTAL, STALE],
                          ids=["incremental", "stale"])
-@pytest.mark.parametrize("analyze", [True, False],
-                         ids=["analyzed", "raw"])
+@SERVER
 def test_select_discarding_a_batch_widens_nothing_under_run(
-        later, other, analyze):
-    dsms = make(widening_stream(later), widening_queries(other))
-    results = dsms.run(analyze_sps=analyze)
+        later, other, server):
+    dsms = make(widening_stream(later), widening_queries(other), server)
+    results = dsms.run()
     assert tids(results["q"]) == [1]
     if other:  # the segment after the stale batch goes on under X
         assert tids(results["o"]) == [2, 3]
 
 
 @pytest.mark.parametrize("other", [False, True], ids=["alone", "with-o"])
-@pytest.mark.parametrize("analyze", [True, False],
-                         ids=["analyzed", "raw"])
+@SERVER
 def test_select_discarding_a_batch_widens_nothing_in_a_session(
-        other, analyze):
-    dsms = make([], widening_queries(other))
-    session = dsms.open_session(analyze_sps=analyze)
+        other, server):
+    dsms = make([], widening_queries(other), server)
+    session = dsms.open_session()
     for element in widening_stream(INCREMENTAL):
         session.push("s", element)
     session.close()
@@ -232,3 +239,65 @@ def test_entry_drop_records_in_every_mode():
                    for e in events)
         assert len([r for r in dsms.audit._records
                     if r.kind == "entry.drop"]) == held
+
+
+# -- the SP Analyzer runs in the gate, once per sp-batch -------------------
+
+def test_run_and_a_session_report_the_same_input():
+    """The analyzer merges the R and X sps of one batch; both drivers
+    count the elements the stream carried."""
+    elements = [grant(["R"], 1.0), grant(["X"], 1.0), tup(1, 1, 2.0),
+                tup(2, 1, 3.0), grant(["R"], 4.0), tup(3, 1, 5.0)]
+    for drive in (DSMS.run, push_all):
+        dsms = make(elements, [("q", ScanExpr("s"), {"R"})])
+        assert tids(drive(dsms)["q"]) == [1, 2, 3]
+        report = dsms.last_report
+        assert (report.elements_in, report.tuples_in, report.sps_in) \
+            == (6, 3, 3)
+        assert (dsms.analyzer.sps_in, dsms.analyzer.sps_out) == (3, 2)
+
+
+A = StreamSchema("a", ("k",))
+B = StreamSchema("b", ("k",))
+#: Stream a's batches: {A, B} + {C} (narrowed to {A}, C refined away),
+#: {B} (refined away: deny-all), a trailing {A}.
+A_ELEMENTS = [grant(["A", "B"], 1.0), grant(["C"], 1.0),
+              DataTuple("a", 1, {"k": 1}, 2.0), grant(["B"], 3.0),
+              DataTuple("a", 2, {"k": 2}, 4.0), grant(["A"], 5.0)]
+B_ELEMENTS = [grant(["A", "B"], 1.5), DataTuple("b", 1, {"k": 1}, 2.5),
+              DataTuple("b", 2, {"k": 2}, 4.5)]
+
+
+def narrowed(shape):
+    """A server grant of {A} over one stream (a scan per role) or two
+    (an IndexSAJoin per role)."""
+    dsms = DSMS(observability=Observability.in_memory())
+    dsms.add_server_policy(grant(["A"], 0.0))
+    dsms.register_stream(A, A_ELEMENTS)
+    expr = ScanExpr("a")
+    if shape == "two-streams":
+        dsms.register_stream(B, B_ELEMENTS)
+        expr = expr.join(ScanExpr("b"), "k", "k", 100.0)
+    for role in ("A", "B"):
+        dsms.register_query(f"q{role}", expr, roles={role})
+    return dsms
+
+
+@pytest.mark.parametrize("shape", ["one-stream", "two-streams"])
+def test_every_driver_analyses_each_sp_batch_once(shape):
+    seen = []
+    for drive in (DSMS.run, push_all):
+        dsms = narrowed(shape)
+        results = drive(dsms)
+        seen.append((
+            {name: [item.values for item in result.tuples]
+             for name, result in results.items()},
+            dsms.analyzer.sps_in, dsms.analyzer.sps_out,
+            len(dsms.audit.events(kind="analyzer.refine"))))
+    assert seen[0] == seen[1]
+    delivered, sps_in, sps_out, refines = seen[0]
+    assert len(delivered["qA"]) == 1 and delivered["qB"] == []
+    if shape == "one-stream":
+        assert (sps_in, sps_out, refines) == (4, 3, 3)
+    else:  # b's grant is narrowed too
+        assert (sps_in, sps_out, refines) == (5, 4, 4)

@@ -8,15 +8,20 @@ CQL declaration and the wire format.
 
 import pytest
 
+from repro.algebra.expressions import ScanExpr
 from repro.core.analyzer import SPAnalyzer
 from repro.core.punctuation import apply_incremental_batch
 from repro.core.punctuation import SecurityPunctuation
 from repro.cql.translator import compile_statement
+from repro.engine.dsms import DSMS
 from repro.errors import PolicyError
 from repro.operators.index_join import IndexSAJoin
 from repro.operators.shield import SecurityShield
+from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.stream.wire import decode_element, encode_element
+
+from tests.drive import push_all
 
 
 def grant(roles, ts, **kwargs):
@@ -146,6 +151,37 @@ class TestAnalyzerWithDeltas:
         analyzer = SPAnalyzer()
         analyzer.add_server_policy(SecurityPunctuation.grant(["D"], ts=0.0))
         assert analyzer.process_batch([add(["X"], 1.0)]) == []
+
+    def test_server_denial_joins_a_delta_as_a_retraction(self):
+        """A batch never mixes deltas with absolute sps, so a negative
+        server policy edits an incremental batch at the batch's ts."""
+        analyzer = SPAnalyzer()
+        analyzer.add_server_policy(SecurityPunctuation.deny(["B"], 0.0))
+        out = analyzer.process_batch([add(["C"], 3.0)])
+        assert [(sp.is_positive, sp.roles(), sp.ts) for sp in out] \
+            == [(True, {"C"}, 3.0), (False, {"B"}, 3.0)]
+        assert all(sp.incremental for sp in out)
+        absolute = analyzer.process_batch([grant(["A", "B"], 1.0)])
+        assert not any(sp.incremental for sp in absolute)
+
+
+class TestServerDenialWithDeltas:
+    """A provider's delta under a negative server policy, end to end."""
+
+    @pytest.mark.parametrize("drive", [DSMS.run, push_all],
+                             ids=["run", "session"])
+    def test_both_drivers_deliver(self, drive):
+        dsms = DSMS()
+        dsms.add_server_policy(SecurityPunctuation.deny(["B"], 0.0))
+        dsms.register_stream(StreamSchema("s1", ("v",)), [
+            grant(["A", "B"], 1.0), tup(1, 2.0), add(["C"], 3.0),
+            tup(2, 4.0)])
+        for role in ("A", "B", "C"):
+            dsms.register_query(f"q{role}", ScanExpr("s1"), roles={role})
+        results = drive(dsms)
+        assert {name: [item.tid for item in result.tuples]
+                for name, result in results.items()} \
+            == {"qA": [1, 2], "qB": [], "qC": [2]}
 
 
 class TestDeclarationAndWire:

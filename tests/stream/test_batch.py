@@ -118,8 +118,8 @@ def analyzer():
 
 
 class TestCoalesceStream:
-    """The fused single-source cutter is ``coalesce_feed`` over
-    ``analyze()`` of the same one-stream input."""
+    """The single-source cutter is ``coalesce_feed`` over the same
+    one-stream input, and ``analyze_batched`` is it over ``analyze()``."""
 
     @pytest.mark.parametrize("max_batch", [4, 4096])
     def test_unanalysed_matches_coalesce_feed(self, max_batch):
@@ -145,8 +145,11 @@ class TestCoalesceStream:
         assert "TupleBatch" in kinds and "DataTuple" in kinds
 
     def test_segment_feed_single_source_takes_the_same_cut(self):
-        source = ListSource(StreamSchema("s", ("v",)), one_stream())
-        fed = segment_feed([source], analyzer(), {"s"})
-        composed = coalesce_feed(
-            ("s", el) for el in analyzer().analyze(one_stream()))
+        """Sps pass the cut as the source holds them: the analyzer runs
+        in the entry gate."""
+        elements = one_stream()
+        fed = list(segment_feed([ListSource(StreamSchema("s", ("v",)),
+                                            elements)]))
+        composed = coalesce_feed(("s", el) for el in elements)
         assert shape(fed) == shape(composed)
+        assert unroll(fed) == [("s", el) for el in elements]

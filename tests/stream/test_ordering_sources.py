@@ -8,7 +8,7 @@ from repro.stream.element import (count_elements, is_punctuation, is_tuple,
                                   iter_sps, iter_tuples, split_elements)
 from repro.stream.ordering import ReorderBuffer, ensure_ordered, reorder
 from repro.stream.schema import StreamSchema
-from repro.stream.source import CallbackSource, ListSource, merge_sources
+from repro.stream.source import ListSource, merge_sources
 from repro.stream.tuples import DataTuple
 
 
@@ -86,12 +86,6 @@ class TestSources:
         source = ListSource(schema, [tup(1, 1.0)])
         assert len(source) == 1
         assert [e.tid for e in source] == [1]
-
-    def test_callback_source_reiterable(self):
-        schema = StreamSchema("s", ("v",))
-        source = CallbackSource(schema, lambda: [tup(1, 1.0)])
-        assert [e.tid for e in source] == [1]
-        assert [e.tid for e in source] == [1]  # second pass works
 
     def test_merge_orders_by_ts(self):
         s1 = ListSource(StreamSchema("a", ("v",)),
