@@ -180,6 +180,16 @@ GUARDS = (
           r"|process_sps|CallbackSource", ("src",),
           "a stream's entry gate is its one sp-batch holder and runs the "
           "SP Analyzer; see docs/PERFORMANCE.md, A stream's entry"),
+    Guard("one resolution per sp-batch",
+          r"_resolve_shared|_shared_any|_permits_memo|_permits_cached"
+          r"|_materialized|policy_is_uniform|has_attribute_scope"
+          r"|\bdef (split|merged)\(", ("src",),
+          "a tracker resolves a batch as a lone plain grant or one Policy "
+          "cached at the batch's scope, and a shield applies a verdict at "
+          "one site; Rule 1 is tested in tests/algebra/table2.py; see "
+          "docs/PERFORMANCE.md, One resolution per sp",
+          allow=r"^(?!src/repro/operators/shield\.py:).*\bdef "
+                r"(split|merged)\("),
 )
 
 

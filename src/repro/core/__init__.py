@@ -25,7 +25,6 @@ from repro.core.bitmap import RoleBitmap, RoleUniverse
 from repro.core.patterns import (ANY, Pattern, literal, numeric_range, one_of,
                                  parse_pattern, regex)
 from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
-                               has_attribute_scope, policy_is_uniform,
                                wildcard_policy_roles)
 from repro.core.punctuation import (DataDescription, Granularity,
                                     SecurityPunctuation, SecurityRestriction,
@@ -50,12 +49,10 @@ __all__ = [
     "apply_incremental_batch",
     "combine_batch",
     "deny_all_sp",
-    "has_attribute_scope",
     "literal",
     "numeric_range",
     "one_of",
     "parse_pattern",
-    "policy_is_uniform",
     "regex",
     "wildcard_policy_roles",
 ]

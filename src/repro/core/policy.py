@@ -28,7 +28,9 @@ module holds the two values the tracker produces:
     may access it" (``match()`` is :meth:`SecurityPunctuation.describes
     <repro.core.punctuation.SecurityPunctuation.describes>`).
     Denial-by-default: an object no positive sp covers is accessible to
-    no one.
+    no one.  The tracker builds one per batch — unless the batch is a
+    lone plain grant, whose sp resolves itself — and caches its answers
+    at the batch's scope.
 
 :class:`TuplePolicy`
     The *resolved* policy of a concrete tuple — a frozenset of role
@@ -50,8 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "Policy",
     "TuplePolicy",
-    "has_attribute_scope",
-    "policy_is_uniform",
     "wildcard_policy_roles",
     "EMPTY_POLICY",
 ]
@@ -149,28 +149,6 @@ def wildcard_policy_roles(policy: Policy | None) -> frozenset[str] | None:
                 and ddp.attribute.is_wildcard()):
             return None
     return policy.authorized_roles("*")
-
-
-def has_attribute_scope(policy: Policy | None) -> bool:
-    """Whether any sp of ``policy`` is attribute-granular."""
-    if policy is None:
-        return False
-    return any(not sp.ddp.attribute.is_wildcard() for sp in policy.sps)
-
-
-def policy_is_uniform(policy: Policy | None) -> bool:
-    """Whether ``policy`` resolves identically for every tuple of a stream.
-
-    True when every sp of the policy has wildcard tuple-id and
-    attribute patterns, so the authorized role set cannot depend on
-    which tuple is asked about.
-    """
-    if policy is None:
-        return True
-    return all(
-        sp.ddp.tuple_id.is_wildcard() and sp.ddp.attribute.is_wildcard()
-        for sp in policy.sps
-    )
 
 
 class TuplePolicy:

@@ -27,9 +27,8 @@ from time import perf_counter
 from typing import Sequence
 
 from repro.core.policy import (EMPTY_POLICY, Policy, TuplePolicy,
-                               has_attribute_scope, policy_is_uniform,
                                wildcard_policy_roles)
-from repro.core.punctuation import (SecurityPunctuation, Sign,
+from repro.core.punctuation import (Granularity, SecurityPunctuation,
                                     apply_incremental_batch)
 from repro.errors import PlanError, PolicyError
 from repro.stream.batch import TupleBatch
@@ -39,7 +38,9 @@ from repro.stream.tuples import DataTuple
 __all__ = ["OperatorStats", "Operator", "UnaryOperator", "BinaryOperator",
            "PolicyTracker", "SPEmitter", "credit"]
 
-_POSITIVE = Sign.POSITIVE
+#: A batch's resolution scope, by the granularity of its finest sp.
+_SCOPE = {Granularity.STREAM: 0, Granularity.TUPLE: 1,
+          Granularity.ATTRIBUTE: 2}
 
 
 #: Smoothing factor of the per-element processing-time EWMA: smaller
@@ -266,40 +267,42 @@ class PolicyTracker:
       older (stale) one is discarded whole;
     * tuples arriving before any sp fall under denial-by-default.
 
-    ``policy_for(t)`` resolves the current policy for a concrete tuple,
-    sharing one resolved :class:`TuplePolicy` across a whole segment
-    when the policy is uniform (wildcard tuple/attribute DDPs).  A
-    batch is resolved by the first ``policy_for`` (or ``is_uniform``)
-    after it took over, never when it is finalised, so a reader that
-    only takes the pending sps — a stream's entry gate — builds no
-    policy.  Every sp-aware operator asks a tracker; the stateful ones
-    (join, intersection) store its answers in their windows and open a
+    ``policy_for(t)`` resolves the current policy for a concrete tuple
+    one of two ways: a lone plain grant answers with the sp's own
+    :meth:`~repro.core.punctuation.SecurityPunctuation.segment_policy`,
+    shared by every tracker that reads the object; any other batch
+    becomes one :class:`Policy` whose answers are cached at the batch's
+    scope — the finest DDP granularity among its sps: per stream id,
+    per ``(sid, tid)`` or per ``(sid, tid, attribute names)``.  A batch
+    is resolved by the first ``policy_for`` (or ``is_uniform``) after
+    it took over, never when it is finalised, so a reader that only
+    takes the pending sps — a stream's entry gate — builds no policy.
+    Every sp-aware operator asks a tracker; the stateful ones (join,
+    intersection) store its answers in their windows and open a
     segment from :meth:`take_pending_sps`.
     """
 
-    __slots__ = ("stream_id", "_current", "_current_raw", "_current_ts",
-                 "_batch", "_pending", "_uniform", "_shared",
-                 "_shared_any", "_cache", "_resolved", "delta")
+    __slots__ = ("stream_id", "_current_raw", "_current_ts", "_batch",
+                 "_pending", "_segment_policy", "_policy", "_scope",
+                 "_cache", "_resolved", "delta")
 
     def __init__(self, stream_id: str):
         #: Nominal input stream (informational; resolution always uses
         #: each tuple's own ``sid``, so shields placed above derived
         #: operators still match stream-scoped sps correctly).
         self.stream_id = stream_id
-        self._current: Policy | None = None
-        #: Raw sp batch of the current policy, materialized into a
-        #: :class:`Policy` lazily (fast path skips construction).
+        #: Raw sp batch of the policy in force (``None`` before any sp).
         self._current_raw: tuple[SecurityPunctuation, ...] | None = None
         self._current_ts: float | None = None
         self._batch: list[SecurityPunctuation] = []
         self._pending: list[SecurityPunctuation] = []
-        self._uniform = True
-        #: Per-sid shared resolution for uniform policies.
-        self._shared: dict[str, TuplePolicy] = {}
-        #: Sid-independent resolution (uniform + wildcard streams) —
-        #: the hot path for segment-shared policies.
-        self._shared_any: TuplePolicy | None = None
-        self._cache: dict[tuple, TuplePolicy] = {}
+        #: A lone plain grant's shared policy (the hot path).
+        self._segment_policy: TuplePolicy | None = None
+        #: Any other batch: its :class:`Policy`, its scope (0 stream,
+        #: 1 tuple, 2 attribute) and its answers keyed at that scope.
+        self._policy: Policy | None = None
+        self._scope = 0
+        self._cache: dict = {}
         #: Whether the current batch has been resolved (:meth:`_resolve`).
         self._resolved = True
         #: Whether the policy in force arrived as an incremental batch
@@ -326,7 +329,8 @@ class PolicyTracker:
                 raise PolicyError(
                     "an sp-batch must not mix incremental and "
                     "absolute sps")
-            current = wildcard_policy_roles(self._materialized())
+            raw = self._current_raw
+            current = wildcard_policy_roles(Policy(raw) if raw else None)
             if current is None:
                 raise PolicyError(
                     "incremental sps require a segment-scoped "
@@ -342,8 +346,7 @@ class PolicyTracker:
         self._pending = batch
         self._current_raw = tuple(batch)
         self._current_ts = ts
-        self._current = None
-        self._shared_any = None
+        self._segment_policy = None
         self._resolved = False
         self.delta = delta
 
@@ -351,98 +354,53 @@ class PolicyTracker:
         """Resolution state of the batch in force (once per batch)."""
         self._resolved = True
         batch = self._current_raw
-        self._shared = {}
-        self._cache = {}
-        self._uniform = True
-        # A lone sp that resolves by itself (a plain grant) brings the
-        # policy every tracker reading the object shares.
         if len(batch) == 1:
-            shared = batch[0].segment_policy()
-            if shared is not None:
-                self._shared_any = shared
+            self._segment_policy = batch[0].segment_policy()
+            if self._segment_policy is not None:
                 return
-        # Sid-independent fast path: a batch of positive sps with fully
-        # wildcard DDPs resolves identically for every tuple.
-        for sp in batch:
-            ddp = sp.ddp
-            if not (sp.sign is _POSITIVE and ddp.stream.is_wildcard()
-                    and ddp.tuple_id.is_wildcard()
-                    and ddp.attribute.is_wildcard()):
-                self._uniform = policy_is_uniform(self._materialized())
-                return
-        roles: set[str] = set()
-        for sp in batch:
-            roles |= sp.roles()
-        self._shared_any = TuplePolicy(frozenset(roles), ts=batch[0].ts)
-
-    def _materialized(self) -> Policy | None:
-        """The current batch as a :class:`Policy` (``None`` before any sp)."""
-        if self._current is None and self._current_raw is not None:
-            self._current = Policy(self._current_raw)
-        return self._current
-
-    def _resolve_shared(self, sid: str) -> TuplePolicy:
-        """Uniform-policy resolution for one stream id (cached).
-
-        Fast path: an all-positive leaf policy reduces to the union of
-        the roles of its sps whose stream pattern matches ``sid`` —
-        no per-object pattern evaluation needed on the hot path.
-        """
-        current = self._current
-        assert current is not None
-        if all(sp.is_positive for sp in current.sps):
-            roles: set[str] = set()
-            for sp in current.sps:
-                if sp.ddp.stream.matches(sid):
-                    roles |= sp.roles()
-            resolved = TuplePolicy(frozenset(roles), ts=current.ts)
-        else:
-            resolved = current.resolve_for_tuple(sid)
-        self._shared[sid] = resolved
-        return resolved
+        self._policy = Policy(batch)
+        self._scope = max(_SCOPE[sp.ddp.granularity()] for sp in batch)
+        self._cache = {}
 
     # -- tuple arrival -----------------------------------------------------
     def policy_for(self, item: DataTuple) -> TuplePolicy:
         """Resolved policy of ``item`` under the current policy state."""
         if self._batch:
             self._finalize_batch()
-        if self._shared_any is not None:
-            return self._shared_any
+        if self._segment_policy is not None:
+            return self._segment_policy
         if not self._resolved:
             self._resolve()
-            if self._shared_any is not None:
-                return self._shared_any
-        current = self._current
-        if current is None:
-            # No sp yet (a batch with no shared policy is materialized
-            # when it is resolved): denial-by-default.
-            return EMPTY_POLICY
-        if self._uniform:
-            shared = self._shared.get(item.sid)
-            if shared is None:
-                shared = self._resolve_shared(item.sid)
-            return shared
-        if has_attribute_scope(current):
-            key: tuple = (item.sid, item.tid, tuple(item.values))
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = self._cache[key] = current.resolve_for_attributes(
-                    item.sid, item.tid, item.values.keys())
-            return cached
-        key = (item.sid, item.tid)
+            if self._segment_policy is not None:
+                return self._segment_policy
+        policy = self._policy
+        if policy is None:
+            return EMPTY_POLICY  # no sp yet: denial-by-default
+        scope = self._scope
+        if scope == 0:
+            key = item.sid
+        elif scope == 1:
+            key = (item.sid, item.tid)
+        else:
+            key = (item.sid, item.tid, tuple(item.values))
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._cache[key] = current.resolve_for_tuple(
-                item.sid, item.tid)
+            if scope == 2:
+                cached = policy.resolve_for_attributes(
+                    item.sid, item.tid, item.values.keys())
+            else:
+                cached = policy.resolve_for_tuple(item.sid, item.tid)
+            self._cache[key] = cached
         return cached
 
     @property
     def is_uniform(self) -> bool:
-        """Whether the current policy resolves identically for all tuples."""
+        """Whether the current policy resolves identically for every
+        tuple of a stream: a shared policy, or a stream-scoped batch."""
         self._finalize_batch()
         if not self._resolved:
             self._resolve()
-        return self._uniform
+        return self._segment_policy is not None or self._scope == 0
 
     def take_pending_sps(self) -> list[SecurityPunctuation]:
         """Sps of the current policy not yet handed on (at most once).

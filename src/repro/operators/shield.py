@@ -22,17 +22,20 @@ grouped filter of CACQ/PSoup) and a deliberately naive linear scan of
 the role list, used as the unindexed baseline in the Figure 8b
 benchmark.
 
-Every verdict has one recorder, :meth:`SecurityShield._record`, and one
-store, the hub's :class:`~repro.observability.audit.AuditLog`: a denial
-is a ``shield.drop`` run record whenever a log is attached, a pass a
+Every verdict goes through one site, :meth:`SecurityShield._verdict` —
+once per run of a uniform segment, once per tuple of a non-uniform one
+or of a bare tuple — which records, counts and emits it.  Its one store
+is the hub's :class:`~repro.observability.audit.AuditLog`: a denial is
+a ``shield.drop`` run record whenever a log is attached, a pass a
 ``shield.pass`` one while the current trace is head-sampled.  Nothing
-else (no trace span, no second log) repeats the decision.
+else (no trace span, no second log, no verdict memo) repeats the
+decision; the tracker caches each object's policy.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.bitmap import role_set
 from repro.core.policy import TuplePolicy
@@ -75,16 +78,11 @@ class SecurityShield(UnaryOperator):
         self._conjunct_scans = tuple(sorted(c) for c in self.conjuncts)
         self.indexed = indexed
         self.tracker = PolicyTracker(stream_id)
-        #: Memoized per-role-set verdicts for non-uniform segments:
-        #: ``roles -> (verdict, comparisons_delta)``.  ``_permits`` is
-        #: deterministic given (roles, conjuncts, indexed), so replaying
-        #: the recorded comparison delta keeps the scan-cost accounting
-        #: bit-identical to an uncached evaluation.  Cleared on rebind.
-        self._permits_memo: dict[frozenset[str], tuple[bool, int]] = {}
         #: Decision for the current uniform segment (None = per-tuple).
         self._segment_decision: bool | None = None
         self._decision_stale = True
-        #: Sps held back until the first passing tuple of their segment.
+        #: Sps of the current segment not sent yet: held until the first
+        #: passing tuple of their segment, or discarded when it ends.
         self._held_sps: list[SecurityPunctuation] = []
         #: Tuples discarded by the shield (the security selectivity).
         self.tuples_blocked = 0
@@ -146,7 +144,6 @@ class SecurityShield(UnaryOperator):
         self._conjunct_scans = (self._predicate_list,)
         self._decision_stale = True
         self._segment_fields = None
-        self._permits_memo.clear()
         if self._instruments is not None:
             # The roles label changed: re-point the verdict counters at
             # the new predicate's series.
@@ -160,45 +157,6 @@ class SecurityShield(UnaryOperator):
                 predicate=tuple(self._predicate_list),
                 previous=list(old_predicate),
             )
-
-    def split(self, n_first: int = 1) -> tuple["SecurityShield",
-                                               "SecurityShield"]:
-        """Rule 1: split the conjunction into two stacked shields.
-
-        ``ψ_{p1∧..∧pn}(T) ≡ ψ_{p1..pk}(ψ_{pk+1..pn}(T))`` — the first
-        returned shield carries the first ``n_first`` conjuncts, the
-        second the rest.  Requires at least two conjuncts.
-        """
-        if not 0 < n_first < len(self.conjuncts):
-            raise ValueError(
-                f"cannot split {len(self.conjuncts)} conjunct(s) at "
-                f"{n_first}"
-            )
-        first = SecurityShield(self.conjuncts[0], self.tracker.stream_id,
-                               indexed=self.indexed,
-                               conjuncts=self.conjuncts[:n_first],
-                               name=f"{self.name}[0:{n_first}]")
-        second = SecurityShield(self.conjuncts[n_first],
-                                self.tracker.stream_id,
-                                indexed=self.indexed,
-                                conjuncts=self.conjuncts[n_first:],
-                                name=f"{self.name}[{n_first}:]")
-        return first, second
-
-    @classmethod
-    def merged(cls, shields: Iterable["SecurityShield"],
-               name: str | None = None) -> "SecurityShield":
-        """Rule 1 (reverse): one SS carrying all conjuncts of the inputs."""
-        shields = list(shields)
-        conjuncts: list[frozenset[str]] = []
-        stream_id = "*"
-        indexed = True
-        for shield in shields:
-            conjuncts.extend(shield.conjuncts)
-            stream_id = shield.tracker.stream_id
-            indexed = indexed and shield.indexed
-        return cls(conjuncts[0], stream_id, indexed=indexed,
-                   conjuncts=conjuncts, name=name)
 
     # -- the predicate check ---------------------------------------------------
     def _permits(self, policy: TuplePolicy) -> bool:
@@ -229,25 +187,6 @@ class SecurityShield(UnaryOperator):
             passing = passing and hit
         return passing
 
-    def _permits_cached(self, policy: TuplePolicy) -> bool:
-        """Memoized :meth:`_permits` keyed by the policy's role set.
-
-        Non-uniform segments repeat a handful of distinct role sets
-        across many tuples; the verdict *and* its comparison count are
-        replayed from the memo so stats stay identical to evaluating
-        every tuple from scratch.
-        """
-        memo = self._permits_memo
-        cached = memo.get(policy.roles)
-        if cached is not None:
-            verdict, delta = cached
-            self.stats.comparisons += delta
-            return verdict
-        before = self.stats.comparisons
-        verdict = self._permits(policy)
-        memo[policy.roles] = (verdict, self.stats.comparisons - before)
-        return verdict
-
     # -- element processing -------------------------------------------------
     def _process(self, element: StreamElement,
                  port: int) -> list[StreamElement]:
@@ -266,20 +205,7 @@ class SecurityShield(UnaryOperator):
         if passing is None:
             # Non-uniform policy: decide per tuple.
             passing = self._permits(self.tracker.policy_for(element))
-        if self.audit is not None:
-            self._record((element,), passing)
-        if not passing:
-            self.tuples_blocked += 1
-            if self._m_drop is not None:
-                self._m_drop.inc()
-                if self._segment_denial:
-                    self._m_denial.inc()
-            return []
-        if self._m_pass is not None:
-            self._m_pass.inc()
-        out, self._held_sps = self._held_sps, []
-        out.append(element)
-        return out
+        return self._verdict(passing, element, 1)
 
     def _observe_segment_boundary(self) -> None:
         """Metrics at an sp arrival: close the previous segment's size
@@ -308,74 +234,82 @@ class SecurityShield(UnaryOperator):
         if self._decision_stale:
             self._refresh_decision(tuples[0])
         decision = self._segment_decision
-        if decision is None:
-            # Non-uniform policy: decide per tuple — but with the
-            # staleness check, policy lookup plumbing and verdict
-            # memoization hoisted out of the loop (an sp can never
-            # arrive mid-batch, so the segment state is fixed here).
-            out: list[StreamElement] = []
-            policy_for = self.tracker.policy_for
-            permits = self._permits_cached
-            m_pass, m_drop = self._m_pass, self._m_drop
-            audit = self.audit
-            blocked = 0
-            for item in tuples:
-                passing = permits(policy_for(item))
-                if audit is not None:
-                    self._record((item,), passing)
-                if passing:
-                    if m_pass is not None:
-                        m_pass.inc()
-                    if self._held_sps:
-                        out.extend(self._held_sps)
-                        self._held_sps = []
-                    out.append(item)
-                else:
-                    blocked += 1
-                    if m_drop is not None:
-                        m_drop.inc()
-                        if self._segment_denial:
-                            self._m_denial.inc()
-            self.tuples_blocked += blocked
-            return out
-        if self.audit is not None:
-            self._record(tuples, decision)
-        if not decision:
-            self.tuples_blocked += len(tuples)
+        if decision is not None:
+            return self._verdict(decision, batch, len(tuples))
+        # Non-uniform policy: decide per tuple (an sp never arrives
+        # mid-run, so the segment state is fixed here).
+        out: list[StreamElement] = []
+        policy_for, permits, verdict = (self.tracker.policy_for,
+                                        self._permits, self._verdict)
+        for item in tuples:
+            out += verdict(permits(policy_for(item)), item, 1)
+        return out
+
+    def _verdict(self, passing: bool, run: DataTuple | TupleBatch,
+                 n: int) -> list[StreamElement]:
+        """The shield's one verdict site: ``passing`` over ``run`` — one
+        tuple, or a segment run of ``n`` tuples decided under one
+        resolved policy.  Records it, counts it and, on a pass, emits
+        the held sps ahead of the run.
+
+        The record is one run record — a ``shield.drop`` /
+        ``shield.pass`` event per tuple: a denial whenever a log is
+        attached, a pass only while the log's tracer has a head-sampled
+        trace open.  A pass at a query's outlet carries
+        ``outlet=True``: the tuple was delivered.
+        """
+        audit = self.audit
+        if audit is not None and (not passing or audit.wants_passes()):
+            tuples = run.tuples if type(run) is TupleBatch else (run,)
+            predicate, policy, sp = self._decision_fields(tuples[0])
+            detail = {"outlet": True} if passing and self.outlet else {}
+            audit.record_run(
+                self._KIND_PASS if passing else self._KIND_DROP, tuples,
+                operator=self.name, query=self.audit_query,
+                predicate=predicate, policy=policy, sp=sp, **detail)
+        if not passing:
+            self.tuples_blocked += n
             if self._m_drop is not None:
-                self._m_drop.inc(len(tuples))
+                self._m_drop.inc(n)
                 if self._segment_denial:
-                    self._m_denial.inc(len(tuples))
+                    self._m_denial.inc(n)
             return []
         if self._m_pass is not None:
-            self._m_pass.inc(len(tuples))
+            self._m_pass.inc(n)
         out, self._held_sps = self._held_sps, []
-        out.append(batch)
+        out.append(run)
         return out
 
     def _refresh_decision(self, item: DataTuple) -> None:
-        """Evaluate a newly finalized sp-batch against the predicate."""
-        # Sps of the previous segment still held (no passing tuple ever
-        # arrived) are now definitively discarded with their segment.
-        self.sps_blocked += len(self._held_sps)
-        self._held_sps = []
-        pending = self.tracker.take_pending_sps()
-        policy = self.tracker.policy_for(item)
-        if self.tracker.is_uniform:
+        """Evaluate the sp-batch in force against the predicate (after a
+        new batch or a rebind).
+
+        The segment's sps stay held until a tuple passes or the segment
+        ends; a dropped segment's are counted blocked when it is
+        dropped, and uncounted if a rebind lets it pass.
+        """
+        tracker = self.tracker
+        held = self._held_sps
+        if self._segment_decision is False:
+            self.sps_blocked -= len(held)
+        pending = tracker.take_pending_sps()
+        if pending:
+            # A new segment: the old one's unsent sps go with it.
+            self.sps_blocked += len(held)
+            held = self._held_sps = pending
+        policy = tracker.policy_for(item)
+        if tracker.is_uniform:
             self._segment_decision = self._permits(policy)
-            if self._segment_decision:
-                self._held_sps = pending
-            else:
-                self.sps_blocked += len(pending)
+            if not self._segment_decision:
+                self.sps_blocked += len(held)
         else:
             # Non-uniform policy: decide per tuple; the segment's sps
             # are released with the first tuple that passes.
             self._segment_decision = None
-            self._held_sps = pending
         self._decision_stale = False
         audit = self.audit
         if self._m_prop is not None:
-            self._segment_denial = not self.tracker.current_sps()
+            self._segment_denial = not tracker.current_sps()
             if self._sp_wall is not None:
                 # First enforcement decision under the new policy: the
                 # paper's "speed of enforcement", measured.
@@ -418,27 +352,6 @@ class SecurityShield(UnaryOperator):
             self._KIND_SEGMENT, ts=item.ts, operator=self.name,
             query=self.audit_query, predicate=predicate, policy=policy,
             sp=sp, verdict=verdict,
-        )
-
-    def _record(self, tuples: Sequence[DataTuple], passing: bool) -> None:
-        """The shield's one decision recorder: a verdict over ``tuples``,
-        a run decided under one resolved policy (a single tuple on the
-        ``process()`` path), held as one run record — one
-        ``shield.drop`` / ``shield.pass`` event per tuple.  A denial is
-        always recorded; a pass only while the log's tracer has a
-        head-sampled trace open.
-        A pass at a query's outlet carries ``outlet=True``: the tuple
-        was delivered.
-        """
-        audit = self.audit
-        if passing and not audit.wants_passes():
-            return
-        predicate, policy, sp = self._decision_fields(tuples[0])
-        detail = {"outlet": True} if passing and self.outlet else {}
-        audit.record_run(
-            self._KIND_PASS if passing else self._KIND_DROP, tuples,
-            operator=self.name, query=self.audit_query,
-            predicate=predicate, policy=policy, sp=sp, **detail,
         )
 
     def flush(self) -> list[StreamElement]:

@@ -179,6 +179,8 @@ SEEDS = {
     "one process": ("examples/x.py", "results = dsms.run(shards=2)"),
     "one sp-batch buffer per stream": ("src/x.py",
                                        "dsms.open_session(analyze_sps=False)"),
+    "one resolution per sp-batch": ("src/repro/operators/shield.py",
+                                    "    def split(self, n_first=1):"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.
@@ -186,6 +188,9 @@ ALLOWED = [
     ("src/repro/engine/plan.py", 'SecurityShield(r, name=f"delivery:{q}")'),
     ("src/repro/operators/base.py", "self._batches = []"),
     ("src/x.py", "batch = tracker.take_pending_sps()"),
+    ("src/repro/operators/base.py",
+     "self._segment_policy = batch[0].segment_policy()"),
+    ("src/repro/stream/element.py", "def split(elements):"),
 ]
 
 

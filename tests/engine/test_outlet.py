@@ -16,6 +16,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.engine.plan import PhysicalPlan
 from repro.errors import QueryError
+from repro.operators.accessfilter import AccessFilter
 from repro.operators.conditions import Comparison
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
@@ -181,3 +182,41 @@ class TestRebindSharedShields:
         elements = segments()
         assert after == fresh_run(dsms, elements[len(elements) // 2:])
         assert after == {"q1": [20, 21], "q2": [30, 31]}
+
+
+class TestRebindKeepsHeldSps:
+    """A segment's unsent sps stay held until a tuple of the segment
+    passes or the segment ends — a re-bind does not end it."""
+
+    def test_rebound_query_gets_the_sp_that_governs_its_tuple(self):
+        dsms = registered({"q1": (ScanExpr("s"), {"C"}),
+                           "q2": (ScanExpr("s"), {"D"})})
+        sp = SecurityPunctuation.grant(["D"], 0.0)
+        t1 = DataTuple("s", 1, {"a": 1}, 1.0)
+        t2 = DataTuple("s", 2, {"a": 2}, 2.0)
+        got = {"q1": [], "q2": []}
+        with dsms.open_session() as session:
+            for element in (sp, t1, "rebind", t2):
+                if element == "rebind":
+                    dsms.update_query_roles("q1", {"D"})
+                    continue
+                for name, out in session.push("s", element).items():
+                    got[name] += out
+        shown = {name: [e.tid if isinstance(e, DataTuple) else e.to_text()
+                        for e in out] for name, out in got.items()}
+        assert shown == {"q1": [sp.to_text(), 2],
+                         "q2": [sp.to_text(), 1, 2]}
+        (outlet,) = [s for s in dsms.shields("q1")
+                     if not s.name.startswith("delivery:")]
+        assert (outlet.tuples_blocked, outlet.sps_blocked) == (1, 0)
+
+    def test_a_stripping_access_filter_still_strips(self):
+        sp = SecurityPunctuation.grant(["D"], 0.0)
+        t1 = DataTuple("s", 1, {"a": 1}, 1.0)
+        t2 = DataTuple("s", 2, {"a": 2}, 2.0)
+        for strip, expected in ((True, [t2]), (False, [sp, t2])):
+            accessfilter = AccessFilter({"C"}, strip_sps=strip)
+            assert accessfilter.process(sp) == []
+            assert accessfilter.process(t1) == []
+            accessfilter.rebind({"D"})
+            assert accessfilter.process(t2) == expected

@@ -206,12 +206,10 @@ class TestGranularityExtension:
         from repro.core.policy import Policy
         from repro.experiments.fig8 import run_pipeline
         from repro.experiments.granularity import granularity_stream
-        from repro.operators.base import PolicyTracker
         from repro.operators.shield import SecurityShield
         from repro.workloads.synthetic import QUERY_ROLE
 
-        resolvers = {Policy.authorized_roles.__code__,
-                     PolicyTracker._resolve_shared.__code__}
+        resolvers = {Policy.authorized_roles.__code__}
         resolutions = {}
         for name in ("stream", "tuple", "attribute"):
             elements = granularity_stream(name, 2500, seed=53)

@@ -119,19 +119,23 @@ class TestConjunctivePredicates:
         assert out_tids(out) == []
 
     def test_split_preserves_semantics(self):
-        merged = SecurityShield(
-            ["A", "B"], conjuncts=[["A"], ["B"]])
-        first, second = merged.split()
+        """Table II Rule 1: ψ_{A∧B}(T) ≡ ψ_A(ψ_B(T)), stacked by hand."""
         elements = [grant(["A", "B"], 0.0), tup(1, 1.0),
-                    grant(["A"], 2.0), tup(2, 3.0)]
-        merged_out = out_tids(drive(merged, list(elements)))
-        stacked_out = out_tids(drive(first, drive(second, list(elements))))
-        assert merged_out == stacked_out == [1]
+                    grant(["A"], 2.0), tup(2, 3.0),
+                    grant(["B"], 4.0), tup(3, 5.0)]
+        conjunction = SecurityShield(["A", "B"], conjuncts=[["A"], ["B"]])
+        together = drive(conjunction, list(elements))
+        stacked = drive(SecurityShield(["A"]),
+                        drive(SecurityShield(["B"]), list(elements)))
+        assert together == stacked
+        assert out_tids(together) == [1]
 
     def test_merged_constructor(self):
+        """A conjunction shield keeps each conjunct; its predicate is their union."""
         a = SecurityShield(["A"])
         b = SecurityShield(["B"])
-        merged = SecurityShield.merged([a, b])
+        merged = SecurityShield(
+            a.predicate | b.predicate, conjuncts=[a.predicate, b.predicate])
         assert merged.conjuncts == (a.predicate, b.predicate)
         assert merged.predicate == frozenset({"A", "B"})
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.patterns import literal, numeric_range
-from repro.core.policy import Policy, policy_is_uniform
 from repro.core.punctuation import SecurityPunctuation
 from repro.errors import StreamError
 from repro.operators.base import PolicyTracker
@@ -36,20 +35,37 @@ class Feed:
         self.window.insert(item, self.tracker.policy_for(item))
 
 
+def uniform(*sps):
+    """Whether a tracker reading ``sps`` calls the segment uniform."""
+    tracker = PolicyTracker("s1")
+    for sp in sps:
+        tracker.observe_sp(sp)
+    return tracker.is_uniform
+
+
 class TestUniformity:
     def test_wildcard_policy_is_uniform(self):
-        assert policy_is_uniform(Policy([grant(["D"])]))
+        assert uniform(grant(["D"]))
 
     def test_tuple_scoped_policy_not_uniform(self):
-        policy = Policy([grant(["D"], tuple_id=numeric_range(1, 5))])
-        assert not policy_is_uniform(policy)
+        assert not uniform(grant(["D"], tuple_id=numeric_range(1, 5)))
 
     def test_attribute_scoped_policy_not_uniform(self):
-        policy = Policy([grant(["D"], attribute=literal("temp"))])
-        assert not policy_is_uniform(policy)
+        assert not uniform(grant(["D"], attribute=literal("temp")))
 
     def test_none_policy_uniform(self):
-        assert policy_is_uniform(None)
+        assert uniform()
+
+    def test_two_sid_stream_scoped_policy_is_uniform(self):
+        """Stream scope: the answer depends on the tuple's sid only."""
+        tracker = PolicyTracker("*")
+        tracker.observe_sp(grant(["D"], stream=literal("s1")))
+        tracker.observe_sp(grant(["N"], stream=literal("s2")))
+        assert tracker.is_uniform
+        assert tracker.policy_for(tup(1, 2.0)).roles == {"D"}
+        assert tracker.policy_for(tup(2, 2.0, sid="s2")).roles == {"N"}
+        assert tracker.policy_for(tup(3, 2.0)) is tracker.policy_for(
+            tup(4, 2.0))
 
 
 class TestWindow:
