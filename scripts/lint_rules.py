@@ -190,6 +190,11 @@ GUARDS = (
           "docs/PERFORMANCE.md, One resolution per sp",
           allow=r"^(?!src/repro/operators/shield\.py:).*\bdef "
                 r"(split|merged)\("),
+    Guard("one constructor per sp value",
+          r"object\.__new__|__dict__\.update", ("src/repro/core",),
+          "a core value is built by its one __init__, into its slots: a "
+          "second constructor that writes the fields around it costs a "
+          "per-instance dict; see docs/PERFORMANCE.md, What an sp costs"),
 )
 
 

@@ -228,9 +228,12 @@ class SPAnalyzer:
     # -- normalization ------------------------------------------------------
     def _normalize(self, sp: SecurityPunctuation) -> SecurityPunctuation:
         """Resolve open-ended role patterns against the role universe."""
-        if sp.srp.concrete_roles() is not None:
-            for role in sp.roles():
-                self.universe.register(role)
+        roles = sp.srp.concrete_roles()
+        if roles is not None:
+            universe = self.universe
+            if not universe.knows(roles):
+                for role in roles:  # the known ones keep their ids
+                    universe.register(role)
             return sp
         resolved = sp.srp.resolve(self.universe.roles())
         if not resolved:

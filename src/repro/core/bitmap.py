@@ -77,6 +77,10 @@ class RoleUniverse:
     def __contains__(self, role: str) -> bool:
         return role in self._ids
 
+    def knows(self, roles: frozenset[str]) -> bool:
+        """Whether every one of ``roles`` is registered (one subset test)."""
+        return roles <= self._ids.keys()
+
     def __len__(self) -> int:
         return len(self._names)
 

@@ -169,8 +169,13 @@ class SetPattern(Pattern):
         if not values:
             raise PatternError("SetPattern requires at least one value")
         self._values = values
-        self._texts = (values if set(map(type, values)) == {str}  # names
-                       else frozenset(map(str, values)))
+        try:
+            # A str value is its own text, so a set of names (every
+            # value a str: join takes nothing else) is its own text set.
+            "".join(values)
+            self._texts = values
+        except TypeError:
+            self._texts = frozenset(map(str, values))
 
     @property
     def values(self) -> frozenset:

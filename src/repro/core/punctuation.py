@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from repro.core.patterns import (ANY, CompositePattern, LiteralPattern,
@@ -73,8 +73,7 @@ class Sign(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Sign":
-        if text not in ("+", "-"):  # what to_text() writes, checked first
-            text = text.strip().lower()
+        text = text.strip().lower()
         if text in ("+", "positive", "grant"):
             return cls.POSITIVE
         if text in ("-", "negative", "deny"):
@@ -182,12 +181,20 @@ class DataDescription:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecurityRestriction:
     """The SRP: access-control model type plus authorized-subject pattern."""
 
     roles: Pattern
     model_type: str = RBAC_MODEL
+    #: The :meth:`concrete_roles` memo, unset until written.
+    _concrete_cache: frozenset[str] | None = field(
+        init=False, repr=False, compare=False)
+
+    def __init__(self, roles: Pattern, model_type: str = RBAC_MODEL):
+        set_roles, set_model_type = _SRP_FIELDS  # bound below the class
+        set_roles(self, roles)
+        set_model_type(self, model_type)
 
     @classmethod
     def for_roles(cls, roles: Iterable[str] | str,
@@ -247,6 +254,20 @@ class SecurityRestriction:
         return (SecurityRestriction, (self.roles, self.model_type))
 
 
+def _slot_setters(cls: type) -> tuple:
+    """The slot setters of ``cls``'s init fields, in declaration order.
+
+    A frozen value's one ``__init__`` writes its fields through them:
+    they bypass the frozen ``__setattr__`` as ``object.__setattr__``
+    would, minus its per-call attribute lookup.
+    """
+    return tuple(getattr(cls, f.name).__set__
+                 for f in fields(cls) if f.init)
+
+
+_SRP_FIELDS = _slot_setters(SecurityRestriction)
+
+
 def _enumerate_pattern(pattern: Pattern) -> frozenset[str] | None:
     if isinstance(pattern, SetPattern):
         return pattern.texts
@@ -263,7 +284,7 @@ def _enumerate_pattern(pattern: Pattern) -> frozenset[str] | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecurityPunctuation:
     """One security punctuation: ``<DDP | SRP | Sign | Immutable | ts>``.
 
@@ -286,11 +307,40 @@ class SecurityPunctuation:
     provider: str | None = None
     #: Delta semantics: edit the current policy instead of replacing it.
     incremental: bool = False
-    sp_id: int = field(default_factory=lambda: next(_sp_counter), compare=False)
+    #: Drawn from a process-wide counter when not given.
+    sp_id: int | None = field(default=None, compare=False)
+    # The four memos, each written by its one method and unset until
+    # then: :meth:`roles`, :meth:`to_text`, the wire line
+    # (``stream.wire.encode_element``) and :meth:`segment_policy`.
+    _roles_cache: frozenset = field(init=False, repr=False, compare=False)
+    _text_cache: str = field(init=False, repr=False, compare=False)
+    _line_cache: str = field(init=False, repr=False, compare=False)
+    _policy_cache: TuplePolicy | None = field(init=False, repr=False,
+                                              compare=False)
 
-    def __post_init__(self) -> None:
-        if self.ts is None:
-            raise PunctuationError("sp requires a timestamp")
+    def __init__(self, ddp: DataDescription, srp: SecurityRestriction,
+                 ts: float, sign: Sign = Sign.POSITIVE,
+                 immutable: bool = False, provider: str | None = None,
+                 incremental: bool = False, sp_id: int | None = None):
+        # NaN compares false with every timestamp, so it would slip
+        # past every ordering test (a stale batch would govern again);
+        # +-inf still order and stay legal.
+        if ts is None or ts != ts:
+            raise PunctuationError(
+                "sp requires a timestamp" if ts is None
+                else "sp timestamp must not be NaN")
+        # Bound below the class (``_slot_setters``): every sp on the
+        # wire runs this.
+        set_ddp, set_srp, set_ts, set_sign, set_immutable, set_provider, \
+            set_incremental, set_sp_id = _SP_FIELDS
+        set_ddp(self, ddp)
+        set_srp(self, srp)
+        set_ts(self, ts)
+        set_sign(self, sign)
+        set_immutable(self, immutable)
+        set_provider(self, provider)
+        set_incremental(self, incremental)
+        set_sp_id(self, next(_sp_counter) if sp_id is None else sp_id)
 
     # -- convenience constructors -------------------------------------
     @classmethod
@@ -442,39 +492,53 @@ class SecurityPunctuation:
 
     @classmethod
     def parse(cls, text: str, provider: str | None = None) -> "SecurityPunctuation":
-        """Parse the output of :meth:`to_text`."""
+        """Parse the output of :meth:`to_text`.
+
+        One split, each field stripped once; the sign is looked up as
+        :meth:`to_text` writes it before :meth:`Sign.parse` reads the
+        other spellings.
+        """
         body = text.strip()
         if not (body.startswith("<") and body.endswith(">")):
             raise PunctuationError(f"sp text must be <...>: {text!r}")
-        parts = [p.strip() for p in body[1:-1].split("|")]
-        incremental = False
-        if len(parts) == 6:
-            if parts[5].upper() != "INC":
-                raise PunctuationError(
-                    f"unknown sixth sp field: {parts[5]!r}")
-            incremental = True
-            parts = parts[:5]
+        parts = body[1:-1].split("|")
+        incremental = len(parts) == 6
+        if incremental:
+            sixth = parts.pop().strip()
+            if sixth.upper() != "INC":
+                raise PunctuationError(f"unknown sixth sp field: {sixth!r}")
         if len(parts) != 5:
             raise PunctuationError(
                 f"sp text must have 5 '|'-separated fields: {text!r}"
             )
         ddp_text, srp_text, sign_text, immutable_text, ts_text = parts
-        immutable_text = immutable_text.upper()
-        if immutable_text not in ("T", "F", "TRUE", "FALSE"):
-            raise PunctuationError(f"invalid Immutable field: {immutable_text!r}")
+        immutable_text = immutable_text.strip().upper()
+        immutable = _IMMUTABLE.get(immutable_text)
+        if immutable is None:
+            raise PunctuationError(
+                f"invalid Immutable field: {immutable_text!r}")
         try:
-            ts = float(ts_text)
+            ts = float(ts_text)  # float() skips the padding itself
         except ValueError:
-            raise PunctuationError(f"invalid timestamp: {ts_text!r}") from None
+            raise PunctuationError(
+                f"invalid timestamp: {ts_text.strip()!r}") from None
+        ddp = DataDescription.parse(ddp_text.strip())
+        srp = SecurityRestriction.parse(srp_text.strip())
+        sign_text = sign_text.strip()
+        sign = _SIGNS.get(sign_text) or Sign.parse(sign_text)
         # Fields in declaration order: a positional call is the cheaper
         # one, and this runs once per sp on the wire.
-        return cls(DataDescription.parse(ddp_text),
-                   SecurityRestriction.parse(srp_text), ts,
-                   Sign.parse(sign_text), immutable_text.startswith("T"),
-                   provider, incremental)
+        return cls(ddp, srp, ts, sign, immutable, provider, incremental)
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+_SP_FIELDS = _slot_setters(SecurityPunctuation)
+#: The sign as :meth:`SecurityPunctuation.to_text` writes it, and the
+#: Immutable field's spellings (upper-cased).
+_SIGNS = {sign.value: sign for sign in Sign}
+_IMMUTABLE = {"T": True, "TRUE": True, "F": False, "FALSE": False}
 
 
 class SPBatch:

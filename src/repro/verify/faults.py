@@ -184,6 +184,8 @@ def disable_denial_by_default():
 def malformed_sp_texts(sp: SecurityPunctuation) -> "list[str]":
     """Corruptions of one sp's text form; all must fail to parse."""
     text = sp.to_text()
+    fields = text[1:-1].split("|")
+    fields[4] = " nan "  # NaN passes every ordering test
     return [
         text[1:],                       # lost opening bracket
         text[:-1],                      # truncated mid-element
@@ -191,6 +193,7 @@ def malformed_sp_texts(sp: SecurityPunctuation) -> "list[str]":
         text.replace(f"| {sp.sign.value} |", "| ? |"),  # bad sign
         "<" + "|".join(["*"] * 9) + ">",  # wrong field count
         "",
+        "<" + "|".join(fields) + ">",   # NaN timestamp
     ]
 
 

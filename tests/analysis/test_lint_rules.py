@@ -181,6 +181,9 @@ SEEDS = {
                                        "dsms.open_session(analyze_sps=False)"),
     "one resolution per sp-batch": ("src/repro/operators/shield.py",
                                     "    def split(self, n_first=1):"),
+    "one constructor per sp value": (
+        "src/repro/core/punctuation.py",
+        "sp = object.__new__(SecurityPunctuation)"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.
@@ -191,6 +194,8 @@ ALLOWED = [
     ("src/repro/operators/base.py",
      "self._segment_policy = batch[0].segment_policy()"),
     ("src/repro/stream/element.py", "def split(elements):"),
+    ("src/repro/observability/provenance.py",
+     "event.__dict__.update(fields)"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for the security punctuation structure (Definition 3.1)."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -9,6 +10,8 @@ from repro.core.punctuation import (DataDescription, Granularity,
                                     SecurityPunctuation, SecurityRestriction,
                                     Sign, SPBatch)
 from repro.errors import PatternError, PunctuationError
+from repro.stream.wire import decode_element
+from repro.verify.faults import malformed_sp_texts
 
 
 class TestSign:
@@ -147,6 +150,100 @@ class TestSecurityPunctuation:
         assert a.sp_id != b.sp_id
 
 
+class TestNanTimestamp:
+    """A NaN ts compares false with every timestamp, so it would pass
+    every ordering test.  Under ``run()``, ``A@5, t1@6, B@nan, t2@7,
+    C@3, t3@8`` delivered t3 to a C reader: the stale ``C@3`` was not
+    discarded, because ``3 < nan`` is false.  The constructor refuses
+    it, so every way of building an sp does."""
+
+    NAN = float("nan")
+
+    def test_every_door_refuses_it(self):
+        sp = SecurityPunctuation.grant(["B"], 1.0)
+        for build in (
+                lambda: SecurityPunctuation.grant(["B"], self.NAN),
+                lambda: SecurityPunctuation.parse(
+                    "<*, *, * | B | + | F | nan>"),
+                lambda: SecurityPunctuation.parse(
+                    "<*, *, * | B | - | F | NaN | INC>"),
+                lambda: decode_element(
+                    '{"k":"sp","sp":"<*, *, * | B | + | F | nan>"}'),
+                lambda: sp.with_ts(self.NAN),
+                lambda: dataclasses.replace(sp, ts=self.NAN)):
+            with pytest.raises(PunctuationError,
+                               match="sp timestamp must not be NaN"):
+                build()
+
+    @pytest.mark.parametrize("ts", [float("inf"), float("-inf")])
+    def test_infinities_stay_legal(self, ts):
+        sp = SecurityPunctuation.parse(
+            SecurityPunctuation.grant(["B"], ts).to_text())
+        assert sp.ts == ts
+
+
+#: The sp whose ``malformed_sp_texts`` corruptions the table pins.
+CORRUPTED = SecurityPunctuation.grant(["R1", "R2"], 3.5, provider="s")
+
+
+class TestParseErrors:
+    """Every malformed text raises one error class with one message."""
+
+    #: ``malformed_sp_texts(CORRUPTED)``, in its order.
+    CORRUPTIONS = [
+        (PunctuationError, "sp text must be <...>: {text!r}"),
+        (PunctuationError, "sp text must be <...>: {text!r}"),
+        (PunctuationError,
+         "sp text must have 5 '|'-separated fields: {text!r}"),
+        (PunctuationError, "invalid sign: '?'"),
+        (PunctuationError,
+         "sp text must have 5 '|'-separated fields: {text!r}"),
+        (PunctuationError, "sp text must be <...>: ''"),
+        (PunctuationError, "sp timestamp must not be NaN"),
+    ]
+
+    @pytest.mark.parametrize(
+        "index", range(len(CORRUPTIONS)),
+        ids=["opening", "closing", "separator", "sign", "field-count",
+             "empty", "nan-ts"])
+    def test_each_fault_corruption(self, index):
+        texts = malformed_sp_texts(CORRUPTED)
+        assert len(texts) == len(self.CORRUPTIONS)
+        error, message = self.CORRUPTIONS[index]
+        text = texts[index]
+        with pytest.raises(error) as info:
+            SecurityPunctuation.parse(text)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(text=text)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("<*, *, * | {a,, b} | + | F | 1.0>", PatternError,
+         "not a set of names: '{a,, b}'"),
+        ("<*, *, * | {ok, *} | + | F | 1.0>", PatternError,
+         "not a set of names: '{ok, *}'"),
+        ("<*, *, * | D | ? | F | 1.0>", PunctuationError,
+         "invalid sign: '?'"),
+        ("<*, *, * | D | + | maybe | 1.0>", PunctuationError,
+         "invalid Immutable field: 'MAYBE'"),
+        ("<*, *, * | D | + | F | soon>", PunctuationError,
+         "invalid timestamp: 'soon'"),
+        ("<*, *, * | D | + | F | 1.0 | NEW>", PunctuationError,
+         "unknown sixth sp field: 'NEW'"),
+        ("<*, *, * | D | + | F>", PunctuationError,
+         "sp text must have 5 '|'-separated fields: "
+         "'<*, *, * | D | + | F>'"),
+        ("<*, *, * | D | + | F | 1.0 | INC | x>", PunctuationError,
+         "sp text must have 5 '|'-separated fields: "
+         "'<*, *, * | D | + | F | 1.0 | INC | x>'"),
+    ], ids=["empty-name", "wildcard-name", "sign", "immutable", "ts",
+            "sixth-field", "4-fields", "7-fields"])
+    def test_each_malformed_field(self, text, error, message):
+        with pytest.raises(error) as info:
+            SecurityPunctuation.parse(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestParseMemo:
     """``DataDescription.parse`` and the role tokens are memoised per
     text (bounded in entries); role sets and sps stay fresh instances."""
@@ -234,9 +331,13 @@ class TestMemosStayHome:
             assert len(pickle.dumps(sp)) == size
         back = pickle.loads(pickle.dumps(sp))
         assert back == sp and back.sp_id == sp.sp_id
-        assert not {"_roles_cache", "_text_cache", "_line_cache",
-                    "_policy_cache"} & set(vars(back))
-        assert "_concrete_cache" not in vars(back.srp)
+        assert not hasattr(back, "__dict__")  # the slots are all it has
+        for memo in ("_roles_cache", "_text_cache", "_line_cache",
+                     "_policy_cache"):
+            assert hasattr(sp, memo) and not hasattr(back, memo), memo
+        assert not hasattr(back.srp, "__dict__")
+        assert hasattr(sp.srp, "_concrete_cache")
+        assert not hasattr(back.srp, "_concrete_cache")
         assert back.roles() == sp.roles()
         assert back.segment_policy() == sp.segment_policy()
 

@@ -6,14 +6,16 @@ Such a name reads back from ``to_text()`` as itself — never as a
 number, a wildcard, a range, a regex or two names — every constructor
 that takes role names refuses anything else, and so does the reader.
 A pattern union or regex alternation has no wire spelling, so the
-wire refuses to write it.
+wire refuses to write it.  The round trip is drawn over DDPs of every
+other pattern shape, providers and finite timestamps as well.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.patterns import ANY, literal, regex
+from repro.core.patterns import (ANY, literal, numeric_range, one_of,
+                                 regex)
 from repro.core.policy import TuplePolicy
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
                                     SecurityRestriction, Sign)
@@ -33,20 +35,41 @@ NOT_NAMES = ["", "*", " a", "a ", "a\n", "a,b", "a|b", "{x}", "{x",
              "x}", "[1-3]", "a[", "/r.*/", "a/b", "<a", "a>"]
 
 
-@given(role_lists, st.sampled_from(list(Sign)), st.booleans(),
-       st.booleans())
+#: DDP values read back as themselves through ``parse_pattern``'s
+#: number coercion: small ints and identifiers that spell no number.
+ddp_values = st.integers(0, 500) | st.sampled_from(
+    ["s1", "HeartRate", "x", "temp_2", "bpm"])
+ddp_patterns = st.one_of(
+    st.just(ANY),
+    ddp_values.map(literal),
+    st.lists(ddp_values, min_size=2, max_size=4, unique_by=str).map(one_of),
+    st.tuples(st.integers(-50, 50), st.integers(0, 50)).map(
+        lambda pair: numeric_range(pair[0], pair[0] + pair[1])),
+    st.sampled_from(["r[0-9]+", "s.*", "[a-c]x?"]).map(regex),
+)
+ddps = st.builds(DataDescription, ddp_patterns, ddp_patterns, ddp_patterns)
+
+
+@given(role_lists, ddps, st.sampled_from(list(Sign)), st.booleans(),
+       st.booleans(), st.none() | names,
+       st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=200, deadline=None)
-def test_names_survive_their_text_and_wire_line(roles, sign, immutable,
-                                                 incremental):
-    sp = SecurityPunctuation.grant(roles, 1.5, immutable=immutable,
-                                   incremental=incremental).with_sign(sign)
-    back = SecurityPunctuation.parse(sp.to_text())
+def test_names_survive_their_text_and_wire_line(roles, ddp, sign, immutable,
+                                                incremental, provider, ts):
+    sp = SecurityPunctuation.grant(
+        roles, ts, stream=ddp.stream, tuple_id=ddp.tuple_id,
+        attribute=ddp.attribute, immutable=immutable, provider=provider,
+        incremental=incremental).with_sign(sign)
+    back = SecurityPunctuation.parse(sp.to_text(), provider=provider)
     assert back == sp
     assert back.to_text() == sp.to_text()
     assert back.roles() == sp.roles() == set(roles)
+    assert back.segment_policy() == sp.segment_policy()
     line = encode_element(sp)
     decoded = decode_element(line)
+    assert decoded == sp
     assert decoded.roles() == sp.roles()
+    assert decoded.segment_policy() == sp.segment_policy()
     assert encode_element(decoded) == line
 
 
