@@ -195,6 +195,12 @@ GUARDS = (
           "a core value is built by its one __init__, into its slots: a "
           "second constructor that writes the fields around it costs a "
           "per-instance dict; see docs/PERFORMANCE.md, What an sp costs"),
+    Guard("one credit helper",
+          r"\b(processing_time|ewma_seconds) *\+=", ("src",),
+          "operator time is credited by Operator.process or "
+          "operators.base.credit only; see docs/PERFORMANCE.md, One hop "
+          "for a stream's selections",
+          allow=r"^src/repro/operators/base\.py:"),
 )
 
 

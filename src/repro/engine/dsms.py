@@ -23,7 +23,9 @@ stored server-side).
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.access.rbac import RBACModel
 from repro.algebra.expressions import LogicalExpr, ShieldExpr
@@ -46,6 +48,9 @@ from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
 from repro.stream.source import ListSource, StreamSource
 from repro.stream.tuples import DataTuple
+
+if TYPE_CHECKING:
+    from repro.engine.session import StreamingSession
 
 __all__ = ["DSMS", "QueryResult"]
 
@@ -90,10 +95,12 @@ class DSMS:
         self.analyzer.bind_observability(self.observability)
         self.catalog = StreamCatalog()
         self.queries: dict[str, ContinuousQuery] = {}
-        #: The last compiled plan, whose shields and entry gates
-        #: :meth:`update_query_roles` rewrites.
+        #: The last compiled plan, whose shields :meth:`shields` shows;
+        #: :meth:`update_query_roles` rewrites it and every open
+        #: session's plan.
         self._live_plan: PhysicalPlan | None = None
-        self._live_shields: dict[str, list[SecurityShield]] = {}
+        self._sessions: "weakref.WeakSet[StreamingSession]" = \
+            weakref.WeakSet()
         self.last_report: ExecutionReport | None = None
 
     @property
@@ -200,15 +207,16 @@ class DSMS:
     def update_query_roles(self, name: str, roles) -> None:
         """Runtime role re-binding (paper future work).
 
-        Updates the registered query's roles and, if a compiled plan is
-        live, rewrites the predicates of that query's Security Shields
-        in place — taking effect from the next processed element, so
-        the query answers as if registered with ``roles``.
+        Updates the registered query's roles and rewrites the predicates
+        of that query's Security Shields in place, in every live plan —
+        each open session's and the plan compiled last — taking effect
+        from the next processed element, so the query answers as if
+        registered with ``roles``.
 
         Raises :class:`~repro.errors.QueryError`, and changes nothing,
-        when one of the query's live shields is also another query's:
-        that shield must keep its predicate for the other query, and
-        the re-bound query would silently get old ∩ new roles.
+        when in any live plan one of the query's shields is also another
+        query's: that shield must keep its predicate for the other
+        query, and the re-bound query would silently get old ∩ new roles.
         """
         query = self.queries.get(name)
         if query is None:
@@ -216,22 +224,25 @@ class DSMS:
         roles = frozenset(roles)
         if not roles:
             raise QueryError("a query must keep at least one role")
-        live = self._live_shields.get(name, ())
-        shared = {shield for other, shields in self._live_shields.items()
-                  if other != name for shield in shields}
-        if shared.intersection(live):
-            raise QueryError(
-                f"cannot re-bind query {name!r}: its compiled plan "
-                "shares a Security Shield with another query, which "
-                "would narrow it to the old roles ∩ the new")
+        plans = [plan for plan in dict.fromkeys(
+            [self._live_plan, *(s._plan for s in list(self._sessions))])
+            if plan is not None]
+        for plan in plans:
+            shared = {shield for other, shields in plan.shields.items()
+                      if other != name for shield in shields}
+            if shared.intersection(plan.shields.get(name, ())):
+                raise QueryError(
+                    f"cannot re-bind query {name!r}: its compiled plan "
+                    "shares a Security Shield with another query, which "
+                    "would narrow it to the old roles ∩ the new")
         new_expr = _replace_shield_roles(query.expr, query.roles, roles)
         self.queries[name] = query.with_expr(new_expr)
         self.queries[name].roles = roles  # type: ignore[misc]
-        for shield in live:
-            shield.rebind(roles)
-        if self._live_plan is not None:
+        for plan in plans:
+            for shield in plan.shields.get(name, ()):
+                shield.rebind(roles)
             # ∪R at every stream entry follows the outlets' predicates.
-            self._live_plan.refresh_gates()
+            plan.refresh_gates()
 
     def shields(self, query_name: str) -> tuple[SecurityShield, ...]:
         """Read-only view of a query's live Security Shields.
@@ -245,7 +256,9 @@ class DSMS:
         """
         if query_name not in self.queries:
             raise QueryError(f"unknown query: {query_name!r}")
-        return tuple(self._live_shields.get(query_name, ()))
+        if self._live_plan is None:
+            return ()
+        return tuple(self._live_plan.shields.get(query_name, ()))
 
     # -- execution -----------------------------------------------------------
     def build_plan(self) -> tuple[PhysicalPlan, dict[str, CollectingSink]]:
@@ -272,7 +285,7 @@ class DSMS:
         sinks = plan.compile_queries(
             (name, query.expr, query.roles)
             for name, query in self.queries.items())
-        self._live_shields = plan.bind_observability(self.observability)
+        plan.bind_observability(self.observability)
         self._live_plan = plan
         return plan, sinks
 
@@ -286,7 +299,9 @@ class DSMS:
         """
         from repro.engine.session import StreamingSession
 
-        return StreamingSession(self)
+        session = StreamingSession(self)
+        self._sessions.add(session)
+        return session
 
     def run(self) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.

@@ -135,6 +135,8 @@ class Executor:
         self._sites = {stream_id: (hops, serial, gates.get(stream_id))
                        for stream_id, (hops, serial)
                        in plan.push_sites().items()}
+        self._groups = [hop for hops, _, _ in self._sites.values()
+                        for hop in hops if type(hop) is SelectGroup]
         #: ``None`` = tracing off.
         self.tracer = tracer
         #: Engine metric instruments (``None`` = metrics off; the run
@@ -211,6 +213,7 @@ class Executor:
 
     def stage_stats(self) -> list[StageStats]:
         """Current per-operator metric snapshots (plan order)."""
+        self._settle()
         return [node.operator.stage_stats() for node in self.plan.nodes]
 
     def entry_drops(self) -> int:
@@ -309,17 +312,30 @@ class Executor:
                 node, item, port, parent = stack.pop()
 
     def _hop_group(self, group: SelectGroup, element, tracer, root) -> list:
-        """``(node, outputs, parent span)`` of each member that emitted."""
+        """``(node, outputs, parent span)`` of each member that emitted.
+
+        An untraced run no member passes calls no member: it goes on the
+        group's tally, settled before the group's next other hop, by
+        :meth:`stage_stats` and by :meth:`_flush`."""
         selects, start = group.selects, perf_counter()
         if type(element) is SecurityPunctuation:
+            if group.rejected:
+                group.settle()
             for select in selects:
                 select.hold(element)
             size, sps, outs = 0, 1, [[]] * len(selects)
         else:
             run = element.tuples if type(element) is TupleBatch else (element,)
             size, sps = len(run), 0
-            outs = list(map(Select.emit, selects, repeat(size),
-                            group.passing(run)))
+            passing = group.passing(run)
+            if passing is group._none and tracer is None:
+                # No member passes: tallied, O(1) in the group's size.
+                group.rejected += size
+                group.rejected_seconds += perf_counter() - start
+                return []
+            if group.rejected:
+                group.settle()
+            outs = list(map(Select.emit, selects, repeat(size), passing))
         elapsed = perf_counter() - start
         credit(selects, elapsed, size, sps, outs)
         if tracer is None and not any(outs):
@@ -338,11 +354,17 @@ class Executor:
                                 else out, parent))
         return emitted
 
+    def _settle(self) -> None:
+        """Credit every selection group's tally of rejected runs."""
+        for group in self._groups:
+            group.settle()
+
     def _flush(self) -> None:
         """End-of-stream: close each entry's trailing sp-batch, then
         flush operators in topological order."""
         if self.tracer is not None:
             self.tracer.span("executor.flush")
+        self._settle()
         for _, _, gate in self._sites.values():
             if gate is not None:
                 gate.close()

@@ -25,7 +25,7 @@ from repro.core.bitmap import RoleUniverse
 from repro.core.patterns import ANY
 from repro.core.punctuation import SecurityPunctuation, Sign
 from repro.errors import PlanError
-from repro.operators.base import Operator, PolicyTracker
+from repro.operators.base import Operator, PolicyTracker, credit
 from repro.operators.conditions import Comparison
 from repro.operators.dupelim import DuplicateElimination
 from repro.operators.groupby import GroupBy
@@ -74,7 +74,12 @@ class PlanNode:
 class SelectGroup:
     """Entry selects ``attr <op> c_i`` of one stream on one attribute and
     ordering op, served by one executor hop: a value passes a prefix of
-    the members sorted by constant (negated for ``<``/``<=``)."""
+    the members sorted by constant (negated for ``<``/``<=``).
+
+    A run no member passes is not handed to the members: the executor
+    adds its size and clock time to the group's tally, and
+    :meth:`settle` credits the tally as one rejected run before the
+    members' next hop and before anyone reads their counters."""
 
     def __init__(self, nodes: "list[PlanNode]"):
         self.nodes = tuple(nodes)  # plan order
@@ -88,6 +93,20 @@ class SelectGroup:
         #: A strict op passes the constants below the value.
         self._cut = bisect_left if op in ("<", ">") else bisect_right
         self._none: list[list[DataTuple]] = [[]] * len(keys)
+        #: Tuples and seconds of the rejected runs not yet credited.
+        self.rejected = 0
+        self.rejected_seconds = 0.0
+
+    def settle(self) -> None:
+        """Credit the tallied rejected runs to every member as one run:
+        each member's ``Select.emit`` of nothing, then one ``credit``."""
+        size, selects = self.rejected, self.selects
+        if not size:
+            return
+        for select in selects:
+            select.emit(size, [])
+        credit(selects, self.rejected_seconds, size, 0, self._none)
+        self.rejected, self.rejected_seconds = 0, 0.0
 
     def passing(self, tuples: Sequence[DataTuple]) -> list[list[DataTuple]]:
         """Per member, its passing tuples of one run (``None`` passes none;
@@ -265,6 +284,8 @@ class PhysicalPlan:
         #: (``DSMS.build_plan`` sets the DSMS's; ``None`` analyses
         #: nothing).
         self.analyzer: "SPAnalyzer | None" = None
+        #: query name -> its shields, outlet last (:meth:`bind_observability`).
+        self.shields: dict[str, list[SecurityShield]] = {}
 
     # -- construction ------------------------------------------------------
     def add(self, operator: Operator) -> PlanNode:
@@ -499,8 +520,7 @@ class PhysicalPlan:
             gate.rebind()
 
     # -- introspection ----------------------------------------------------------
-    def bind_observability(
-            self, observability) -> dict[str, list[SecurityShield]]:
+    def bind_observability(self, observability) -> None:
         """Wire the compiled plan to an ``Observability`` hub.
 
         A query's shields (:attr:`queries`) — those its expression
@@ -510,9 +530,10 @@ class PhysicalPlan:
         shared, so query-anonymous) records through the same audit log
         when there is one; with a metrics registry every operator
         pre-binds its instrument children, so recording sites cost one
-        attribute check.  Returns each query's shields, outlet last.
+        attribute check.  Each query's shields, outlet last, are kept as
+        :attr:`shields`.
         """
-        shields: dict[str, list[SecurityShield]] = {}
+        shields = self.shields = {}
         for name, (expr, outlet) in self.queries.items():
             found = []
             for sub in walk(expr):
@@ -535,7 +556,6 @@ class PhysicalPlan:
         if instruments is not None:
             for operator in self.operators():
                 operator.bind_metrics(instruments)
-        return shields
 
     def topological(self) -> list[PlanNode]:
         """Nodes ordered so parents precede children."""

@@ -191,6 +191,7 @@ class StreamingSession:
             return {name: [] for name in self._sinks}
         self._executor._flush()  # noqa: SLF001 - same package
         self._closed = True
+        self._dsms._sessions.discard(self)  # noqa: SLF001 - same package
         if self._tracer is not None:
             self._tracer.span("session.close",
                               elements_pushed=self.elements_pushed)

@@ -184,6 +184,8 @@ SEEDS = {
     "one constructor per sp value": (
         "src/repro/core/punctuation.py",
         "sp = object.__new__(SecurityPunctuation)"),
+    "one credit helper": ("src/repro/engine/x.py",
+                          "select.stats.processing_time += elapsed"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.
@@ -196,6 +198,9 @@ ALLOWED = [
     ("src/repro/stream/element.py", "def split(elements):"),
     ("src/repro/observability/provenance.py",
      "event.__dict__.update(fields)"),
+    ("src/repro/operators/base.py", "stats.ewma_seconds += share"),
+    ("src/repro/experiments/x.py",
+     "total = sum(op.stats.processing_time for op in operators)"),
 ]
 
 

@@ -69,6 +69,16 @@ class TestRunOfOnePath:
             rejected[queries] = calls
         assert (rejected[32] - rejected[4]) / 28 <= 1
 
+    def test_a_rejected_tuple_costs_the_same_calls_at_any_group_size(self):
+        """A tuple no grouped select passes calls no member: the group
+        tallies it, so its Python calls do not grow with the queries."""
+        rejected = {}
+        for queries in (4, 32):
+            session = warm_session(queries)
+            rejected[queries], _ = profile_push(session, tup(-1, 2.0))
+            assert not any(session.push("s", tup(-2, 3.0)).values())
+        assert rejected[4] == rejected[32]
+
     def test_no_work_stack_below_a_hop_that_emits_nothing(self):
         session = warm_session(4)
         assert profile_push(session, tup(-1, 2.0))[1] == 0

@@ -10,7 +10,7 @@ taken out.
 
 import pytest
 
-from repro.algebra.expressions import ScanExpr
+from repro.algebra.expressions import ScanExpr, UnionExpr
 from repro.core.patterns import literal
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
@@ -301,3 +301,43 @@ def test_every_driver_analyses_each_sp_batch_once(shape):
         assert (sps_in, sps_out, refines) == (4, 3, 3)
     else:  # b's grant is narrowed too
         assert (sps_in, sps_out, refines) == (5, 4, 4)
+
+
+# -- a gated entry under ∪ -------------------------------------------------
+
+S0 = StreamSchema("s0", ("v",))
+S1 = StreamSchema("s1", ("v",))
+#: s0: R segment (tid 0), X segment (1, 2); s1: X segment (10), R (11).
+UNION_ELEMENTS = {
+    S0: [grant(["R"], 1.0), DataTuple("s0", 0, {"v": 1}, 2.0),
+         grant(["X"], 3.0), DataTuple("s0", 1, {"v": 1}, 4.0),
+         DataTuple("s0", 2, {"v": 1}, 5.0)],
+    S1: [grant(["X"], 1.5), DataTuple("s1", 10, {"v": 1}, 2.5),
+         grant(["R"], 3.5), DataTuple("s1", 11, {"v": 1}, 5.5)],
+}
+
+
+@pytest.mark.parametrize("drive, records", [(DSMS.run, 2), (push_all, 3)],
+                         ids=["run", "session"])
+def test_a_union_of_two_gated_streams(drive, records):
+    """q = s0 ∪ s1 for {R}: each stream's entry drops its X segment
+    (one ``entry.drop`` record per run) and the R segments of both
+    streams are delivered through ∪."""
+    dsms = DSMS(observability=Observability.in_memory())
+    for schema, elements in UNION_ELEMENTS.items():
+        dsms.register_stream(schema, elements)
+    dsms.register_query("q", UnionExpr(ScanExpr("s0"), ScanExpr("s1")),
+                        roles={"R"})
+    gates = dsms.build_plan()[0].entry_gates()
+    assert all(gate.outlets for gate in gates.values())
+    delivered = drive(dsms)["q"].tuples
+    assert [(item.sid, item.tid) for item in delivered] == [
+        ("s0", 0), ("s1", 11)]
+    assert dsms.last_report.entry_drops == 3
+    events = dsms.audit.events(kind="entry.drop")
+    assert [(e.operator, e.tid) for e in events] == [
+        ("entry:s1", 10), ("entry:s0", 1), ("entry:s0", 2)]
+    assert all(e.policy == ("X",) and e.detail["queries"] == ("q",)
+               for e in events)
+    assert len([r for r in dsms.audit._records
+                if r.kind == "entry.drop"]) == records

@@ -184,6 +184,47 @@ class TestRebindSharedShields:
         assert after == {"q1": [20, 21], "q2": [30, 31]}
 
 
+class TestRebindReachesEveryOpenSession:
+    """A role update re-binds every open session's plan, not only the
+    plan compiled last, and a refusal is decided over all of them."""
+
+    @pytest.mark.parametrize("compile_again",
+                             ["open_session", "run", "build_plan"])
+    def test_an_earlier_session_answers_under_the_new_roles(
+            self, compile_again):
+        dsms = registered({"q": (ScanExpr("s").select(
+            Comparison("a", ">", 0)), {"A"})})
+        first = dsms.open_session()
+        first.push("s", SecurityPunctuation.grant(["A"], 1.0))
+        assert tids(first.push("s", DataTuple("s", 2, {"a": 1}, 2.0))[
+            "q"]) == [2]
+        getattr(dsms, compile_again)()
+        dsms.update_query_roles("q", {"B"})
+        assert first.push("s", DataTuple("s", 3, {"a": 1}, 3.0))["q"] == []
+        first.close()
+
+    def test_a_shield_shared_in_any_open_plan_refuses_everywhere(self):
+        """The open session still compiles q1 inside q2; the plan built
+        after q1 left shares nothing.  The update is refused and neither
+        plan changes; once the session is closed it goes through."""
+        dsms = registered({name: (expr, {"R"})
+                           for name, expr in HAZARD.items()})
+        session = dsms.open_session()
+        old = [shield for shields in (dsms.shields("q1"), dsms.shields("q2"))
+               for shield in shields]
+        dsms.deregister_query("q1")
+        dsms.build_plan()
+        new = list(dsms.shields("q2"))
+        with pytest.raises(QueryError, match="shares"):
+            dsms.update_query_roles("q2", {"X"})
+        assert dsms.queries["q2"].roles == {"R"}
+        assert {shield.predicate for shield in old + new} == {
+            frozenset({"R"})}
+        session.close()
+        dsms.update_query_roles("q2", {"X"})
+        assert {shield.predicate for shield in new} == {frozenset({"X"})}
+
+
 class TestRebindKeepsHeldSps:
     """A segment's unsent sps stay held until a tuple of the segment
     passes or the segment ends — a re-bind does not end it."""

@@ -24,8 +24,9 @@ from repro.engine.plan import PhysicalPlan, SelectGroup
 from repro.operators.conditions import And, Comparison, FuncCondition
 from repro.operators.select import Select
 from repro.operators.sink import CollectingSink
-from repro.stream.batch import TupleBatch
+from repro.stream.batch import TupleBatch, segment_feed
 from repro.stream.schema import StreamSchema
+from repro.stream.source import ListSource
 from repro.stream.tuples import DataTuple
 
 from tests.drive import push_all
@@ -137,6 +138,65 @@ def test_every_member_answers_as_it_does_alone(members, spec, seed):
             assert grouped[name] == alone[name], (how, name, member)
             assert (select_counts(plan, name)
                     == select_counts(alone_plan, name)), (how, name, member)
+
+
+def reported_counts(elements, queries, how, seed, at) -> list[dict]:
+    """Each query's select counters, read after a report taken before
+    the feed item (a push, a segment run or a random cut) at fraction
+    ``at`` of the feed and again after the end (a session's: after
+    ``close()``, then after a report): a report and the end of the feed
+    settle the group's rejected runs."""
+    dsms = new_dsms(elements, queries)
+    seen = []
+
+    def read(plan):
+        seen.append({name: select_counts(plan, name) for name, _ in queries})
+
+    if how == "session":
+        session = dsms.open_session()
+        point = int(at * len(elements))
+        for index, element in enumerate(elements):
+            if index == point:
+                session.report()
+                read(session._plan)
+            session.push("s", element)
+        session.close()
+        read(session._plan)
+        session.report()
+        read(session._plan)
+        return seen
+    plan, _ = dsms.build_plan()
+    executor = Executor(plan)
+    feed = (list(segment_feed([ListSource(SCHEMA, elements)]))
+            if how == "run" else cut_runs(elements, random.Random(seed)))
+    point = int(at * len(feed))
+
+    def reporting():
+        for index, item in enumerate(feed):
+            if index == point:
+                executor.stage_stats()
+                read(plan)
+            yield item
+
+    executor.run(reporting())
+    read(plan)
+    return seen
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(members=members, spec=segments, seed=st.integers(0, 2**16),
+       at=st.floats(0, 1, exclude_max=True))
+def test_a_report_mid_feed_counts_as_each_member_alone(members, spec, seed,
+                                                       at):
+    elements = stream(spec)
+    queries = [(f"q{i}", member) for i, member in enumerate(members)]
+    for how in ("run", "session", "cuts"):
+        grouped = reported_counts(elements, queries, how, seed, at)
+        for name, member in queries:
+            alone = reported_counts(elements, [(name, member)], how, seed, at)
+            assert ([counts[name] for counts in grouped]
+                    == [counts[name] for counts in alone]), (how, name, member)
 
 
 def entry_hops(*conditions) -> tuple:

@@ -14,11 +14,13 @@ from unittest import mock
 
 import pytest
 
+from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
+from repro.engine.dsms import DSMS
 from repro.engine.executor import Executor
 from repro.engine.plan import PhysicalPlan, SelectGroup
 from repro.metrics.reporting import format_table
-from repro.observability import Observability
+from repro.observability import Observability, Tracer
 from repro.observability.stats import StageStats
 from repro.operators.conditions import Comparison
 from repro.operators.select import Select
@@ -145,3 +147,33 @@ def test_the_stage_table_lists_every_select():
         assert stage is not None and stage.kind == "Select"
         assert stage.processing_time > 0
         assert select.name in table
+
+
+def test_a_traced_session_spans_every_member_of_a_rejected_tuple():
+    """Sampled at 1, every push is traced: a tuple no member passes is
+    not tallied, and each member still emits its ``op.process`` span
+    under the push's root span."""
+    dsms = DSMS(observability=Observability(tracer=Tracer(sample=1.0)))
+    dsms.register_stream(SCHEMA)
+    for value in THRESHOLDS:
+        dsms.register_query(f"q>{value}", ScanExpr("s").select(
+            Comparison("v", ">", value)), roles={"D"})
+    pushed = [SecurityPunctuation.grant(["D"], 0.0),
+              DataTuple("s", 0, {"v": -1}, 1.0),
+              DataTuple("s", 1, {"v": 5}, 2.0),
+              DataTuple("s", 2, {"v": -2}, 3.0)]
+    with dsms.open_session() as session:
+        (group,) = session._executor._groups
+        for element in pushed:
+            session.push("s", element)
+            assert group.rejected == 0
+    tracer = dsms.observability.tracer
+    by_id = {span.span_id: span for span in tracer.events()}
+    spans = [span for span in tracer.events("op.process")
+             if span.attrs["operator"] == "Select"]
+    assert len(spans) == len(pushed) * len(THRESHOLDS)
+    # The entry holds the sp until the first tuple: that push hops twice.
+    roots = Counter(span.parent_id for span in spans)
+    members = len(THRESHOLDS)
+    assert sorted(roots.values()) == [members, members, 2 * members]
+    assert {by_id[root].name for root in roots} == {"session.push"}
