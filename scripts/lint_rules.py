@@ -137,6 +137,12 @@ GUARDS = (
           r"setdefault\([^)]*\[\]\)", ("src/repro/engine/session.py",),
           "keep StreamingSession.push allocation-free; see "
           "docs/PERFORMANCE.md, What an element costs a query"),
+    Guard("one walk per push",
+          r"self\._results\b|\bfor\b.+\bin self\._sinks\b(?!\[)",
+          ("src/repro/engine/session.py",),
+          "a push drains the session's pending list, the sinks it "
+          "reached, never every query; see docs/PERFORMANCE.md, A push "
+          "costs the queries it reaches"),
     Guard("one sp-batch interpreter",
           r"\b_batches\b|apply_incremental_batch[(]|Policy[(]tuple[(]",
           ("src/repro",),

@@ -13,7 +13,13 @@ segment-batched results are checked against (the equivalence suite
 and the differential oracle's ``session/*`` configurations).
 
 Results are delivered through per-query callbacks (or collected, if no
-callback is given)::
+callback is given).  ``push``, ``push_many`` and ``close`` return the
+new results of only the queries that got any, one fresh list each, in
+registration order — a push that reached no sink returns ``{}``.  A
+session watches its sinks (:meth:`CollectingSink.watch`): a sink an
+element reaches puts its query on the session's pending list, and a
+push drains that list, so its cost follows the queries it reached, not
+the queries registered::
 
     session = dsms.open_session()
     session.subscribe("q1", lambda el: print("q1 got", el))
@@ -24,6 +30,7 @@ callback is given)::
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -54,11 +61,17 @@ class StreamingSession:
         # bare elements go straight to ``Executor.feed``.
         self._executor = Executor(self._plan, tracer=self._tracer,
                                   instruments=self._instruments)
-        self._callbacks: dict[str, ResultCallback] = {}
-        self._consumed: dict[str, int] = {name: 0 for name in self._sinks}
-        #: ``(query, its sink's element list)`` — what a push reads back.
-        self._results = [(name, sink.elements)
-                         for name, sink in self._sinks.items()]
+        # Per query, by registration index (its key): the sink, the
+        # subscriber and the cursor of what was drained.
+        self._watched = list(self._sinks.items())
+        self._keys = {name: key for key, name in enumerate(self._sinks)}
+        self._callbacks: list[ResultCallback | None] = [None] * len(
+            self._watched)
+        self._consumed = [0] * len(self._watched)
+        #: Keys of the sinks that grew since they were last drained.
+        self._pending: list[int] = []
+        for key, (_, sink) in enumerate(self._watched):
+            sink.watch(self._pending, key)
         self._last_ts: dict[str, float] = {}
         self._closed = False
         self.elements_pushed = 0
@@ -77,17 +90,20 @@ class StreamingSession:
     def subscribe(self, query_name: str, callback: ResultCallback) -> None:
         """Deliver each new result element of ``query_name`` to
         ``callback`` (invoked synchronously during :meth:`push`)."""
-        if query_name not in self._sinks:
+        key = self._keys.get(query_name)
+        if key is None:
             raise QueryError(f"unknown query: {query_name!r}")
-        self._callbacks[query_name] = callback
-        self._drain(query_name)
+        self._callbacks[key] = callback
+        self._drain(key)
 
     # -- pushing ---------------------------------------------------------------
     def push(self, stream_id: str,
              element: StreamElement) -> dict[str, list[StreamElement]]:
-        """Feed one element; returns the new results per query.
+        """Feed one element; returns the new results of the queries
+        that got any (``{}`` when it reached no sink).
 
-        Elements of one stream must arrive in timestamp order.  The
+        Elements of one stream must arrive in timestamp order (a NaN
+        timestamp is in no order, so it is refused).  The
         element goes to the stream's entry gate, which holds an
         sp-batch and runs the DSMS's SP Analyzer on it when its first
         tuple — or an sp with a different timestamp — arrives.
@@ -96,8 +112,8 @@ class StreamingSession:
             raise StreamError("session is closed")
         if stream_id not in self._dsms.catalog:
             raise StreamError(f"unknown stream: {stream_id!r}")
-        last = self._last_ts.get(stream_id)
-        if last is not None and element.ts < last:
+        last = self._last_ts.get(stream_id, -math.inf)
+        if not element.ts >= last:
             raise StreamError(
                 f"out-of-order push on {stream_id!r}: ts {element.ts} "
                 f"after {last} (use a ReorderBuffer upstream)")
@@ -125,39 +141,58 @@ class StreamingSession:
         return self._collect_new()
 
     def push_many(self, stream_id: str, elements) -> dict[str, list]:
-        """Push a sequence of elements; returns accumulated results."""
-        out: dict[str, list[StreamElement]] = {name: []
-                                               for name in self._sinks}
+        """Push a sequence of elements; returns the accumulated results
+        of the queries that got any, in registration order."""
+        out: dict[str, list[StreamElement]] = {}
         for element in elements:
             for name, items in self.push(stream_id, element).items():
-                out[name].extend(items)
-        return out
+                got = out.get(name)
+                if got is None:
+                    out[name] = items
+                else:
+                    got.extend(items)
+        return {name: out[name]
+                for name in sorted(out, key=self._keys.__getitem__)}
 
     # -- result delivery ----------------------------------------------------
     def _collect_new(self) -> dict[str, list[StreamElement]]:
-        # Only a sink that grew is drained; each query gets a fresh list.
-        consumed = self._consumed
+        # Only the sinks on the pending list grew; each is drained in
+        # registration order and watched again.  A raising callback
+        # leaves its query and the ones after it pending.
+        pending = self._pending
+        if not pending:
+            return {}
+        if len(pending) > 1:
+            pending.sort()
         out = {}
-        for name, elements in self._results:
-            out[name] = (self._drain(name)
-                         if len(elements) != consumed[name] else [])
+        drained = 0
+        try:
+            for key in pending:
+                items = self._drain(key)
+                drained += 1
+                name, sink = self._watched[key]
+                sink._pending = pending  # noqa: SLF001 - watch it again
+                if items:
+                    out[name] = items
+        finally:
+            del pending[:drained]
         return out
 
-    def _drain(self, name: str) -> list[StreamElement]:
-        elements = self._sinks[name].elements
+    def _drain(self, key: int) -> list[StreamElement]:
+        elements = self._watched[key][1].elements
         consumed = self._consumed
-        start = consumed[name]
-        callback = self._callbacks.get(name)
+        start = consumed[key]
+        callback = self._callbacks[key]
         if callback is None:
-            consumed[name] = len(elements)
+            consumed[key] = len(elements)
         else:
             # The cursor moves one element at a time: an element whose
             # callback raised was delivered (at most once), the rest of
             # the slice is delivered by the next push or close.
-            while (at := consumed[name]) < len(elements):
-                consumed[name] = at + 1
+            while (at := consumed[key]) < len(elements):
+                consumed[key] = at + 1
                 callback(elements[at])
-        return elements[start:consumed[name]]
+        return elements[start:consumed[key]]
 
     def results(self, query_name: str) -> list[DataTuple]:
         """All data tuples delivered to a query so far."""
@@ -185,10 +220,11 @@ class StreamingSession:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> dict[str, list[StreamElement]]:
-        """Close trailing sp-batches, flush operator state; final
-        results."""
+        """Close trailing sp-batches, flush operator state; returns the
+        final results of the queries that got any (``{}`` once
+        closed)."""
         if self._closed:
-            return {name: [] for name in self._sinks}
+            return {}
         self._executor._flush()  # noqa: SLF001 - same package
         self._closed = True
         self._dsms._sessions.discard(self)  # noqa: SLF001 - same package

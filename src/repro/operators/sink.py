@@ -37,16 +37,34 @@ class _LatencySinkMixin:
 
 
 class CollectingSink(_LatencySinkMixin, UnaryOperator):
-    """Stores everything it receives; used by tests and examples."""
+    """Stores everything it receives; used by tests and examples.
+
+    A streaming session *watches* its sinks: a watched sink puts its
+    key on the session's pending list when an element or run reaches
+    it and sets ``_pending`` to ``None``; it stays quiet until the
+    session, having drained it, restores ``_pending``.  Under ``run()``
+    nothing watches a sink.
+    """
 
     def __init__(self, name: str | None = None):
         super().__init__(name)
         self.elements: list[StreamElement] = []
         self._m_e2e = None
+        #: The watcher's pending list while armed, else ``None``.
+        self._pending: list | None = None
+        self._key = None
+
+    def watch(self, pending: list, key) -> None:
+        """Put ``key`` on ``pending`` when the next element arrives."""
+        self._pending = pending
+        self._key = key
 
     def _process(self, element: StreamElement,
                  port: int) -> list[StreamElement]:
         self.elements.append(element)
+        if self._pending is not None:
+            self._pending.append(self._key)
+            self._pending = None
         if (self._m_e2e is not None
                 and not isinstance(element, SecurityPunctuation)):
             self._observe_emit()
@@ -57,6 +75,9 @@ class CollectingSink(_LatencySinkMixin, UnaryOperator):
         # Batches are unwrapped at the sink: collected results are
         # identical with and without batched execution.
         self.elements.extend(batch.tuples)
+        if self._pending is not None:
+            self._pending.append(self._key)
+            self._pending = None
         if self._m_e2e is not None:
             # One observation per run (its tuples share one ingest).
             self._observe_emit()

@@ -144,6 +144,8 @@ def decode_element(line: str) -> StreamElement:
             raise _malformed(line, f"missing {exc}") from None
         except (TypeError, ValueError, OverflowError):
             raise _malformed(line, '"ts" is not a number') from None
+        if ts != ts:  # NaN is in no timestamp order
+            raise _malformed(line, '"ts" is not a number')
         if type(values) is not dict:
             raise _malformed(line, '"v" is not an object')
         if type(tid) is list or type(tid) is dict:

@@ -165,6 +165,8 @@ SEEDS = {
                                "def _process_tuple(self, item):"),
     "an allocation-free push": ("src/repro/engine/session.py",
                                 "out.setdefault(name, []).append(e)"),
+    "one walk per push": ("src/repro/engine/session.py",
+                          "return {name: [] for name in self._sinks}"),
     "one sp-batch interpreter": ("src/repro/x.py",
                                  "policy = Policy(tuple(roles))"),
     "one role set": ("src/x.py", "roles = RoleSet(names)"),
@@ -193,6 +195,10 @@ ALLOWED = [
     ("src/repro/engine/plan.py", 'SecurityShield(r, name=f"delivery:{q}")'),
     ("src/repro/operators/base.py", "self._batches = []"),
     ("src/x.py", "batch = tracker.take_pending_sps()"),
+    ("src/repro/engine/session.py",
+     "if query_name not in self._sinks:"),
+    ("src/repro/engine/session.py",
+     "return [e for e in self._sinks[query_name].elements"),
     ("src/repro/operators/base.py",
      "self._segment_policy = batch[0].segment_policy()"),
     ("src/repro/stream/element.py", "def split(elements):"),

@@ -92,5 +92,5 @@ class TestShieldRebind:
                    for s in dsms.shields("q"))
         out = session.push("hr", DataTuple("hr", 2,
                                            {"patient": 2, "bpm": 80}, 2.0))
-        assert [t for t in out["q"] if isinstance(t, DataTuple)] == []
+        assert out == {}
         session.close()

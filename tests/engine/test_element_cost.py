@@ -16,6 +16,7 @@ from repro.operators.conditions import Comparison
 from repro.operators.select import Select
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
+from repro.stream.schema import StreamSchema
 from repro.stream.source import merge_sources
 
 from tests.engine.test_batch_equivalence import (LEFT_SCHEMA, RIGHT_SCHEMA,
@@ -24,17 +25,19 @@ from tests.engine.test_segment_cost import SCHEMA, fan_out, segments, tup
 
 
 def profile_push(session, element):
-    """``(python calls, appends made by Executor._push)`` of one push."""
-    calls = appends = 0
+    """``(python calls, C calls, appends made by Executor._push)`` of
+    one push."""
+    calls = c_calls = appends = 0
     push_code = Executor._push.__code__
 
     def profiler(frame, event, arg):
-        nonlocal calls, appends
+        nonlocal calls, c_calls, appends
         if event == "call":
             calls += 1
-        elif (event == "c_call" and frame.f_code is push_code
-              and arg.__name__ == "append"):
-            appends += 1
+        elif event == "c_call":
+            c_calls += 1
+            if frame.f_code is push_code and arg.__name__ == "append":
+                appends += 1
 
     previous = sys.getprofile()
     sys.setprofile(profiler)
@@ -42,7 +45,7 @@ def profile_push(session, element):
         session.push("s", element)
     finally:
         sys.setprofile(previous)
-    return calls, appends
+    return calls, c_calls, appends
 
 
 def warm_session(queries):
@@ -50,7 +53,25 @@ def warm_session(queries):
     tuple releases no sp and refreshes no decision."""
     session = fan_out(queries=queries).open_session()
     session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 0.0))
-    assert all(session.push("s", tup(99, 1.0)).values())
+    names = [f"q{i}" for i in range(queries)]
+    assert list(session.push("s", tup(99, 1.0))) == names
+    return session
+
+
+def one_reader(queries):
+    """A warm session where ``q0`` alone reads stream ``s``; the other
+    ``queries - 1`` read stream ``t``."""
+    dsms = DSMS()
+    dsms.register_stream(SCHEMA)
+    dsms.register_stream(StreamSchema("t", ("v",)))
+    dsms.register_query("q0", ScanExpr("s"), roles={"D"})
+    for i in range(1, queries):
+        dsms.register_query(f"q{i}", ScanExpr("t").select(
+            Comparison("v", ">", i / 8)), roles={"D"})
+    session = dsms.open_session()
+    sp = SecurityPunctuation.grant(["D"], 0.0)
+    assert session.push("s", sp) == {}
+    assert session.push("s", tup(1, 1.0)) == {"q0": [sp, tup(1, 1.0)]}
     return session
 
 
@@ -64,8 +85,8 @@ class TestRunOfOnePath:
         rejected = {}
         for queries in (4, 32):
             session = warm_session(queries)
-            calls, _ = profile_push(session, tup(-1, 2.0))
-            assert not any(session.push("s", tup(-2, 3.0)).values())
+            calls, _, _ = profile_push(session, tup(-1, 2.0))
+            assert session.push("s", tup(-2, 3.0)) == {}
             rejected[queries] = calls
         assert (rejected[32] - rejected[4]) / 28 <= 1
 
@@ -75,17 +96,33 @@ class TestRunOfOnePath:
         rejected = {}
         for queries in (4, 32):
             session = warm_session(queries)
-            rejected[queries], _ = profile_push(session, tup(-1, 2.0))
-            assert not any(session.push("s", tup(-2, 3.0)).values())
+            rejected[queries], _, _ = profile_push(session, tup(-1, 2.0))
+            assert session.push("s", tup(-2, 3.0)) == {}
         assert rejected[4] == rejected[32]
+
+    def test_a_push_costs_the_queries_it_reaches(self):
+        """The session drains only the sinks a push reached: a rejected
+        push costs the same Python *and* C calls at 4 and at 32 queries,
+        and a push that delivers to one query of 32 costs what it does
+        at 4 (a walk over every query shows as C calls per query)."""
+        rejected, one = {}, {}
+        for queries in (4, 32):
+            session = warm_session(queries)
+            rejected[queries] = profile_push(session, tup(-1, 2.0))[:2]
+            assert session.push("s", tup(-2, 3.0)) == {}
+            session = one_reader(queries)
+            one[queries] = profile_push(session, tup(2, 2.0))[:2]
+            assert session.push("s", tup(3, 3.0)) == {"q0": [tup(3, 3.0)]}
+        assert rejected[4] == rejected[32]
+        assert one[4] == one[32]
 
     def test_no_work_stack_below_a_hop_that_emits_nothing(self):
         session = warm_session(4)
-        assert profile_push(session, tup(-1, 2.0))[1] == 0
+        assert profile_push(session, tup(-1, 2.0))[2] == 0
         # The spy does see a stack: a delivered tuple goes two hops down,
         # select → root shield → sink (three while a delivery backstop
         # stood behind the root shield).
-        assert profile_push(session, tup(50, 3.0))[1] == 2 * 4
+        assert profile_push(session, tup(50, 3.0))[2] == 2 * 4
 
     @pytest.mark.parametrize("drive", ["session", "run"])
     def test_fan_out_is_delivered_depth_first(self, drive):

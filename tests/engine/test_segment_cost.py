@@ -162,7 +162,7 @@ class TestBoundedState:
             for i in range(first, last):
                 session.push("s", SecurityPunctuation.grant(
                     ["D", "N", "C"][i % 3], float(2 * i)))
-                assert session.push("s", tup(i, 2 * i + 1)) == {"q0": []}
+                assert session.push("s", tup(i, 2 * i + 1)) == {}
 
         push(0, 90_000)
         tracemalloc.start()

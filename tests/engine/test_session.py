@@ -1,5 +1,8 @@
 """Tests for the online streaming session API."""
 
+import math
+from unittest import mock
+
 import pytest
 
 from repro.algebra.expressions import ScanExpr
@@ -7,6 +10,7 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.errors import QueryError, StreamError
 from repro.operators.conditions import Comparison
+from repro.operators.sink import CollectingSink
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
@@ -32,7 +36,7 @@ def dsms():
 class TestPushPull:
     def test_results_arrive_per_push(self, dsms):
         with dsms.open_session() as session:
-            assert session.push("s", grant(["D"], 0.0)) == {"q": []}
+            assert session.push("s", grant(["D"], 0.0)) == {}
             out = session.push("s", tup(1, 1.0))
             tids = [e.tid for e in out["q"] if isinstance(e, DataTuple)]
             assert tids == [1]
@@ -42,7 +46,7 @@ class TestPushPull:
             session.push("s", grant(["D"], 0.0))
             assert session.push("s", tup(1, 1.0))["q"]
             session.push("s", grant(["C"], 2.0))
-            assert session.push("s", tup(2, 3.0))["q"] == []
+            assert "q" not in session.push("s", tup(2, 3.0))
             session.push("s", grant(["D"], 4.0))
             assert session.push("s", tup(3, 5.0))["q"]
             assert [t.tid for t in session.results("q")] == [1, 3]
@@ -70,12 +74,13 @@ class TestPushPull:
         dsms.register_query("q", ScanExpr("s"), roles={"D"})
         with dsms.open_session() as session:
             session.push("s", grant(["D"], 0.0))  # refined to ∅ → dropped
-            assert session.push("s", tup(1, 1.0))["q"] == []
+            assert "q" not in session.push("s", tup(1, 1.0))
 
 
 class TestFanOutCollection:
-    """A push drains only the sinks it reached; what it returns and the
-    order it calls back in do not depend on that."""
+    """A push drains only the sinks it reached and returns only their
+    queries, in registration order; the order it calls back in does not
+    depend on which sinks it reached."""
 
     ROLES = ("D", "N", "X")
     FEED = [grant(["D"], 0.0), tup(1, 1.0), tup(5, 2.0), grant(["N"], 3.0),
@@ -101,22 +106,57 @@ class TestFanOutCollection:
             for element in self.FEED:
                 seen = len(log)
                 out = session.push("s", element)
-                assert list(out) == names
-                # Every name has its own fresh list, delivered or not.
-                assert len({id(new) for new in out.values()}) == queries
+                # Every query that got something has its own fresh list.
+                assert len({id(new) for new in out.values()}) == len(out)
                 assert log[seen:] == [(name, e) for name in subscribed
-                                      for e in out[name]]
+                                      for e in out.get(name, ())]
                 if isinstance(element, SecurityPunctuation):
                     granted = element.roles()
-                    assert not any(out.values())
+                    assert out == {}
                     continue
-                for i, name in enumerate(names):
-                    expected = ([element.tid]
-                                if self.ROLES[i % 3] in granted
-                                and element.tid > i / 8 else [])
-                    assert [e.tid for e in out[name]
-                            if isinstance(e, DataTuple)] == expected
-            assert session.close() == {name: [] for name in names}
+                expected = {name: [element.tid]
+                            for i, name in enumerate(names)
+                            if self.ROLES[i % 3] in granted
+                            and element.tid > i / 8}
+                assert list(out) == list(expected)
+                assert {name: [e.tid for e in items
+                               if isinstance(e, DataTuple)]
+                        for name, items in out.items()} == expected
+            assert session.close() == {}
+
+    def test_registration_order_when_the_plan_reaches_sinks_out_of_it(
+            self):
+        """q0 and q2 are one selection group in q0's entry slot, so a
+        tuple reaches the sinks as q0, q2, q1; keys and callbacks still
+        come in registration order."""
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA)
+        dsms.register_query("q0", ScanExpr("s").select(
+            Comparison("v", ">", 1)), roles={"D"})
+        dsms.register_query("q1", ScanExpr("s"), roles={"D"})
+        dsms.register_query("q2", ScanExpr("s").select(
+            Comparison("v", ">", 2)), roles={"D"})
+        reached, log = [], []
+        collect = CollectingSink._process
+
+        def recorder(sink, element, port):
+            reached.append(sink.name)
+            return collect(sink, element, port)
+
+        sp, item = grant(["D"], 0.0), tup(9, 1.0)
+        with mock.patch.object(CollectingSink, "_process", recorder), \
+                dsms.open_session() as session:
+            for name in ("q2", "q0", "q1"):
+                session.subscribe(
+                    name, lambda e, name=name: log.append((name, e)))
+            assert session.push("s", sp) == {}
+            out = session.push("s", item)
+        assert reached == ["sink:q0", "sink:q0", "sink:q2", "sink:q2",
+                           "sink:q1", "sink:q1"]
+        assert out == {name: [sp, item] for name in ("q0", "q1", "q2")}
+        assert list(out) == ["q0", "q1", "q2"]
+        assert log == [(name, e) for name in ("q0", "q1", "q2")
+                       for e in (sp, item)]
 
 
 class TestSubscriptions:
@@ -145,13 +185,13 @@ class TestSubscriptions:
         session = dsms.open_session()
         session.subscribe("q", fragile)
         session.subscribe("r", got_r.append)
-        assert session.push("s", sp) == {"q": [], "r": []}
+        assert session.push("s", sp) == {}
         with pytest.raises(RuntimeError):
             session.push("s", t1)  # releases the sp, then t1, to q and r
         assert got_q == [] and got_r == []
         assert session.push("s", t2) == {"q": [t1, t2], "r": [sp, t1, t2]}
         assert got_q == [t1, t2] and got_r == [sp, t1, t2]
-        assert session.close() == {"q": [], "r": []}
+        assert session.close() == {}
         assert session.results("q") == session.results("r") == [t1, t2]
 
     def test_unknown_query_rejected(self, dsms):
@@ -168,6 +208,20 @@ class TestLifecycle:
         session.push("s", tup(1, 5.0))
         with pytest.raises(StreamError):
             session.push("s", tup(2, 4.0))
+
+    def test_a_nan_timestamp_is_refused(self, dsms):
+        """NaN fails every comparison: it must neither pass the ordering
+        check nor switch it off for the elements after it."""
+        session = dsms.open_session()
+        session.push("s", tup(1, 10.0))
+        with pytest.raises(StreamError, match="out-of-order"):
+            session.push("s", tup(2, math.nan))
+        with pytest.raises(StreamError, match="out-of-order"):
+            session.push("s", tup(3, 1.0))
+        fresh = dsms.open_session()
+        with pytest.raises(StreamError, match="out-of-order"):
+            fresh.push("s", tup(4, math.nan))
+        assert fresh.push("s", tup(5, -math.inf)) == {}
 
     def test_unknown_stream_rejected(self, dsms):
         session = dsms.open_session()

@@ -211,6 +211,14 @@ class TestErrors:
         line = encode_element(DataTuple("s", 1, {"v": 1}, 1.0))
         assert decode_element(f"  {line}\r\n").tid == 1
 
+    def test_a_nan_tuple_timestamp_is_not_a_number(self):
+        """NaN is in no timestamp order; ±inf are, as for sps."""
+        line = '{"k":"t","sid":"s","tid":1,"v":{},"ts":%s}'
+        with pytest.raises(StreamError, match='"ts" is not a number'):
+            decode_element(line % "NaN")
+        assert decode_element(line % "Infinity").ts == math.inf
+        assert decode_element(line % "-Infinity").ts == -math.inf
+
     @pytest.mark.parametrize("line", [
         '{"k":"t","sid":"s","tid":1,"v":{},"ts":1} {"k":"t"}',
         '{"k":"t","sid":"s","tid":1,"v":{},"ts":1}]',
