@@ -1,7 +1,9 @@
 """Ablation — SS placement: pre-, intermediate- and post-filtering.
 
 Section IV.A sketches three placements of access-control filtering
-around a query plan.  The query here is select-heavy over a stream
+around a query plan; each is one Security Shield placed by hand, before
+the selection (pre-filtering), between selection and projection, or
+after the whole query (post-filtering).  The query here is select-heavy over a stream
 with low security selectivity (few tuples accessible to the query's
 role), the regime where early filtering pays: pre/intermediate
 placement discards unauthorized tuples before the selection evaluates
@@ -9,7 +11,7 @@ them, while post-filtering runs the whole query first.
 
 A second parameter point flips the regime (selective query, permissive
 policies), where post-filtering's plan-sharing-friendly layout costs
-little — the trade-off the optimizer's cost model navigates.
+little.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.fig7 import region_condition
-from repro.operators.accessfilter import AccessFilter
 from repro.operators.project import Project
 from repro.operators.select import Select
 from repro.operators.shield import SecurityShield
@@ -43,11 +44,12 @@ def drive(elements, operators) -> int:
 def make_layout(name):
     select = Select(region_condition())
     project = Project(("object_id", "x", "y"))
+    shield = SecurityShield([QUERY_ROLE])
     if name == "pre":
-        return (AccessFilter([QUERY_ROLE], strip_sps=True), select, project)
+        return (shield, select, project)
     if name == "intermediate":
-        return (select, SecurityShield([QUERY_ROLE]), project)
-    return (select, project, AccessFilter([QUERY_ROLE], strip_sps=True))
+        return (select, shield, project)
+    return (select, project, shield)
 
 
 REGIMES = {

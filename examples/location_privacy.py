@@ -3,11 +3,10 @@
 People moving through a city with GPS devices stream their locations.
 A retail store runs the paper's running query — *"continuously
 retrieve all moving objects in the two-mile region around the store"*
-— to push advertisements.  Each person's device streams security
-punctuations deciding who may see them: family always, the retail role
-only if the person opted in, and preferences flip at runtime (walking
-into a casino and vanishing from everyone's view, in the paper's
-opening image).
+— to push advertisements.  Each segment of location updates is
+preceded by a security punctuation deciding who may see it: the retail
+role if the people in it opted in, their family otherwise, and the
+choice changes from segment to segment while the stream runs.
 
 Run::
 
@@ -18,8 +17,9 @@ from __future__ import annotations
 
 from repro.algebra.expressions import ScanExpr
 from repro.engine import DSMS
-from repro.mog.generator import MovingObjectsGenerator
 from repro.operators.conditions import FuncCondition
+from repro.workloads.synthetic import (QUERY_ROLE, SYNTH_SCHEMA,
+                                      punctuated_stream, role_names)
 
 STORE_X, STORE_Y = 500.0, 500.0
 REGION = 400.0  # "two miles", in city units
@@ -36,25 +36,20 @@ def near_store():
 
 
 def main() -> None:
-    generator = MovingObjectsGenerator(
-        n_objects=60,
-        roles=("family", "friends", "retail"),
-        roles_per_policy=2,
-        policy_mode="per-object",       # every device sends its own sps
-        preference_change_prob=0.05,    # preferences flip while moving
-        seed=3,
-    )
-    elements = generator.materialize(n_ticks=12)
+    # A two-role pool: the store's role (QUERY_ROLE) and the family's.
+    (family_role,) = role_names(1)
+    elements = list(punctuated_stream(
+        720, tuples_per_sp=10, policy_size=1, role_pool=1, seed=3))
     n_tuples = sum(1 for e in elements if not hasattr(e, "srp"))
     n_sps = len(elements) - n_tuples
 
     dsms = DSMS()
-    dsms.register_stream(generator.schema, elements)
+    dsms.register_stream(SYNTH_SCHEMA, elements)
 
-    region_query = ScanExpr("locations").select(near_store())
-    dsms.register_query("store_ads", region_query, roles={"retail"})
-    dsms.register_query("family_map", ScanExpr("locations"),
-                        roles={"family"})
+    region_query = ScanExpr("synthetic").select(near_store())
+    dsms.register_query("store_ads", region_query, roles={QUERY_ROLE})
+    dsms.register_query("family_map", ScanExpr("synthetic"),
+                        roles={family_role})
 
     results = dsms.run()
     ads = results["store_ads"].tuples
@@ -74,11 +69,6 @@ def main() -> None:
     assert set(targeted) != set(everyone)
     assert len(ads) < n_tuples
 
-    # Context-aware spam protection in action: pick one object that
-    # changed its preference and show the store's view flipping.
-    by_object: dict[int, list[float]] = {}
-    for t in ads:
-        by_object.setdefault(t.tid, []).append(t.ts)
     print("\nOK: the store's reach is bounded by each person's own "
           "streamed policy, re-evaluated at every change.")
 

@@ -207,6 +207,14 @@ GUARDS = (
           "operators.base.credit only; see docs/PERFORMANCE.md, One hop "
           "for a stream's selections",
           allow=r"^src/repro/operators/base\.py:"),
+    Guard("what nothing builds",
+          r"repro\.mog|networkx|AccessFilter|IntersectExpr|\bIntersect[(,]"
+          r"|filter\.(pass|drop|segment)",
+          ("src", "tests", "examples", "benchmarks", "pyproject.toml"),
+          "no query, experiment or front end builds the moving-objects "
+          "generator, an access filter or an intersection: Fig 7 runs on "
+          "repro.workloads.synthetic and pre-/post-filtering is a "
+          "SecurityShield placed by hand; see DESIGN.md section 3"),
 )
 
 

@@ -2,14 +2,13 @@
 
 from repro.algebra.explain import explain, node_label
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
-                                       IntersectExpr, JoinExpr, LogicalExpr,
-                                       ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr, UnionExpr, walk)
+                                       JoinExpr, LogicalExpr, ProjectExpr,
+                                       ScanExpr, SelectExpr, ShieldExpr,
+                                       UnionExpr, walk)
 
 __all__ = [
     "DupElimExpr",
     "GroupByExpr",
-    "IntersectExpr",
     "JoinExpr",
     "LogicalExpr",
     "ProjectExpr",

@@ -12,9 +12,9 @@ Renders a logical plan as an indented operator tree::
 from __future__ import annotations
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
-                                       IntersectExpr, JoinExpr, LogicalExpr,
-                                       ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr, UnionExpr)
+                                       JoinExpr, LogicalExpr, ProjectExpr,
+                                       ScanExpr, SelectExpr, ShieldExpr,
+                                       UnionExpr)
 
 __all__ = ["explain", "node_label"]
 
@@ -42,8 +42,6 @@ def node_label(expr: LogicalExpr) -> str:
                 f"W={expr.window}]")
     if isinstance(expr, UnionExpr):
         return "∪"
-    if isinstance(expr, IntersectExpr):
-        return f"∩[{','.join(expr.attributes)}, W={expr.window}]"
     return type(expr).__name__
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "DupElimExpr",
     "GroupByExpr",
     "UnionExpr",
-    "IntersectExpr",
     "walk",
 ]
 
@@ -318,33 +317,6 @@ class UnionExpr(LogicalExpr):
 
     def __repr__(self) -> str:
         return f"({self.left!r} ∪ {self.right!r})"
-
-
-class IntersectExpr(LogicalExpr):
-    """∩ over sliding windows on a set of attributes."""
-
-    __slots__ = ("left", "right", "attributes", "window")
-
-    def __init__(self, left: LogicalExpr, right: LogicalExpr,
-                 attributes: tuple[str, ...], window: float):
-        self.left = left
-        self.right = right
-        self.attributes = tuple(attributes)
-        self.window = window
-
-    def children(self) -> tuple[LogicalExpr, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, *children: LogicalExpr) -> "IntersectExpr":
-        left, right = children
-        return IntersectExpr(left, right, self.attributes, self.window)
-
-    def _key(self) -> tuple:
-        return ("intersect", self.attributes, self.window,
-                self.left._key(), self.right._key())
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} ∩ {self.right!r})"
 
 
 def walk(expr: LogicalExpr) -> Iterator[LogicalExpr]:

@@ -32,9 +32,9 @@ from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
-                                       IntersectExpr, JoinExpr, LogicalExpr,
-                                       ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr, UnionExpr, walk)
+                                       JoinExpr, LogicalExpr, ProjectExpr,
+                                       ScanExpr, SelectExpr, ShieldExpr,
+                                       UnionExpr, walk)
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.lattice import (PathState, StreamFacts, dominates,
                                     join_states)
@@ -156,7 +156,7 @@ def expr_label(expr: LogicalExpr) -> str:
     for cls, label in ((ShieldExpr, "shield"), (SelectExpr, "select"),
                        (ProjectExpr, "project"), (DupElimExpr, "dupelim"),
                        (GroupByExpr, "groupby"), (JoinExpr, "join"),
-                       (UnionExpr, "union"), (IntersectExpr, "intersect")):
+                       (UnionExpr, "union")):
         if isinstance(expr, cls):
             return label
     return type(expr).__name__.lower()

@@ -18,9 +18,9 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
-                                       IntersectExpr, JoinExpr, LogicalExpr,
-                                       ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr, UnionExpr, walk)
+                                       JoinExpr, LogicalExpr, ProjectExpr,
+                                       ScanExpr, SelectExpr, ShieldExpr,
+                                       UnionExpr, walk)
 from repro.core.bitmap import RoleUniverse
 from repro.core.patterns import ANY
 from repro.core.punctuation import SecurityPunctuation, Sign
@@ -33,7 +33,7 @@ from repro.operators.index_join import IndexSAJoin
 from repro.operators.join import NestedLoopSAJoin
 from repro.operators.project import Project
 from repro.operators.select import Select
-from repro.operators.setops import Intersect, Union
+from repro.operators.setops import Union
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
 from repro.stream.batch import TupleBatch
@@ -47,7 +47,7 @@ __all__ = ["EntryGate", "PlanNode", "PhysicalPlan", "SelectGroup"]
 _POSITIVE = Sign.POSITIVE
 
 #: Operators below which a tuple no query's role may see can change no
-#: delivered result (σ, π, ψ, ⋈, ∪, the sinks).  δ, G and ∩ merge a
+#: delivered result (σ, π, ψ, ⋈, ∪, the sinks).  δ and G merge a
 #: tuple's policy with other tuples' — a G subgroup's policy is the
 #: union of its members' — so a stream that reaches one is not gated.
 _GATEABLE = frozenset({Select, Project, SecurityShield, NestedLoopSAJoin,
@@ -427,10 +427,6 @@ class PhysicalPlan:
         if isinstance(expr, UnionExpr):
             return Union(left_sid=sid(children[0], "left"),
                          right_sid=sid(children[1], "right"))
-        if isinstance(expr, IntersectExpr):
-            return Intersect(expr.attributes, expr.window,
-                             left_sid=sid(children[0], "left"),
-                             right_sid=sid(children[1], "right"))
         raise PlanError(f"cannot compile {type(expr).__name__}")
 
     # -- dispatch -------------------------------------------------------------
@@ -483,7 +479,7 @@ class PhysicalPlan:
         with nothing downstream is the sink of a query compiled by
         :meth:`compile_queries`; ∪R is then the union of those queries'
         outlet predicates (:meth:`refresh_gates` recomputes it).
-        Otherwise — a hand-built reader, a δ, G or ∩ — the entry only
+        Otherwise — a hand-built reader, a δ or a G — the entry only
         normalises.
         """
         self.gates = {}

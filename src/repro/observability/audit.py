@@ -11,13 +11,14 @@ no trace span repeats it.
 
 Event kinds currently recorded:
 
-``shield.segment`` / ``filter.segment``
-    A Security Shield (an access filter is one, under the ``filter.*``
-    kinds) evaluated a newly finalized sp-batch against its predicate;
-    the verdict governs every tuple of the segment.
+``shield.segment``
+    A Security Shield evaluated a newly finalized sp-batch against its
+    predicate; the verdict governs every tuple of the segment.
 ``shield.drop``
     A shield (including the per-query delivery shield) discarded one
-    tuple.  Exactly one event per denied tuple per shield.
+    tuple; ``sp`` names the governing sp-batch (``None`` under
+    denial-by-default).  Exactly one event per denied tuple per
+    shield.
 ``entry.drop``
     A stream's entry (:class:`~repro.engine.plan.EntryGate`) dropped
     one tuple of a segment whose plain grant names no role of any
@@ -25,12 +26,8 @@ Event kinds currently recorded:
     ``policy`` the grant's roles, ``sp`` the governing sp-batch and
     ``detail["queries"]`` the queries reading the stream.  Held as
     one run record per dropped run.
-``filter.drop``
-    An access filter (pre-/post-filtering layouts) discarded one
-    tuple; ``sp`` names the governing sp-batch (``None`` under
-    denial-by-default), as on ``shield.drop``.
-``shield.pass`` / ``filter.pass``
-    A shield or access filter let one tuple through (``outlet=True`` in
+``shield.pass``
+    A shield let one tuple through (``outlet=True`` in
     ``detail`` at a query's outlet: delivered).  Recorded only
     while the hub's tracer has a head-sampled trace open (never by an
     audit-only hub), and held apart — see *Retention* below.

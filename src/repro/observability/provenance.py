@@ -234,7 +234,7 @@ class Tracer:
 # why-reconstruction
 
 
-#: Kind suffixes that deny the tuple (``shield.drop``, ``filter.drop``,
+#: Kind suffixes that deny the tuple (``shield.drop``, ``entry.drop``,
 #: ``join.deny``).
 _DENIED = (".drop", ".deny")
 

@@ -1,6 +1,5 @@
 """Security-aware physical operators (Tables I and the Section V algorithms)."""
 
-from repro.operators.accessfilter import AccessFilter
 from repro.operators.aggregates import (Aggregate, Avg, Count, Max, Min, Sum,
                                         make_aggregate)
 from repro.operators.base import (BinaryOperator, Operator, OperatorStats,
@@ -13,13 +12,12 @@ from repro.operators.index_join import IndexSAJoin
 from repro.operators.join import NestedLoopSAJoin, SAJoinBase
 from repro.operators.project import Project
 from repro.operators.select import Select
-from repro.operators.setops import Intersect, Union
+from repro.operators.setops import Union
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink, CountingSink
 from repro.operators.spindex import IndexEntry, SPIndex
 
 __all__ = [
-    "AccessFilter",
     "Aggregate",
     "And",
     "Avg",
@@ -34,7 +32,6 @@ __all__ = [
     "GroupBy",
     "IndexEntry",
     "IndexSAJoin",
-    "Intersect",
     "Max",
     "Min",
     "NestedLoopSAJoin",

@@ -51,9 +51,6 @@ __all__ = ["SecurityShield"]
 class SecurityShield(UnaryOperator):
     """Access-control filter driven by streaming security punctuations."""
 
-    #: Audit kinds of a pass, a denial and an evaluated sp-batch.
-    _KIND_PASS, _KIND_DROP, _KIND_SEGMENT = (
-        "shield.pass", "shield.drop", "shield.segment")
     #: Whether this shield hands a query its results — set by
     #: :meth:`~repro.engine.plan.PhysicalPlan.bind_observability`.
     outlet = False
@@ -264,7 +261,7 @@ class SecurityShield(UnaryOperator):
             predicate, policy, sp = self._decision_fields(tuples[0])
             detail = {"outlet": True} if passing and self.outlet else {}
             audit.record_run(
-                self._KIND_PASS if passing else self._KIND_DROP, tuples,
+                "shield.pass" if passing else "shield.drop", tuples,
                 operator=self.name, query=self.audit_query,
                 predicate=predicate, policy=policy, sp=sp, **detail)
         if not passing:
@@ -349,7 +346,7 @@ class SecurityShield(UnaryOperator):
             verdict = "pass" if self._segment_decision else "drop"
         predicate, policy, sp = self._decision_fields(item)
         self.audit.record(
-            self._KIND_SEGMENT, ts=item.ts, operator=self.name,
+            "shield.segment", ts=item.ts, operator=self.name,
             query=self.audit_query, predicate=predicate, policy=policy,
             sp=sp, verdict=verdict,
         )

@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
-                                       IntersectExpr, JoinExpr, LogicalExpr,
-                                       ProjectExpr, ScanExpr, SelectExpr,
-                                       ShieldExpr, UnionExpr, walk)
+                                       JoinExpr, LogicalExpr, ProjectExpr,
+                                       ScanExpr, SelectExpr, ShieldExpr,
+                                       UnionExpr, walk)
 from repro.analysis.udf import Proof, condition_udfs
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
     "verify_declaration",
 ]
 
-_BINARY = (JoinExpr, UnionExpr, IntersectExpr)
+_BINARY = (JoinExpr, UnionExpr)
 
 
 def hazard_absent(flag: "bool | None") -> bool:
@@ -402,7 +402,7 @@ class PullShieldOutOfBinary(Rule):
 
 
 class CommuteJoinInputs(Rule):
-    """Rule 4: swap the inputs of a join/union/intersect under a shield."""
+    """Rule 4: swap the inputs of a join/union under a shield."""
 
     name = "commute-binary-inputs"
 

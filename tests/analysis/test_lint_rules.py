@@ -188,6 +188,8 @@ SEEDS = {
         "sp = object.__new__(SecurityPunctuation)"),
     "one credit helper": ("src/repro/engine/x.py",
                           "select.stats.processing_time += elapsed"),
+    "what nothing builds": (
+        "tests/x.py", "from repro.operators import Inter" + "sect, Union"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.
@@ -207,6 +209,8 @@ ALLOWED = [
     ("src/repro/operators/base.py", "stats.ewma_seconds += share"),
     ("src/repro/experiments/x.py",
      "total = sum(op.stats.processing_time for op in operators)"),
+    ("src/repro/core/analyzer.py",
+     '"""Intersect one provider sp with applicable server policies."""'),
 ]
 
 

@@ -16,7 +16,6 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.engine.plan import PhysicalPlan
 from repro.errors import QueryError
-from repro.operators.accessfilter import AccessFilter
 from repro.operators.conditions import Comparison
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
@@ -251,13 +250,12 @@ class TestRebindKeepsHeldSps:
                      if not s.name.startswith("delivery:")]
         assert (outlet.tuples_blocked, outlet.sps_blocked) == (1, 0)
 
-    def test_a_stripping_access_filter_still_strips(self):
+    def test_a_rebound_shield_releases_the_held_sp(self):
         sp = SecurityPunctuation.grant(["D"], 0.0)
         t1 = DataTuple("s", 1, {"a": 1}, 1.0)
         t2 = DataTuple("s", 2, {"a": 2}, 2.0)
-        for strip, expected in ((True, [t2]), (False, [sp, t2])):
-            accessfilter = AccessFilter({"C"}, strip_sps=strip)
-            assert accessfilter.process(sp) == []
-            assert accessfilter.process(t1) == []
-            accessfilter.rebind({"D"})
-            assert accessfilter.process(t2) == expected
+        shield = SecurityShield({"C"})
+        assert shield.process(sp) == []
+        assert shield.process(t1) == []
+        shield.rebind({"D"})
+        assert shield.process(t2) == [sp, t2]

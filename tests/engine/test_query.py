@@ -43,31 +43,3 @@ class TestContinuousQuery:
         assert rewritten.user_id == "alice"
         assert rewritten.expr == ScanExpr("other")
 
-
-class TestIntersectCompilation:
-    def test_intersect_expr_compiles_and_runs(self):
-        from repro.algebra.expressions import IntersectExpr
-        from repro.core.punctuation import SecurityPunctuation
-        from repro.engine.executor import Executor
-        from repro.stream.batch import segment_feed
-        from repro.engine.plan import PhysicalPlan
-        from repro.operators.sink import CollectingSink
-        from repro.stream.schema import StreamSchema
-        from repro.stream.source import ListSource
-        from repro.stream.tuples import DataTuple
-
-        expr = IntersectExpr(ScanExpr("a"), ScanExpr("b"), ("v",), 100.0)
-        plan = PhysicalPlan()
-        sink = plan.compile_expr(expr, CollectingSink())
-        source_a = ListSource(StreamSchema("a", ("v",)), [
-            SecurityPunctuation.grant(["D"], ts=0.0),
-            DataTuple("a", 1, {"v": 7}, 1.0),
-        ])
-        source_b = ListSource(StreamSchema("b", ("v",)), [
-            SecurityPunctuation.grant(["D"], ts=0.0),
-            DataTuple("b", 2, {"v": 7}, 2.0),
-            DataTuple("b", 3, {"v": 9}, 3.0),
-        ])
-        Executor(plan).run(segment_feed([source_a, source_b]))
-        values = [t.values["v"] for t in sink.operator.tuples()]
-        assert values == [7]

@@ -4,12 +4,13 @@ from repro.algebra.expressions import ScanExpr
 from repro.core.patterns import literal
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.mog.generator import MovingObjectsGenerator
 from repro.operators.conditions import Comparison, FuncCondition
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.workloads.health import (HEART_RATE_SCHEMA,
                                     HealthStreamGenerator)
+from repro.workloads.synthetic import (QUERY_ROLE, SYNTH_SCHEMA,
+                                      punctuated_stream, role_names)
 
 
 class TestHealthMonitoring:
@@ -55,25 +56,26 @@ class TestLocationPrivacy:
     """Example 1: protection against context-aware spam."""
 
     def test_store_only_sees_consenting_objects(self):
-        generator = MovingObjectsGenerator(
-            n_objects=20, roles=("family", "work", "retail"),
-            roles_per_policy=1, policy_mode="per-object",
-            preference_change_prob=0.1, seed=13)
-        elements = generator.materialize(n_ticks=5)
+        # A two-role pool: a segment grants the store (QUERY_ROLE) or
+        # the family role, and the grant changes from segment to
+        # segment.
+        (family_role,) = role_names(1)
+        elements = list(punctuated_stream(
+            100, tuples_per_sp=5, policy_size=1, role_pool=1, seed=13))
         dsms = DSMS()
-        dsms.register_stream(generator.schema, elements)
+        dsms.register_stream(SYNTH_SCHEMA, elements)
 
         in_region = FuncCondition(
             lambda t: t.values["x"] ** 2 + t.values["y"] ** 2 >= 0,
             attributes=("x", "y"), label="region")
-        query = ScanExpr("locations").select(in_region)
-        dsms.register_query("store", query, roles={"retail"})
-        dsms.register_query("family", query, roles={"family"})
+        query = ScanExpr("synthetic").select(in_region)
+        dsms.register_query("store", query, roles={QUERY_ROLE})
+        dsms.register_query("family", query, roles={family_role})
         results = dsms.run()
 
         # Rebuild ground truth from the raw stream: tuple i is governed
         # by the sp immediately preceding it.
-        visible_to = {"retail": [], "family": []}
+        visible_to = {QUERY_ROLE: [], family_role: []}
         current = None
         for element in elements:
             if isinstance(element, SecurityPunctuation):
@@ -85,8 +87,8 @@ class TestLocationPrivacy:
                             (element.tid, element.ts))
         got_store = [(t.tid, t.ts) for t in results["store"].tuples]
         got_family = [(t.tid, t.ts) for t in results["family"].tuples]
-        assert got_store == visible_to["retail"]
-        assert got_family == visible_to["family"]
+        assert got_store == visible_to[QUERY_ROLE]
+        assert got_family == visible_to[family_role]
         assert got_store  # scenario is non-trivial
         assert set(got_store) != set(got_family)
 

@@ -8,28 +8,29 @@ exact enforcement throughout.
 
 from repro.algebra.expressions import ScanExpr
 from repro.engine.dsms import DSMS
-from repro.mog.generator import MovingObjectsGenerator
 from repro.operators.shield import SecurityShield
 from repro.stream.element import count_elements
 from repro.stream.tuples import DataTuple
-from repro.workloads.synthetic import QUERY_ROLE, punctuated_stream
+from repro.workloads.synthetic import (QUERY_ROLE, SYNTH_SCHEMA,
+                                      punctuated_stream, role_names)
 
 
 class TestScale:
     def test_thousand_object_fleet_through_dsms(self):
-        generator = MovingObjectsGenerator(
-            n_objects=1000, tuples_per_sp=20,
-            roles=("family", "retail"), roles_per_policy=1, seed=71)
-        elements = generator.materialize(n_ticks=4)
+        # A two-role pool: each segment grants the retail role
+        # (QUERY_ROLE) or the family role, never both.
+        (family_role,) = role_names(1)
+        elements = list(punctuated_stream(
+            4000, tuples_per_sp=20, policy_size=1, role_pool=1, seed=71))
         n_tuples, n_sps = count_elements(elements)
         assert n_tuples == 4000
 
         dsms = DSMS()
-        dsms.register_stream(generator.schema, elements)
-        dsms.register_query("family", ScanExpr("locations"),
-                            roles={"family"})
-        dsms.register_query("retail", ScanExpr("locations"),
-                            roles={"retail"})
+        dsms.register_stream(SYNTH_SCHEMA, elements)
+        dsms.register_query("family", ScanExpr("synthetic"),
+                            roles={family_role})
+        dsms.register_query("retail", ScanExpr("synthetic"),
+                            roles={QUERY_ROLE})
         results = dsms.run()
         family = len(results["family"].tuples)
         retail = len(results["retail"].tuples)

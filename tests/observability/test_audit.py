@@ -416,32 +416,44 @@ class TestPassRing:
 
 
 class TestFilterAudit:
-    """``filter.drop`` names the governing sp, as ``shield.drop`` does."""
+    """``shield.drop`` names the governing sp under pre- and
+    post-filtering (Section IV.A: the shield placed before or after the
+    query's selection), element-wise and batched."""
 
-    @pytest.mark.parametrize("strip_sps", [
-        pytest.param(True, id="pre-filter"),
-        pytest.param(False, id="post-filter")])
+    @pytest.mark.parametrize("placement", [
+        pytest.param("pre", id="pre-filter"),
+        pytest.param("post", id="post-filter")])
     @pytest.mark.parametrize("batched", [False, True])
-    def test_filter_drop_carries_governing_sp(self, strip_sps, batched):
-        from repro.operators.accessfilter import AccessFilter
+    def test_filter_drop_carries_governing_sp(self, placement, batched):
+        from repro.operators.conditions import Comparison
+        from repro.operators.select import Select
+        from repro.operators.shield import SecurityShield
         from repro.stream.batch import TupleBatch
 
-        access = AccessFilter(["ND"], strip_sps=strip_sps)
-        access.audit = log = AuditLog()
+        shield = SecurityShield(["ND"])
+        shield.audit = log = AuditLog()
+        select = Select(Comparison("bpm", ">", 0))
+        chain = (shield, select) if placement == "pre" else (select, shield)
         early = [reading(8, 60, 0.25), reading(9, 61, 0.5)]
         late = [reading(3, 148, 4.0), reading(4, 150, 5.0)]
         for run in (early, [grant(["D", "C"], 3.0)], late):
             if batched and not hasattr(run[0], "srp"):
-                access.process_batch(TupleBatch(run))
+                items = [TupleBatch(run)]
             else:
-                for element in run:
-                    access.process(element)
-        drops = log.events(kind="filter.drop")
+                items = list(run)
+            for operator in chain:
+                out = []
+                for item in items:
+                    out.extend(operator.process_batch(item)
+                               if isinstance(item, TupleBatch)
+                               else operator.process(item))
+                items = out
+        drops = log.events(kind="shield.drop")
         assert [(e.tid, e.policy) for e in drops] == [
             (8, ()), (9, ()), (3, ("C", "D")), (4, ("C", "D"))]
         # Before any sp: denial-by-default, no sp to name.
         assert drops[0].sp is None and drops[1].sp is None
         assert "{C, D}" in drops[2].sp and "3.0" in drops[2].sp
         assert drops[2].sp == drops[3].sp
-        assert access.tuples_blocked == log.counts["filter.drop"] == 4
-        assert "filter.pass" not in log.counts  # audit-only: no passes
+        assert shield.tuples_blocked == log.counts["shield.drop"] == 4
+        assert "shield.pass" not in log.counts  # audit-only: no passes

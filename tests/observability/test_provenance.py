@@ -203,8 +203,8 @@ class TestMentionsAndWhy:
         log.record_run("shield.drop", run_of([7]), operator="psi",
                        sp="grant D on hr", policy=("C", "D"),
                        predicate=("ND",))
-        log.record_run("filter.drop", run_of([7], ts=2.0),
-                       operator="post")
+        log.record_run("entry.drop", run_of([7], ts=2.0),
+                       operator="entry:hr")
         text = reconstruct_why(7, log).render_text()
         assert "shield.drop at psi: drop  hr:7@1.0  trace 3" in text
         assert "governed by sp: grant D on hr" in text

@@ -8,7 +8,6 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PlanError
 from repro.operators.index_join import IndexSAJoin
 from repro.operators.join import NestedLoopSAJoin
-from repro.operators.setops import Intersect
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import join_streams
 
@@ -342,7 +341,6 @@ WINDOWED = {
     "nl-pf": lambda: NestedLoopSAJoin("v", "v", 100.0, method="PF"),
     "nl-fp": lambda: NestedLoopSAJoin("v", "v", 100.0, method="FP"),
     "index": lambda: IndexSAJoin("v", "v", 100.0),
-    "intersect": lambda: Intersect(("v",), 100.0),
 }
 
 

@@ -83,6 +83,17 @@ class TestBasicFiltering:
                              tup(1, 2.0)])
         assert out == []
 
+    def test_denied_segment_is_discarded_with_its_sps(self):
+        """Table I: the sp of a segment nothing passed from must not
+        ride out with the next segment's first tuple."""
+        denied, granted = grant(["D"], 1.0), grant(["X"], 3.0)
+        feed = [denied, tup(1, 2.0), granted, tup(2, 4.0)]
+        shield = SecurityShield(["X"])
+        out = drive(shield, feed)
+        assert out == [granted, feed[3]]
+        assert out[0] is granted
+        assert shield.tuples_blocked == 1
+
 
 class TestTupleGranularity:
     def test_per_tuple_decisions(self):

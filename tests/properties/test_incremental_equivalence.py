@@ -17,7 +17,7 @@ from repro.operators.dupelim import DuplicateElimination
 from repro.operators.groupby import GroupBy
 from repro.operators.index_join import IndexSAJoin
 from repro.operators.join import NestedLoopSAJoin
-from repro.operators.setops import Intersect, Union
+from repro.operators.setops import Union
 from repro.operators.shield import SecurityShield
 from repro.stream.tuples import DataTuple
 
@@ -88,7 +88,6 @@ def shield_tids(elements, role):
 
 #: Every other sp-aware operator; the binary ones match on ``k``.
 SP_AWARE = {
-    "intersect": lambda: Intersect(("k",), 1000.0),
     "union": Union,
     "sajoin-nl-pf": lambda: NestedLoopSAJoin("k", "k", 1000.0, method="PF"),
     "sajoin-nl-fp": lambda: NestedLoopSAJoin("k", "k", 1000.0, method="FP"),
