@@ -215,6 +215,12 @@ GUARDS = (
           "generator, an access filter or an intersection: Fig 7 runs on "
           "repro.workloads.synthetic and pre-/post-filtering is a "
           "SecurityShield placed by hand; see DESIGN.md section 3"),
+    Guard("one outlet per query",
+          r"auto_shield|_has_shield",
+          ("src", "tests", "examples", "docs", "README.md"),
+          "a query's one shield is its delivery:<name> outlet, built by "
+          "PhysicalPlan.compile_queries; registration adds none; see "
+          "docs/PERFORMANCE.md, One shield per query"),
 )
 
 

@@ -4,11 +4,10 @@
 from every scan to the plan root and reports:
 
 * **SEC001** — the root is reachable without crossing a Security
-  Shield.  Without ``assume_delivery`` this is an *error* (nothing in
-  the plan enforces access control); with it — the DSMS gives every
-  query an outlet shield ahead of its sink — it degrades to a warning:
-  results are still policy-checked, but only at the very end, with no
-  in-plan enforcement or early filtering.
+  Shield: an *error*, nothing in the plan enforces access control.
+  With ``assume_delivery`` — the DSMS hands every query its results
+  through its own ``delivery:<name>`` shield — nothing is reported:
+  that outlet is the query's shield.
 * **SEC002** — a projection/aggregation prunes an attribute that an
   attribute-scoped sp-batch governs, so the batch disappears upstream
   of later enforcement points and the stale previous policy would
@@ -52,32 +51,24 @@ def analyze_expr(expr: LogicalExpr, *,
 
     ``facts`` carries what is known about the input streams
     (:meth:`StreamFacts.unknown` keeps fact-dependent checks silent).
-    ``assume_delivery`` models the outlet shield the DSMS gives every
-    query (``PhysicalPlan.compile_queries``); ``roles`` (the query
-    specifier's roles) only sharpen the messages.  ``name`` prefixes
-    every diagnostic path.
+    ``assume_delivery`` models the ``delivery:<name>`` outlet the DSMS
+    gives every query (``PhysicalPlan.compile_queries``), which stands
+    for the query's shield; ``roles`` (the query specifier's roles)
+    only sharpen the messages.  ``name`` prefixes every diagnostic
+    path.
     """
     facts = facts if facts is not None else StreamFacts.unknown()
     report = AnalysisReport()
     state = _visit(expr, name, facts, report)
     report.extend(hazard_sites(expr, facts, name))
-    if not state.shielded:
+    if not state.shielded and not assume_delivery:
         role_text = (f" for roles {sorted(roles)}" if roles else "")
-        if assume_delivery:
-            report.add(
-                "SEC001", Severity.WARNING, name,
-                "no in-plan Security Shield on any source-to-sink "
-                "path; enforcement relies solely on the delivery "
-                "shield at the sink",
-                fixit=f"add a ShieldExpr{role_text} (auto_shield=True "
-                      "does this at the plan root)")
-        else:
-            report.add(
-                "SEC001", Severity.ERROR, name,
-                "source-to-sink path with no Security Shield: "
-                "denial-by-default enforcement is unreachable",
-                fixit=f"wrap the plan in a ShieldExpr{role_text} or "
-                      "register with auto_shield=True")
+        report.add(
+            "SEC001", Severity.ERROR, name,
+            "source-to-sink path with no Security Shield: "
+            "denial-by-default enforcement is unreachable",
+            fixit=f"wrap the plan in a ShieldExpr{role_text} or "
+                  "register it as a query")
     return report
 
 

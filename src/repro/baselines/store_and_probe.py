@@ -183,10 +183,6 @@ class StoreAndProbeEnforcer:
                 self.tuples_out += 1
                 yield element
 
-    def state_objects(self) -> list:
-        """Objects to include in memory accounting."""
-        return [self.table._exact, self.table._patterns]  # noqa: SLF001
-
 
 #: Page size of the persistent store backing the policy table.
 PAGE_SIZE = 8192

@@ -170,8 +170,11 @@ def _load_wire_elements(path: str):
     return sids.pop(), tuple(attributes), elements
 
 
-def _observed_run(args: argparse.Namespace):
-    """Build a DSMS with in-memory observability, run, return it."""
+def _observed_dsms(args: argparse.Namespace):
+    """A DSMS with in-memory observability and query ``q`` (``--query``,
+    else a scan, for ``--roles``) registered; returns it with the
+    schema and elements of the stream (``path`` or the demo stream),
+    which the caller registers."""
     from repro.algebra.expressions import ScanExpr
     from repro.engine.dsms import DSMS
     from repro.observability import Observability
@@ -196,10 +199,16 @@ def _observed_run(args: argparse.Namespace):
         expr = ScanExpr(stream_id)
 
     dsms = DSMS(observability=Observability.in_memory())
-    dsms.register_stream(StreamSchema(stream_id, attributes), elements)
     dsms.register_query("q", expr, roles=roles)
-    results = dsms.run()
-    return dsms, results
+    return dsms, StreamSchema(stream_id, attributes), elements
+
+
+def _observed_run(args: argparse.Namespace):
+    """Run :func:`_observed_dsms` over its stream; return it with the
+    results."""
+    dsms, schema, elements = _observed_dsms(args)
+    dsms.register_stream(schema, elements)
+    return dsms, dsms.run()
 
 
 def _add_observed_arguments(parser: argparse.ArgumentParser) -> None:
@@ -324,35 +333,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.algebra.expressions import ScanExpr
-    from repro.engine.dsms import DSMS
-    from repro.observability import Observability
     from repro.observability.health import HealthMonitor
     from repro.observability.monitor import MonitorView, run_monitor
-    from repro.stream.schema import StreamSchema
 
-    if args.path:
-        stream_id, attributes, elements = _load_wire_elements(args.path)
-    else:
-        stream_id, attributes, elements = _demo_elements()
-    roles = frozenset(r.strip() for r in args.roles.split(",")
-                      if r.strip())
-    if not roles:
-        raise ReproError("provide at least one role via --roles")
-    if args.query:
-        from repro.core.punctuation import SecurityPunctuation
-        from repro.cql.translator import compile_statement
-
-        expr = compile_statement(args.query)
-        if isinstance(expr, SecurityPunctuation):
-            raise ReproError(
-                "--query takes a CQL SELECT, not an INSERT SP")
-    else:
-        expr = ScanExpr(stream_id)
-
-    dsms = DSMS(observability=Observability.in_memory())
-    dsms.register_stream(StreamSchema(stream_id, attributes), [])
-    dsms.register_query("q", expr, roles=roles)
+    dsms, schema, elements = _observed_dsms(args)
+    dsms.register_stream(schema, [])
+    stream_id = schema.stream_id
     session = dsms.open_session()
     instruments = dsms.observability.instruments
     assert instruments is not None

@@ -218,13 +218,6 @@ class SPAnalyzer:
             raise PolicyError("server policies must have provider=None")
         self._server_sps.append(self._normalize(sp))
 
-    def clear_server_policies(self) -> None:
-        self._server_sps.clear()
-
-    @property
-    def server_sps(self) -> tuple[SecurityPunctuation, ...]:
-        return tuple(self._server_sps)
-
     # -- normalization ------------------------------------------------------
     def _normalize(self, sp: SecurityPunctuation) -> SecurityPunctuation:
         """Resolve open-ended role patterns against the role universe."""

@@ -38,9 +38,6 @@ class StreamCatalog:
         except KeyError:
             raise StreamError(f"unknown stream: {stream_id!r}") from None
 
-    def set_source(self, stream_id: str, source: StreamSource) -> None:
-        self.get(stream_id).source = source
-
     def __contains__(self, stream_id: str) -> bool:
         return stream_id in self._streams
 

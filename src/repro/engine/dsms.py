@@ -126,7 +126,6 @@ class DSMS:
     # -- queries ---------------------------------------------------------
     def register_query(self, name: str, expr: LogicalExpr, *,
                        roles=None, user_id: str | None = None,
-                       auto_shield: bool = True,
                        analyze: str = "off") -> ContinuousQuery:
         """Register a continuous query for a set of roles or a user.
 
@@ -138,10 +137,11 @@ class DSMS:
         ``"warn"`` (findings emitted as :class:`PlanAnalysisWarning`),
         or ``"strict"`` (error-severity findings raise
         :class:`PlanAnalysisError` and the query is *not* registered —
-        rejection happens before a single tuple flows).  The chosen
-        mode also re-runs the analysis at :meth:`build_plan` time over
-        the plan actually compiled (with the query's outlet shield
-        assumed).
+        rejection happens before a single tuple flows).  Both checks
+        assume the query's ``delivery:<name>`` outlet, so a plan with
+        no shield of its own is not a finding.  The chosen mode also
+        re-runs the analysis at :meth:`build_plan` time, against the
+        streams registered by then.
         """
         if name in self.queries:
             raise QueryError(f"query {name!r} already registered")
@@ -159,11 +159,12 @@ class DSMS:
         for role in roles:
             self.universe.register(role)
         query = ContinuousQuery(name, expr, roles, user_id=user_id,
-                                auto_shield=auto_shield, analyze=analyze)
+                                analyze=analyze)
         if query.analyze != "off":
             report = analyze_expr(
                 query.expr, facts=self._stream_facts(),
-                roles=sorted(query.roles), name=name)
+                roles=sorted(query.roles), assume_delivery=True,
+                name=name)
             try:
                 self._apply_analysis(report, query.analyze,
                                      where=f"query {name!r}")
@@ -247,9 +248,9 @@ class DSMS:
     def shields(self, query_name: str) -> tuple[SecurityShield, ...]:
         """Read-only view of a query's live Security Shields.
 
-        The shields its plan compiled to, then its outlet — the shield
-        that hands the query its results (its root shield, or the
-        ``delivery:<name>`` backstop); empty until a plan has been
+        The shields its plan compiled to, then its outlet — the
+        ``delivery:<name>`` shield that hands the query its results;
+        empty until a plan has been
         compiled (:meth:`build_plan`, :meth:`run` or
         :meth:`open_session`).  This is the public surface callers and
         the audit layer use instead of reaching into plan internals.
@@ -272,16 +273,16 @@ class DSMS:
         facts = self._stream_facts()
         for name, query in self.queries.items():
             if query.analyze != "off":
-                # Re-check what is compiled: every query gets an outlet.
+                # Re-check against the streams registered by now: a
+                # stream registered after the query adds its facts.
                 self._apply_analysis(
                     analyze_expr(query.expr, facts=facts,
                                  roles=sorted(query.roles),
                                  assume_delivery=True, name=name),
                     query.analyze, where="compiled plan")
         # Each query's results leave through one fixed check for its
-        # roles, its outlet: the root shield when that already is the
-        # check, else a ``delivery:<name>`` backstop behind the in-plan
-        # shields (docs/PERFORMANCE.md, "One shield per query").
+        # roles, its ``delivery:<name>`` outlet (docs/PERFORMANCE.md,
+        # "One shield per query").
         sinks = plan.compile_queries(
             (name, query.expr, query.roles)
             for name, query in self.queries.items())

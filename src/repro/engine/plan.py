@@ -317,10 +317,8 @@ class PhysicalPlan:
 
     def compile_chain(self, expr: LogicalExpr,
                       operators: list[Operator]) -> list[PlanNode]:
-        """Compile ``expr`` and attach a chain of unary operators.
-
-        Used e.g. to place a fixed delivery-side filter between a
-        query's plan and its sink.  Returns the chain's nodes in order.
+        """Compile ``expr`` and attach a chain of unary operators (a
+        query's outlet and its sink); returns the chain's nodes in order.
         """
         if not operators:
             raise PlanError("compile_chain requires at least one operator")
@@ -336,27 +334,16 @@ class PhysicalPlan:
     ) -> dict[str, CollectingSink]:
         """Compile ``(name, expr, roles)`` queries; returns their sinks.
 
-        A query's *outlet* hands its sink results for ``roles`` only.
-        It is the root when the root is ψ_roles and exclusive (Table II
-        Rule 1: ψ_p(ψ_p(T)) ≡ ψ_p(T)), else a ``delivery:<name>``
-        shield.  Exclusive — no other query reaches the node, nothing
-        compiled before (by :meth:`compile_chain`) reads it — is a
-        security condition: role re-binding rewrites outlets.
+        A query's *outlet*, a ``delivery:<name>`` shield for ``roles``
+        between its expression and its sink, hands the sink its
+        results.  No compiled expression is an outlet, so no two
+        queries share one and role re-binding rewrites it freely.
         """
-        queries = [(name, expr, frozenset(roles))
-                   for name, expr, roles in queries]
-        reach = Counter(sub for _, expr, _ in queries
-                        for sub in set(walk(expr)))
         sinks: dict[str, CollectingSink] = {}
         for name, expr, roles in queries:
             sink = sinks[name] = CollectingSink(name=f"sink:{name}")
-            if (isinstance(expr, ShieldExpr) and expr.predicates == (roles,)
-                    and reach[expr] == 1 and expr not in self._expr_cache):
-                self.compile_chain(expr, [sink])
-                outlet = self._expr_cache[expr].operator
-            else:
-                outlet = SecurityShield(roles, name=f"delivery:{name}")
-                self.compile_chain(expr, [outlet, sink])
+            outlet = SecurityShield(roles, name=f"delivery:{name}")
+            self.compile_chain(expr, [outlet, sink])
             self.queries[name] = (expr, outlet)
             self._sinks[sink] = (name, outlet)
         return sinks
@@ -536,8 +523,8 @@ class PhysicalPlan:
                 # A ShieldExpr compiled into this plan maps to its node.
                 node = (self._expr_cache.get(sub)
                         if isinstance(sub, ShieldExpr) else None)
-                if (node is not None and node.operator is not outlet
-                        and isinstance(node.operator, SecurityShield)):
+                if node is not None and isinstance(node.operator,
+                                                   SecurityShield):
                     found.append(node.operator)
             shields[name] = found + [outlet]
             outlet.outlet = True

@@ -3,14 +3,15 @@
 A continuous query pairs a logical expression with the roles of the
 query specifier registered to receive its results (paper Section II.B:
 "each query inherits the security restriction(s) associated with the
-query specifier").  The DSMS guards every query with a Security Shield
-for those roles — by default at the plan root — and compiles the
-expression as registered.
+query specifier").  The DSMS compiles the expression as registered and
+hands the query its results through one Security Shield for those
+roles, its ``delivery:<name>`` outlet
+(:meth:`~repro.engine.plan.PhysicalPlan.compile_queries`).
 """
 
 from __future__ import annotations
 
-from repro.algebra.expressions import LogicalExpr, ShieldExpr, walk
+from repro.algebra.expressions import LogicalExpr
 from repro.errors import QueryError
 
 __all__ = ["ContinuousQuery"]
@@ -25,7 +26,6 @@ class ContinuousQuery:
     def __init__(self, name: str, expr: LogicalExpr,
                  roles: frozenset[str] | set[str] | tuple | list,
                  *, user_id: str | None = None,
-                 auto_shield: bool = True,
                  analyze: str = "off"):
         if not name:
             raise QueryError("query requires a name")
@@ -43,13 +43,7 @@ class ContinuousQuery:
         self.roles = roles
         self.user_id = user_id
         self.analyze = analyze
-        if auto_shield and not self._has_shield(expr):
-            expr = ShieldExpr(expr, roles)
         self.expr = expr
-
-    @staticmethod
-    def _has_shield(expr: LogicalExpr) -> bool:
-        return any(isinstance(node, ShieldExpr) for node in walk(expr))
 
     def with_expr(self, expr: LogicalExpr) -> "ContinuousQuery":
         """Same query over ``expr`` (role re-binding rewrites its shields)."""

@@ -14,7 +14,7 @@ from repro.operators.project import Project
 from repro.operators.select import Select
 from repro.operators.setops import Union
 from repro.operators.shield import SecurityShield
-from repro.operators.sink import CollectingSink, CountingSink
+from repro.operators.sink import CollectingSink
 from repro.operators.spindex import IndexEntry, SPIndex
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Comparison",
     "Condition",
     "Count",
-    "CountingSink",
     "DuplicateElimination",
     "FuncCondition",
     "GroupBy",

@@ -71,9 +71,6 @@ class OperatorStats:
         #: EWMA of per-element processing seconds (current speed).
         self.ewma_seconds = 0.0
 
-    def snapshot(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
     def reset(self) -> None:
         self.__init__()
 

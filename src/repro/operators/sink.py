@@ -1,4 +1,4 @@
-"""Output sinks: plan leaves collecting or counting results.
+"""Output sink: the plan leaf collecting a query's results.
 
 Sinks are where results *emerge*, so they are also where end-to-end
 tuple latency is measured: with metrics bound, each delivered tuple
@@ -17,26 +17,10 @@ from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
-__all__ = ["CollectingSink", "CountingSink"]
+__all__ = ["CollectingSink"]
 
 
-class _LatencySinkMixin:
-    """End-to-end latency recording shared by the sink types."""
-
-    def bind_metrics(self, instruments) -> None:
-        super().bind_metrics(instruments)
-        self._instruments = instruments
-        query = self.name.removeprefix("sink:")
-        self._m_e2e = instruments.tuple_latency.labels(query)
-
-    def _observe_emit(self) -> None:
-        """One latency observation for the element(s) just emitted."""
-        wall = self._instruments.ingest_wall
-        if wall is not None:
-            self._m_e2e.observe(time.perf_counter() - wall)
-
-
-class CollectingSink(_LatencySinkMixin, UnaryOperator):
+class CollectingSink(UnaryOperator):
     """Stores everything it receives; used by tests and examples.
 
     A streaming session *watches* its sinks: a watched sink puts its
@@ -53,6 +37,18 @@ class CollectingSink(_LatencySinkMixin, UnaryOperator):
         #: The watcher's pending list while armed, else ``None``.
         self._pending: list | None = None
         self._key = None
+
+    def bind_metrics(self, instruments) -> None:
+        super().bind_metrics(instruments)
+        self._instruments = instruments
+        query = self.name.removeprefix("sink:")
+        self._m_e2e = instruments.tuple_latency.labels(query)
+
+    def _observe_emit(self) -> None:
+        """One latency observation for the element(s) just emitted."""
+        wall = self._instruments.ingest_wall
+        if wall is not None:
+            self._m_e2e.observe(time.perf_counter() - wall)
 
     def watch(self, pending: list, key) -> None:
         """Put ``key`` on ``pending`` when the next element arrives."""
@@ -95,39 +91,3 @@ class CollectingSink(_LatencySinkMixin, UnaryOperator):
 
     def state_size(self) -> int:
         return len(self.elements)
-
-
-class CountingSink(_LatencySinkMixin, UnaryOperator):
-    """Counts results without retaining them; used by benchmarks."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name)
-        self.tuple_count = 0
-        self.sp_count = 0
-        self.first_ts: float | None = None
-        self.last_ts: float | None = None
-        self._m_e2e = None
-
-    def _process(self, element: StreamElement,
-                 port: int) -> list[StreamElement]:
-        if isinstance(element, SecurityPunctuation):
-            self.sp_count += 1
-        else:
-            self.tuple_count += 1
-            if self.first_ts is None:
-                self.first_ts = element.ts
-            self.last_ts = element.ts
-            if self._m_e2e is not None:
-                self._observe_emit()
-        return []
-
-    def _process_batch(self, batch: TupleBatch,
-                       port: int) -> list[StreamElement]:
-        tuples = batch.tuples
-        self.tuple_count += len(tuples)
-        if self.first_ts is None:
-            self.first_ts = tuples[0].ts
-        self.last_ts = tuples[-1].ts
-        if self._m_e2e is not None:
-            self._observe_emit()
-        return []

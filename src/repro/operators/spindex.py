@@ -137,19 +137,6 @@ class SPIndex:
         return None
 
     # -- accounting --------------------------------------------------------
-    @property
-    def skip_rate(self) -> float:
-        """Fraction of probe visits the skipping rule suppressed.
-
-        The Lemma 5.1 hit rate: ``entries_skipped / entries_scanned``
-        (0.0 before any probe).  High values mean policies share many
-        roles and the rule is saving the redundant probe work the
-        ablation benchmark quantifies.
-        """
-        if not self.entries_scanned:
-            return 0.0
-        return self.entries_skipped / self.entries_scanned
-
     def entry_count(self) -> int:
         return sum(1 for e in self._by_segment.values() if e.alive)
 

@@ -27,7 +27,7 @@ Commands (case-insensitive keywords):
 ``RESULTS <query>``
     Show a query's delivered tuples so far.
 ``EXPLAIN <query>``
-    Print the query's (shielded) logical plan.
+    Print the query's logical plan under its outlet, ψ_roles.
 ``HELP`` / ``QUIT``
 
 The session starts lazily on the first PUSH/INSERT after at least one
@@ -42,6 +42,7 @@ import shlex
 from typing import Callable, IO
 
 from repro.algebra.explain import explain
+from repro.algebra.expressions import ShieldExpr
 from repro.cql.translator import compile_statement
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
@@ -195,7 +196,7 @@ class Shell:
         query = self.dsms.queries.get(parts[1])
         if query is None:
             raise ReproError(f"unknown query: {parts[1]!r}")
-        self.out(explain(query.expr))
+        self.out(explain(ShieldExpr(query.expr, query.roles)))
 
     def _close(self) -> None:
         if self.session is not None:

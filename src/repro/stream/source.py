@@ -13,7 +13,6 @@ from typing import Iterable, Iterator
 
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
-from repro.stream.stream import Stream
 
 __all__ = ["StreamSource", "ListSource", "merge_sources"]
 
@@ -39,10 +38,6 @@ class ListSource(StreamSource):
                  elements: Iterable[StreamElement]):
         super().__init__(schema)
         self._elements = list(elements)
-
-    @classmethod
-    def from_stream(cls, stream: Stream) -> "ListSource":
-        return cls(stream.schema, stream.elements())
 
     def __iter__(self) -> Iterator[StreamElement]:
         return iter(self._elements)

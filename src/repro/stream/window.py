@@ -216,10 +216,6 @@ class PunctuatedWindow:
     def iter_segments(self) -> Iterator[Segment]:
         return iter(self._segments)
 
-    def current_segment(self) -> Segment | None:
-        """The segment new tuples would join, if any."""
-        return self._segments[-1] if self._segments else None
-
     # -- accounting ---------------------------------------------------------
     def tuple_count(self) -> int:
         return sum(len(segment.tuples) for segment in self._segments)

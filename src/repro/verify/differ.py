@@ -210,7 +210,7 @@ def run_engine(scenario: Scenario, config: EngineConfig,
     for name, query in scenario.queries.items():
         dsms.register_query(
             name, expr_from_spec(query["plan"], config.join_variant),
-            roles=frozenset(query["roles"]), auto_shield=False)
+            roles=frozenset(query["roles"]))
     if config.session:
         # Faults reorder sps only inside an sp-batch (one timestamp),
         # so every stream stays in the order ``push`` insists on.
@@ -348,8 +348,8 @@ def verify_scenario(scenario: Scenario, *,
     descr = scenario.describe()
     # Static analysis gate: a scenario the oracle can run must never
     # carry error-severity findings (warnings/infos are fine — e.g.
-    # SEC001 downgrades under the assumed delivery backstop).  An
-    # error here is a real defect in the scenario or the analyzer.
+    # SEC003 on a dominated shield).  An error here is a real defect
+    # in the scenario or the analyzer.
     from repro.analysis.speclint import lint_scenario_object
 
     for diagnostic in lint_scenario_object(scenario).errors:

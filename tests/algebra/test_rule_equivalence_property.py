@@ -52,8 +52,7 @@ def run_expr(scenario, expr, roles):
     for sid, spec in scenario.streams.items():
         dsms.register_stream(StreamSchema(sid, tuple(spec["attributes"])),
                              scenario.decoded()[sid])
-    dsms.register_query("q", expr, roles=frozenset(roles),
-                        auto_shield=False)
+    dsms.register_query("q", expr, roles=frozenset(roles))
     results = dsms.run()
     return _decode_sink(results["q"].elements)
 

@@ -20,11 +20,10 @@ class TestSEC001:
         assert diag.severity.label == "error"
         assert not report.ok
 
-    def test_delivery_assumption_downgrades_to_warning(self):
+    def test_delivery_assumption_reports_nothing(self):
+        # The query's delivery:<name> outlet is its shield.
         report = analyze_expr(ScanExpr("s"), assume_delivery=True)
-        (diag,) = report.by_code("SEC001")
-        assert diag.severity.label == "warning"
-        assert report.ok
+        assert report.codes() == set()
 
     def test_shielded_plan_is_clean(self):
         report = analyze_expr(shield(ScanExpr("s"), {"R1"}))

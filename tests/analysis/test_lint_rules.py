@@ -190,6 +190,8 @@ SEEDS = {
                           "select.stats.processing_time += elapsed"),
     "what nothing builds": (
         "tests/x.py", "from repro.operators import Inter" + "sect, Union"),
+    "one outlet per query": (
+        "tests/x.py", "dsms.register_query(q, e, auto" + "_shield=False)"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.

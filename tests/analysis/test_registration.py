@@ -27,6 +27,12 @@ def reads_undeclared(t):
     return t.get("a", 0) > 0 and t.get("b", 0) > 0
 
 
+def cheating_select():
+    """σ over ``s`` whose UDF reads ``b`` undeclared: a SEC006 error."""
+    return ScanExpr("s").select(
+        FuncCondition(reads_undeclared, ("a",), label="cheat"))
+
+
 def register_quietly(dsms, name, expr, **kwargs):
     """Register, leaving out the registration-time warnings."""
     with warnings.catch_warnings():
@@ -44,16 +50,16 @@ def build_findings(dsms):
 
 
 class TestStrictMode:
-    def test_rejects_unshielded_plan_before_any_tuple(self):
+    def test_rejects_error_finding_before_any_tuple(self):
         dsms = make_dsms()
         with pytest.raises(PlanAnalysisError) as excinfo:
-            dsms.register_query("q", ScanExpr("s"), roles={"R1"},
-                                auto_shield=False, analyze="strict")
+            dsms.register_query("q", cheating_select(),
+                                roles={"R1"}, analyze="strict")
         # Rejection is pre-registration and pre-execution.
         assert "q" not in dsms.queries
         report = excinfo.value.report
         assert report is not None
-        assert "SEC001" in report.codes()
+        assert "SEC006" in report.codes()
 
     def test_accepts_shielded_plan_and_runs(self):
         dsms = make_dsms()
@@ -65,8 +71,7 @@ class TestStrictMode:
     def test_accepts_explicit_shield_without_auto(self):
         dsms = make_dsms()
         expr = ShieldExpr(ScanExpr("s"), frozenset({"R1"}))
-        dsms.register_query("q", expr, roles={"R1"},
-                            auto_shield=False, analyze="strict")
+        dsms.register_query("q", expr, roles={"R1"}, analyze="strict")
         assert len(dsms.run()["q"].tuples) == 1
 
     def test_warning_severity_findings_do_not_raise(self):
@@ -83,19 +88,17 @@ class TestStrictMode:
 
 
 class TestWarnMode:
-    def test_unshielded_plan_warns_but_registers(self):
+    def test_error_finding_warns_but_registers(self):
         dsms = make_dsms()
-        with pytest.warns(PlanAnalysisWarning, match="SEC001"):
-            dsms.register_query("q", ScanExpr("s"), roles={"R1"},
-                                auto_shield=False, analyze="warn")
+        with pytest.warns(PlanAnalysisWarning, match="SEC006"):
+            dsms.register_query("q", cheating_select(),
+                                roles={"R1"}, analyze="warn")
         assert "q" in dsms.queries
 
     def test_build_plan_reanalyzes_compiled_dag(self):
         dsms = make_dsms()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PlanAnalysisWarning)
-            dsms.register_query("q", ScanExpr("s"), roles={"R1"},
-                                auto_shield=False, analyze="warn")
+        register_quietly(dsms, "q", cheating_select(),
+                         roles={"R1"}, analyze="warn")
         with pytest.warns(PlanAnalysisWarning, match="compiled plan"):
             dsms.build_plan()
 
@@ -111,26 +114,25 @@ class TestWarnMode:
 class TestBuildTimeAnalysis:
     """``build_plan`` re-checks each query's compiled plan in its mode."""
 
-    def test_auto_shielded_plan_is_clean(self):
+    def test_outlet_only_plan_is_clean(self):
+        # The delivery:q outlet is the query's shield: no SEC001.
         dsms = make_dsms()
         register_quietly(dsms, "q", ScanExpr("s"), roles={"R1"},
                          analyze="warn")
         assert build_findings(dsms) == []
-
-    def test_delivery_only_plan_warns_sec001(self):
-        dsms = make_dsms()
-        register_quietly(dsms, "q", ScanExpr("s"), roles={"R1"},
-                         auto_shield=False, analyze="warn")
-        (finding,) = build_findings(dsms)
-        assert finding.startswith("compiled plan: SEC001 warning at q:")
+        (outlet,) = dsms.shields("q")
+        assert outlet.name == "delivery:q"
 
     def test_outlet_root_is_not_sec003(self):
-        # The root shield is the query's outlet, not a second check.
+        # A root ψ_R1 ahead of the ψ_R1 outlet is redundant but harmless
+        # (Table II Rule 1): the analysis does not model the outlet.
         dsms = make_dsms()
-        register_quietly(dsms, "q", ScanExpr("s"), roles={"R1"},
-                         analyze="warn")
+        register_quietly(dsms, "q", ShieldExpr(ScanExpr("s"),
+                                               frozenset({"R1"})),
+                         roles={"R1"}, analyze="warn")
         assert build_findings(dsms) == []
-        assert len(dsms.shields("q")) == 1
+        assert [s.name for s in dsms.shields("q")] == [
+            "SecurityShield", "delivery:q"]
 
     def test_dominated_inplan_shield_flagged(self):
         dsms = make_dsms()
@@ -141,22 +143,21 @@ class TestBuildTimeAnalysis:
         assert finding.startswith("compiled plan: SEC003 warning at q/")
 
     def test_shared_scan_checked_per_query(self):
-        # Two queries over one scan: each route must carry its own
-        # shield, so only q2's (outlet-only) plan is reported.
+        # Two queries over one scan: only q2's own selection is
+        # reported.
         dsms = make_dsms()
         register_quietly(dsms, "q1", ScanExpr("s"), roles={"R1"},
                          analyze="warn")
-        register_quietly(dsms, "q2", ScanExpr("s"), roles={"R2"},
-                         auto_shield=False, analyze="warn")
+        register_quietly(dsms, "q2", cheating_select(),
+                         roles={"R2"}, analyze="warn")
         (finding,) = build_findings(dsms)
-        assert finding.startswith("compiled plan: SEC001 warning at q2:")
+        assert finding.startswith("compiled plan: SEC006 error at q2/")
 
     def test_each_query_keeps_its_own_mode(self):
         # A warn query's error-severity finding warns even when a
         # strict query shares the plan.
         dsms = make_dsms()
-        udf = FuncCondition(reads_undeclared, ("a",), label="cheat")
-        register_quietly(dsms, "q1", ScanExpr("s").select(udf),
+        register_quietly(dsms, "q1", cheating_select(),
                          roles={"R1"}, analyze="warn")
         register_quietly(dsms, "q2", ScanExpr("s"), roles={"R1"},
                          analyze="strict")
@@ -169,8 +170,7 @@ class TestModeHandling:
         dsms = make_dsms()
         with warnings.catch_warnings():
             warnings.simplefilter("error", PlanAnalysisWarning)
-            dsms.register_query("q", ScanExpr("s"), roles={"R1"},
-                                auto_shield=False)
+            dsms.register_query("q", ScanExpr("s"), roles={"R1"})
             dsms.run()
 
     def test_invalid_mode_rejected(self):

@@ -86,12 +86,12 @@ class TestScenarioLint:
         assert not report.ok
 
     def test_delivery_backstop_assumed_for_scenarios(self):
-        # Scenario queries always get the DSMS delivery shield, so a
-        # bare scan is a warning, not an error.
+        # Scenario queries always get the DSMS delivery shield, their
+        # outlet, so a bare scan is no finding.
         report = lint_scenario(scenario(
             {"q": {"roles": ["R1"], "plan": scan()}}))
         assert report.ok
-        assert "SEC001" in report.codes()
+        assert "SEC001" not in report.codes()
 
     def test_non_object_scenario(self):
         assert not lint_scenario([1, 2]).ok

@@ -120,8 +120,7 @@ class TestRunOfOnePath:
         session = warm_session(4)
         assert profile_push(session, tup(-1, 2.0))[2] == 0
         # The spy does see a stack: a delivered tuple goes two hops down,
-        # select → root shield → sink (three while a delivery backstop
-        # stood behind the root shield).
+        # select → delivery:q<i> → sink.
         assert profile_push(session, tup(50, 3.0))[2] == 2 * 4
 
     @pytest.mark.parametrize("drive", ["session", "run"])
@@ -201,27 +200,24 @@ class TestCountersAreNotPartOfTheSaving:
 
 # (name, tuples_in, tuples_out, sps_in, sps_out, comparisons, state_ops
 #  [, dropped/blocked tuples, discarded/blocked sps]) in plan order.  Each
-# root shield is its query's outlet; the "delivery:<q>" backstop the
-# literals also carried before it was elided — ("delivery:q0", 10, 10, 2,
-# 2, 4, 0, 0, 0), ("delivery:q1", 8, 8, 2, 2, 4, 0, 0, 0), ("delivery:q2",
-# 5, 5, 1, 1, 2, 0, 0, 0) and ("delivery:q", 88, 88, 1, 1, 1, 0, 0, 0) —
-# passed everything its root shield passed and blocked nothing.
+# query's one shield is its "delivery:<q>" outlet, added to the plan
+# ahead of the query's expression.
 EXPECTED_FAN_OUT = [
+    ("delivery:q0", 30, 10, 6, 2, 12, 0, 20, 4),
     ("sink:q0", 10, 0, 2, 0, 0, 0),
     ("Select", 31, 30, 7, 6, 31, 0, 1, 1),
-    ("SecurityShield", 30, 10, 6, 2, 12, 0, 20, 4),
+    ("delivery:q1", 23, 8, 5, 2, 10, 0, 15, 3),
     ("sink:q1", 8, 0, 2, 0, 0, 0),
     ("Select", 31, 23, 7, 5, 31, 0, 8, 2),
-    ("SecurityShield", 23, 8, 5, 2, 10, 0, 15, 3),
+    ("delivery:q2", 13, 5, 3, 1, 6, 0, 8, 2),
     ("sink:q2", 5, 0, 1, 0, 0, 0),
     ("Select", 31, 13, 7, 3, 31, 0, 18, 4),
-    ("SecurityShield", 13, 5, 3, 1, 6, 0, 8, 2),
 ]
 # The join's 12 tuples and 3 sps of the segments no role of q may see
 # are dropped at their stream's entry (they were 48 tuples, 12 sps and
 # 45 state operations in).
 EXPECTED_JOIN = [
+    ("delivery:q", 88, 88, 1, 1, 1, 0, 0, 0),
     ("sink:q", 88, 0, 1, 0, 0, 0),
     ("IndexSAJoin", 36, 88, 9, 1, 88, 33),
-    ("SecurityShield", 88, 88, 1, 1, 1, 0, 0, 0),
 ]

@@ -1,10 +1,10 @@
 """One shield per query: which shield hands a query its results.
 
-``PhysicalPlan.compile_queries`` makes an auto-shielded query's root
-ψ_roles its *outlet* when no other query reaches that node; everywhere
-else a ``delivery:<name>`` backstop stays.  Exclusivity is a security
-condition — role re-binding rewrites an outlet, and a node another query
-reads must keep its predicate.
+``PhysicalPlan.compile_queries`` gives every query its own *outlet*, a
+``delivery:<name>`` shield for its roles between its expression and its
+sink, whatever shields the expression holds and whichever queries share
+them.  Role re-binding rewrites the outlet and the query's own in-plan
+shields; a shield another query reads must keep its predicate.
 """
 
 import warnings
@@ -17,6 +17,7 @@ from repro.engine.dsms import DSMS
 from repro.engine.plan import PhysicalPlan
 from repro.errors import QueryError
 from repro.operators.conditions import Comparison
+from repro.operators.select import Select
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
 from repro.stream.schema import StreamSchema
@@ -56,23 +57,29 @@ def outlet_names(queries, roles=frozenset({"R"})):
 
 
 class TestCompileQueries:
-    def test_auto_shielded_root_is_the_outlet(self):
+    def test_the_delivery_shield_is_the_outlet(self):
+        """σ → ψ_R → sink: the query's one shield is ``delivery:q``,
+        compiled between the expression and the sink."""
         dsms = DSMS()
         dsms.register_stream(SCHEMA, segments())
         dsms.register_query("q", ScanExpr("s").select(
             Comparison("a", ">=", 0)), roles={"R"})
         plan, sinks = dsms.build_plan()
-        (root,) = plan.find_operators(SecurityShield)
-        assert dsms.shields("q") == (root,)
-        (node,) = [n for n in plan.nodes if n.operator is root]
-        assert node.downstream == [(plan.nodes[0], 0)]
-        assert plan.nodes[0].operator is sinks["q"]
+        (outlet,) = plan.find_operators(SecurityShield)
+        assert dsms.shields("q") == (outlet,)
+        assert outlet.name == "delivery:q" and outlet.outlet
+        (node,) = [n for n in plan.nodes if n.operator is outlet]
+        assert node.downstream == [(plan.nodes[1], 0)]
+        assert plan.nodes[1].operator is sinks["q"]
+        (select,) = plan.find_operators(Select)
+        (above,) = [n for n in plan.nodes if n.operator is select]
+        assert above.downstream == [(node, 0)]
 
     def test_shared_root_keeps_its_backstop(self):
-        """q1's root is q2's inner shield: q1 keeps ``delivery:q1``, q2's
-        own root is its outlet."""
+        """q1's root is q2's inner shield: each query still leaves
+        through its own ``delivery:`` outlet."""
         names = outlet_names(HAZARD)
-        assert names == {"q1": "delivery:q1", "q2": "SecurityShield"}
+        assert names == {"q1": "delivery:q1", "q2": "delivery:q2"}
 
     def test_equal_roots_keep_their_backstops(self):
         expr = shield(ScanExpr("s"), "R")
@@ -99,7 +106,7 @@ class TestCompileQueries:
         plan.compile_queries([("q", expr, {"R"})])
         assert plan.queries["q"][1].name == "delivery:q"
 
-    def test_auto_shielded_queries_analyze_silently(self):
+    def test_unshielded_queries_analyze_silently(self):
         dsms = DSMS()
         dsms.register_stream(SCHEMA, segments())
         with warnings.catch_warnings():
@@ -183,6 +190,20 @@ class TestRebindSharedShields:
         assert after == {"q1": [20, 21], "q2": [30, 31]}
 
 
+    def test_equal_queries_rebind_independently(self):
+        """Two queries with one expression and one role set share no
+        shield: re-binding q1 leaves q2 as registered."""
+        dsms = registered({"q1": (ScanExpr("s"), {"R"}),
+                           "q2": (ScanExpr("s"), {"R"})})
+        before, after = push_halfway(
+            dsms, lambda: dsms.update_query_roles("q1", {"X"}))
+        assert before == {"q1": [0, 1], "q2": [0, 1]}
+        elements = segments()
+        assert after == fresh_run(dsms, elements[len(elements) // 2:])
+        assert after == {"q1": [30, 31], "q2": [20, 21]}
+        assert dsms.queries["q2"].roles == {"R"}
+
+
 class TestRebindReachesEveryOpenSession:
     """A role update re-binds every open session's plan, not only the
     plan compiled last, and a refusal is decided over all of them."""
@@ -246,8 +267,7 @@ class TestRebindKeepsHeldSps:
                         for e in out] for name, out in got.items()}
         assert shown == {"q1": [sp.to_text(), 2],
                          "q2": [sp.to_text(), 1, 2]}
-        (outlet,) = [s for s in dsms.shields("q1")
-                     if not s.name.startswith("delivery:")]
+        (outlet,) = dsms.shields("q1")
         assert (outlet.tuples_blocked, outlet.sps_blocked) == (1, 0)
 
     def test_a_rebound_shield_releases_the_held_sp(self):

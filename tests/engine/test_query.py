@@ -1,17 +1,18 @@
-"""Tests for continuous-query objects and auto-shielding."""
+"""Tests for continuous-query objects."""
 
 import pytest
 
-from repro.algebra.expressions import ScanExpr, ShieldExpr
+from repro.algebra.expressions import ScanExpr
 from repro.engine.query import ContinuousQuery
 from repro.errors import QueryError
 
 
 class TestContinuousQuery:
-    def test_auto_shield_added_at_root(self):
-        query = ContinuousQuery("q", ScanExpr("s"), roles={"D"})
-        assert isinstance(query.expr, ShieldExpr)
-        assert query.expr.roles == frozenset({"D"})
+    def test_expression_kept_as_registered(self):
+        # The query's shield is its delivery:q outlet, built by the plan.
+        expr = ScanExpr("s")
+        query = ContinuousQuery("q", expr, roles={"D"})
+        assert query.expr is expr
 
     def test_existing_shield_not_doubled(self):
         expr = ScanExpr("s").shield({"D"})
@@ -21,12 +22,7 @@ class TestContinuousQuery:
     def test_nested_shield_counts(self):
         expr = ScanExpr("s").shield({"D"}).project(["v"])
         query = ContinuousQuery("q", expr, roles={"D"})
-        assert query.expr is expr  # shield anywhere in the tree suffices
-
-    def test_auto_shield_can_be_disabled(self):
-        query = ContinuousQuery("q", ScanExpr("s"), roles={"D"},
-                                auto_shield=False)
-        assert isinstance(query.expr, ScanExpr)
+        assert query.expr is expr
 
     def test_requires_name_and_roles(self):
         with pytest.raises(QueryError):

@@ -19,7 +19,7 @@ import os
 import pytest
 
 from repro import DSMS, Observability, ScanExpr, StreamSchema
-from repro.operators import Comparison
+from repro.operators import Comparison, SecurityShield
 from repro.stream.wire import encode_element, load_stream
 
 from tests.drive import push_all
@@ -114,6 +114,19 @@ def test_every_path_delivers_the_pinned_lines(name, seed, tmp_path):
     assert any(delivered.values()), "the workload delivers nothing"
     assert lines(push_all(new_dsms(spec))) == delivered
     assert digest(delivered) == GOLDEN[name, seed]
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_each_query_has_one_shield_its_delivery_outlet(name, tmp_path):
+    spec, _ = workloads.build(name, 61, str(tmp_path), scale=0.05)
+    dsms = new_dsms(spec)
+    plan, _ = dsms.build_plan()
+    outlets = {query["name"]: [f"delivery:{query['name']}"]
+               for query in spec["queries"]}
+    assert {name: [shield.name for shield in dsms.shields(name)]
+            for name in outlets} == outlets
+    assert sorted(shield.name for shield in plan.find_operators(
+        SecurityShield)) == sorted(name for name, in outlets.values())
 
 
 #: The seventh shape: ``sajoin_window``'s left stream into both ports

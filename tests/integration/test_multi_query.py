@@ -36,9 +36,8 @@ class TestSharedSubplans:
         dsms.register_query("qb", base, roles={"b"})
         dsms.register_query("qc", base, roles={"c"})
         plan, sinks = dsms.build_plan()
-        # One shared Select; per query one in-plan shield, which is
-        # also the query's outlet (a fixed delivery shield behind each
-        # made six).
+        # One shared Select; per query one shield, its delivery:<q>
+        # outlet.
         assert len(plan.find_operators(Select)) == 1
         assert len(plan.find_operators(SecurityShield)) == 3
 

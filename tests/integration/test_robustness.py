@@ -123,7 +123,5 @@ class TestStatsAccounting:
         assert shield.stats.tuples_out == 2
         assert shield.stats.sps_out == 1
         assert shield.stats.processing_time > 0
-        snapshot = shield.stats.snapshot()
-        assert snapshot["tuples_in"] == 2
         shield.stats.reset()
         assert shield.stats.tuples_in == 0

@@ -98,7 +98,7 @@ class TestShieldAudit:
         segments = dsms.audit.events(kind="shield.segment",
                                      query="nurse")
         verdicts = [e.detail["verdict"] for e in segments
-                    if e.operator == "SecurityShield"]
+                    if e.operator == "delivery:nurse"]
         assert verdicts == ["pass", "drop"]
 
     def test_segment_no_query_may_see_is_one_entry_record(self):
@@ -394,12 +394,11 @@ class TestPassRing:
         # Tuple 3: passes the doctor's shields, denied by the nurse's.
         events = self.explained(1.0, 3)
         assert [e.seq for e in events] == sorted(e.seq for e in events)
-        # The doctor's root shield is its outlet, so its pass is the
-        # delivery (a "delivery:doc" shield behind it recorded a second
-        # pass).
+        # Each query's one shield is its delivery outlet, so the
+        # doctor's pass is the delivery.
         assert sorted((e.kind, e.operator, e.query) for e in events) == [
-            ("shield.drop", "SecurityShield", "nurse"),
-            ("shield.pass", "SecurityShield", "doc")]
+            ("shield.drop", "delivery:nurse", "nurse"),
+            ("shield.pass", "delivery:doc", "doc")]
         assert [e.detail for e in events if e.kind == "shield.pass"] == [
             {"outlet": True}]
         # One push, one trace: the fifth element's.

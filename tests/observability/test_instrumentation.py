@@ -53,7 +53,7 @@ class TestPropagationLag:
             session.push("s1", reading(1, 3.0))
         series = get_series(instruments,
                             "repro_policy_propagation_seconds")
-        shield_hist = series[("SecurityShield", "q")]
+        shield_hist = series[("delivery:q", "q")]
         # One sp-batch -> exactly one propagation observation, taken
         # at the first decision under the new policy.
         assert shield_hist.count == 1
@@ -71,7 +71,7 @@ class TestPropagationLag:
                 session.push("s1", reading(segment * 2 + 1, ts + 3.0))
         series = get_series(instruments,
                             "repro_policy_propagation_seconds")
-        assert series[("SecurityShield", "q")].count == 5
+        assert series[("delivery:q", "q")].count == 5
 
     def test_sp_with_no_following_tuple_is_not_observed(self):
         """Lag is sp -> first decision; with no decision, no sample."""
@@ -81,7 +81,7 @@ class TestPropagationLag:
             session.push("s1", SecurityPunctuation.grant(["D"], 1.0))
         series = get_series(instruments,
                             "repro_policy_propagation_seconds")
-        shield_hist = series.get(("SecurityShield", "q"))
+        shield_hist = series.get(("delivery:q", "q"))
         assert shield_hist is None or shield_hist.count == 0
 
 
@@ -129,13 +129,13 @@ class TestShieldCounters:
         shields = get_series(instruments, "repro_shield_tuples_total")
         by_verdict = {values[-1]: child.current()
                       for values, child in shields.items()
-                      if values[0] == "SecurityShield"}
+                      if values[0] == "delivery:q"}
         # Tuple 3's {N} segment is dropped at the stream's entry (was
         # drop 3.0 at the shield).
         assert by_verdict == {"drop": 2.0, "pass": 1.0}
         denials = get_series(instruments,
                              "repro_denial_by_default_drops_total")
-        assert denials[("SecurityShield", "q")].current() == 2.0
+        assert denials[("delivery:q", "q")].current() == 2.0
 
     def test_counters_match_batched_run(self):
         elements = [reading(0, 1.0),
@@ -152,13 +152,13 @@ class TestShieldCounters:
         shields = get_series(instruments, "repro_shield_tuples_total")
         by_verdict = {values[-1]: child.current()
                       for values, child in shields.items()
-                      if values[0] == "SecurityShield"}
+                      if values[0] == "delivery:q"}
         # Tuple 3's {N} segment is dropped at the stream's entry (was
         # drop 2.0 at the shield).
         assert by_verdict == {"drop": 1.0, "pass": 2.0}
         denials = get_series(instruments,
                              "repro_denial_by_default_drops_total")
-        assert denials[("SecurityShield", "q")].current() == 1.0
+        assert denials[("delivery:q", "q")].current() == 1.0
 
 
 class TestDistributions:
@@ -174,7 +174,7 @@ class TestDistributions:
                     session.push("s1", reading(segment * 4 + k,
                                                ts + 2.0 + k))
         segments = get_series(instruments, "repro_segment_size_tuples")
-        shield_hist = segments[("SecurityShield",)]
+        shield_hist = segments[("delivery:q",)]
         assert shield_hist.count == 3
         assert shield_hist.sum == pytest.approx(6.0)
         assert shield_hist.max == pytest.approx(3.0)

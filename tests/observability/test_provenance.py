@@ -257,9 +257,9 @@ class TestEndToEndWhy:
 
     @pytest.mark.parametrize("drive", MODES)
     def test_inner_pass_is_not_a_delivery(self, drive):
-        """ψ_D(σ(ψ_D(hr))): both shields are named ``SecurityShield``
-        and bound to ``doc``; a tuple the select drops after the inner
-        shield passed it was not delivered."""
+        """ψ_D(σ(ψ_D(hr))) under its ``delivery:doc`` outlet: all three
+        shields are bound to ``doc``; a tuple the select drops after the
+        inner shield passed it was not delivered."""
         dsms = DSMS(observability=Observability(tracer=Tracer(sample=1.0)))
         dsms.register_stream(SCHEMA, [
             SecurityPunctuation.grant(["D"], 0.0, provider="patient"),
@@ -274,7 +274,7 @@ class TestEndToEndWhy:
         assert [e.kind for e in dropped.decisions] == ["shield.pass"]
         assert dropped.delivered_queries == []
         assert "delivered to" not in dropped.render_text()
-        assert [e.kind for e in delivered.decisions] == ["shield.pass"] * 2
+        assert [e.kind for e in delivered.decisions] == ["shield.pass"] * 3
         assert delivered.delivered_queries == ["doc"]
 
     @pytest.mark.parametrize("drive", MODES)

@@ -33,8 +33,7 @@ class TestStageStats:
         dsms, _ = run_dsms()
         report = dsms.last_report
         assert report is not None
-        # Root shield (the query's outlet) and sink; a delivery shield
-        # behind the root made three.
+        # The query's delivery:doc outlet and its sink.
         assert len(report.stages) == 2
         assert {s.kind for s in report.stages} == {
             "SecurityShield", "CollectingSink"}
@@ -43,8 +42,7 @@ class TestStageStats:
         dsms, results = run_dsms()
         report = dsms.last_report
         shield = next(s for s in report.stages
-                      if s.kind == "SecurityShield"
-                      and not s.name.startswith("delivery"))
+                      if s.kind == "SecurityShield")
         # Tuple 2's {C} segment, its sp included, is dropped at the
         # stream's entry (was 2 tuples and 2 sps in, 1 drop).
         assert shield.tuples_in == 1
@@ -62,7 +60,7 @@ class TestStageStats:
         assert report.stage("sink:doc") is not None
         assert report.stage("no-such-operator") is None
         totals = report.totals()
-        assert totals["operators"] == 2  # 3 with a delivery shield
+        assert totals["operators"] == 2  # the delivery shield, the sink
         # The {C} segment is dropped at the stream's entry, which is no
         # operator stage (was 1).
         assert totals["drops"] == report.total_drops == 0

@@ -2,7 +2,7 @@
 
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.setops import Union
-from repro.operators.sink import CollectingSink, CountingSink
+from repro.operators.sink import CollectingSink
 from repro.stream.tuples import DataTuple
 
 
@@ -54,13 +54,3 @@ class TestSinks:
         assert len(sink.sps()) == 1
         sink.clear()
         assert sink.elements == []
-
-    def test_counting_sink(self):
-        sink = CountingSink()
-        sink.process(grant(["D"], 0.0))
-        sink.process(tup(1, "a", 1.0))
-        sink.process(tup(2, "b", 5.0))
-        assert sink.tuple_count == 2
-        assert sink.sp_count == 1
-        assert sink.first_ts == 1.0
-        assert sink.last_ts == 5.0
