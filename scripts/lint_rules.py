@@ -215,6 +215,13 @@ GUARDS = (
           "generator, an access filter or an intersection: Fig 7 runs on "
           "repro.workloads.synthetic and pre-/post-filtering is a "
           "SecurityShield placed by hand; see DESIGN.md section 3"),
+    Guard("one span per hop",
+          r"SpanEvent\.__new__|\b(op_span|exemplar)[(].*\bshare\b",
+          ("src",),
+          "a traced selection-group hop is one op.process span naming its "
+          "members, not a made-up share per member, and the tracer's ring "
+          "keeps plain rows; see docs/PERFORMANCE.md, What a sampled "
+          "trace costs"),
     Guard("one outlet per query",
           r"auto_shield|_has_shield",
           ("src", "tests", "examples", "docs", "README.md"),

@@ -314,9 +314,10 @@ class Executor:
     def _hop_group(self, group: SelectGroup, element, tracer, root) -> list:
         """``(node, outputs, parent span)`` of each member that emitted.
 
-        An untraced run no member passes calls no member: it goes on the
-        group's tally, settled before the group's next other hop, by
-        :meth:`stage_stats` and by :meth:`_flush`."""
+        A run no member passes calls no member: it goes on the group's
+        tally, settled before the group's next other hop, by
+        :meth:`stage_stats` and by :meth:`_flush`.  A traced hop is one
+        ``op.process`` span (no exemplar), the parent of what members emit."""
         selects, start = group.selects, perf_counter()
         if type(element) is SecurityPunctuation:
             if group.rejected:
@@ -328,31 +329,29 @@ class Executor:
             run = element.tuples if type(element) is TupleBatch else (element,)
             size, sps = len(run), 0
             passing = group.passing(run)
-            if passing is group._none and tracer is None:
+            if passing is group._none:
                 # No member passes: tallied, O(1) in the group's size.
+                elapsed = perf_counter() - start
                 group.rejected += size
-                group.rejected_seconds += perf_counter() - start
+                group.rejected_seconds += elapsed
+                if tracer is not None:
+                    tracer.op_span("op.process", root, round(elapsed * 1e9),
+                                   operator=group.name,
+                                   members=group.members, rows=size)
                 return []
             if group.rejected:
                 group.settle()
             outs = list(map(Select.emit, selects, repeat(size), passing))
         elapsed = perf_counter() - start
         credit(selects, elapsed, size, sps, outs)
-        if tracer is None and not any(outs):
+        if tracer is not None:
+            root = tracer.op_span("op.process", root, round(elapsed * 1e9),
+                                  operator=group.name, members=group.members,
+                                  rows=size + sps)
+        elif not any(outs):
             return []
-        share, emitted = elapsed / len(selects), []
-        for node, select, out in zip(group.nodes, selects, outs):
-            parent = root
-            if tracer is not None:
-                parent = tracer.op_span("op.process", root, round(share * 1e9),
-                                        operator=select.name, rows=size + sps)
-                if select._m_latency is not None:
-                    select._m_latency.exemplar(share / (size + sps),
-                                               tracer.trace_id)
-            if out:
-                emitted.append((node, _tuple_by_tuple(out) if node.serial
-                                else out, parent))
-        return emitted
+        return [(node, _tuple_by_tuple(out) if node.serial else out, root)
+                for node, out in zip(group.nodes, outs) if out]
 
     def _settle(self) -> None:
         """Credit every selection group's tally of rejected runs."""

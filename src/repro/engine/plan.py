@@ -81,11 +81,14 @@ class SelectGroup:
     :meth:`settle` credits the tally as one rejected run before the
     members' next hop and before anyone reads their counters."""
 
-    def __init__(self, nodes: "list[PlanNode]"):
+    def __init__(self, stream_id: str, nodes: "list[PlanNode]"):
         self.nodes = tuple(nodes)  # plan order
         self.selects = tuple(cast(Select, node.operator) for node in nodes)
         conditions = [cast(Comparison, s.condition) for s in self.selects]
         self.attribute, op = conditions[0].attribute, conditions[0].op
+        #: What the one ``op.process`` span of a traced hop names.
+        self.name = f"group:{stream_id}.{self.attribute}{op}"
+        self.members = tuple(select.name for select in self.selects)
         self._sign = sign = -1 if op in ("<", "<=") else 1
         keys = [sign * cast(float, c.value) for c in conditions]
         self._order = sorted(range(len(keys)), key=keys.__getitem__)  # by key
@@ -449,7 +452,7 @@ class PhysicalPlan:
                               and condition.value == condition.value)
                 siblings.setdefault((condition.attribute, condition.op)
                                     if bisectable else None, []).append(node)
-            groups = {nodes[0]: SelectGroup(nodes)
+            groups = {nodes[0]: SelectGroup(stream_id, nodes)
                       for key, nodes in siblings.items()
                       if key is not None and len(nodes) > 1}
             later = set().union(*(g.nodes[1:] for g in groups.values()))

@@ -80,8 +80,9 @@ class Tracer:
     * :meth:`span` — flat control span (no causal ids).
 
     Every kept span is appended to one ring of ``recorder_capacity``
-    events (:meth:`events`, :meth:`dump_jsonl`) and, when one is
-    configured, written to the :attr:`sink`.
+    plain rows, read back as :class:`SpanEvent` records (:meth:`events`,
+    :meth:`dump_jsonl`) and, when one is configured, written to the
+    :attr:`sink`.
     """
 
     def __init__(self, sink: JsonlTraceSink | None = None, *,
@@ -94,7 +95,8 @@ class Tracer:
         self.sink = sink
         self.sample = sample
         self._threshold = int(sample * 2**32)
-        self._events: deque[SpanEvent] = deque(maxlen=recorder_capacity)
+        #: The ring, rows in :class:`SpanEvent` field order.
+        self._rows: deque[tuple] = deque(maxlen=recorder_capacity)
         self._trace_seq = 0
         self._span_seq = 0
         self._trace_id = 0
@@ -111,21 +113,18 @@ class Tracer:
     # ------------------------------------------------------------------
     # emission
 
-    def _emit_new(self, name: str, attrs: dict,
-                  trace_id: "int | None" = None,
-                  span_id: "int | None" = None,
-                  parent_id: "int | None" = None) -> None:
-        """Build and keep a stamped event, bypassing the frozen
-        dataclass ``__init__`` (7 ``object.__setattr__`` calls): at
-        ``sample=1.0`` this runs per element and per operator."""
-        event = SpanEvent.__new__(SpanEvent)
-        event.__dict__.update(
-            name=name, wall=time.time(), attrs=attrs,
-            mono=time.perf_counter_ns(), trace_id=trace_id,
-            span_id=span_id, parent_id=parent_id)
-        self._events.append(event)
+    def _keep(self, name: str, attrs: dict,
+              trace_id: "int | None" = None,
+              span_id: "int | None" = None,
+              parent_id: "int | None" = None) -> None:
+        """Keep one span as a plain row: a :class:`SpanEvent` is built
+        only where spans are read (:meth:`events`, :meth:`dump_jsonl`,
+        the :attr:`sink`), never per element."""
+        row = (name, time.time(), attrs, time.perf_counter_ns(), trace_id,
+               span_id, parent_id)
+        self._rows.append(row)
         if self.sink is not None:
-            self.sink.emit(event)
+            self.sink.emit(SpanEvent(*row))
 
     def span(self, name: str, **attrs) -> None:
         """Flat control span (no causal ids), always kept.
@@ -135,7 +134,7 @@ class Tracer:
         per element or per sp-batch is gated on :attr:`active` by its
         caller instead.
         """
-        self._emit_new(name, attrs)
+        self._keep(name, attrs)
 
     def close(self) -> None:
         if self.sink is not None:
@@ -166,7 +165,7 @@ class Tracer:
             attrs["stream"] = stream
         if ts is not None:
             attrs["ts"] = ts
-        self._emit_new(name, attrs, trace_id=tid, span_id=sid)
+        self._keep(name, attrs, trace_id=tid, span_id=sid)
         return True
 
     @property
@@ -187,8 +186,8 @@ class Tracer:
         """
         self._span_seq = sid = self._span_seq + 1
         attrs["dur_ns"] = dur_ns
-        self._emit_new(name, attrs, trace_id=self._trace_id,
-                       span_id=sid, parent_id=parent_id or None)
+        self._keep(name, attrs, trace_id=self._trace_id,
+                   span_id=sid, parent_id=parent_id or None)
         return sid
 
     def event(self, name: str, *, keep: bool = False, **attrs) -> None:
@@ -196,37 +195,36 @@ class Tracer:
         if not (self.active or keep):
             return
         self._span_seq = sid = self._span_seq + 1
-        self._emit_new(name, attrs, trace_id=self._trace_id or None,
-                       span_id=sid, parent_id=self._root_id or None)
+        self._keep(name, attrs, trace_id=self._trace_id or None,
+                   span_id=sid, parent_id=self._root_id or None)
 
     # ------------------------------------------------------------------
     # the ring
 
     def events(self, name: str | None = None) -> list[SpanEvent]:
         """The kept spans, oldest first (optionally one name only)."""
-        if name is None:
-            return list(self._events)
-        return [e for e in self._events if e.name == name]
+        return [SpanEvent(*row) for row in self._rows
+                if name is None or row[0] == name]
 
     def dump_jsonl(self, path: str, *,
                    since_wall: float | None = None) -> int:
         """Write the ring (or its window since ``since_wall``) to
         ``path`` as JSONL; returns the number of spans written."""
-        events = [e for e in self._events
-                  if since_wall is None or e.wall >= since_wall]
+        rows = [row for row in self._rows
+                if since_wall is None or row[1] >= since_wall]
         with JsonlTraceSink(path) as out:
-            for event in events:
-                out.emit(event)
-        return len(events)
+            for row in rows:
+                out.emit(SpanEvent(*row))
+        return len(rows)
 
     def clear(self) -> None:
-        self._events.clear()
+        self._rows.clear()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __repr__(self) -> str:
-        return (f"Tracer(sample={self.sample}, spans={len(self._events)}, "
+        return (f"Tracer(sample={self.sample}, spans={len(self._rows)}, "
                 f"traces={self.traces})")
 
 

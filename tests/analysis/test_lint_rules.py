@@ -190,6 +190,9 @@ SEEDS = {
                           "select.stats.processing_time += elapsed"),
     "what nothing builds": (
         "tests/x.py", "from repro.operators import Inter" + "sect, Union"),
+    "one span per hop": (
+        "src/repro/engine/x.py",
+        'parent = tracer.op_span("op.process", root, round(share * 1e9))'),
     "one outlet per query": (
         "tests/x.py", "dsms.register_query(q, e, auto" + "_shield=False)"),
 }
@@ -213,6 +216,9 @@ ALLOWED = [
      "total = sum(op.stats.processing_time for op in operators)"),
     ("src/repro/core/analyzer.py",
      '"""Intersect one provider sp with applicable server policies."""'),
+    ("src/repro/observability/provenance.py",
+     "self.sink.emit(SpanEvent(*row))"),
+    ("src/repro/operators/base.py", "share = elapsed / len(operators)"),
 ]
 
 

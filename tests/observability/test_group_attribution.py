@@ -1,15 +1,18 @@
 """What a selection group reports about its members.
 
 Sibling selects served by one executor hop are still plan nodes with
-their own names and stage lines: the hop emits one ``op.process`` span
-per member, observes each member's latency histogram as its own
-``process``/``process_batch`` would, and splits its one clock pair
-evenly across the members.  The ungrouped reference is the same plan
-with a ``Select`` subclass, which no group takes.
+their own names and stage lines: each member's counters and latency
+histogram are credited as its own ``process``/``process_batch`` would
+credit them, and the hop's one clock pair is split evenly across the
+members.  A traced hop is one ``op.process`` span for the group, naming
+its members; a run no member passes goes on the group's tally, traced
+or not.  The ungrouped reference is the same plan with a ``Select``
+subclass, which no group takes.
 """
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -20,7 +23,7 @@ from repro.engine.dsms import DSMS
 from repro.engine.executor import Executor
 from repro.engine.plan import PhysicalPlan, SelectGroup
 from repro.metrics.reporting import format_table
-from repro.observability import Observability, Tracer
+from repro.observability import AuditLog, Observability, Tracer
 from repro.observability.stats import StageStats
 from repro.operators.conditions import Comparison
 from repro.operators.select import Select
@@ -73,8 +76,7 @@ def execute(kind, observability=None):
     return plan, selects, report, observability
 
 
-def member_spans(observability, selects):
-    names = {select.name for select in selects}
+def spans_of(observability, names):
     return [span for span in observability.tracer.events("op.process")
             if span.attrs["operator"] in names]
 
@@ -88,24 +90,30 @@ def test_the_reference_is_ungrouped_and_the_plan_grouped():
                    for hop in alone.push_sites()["s"][0])
 
 
-def test_one_span_per_member_with_its_name_and_rows():
-    _, selects, _, observability = execute(Select)
+def test_one_span_per_group_hop_naming_its_members():
+    plan, selects, _, observability = execute(Select)
     _, lone, _, lone_observability = execute(Lone)
-    spans = member_spans(observability, selects)
-    assert len(spans) == HOPS * len(THRESHOLDS)
-    rows = Counter((s.attrs["operator"], s.attrs["rows"]) for s in spans)
-    assert rows == Counter(
-        (s.attrs["operator"], s.attrs["rows"])
-        for s in member_spans(lone_observability, lone))
-    # Each member span hangs off its element's root, and whatever the
-    # member emitted hangs off the member's span.
+    (group,) = plan.push_sites()["s"][0]
+    names = tuple(select.name for select in selects)
+    assert group.members == names
+    assert not spans_of(observability, set(names))
+    spans = spans_of(observability, {group.name})
+    assert len(spans) == HOPS
+    assert all(span.attrs["members"] == names for span in spans)
+    # A hop's rows are those each member of the ungrouped plan took.
+    for member in lone:
+        assert [span.attrs["rows"] for span in spans] == [
+            span.attrs["rows"]
+            for span in spans_of(lone_observability, {member.name})]
+    # The group span hangs off its element's root, and whatever a
+    # member emitted hangs off the group span.
     by_id = {s.span_id: s for s in observability.tracer.events()}
     for span in spans:
         assert by_id[span.parent_id].name == "ingest"
     children = [s for s in observability.tracer.events("op.process")
                 if s.attrs["operator"].startswith("psi")]
     assert children and all(
-        by_id[s.parent_id].attrs["operator"].startswith("sel")
+        by_id[s.parent_id].attrs["operator"] == group.name
         for s in children)
 
 
@@ -149,31 +157,63 @@ def test_the_stage_table_lists_every_select():
         assert select.name in table
 
 
-def test_a_traced_session_spans_every_member_of_a_rejected_tuple():
-    """Sampled at 1, every push is traced: a tuple no member passes is
-    not tallied, and each member still emits its ``op.process`` span
-    under the push's root span."""
-    dsms = DSMS(observability=Observability(tracer=Tracer(sample=1.0)))
+def session_dsms(observability):
+    dsms = DSMS(observability=observability)
     dsms.register_stream(SCHEMA)
-    for value in THRESHOLDS:
+    for value, roles in zip(THRESHOLDS, ({"D"}, {"N"}, {"D"}, {"D", "N"})):
         dsms.register_query(f"q>{value}", ScanExpr("s").select(
-            Comparison("v", ">", value)), roles={"D"})
+            Comparison("v", ">", value)), roles=roles)
+    return dsms
+
+
+def test_a_traced_rejected_tuple_is_tallied_with_one_span():
+    """Sampled at 1, every push is traced: a tuple no member passes
+    goes on the group's tally all the same, and its hop is one
+    ``op.process`` span under the push's root span."""
+    dsms = session_dsms(Observability(tracer=Tracer(sample=1.0)))
     pushed = [SecurityPunctuation.grant(["D"], 0.0),
               DataTuple("s", 0, {"v": -1}, 1.0),
               DataTuple("s", 1, {"v": 5}, 2.0),
               DataTuple("s", 2, {"v": -2}, 3.0)]
+    tallied = []
     with dsms.open_session() as session:
         (group,) = session._executor._groups
         for element in pushed:
             session.push("s", element)
-            assert group.rejected == 0
+            tallied.append(group.rejected)
+    assert tallied == [0, 1, 0, 1]
+    assert group.rejected == 0  # settled by close()
     tracer = dsms.observability.tracer
     by_id = {span.span_id: span for span in tracer.events()}
     spans = [span for span in tracer.events("op.process")
-             if span.attrs["operator"] == "Select"]
-    assert len(spans) == len(pushed) * len(THRESHOLDS)
+             if span.attrs["operator"] == group.name]
+    assert [span.attrs["rows"] for span in spans] == [1] * len(pushed)
+    assert all(span.attrs["members"] == ("Select",) * len(THRESHOLDS)
+               for span in spans)
     # The entry holds the sp until the first tuple: that push hops twice.
     roots = Counter(span.parent_id for span in spans)
-    members = len(THRESHOLDS)
-    assert sorted(roots.values()) == [members, members, 2 * members]
+    assert sorted(roots.values()) == [1, 1, 2]
     assert {by_id[root].name for root in roots} == {"session.push"}
+
+
+def test_a_sampled_session_decides_as_an_untraced_one():
+    """Tracing changes spans only: results, counters and the held
+    audit decisions (``seq`` aside, which sampled pass records share)
+    are those of the same pushes untraced."""
+    runs = []
+    for observability in (Observability(tracer=Tracer(sample=1.0)),
+                          Observability(audit=AuditLog())):
+        dsms = session_dsms(observability)
+        with dsms.open_session() as session:
+            results = [session.push("s", element) for element in ELEMENTS]
+            results.append(session.close())
+            stages = session.report().stages
+        decisions = [replace(event, seq=0) for event in dsms.audit]
+        counters = [(stage.name, stage.tuples_in, stage.tuples_out,
+                     stage.sps_in, stage.sps_out, stage.drops,
+                     stage.comparisons, stage.state_ops)
+                    for stage in stages]
+        runs.append((results, counters, decisions))
+    traced, untraced = runs
+    assert traced == untraced
+    assert any(traced[0]) and traced[2]

@@ -11,6 +11,9 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.observability import (DEFAULT_SAMPLE_RATE, JsonlTraceSink,
                                  Observability, Tracer)
+from repro.observability.health import HealthMonitor
+from repro.observability.instruments import EngineInstruments
+from repro.observability.metrics import MetricsRegistry
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
@@ -136,6 +139,59 @@ class TestRingBufferTraceSink:
         assert [e.trace_id for e in events] == [None, 1, 1, 1, None]
         monos = [e.mono for e in events]
         assert monos == sorted(monos)
+
+
+class TestRingRoundTrip:
+    """The ring keeps plain rows; every reader builds the same spans."""
+
+    @staticmethod
+    def as_json(record):
+        return json.loads(json.dumps(record, default=str))
+
+    def test_every_reader_gives_the_same_fields(self, tmp_path):
+        streamed = io.StringIO()
+        tracer = Tracer(JsonlTraceSink(streamed), sample=1.0)
+        stream = elements() + [
+            DataTuple("hr", i, {"patient": 1, "bpm": 60 + i}, float(i))
+            for i in range(2, 6)]
+        dsms = traced_dsms(tracer, stream=[])
+        with dsms.open_session() as session:
+            for element in stream:
+                session.push("hr", element)
+        tracer.event("note", keep=True, x=1)
+        events = tracer.events()
+        assert len(events) == len(tracer) > len(stream)
+        records = [self.as_json(event.to_dict()) for event in events]
+        assert [json.loads(line) for line in
+                streamed.getvalue().splitlines()] == records
+        for name in {event.name for event in events}:
+            assert tracer.events(name) == [
+                event for event in events if event.name == name]
+        cut = events[len(events) // 2].wall
+        path = tmp_path / "window.jsonl"
+        written = tracer.dump_jsonl(str(path), since_wall=cut)
+        window = [json.loads(line)
+                  for line in path.read_text().splitlines()]
+        assert written == len(window) > 0
+        assert window == [record for record in records
+                          if record["wall"] >= cut]
+
+    def test_the_flight_dump_writes_the_window(self, tmp_path):
+        tracer = Tracer(sample=1.0)
+        for _ in range(3):
+            tracer.begin("tuple")
+            tracer.op_span("op.process", 0, 1000, operator="psi", rows=1)
+        instruments = EngineInstruments(MetricsRegistry())
+        instruments.mark_ingest(0.0)
+        path = tmp_path / "flight.jsonl"
+        monitor = HealthMonitor(instruments, tracer=tracer, stall_after=5.0,
+                                flight_path=str(path), clock=lambda: 50.0)
+        assert monitor.check()
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert monitor.flight_dumps == [(str(path), len(records))]
+        assert records == [self.as_json(event.to_dict())
+                           for event in tracer.events()]
 
 
 class TestJsonlTraceSink:
