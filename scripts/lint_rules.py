@@ -222,6 +222,12 @@ GUARDS = (
           "members, not a made-up share per member, and the tracer's ring "
           "keeps plain rows; see docs/PERFORMANCE.md, What a sampled "
           "trace costs"),
+    Guard("a switch costs the group O(1)",
+          r"\.hold[(]", ("src/repro/engine/executor.py",),
+          "an sp hop adds the sp to its SelectGroup's segment and calls no "
+          "member; a member holds it when a run passes it or a settle "
+          "brings it up to date; see docs/PERFORMANCE.md, A policy switch "
+          "costs its group O(1)"),
     Guard("one outlet per query",
           r"auto_shield|_has_shield",
           ("src", "tests", "examples", "docs", "README.md"),

@@ -55,7 +55,6 @@ CLI prints.
 
 from __future__ import annotations
 
-from itertools import repeat
 from time import perf_counter, perf_counter_ns
 from typing import Iterable, Sequence
 
@@ -63,8 +62,6 @@ from repro.engine.plan import PhysicalPlan, PlanNode, SelectGroup
 from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
 from repro.core.punctuation import SecurityPunctuation
-from repro.operators.base import credit
-from repro.operators.select import Select
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
 
@@ -314,47 +311,37 @@ class Executor:
     def _hop_group(self, group: SelectGroup, element, tracer, root) -> list:
         """``(node, outputs, parent span)`` of each member that emitted.
 
-        A run no member passes calls no member: it goes on the group's
-        tally, settled before the group's next other hop, by
-        :meth:`stage_stats` and by :meth:`_flush`.  A traced hop is one
-        ``op.process`` span (no exemplar), the parent of what members emit."""
-        selects, start = group.selects, perf_counter()
+        An sp hop and a run no member passes call no member: the group
+        counts them, O(1) in its size.  A passing run calls only its
+        passers, each first brought up to date (:class:`SelectGroup`);
+        :meth:`stage_stats` and :meth:`_flush` bring every member up to
+        date.  A traced hop is one ``op.process`` span (no exemplar),
+        the parent of what members emit."""
+        start = perf_counter()
         if type(element) is SecurityPunctuation:
-            if group.rejected:
-                group.settle()
-            for select in selects:
-                select.hold(element)
-            size, sps, outs = 0, 1, [[]] * len(selects)
+            group.add_sp(element)
+            rows, passing = 1, ()
         else:
             run = element.tuples if type(element) is TupleBatch else (element,)
-            size, sps = len(run), 0
-            passing = group.passing(run)
-            if passing is group._none:
-                # No member passes: tallied, O(1) in the group's size.
-                elapsed = perf_counter() - start
-                group.rejected += size
-                group.rejected_seconds += elapsed
-                if tracer is not None:
-                    tracer.op_span("op.process", root, round(elapsed * 1e9),
-                                   operator=group.name,
-                                   members=group.members, rows=size)
-                return []
-            if group.rejected:
-                group.settle()
-            outs = list(map(Select.emit, selects, repeat(size), passing))
+            rows, passing = len(run), group.passing(run)
+            if passing:
+                emitted, runs = group.emit(rows, passing)
+            group.tuples += rows
         elapsed = perf_counter() - start
-        credit(selects, elapsed, size, sps, outs)
+        group.hops += 1
+        group.seconds += elapsed
         if tracer is not None:
             root = tracer.op_span("op.process", root, round(elapsed * 1e9),
                                   operator=group.name, members=group.members,
-                                  rows=size + sps)
-        elif not any(outs):
+                                  rows=rows)
+        if not passing:
             return []
+        group.credit(runs)
         return [(node, _tuple_by_tuple(out) if node.serial else out, root)
-                for node, out in zip(group.nodes, outs) if out]
+                for node, out in emitted]
 
     def _settle(self) -> None:
-        """Credit every selection group's tally of rejected runs."""
+        """Bring every selection group's members up to date."""
         for group in self._groups:
             group.settle()
 

@@ -45,6 +45,8 @@ if TYPE_CHECKING:
 __all__ = ["EntryGate", "PlanNode", "PhysicalPlan", "SelectGroup"]
 
 _POSITIVE = Sign.POSITIVE
+#: No member passed yet (never appended to: a pass builds a new list).
+_NO_RUNS: list = []
 
 #: Operators below which a tuple no query's role may see can change no
 #: delivered result (σ, π, ψ, ⋈, ∪, the sinks).  δ and G merge a
@@ -76,10 +78,22 @@ class SelectGroup:
     ordering op, served by one executor hop: a value passes a prefix of
     the members sorted by constant (negated for ``<``/``<=``).
 
-    A run no member passes is not handed to the members: the executor
-    adds its size and clock time to the group's tally, and
-    :meth:`settle` credits the tally as one rejected run before the
-    members' next hop and before anyone reads their counters."""
+    A hop touches only the members a run passes.  The group counts the
+    hops, tuples, sps and seconds so far (the executor bumps all but
+    ``sps``) and keeps the sps of the current segment (an sp after a
+    tuple hop starts the next one); an sp hop and a run no member
+    passes change nothing else.  Each member has a cursor, the counts
+    it was last brought up to date at: a run that passes it replays on
+    it what it missed, then its own emit (:meth:`emit`), and
+    :meth:`credit` charges it everything since the cursor — ``tuples``
+    and ``sps`` in, an equal share of each hop's seconds — in one
+    update.
+    :meth:`settle` brings every member up to date before anyone reads
+    their counters."""
+
+    __slots__ = ("nodes", "selects", "attribute", "name", "members",
+                 "_sign", "_order", "_keys", "_cut", "hops", "tuples", "sps",
+                 "seconds", "segment", "_first_sp", "_first_tuple", "_seen")
 
     def __init__(self, stream_id: str, nodes: "list[PlanNode]"):
         self.nodes = tuple(nodes)  # plan order
@@ -95,42 +109,130 @@ class SelectGroup:
         self._keys = [keys[i] for i in self._order]
         #: A strict op passes the constants below the value.
         self._cut = bisect_left if op in ("<", ">") else bisect_right
-        self._none: list[list[DataTuple]] = [[]] * len(keys)
-        #: Tuples and seconds of the rejected runs not yet credited.
-        self.rejected = 0
-        self.rejected_seconds = 0.0
+        #: Hops, tuples, sps and seconds so far.
+        self.hops = self.tuples = self.sps = 0
+        self.seconds = 0.0
+        #: The current segment's sps, and the sps and tuples hopped
+        #: before its first.
+        self.segment: list[SecurityPunctuation] = []
+        self._first_sp = self._first_tuple = 0
+        #: Per member, ``(hops, tuples, sps, seconds)`` when it was
+        #: last brought up to date; members levelled together share one.
+        self._seen = [(0, 0, 0, 0.0)] * len(keys)
 
-    def settle(self) -> None:
-        """Credit the tallied rejected runs to every member as one run:
-        each member's ``Select.emit`` of nothing, then one ``credit``."""
-        size, selects = self.rejected, self.selects
-        if not size:
-            return
-        for select in selects:
-            select.emit(size, [])
-        credit(selects, self.rejected_seconds, size, 0, self._none)
-        self.rejected, self.rejected_seconds = 0, 0.0
+    @property
+    def rejected(self) -> int:
+        """Tuples of the runs no member has been brought up to date on:
+        those since the last run some member passed, or the last
+        :meth:`settle`."""
+        return self.tuples - max(seen[1] for seen in self._seen)
 
-    def passing(self, tuples: Sequence[DataTuple]) -> list[list[DataTuple]]:
-        """Per member, its passing tuples of one run (``None`` passes none;
-        a non-number or NaN sends the run to ``Condition.filter``)."""
-        attribute, keys, cut, sign, order = (
-            self.attribute, self._keys, self._cut, self._sign, self._order)
-        lists = none = self._none
+    def add_sp(self, sp: SecurityPunctuation) -> None:
+        """An sp hop: the sp joins the current segment, or starts the
+        next one after a tuple hop."""
+        if self.tuples != self._first_tuple:
+            self.segment = [sp]
+            self._first_sp, self._first_tuple = self.sps, self.tuples
+        else:
+            self.segment.append(sp)
+        self.sps += 1
+
+    def passing(self, tuples: Sequence[DataTuple]
+                ) -> Sequence[tuple[int, list[DataTuple]]]:
+        """``(member index, its passing tuples)`` of each member one run
+        passes, in plan order (``None`` passes none; a non-number or NaN
+        sends the run to ``Condition.filter``)."""
+        attribute, keys, cut, sign = (
+            self.attribute, self._keys, self._cut, self._sign)
+        # By rank, the passing tuples of the members passed so far.
+        ranked: list[list[DataTuple]] = _NO_RUNS
+        top = 0  # len(ranked)
         for item in tuples:
             value = item.values.get(attribute)
             if value is None:
                 continue
             kind = type(value)
             if kind is not int and (kind is not float or value != value):
-                return [select.condition.filter(tuples)
-                        for select in self.selects]
+                return [(index, passed) for index, select
+                        in enumerate(self.selects)
+                        if (passed := select.condition.filter(tuples))]
             count = cut(keys, sign * value)
-            if count and lists is none:
-                lists = [[] for _ in keys]
+            if count > top:
+                ranked = ranked + [[] for _ in range(count - top)]
+                top = count
             for rank in range(count):
-                lists[order[rank]].append(item)
-        return lists
+                ranked[rank].append(item)
+        return sorted(zip(self._order, ranked)) if top else ()
+
+    def emit(self, size: int,
+             passing: "Sequence[tuple[int, list[DataTuple] | None]]"
+             ) -> "tuple[list[tuple[PlanNode, list]], list[tuple]]":
+        """Bring each member of ``passing`` (``(index, its passing
+        tuples)``) up to date, then emit its part of a run of ``size``
+        tuples; a member whose tuples are ``None`` (:meth:`settle`)
+        emits nothing.  Returns ``(node, output)`` per emitting member,
+        and the members by the cursor they were brought up from, for
+        :meth:`credit`.
+
+        The catch-up replays, in order, the hops since the member's
+        cursor: the rejected tuples before the current segment (one
+        ``emit`` of nothing), the sps of the segments it never saw
+        (``Select.discard``), the current segment's sps it has not held
+        or released yet (``hold``), its rejected tuples of the current
+        segment — which join the run's own ``emit``, as one ``emit`` of
+        nothing followed by one of the run counts their sum.  Members
+        that share a cursor share the reckoning."""
+        selects, nodes, seen = self.selects, self.nodes, self._seen
+        first_sp, first_tuple = self._first_sp, self._first_tuple
+        emitted: list[tuple[PlanNode, list]] = []
+        runs: list[tuple] = []
+        before = None
+        for index, tuples in passing:
+            if seen[index] is not before:
+                _, hopped, sps, _ = before = seen[index]
+                old = first_tuple - hopped if hopped < first_tuple else 0
+                skipped = first_sp - sps if sps < first_sp else 0
+                held = self.segment[max(sps - first_sp, 0):]
+                rejected = self.tuples - max(hopped, first_tuple)
+                indices, members, outs = [], [], []
+                runs.append((before, indices, members, outs))
+            select = selects[index]
+            if old:
+                select.emit(old, [])
+            if skipped:
+                select.discard(skipped)
+            for sp in held:
+                select.hold(sp)
+            if tuples is None:
+                out = select.emit(rejected, []) if rejected else []
+            else:
+                out = select.emit(rejected + size, tuples)
+                emitted.append((nodes[index], out))
+            indices.append(index)
+            members.append(select)
+            outs.append(out)
+        return emitted, runs
+
+    def credit(self, runs: "list[tuple]") -> None:
+        """Charge the members :meth:`emit` brought up to date everything
+        since their cursor, one ``credit`` call per cursor, and move
+        their cursors to now."""
+        now = hops, tuples, sps, seconds = (
+            self.hops, self.tuples, self.sps, self.seconds)
+        seen, share = self._seen, 1 / len(self._seen)
+        for before, indices, members, outs in runs:
+            credit(members, hops - before[0], (seconds - before[3]) * share,
+                   tuples - before[1], sps - before[2], outs)
+            for index in indices:
+                seen[index] = now
+
+    def settle(self) -> None:
+        """Bring every member up to date: replay and charge what it
+        missed since its cursor."""
+        now = (self.hops, self.tuples, self.sps, self.seconds)
+        _, runs = self.emit(0, [(index, None) for index, seen
+                                in enumerate(self._seen) if seen != now])
+        self.credit(runs)
 
 
 class EntryGate(PolicyTracker):

@@ -168,6 +168,14 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    def observe_many(self, value: float, count: int) -> None:
+        """Observe ``value`` ``count`` times, in one update."""
+        self.counts[bisect_left(self.bounds, value)] += count
+        self.sum += value * count
+        self.count += count
+        if value > self.max:
+            self.max = value
+
     def exemplar(self, value: float, trace_id: int, *,
                  wall: float | None = None) -> None:
         """Tag ``value``'s bucket with the sampled trace that saw it.

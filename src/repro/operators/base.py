@@ -148,7 +148,8 @@ class Operator:
             raise PlanError(f"{self.name}: invalid port {port}")
         start = perf_counter()
         out = self._process_batch(batch, port)
-        credit((self,), perf_counter() - start, len(batch.tuples), 0, (out,))
+        credit((self,), 1, perf_counter() - start, len(batch.tuples), 0,
+               (out,))
         return out
 
     def _process_batch(self, batch: TupleBatch,
@@ -217,23 +218,22 @@ class Operator:
         return f"{type(self).__name__}({self.name!r})"
 
 
-def credit(operators: "Sequence[Operator]", elapsed: float, tuples: int,
-           sps: int, outs: "Sequence[list[StreamElement]]") -> None:
-    """Credit one hop (``tuples`` or ``sps`` in, ``outs``) to each of
-    ``operators``: a share of ``elapsed``, EWMA and latency per element."""
-    share = elapsed / len(operators)
+def credit(operators: "Sequence[Operator]", hops: int, share: float,
+           tuples: int, sps: int,
+           outs: "Sequence[list[StreamElement]]") -> None:
+    """Credit ``hops`` hops — ``tuples`` and ``sps`` in, ``outs`` out,
+    ``share`` seconds — to each of ``operators``: one EWMA update and
+    ``hops`` latency observations of the time per element."""
     per_row = share / (tuples + sps) if tuples or sps else None
     for operator, out in zip(operators, outs):
         stats = operator.stats
         stats.processing_time += share
-        if tuples:
-            stats.tuples_in += tuples
-        else:
-            stats.sps_in += sps
+        stats.tuples_in += tuples
+        stats.sps_in += sps
         if per_row is not None:
             stats.ewma_seconds += EWMA_ALPHA * (per_row - stats.ewma_seconds)
             if operator._m_latency is not None:
-                operator._m_latency.observe(per_row)
+                operator._m_latency.observe_many(per_row, hops)
         for item in out:
             if type(item) is TupleBatch:
                 stats.tuples_out += len(item.tuples)

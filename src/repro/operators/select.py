@@ -49,6 +49,12 @@ class Select(UnaryOperator):
         self._after_tuple = False
         self._held_sps.append(sp)
 
+    def discard(self, count: int) -> None:
+        """Count ``count`` sps of segments this select never saw as
+        discarded (a :class:`~repro.engine.plan.SelectGroup` member
+        brought up to date after them)."""
+        self.sps_discarded += count
+
     def emit(self, size: int,
              passing: list[DataTuple]) -> list[StreamElement]:
         """Emit for a run of ``size`` tuples; ``passing`` (taken over)."""

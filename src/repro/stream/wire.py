@@ -104,7 +104,7 @@ def encode_element(element: StreamElement) -> str:
             record = {"k": "sp", "sp": text}
             if element.provider is not None:
                 record["p"] = element.provider
-            line = _encode(record)
+            line = _value(record)
             object.__setattr__(element, "_line_cache", line)
         return line
     raise StreamError(f"not a stream element: {element!r}")

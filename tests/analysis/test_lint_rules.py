@@ -195,6 +195,8 @@ SEEDS = {
         'parent = tracer.op_span("op.process", root, round(share * 1e9))'),
     "one outlet per query": (
         "tests/x.py", "dsms.register_query(q, e, auto" + "_shield=False)"),
+    "a switch costs the group O(1)": (
+        "src/repro/engine/executor.py", "select.hold(element)"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.
@@ -219,6 +221,7 @@ ALLOWED = [
     ("src/repro/observability/provenance.py",
      "self.sink.emit(SpanEvent(*row))"),
     ("src/repro/operators/base.py", "share = elapsed / len(operators)"),
+    ("src/repro/engine/executor.py", "group.add_sp(element)"),
 ]
 
 

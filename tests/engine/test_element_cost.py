@@ -1,5 +1,6 @@
 """What an element costs a query: a grouped select's emit step,
-nothing in the executor for a hop that emits nothing —
+nothing in the executor for a hop that emits nothing, no grouped
+select a policy switch does not pass —
 and every counter of the engine that pays more.  No clock here: frames
 are counted with ``sys.setprofile``, counters against literals."""
 
@@ -146,6 +147,71 @@ class TestRunOfOnePath:
                     session.push("s", item)
         assert seen == [(f"sink:q{i}", element)
                         for i in range(3) for element in (sp, item)]
+
+
+def select_calls(action) -> tuple[int, int]:
+    """``(Select.hold calls, Select.emit calls)`` made by ``action()``."""
+    calls = {"hold": 0, "emit": 0}
+
+    def counting(name):
+        method = getattr(Select, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    with mock.patch.object(Select, "hold", counting("hold")), \
+            mock.patch.object(Select, "emit", counting("emit")):
+        action()
+    return calls["hold"], calls["emit"]
+
+
+class TestSwitchCost:
+    """A policy switch costs the 32-member group O(1): an sp hop and a
+    run no member passes call no member; a passing run calls only its
+    passers, each first brought up to date; a report brings every member
+    level."""
+
+    def test_a_switch_no_member_passes_calls_no_member(self):
+        session = warm_session(32)
+        sp = SecurityPunctuation.grant(["D", "N", "C"], 2.0)
+        assert select_calls(lambda: session.push("s", sp)) == (0, 0)
+        # The entry hands the sp on ahead of the tuple: an sp hop and a
+        # rejected run.
+        assert select_calls(lambda: session.push("s", tup(-1, 3.0))) == (0, 0)
+
+    def test_a_passing_push_calls_only_its_passers(self):
+        session = warm_session(32)
+        session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 2.0))
+        session.push("s", tup(-1, 3.0))
+        # v = 1 passes q0..q7 (v > i/8): each holds the new sp, then
+        # emits the rejected tuple it missed together with its own run.
+        assert select_calls(lambda: session.push("s", tup(1, 4.0))) == (
+            8, 8)
+
+    def test_a_report_brings_every_member_level(self):
+        session = warm_session(32)
+        session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 2.0))
+        session.push("s", tup(-1, 3.0))
+        session.push("s", tup(1, 4.0))
+        # The 24 members the run missed: the sp, one emit of both
+        # rejected tuples.
+        assert select_calls(session.report) == (24, 24)
+        assert select_calls(session.report) == (0, 0)
+        selects = [node.operator for node in session._plan.nodes
+                   if type(node.operator) is Select]
+        assert len(selects) == 32
+        for i, select in enumerate(selects):
+            stats, passed = select.stats, i < 8
+            assert (stats.tuples_in, stats.sps_in, stats.comparisons) == (
+                3, 2, 3)
+            assert (stats.tuples_out, stats.sps_out) == (
+                (2, 2) if passed else (1, 1))
+            assert select.tuples_dropped == (1 if passed else 2)
+        session.close()
+        assert [select.sps_discarded for select in selects] == [0] * 8 + [
+            1] * 24
 
 
 def pushed_counters(dsms):

@@ -13,7 +13,7 @@ element-wise session and under arbitrary run cuts.
 import math
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import ScanExpr
@@ -42,13 +42,17 @@ OPS = ["<", "<=", ">", ">="]
 members = st.lists(st.tuples(st.sampled_from(OPS),
                              st.sampled_from(CONSTANTS)),
                    min_size=2, max_size=8)
-#: Segments: the sp-batch's grants (one or two sps, one timestamp) and
-#: the segment's ``v`` values.
-segments = st.lists(
-    st.tuples(st.lists(st.sampled_from([("D",), ("N",), ("D", "N")]),
-                       min_size=1, max_size=2),
-              st.lists(st.sampled_from(VALUES), max_size=6)),
-    min_size=1, max_size=6)
+#: An sp-batch's grants: one to three sps, one timestamp.
+grants = st.lists(st.sampled_from([("D",), ("N",), ("D", "N")]),
+                  min_size=1, max_size=3)
+#: Segments: the sp-batch's grants and the segment's ``v`` values,
+#: sometimes followed by a trailing segment of sps only.
+segments = st.builds(
+    lambda body, tail: body + tail,
+    st.lists(st.tuples(grants, st.lists(st.sampled_from(VALUES),
+                                        max_size=6)),
+             min_size=1, max_size=6),
+    st.lists(st.tuples(grants, st.just([])), max_size=1))
 
 
 def stream(spec) -> list:
@@ -255,3 +259,73 @@ def test_only_indexable_comparisons_join_a_group():
 def test_a_lone_select_is_no_group():
     hops, _ = entry_hops(Comparison("v", ">", 1))
     assert [type(hop) for hop in hops] == [tuple]
+
+
+class Lone(Select):
+    """Behaves as a ``Select``; its exact type keeps it out of groups."""
+
+
+#: Hops straight into a stream's entry, past its gate: an sp, a run of
+#: ``v`` values, or a report — in any order, so sps may follow a report
+#: or another sp's report, and runs may follow runs.
+hops = st.lists(st.one_of(
+    st.just(("sp",)), st.just(("report",)),
+    st.tuples(st.just("run"), st.lists(st.sampled_from(VALUES), min_size=1,
+                                       max_size=4))), max_size=24)
+
+
+def hop_counts(kind, members, script) -> list:
+    """Drive ``script`` into one ``kind`` select per member, each with
+    a sink; per report and after the flush, each select's counters and
+    its sink's elements."""
+    plan, selects, sinks = PhysicalPlan(), [], []
+    for op, value in members:
+        select = kind(Comparison("v", op, value))
+        node = plan.add(select)
+        plan.connect_source("s", node)
+        sink = CollectingSink()
+        plan.connect(node, plan.add(sink))
+        selects.append(select)
+        sinks.append(sink)
+    executor = Executor(plan)
+    (targets, serial, _), seen, tid = executor._sites["s"], [], 0
+
+    def read():
+        executor.stage_stats()
+        seen.append([(s.stats.tuples_in, s.stats.tuples_out, s.stats.sps_in,
+                      s.stats.sps_out, s.stats.comparisons, s.tuples_dropped,
+                      s.sps_discarded, list(sink.elements))
+                     for s, sink in zip(selects, sinks)])
+
+    for step in script:
+        if step[0] == "sp":
+            executor._push(targets, serial,
+                           SecurityPunctuation.grant(["D"], float(tid)))
+        elif step[0] == "run":
+            run = [DataTuple("s", tid + i, {"w": 0} if value is MISSING
+                             else {"v": value}, float(tid + i))
+                   for i, value in enumerate(step[1])]
+            tid += len(run)
+            executor._push(targets, serial,
+                           run[0] if len(run) == 1 else TupleBatch(run))
+        else:
+            read()
+    executor._flush()
+    read()
+    return seen
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(members=members, script=hops)
+# ``v > 1`` rejects the first run; the report holds the segment's sp for
+# it after a tuple, so the next sp starts a segment and discards it.
+@example(members=[(">", 0), (">", 1)],
+         script=[("sp",), ("run", [1]), ("report",), ("sp",), ("run", [2])])
+def test_any_hop_order_counts_as_each_member_alone(members, script):
+    """A group brings a member up to date from its cursor whatever came
+    between: sps after a report, sps of segments it never passed, runs
+    it rejected before and after the current segment's sps."""
+    grouped = hop_counts(Select, members, script)
+    alone = hop_counts(Lone, members, script)
+    assert grouped == alone

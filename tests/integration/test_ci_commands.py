@@ -1,11 +1,14 @@
-"""Every ``python -m repro …`` command of the CI workflow parses.
+"""Every ``python -m repro …`` command of the CI workflow parses, and
+the CLI smoke steps' assertions hold in tier-1.
 
 The workflow's smoke steps call the CLI by subcommand and flag; a
 renamed one would only fail in CI.  This reads each ``run:`` step of
 ``.github/workflows/ci.yml`` (folded ``>`` blocks joined by spaces,
 ``\\`` continuations joined), cuts each repro command at its first
 shell operator, replaces ``${{ … }}`` expressions with a literal, and
-hands the arguments to the CLI's own parser.
+hands the arguments to the CLI's own parser.  :class:`TestStepTwins`
+runs what the "Metrics exposition smoke" and "Plan lint" steps run and
+asserts what they assert.
 """
 
 import re
@@ -14,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
+from repro.observability.export import parse_prometheus
 
-CI = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"
+REPO = Path(__file__).resolve().parents[2]
+CI = REPO / ".github" / "workflows" / "ci.yml"
 COMMAND = re.compile(r"\bpython3? -m repro\b(.*)")
 EXPRESSION = re.compile(r"\$\{\{.*?\}\}")
 
@@ -85,3 +90,33 @@ def test_a_renamed_flag_would_fail():
     (argv,) = repro_commands("      - run: python -m repro why --nope 1\n")
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
+
+
+class TestStepTwins:
+    def test_metrics_exposition_smoke(self, capsys):
+        """``repro metrics --format prom`` parses back with all four
+        series the step requires."""
+        required = ("repro_policy_propagation_seconds_count",
+                    "repro_operator_latency_seconds_count",
+                    "repro_shield_tuples_total",
+                    "repro_elements_total")
+        text = CI.read_text(encoding="utf-8")
+        assert all(f'"{name}"' in text for name in required)
+        assert main(["metrics", "--format", "prom"]) == 0
+        samples = parse_prometheus(capsys.readouterr().out)
+        assert [name for name in required if name not in samples] == []
+
+    def test_plan_lint_smoke(self, capsys):
+        """``repro lint`` passes the example plans and the verify cases,
+        and ``--strict`` passes every example plan."""
+        examples = sorted(str(path) for path in
+                          (REPO / "examples" / "plans").glob("*.json"))
+        cases = sorted(str(path) for path in
+                       (REPO / "tests" / "verify" / "cases").glob("*.json"))
+        assert len(examples) >= 3 and cases
+        text = CI.read_text(encoding="utf-8")
+        assert "lint examples/plans/*.json" in text
+        assert "tests/verify/cases/*.json" in text
+        assert "lint --strict" in text
+        assert main(["lint", *examples, *cases]) == 0
+        assert main(["lint", "--strict", *examples]) == 0

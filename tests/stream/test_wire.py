@@ -202,6 +202,20 @@ class TestTupleLineBytes:
             assert t._line is None
 
 
+class TestSpLineBytes:
+    @pytest.mark.parametrize("provider", [None, "synth", "prov\u00e9-\u20ac"])
+    def test_line_is_the_compact_json_dumps_and_round_trips(self, provider):
+        sp = SecurityPunctuation.grant(["C", "D"], ts=3.5, provider=provider)
+        record = {"k": "sp", "sp": sp.to_text()}
+        if provider is not None:
+            record["p"] = provider
+        line = encode_element(sp)
+        assert line == json.dumps(record, separators=(",", ":"))
+        back = decode_element(line)
+        assert back == sp and back.provider == provider
+        assert encode_element(back) == line
+
+
 class TestErrors:
     def test_malformed_json(self):
         with pytest.raises(StreamError):
