@@ -228,6 +228,17 @@ GUARDS = (
           "member; a member holds it when a run passes it or a settle "
           "brings it up to date; see docs/PERFORMANCE.md, A policy switch "
           "costs its group O(1)"),
+    Guard("one answer to why",
+          r"\b(HealthMonitor|MonitorView|serve_metrics|MetricsServer"
+          r"|last_ingest_wall|since_wall)\b|\bdef event[(]",
+          ("src", "tests", "examples", ".github", "README.md", "DESIGN.md",
+           "docs/OBSERVABILITY.md", "docs/TUTORIAL.md"),
+          "repro why prints a tuple's decisions and what each sampled hop "
+          "cost; a second front end over the same registry, its ingest "
+          "stamp or an always-kept ad-hoc span is not coming back; see "
+          "docs/OBSERVABILITY.md, repro why",
+          allow=r"^(?!src/repro/observability/provenance\.py:).*"
+                r"\bdef event[(]"),
     Guard("one outlet per query",
           r"auto_shield|_has_shield",
           ("src", "tests", "examples", "docs", "README.md"),

@@ -20,26 +20,22 @@ Commands
 ``stats [file]``
     Execute a (CQL) query over a wire-format stream — or the built-in
     demo stream — and print per-operator stage metrics.
-``audit [file]``
-    Same execution with the audit trail enabled; print (or export) the
-    security decisions, or explain the fate of one tuple id.
+``audit [file] [--kind K] [--jsonl PATH]``
+    Same execution with the audit trail enabled; print the security
+    decisions or export them as JSON lines.
 ``why <tid> [file]``
     Same execution with causal tracing + audit enabled; render the
     full security decision chain (governing sp → resolved policy →
-    shield/filter verdicts → delivery) for one tuple id from the
-    audit log — no replay.
+    shield verdicts → delivery) for one tuple id from the audit log,
+    with what each sampled decision cost (its trace's operator hops,
+    from the span ring) — no replay.
 ``trace [file] [--name N] [--jsonl PATH]``
     Same execution with causal tracing enabled; print the recorded
     spans (trace/span/parent ids, monotonic timestamps) or export the
-    flight-recorder contents as JSON lines.
-``metrics [file] [--format prom|json] [--serve [--port N]]``
-    Same execution with the metrics registry enabled; emit the
-    collected metrics as Prometheus text exposition or JSON, or keep
-    serving them on an HTTP scrape endpoint.
-``monitor [file] [--frames N] [--interval S] [--no-clear]``
-    Replay the stream through a live session while rendering a
-    top-style dashboard: operator throughput, latency percentiles,
-    shield verdicts, policy-propagation lag and health alerts.
+    span ring as JSON lines.
+``metrics [file] [--format prom|json]``
+    Same execution with the metrics registry enabled; print the
+    collected metrics as Prometheus text exposition or JSON.
 ``verify [--seed N] [--runs K] [--faults] [--replay FILE...]``
     Differential verification: fuzz random scenarios, run every engine
     configuration (session/``run()``, NL/SPIndex join, audited and
@@ -170,11 +166,10 @@ def _load_wire_elements(path: str):
     return sids.pop(), tuple(attributes), elements
 
 
-def _observed_dsms(args: argparse.Namespace):
-    """A DSMS with in-memory observability and query ``q`` (``--query``,
-    else a scan, for ``--roles``) registered; returns it with the
-    schema and elements of the stream (``path`` or the demo stream),
-    which the caller registers."""
+def _observed_run(args: argparse.Namespace):
+    """Run query ``q`` (``--query``, else a scan, for ``--roles``) with
+    in-memory observability over the stream (``path`` or the demo
+    stream); return the DSMS with the results."""
     from repro.algebra.expressions import ScanExpr
     from repro.engine.dsms import DSMS
     from repro.observability import Observability
@@ -200,14 +195,7 @@ def _observed_dsms(args: argparse.Namespace):
 
     dsms = DSMS(observability=Observability.in_memory())
     dsms.register_query("q", expr, roles=roles)
-    return dsms, StreamSchema(stream_id, attributes), elements
-
-
-def _observed_run(args: argparse.Namespace):
-    """Run :func:`_observed_dsms` over its stream; return it with the
-    results."""
-    dsms, schema, elements = _observed_dsms(args)
-    dsms.register_stream(schema, elements)
+    dsms.register_stream(StreamSchema(stream_id, attributes), elements)
     return dsms, dsms.run()
 
 
@@ -255,17 +243,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         count = audit.dump_jsonl(args.jsonl)
         print(f"wrote {count} audit events to {args.jsonl}")
         return 0
-    if args.explain is not None:
-        tid: object = args.explain
-        events = audit.explain(tid)
-        if not events and tid.lstrip("-").isdigit():
-            events = audit.explain(int(tid))
-        if not events:
-            print(f"no audit events for tuple id {tid!r}")
-            return 1
-        for event in events:
-            print(event)
-        return 0
     events = audit.events(kind=args.kind)
     for event in events[-args.limit:]:
         print(event)
@@ -305,9 +282,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.observability.export import (render_json,
-                                            render_prometheus,
-                                            serve_metrics)
+    from repro.observability.export import render_json, render_prometheus
 
     dsms, _results = _observed_run(args)
     registry = dsms.observability.metrics
@@ -316,56 +291,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(render_json(registry))
     else:
         sys.stdout.write(render_prometheus(registry))
-    if args.serve:
-        server = serve_metrics(registry, host=args.host, port=args.port)
-        print(f"serving metrics at {server.url} (Ctrl-C to stop)",
-              file=sys.stderr)
-        try:
-            import threading
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
     return 0
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.observability.health import HealthMonitor
-    from repro.observability.monitor import MonitorView, run_monitor
-
-    dsms, schema, elements = _observed_dsms(args)
-    dsms.register_stream(schema, [])
-    stream_id = schema.stream_id
-    session = dsms.open_session()
-    instruments = dsms.observability.instruments
-    assert instruments is not None
-    health = HealthMonitor(instruments,
-                           tracer=dsms.observability.tracer,
-                           stall_after=args.stall_after)
-    view = MonitorView(
-        instruments,
-        stages=lambda: session.report().stages,
-        health=health)
-
-    # Replay the stream in frame-sized slices so each rendered frame
-    # shows genuinely live, still-moving numbers.
-    frames = max(1, args.frames)
-    chunk = max(1, -(-len(elements) // frames)) if elements else 1
-    clear = not args.no_clear
-    for start in range(0, len(elements), chunk):
-        for element in elements[start:start + chunk]:
-            session.push(stream_id, element)
-        run_monitor(view, frames=1, interval=0, clear=clear)
-        if args.interval > 0:
-            _time.sleep(args.interval)
-    session.close()
-    run_monitor(view, frames=1, interval=0, clear=clear)
-    critical = sum(1 for alert in health.alerts
-                   if alert.severity == "critical")
-    return 1 if critical else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -451,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observed_arguments(audit)
     audit.add_argument("--kind", default=None,
                        help="only events of this kind (e.g. shield.drop)")
-    audit.add_argument("--explain", default=None, metavar="TID",
-                       help="explain every decision that touched a tuple id")
     audit.add_argument("--jsonl", default=None, metavar="PATH",
                        help="export held events as JSON lines and exit")
     audit.add_argument("--limit", type=int, default=50,
@@ -486,30 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--format", default="prom",
                          choices=["prom", "json"],
                          help="exposition format (default: prom)")
-    metrics.add_argument("--serve", action="store_true",
-                         help="keep serving /metrics over HTTP after "
-                              "the run")
-    metrics.add_argument("--host", default="127.0.0.1",
-                         help="scrape endpoint bind host")
-    metrics.add_argument("--port", type=int, default=9464,
-                         help="scrape endpoint port (default: 9464)")
     metrics.set_defaults(fn=_cmd_metrics)
-
-    monitor = sub.add_parser(
-        "monitor",
-        help="replay a stream in a live session with a top-style view")
-    _add_observed_arguments(monitor)
-    monitor.add_argument("--frames", type=int, default=5,
-                         help="dashboard frames to render (default: 5)")
-    monitor.add_argument("--interval", type=float, default=0.5,
-                         help="seconds between frames (default: 0.5)")
-    monitor.add_argument("--no-clear", action="store_true",
-                         help="append frames instead of redrawing "
-                              "(for logs/pipes)")
-    monitor.add_argument("--stall-after", type=float, default=5.0,
-                         help="stalled-stream alert threshold in "
-                              "seconds")
-    monitor.set_defaults(fn=_cmd_monitor)
 
     verify = sub.add_parser(
         "verify",

@@ -163,7 +163,7 @@ class Executor:
         elements_in = tuples_in = sps_in = 0
         for stream_id, element in feed:
             if instruments is not None:
-                instruments.mark_ingest(perf_counter())
+                instruments.ingest_wall = perf_counter()
             if type(element) is TupleBatch:
                 size = len(element.tuples)
                 elements_in += size

@@ -126,7 +126,7 @@ class StreamingSession:
         if instruments is not None:
             # Push time is the ingest clock: results delivered during
             # this push measure their end-to-end latency against it.
-            instruments.mark_ingest(time.perf_counter())
+            instruments.ingest_wall = time.perf_counter()
             if is_sp:
                 instruments.sps_in.inc()
             else:

@@ -15,7 +15,8 @@ semantics:
   shield/filter passes, a query's outlet marking its delivered
   tuples), queryable per query and exportable as JSONL.
   It is the only place a decision is stored: :func:`reconstruct_why`
-  (``repro why``) renders ``AuditLog.explain``.
+  (``repro why``) renders ``AuditLog.explain``, with the ``op.process``
+  spans of each sampled trace as the cost of its decisions.
 * :class:`StageStats` — per-operator metrics (elements in/out, drops,
   processing-time EWMA, queue depth) snapshotted from every plan
   operator and aggregated into the
@@ -31,8 +32,7 @@ semantics:
   tuple latency, policy-propagation lag, shield verdicts, Lemma 5.1
   skip rates, …),
   exported as Prometheus text or JSON (:func:`render_prometheus`,
-  :func:`render_json`, :func:`serve_metrics`) and watched live by
-  :class:`MonitorView`/:class:`HealthMonitor` (``repro monitor``).
+  :func:`render_json`; ``repro metrics``).
 
 Everything is off by default — a :class:`~repro.engine.dsms.DSMS`
 built without an explicit :class:`Observability` pays only a handful
@@ -48,16 +48,13 @@ of ``is None`` checks.  Enable with::
 """
 
 from repro.observability.audit import AuditEvent, AuditLog
-from repro.observability.export import (MetricsServer, parse_prometheus,
-                                        render_json, render_prometheus,
-                                        serve_metrics)
-from repro.observability.health import HealthAlert, HealthMonitor
+from repro.observability.export import (parse_prometheus, render_json,
+                                        render_prometheus)
 from repro.observability.hub import Observability
 from repro.observability.instruments import EngineInstruments
 from repro.observability.metrics import (Counter, Gauge, Histogram,
                                          MetricFamily, MetricsRegistry,
                                          log_buckets)
-from repro.observability.monitor import MonitorView, run_monitor
 from repro.observability.provenance import (DEFAULT_SAMPLE_RATE, Tracer,
                                             WhyReport, reconstruct_why)
 from repro.observability.stats import StageStats, aggregate_stages
@@ -70,14 +67,10 @@ __all__ = [
     "DEFAULT_SAMPLE_RATE",
     "EngineInstruments",
     "Gauge",
-    "HealthAlert",
-    "HealthMonitor",
     "Histogram",
     "JsonlTraceSink",
     "MetricFamily",
     "MetricsRegistry",
-    "MetricsServer",
-    "MonitorView",
     "Observability",
     "SpanEvent",
     "StageStats",
@@ -89,6 +82,4 @@ __all__ = [
     "reconstruct_why",
     "render_json",
     "render_prometheus",
-    "run_monitor",
-    "serve_metrics",
 ]

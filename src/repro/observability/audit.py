@@ -94,7 +94,7 @@ __all__ = ["AuditEvent", "AuditLog"]
 DEFAULT_CAPACITY = 10_000
 
 #: Bound, in records, of the ring holding sampled ``*.pass`` verdicts
-#: (the flight recorder's default size).
+#: (the span ring's default size).
 _PASS_RECORDS = 4096
 
 _BY_SEQ = attrgetter("seq")

@@ -1,7 +1,7 @@
-"""Metric exposition: Prometheus text format, JSON, scrape endpoint.
+"""Metric exposition: Prometheus text format and JSON.
 
-Three surfaces over one :class:`~repro.observability.metrics.
-MetricsRegistry`:
+Two renderings of one :class:`~repro.observability.metrics.
+MetricsRegistry` (``repro metrics`` prints either):
 
 * :func:`render_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, ``_bucket``/``_sum``/``_count``
@@ -10,10 +10,6 @@ MetricsRegistry`:
 * :func:`render_json` — the registry snapshot as one JSON document,
   including the quantile estimates (which the text format leaves to
   the scraper).
-* :func:`serve_metrics` — an optional stdlib ``http.server`` scrape
-  endpoint serving ``/metrics`` (text) and ``/metrics.json`` from a
-  daemon thread.  No third-party dependency: this is the
-  "just point Prometheus at it" deployment story.
 
 :func:`parse_prometheus` is the matching minimal parser — used by the
 test suite and the CI smoke step to validate that what we emit parses
@@ -23,12 +19,10 @@ back — not a general-purpose client.
 from __future__ import annotations
 
 import json
-import threading
 
 from repro.observability.metrics import MetricsRegistry
 
-__all__ = ["render_prometheus", "render_json", "parse_prometheus",
-           "serve_metrics", "MetricsServer"]
+__all__ = ["render_prometheus", "render_json", "parse_prometheus"]
 
 
 def _escape_label(value: str) -> str:
@@ -208,89 +202,3 @@ def _split_label_pairs(body: str, lineno: int) -> list[str]:
     if current:
         pairs.append("".join(current).strip())
     return [p for p in pairs if p]
-
-
-class MetricsServer:
-    """A minimal scrape endpoint over one registry.
-
-    Serves ``/metrics`` (Prometheus text) and ``/metrics.json`` from a
-    daemon thread; anything else is 404.  Usable as a context
-    manager; ``port`` 0 picks a free port (read it back from
-    ``server.port``).
-    """
-
-    def __init__(self, registry: MetricsRegistry,
-                 host: str = "127.0.0.1", port: int = 0):
-        # Lazy: only ``repro metrics --serve`` needs the HTTP stack.
-        from http.server import ThreadingHTTPServer
-
-        self.registry = registry
-        handler = self._make_handler(registry)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._thread: threading.Thread | None = None
-
-    @staticmethod
-    def _make_handler(registry: MetricsRegistry):
-        from http.server import BaseHTTPRequestHandler
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                if self.path.split("?")[0] == "/metrics":
-                    body = render_prometheus(registry).encode()
-                    content_type = ("text/plain; version=0.0.4; "
-                                    "charset=utf-8")
-                elif self.path.split("?")[0] == "/metrics.json":
-                    body = render_json(registry).encode()
-                    content_type = "application/json"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:
-                pass  # scrapes shouldn't spam stderr
-
-        return Handler
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self._httpd.server_address[0]
-        return f"http://{host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True,
-            name="repro-metrics-server")
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def serve_metrics(registry: MetricsRegistry, *, host: str = "127.0.0.1",
-                  port: int = 0) -> MetricsServer:
-    """Start a scrape endpoint for ``registry``; returns the server.
-
-    The server runs in a daemon thread; call ``.close()`` (or use the
-    returned object as a context manager) to stop it.
-    """
-    return MetricsServer(registry, host=host, port=port).start()

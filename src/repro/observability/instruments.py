@@ -12,8 +12,7 @@ It also carries the *ingest clock*: the executor (or a streaming
 session) stamps ``ingest_wall`` when a source element enters the
 plan, and sinks read it when results emerge — the end-to-end tuple
 latency of the paper's "speed of enforcement" claim, measured rather
-than asserted.  ``last_ingest_wall`` survives between elements so the
-health checker can detect a stalled stream.
+than asserted.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ class EngineInstruments:
                  "propagation", "segment_size", "sp_batch_size",
                  "shield_tuples", "denial_drops", "spindex_entries",
                  "queue_depth", "elements", "runs", "run_seconds",
-                 "tuples_in", "sps_in", "ingest_wall",
-                 "last_ingest_wall")
+                 "tuples_in", "sps_in", "ingest_wall")
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
@@ -88,13 +86,6 @@ class EngineInstruments:
         #: Wall clock (``time.perf_counter()``) of the element
         #: currently being pushed; read by sinks at emit time.
         self.ingest_wall: float | None = None
-        #: Wall clock of the most recent ingest (health: stall check).
-        self.last_ingest_wall: float | None = None
-
-    def mark_ingest(self, wall: float) -> None:
-        """Stamp the ingest clock for the element being pushed."""
-        self.ingest_wall = wall
-        self.last_ingest_wall = wall
 
     def __repr__(self) -> str:
         return f"EngineInstruments({self.registry!r})"

@@ -97,7 +97,7 @@ class Gauge:
     """A point-in-time value: set directly, or read via callback.
 
     ``set_function`` turns the gauge into a pull-mode instrument: the
-    callback is invoked at *collection* time (export, monitor frame),
+    callback is invoked at *collection* time (export, snapshot),
     so instrumented state (operator queue depths, index counters) is
     observed with zero hot-path cost.
     """
@@ -325,7 +325,7 @@ class MetricsRegistry:
 
     The registry is the unit the
     :class:`~repro.observability.hub.Observability` hub carries and
-    the export/monitor surfaces read.  Re-registering an existing name
+    the exporters read.  Re-registering an existing name
     returns the existing family (so shared operators across queries
     land in one series set) but raises if the kind or labels differ.
     """

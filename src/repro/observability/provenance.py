@@ -13,12 +13,9 @@
   hash against a threshold), so identical runs sample identical traces.
   It is the one sampling rule: per-element and per-sp-batch spans are
   kept while the current trace is sampled; once-per-run and
-  once-per-session control points and ``health.alert`` events are
-  always kept.
-* Every kept span lands in one bounded ring (the flight recorder); the
-  :class:`~repro.observability.health.HealthMonitor` dumps a window of
-  it to JSONL when an alert fires, giving a retroactive look at the
-  spans *leading up to* the problem.  A
+  once-per-session control points are always kept.
+* Every kept span lands in one bounded ring, read back by
+  :meth:`Tracer.events` and :meth:`Tracer.dump_jsonl`.  A
   :class:`~repro.observability.trace.JsonlTraceSink` handed to the
   tracer streams the same spans to a file.
 
@@ -29,13 +26,14 @@ recorded once, in the hub's :class:`~repro.observability.audit.AuditLog`
 ``audit.explain(tid)`` — governing sp, resolved policy, role match,
 delivery — with no second copy in the span ring.  A run a stream's
 entry dropped (``entry.drop``) is rendered as the reason for every
-query reading the stream.
+query reading the stream.  What a decision cost is read from the ring:
+the ``op.process`` spans of its sampled trace.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
+from time import perf_counter_ns, time
 from typing import TYPE_CHECKING
 
 from .trace import JsonlTraceSink, SpanEvent
@@ -66,17 +64,15 @@ class Tracer:
 
     There is one sampling rule, the head-sampling verdict of the
     current trace (:attr:`active`): :meth:`begin` takes it from the
-    trace id, and :meth:`op_span`, :meth:`event` and the SP Analyzer's
-    per-batch span are only emitted while it holds.  What is not
-    sampled is always kept: :meth:`span` (the once-per-run and
-    once-per-session control points) and ``event(keep=True)``
-    (``health.alert``).
+    trace id, and :meth:`op_span` and the SP Analyzer's per-batch span
+    are only emitted while it holds.  What is not sampled is always
+    kept: :meth:`span`, the once-per-run and once-per-session control
+    points.
 
     * :meth:`begin` — on each ingested element: allocate a trace id,
       take the sampling decision, open the root span if sampled.
     * :meth:`op_span` — child span per operator invocation (only on
       sampled traces — callers check :attr:`active`).
-    * :meth:`event` — ad-hoc event of the current trace.
     * :meth:`span` — flat control span (no causal ids).
 
     Every kept span is appended to one ring of ``recorder_capacity``
@@ -120,8 +116,8 @@ class Tracer:
         """Keep one span as a plain row: a :class:`SpanEvent` is built
         only where spans are read (:meth:`events`, :meth:`dump_jsonl`,
         the :attr:`sink`), never per element."""
-        row = (name, time.time(), attrs, time.perf_counter_ns(), trace_id,
-               span_id, parent_id)
+        row = (name, time(), attrs, perf_counter_ns(), trace_id, span_id,
+               parent_id)
         self._rows.append(row)
         if self.sink is not None:
             self.sink.emit(SpanEvent(*row))
@@ -190,14 +186,6 @@ class Tracer:
                    span_id=sid, parent_id=parent_id or None)
         return sid
 
-    def event(self, name: str, *, keep: bool = False, **attrs) -> None:
-        """Ad-hoc causal event (health alerts use ``keep=True``)."""
-        if not (self.active or keep):
-            return
-        self._span_seq = sid = self._span_seq + 1
-        self._keep(name, attrs, trace_id=self._trace_id or None,
-                   span_id=sid, parent_id=self._root_id or None)
-
     # ------------------------------------------------------------------
     # the ring
 
@@ -206,16 +194,13 @@ class Tracer:
         return [SpanEvent(*row) for row in self._rows
                 if name is None or row[0] == name]
 
-    def dump_jsonl(self, path: str, *,
-                   since_wall: float | None = None) -> int:
-        """Write the ring (or its window since ``since_wall``) to
-        ``path`` as JSONL; returns the number of spans written."""
-        rows = [row for row in self._rows
-                if since_wall is None or row[1] >= since_wall]
+    def dump_jsonl(self, path: str) -> int:
+        """Write the ring to ``path`` as JSONL; returns the number of
+        spans written."""
         with JsonlTraceSink(path) as out:
-            for row in rows:
+            for row in self._rows:
                 out.emit(SpanEvent(*row))
-        return len(rows)
+        return len(self._rows)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -238,11 +223,16 @@ _DENIED = (".drop", ".deny")
 
 
 class WhyReport:
-    """The held decisions that touched one tuple id, in ``seq`` order."""
+    """The held decisions that touched one tuple id, in ``seq`` order,
+    and the ``op.process`` spans of each sampled trace they name (what
+    the decisions cost), by trace id; a trace the span ring no longer
+    holds whole has no entry."""
 
-    def __init__(self, tid: object, decisions: "list[AuditEvent]"):
+    def __init__(self, tid: object, decisions: "list[AuditEvent]",
+                 hops: "dict[int, list[SpanEvent]]"):
         self.tid = tid
         self.decisions = decisions
+        self.hops = hops
 
     @property
     def delivered_queries(self) -> list[str]:
@@ -261,6 +251,7 @@ class WhyReport:
 
     def render_text(self) -> str:
         lines = [f"tuple {self.tid}:"]
+        costed: set[int] = set()
         for event in self.decisions:
             verdict = event.kind.rpartition(".")[2]
             ref = (f"  trace {event.trace_id}"
@@ -281,6 +272,20 @@ class WhyReport:
                 # An entry drop: no query reading the stream may see it.
                 lines.append(f"    denied to every query reading "
                              f"{event.sid}: {', '.join(queries)}")
+            if event.trace_id is None:
+                lines.append("    cost: not sampled")
+            elif event.trace_id not in costed:
+                # A trace's hops are listed once, under its first decision.
+                costed.add(event.trace_id)
+                hops = self.hops.get(event.trace_id)
+                if hops is None:
+                    lines.append("    cost: evicted from the span ring")
+                elif not hops:
+                    lines.append("    cost: no operator hop ran")
+                for hop in hops or ():
+                    lines.append(f"    cost: {hop.attrs['operator']}, "
+                                 f"{hop.attrs['rows']} row(s), "
+                                 f"{hop.attrs['dur_ns'] / 1e3:.1f} µs")
         delivered = self.delivered_queries
         if delivered:
             lines.append(f"  delivered to: {', '.join(delivered)}")
@@ -292,10 +297,24 @@ class WhyReport:
 
 
 def reconstruct_why(tid: object, audit: "AuditLog") -> WhyReport:
-    """The decision chain of tuple ``tid``: ``audit.explain(tid)``,
-    ready to render.
+    """The decision chain of tuple ``tid``: ``audit.explain(tid)`` and
+    the ``op.process`` spans its sampled traces left in the ring of
+    ``audit.tracer``, ready to render.
 
     Denials are always there (until evicted); pass verdicts — and with
-    them "delivered to" — for the tuples whose trace was head-sampled.
+    them "delivered to" — and costs for the tuples whose trace was
+    head-sampled.
     """
-    return WhyReport(tid, audit.explain(tid))
+    decisions = audit.explain(tid)
+    hops: dict[int, list[SpanEvent]] = {}
+    if audit.tracer is not None:
+        spans = audit.tracer.events()
+        # A trace's root span is its first, and the ring evicts oldest
+        # first: a trace whose root is still there is whole.
+        roots = {span.trace_id for span in spans if span.parent_id is None}
+        hops = {event.trace_id: [] for event in decisions
+                if event.trace_id is not None and event.trace_id in roots}
+        for span in spans:
+            if span.name == "op.process" and span.trace_id in hops:
+                hops[span.trace_id].append(span)
+    return WhyReport(tid, decisions, hops)

@@ -110,7 +110,7 @@ class TestRL004:
 
     def test_tracer_api_calls_allowed(self):
         source = (
-            "tracer.event('health.alert', keep=True)\n"
+            "tracer.begin('tuple', stream='hr')\n"
             "tracer.op_span('op.process', 0, 12)\n")
         assert findings(lint_rules.check_rl004, source) == []
 
@@ -195,6 +195,9 @@ SEEDS = {
         'parent = tracer.op_span("op.process", root, round(share * 1e9))'),
     "one outlet per query": (
         "tests/x.py", "dsms.register_query(q, e, auto" + "_shield=False)"),
+    "one answer to why": (
+        "src/repro/observability/provenance.py",
+        "    def ev" + "ent(self, name, *, keep=False, **attrs):"),
     "a switch costs the group O(1)": (
         "src/repro/engine/executor.py", "select.hold(element)"),
 }
@@ -222,6 +225,7 @@ ALLOWED = [
      "self.sink.emit(SpanEvent(*row))"),
     ("src/repro/operators/base.py", "share = elapsed / len(operators)"),
     ("src/repro/engine/executor.py", "group.add_sp(element)"),
+    ("src/repro/observability/audit.py", "    def ev" + "ent(self, i):"),
 ]
 
 

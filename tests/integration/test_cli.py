@@ -139,15 +139,6 @@ class TestAuditCommand:
         assert "entry.drop" in out
         assert "recorded:" in out
 
-    def test_explain_tuple(self, capsys):
-        code = main(["audit", "--explain", "120"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "tuple=HeartRate:120" in out
-
-    def test_explain_unknown_tuple(self, capsys):
-        assert main(["audit", "--explain", "999"]) == 1
-
     def test_kind_filter(self, capsys):
         code = main(["audit", "--kind", "shield.segment"])
         out = capsys.readouterr().out
@@ -215,36 +206,14 @@ class TestMetricsCommand:
         assert tuples == [2.0]
 
 
-class TestMonitorCommand:
-    def test_renders_frames_over_demo_stream(self, capsys):
-        code = main(["monitor", "--frames", "2", "--interval", "0",
-                     "--no-clear"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("repro monitor") >= 2
-        assert "latency (seconds)" in out
-        assert "security" in out
-        assert "health" in out
+class TestOneAnswerToWhy:
+    """``why`` is the one command-line reader of a tuple's decisions;
+    the live dashboard and the scrape server are gone."""
 
-    def test_clear_mode_emits_ansi(self, capsys):
-        code = main(["monitor", "--frames", "1", "--interval", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "\x1b[H\x1b[J" in out
-
-    def test_wire_file_input(self, tmp_path, capsys):
-        from repro.core.punctuation import SecurityPunctuation
-        from repro.stream.tuples import DataTuple
-
-        path = tmp_path / "stream.jsonl"
-        elements = [
-            SecurityPunctuation.grant(["ND"], ts=0.0),
-            DataTuple("s", 1, {"v": 1}, 1.0),
-            DataTuple("s", 2, {"v": 2}, 2.0),
-        ]
-        path.write_text("\n".join(encode_element(e) for e in elements))
-        code = main(["monitor", str(path), "--roles", "ND",
-                     "--frames", "1", "--interval", "0", "--no-clear"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "elements: 2 tuples, 1 sps" in out
+    @pytest.mark.parametrize("argv", [
+        ["monitor"], ["audit", "--explain", "1"], ["metrics", "--serve"]])
+    def test_retired_front_end_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err

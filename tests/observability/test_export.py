@@ -1,16 +1,14 @@
-"""Exposition surfaces: Prometheus text, JSON, scrape endpoint."""
+"""Exposition surfaces: Prometheus text and JSON."""
 
 import json
 import os
 import subprocess
 import sys
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.observability.export import (parse_prometheus, render_json,
-                                        render_prometheus, serve_metrics)
+                                        render_prometheus)
 from repro.observability.metrics import MetricsRegistry
 
 
@@ -170,42 +168,12 @@ class TestJson:
 
 
 class TestScrapeEndpoint:
-    def test_serves_text_and_json(self):
-        registry = populated_registry()
-        with serve_metrics(registry) as server:
-            with urllib.request.urlopen(server.url, timeout=5) as resp:
-                assert resp.status == 200
-                assert "version=0.0.4" in resp.headers["Content-Type"]
-                text = resp.read().decode()
-            with urllib.request.urlopen(server.url + ".json",
-                                        timeout=5) as resp:
-                doc = json.loads(resp.read().decode())
-        samples = parse_prometheus(text)
-        assert samples["demo_total"][0][1] == 3.0
-        assert doc["demo_depth"]["series"][0]["value"] == 7.0
-
-    def test_scrape_sees_live_updates(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("live_total").labels()
-        with serve_metrics(registry) as server:
-            counter.inc(41)
-            counter.inc()
-            with urllib.request.urlopen(server.url, timeout=5) as resp:
-                text = resp.read().decode()
-        assert parse_prometheus(text)["live_total"][0][1] == 42.0
-
-    def test_unknown_path_is_404(self):
-        with serve_metrics(MetricsRegistry()) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    server.url.replace("/metrics", "/nope"), timeout=5)
-            assert excinfo.value.code == 404
+    """There is no scrape endpoint: ``repro metrics`` prints."""
 
     def test_import_repro_starts_no_http_stack(self):
-        """Only ``MetricsServer`` needs ``http.server`` (and with it
-        ``socketserver``, ``email``, ``ssl``…): a plain import — paid in
-        every process start — must not load it, serving still must
-        (``test_serves_text_and_json``)."""
+        """Nothing imports ``http.server`` (and with it
+        ``socketserver``, ``email``, ``ssl``…): a plain import is paid
+        in every process start."""
         code = ("import sys, repro, repro.observability.export\n"
                 "print([m for m in ('http.server', 'socketserver')"
                 " if m in sys.modules])")

@@ -10,7 +10,7 @@ from repro.algebra.expressions import ScanExpr
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.core.analyzer import SPAnalyzer
-from repro.observability import AuditLog, Observability, provenance
+from repro.observability import AuditLog, Observability
 from repro.observability.provenance import (DEFAULT_SAMPLE_RATE, Tracer,
                                             _sampled, reconstruct_why)
 from repro.operators.conditions import Comparison
@@ -116,62 +116,45 @@ def run_of(tids, ts=1.0):
 
 
 class TestKeepSemantics:
+    """One sampling rule: an unsampled trace leaves no span, a control
+    span (:meth:`Tracer.span`) is always kept."""
+
     def test_unsampled_record_without_keep_vanishes(self):
         tracer = Tracer(sample=0.0)
-        tracer.begin("tuple")
-        tracer.event("debug", tid=1)
+        assert not tracer.begin("tuple")
         assert tracer.events() == []
 
     def test_keep_overrides_head_sampling(self):
         tracer = Tracer(sample=0.0)
         tracer.begin("tuple")
-        tracer.event("health.alert", keep=True, rule="stall")
+        tracer.span("session.close", elements_pushed=1)
         (event,) = tracer.events()
-        assert event.name == "health.alert"
-        assert event.span_id is not None
+        assert event.name == "session.close"
+        assert event.trace_id is None and event.span_id is None
 
     def test_decision_and_event_keep(self):
         """On an unsampled trace a denial decision is still recorded
-        (in the log — it is not a span), a pass is not; of events only
-        ``keep=True`` ones survive."""
+        (in the log — it is not a span), a pass is not; of spans only
+        the control span survives."""
         hub = Observability(tracer=Tracer(sample=0.0))
         tracer, log = hub.tracer, hub.audit
         tracer.begin("tuple")
         assert not log.wants_passes()
         log.record_run("shield.drop", run_of([4]), operator="psi")
-        tracer.event("health.alert", keep=True, rule="stall")
-        tracer.event("debug", x=1)
-        assert [e.name for e in tracer.events()] == ["health.alert"]
+        tracer.span("executor.run.end", elements_in=1)
+        assert [e.name for e in tracer.events()] == ["executor.run.end"]
         (denial,) = log.explain(4)
         assert denial.kind == "shield.drop" and denial.trace_id is None
 
 
 class TestFlightRecorder:
-    """The tracer's ring as a flight recorder: bounded, dumpable."""
-
-    def test_window_cuts_by_wall_time(self, tmp_path, monkeypatch):
-        import json
-        import time
-        import types
-
-        walls = iter(range(5))
-        monkeypatch.setattr(provenance, "time", types.SimpleNamespace(
-            time=lambda: float(next(walls)),
-            perf_counter_ns=time.perf_counter_ns))
-        tracer = Tracer(recorder_capacity=16)
-        for i in range(5):
-            tracer.span("tick", i=i)
-        path = tmp_path / "window.jsonl"
-        assert tracer.dump_jsonl(str(path), since_wall=3.0) == 2
-        assert [json.loads(line)["i"]
-                for line in path.read_text().splitlines()] == [3, 4]
-        assert tracer.dump_jsonl(str(path)) == 5
+    """The tracer's ring: bounded, always on."""
 
     def test_always_on_and_bounded(self):
         tracer = Tracer(sample=0.0, recorder_capacity=8)
         for i in range(50):
             tracer.begin("tuple")
-            tracer.event("health.alert", keep=True, i=i)
+            tracer.span("tick", i=i)
         assert len(tracer) == 8
         assert tracer.events()[-1].attrs["i"] == 49
 
@@ -191,7 +174,7 @@ class TestMentionsAndWhy:
         """Decisions are read from the log, never from spans."""
         hub = Observability(tracer=Tracer(sample=1.0))
         hub.tracer.begin("tuple")
-        hub.tracer.event("executor.run.end", tid=7)
+        hub.tracer.span("executor.run.end", tid=7)
         assert hub.tracer.events("executor.run.end")
         assert not reconstruct_why(7, hub.audit).found()
 
@@ -320,6 +303,61 @@ class TestEndToEndWhy:
             == delivered(Observability(tracer=Tracer()))
 
 
+def cost_lines(text):
+    return [line for line in text.splitlines()
+            if line.startswith("    cost: ")]
+
+
+class TestWhyCost:
+    """``why`` prints what a decision cost: the ``op.process`` spans of
+    its sampled trace, once per trace, read from the tracer's ring."""
+
+    @pytest.mark.parametrize("drive", MODES)
+    def test_a_sampled_delivery_lists_its_trace_hops(self, drive):
+        dsms, _results = run_traced(1.0, drive)
+        report = reconstruct_why(105, dsms.audit)
+        traces = {event.trace_id for event in report.decisions}
+        assert traces and None not in traces
+        spans = [span for span in dsms.observability.tracer.events(
+            "op.process") if span.trace_id in traces]
+        assert {span.attrs["operator"] for span in spans} \
+            >= {"delivery:doc", "sink:doc"}
+        assert sorted(cost_lines(report.render_text())) == sorted(
+            f"    cost: {span.attrs['operator']}, {span.attrs['rows']} "
+            f"row(s), {span.attrs['dur_ns'] / 1e3:.1f} µs"
+            for span in spans)
+
+    @pytest.mark.parametrize("drive", MODES)
+    def test_an_entry_drop_ran_no_operator_hop(self, drive):
+        dsms, _results = run_traced(1.0, drive)
+        report = reconstruct_why(505, dsms.audit)
+        assert report.decisions[0].trace_id is not None
+        assert cost_lines(report.render_text()) == [
+            "    cost: no operator hop ran"]
+
+    @pytest.mark.parametrize("drive", MODES)
+    def test_an_unsampled_decision_says_so(self, drive):
+        dsms, _results = run_traced(0.0, drive)
+        report = reconstruct_why(505, dsms.audit)
+        assert [e.trace_id for e in report.decisions] == [None]
+        assert cost_lines(report.render_text()) == [
+            "    cost: not sampled"]
+
+    @pytest.mark.parametrize("drive", MODES)
+    def test_an_evicted_trace_is_not_read_as_no_hop(self, drive):
+        """The ring keeps the newest spans: the first granted tuple's
+        trace is gone from a four-span ring, the last push's is not."""
+        tracer = Tracer(sample=1.0, recorder_capacity=4)
+        dsms = DSMS(observability=Observability(tracer=tracer))
+        dsms.register_stream(SCHEMA, segmented_elements())
+        dsms.register_query("doc", ScanExpr("hr"), roles={"D"})
+        drive(dsms)
+        assert cost_lines(reconstruct_why(100, dsms.audit).render_text()) \
+            == ["    cost: evicted from the span ring"]
+        assert cost_lines(reconstruct_why(539, dsms.audit).render_text()) \
+            == ["    cost: no operator hop ran"]
+
+
 class TestCliWhy:
     def test_why_explains_demo_tuple(self, capsys):
         from repro.cli import main
@@ -332,6 +370,21 @@ class TestCliWhy:
         assert out.count("entry.drop at entry:HeartRate: drop") == 1
         assert "denied to every query reading HeartRate: q" in out
         assert "audit:" not in out
+
+    def test_why_prints_each_hop_cost(self, capsys):
+        """The demo's tuple 120: trace 2 (two delivered readings) ran
+        its outlet and sink twice each; trace 4, the entry drop, ran no
+        operator hop."""
+        from repro.cli import main
+        assert main(["why", "120"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        costs = cost_lines("\n".join(lines))
+        assert sorted(line.split(",")[0] for line in costs
+                      if line.endswith(" µs")) == (
+            ["    cost: delivery:q"] * 2 + ["    cost: sink:q"] * 2)
+        assert costs.count("    cost: no operator hop ran") == 1
+        drop = lines.index("    cost: no operator hop ran")
+        assert lines[drop - 1].startswith("    denied to every query")
 
     def test_why_unknown_tuple_fails(self, capsys):
         from repro.cli import main

@@ -11,9 +11,6 @@ from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.observability import (DEFAULT_SAMPLE_RATE, JsonlTraceSink,
                                  Observability, Tracer)
-from repro.observability.health import HealthMonitor
-from repro.observability.instruments import EngineInstruments
-from repro.observability.metrics import MetricsRegistry
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 
@@ -131,11 +128,11 @@ class TestRingBufferTraceSink:
         tracer.span("run.start")
         tracer.begin("tuple")
         tracer.op_span("op.process", 1, 10, operator="psi", rows=1)
-        tracer.event("note")
+        tracer.op_span("op.process", 2, 10, operator="sink", rows=1)
         tracer.span("run.end")
         events = tracer.events()
         assert [e.name for e in events] == [
-            "run.start", "ingest", "op.process", "note", "run.end"]
+            "run.start", "ingest", "op.process", "op.process", "run.end"]
         assert [e.trace_id for e in events] == [None, 1, 1, 1, None]
         monos = [e.mono for e in events]
         assert monos == sorted(monos)
@@ -158,7 +155,7 @@ class TestRingRoundTrip:
         with dsms.open_session() as session:
             for element in stream:
                 session.push("hr", element)
-        tracer.event("note", keep=True, x=1)
+        tracer.span("note", x=1)
         events = tracer.events()
         assert len(events) == len(tracer) > len(stream)
         records = [self.as_json(event.to_dict()) for event in events]
@@ -167,31 +164,11 @@ class TestRingRoundTrip:
         for name in {event.name for event in events}:
             assert tracer.events(name) == [
                 event for event in events if event.name == name]
-        cut = events[len(events) // 2].wall
-        path = tmp_path / "window.jsonl"
-        written = tracer.dump_jsonl(str(path), since_wall=cut)
-        window = [json.loads(line)
-                  for line in path.read_text().splitlines()]
-        assert written == len(window) > 0
-        assert window == [record for record in records
-                          if record["wall"] >= cut]
-
-    def test_the_flight_dump_writes_the_window(self, tmp_path):
-        tracer = Tracer(sample=1.0)
-        for _ in range(3):
-            tracer.begin("tuple")
-            tracer.op_span("op.process", 0, 1000, operator="psi", rows=1)
-        instruments = EngineInstruments(MetricsRegistry())
-        instruments.mark_ingest(0.0)
-        path = tmp_path / "flight.jsonl"
-        monitor = HealthMonitor(instruments, tracer=tracer, stall_after=5.0,
-                                flight_path=str(path), clock=lambda: 50.0)
-        assert monitor.check()
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
-        assert monitor.flight_dumps == [(str(path), len(records))]
-        assert records == [self.as_json(event.to_dict())
-                           for event in tracer.events()]
+        path = tmp_path / "ring.jsonl"
+        written = tracer.dump_jsonl(str(path))
+        assert written == len(records)
+        assert [json.loads(line)
+                for line in path.read_text().splitlines()] == records
 
 
 class TestJsonlTraceSink:
@@ -261,10 +238,11 @@ class TestJsonlTraceSink:
         tracer.begin("tuple")
         sink.close()
         assert sink.closed
-        # late emitters (e.g. a shutdown health alert) skip the sink
-        tracer.event("health.alert", keep=True, rule="stall")
-        (span,) = tracer.events("health.alert")
-        assert span.attrs["rule"] == "stall"
+        # a late control span (e.g. a session closed after its sink)
+        # skips the sink and still reaches the ring
+        tracer.span("session.close", elements_pushed=1)
+        (span,) = tracer.events("session.close")
+        assert span.attrs["elements_pushed"] == 1
         assert sink.emitted == 1 == len(path.read_text().splitlines())
 
     def test_rejects_nonpositive_max_bytes(self):
