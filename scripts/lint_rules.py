@@ -228,6 +228,15 @@ GUARDS = (
           "member; a member holds it when a run passes it or a settle "
           "brings it up to date; see docs/PERFORMANCE.md, A policy switch "
           "costs its group O(1)"),
+    Guard("one walk per sp-batch",
+          r"_plain_grant_roles|analyzer\.process_batch[(]",
+          ("src/repro/engine",),
+          "an entry closes its sp-batch in one walk, in "
+          "EntryGate._finalize_batch: one analyzer call, then one read of "
+          "each sp for the install and the drop decision; see "
+          "docs/PERFORMANCE.md, What closing an sp-batch costs",
+          allow=r"^src/repro/engine/plan\.py:\d+: {12}"
+                r"batch = analyzer\.process_batch\(batch\)$"),
     Guard("one answer to why",
           r"\b(HealthMonitor|MonitorView|serve_metrics|MetricsServer"
           r"|last_ingest_wall|since_wall)\b|\bdef event[(]",

@@ -146,8 +146,6 @@ def combine_batch(
     same-sign sps would reorder its edits.  Input order of distinct
     (ddp, sign) groups is preserved.
     """
-    if len(sps) == 1:
-        return list(sps)  # nothing to merge with
     merged: dict[tuple, list[SecurityPunctuation]] = {}
     order: list[tuple] = []
     passthrough: list[SecurityPunctuation] = []
@@ -224,7 +222,7 @@ class SPAnalyzer:
         roles = sp.srp.concrete_roles()
         if roles is not None:
             universe = self.universe
-            if not universe.knows(roles):
+            if not roles <= universe.known:
                 for role in roles:  # the known ones keep their ids
                     universe.register(role)
             return sp
@@ -241,7 +239,7 @@ class SPAnalyzer:
     # -- refinement ----------------------------------------------------------
     def _refine(self, sp: SecurityPunctuation) -> list[SecurityPunctuation]:
         """Intersect one provider sp with applicable server policies."""
-        if sp.immutable or not self._server_sps or not sp.is_positive:
+        if sp.immutable or not sp.is_positive:
             # Negative provider sps only remove access; server
             # intersection semantics concern positive grants.
             return [sp]
@@ -348,12 +346,48 @@ class SPAnalyzer:
     def process_batch(
         self, sps: Sequence[SecurityPunctuation],
     ) -> list[SecurityPunctuation]:
-        """Normalize, refine and combine one arriving sp-batch."""
+        """Normalize, refine and combine one arriving sp-batch.
+
+        Normalization (role registration, open-pattern resolution) is
+        per sp; refinement runs only while a server policy is
+        registered, and combination only for two or more sps, so a
+        stage with nothing to do is never entered.
+        """
         self.sps_in += len(sps)
-        refined: list[SecurityPunctuation] = []
-        ts = sps[0].ts if sps else 0.0
+        known = self.universe.known
+        refine = self._refine if self._server_sps else None
+        out: list[SecurityPunctuation] = []
         for sp in sps:
-            refined.extend(self._refine(self._normalize(sp)))
+            roles = sp.srp.concrete_roles()
+            if roles is None or not roles <= known:
+                sp = self._normalize(sp)
+            if refine is None:
+                out.append(sp)
+            else:
+                out.extend(refine(sp))
+        if refine is not None:
+            out = self._server_negatives(sps, out)
+        if len(out) > 1:
+            out = combine_batch(out)
+        self.sps_out += len(out)
+        if self._m_batch_size is not None and sps:
+            self._m_batch_size.observe(len(sps))
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            # Per sp-batch, so head-sampled with the current trace.
+            tracer.span("analyzer.batch", ts=sps[0].ts if sps else 0.0,
+                        sps_in=len(sps), sps_out=len(out))
+        return out
+
+    def _server_negatives(
+        self, sps: Sequence[SecurityPunctuation],
+        refined: list[SecurityPunctuation],
+    ) -> list[SecurityPunctuation]:
+        """``refined``, the refined sps of ``sps``, with the negative
+        server policies appended; a batch refined away denies all."""
+        if not sps:
+            return refined
+        ts = sps[0].ts
         # Negative server sps join the batch (re-stamped to the batch
         # timestamp so they belong to the same policy); an incremental
         # batch takes them as retractions, since a batch never mixes
@@ -365,7 +399,7 @@ class SPAnalyzer:
                     refined.append(
                         replace(restamped, incremental=True)
                         if all(sp.incremental for sp in sps) else restamped)
-        if not refined and sps and not all(sp.incremental for sp in sps):
+        if not refined and not all(sp.incremental for sp in sps):
             # The whole batch was refined away: nobody may access the
             # upcoming segment.  The boundary must still be announced —
             # silently dropping it would leave the *previous* policy
@@ -374,16 +408,7 @@ class SPAnalyzer:
             # *incremental* batch refined away is a no-op delta: the
             # current policy legitimately stays in force.)
             refined = [deny_all_sp(ts)]
-        combined = combine_batch(refined)
-        self.sps_out += len(combined)
-        if self._m_batch_size is not None and sps:
-            self._m_batch_size.observe(len(sps))
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            # Per sp-batch, so head-sampled with the current trace.
-            tracer.span("analyzer.batch", ts=ts, sps_in=len(sps),
-                        sps_out=len(combined))
-        return combined
+        return refined
 
     # -- streaming interface ---------------------------------------------------
     def analyze(self, elements: Iterable) -> Iterator:

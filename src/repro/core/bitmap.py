@@ -46,6 +46,10 @@ class RoleUniverse:
     def __init__(self, roles: Iterable[str] = ()):
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
+        #: The registered names, a live set-like view: ``roles <=
+        #: universe.known`` is whether every one of ``roles`` is
+        #: registered, one subset test and no call.
+        self.known = self._ids.keys()
         for role in roles:
             self.register(role)
 
@@ -76,10 +80,6 @@ class RoleUniverse:
 
     def __contains__(self, role: str) -> bool:
         return role in self._ids
-
-    def knows(self, roles: frozenset[str]) -> bool:
-        """Whether every one of ``roles`` is registered (one subset test)."""
-        return roles <= self._ids.keys()
 
     def __len__(self) -> int:
         return len(self._names)

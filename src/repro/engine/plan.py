@@ -45,6 +45,7 @@ if TYPE_CHECKING:
 __all__ = ["EntryGate", "PlanNode", "PhysicalPlan", "SelectGroup"]
 
 _POSITIVE = Sign.POSITIVE
+_NO_ROLES: frozenset[str] = frozenset()
 #: No member passed yet (never appended to: a pass builds a new list).
 _NO_RUNS: list = []
 
@@ -296,12 +297,51 @@ class EntryGate(PolicyTracker):
                       and self._roles.isdisjoint(self.union))
 
     def _finalize_batch(self) -> None:
-        """Close the arrived sp-batch: what the analyzer makes of it is
-        the batch the tracker installs (an empty answer, a no-op delta,
-        leaves the policy in force)."""
-        if self.analyzer is not None and self._batch:
-            self._batch = self.analyzer.process_batch(self._batch)
-        super()._finalize_batch()
+        """Close the arrived sp-batch in one walk.
+
+        What the analyzer makes of it is the batch the tracker installs
+        (an empty answer, a no-op delta, leaves the policy in force).
+        One read of each sp gives the install its delta count and the
+        drop decision its plain-grant roles; a batch that took over is
+        the segment's to hand on, a stale one changes nothing."""
+        batch = self._batch
+        if not batch:
+            return
+        analyzer = self.analyzer
+        if analyzer is not None:
+            batch = analyzer.process_batch(batch)
+            if not batch:
+                self._batch = []
+                return
+        incremental = 0
+        # The union of the sps' roles while every sp read so far is a
+        # plain grant (positive, absolute, fully wildcard-scoped, with
+        # concrete roles: what ``segment_policy`` requires), else None.
+        roles: frozenset[str] | None = _NO_ROLES
+        for sp in batch:
+            if sp.incremental:
+                incremental += 1
+                roles = None
+            elif roles is not None:
+                granted = sp.srp.concrete_roles()
+                ddp = sp.ddp
+                if (granted is not None and sp.sign is _POSITIVE
+                        and (ddp.stream is ANY or ddp.stream.is_wildcard())
+                        and (ddp.tuple_id is ANY
+                             or ddp.tuple_id.is_wildcard())
+                        and (ddp.attribute is ANY
+                             or ddp.attribute.is_wildcard())):
+                    roles = roles | granted if roles else granted
+                else:
+                    roles = None
+        if not self._install(batch, incremental):
+            return
+        self._sps, self._pending = self._pending, ()
+        self._fields = None
+        self._roles = roles
+        union = self.union
+        self._drop = (union is not None and roles is not None
+                      and roles.isdisjoint(union))
 
     def close(self) -> None:
         """End of stream: close a trailing sp-batch.  No tuple follows,
@@ -313,16 +353,6 @@ class EntryGate(PolicyTracker):
         :class:`TupleBatch`), or ``None``: the run is dropped."""
         if self._batch:  # an sp arrived since the last tuple
             self._finalize_batch()
-            pending = self._pending
-            if pending:  # else a stale batch: the segment goes on
-                self._pending = ()
-                self._sps = pending
-                self._fields = None
-                if self.union is not None:
-                    self._roles = roles = (
-                        None if self.delta else _plain_grant_roles(pending))
-                    self._drop = (roles is not None
-                                  and roles.isdisjoint(self.union))
         if self._drop:
             tuples = run.tuples if type(run) is TupleBatch else (run,)
             self.dropped += len(tuples)
@@ -347,23 +377,6 @@ class EntryGate(PolicyTracker):
                               operator=f"entry:{self.stream_id}",
                               predicate=predicate, policy=policy, sp=sp,
                               queries=queries)
-
-
-def _plain_grant_roles(batch) -> frozenset[str] | None:
-    """The roles of a plain grant (each sp's ``roles()``, read off its
-    SRP without writing the sp's memo), else ``None``."""
-    for sp in batch:
-        roles = sp.srp.concrete_roles()
-        ddp = sp.ddp
-        if not (roles is not None and sp.sign is _POSITIVE
-                and not sp.incremental
-                and (ddp.stream is ANY or ddp.stream.is_wildcard())
-                and (ddp.tuple_id is ANY or ddp.tuple_id.is_wildcard())
-                and (ddp.attribute is ANY or ddp.attribute.is_wildcard())):
-            return None
-    if len(batch) == 1:
-        return roles
-    return frozenset().union(*(sp.srp.concrete_roles() for sp in batch))
 
 
 class PhysicalPlan:

@@ -281,7 +281,7 @@ class PolicyTracker:
 
     __slots__ = ("stream_id", "_current_raw", "_current_ts", "_batch",
                  "_pending", "_segment_policy", "_policy", "_scope",
-                 "_cache", "_resolved", "delta")
+                 "_cache", "_resolved")
 
     def __init__(self, stream_id: str):
         #: Nominal input stream (informational; resolution always uses
@@ -302,9 +302,6 @@ class PolicyTracker:
         self._cache: dict = {}
         #: Whether the current batch has been resolved (:meth:`_resolve`).
         self._resolved = True
-        #: Whether the policy in force arrived as an incremental batch
-        #: (and is held as its absolute equivalent).
-        self.delta = False
 
     # -- sp arrival -------------------------------------------------------
     def observe_sp(self, sp: SecurityPunctuation) -> None:
@@ -317,12 +314,17 @@ class PolicyTracker:
         it if stale); resolving it waits for the first tuple that asks
         (:meth:`_resolve`), so a reader that never asks pays nothing."""
         batch = self._batch
-        if not batch:
-            return
-        delta = batch[0].incremental or (
-            len(batch) > 1 and any(sp.incremental for sp in batch))
-        if delta:
-            if not all(sp.incremental for sp in batch):
+        if batch:
+            self._install(batch, batch[0].incremental if len(batch) == 1
+                          else sum(sp.incremental for sp in batch))
+
+    def _install(self, batch: "Sequence[SecurityPunctuation]",
+                 incremental: int) -> bool:
+        """Close the arrived sp-batch as ``batch``, ``incremental`` of
+        whose sps are deltas: it becomes the policy in force unless it
+        is stale (``False``: discarded)."""
+        if incremental:
+            if incremental != len(batch):
                 raise PolicyError(
                     "an sp-batch must not mix incremental and "
                     "absolute sps")
@@ -339,13 +341,13 @@ class PolicyTracker:
             # A policy older than the current one never takes over
             # (override() semantics); in an ordered stream this only
             # happens with reordering slack at play.
-            return
+            return False
         self._pending = batch
         self._current_raw = tuple(batch)
         self._current_ts = ts
         self._segment_policy = None
         self._resolved = False
-        self.delta = delta
+        return True
 
     def _resolve(self) -> None:
         """Resolution state of the batch in force (once per batch)."""

@@ -201,6 +201,8 @@ def run_engine(scenario: Scenario, config: EngineConfig,
     else:
         observability = None
     dsms = DSMS(observability=observability)
+    for sp in scenario.server_policies():
+        dsms.add_server_policy(sp)
     for sid, spec in scenario.streams.items():
         elements = scenario.decoded()[sid]
         if element_mutator is not None:
@@ -357,7 +359,8 @@ def verify_scenario(scenario: Scenario, *,
             descr, "analysis/strict", diagnostic.node_path, "analysis",
             str(diagnostic)))
     if oracle is None:
-        oracle = run_oracle(scenario.decoded(), scenario.queries)
+        oracle = run_oracle(scenario.decoded(), scenario.queries,
+                            scenario.server_policies())
     drops_by_plan: dict[str, dict[str, int]] = {}
     for config in configs_for(scenario):
         report.configs_run += 1

@@ -225,7 +225,8 @@ def run_fault_campaign(scenario: Scenario,
                        rng: random.Random) -> FaultOutcome:
     """Inject each fault class into one scenario and check expectations."""
     outcome = FaultOutcome(scenario.describe())
-    original_oracle = run_oracle(scenario.decoded(), scenario.queries)
+    original_oracle = run_oracle(scenario.decoded(), scenario.queries,
+                                 scenario.server_policies())
 
     # Benign faults: engine(faulted) must equal oracle(original).
     for label, mutator in (
@@ -259,7 +260,8 @@ def run_fault_campaign(scenario: Scenario,
         if found:
             outcome.faults_run += 1
             faulted = scenario.mutate_elements(mutator)
-            faulted_oracle = run_oracle(faulted.decoded(), faulted.queries)
+            faulted_oracle = run_oracle(faulted.decoded(), faulted.queries,
+                                        faulted.server_policies())
             for name in scenario.queries:
                 allowed = set()
                 for sig in original_oracle.delivered[name]:

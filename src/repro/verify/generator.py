@@ -3,15 +3,17 @@
 A *scenario* is a fully serializable description of one verification
 case: input streams (as wire-format lines, interleaving sps and
 tuples), query plan specs (plain nested dicts — the oracle interprets
-them directly, the differ compiles them to engine expressions) and the
-knob settings that produced them.
+them directly, the differ compiles them to engine expressions), the
+server policies registered before the streams run and the knob
+settings that produced them.
 
 Determinism discipline: every random draw comes from one
 ``random.Random(f"sp-verify:{seed}:{index}")`` instance (plus one
 draw of its own deciding whether a ``select``/``multi_query`` scenario
-carries incremental sp-batches) — no wall clock, no global random
-state — so ``repro verify --seed N`` is byte-reproducible and every
-scenario can be regenerated from its ``(seed, index)`` pair alone.
+carries incremental sp-batches, and one drawing its server policy) —
+no wall clock, no global random state — so ``repro verify --seed N``
+is byte-reproducible and every scenario can be regenerated from its
+``(seed, index)`` pair alone.
 
 Generated shield predicates always *contain* the query's roles
 (conjunct = query roles ∪ extras).  This matches how shields arise in
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.patterns import ANY, literal, one_of
@@ -67,11 +69,18 @@ class Scenario:
     #: query name -> {"roles": [...], "plan": spec}
     queries: dict
     note: str = ""
+    #: Server policies registered before the streams run, as sp text
+    #: (``SecurityPunctuation.to_text``).
+    server: list = field(default_factory=list)
 
     def decoded(self) -> "dict[str, list[StreamElement]]":
         """Fresh decoded elements per stream (registration order)."""
         return {sid: [decode_element(line) for line in spec["elements"]]
                 for sid, spec in self.streams.items()}
+
+    def server_policies(self) -> "list[SecurityPunctuation]":
+        """Fresh parsed server policies, in registration order."""
+        return [SecurityPunctuation.parse(text) for text in self.server]
 
     def element_count(self) -> int:
         return sum(len(spec["elements"]) for spec in self.streams.values())
@@ -93,6 +102,7 @@ class Scenario:
             "streams": self.streams,
             "queries": self.queries,
             "note": self.note,
+            "server": self.server,
         }
 
     def to_json(self) -> str:
@@ -108,6 +118,7 @@ class Scenario:
             streams=data["streams"],
             queries=data["queries"],
             note=data.get("note", ""),
+            server=list(data.get("server", ())),
         )
 
     @classmethod
@@ -115,12 +126,10 @@ class Scenario:
         return cls.from_dict(json.loads(text))
 
     def with_streams(self, streams: dict) -> "Scenario":
-        return Scenario(self.seed, self.index, self.shape, self.knobs,
-                        streams, self.queries, self.note)
+        return replace(self, streams=streams)
 
     def with_queries(self, queries: dict) -> "Scenario":
-        return Scenario(self.seed, self.index, self.shape, self.knobs,
-                        self.streams, queries, self.note)
+        return replace(self, queries=queries)
 
     def mutate_elements(
         self,
@@ -143,9 +152,10 @@ class Scenario:
         Both baselines model flat stream-level enforcement: a single
         stream, pure-scan plans and wildcard-DDP sps (the tuple- and
         attribute-granular cases are exactly what they cannot express
-        without a query processor).
+        without a query processor), and no server policy (neither
+        refines a provider's).
         """
-        if len(self.streams) != 1:
+        if len(self.streams) != 1 or self.server:
             return False
         for query in self.queries.values():
             if query["plan"]["op"] != "scan":
@@ -438,4 +448,22 @@ def generate_scenario(seed: int, index: int) -> Scenario:
     # Registration order must be deterministic: rebuild sorted.
     queries = {name: queries[name] for name in sorted(queries)}
     return Scenario(seed=seed, index=index, shape=shape, knobs=knobs,
-                    streams=streams, queries=queries)
+                    streams=streams, queries=queries,
+                    server=_server_policy(seed, index, shape, knobs))
+
+
+def _server_policy(seed: int, index: int, shape: str, knobs: dict) -> list:
+    """0-1 wildcard-scoped server grant or denial, as sp text, over a
+    scenario of absolute batches (not the baseline shape: neither
+    baseline refines a provider's policy).  Drawn apart from the
+    scenario's own ``rng``: the streams and queries are the ones
+    generated before server policies existed."""
+    if knobs.get("p_incremental") or shape == "baseline":
+        return []
+    rng = random.Random(f"sp-verify:{seed}:{index}:server")
+    if rng.random() >= 0.4:
+        return []
+    roles = _draw_roles(rng)
+    sp = (SecurityPunctuation.grant(roles, 0.0) if rng.random() < 0.5
+          else SecurityPunctuation.deny(roles, 0.0))
+    return [sp.to_text()]

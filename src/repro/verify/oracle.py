@@ -27,6 +27,12 @@ Semantics implemented here, straight from the paper:
   Derived tuples (join results, aggregates, re-emitted duplicates)
   carry their resolved role set directly, mirroring how the engine
   propagates wildcard grant sps for them.
+* **Server policies** (wildcard-scoped): each arriving sp-batch is
+  refined before it governs anything.  A server grant intersects the
+  roles of every positive provider sp that is not immutable (an sp left
+  with no role is gone); a server denial joins every batch that has a
+  mutable sp, at the batch's timestamp; a batch refined to nothing
+  denies everyone.
 * **Entry drops**: delivery is computed over every tuple; the per-query
   denial counts over what a stream's entry lets on.  A stream no δ or
   G sits above drops a tuple whose governing batch is a *plain grant*
@@ -40,7 +46,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.punctuation import SecurityPunctuation
+from repro.core.patterns import ANY
+from repro.core.punctuation import (DataDescription, SecurityPunctuation,
+                                    SecurityRestriction, Sign)
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
@@ -51,6 +59,7 @@ __all__ = [
     "entry_feed",
     "entry_readers",
     "merge_streams",
+    "refine_streams",
     "resolve_batch",
     "run_oracle",
     "signature",
@@ -122,6 +131,70 @@ class NaiveTracker:
         """The batch governing a tuple arriving now (finalizes pending)."""
         self._finalize()
         return self._current
+
+
+# -- server policies ----------------------------------------------------------
+
+def _refined(batch: "list[SecurityPunctuation]",
+             server: "Sequence[SecurityPunctuation]") -> list:
+    """One arriving sp-batch under wildcard-scoped server policies."""
+    ts = batch[0].ts
+    out = list(batch)
+    for policy in server:
+        if not (policy.ddp.stream.is_wildcard()
+                and policy.ddp.tuple_id.is_wildcard()
+                and policy.ddp.attribute.is_wildcard()):
+            raise ValueError("the oracle refines by wildcard-scoped "
+                             "server policies only")
+        if policy.is_positive:
+            kept = []
+            for sp in out:
+                if sp.immutable or not sp.is_positive:
+                    kept.append(sp)
+                    continue
+                roles = sp.roles() & policy.roles()
+                if roles:
+                    kept.append(sp.with_roles(sorted(roles)))
+            out = kept
+    for policy in server:
+        if not policy.is_positive and not all(sp.immutable for sp in batch):
+            out.append(SecurityPunctuation(
+                ddp=policy.ddp, srp=policy.srp, ts=ts, sign=Sign.NEGATIVE,
+                incremental=all(sp.incremental for sp in batch)))
+    if not out and not all(sp.incremental for sp in batch):
+        out = [SecurityPunctuation(ddp=DataDescription(),
+                                   srp=SecurityRestriction(ANY), ts=ts,
+                                   sign=Sign.NEGATIVE)]
+    return out
+
+
+def refine_streams(
+    streams: "dict[str, list[StreamElement]]",
+    server: "Sequence[SecurityPunctuation]",
+) -> "dict[str, list[StreamElement]]":
+    """Each stream with every sp-batch (consecutive sps, split where the
+    timestamp changes) refined by the server policies."""
+    if not server:
+        return streams
+    out: dict[str, list[StreamElement]] = {}
+    for sid, elements in streams.items():
+        refined: list[StreamElement] = []
+        batch: list[SecurityPunctuation] = []
+        for element in elements:
+            if isinstance(element, SecurityPunctuation):
+                if batch and element.ts != batch[0].ts:
+                    refined.extend(_refined(batch, server))
+                    batch = []
+                batch.append(element)
+                continue
+            if batch:
+                refined.extend(_refined(batch, server))
+                batch = []
+            refined.append(element)
+        if batch:
+            refined.extend(_refined(batch, server))
+        out[sid] = refined
+    return out
 
 
 # -- resolution -------------------------------------------------------------
@@ -657,7 +730,8 @@ def _interpret(plan: dict, qroles: frozenset[str],
 
 
 def run_oracle(streams: "dict[str, list[StreamElement]]",
-               queries: "dict[str, dict]") -> OracleOutcome:
+               queries: "dict[str, dict]",
+               server: "Sequence[SecurityPunctuation]" = ()) -> OracleOutcome:
     """Interpret every query independently over the merged feed.
 
     ``queries`` maps query name to ``{"roles": [...], "plan": spec}``.
@@ -666,9 +740,10 @@ def run_oracle(streams: "dict[str, list[StreamElement]]",
     roles, it does not narrow the emitted policy — exactly what the
     engine's delivery shield does).  Delivery is read off the whole
     feed; the denial counts off what the streams' entries let on
-    (:func:`entry_feed`).
+    (:func:`entry_feed`).  ``server`` policies refine every stream's
+    sp-batches first (:func:`refine_streams`).
     """
-    feed = merge_streams(streams)
+    feed = merge_streams(refine_streams(streams, server))
     entered = entry_feed(feed, queries)
     outcome = OracleOutcome()
     for name, query in queries.items():

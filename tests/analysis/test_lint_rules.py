@@ -200,6 +200,9 @@ SEEDS = {
         "    def ev" + "ent(self, name, *, keep=False, **attrs):"),
     "a switch costs the group O(1)": (
         "src/repro/engine/executor.py", "select.hold(element)"),
+    "one walk per sp-batch": (
+        "src/repro/engine/session.py",
+        "        sps = self.analyzer.process_batch(sps)"),
 }
 
 #: Lines no guard flags: an allow-listed line, or a near miss.
@@ -226,6 +229,8 @@ ALLOWED = [
     ("src/repro/operators/base.py", "share = elapsed / len(operators)"),
     ("src/repro/engine/executor.py", "group.add_sp(element)"),
     ("src/repro/observability/audit.py", "    def ev" + "ent(self, i):"),
+    ("src/repro/engine/plan.py",
+     "            batch = analyzer.process_batch(batch)"),
 ]
 
 
@@ -242,6 +247,31 @@ class TestGuards:
         fired = [finding.message.split(":")[0]
                  for finding in lint_rules.check_guards(tmp_path)]
         assert sorted(fired) == sorted(SEEDS)
+
+
+    def test_one_walk_per_sp_batch(self, tmp_path):
+        """The entry's one analyzer call is allowed where it is and
+        nowhere else; the plain-grant helper it replaced is gone."""
+        lines = {
+            "src/repro/engine/plan.py": [
+                "            batch = analyzer.process_batch(batch)",
+                "        out = self.analyzer.process_batch(self._batch)",
+                "                roles = _plain_grant_roles(pending)"],
+            "src/repro/engine/executor.py": [
+                "            batch = analyzer.process_batch(batch)"],
+            "src/repro/core/analyzer.py": [
+                "            yield from self.process_batch(pending)"],
+        }
+        for relpath, texts in lines.items():
+            path = tmp_path / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        fired = sorted((finding.path.relative_to(tmp_path).as_posix(),
+                        finding.line)
+                       for finding in lint_rules.check_guards(tmp_path))
+        assert fired == [("src/repro/engine/executor.py", 1),
+                         ("src/repro/engine/plan.py", 2),
+                         ("src/repro/engine/plan.py", 3)]
 
 
 class TestWholeTree:

@@ -213,6 +213,37 @@ class TestSwitchCost:
         assert [select.sps_discarded for select in selects] == [0] * 8 + [
             1] * 24
 
+    @staticmethod
+    def switch_calls(session, roles):
+        """``profile_push`` of a switch: the tuple after a lone grant of
+        ``roles`` (already registered), whose entry closes the batch."""
+        session.push("s", SecurityPunctuation.grant(roles, 2.0))
+        session.push("s", tup(-1, 3.0))
+        session.push("s", SecurityPunctuation.grant(roles, 4.0))
+        return profile_push(session, tup(-1, 5.0))
+
+    # The entry closes the held batch in one walk: the analyzer enters no
+    # stage with nothing to do, and one read of each sp serves both the
+    # install and the drop decision (docs/PERFORMANCE.md, What closing
+    # an sp-batch costs).
+
+    def test_a_switch_the_entry_drops(self):
+        calls, _, _ = self.switch_calls(warm_session(32), ["X"])
+        assert calls <= 10
+
+    def test_a_switch_the_entry_passes(self):
+        calls, _, _ = self.switch_calls(warm_session(32), ["D", "N", "C"])
+        assert calls <= 16
+
+    def test_a_switch_under_a_server_policy(self):
+        dsms = fan_out(queries=32)
+        dsms.add_server_policy(SecurityPunctuation.grant(["D", "N"], 0.0))
+        session = dsms.open_session()
+        session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 0.0))
+        session.push("s", tup(99, 1.0))
+        calls, _, _ = self.switch_calls(session, ["D", "N", "C"])
+        assert calls <= 49
+
 
 def pushed_counters(dsms):
     """Push every source element one at a time; per operator in plan

@@ -77,7 +77,8 @@ def test_traced_configs_check_denial_counts():
     scenario = generate_scenario(23, 0)
     traced = [c for c in configs_for(scenario) if c.traced]
     assert {c.label for c in traced} == {"traced/nl", "session-traced/nl"}
-    oracle = run_oracle(scenario.decoded(), scenario.queries)
+    oracle = run_oracle(scenario.decoded(), scenario.queries,
+                        scenario.server_policies())
     for config in traced:
         outcome = run_engine(scenario, config)
         assert outcome.denied == oracle.denied, config.label

@@ -1,6 +1,7 @@
 """Fault injection: benign faults, consistency faults, malformed sps."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -78,10 +79,14 @@ class TestKnownBadMutator:
         # With the wildcard grant prepended, the oracle itself delivers
         # at least as much — demonstrating the mutation models a real
         # denial-by-default failure rather than a no-op.
-        scenario = generate_scenario(99, 1)
+        # Without its server policy: the generated denial of both query
+        # roles would subtract what the prepended grant adds.
+        scenario = replace(generate_scenario(99, 1), server=[])
         mutated = scenario.mutate_elements(disable_denial_by_default())
-        base = run_oracle(scenario.decoded(), scenario.queries)
-        wide = run_oracle(mutated.decoded(), mutated.queries)
+        base = run_oracle(scenario.decoded(), scenario.queries,
+                          scenario.server_policies())
+        wide = run_oracle(mutated.decoded(), mutated.queries,
+                          mutated.server_policies())
         for name in scenario.queries:
             assert len(wide.delivered[name]) >= len(base.delivered[name])
         assert any(len(wide.delivered[n]) > len(base.delivered[n])

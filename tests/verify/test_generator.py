@@ -93,3 +93,22 @@ class TestLegality:
                 found = True
                 assert scenario.baseline_compatible()
         assert found, "no baseline shape in 40 draws"
+
+
+class TestServerPolicies:
+    def test_zero_or_one_wildcard_policy_over_absolute_batches(self):
+        drawn = {"+": 0, "-": 0}
+        for seed in range(4):
+            for index in range(25):
+                scenario = generate_scenario(seed, index)
+                assert len(scenario.server) <= 1
+                for sp in scenario.server_policies():
+                    drawn[sp.sign.value] += 1
+                    assert sp.provider is None
+                    assert sp.ddp.granularity().value == "stream"
+                    assert sp.ddp.stream.is_wildcard()
+                    assert not scenario.knobs.get("p_incremental")
+                    assert not scenario.baseline_compatible()
+                    assert Scenario.from_json(
+                        scenario.to_json()).server == scenario.server
+        assert drawn["+"] and drawn["-"], drawn

@@ -11,6 +11,10 @@ from repro.stream.tuples import DataTuple
 from repro.verify.oracle import (NaiveTracker, canonical_tid, resolve_batch,
                                  run_oracle, signature)
 
+#: Wildcard-scoped server policies (provider ``None``).
+SERVER_GRANT = SecurityPunctuation.grant(["R1", "R3"], 0.0)
+SERVER_DENIAL = SecurityPunctuation.deny(["R2"], 0.0)
+
 
 def grant(roles, ts, **kw):
     kw.setdefault("stream", literal("s"))
@@ -221,3 +225,44 @@ class TestGroupBySemantics:
         sums = [dict(sig[3])["sum(a)"] for sig in outcome.delivered["q"]]
         # R1's aggregate never mixes with R2's disjoint subgroup
         assert sums == [10, 5]
+
+
+class TestServerPolicies:
+    """A wildcard server grant intersects every mutable positive sp; a
+    server denial subtracts unless every sp of the batch is immutable;
+    a batch refined to nothing denies everyone."""
+
+    def roles(self, stream, server):
+        outcome = run_oracle({"s": stream}, scan_query(["R1", "R2", "R3"]),
+                             server)
+        return [sig[4] for sig in outcome.delivered["q"]]
+
+    def test_a_grant_intersects_a_mutable_sp(self):
+        assert self.roles([grant(["R1", "R2"], 1.0), t(0, 2.0)],
+                          [SERVER_GRANT]) == [("R1",)]
+
+    def test_a_grant_leaves_an_immutable_sp(self):
+        assert self.roles(
+            [grant(["R1", "R2"], 1.0, immutable=True), t(0, 2.0)],
+            [SERVER_GRANT]) == [("R1", "R2")]
+
+    def test_a_denial_subtracts_from_the_whole_batch(self):
+        # One mutable sp is enough: the denial joins the batch and so
+        # also narrows the immutable sp's grant.
+        stream = [grant(["R1", "R2"], 1.0, immutable=True),
+                  grant(["R3"], 1.0), t(0, 2.0)]
+        assert self.roles(stream, [SERVER_DENIAL]) == [("R1", "R3")]
+
+    def test_a_denial_skips_an_all_immutable_batch(self):
+        stream = [grant(["R1", "R2"], 1.0, immutable=True), t(0, 2.0)]
+        assert self.roles(stream, [SERVER_DENIAL]) == [("R1", "R2")]
+
+    def test_a_batch_refined_to_nothing_denies_everyone(self):
+        # Not the previous policy: the refined-away batch still takes
+        # over the segment.
+        stream = [grant(["R1"], 1.0), t(0, 2.0), grant(["R2"], 3.0),
+                  t(1, 4.0)]
+        outcome = run_oracle({"s": stream}, scan_query(["R1", "R2"]),
+                             [SERVER_GRANT])
+        assert delivered_tids(outcome) == [0]
+        assert outcome.denied["q"] == 1
