@@ -248,6 +248,14 @@ GUARDS = (
           "docs/OBSERVABILITY.md, repro why",
           allow=r"^(?!src/repro/observability/provenance\.py:).*"
                 r"\bdef event[(]"),
+    Guard("one figure harness",
+          r"pytest[_-]benchmark|REPRO_BENCH_SCALE|benchmark-only"
+          r"|bench_(fig|ablation)",
+          ("src", "tests", "benchmarks", "pyproject.toml", ".github", "docs",
+           "README.md", "DESIGN.md", "EXPERIMENTS.md"),
+          "the paper's figures and ablations have one driver, python -m "
+          "repro experiments [--quick] (repro.experiments.runner.run_all); "
+          "see EXPERIMENTS.md"),
     Guard("one outlet per query",
           r"auto_shield|_has_shield",
           ("src", "tests", "examples", "docs", "README.md"),

@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     experiments = sub.add_parser(
-        "experiments", help="regenerate the Section VII figures")
+        "experiments",
+        help="regenerate the Section VII figures and the design ablations")
     experiments.add_argument("--quick", action="store_true",
                              help="CI-sized workloads")
     experiments.set_defaults(fn=_cmd_experiments)

@@ -256,12 +256,15 @@ class SPAnalyzer:
                 next_round.extend(self._refine_one(item, server_sp))
             current = next_round
         if self.audit is not None and current != [sp]:
+            # An SRP still open here matched no known role: it grants
+            # none.
             result_roles: set[str] = set()
             for item in current:
-                result_roles |= item.roles()
+                result_roles |= item.srp.concrete_roles() or frozenset()
             self.audit.record(
                 "analyzer.refine", ts=sp.ts, operator="SPAnalyzer",
-                policy=tuple(sorted(sp.roles())), sp=sp.to_text(),
+                policy=tuple(sorted(sp.srp.concrete_roles() or ())),
+                sp=sp.to_text(),
                 result_roles=sorted(result_roles),
                 result_sps=len(current),
                 conservative=(self.conservative_refinements
@@ -271,6 +274,10 @@ class SPAnalyzer:
 
     def _refine_one(self, sp: SecurityPunctuation,
                     server_sp: SecurityPunctuation) -> list[SecurityPunctuation]:
+        # The server roles ``sp`` grants: those its SRP matches, which
+        # for an open pattern that matched no known role may be none.
+        server_roles = server_sp.roles()
+        restricted = sp.srp.resolve(server_roles) & server_roles
         conj = conjoin_ddp(sp.ddp, server_sp.ddp)
         if conj is None:
             # Undecidable or empty overlap.  Distinguish: if any field
@@ -278,9 +285,7 @@ class SPAnalyzer:
             if self._provably_disjoint(sp.ddp, server_sp.ddp):
                 return [sp]
             self.conservative_refinements += 1
-            restricted = sp.roles() & server_sp.roles()
             return [sp.with_roles(sorted(restricted))] if restricted else []
-        restricted = sp.roles() & server_sp.roles()
         if conj == sp.ddp:
             # Server scope covers the provider sp entirely.
             return [sp.with_roles(sorted(restricted))] if restricted else []

@@ -1,6 +1,7 @@
-"""Experiment drivers regenerating every figure of Section VII."""
+"""Experiment drivers regenerating every figure of Section VII and the
+design ablations; ``python -m repro experiments`` prints them all."""
 
-from repro.experiments import fig7, fig8, fig9
+from repro.experiments import ablations, fig7, fig8, fig9
 from repro.experiments.runner import run_all
 
-__all__ = ["fig7", "fig8", "fig9", "run_all"]
+__all__ = ["ablations", "fig7", "fig8", "fig9", "run_all"]

@@ -41,6 +41,8 @@ __all__ = [
     "MechanismResult",
     "PAPER_RATIOS",
     "PAPER_POLICY_SIZES",
+    "drive_chain",
+    "query_operators",
     "region_condition",
     "run_sp_mechanism",
     "run_store_and_probe",
@@ -104,12 +106,13 @@ class MechanismResult:
         return self.memory_bytes / (1024.0 * 1024.0)
 
 
-def _query_operators() -> tuple[Select, Project]:
+def query_operators() -> tuple[Select, Project]:
+    """The running query's σ and π, fresh."""
     return (Select(region_condition()),
             Project(("object_id", "x", "y")))
 
 
-def _drive_chain(elements, operators) -> int:
+def drive_chain(elements, operators) -> int:
     """Push elements through an operator chain; return tuples out."""
     tuples_out = 0
     for element in elements:
@@ -153,10 +156,10 @@ def run_sp_mechanism(elements: list[StreamElement], roles,
                      buffer_size: int = 500) -> MechanismResult:
     """Security-punctuation enforcement: SS → σ → π."""
     shield = SecurityShield(roles)
-    select, project = _query_operators()
+    select, project = query_operators()
     timer = Timer()
     with timer:
-        tuples_out = _drive_chain(elements, (shield, select, project))
+        tuples_out = drive_chain(elements, (shield, select, project))
     tuples_in = sum(1 for e in elements if isinstance(e, DataTuple))
     return MechanismResult(
         mechanism="security punctuations",
@@ -174,10 +177,10 @@ def run_store_and_probe(elements: list[StreamElement], roles,
                         buffer_size: int = 500) -> MechanismResult:
     """Store-and-probe enforcement: central table + per-tuple probe."""
     enforcer = StoreAndProbeEnforcer(roles)
-    select, project = _query_operators()
+    select, project = query_operators()
     timer = Timer()
     with timer:
-        tuples_out = _drive_chain(enforcer.ingest(elements),
+        tuples_out = drive_chain(enforcer.ingest(elements),
                                   (select, project))
     tuples_in = sum(1 for e in elements if isinstance(e, DataTuple))
     return MechanismResult(
@@ -202,7 +205,7 @@ def run_tuple_embedded(elements: list[StreamElement], roles,
     tuple's private policy copy into operator memory).
     """
     enforcer = TupleEmbeddedEnforcer(roles)
-    select, project = _query_operators()
+    select, project = query_operators()
     policy_tuples = []
     timer = Timer()
     with timer:
@@ -211,7 +214,7 @@ def run_tuple_embedded(elements: list[StreamElement], roles,
                 policy_tuples.append(policy_tuple)
                 yield policy_tuple
 
-        tuples_out = _drive_chain(enforcer.ingest(ingest()),
+        tuples_out = drive_chain(enforcer.ingest(ingest()),
                                   (select, project))
     tuples_in = sum(1 for e in elements if isinstance(e, DataTuple))
     return MechanismResult(

@@ -17,14 +17,12 @@ element sequences.
 
 from __future__ import annotations
 
-from repro.operators.project import Project
-from repro.operators.select import Select
+from repro.experiments.fig7 import drive_chain, query_operators
 from repro.operators.shield import SecurityShield
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import (QUERY_ROLE, punctuated_stream,
                                        role_names)
-from repro.experiments.fig7 import region_condition
 
 __all__ = [
     "PAPER_SS_RATIOS",
@@ -41,18 +39,9 @@ PAPER_ROLE_COUNTS = (1, 10, 50, 100, 500)
 def run_pipeline(elements: list[StreamElement], shield: SecurityShield
                  ) -> dict[str, float]:
     """Run SS → σ → π over ``elements``; return per-tuple ms per operator."""
-    select = Select(region_condition())
-    project = Project(("object_id", "x", "y"))
+    select, project = query_operators()
     operators = (shield, select, project)
-    for element in elements:
-        batch = [element]
-        for operator in operators:
-            next_batch: list[StreamElement] = []
-            for item in batch:
-                next_batch.extend(operator.process(item))
-            batch = next_batch
-            if not batch:
-                break
+    drive_chain(elements, operators)
     tuples_in = sum(1 for e in elements if isinstance(e, DataTuple))
     divisor = max(tuples_in, 1)
     total = sum(op.stats.processing_time for op in operators)

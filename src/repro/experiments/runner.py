@@ -1,22 +1,24 @@
-"""Run every Section VII experiment and print the paper's series.
+"""Run every Section VII experiment and design ablation, and print the
+paper's series: ``python -m repro experiments [--quick]``.
 
-Usage::
-
-    python -m repro.experiments.runner [--quick]
-
-``--quick`` shrinks the workloads (useful for CI); default sizes are
-laptop-scale but statistically stable.
+``scale`` multiplies the workload sizes (``--quick`` is 0.2); the
+default sizes are laptop-scale but statistically stable.
 """
 
 from __future__ import annotations
 
-import sys
-
-from repro.experiments import fig7, fig8, fig9
+from repro.experiments import ablations, fig7, fig8, fig9, granularity
 from repro.metrics.charts import bar_chart, grouped_bar_chart
 from repro.metrics.reporting import print_table
 
-__all__ = ["run_all", "main"]
+__all__ = ["run_all"]
+
+
+def _print_rows(title: str, columns, rows: list[dict]) -> None:
+    """One table: ``columns`` pairs a header with a row key."""
+    print_table([header for header, _ in columns],
+                [[row[key] for _, key in columns] for row in rows],
+                title=title)
 
 
 def _fig7ab(scale: float) -> None:
@@ -53,10 +55,14 @@ def _fig8a(scale: float) -> None:
 
 def _fig8b(scale: float) -> None:
     rows = fig8.experiment_fig8b(n_tuples=int(5000 * scale))
+    indexed = fig8.experiment_fig8b(n_tuples=int(5000 * scale),
+                                    indexed=True)
     print_table(
-        ("roles", "project (ms)", "select (ms)", "ss (ms)", "ss share"),
+        ("roles", "project (ms)", "select (ms)", "ss (ms)", "ss share",
+         "ss, predicate index (ms)"),
         [(r["roles"], r["project_ms"], r["select_ms"], r["ss_ms"],
-          f"{r['ss_fraction'] * 100:.1f}%") for r in rows],
+          f"{r['ss_fraction'] * 100:.1f}%", i["ss_ms"])
+         for r, i in zip(rows, indexed)],
         title="Figure 8b — SS operator cost vs role count in SS state",
     )
 
@@ -81,9 +87,7 @@ def _fig9(scale: float) -> None:
 
 
 def _granularity(scale: float) -> None:
-    from repro.experiments.granularity import experiment_granularity
-
-    rows = experiment_granularity(n_tuples=int(4000 * scale))
+    rows = granularity.experiment_granularity(n_tuples=int(4000 * scale))
     print_table(
         ("granularity", "ss (ms/tuple)", "select (ms/tuple)"),
         [(r["granularity"], r["ss_ms"], r["select_ms"]) for r in rows],
@@ -95,23 +99,47 @@ def _granularity(scale: float) -> None:
     print()
 
 
+def _ablations(scale: float) -> None:
+    _print_rows(
+        "Ablation — PF vs FP nested-loop SAJoin (ms/100 tuples), by σ_sp",
+        (("σ_sp", "sigma_sp"), ("method", "method"), ("join", "join_ms"),
+         ("pairs checked", "pairs_checked"), ("results", "results")),
+        ablations.ablation_pf_fp(n_tuples=int(800 * scale)))
+    _print_rows(
+        "Ablation — SPIndex skipping rule (Lemma 5.1), ms/100 tuples",
+        (("skipping", "skipping"), ("join", "join_ms"),
+         ("entries scanned", "entries_scanned"),
+         ("entries skipped", "entries_skipped"),
+         ("segments visited", "segments_visited"),
+         ("comparisons", "comparisons"), ("results", "results")),
+        ablations.ablation_skipping(n_tuples=int(800 * scale)))
+    _print_rows(
+        "Ablation — bitmap vs set policy encoding",
+        (("|R|", "policy_size"), ("encoding", "encoding"),
+         ("cost/check (µs)", "per_check_us"),
+         ("compatible pairs", "compatible_pairs"),
+         ("bytes/policy", "bytes_per_policy")),
+        ablations.ablation_bitmap(n_checks=int(4000 * scale)))
+    _print_rows(
+        "Ablation — SS placement: pre-, intermediate- and post-filtering",
+        (("regime", "regime"), ("placement", "placement"),
+         ("cost/tuple (ms)", "per_tuple_ms"), ("select in", "select_in"),
+         ("tuples out", "tuples_out")),
+        ablations.ablation_placement(n_tuples=int(3000 * scale)))
+    _print_rows(
+        "Ablation — incremental (delta) vs absolute sps",
+        (("|R|", "policy_size"), ("encoding", "encoding"),
+         ("ss (ms/tuple)", "ss_ms"), ("tuples out", "tuples_out"),
+         ("sp bytes", "sp_bytes")),
+        ablations.ablation_incremental(n_changes=int(120 * scale)))
+
+
 def run_all(scale: float = 1.0) -> None:
-    """Run every experiment and print the paper's series."""
+    """Run every experiment and ablation and print the paper's series."""
     _fig7ab(scale)
     _fig7cd(scale)
     _fig8a(scale)
     _fig8b(scale)
     _fig9(scale)
     _granularity(scale)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Module entry point (``--quick`` shrinks the workloads)."""
-    argv = sys.argv[1:] if argv is None else argv
-    scale = 0.2 if "--quick" in argv else 1.0
-    run_all(scale)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    _ablations(scale)

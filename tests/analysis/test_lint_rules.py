@@ -200,6 +200,9 @@ SEEDS = {
         "    def ev" + "ent(self, name, *, keep=False, **attrs):"),
     "a switch costs the group O(1)": (
         "src/repro/engine/executor.py", "select.hold(element)"),
+    "one figure harness": (
+        "benchmarks/x.py", "def test_fig7a(bench" + "mark, streams):  # "
+        "bench_" + "fig7a"),
     "one walk per sp-batch": (
         "src/repro/engine/session.py",
         "        sps = self.analyzer.process_batch(sps)"),

@@ -118,6 +118,28 @@ class TestServerRefinement:
         assert boundary.srp.roles.is_wildcard()
         assert boundary.ts == 1.0
 
+    def test_unmatched_open_pattern_grants_no_server_role(self):
+        """An open role pattern that matched no known role grants the
+        server roles it matches: none, so the batch is refined away."""
+        analyzer = SPAnalyzer(RoleUniverse())
+        analyzer.add_server_policy(SecurityPunctuation.grant(["A"], ts=0.0))
+        sp = SecurityPunctuation(ddp=DataDescription(),
+                                 srp=SecurityRestriction.parse("/C|E/"),
+                                 ts=1.0, provider="p")
+        out = analyzer.process_batch([sp])
+        assert [(o.is_positive, o.srp.roles.is_wildcard()) for o in out] \
+            == [(False, True)]
+
+    def test_open_pattern_keeps_the_server_roles_it_matches(self):
+        analyzer = SPAnalyzer(RoleUniverse())
+        analyzer.add_server_policy(
+            SecurityPunctuation.grant(["A", "B"], ts=0.0))
+        sp = SecurityPunctuation(ddp=DataDescription(),
+                                 srp=SecurityRestriction.parse("/[AC]/"),
+                                 ts=1.0, provider="p")
+        out = analyzer.process_batch([sp])
+        assert [o.roles() for o in out] == [frozenset({"A"})]
+
     def test_disjoint_server_scope_leaves_sp_untouched(self):
         analyzer = SPAnalyzer()
         analyzer.add_server_policy(SecurityPunctuation.grant(

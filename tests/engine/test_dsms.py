@@ -4,12 +4,16 @@ import pytest
 
 from repro.access.rbac import RBACModel
 from repro.algebra.expressions import ScanExpr
-from repro.core.punctuation import SecurityPunctuation
+from repro.core.patterns import parse_names
+from repro.core.punctuation import (DataDescription, SecurityPunctuation,
+                                    SecurityRestriction)
 from repro.engine.dsms import DSMS
 from repro.errors import QueryError, StreamError
+from repro.observability import Observability
 from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
+from tests.drive import push_all
 
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
 
@@ -175,3 +179,38 @@ class TestImmutablePolicies:
         # The immutable sp survives the server policy; the mutable one
         # is refined to nothing.
         assert [t.tid for t in results["doc"].tuples] == [1]
+
+
+class TestUnmatchedOpenPattern:
+    """A provider sp whose open role pattern matched no known role
+    grants the server roles it matches — none — so under a server grant
+    its segment is denied, and neither a run nor a session raises."""
+
+    def _dsms(self, observability=None):
+        dsms = DSMS(observability=observability)
+        dsms.register_stream(SCHEMA, [
+            grant(["A"], 0.0),
+            reading(1, 72, 1.0),
+            SecurityPunctuation(ddp=DataDescription(),
+                                srp=SecurityRestriction(parse_names("/C|E/")),
+                                ts=2.0, provider="p1"),
+            reading(2, 80, 3.0),
+        ])
+        dsms.add_server_policy(SecurityPunctuation.grant(["A"], ts=0.0))
+        dsms.register_query("q", ScanExpr("hr"), roles={"A"})
+        return dsms
+
+    def test_run_denies_the_segment(self):
+        results = self._dsms().run()
+        assert [t.tid for t in results["q"].tuples] == [1]
+
+    def test_session_denies_the_segment(self):
+        results = push_all(self._dsms())
+        assert [t.tid for t in results["q"].tuples] == [1]
+
+    def test_refinement_is_audited_as_granting_nobody(self):
+        dsms = self._dsms(Observability.in_memory())
+        dsms.run()
+        refine = dsms.audit.events(kind="analyzer.refine")[-1]
+        assert refine.policy == ()
+        assert refine.detail["result_roles"] == []
