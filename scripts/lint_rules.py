@@ -225,9 +225,16 @@ GUARDS = (
     Guard("a switch costs the group O(1)",
           r"\.hold[(]", ("src/repro/engine/executor.py",),
           "an sp hop adds the sp to its SelectGroup's segment and calls no "
-          "member; a member holds it when a run passes it or a settle "
-          "brings it up to date; see docs/PERFORMANCE.md, A policy switch "
-          "costs its group O(1)"),
+          "member; a member holds it when a run passes it; see "
+          "docs/PERFORMANCE.md, A policy switch costs its group O(1)"),
+    Guard("a pass replays nothing",
+          r"\b_seen\b|\.credit[(]|def credit[(]self",
+          ("src/repro/engine",),
+          "a passing hop calls its passers' emit (and hold, once a "
+          "segment) and keeps no per-member cursor; SelectGroup.settle "
+          "credits the group's counts to every member with the one "
+          "operators.base.credit call; see docs/PERFORMANCE.md, A passing "
+          "hop costs its passers one emit"),
     Guard("one walk per sp-batch",
           r"_plain_grant_roles|analyzer\.process_batch[(]",
           ("src/repro/engine",),

@@ -214,11 +214,17 @@ class SPAnalyzer:
         """Register a server-specified policy (translated to sp form)."""
         if sp.provider is not None:
             raise PolicyError("server policies must have provider=None")
-        self._server_sps.append(self._normalize(sp))
+        # A server pattern that matches no known role yet stays open.
+        self._server_sps.append(self._normalize(sp) or sp)
 
     # -- normalization ------------------------------------------------------
-    def _normalize(self, sp: SecurityPunctuation) -> SecurityPunctuation:
-        """Resolve open-ended role patterns against the role universe."""
+    def _normalize(self, sp: SecurityPunctuation
+                   ) -> SecurityPunctuation | None:
+        """Register the sp's roles, or resolve its open-ended role
+        pattern against the role universe: ``None`` for a grant whose
+        pattern matches no known role, since it grants nobody (a denial
+        keeps its pattern, which readers match role by role, as they do
+        ``deny_all_sp``'s)."""
         roles = sp.srp.concrete_roles()
         if roles is not None:
             universe = self.universe
@@ -227,14 +233,9 @@ class SPAnalyzer:
                     universe.register(role)
             return sp
         resolved = sp.srp.resolve(self.universe.roles())
-        if not resolved:
-            # The pattern matches no currently-known role.  Keep the sp
-            # as-is: a positive sp authorizing nobody contributes
-            # nothing (denial-by-default) but still marks the batch
-            # boundary, and the open pattern may match roles registered
-            # later.
-            return sp
-        return sp.with_roles(sorted(resolved))
+        if resolved:
+            return sp.with_roles(sorted(resolved))
+        return None if sp.is_positive else sp
 
     # -- refinement ----------------------------------------------------------
     def _refine(self, sp: SecurityPunctuation) -> list[SecurityPunctuation]:
@@ -256,21 +257,24 @@ class SPAnalyzer:
                 next_round.extend(self._refine_one(item, server_sp))
             current = next_round
         if self.audit is not None and current != [sp]:
-            # An SRP still open here matched no known role: it grants
-            # none.
-            result_roles: set[str] = set()
-            for item in current:
-                result_roles |= item.srp.concrete_roles() or frozenset()
-            self.audit.record(
-                "analyzer.refine", ts=sp.ts, operator="SPAnalyzer",
-                policy=tuple(sorted(sp.srp.concrete_roles() or ())),
-                sp=sp.to_text(),
-                result_roles=sorted(result_roles),
-                result_sps=len(current),
-                conservative=(self.conservative_refinements
-                              - conservative_before),
-            )
+            self._audit_refined(sp, current, self.conservative_refinements
+                                - conservative_before)
         return current
+
+    def _audit_refined(self, sp: SecurityPunctuation,
+                       current: list[SecurityPunctuation],
+                       conservative: int) -> None:
+        """One ``analyzer.refine`` record: ``sp`` became ``current``."""
+        result_roles: set[str] = set()
+        for item in current:
+            result_roles |= item.roles()
+        self.audit.record(
+            "analyzer.refine", ts=sp.ts, operator="SPAnalyzer",
+            # An open SRP here matched no known role: it grants none.
+            policy=tuple(sorted(sp.srp.concrete_roles() or ())),
+            sp=sp.to_text(), result_roles=sorted(result_roles),
+            result_sps=len(current), conservative=conservative,
+        )
 
     def _refine_one(self, sp: SecurityPunctuation,
                     server_sp: SecurityPunctuation) -> list[SecurityPunctuation]:
@@ -365,13 +369,30 @@ class SPAnalyzer:
         for sp in sps:
             roles = sp.srp.concrete_roles()
             if roles is None or not roles <= known:
-                sp = self._normalize(sp)
+                resolved = self._normalize(sp)
+                if resolved is None:
+                    # A grant to nobody: no reader after the entry sees
+                    # it, and under a server policy it is refined to
+                    # nothing.
+                    if refine is not None and self.audit is not None:
+                        self._audit_refined(sp, [], 0)
+                    continue
+                sp = resolved
             if refine is None:
                 out.append(sp)
             else:
                 out.extend(refine(sp))
         if refine is not None:
             out = self._server_negatives(sps, out)
+        if not out and sps and not all(sp.incremental for sp in sps):
+            # The whole batch grants nobody.  The boundary must still be
+            # announced — silently dropping it would leave the
+            # *previous* policy governing the new segment's tuples — so
+            # a wildcard negative sp, the explicit "grant nobody"
+            # policy, takes its place.  (An *incremental* batch that
+            # comes to nothing is a no-op delta: the current policy
+            # legitimately stays in force.)
+            out = [deny_all_sp(sps[0].ts)]
         if len(out) > 1:
             out = combine_batch(out)
         self.sps_out += len(out)
@@ -389,7 +410,7 @@ class SPAnalyzer:
         refined: list[SecurityPunctuation],
     ) -> list[SecurityPunctuation]:
         """``refined``, the refined sps of ``sps``, with the negative
-        server policies appended; a batch refined away denies all."""
+        server policies appended."""
         if not sps:
             return refined
         ts = sps[0].ts
@@ -404,15 +425,6 @@ class SPAnalyzer:
                     refined.append(
                         replace(restamped, incremental=True)
                         if all(sp.incremental for sp in sps) else restamped)
-        if not refined and not all(sp.incremental for sp in sps):
-            # The whole batch was refined away: nobody may access the
-            # upcoming segment.  The boundary must still be announced —
-            # silently dropping it would leave the *previous* policy
-            # governing the new segment's tuples.  A wildcard negative
-            # sp is the explicit "grant nobody" policy.  (An
-            # *incremental* batch refined away is a no-op delta: the
-            # current policy legitimately stays in force.)
-            refined = [deny_all_sp(ts)]
         return refined
 
     # -- streaming interface ---------------------------------------------------

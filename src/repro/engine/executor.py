@@ -313,10 +313,11 @@ class Executor:
 
         An sp hop and a run no member passes call no member: the group
         counts them, O(1) in its size.  A passing run calls only its
-        passers, each first brought up to date (:class:`SelectGroup`);
-        :meth:`stage_stats` and :meth:`_flush` bring every member up to
-        date.  A traced hop is one ``op.process`` span (no exemplar),
-        the parent of what members emit."""
+        passers' ``emit`` (and, once a segment, ``hold``); the group's
+        counts reach its members when :meth:`stage_stats` or
+        :meth:`_flush` settles it (:class:`SelectGroup`).  A traced hop
+        is one ``op.process`` span (no exemplar), the parent of what
+        members emit."""
         start = perf_counter()
         if type(element) is SecurityPunctuation:
             group.add_sp(element)
@@ -324,9 +325,9 @@ class Executor:
         else:
             run = element.tuples if type(element) is TupleBatch else (element,)
             rows, passing = len(run), group.passing(run)
-            if passing:
-                emitted, runs = group.emit(rows, passing)
             group.tuples += rows
+            if passing:
+                emitted = group.emit(rows, passing, run)
         elapsed = perf_counter() - start
         group.hops += 1
         group.seconds += elapsed
@@ -336,21 +337,21 @@ class Executor:
                                   rows=rows)
         if not passing:
             return []
-        group.credit(runs)
         return [(node, _tuple_by_tuple(out) if node.serial else out, root)
                 for node, out in emitted]
 
-    def _settle(self) -> None:
-        """Bring every selection group's members up to date."""
+    def _settle(self, end: bool = False) -> None:
+        """Credit and level every selection group's members (at the
+        ``end`` of the stream, as their ``flush`` would)."""
         for group in self._groups:
-            group.settle()
+            group.settle(end)
 
     def _flush(self) -> None:
         """End-of-stream: close each entry's trailing sp-batch, then
         flush operators in topological order."""
         if self.tracer is not None:
             self.tracer.span("executor.flush")
-        self._settle()
+        self._settle(end=True)
         for _, _, gate in self._sites.values():
             if gate is not None:
                 gate.close()

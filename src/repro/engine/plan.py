@@ -83,18 +83,17 @@ class SelectGroup:
     hops, tuples, sps and seconds so far (the executor bumps all but
     ``sps``) and keeps the sps of the current segment (an sp after a
     tuple hop starts the next one); an sp hop and a run no member
-    passes change nothing else.  Each member has a cursor, the counts
-    it was last brought up to date at: a run that passes it replays on
-    it what it missed, then its own emit (:meth:`emit`), and
-    :meth:`credit` charges it everything since the cursor — ``tuples``
-    and ``sps`` in, an equal share of each hop's seconds — in one
-    update.
-    :meth:`settle` brings every member up to date before anyone reads
-    their counters."""
+    passes change nothing else.  Every member sees the same hops, so
+    those counts are the group's: a passing run calls, per passer, the
+    ``hold`` of the segment's sps it has not taken (once per segment)
+    and its ``emit`` (:meth:`emit`); :meth:`settle` credits the counts
+    to every member, and brings each level, before anyone reads their
+    counters."""
 
     __slots__ = ("nodes", "selects", "attribute", "name", "members",
-                 "_sign", "_order", "_keys", "_cut", "hops", "tuples", "sps",
-                 "seconds", "segment", "_first_sp", "_first_tuple", "_seen")
+                 "_sign", "_order", "_keys", "_cut", "_prefix", "hops",
+                 "tuples", "sps", "seconds", "segment", "_first_sp",
+                 "_first_tuple", "_took", "_settled", "_passed")
 
     def __init__(self, stream_id: str, nodes: "list[PlanNode]"):
         self.nodes = tuple(nodes)  # plan order
@@ -110,6 +109,10 @@ class SelectGroup:
         self._keys = [keys[i] for i in self._order]
         #: A strict op passes the constants below the value.
         self._cut = bisect_left if op in ("<", ">") else bisect_right
+        #: Per prefix length, what a run of one passes (:meth:`passing`).
+        self._prefix = [tuple((index, None) for index
+                              in sorted(self._order[:count]))
+                        for count in range(len(keys) + 1)]
         #: Hops, tuples, sps and seconds so far.
         self.hops = self.tuples = self.sps = 0
         self.seconds = 0.0
@@ -117,16 +120,18 @@ class SelectGroup:
         #: before its first.
         self.segment: list[SecurityPunctuation] = []
         self._first_sp = self._first_tuple = 0
-        #: Per member, ``(hops, tuples, sps, seconds)`` when it was
-        #: last brought up to date; members levelled together share one.
-        self._seen = [(0, 0, 0, 0.0)] * len(keys)
+        #: Per member, the sp count when it last took the segment's sps.
+        self._took = [0] * len(keys)
+        #: The four counts at the last settle, and the tuples when a run
+        #: last passed or the group last settled.
+        self._settled = (0, 0, 0, 0.0)
+        self._passed = 0
 
     @property
     def rejected(self) -> int:
-        """Tuples of the runs no member has been brought up to date on:
-        those since the last run some member passed, or the last
-        :meth:`settle`."""
-        return self.tuples - max(seen[1] for seen in self._seen)
+        """Tuples of the runs since the last run some member passed, or
+        the last :meth:`settle`."""
+        return self.tuples - self._passed
 
     def add_sp(self, sp: SecurityPunctuation) -> None:
         """An sp hop: the sp joins the current segment, or starts the
@@ -139,12 +144,19 @@ class SelectGroup:
         self.sps += 1
 
     def passing(self, tuples: Sequence[DataTuple]
-                ) -> Sequence[tuple[int, list[DataTuple]]]:
+                ) -> "Sequence[tuple[int, list[DataTuple] | None]]":
         """``(member index, its passing tuples)`` of each member one run
         passes, in plan order (``None`` passes none; a non-number or NaN
-        sends the run to ``Condition.filter``)."""
+        sends the run to ``Condition.filter``).  A run of one int or
+        non-NaN float is one bisection: its prefix's precomputed
+        members, each with ``None``, the whole run."""
         attribute, keys, cut, sign = (
             self.attribute, self._keys, self._cut, self._sign)
+        if len(tuples) == 1:
+            value = tuples[0].values.get(attribute)
+            kind = type(value)
+            if kind is int or kind is float and value == value:
+                return self._prefix[cut(keys, sign * value)]
         # By rank, the passing tuples of the members passed so far.
         ranked: list[list[DataTuple]] = _NO_RUNS
         top = 0  # len(ranked)
@@ -166,74 +178,58 @@ class SelectGroup:
         return sorted(zip(self._order, ranked)) if top else ()
 
     def emit(self, size: int,
-             passing: "Sequence[tuple[int, list[DataTuple] | None]]"
-             ) -> "tuple[list[tuple[PlanNode, list]], list[tuple]]":
-        """Bring each member of ``passing`` (``(index, its passing
-        tuples)``) up to date, then emit its part of a run of ``size``
-        tuples; a member whose tuples are ``None`` (:meth:`settle`)
-        emits nothing.  Returns ``(node, output)`` per emitting member,
-        and the members by the cursor they were brought up from, for
-        :meth:`credit`.
-
-        The catch-up replays, in order, the hops since the member's
-        cursor: the rejected tuples before the current segment (one
-        ``emit`` of nothing), the sps of the segments it never saw
-        (``Select.discard``), the current segment's sps it has not held
-        or released yet (``hold``), its rejected tuples of the current
-        segment — which join the run's own ``emit``, as one ``emit`` of
-        nothing followed by one of the run counts their sum.  Members
-        that share a cursor share the reckoning."""
-        selects, nodes, seen = self.selects, self.nodes, self._seen
-        first_sp, first_tuple = self._first_sp, self._first_tuple
-        emitted: list[tuple[PlanNode, list]] = []
-        runs: list[tuple] = []
-        before = None
+             passing: "Sequence[tuple[int, list[DataTuple] | None]]",
+             run: Sequence[DataTuple]) -> "list[tuple[PlanNode, list]]":
+        """``(node, output)`` of each member of ``passing`` (``(index,
+        its passing tuples)``, ``None`` for all of ``run``, the hopped
+        run of ``size`` tuples): the member holds the current segment's
+        sps if it has not taken them yet, emits its tuples, and its
+        outputs are counted on its stats."""
+        selects, nodes, took, sps, segment = (
+            self.selects, self.nodes, self._took, self.sps, self.segment)
+        self._passed = self.tuples
+        emitted = []
         for index, tuples in passing:
-            if seen[index] is not before:
-                _, hopped, sps, _ = before = seen[index]
-                old = first_tuple - hopped if hopped < first_tuple else 0
-                skipped = first_sp - sps if sps < first_sp else 0
-                held = self.segment[max(sps - first_sp, 0):]
-                rejected = self.tuples - max(hopped, first_tuple)
-                indices, members, outs = [], [], []
-                runs.append((before, indices, members, outs))
             select = selects[index]
-            if old:
-                select.emit(old, [])
-            if skipped:
-                select.discard(skipped)
-            for sp in held:
-                select.hold(sp)
+            stats = select.stats
+            if took[index] != sps:
+                # Behind by a segment at least: this one's sps are new.
+                took[index] = sps
+                for sp in segment:
+                    select.hold(sp)
+                stats.sps_out += len(segment)
             if tuples is None:
-                out = select.emit(rejected, []) if rejected else []
-            else:
-                out = select.emit(rejected + size, tuples)
-                emitted.append((nodes[index], out))
-            indices.append(index)
-            members.append(select)
-            outs.append(out)
-        return emitted, runs
+                tuples = run
+            emitted.append((nodes[index], select.emit(size, tuples)))
+            stats.tuples_out += len(tuples)
+        return emitted
 
-    def credit(self, runs: "list[tuple]") -> None:
-        """Charge the members :meth:`emit` brought up to date everything
-        since their cursor, one ``credit`` call per cursor, and move
-        their cursors to now."""
+    def settle(self, end: bool = False) -> None:
+        """Credit every member the hops, tuples, sps and an equal share
+        of the seconds since the last settle (one ``credit`` call), and
+        bring each level: one ``emit`` of the tuples it was not
+        emitted, one ``discard`` of the sps of ended segments it never
+        took — at the ``end`` of the stream the current one's too, as a
+        lone select's ``flush`` does.  What a member was emitted, took
+        and discarded is read off its counters, which start at zero
+        with the group's."""
         now = hops, tuples, sps, seconds = (
             self.hops, self.tuples, self.sps, self.seconds)
-        seen, share = self._seen, 1 / len(self._seen)
-        for before, indices, members, outs in runs:
-            credit(members, hops - before[0], (seconds - before[3]) * share,
-                   tuples - before[1], sps - before[2], outs)
-            for index in indices:
-                seen[index] = now
-
-    def settle(self) -> None:
-        """Bring every member up to date: replay and charge what it
-        missed since its cursor."""
-        now = (self.hops, self.tuples, self.sps, self.seconds)
-        _, runs = self.emit(0, [(index, None) for index, seen
-                                in enumerate(self._seen) if seen != now])
-        self.credit(runs)
+        last, self._settled, self._passed = self._settled, now, tuples
+        ended = sps if end else self._first_sp
+        selects = self.selects
+        for select, took in zip(selects, self._took):
+            stats = select.stats
+            if stats.comparisons != tuples:
+                select.emit(tuples - stats.comparisons, [])
+            skipped = (max(took, ended) - stats.sps_out
+                       - select.sps_discarded)
+            if skipped:
+                select.discard(skipped)
+        if end:
+            self._took = [sps] * len(selects)
+        credit(selects, hops - last[0], (seconds - last[3]) / len(selects),
+               tuples - last[1], sps - last[2], [()] * len(selects))
 
 
 class EntryGate(PolicyTracker):

@@ -10,7 +10,8 @@ settings that produced them.
 Determinism discipline: every random draw comes from one
 ``random.Random(f"sp-verify:{seed}:{index}")`` instance (plus one
 draw of its own deciding whether a ``select``/``multi_query`` scenario
-carries incremental sp-batches, and one drawing its server policy) —
+carries incremental sp-batches, one drawing its server policy and one
+a ``multi_query`` scenario's extra sibling selects) —
 no wall clock, no global random state — so ``repro verify --seed N``
 is byte-reproducible and every scenario can be regenerated from its
 ``(seed, index)`` pair alone.
@@ -440,6 +441,8 @@ def generate_scenario(seed: int, index: int) -> Scenario:
             twin = dict(condition, value=rng.randint(0, 6))
             plan = _maybe_shield(rng, dict(select, input=_scan(sid),
                                            condition=twin), qroles, p=0.5)
+            queries.update(_siblings(seed, index, select,
+                                     {condition["value"], twin["value"]}))
     else:  # baseline
         sid = add_stream(0, wildcard_only=True)
         plan = _scan(sid)
@@ -450,6 +453,24 @@ def generate_scenario(seed: int, index: int) -> Scenario:
     return Scenario(seed=seed, index=index, shape=shape, knobs=knobs,
                     streams=streams, queries=queries,
                     server=_server_policy(seed, index, shape, knobs))
+
+
+def _siblings(seed: int, index: int, select: dict, taken: set) -> dict:
+    """``q2``… : one to three more sibling selects of a ``multi_query``
+    scenario's ``q1``, each with a constant no sibling has, so its
+    selection group has three to five members.  Drawn apart from the
+    scenario's own ``rng``, like :func:`_server_policy`: everything
+    else is what was generated before them."""
+    rng = random.Random(f"sp-verify:{seed}:{index}:siblings")
+    free = [value for value in range(7) if value not in taken]
+    queries = {}
+    for number, value in enumerate(rng.sample(free, rng.randint(1, 3)), 2):
+        roles = sorted(rng.sample(ROLE_POOL, rng.randint(1, 2)))
+        condition = dict(select["condition"], value=value)
+        queries[f"q{number}"] = {"roles": roles, "plan": _maybe_shield(
+            rng, dict(select, input=dict(select["input"]),
+                      condition=condition), roles, p=0.5)}
+    return queries
 
 
 def _server_policy(seed: int, index: int, shape: str, knobs: dict) -> list:

@@ -201,10 +201,14 @@ def refine_streams(
 
 def _object_roles(batch: Sequence[SecurityPunctuation], sid: object,
                   tid: object, attr: object) -> frozenset[str]:
+    """Roles ``batch`` grants on one object.  An open role pattern
+    grants nobody, as the engine's entry rules for one that matches no
+    known role (the generator draws no open pattern, so none that
+    matches one reaches here)."""
     granted: set[str] = set()
     for sp in batch:
         if sp.is_positive and sp.ddp.describes(sid, tid, attr):
-            granted |= sp.roles()
+            granted |= sp.srp.concrete_roles() or frozenset()
     if not granted:
         return frozenset()
     for sp in batch:

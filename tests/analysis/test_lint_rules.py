@@ -200,6 +200,9 @@ SEEDS = {
         "    def ev" + "ent(self, name, *, keep=False, **attrs):"),
     "a switch costs the group O(1)": (
         "src/repro/engine/executor.py", "select.hold(element)"),
+    "a pass replays nothing": (
+        "src/repro/engine/plan.py",
+        "        self._seen = [(0, 0, 0, 0.0)] * len(keys)"),
     "one figure harness": (
         "benchmarks/x.py", "def test_fig7a(bench" + "mark, streams):  # "
         "bench_" + "fig7a"),
@@ -231,6 +234,8 @@ ALLOWED = [
      "self.sink.emit(SpanEvent(*row))"),
     ("src/repro/operators/base.py", "share = elapsed / len(operators)"),
     ("src/repro/engine/executor.py", "group.add_sp(element)"),
+    ("src/repro/engine/plan.py",
+     "        credit(selects, hops - last[0], share, tuples, sps, outs)"),
     ("src/repro/observability/audit.py", "    def ev" + "ent(self, i):"),
     ("src/repro/engine/plan.py",
      "            batch = analyzer.process_batch(batch)"),

@@ -5,7 +5,7 @@ from repro.core.analyzer import (SPAnalyzer, combine_batch, conjoin_ddp,
 from repro.core.bitmap import RoleUniverse
 from repro.core.patterns import ANY, literal, numeric_range, one_of, regex
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
-                                    SecurityRestriction)
+                                    SecurityRestriction, Sign)
 from repro.stream.tuples import DataTuple
 
 
@@ -187,6 +187,32 @@ class TestNormalization:
         analyzer = SPAnalyzer()
         analyzer.process_batch([grant(["brand_new_role"])])
         assert "brand_new_role" in analyzer.universe
+
+    @staticmethod
+    def unmatched(**kwargs):
+        return SecurityPunctuation(
+            ddp=DataDescription(stream=literal("s")),
+            srp=SecurityRestriction.parse("/Z.*/"), ts=1.0, provider="p",
+            **kwargs)
+
+    def test_a_pattern_matching_no_role_grants_nobody(self):
+        """Resolved at the entry, no reader after it sees the open
+        grant: the sp contributes nothing to its batch, and a batch of
+        nothing else is the explicit grant-nobody boundary."""
+        analyzer = SPAnalyzer(RoleUniverse(["A"]))
+        assert analyzer.process_batch([grant(["A"]), self.unmatched()]) == [
+            grant(["A"])]
+        (boundary,) = analyzer.process_batch([self.unmatched()])
+        assert not boundary.is_positive and boundary.srp.roles.is_wildcard()
+        # A denial keeps its pattern: it denies nobody known yet.
+        denial = self.unmatched(sign=Sign.NEGATIVE)
+        assert analyzer.process_batch([denial]) == [denial]
+
+    def test_an_incremental_delta_to_nobody_is_a_no_op(self):
+        analyzer = SPAnalyzer(RoleUniverse(["A"]))
+        assert analyzer.process_batch([SecurityPunctuation(
+            ddp=DataDescription(), srp=SecurityRestriction.parse("/Z.*/"),
+            ts=1.0, provider="p", incremental=True)]) == []
 
 
 class TestAnalyzeStream:

@@ -13,6 +13,7 @@ from repro.observability import Observability
 from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
+from repro.stream.wire import decode_element
 from tests.drive import push_all
 
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
@@ -179,6 +180,47 @@ class TestImmutablePolicies:
         # The immutable sp survives the server policy; the mutable one
         # is refined to nothing.
         assert [t.tid for t in results["doc"].tuples] == [1]
+
+
+class TestOpenPatternWithoutServerPolicy:
+    """A provider line whose open role pattern matches no known role
+    grants nobody: the analyzer resolves it at the entry, so its
+    segment is denied and audited, and neither a run nor a session
+    raises."""
+
+    LINES = [
+        '{"k":"sp","sp":"<*, *, * | A | + | F | 0.0>"}',
+        '{"k":"t","sid":"hr","tid":1,"ts":1.0,'
+        '"v":{"patient":1,"bpm":72}}',
+        '{"k":"sp","sp":"<hr, *, * | /Z.*/ | + | F | 2.0>"}',
+        '{"k":"t","sid":"hr","tid":2,"ts":3.0,'
+        '"v":{"patient":2,"bpm":80}}',
+    ]
+
+    def _dsms(self, observability=None):
+        dsms = DSMS(observability=observability)
+        dsms.register_stream(SCHEMA, [decode_element(line)
+                                      for line in self.LINES])
+        dsms.register_query("q", ScanExpr("hr"), roles={"A"})
+        return dsms
+
+    def test_run_denies_the_segment(self):
+        results = self._dsms().run()
+        assert [t.tid for t in results["q"].tuples] == [1]
+
+    def test_session_denies_the_segment(self):
+        results = push_all(self._dsms())
+        assert [t.tid for t in results["q"].tuples] == [1]
+
+    @pytest.mark.parametrize("drive", ["run", "session"])
+    def test_the_denial_is_audited(self, drive):
+        dsms = self._dsms(Observability.in_memory())
+        if drive == "run":
+            dsms.run()
+        else:
+            push_all(dsms)
+        (denied,) = dsms.audit.explain(2)
+        assert (denied.kind, denied.query) == ("shield.drop", "q")
 
 
 class TestUnmatchedOpenPattern:

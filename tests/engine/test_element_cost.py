@@ -4,6 +4,7 @@ select a policy switch does not pass —
 and every counter of the engine that pays more.  No clock here: frames
 are counted with ``sys.setprofile``, counters against literals."""
 
+import contextlib
 import sys
 from unittest import mock
 
@@ -149,9 +150,10 @@ class TestRunOfOnePath:
                         for i in range(3) for element in (sp, item)]
 
 
-def select_calls(action) -> tuple[int, int]:
-    """``(Select.hold calls, Select.emit calls)`` made by ``action()``."""
-    calls = {"hold": 0, "emit": 0}
+def select_calls(action, names=("hold", "emit")) -> tuple[int, ...]:
+    """How often ``action()`` called each of the ``Select`` methods
+    ``names`` (by default ``(hold calls, emit calls)``)."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         method = getattr(Select, name)
@@ -161,16 +163,18 @@ def select_calls(action) -> tuple[int, int]:
             return method(self, *args)
         return counted
 
-    with mock.patch.object(Select, "hold", counting("hold")), \
-            mock.patch.object(Select, "emit", counting("emit")):
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(
+                mock.patch.object(Select, name, counting(name)))
         action()
-    return calls["hold"], calls["emit"]
+    return tuple(calls[name] for name in names)
 
 
 class TestSwitchCost:
     """A policy switch costs the 32-member group O(1): an sp hop and a
     run no member passes call no member; a passing run calls only its
-    passers, each first brought up to date; a report brings every member
+    passers, replaying nothing they missed; a report brings every member
     level."""
 
     def test_a_switch_no_member_passes_calls_no_member(self):
@@ -186,18 +190,37 @@ class TestSwitchCost:
         session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 2.0))
         session.push("s", tup(-1, 3.0))
         # v = 1 passes q0..q7 (v > i/8): each holds the new sp, then
-        # emits the rejected tuple it missed together with its own run.
+        # emits its own run.
         assert select_calls(lambda: session.push("s", tup(1, 4.0))) == (
             8, 8)
+
+    @pytest.mark.parametrize("rejected", [1, 4])
+    def test_a_passer_holds_once_a_segment_and_replays_nothing(
+            self, rejected):
+        """After ``rejected`` pushes no member passes, a passing push
+        calls each passer's ``hold`` once (the segment is new to it) and
+        ``emit`` once, and no ``discard``; the next passing push of the
+        segment calls only ``emit``."""
+        counted = ("hold", "emit", "discard")
+        session = warm_session(32)
+        session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 2.0))
+        for i in range(rejected):
+            session.push("s", tup(-1, 3.0 + i))
+        assert select_calls(lambda: session.push("s", tup(1, 10.0)),
+                            counted) == (8, 8, 0)
+        assert select_calls(lambda: session.push("s", tup(1, 11.0)),
+                            counted) == (0, 8, 0)
 
     def test_a_report_brings_every_member_level(self):
         session = warm_session(32)
         session.push("s", SecurityPunctuation.grant(["D", "N", "C"], 2.0))
         session.push("s", tup(-1, 3.0))
         session.push("s", tup(1, 4.0))
-        # The 24 members the run missed: the sp, one emit of both
-        # rejected tuples.
-        assert select_calls(session.report) == (24, 24)
+        # One emit per member of the tuples it was not emitted: both for
+        # the 24 members the run missed, the rejected one for its 8
+        # passers.  The 24 hold the sp they never took no more: it is
+        # theirs to discard when its segment ends (here, at close).
+        assert select_calls(session.report) == (0, 32)
         assert select_calls(session.report) == (0, 0)
         selects = [node.operator for node in session._plan.nodes
                    if type(node.operator) is Select]

@@ -13,6 +13,7 @@ element-wise session and under arbitrary run cuts.
 import math
 import random
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +255,30 @@ def test_only_indexable_comparisons_join_a_group():
     hops, _ = plan.push_sites()["s"]
     assert len(hops) == 2 and not any(
         type(hop) is SelectGroup for hop in hops)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(constants=st.lists(st.sampled_from(CONSTANTS), min_size=2,
+                          max_size=8))
+def test_a_run_of_one_passes_what_the_general_path_passes(op, value,
+                                                         constants):
+    """A run of one int or non-NaN float is one bisection into the
+    precomputed passers of its prefix (``None``: the whole run); any
+    other value takes the general path.  Either way a run of one passes
+    what the same tuple twice passes, each passer's first copy, and
+    what each member's own condition passes."""
+    (group,), _ = entry_hops(*(Comparison("v", op, c) for c in constants))
+    item = DataTuple("s", 0, {"w": 0} if value is MISSING else {"v": value},
+                     1.0)
+    one = [(index, [item] if tuples is None else tuples)
+           for index, tuples in group.passing([item])]
+    assert one == [(index, tuples[:1])
+                   for index, tuples in group.passing([item, item])]
+    assert one == [(index, passed) for index, select
+                   in enumerate(group.selects)
+                   if (passed := select.condition.filter([item]))]
 
 
 def test_a_lone_select_is_no_group():

@@ -41,6 +41,8 @@ def reference_process_batch(analyzer, sps):
     ts = sps[0].ts if sps else 0.0
     for sp in sps:
         sp = analyzer._normalize(sp)
+        if sp is None:  # a grant whose open pattern matches no role
+            continue
         refined.extend(analyzer._refine(sp) if analyzer._server_sps
                        else [sp])
     for server_sp in analyzer._server_sps:

@@ -6,7 +6,8 @@ independent of the engine.
 """
 
 from repro.core.patterns import literal
-from repro.core.punctuation import SecurityPunctuation
+from repro.core.punctuation import (DataDescription, SecurityPunctuation,
+                                    SecurityRestriction)
 from repro.stream.tuples import DataTuple
 from repro.verify.oracle import (NaiveTracker, canonical_tid, resolve_batch,
                                  run_oracle, signature)
@@ -93,6 +94,18 @@ class TestResolution:
         batch = (grant(["R1"], 0.0, tuple_id=literal(7)),)
         assert resolve_batch(batch, t(7, 1.0)) == {"R1"}
         assert resolve_batch(batch, t(8, 1.0)) == frozenset()
+
+    def test_an_unresolved_open_pattern_grants_nobody(self):
+        """As the engine's entry rules for a pattern that matches no
+        known role: its segment is denied, nothing raises."""
+        unmatched = SecurityPunctuation(
+            ddp=DataDescription(stream=literal("s")),
+            srp=SecurityRestriction.parse("/Z.*/"), ts=2.0, provider="s")
+        outcome = run_oracle(
+            {"s": [grant(["R1"], 0.0), t(0, 1.0), unmatched, t(1, 3.0)]},
+            scan_query(["R1"]))
+        assert delivered_tids(outcome) == [0]
+        assert outcome.denied["q"] == 1
 
 
 class TestCanonicalTid:
