@@ -23,12 +23,8 @@ fi
 echo "== repo lint rules (AST rules and grep guards) =="
 python scripts/lint_rules.py
 
-echo "== plan lint (static security analysis) =="
-PYTHONPATH=src python -m repro lint examples/plans/*.json \
-    tests/verify/cases/*.json
-
-echo "== plan lint, strict (warnings fail on example plans) =="
-PYTHONPATH=src python -m repro lint --strict examples/plans/*.json
+echo "== example plans replay against the oracle =="
+PYTHONPATH=src python -m repro verify --replay examples/plans/*.json
 
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

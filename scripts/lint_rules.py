@@ -31,14 +31,6 @@ Rules
     from the executor (``Tracer.op_span``), and a security decision is
     an audit record (RL003), never a span.
 
-``RL005`` — UDF conditions must declare their read-sets.  Any
-    ``FuncCondition(...)`` construction under ``src/repro`` or
-    ``examples/`` must pass an explicit ``attributes=`` (second
-    positional or keyword) argument: an empty declaration makes
-    SEC002's pruning analysis reason as if the predicate read
-    nothing.  Use ``FuncCondition.wrap(fn)`` to declare the statically
-    inferred read-set automatically.
-
 Grep guards
 -----------
 
@@ -163,12 +155,16 @@ GUARDS = (
           r"_coerce", ("src/repro/core/punctuation.py",),
           "role tokens are names: read SRP text with patterns.parse_names; "
           "see DESIGN.md section 1, The sp text format"),
-    Guard("one analysis per question",
-          r"analyze_plan|plancheck|_bytecode_reads|with_delivery"
-          r"|DELIVERY_PREFIX", ("src",),
-          "build_plan re-checks the compiled expressions with "
-          "analyze_expr, and a UDF's read-set comes from its source "
-          "alone; see docs/ANALYSIS.md"),
+    Guard("no static analyzer",
+          r"\brepro[.]analysis\b|\banalyze=|\bPlanAnalysis(Error|Warning)\b"
+          r"|\bUdfDeclarationWarning\b|\bFuncCondition[.]wrap\b"
+          r"|\bSEC00[1-8]\b|\brepro lint\b",
+          ("src", "tests", "examples", ".github", "README.md", "DESIGN.md",
+           "docs"),
+          "access control is enforced at run time, by the SP Analyzer and "
+          "the Security Shields; no static rule changed what a registered "
+          "query delivers, so the plan analyzer, analyze= and repro lint "
+          "are gone; see DESIGN.md section 6"),
     Guard("one plan, as registered",
           r"Optimizer|OptimizeLevel|CostModel|StatisticsCatalog"
           r"|RewriteContext", ("src",),
@@ -417,31 +413,6 @@ def check_rl004(path: Path, tree: ast.AST) -> "list[Finding]":
     return findings
 
 
-def check_rl005(path: Path, tree: ast.AST) -> "list[Finding]":
-    """``FuncCondition(...)`` built without an attributes declaration."""
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        callee = (func.id if isinstance(func, ast.Name)
-                  else func.attr if isinstance(func, ast.Attribute)
-                  else "")
-        if callee != "FuncCondition":
-            continue
-        has_positional = len(node.args) >= 2
-        has_keyword = any(kw.arg == "attributes" for kw in node.keywords)
-        if not has_positional and not has_keyword:
-            findings.append(Finding(
-                path, node.lineno, "RL005",
-                "FuncCondition built without an attributes "
-                "declaration; the static analysis reasons from "
-                "Condition.attributes(), so an empty declaration is an "
-                "unsound input (use attributes=(...) or "
-                "FuncCondition.wrap)"))
-    return findings
-
-
 def lint_file(path: Path) -> "list[Finding]":
     """All rule findings for one source file."""
     try:
@@ -456,8 +427,6 @@ def lint_file(path: Path) -> "list[Finding]":
     if (SRC / "operators") in path.parents:
         findings.extend(check_rl003(path, tree))
         findings.extend(check_rl004(path, tree))
-    if SRC in path.parents or (REPO / "examples") in path.parents:
-        findings.extend(check_rl005(path, tree))
     return findings
 
 

@@ -24,13 +24,10 @@ Quickstart::
 
 from repro.algebra import (JoinExpr, ProjectExpr, ScanExpr, SelectExpr,
                            ShieldExpr)
-from repro.analysis import (AnalysisReport, Diagnostic, Severity,
-                            analyze_expr)
 from repro.core import (Policy, RoleUniverse, SecurityPunctuation, Sign,
                         SPAnalyzer, TuplePolicy)
 from repro.engine import DSMS, ContinuousQuery, QueryResult
-from repro.errors import (PlanAnalysisError, PlanAnalysisWarning,
-                          ReproError)
+from repro.errors import ReproError
 from repro.observability import (AuditEvent, AuditLog, JsonlTraceSink,
                                  Observability, StageStats, Tracer)
 from repro.operators import (IndexSAJoin, NestedLoopSAJoin, Project,
@@ -40,20 +37,16 @@ from repro.stream import DataTuple, StreamSchema
 __version__ = "1.0.0"
 
 __all__ = [
-    "AnalysisReport",
     "AuditEvent",
     "AuditLog",
     "ContinuousQuery",
     "DSMS",
     "DataTuple",
-    "Diagnostic",
     "IndexSAJoin",
     "JoinExpr",
     "JsonlTraceSink",
     "NestedLoopSAJoin",
     "Observability",
-    "PlanAnalysisError",
-    "PlanAnalysisWarning",
     "Policy",
     "Project",
     "ProjectExpr",
@@ -66,7 +59,6 @@ __all__ = [
     "SecurityShield",
     "Select",
     "SelectExpr",
-    "Severity",
     "ShieldExpr",
     "Sign",
     "StageStats",
@@ -74,5 +66,4 @@ __all__ = [
     "Tracer",
     "TuplePolicy",
     "__version__",
-    "analyze_expr",
 ]

@@ -42,14 +42,6 @@ Commands
     traced runs, baselines) against the reference oracle, optionally
     inject sp faults, and shrink any mismatch to a minimal JSON
     reproducer.
-``lint <file>... [--format text|json] [--strict]``
-    Static security analysis of plan-spec / scenario JSON files:
-    shield coverage (SEC001), attribute-leak (SEC002), redundant
-    shields (SEC003), rewrite preconditions (SEC004), spec
-    consistency (SEC005) and UDF effects — undeclared reads (SEC006),
-    impure/nondeterministic callables (SEC007), sp-pruning widened by
-    a UDF read (SEC008).  Exit 1 on error-severity findings (with
-    ``--strict``: also on warnings).
 """
 
 from __future__ import annotations
@@ -294,32 +286,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.speclint import lint_file
-
-    reports = {path: lint_file(path) for path in args.paths}
-    n_errors = sum(len(report.errors) for report in reports.values())
-    n_warnings = sum(len(report.warnings) for report in reports.values())
-    if args.format == "json":
-        print(json.dumps({
-            "files": {path: report.to_dict()
-                      for path, report in reports.items()},
-            "errors": n_errors,
-            "warnings": n_warnings,
-        }, indent=2, sort_keys=True))
-    else:
-        for path, report in reports.items():
-            for diagnostic in report.sorted():
-                print(f"{path}: {diagnostic}")
-        print(f"{len(reports)} file(s) checked: {n_errors} error(s), "
-              f"{n_warnings} warning(s)")
-    if n_errors or (args.strict and n_warnings):
-        return 1
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.campaign import replay_cases, run_campaign
 
@@ -429,18 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shrink failing scenarios and write minimal "
                              "reproducers into DIR")
     verify.set_defaults(fn=_cmd_verify)
-
-    lint = sub.add_parser(
-        "lint",
-        help="static security analysis of plan/scenario JSON files")
-    lint.add_argument("paths", nargs="+", metavar="FILE",
-                      help="plan-spec or scenario JSON files")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json"],
-                      help="report format (default: text)")
-    lint.add_argument("--strict", action="store_true",
-                      help="exit non-zero on warnings too")
-    lint.set_defaults(fn=_cmd_lint)
     return parser
 
 

@@ -214,8 +214,11 @@ class SPAnalyzer:
         """Register a server-specified policy (translated to sp form)."""
         if sp.provider is not None:
             raise PolicyError("server policies must have provider=None")
-        # A server pattern that matches no known role yet stays open.
-        self._server_sps.append(self._normalize(sp) or sp)
+        # An open pattern stays open: each batch is refined against the
+        # roles known then, not frozen to the ones known now.
+        if sp.srp.concrete_roles() is not None:
+            self._normalize(sp)  # registers its roles
+        self._server_sps.append(sp)
 
     # -- normalization ------------------------------------------------------
     def _normalize(self, sp: SecurityPunctuation
@@ -279,8 +282,11 @@ class SPAnalyzer:
     def _refine_one(self, sp: SecurityPunctuation,
                     server_sp: SecurityPunctuation) -> list[SecurityPunctuation]:
         # The server roles ``sp`` grants: those its SRP matches, which
-        # for an open pattern that matched no known role may be none.
-        server_roles = server_sp.roles()
+        # may be none.  An open server pattern names the known roles it
+        # matches now, when the batch is refined.
+        server_roles = server_sp.srp.concrete_roles()
+        if server_roles is None:
+            server_roles = server_sp.srp.resolve(self.universe.roles())
         restricted = sp.srp.resolve(server_roles) & server_roles
         conj = conjoin_ddp(sp.ddp, server_sp.ddp)
         if conj is None:

@@ -622,7 +622,8 @@ def apply_incremental_batch(
         if sp.is_positive:
             roles |= sp.roles()
         else:
-            roles -= sp.roles()
+            # An open pattern retracts the roles in force it matches.
+            roles -= sp.srp.resolve(roles)
     if roles:
         return [SecurityPunctuation.grant(sorted(roles), ts,
                                           provider=provider)]

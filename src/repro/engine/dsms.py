@@ -22,16 +22,12 @@ stored server-side).
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.access.rbac import RBACModel
 from repro.algebra.expressions import LogicalExpr, ShieldExpr
-from repro.analysis.diagnostics import AnalysisReport
-from repro.analysis.exprcheck import analyze_expr
-from repro.analysis.lattice import StreamFacts
 from repro.core.analyzer import SPAnalyzer
 from repro.core.bitmap import RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
@@ -39,7 +35,7 @@ from repro.engine.catalog import StreamCatalog
 from repro.engine.executor import ExecutionReport, Executor
 from repro.engine.plan import PhysicalPlan
 from repro.engine.query import ContinuousQuery
-from repro.errors import PlanAnalysisError, PlanAnalysisWarning, QueryError
+from repro.errors import QueryError
 from repro.observability import AuditLog, Observability
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
@@ -125,27 +121,16 @@ class DSMS:
 
     # -- queries ---------------------------------------------------------
     def register_query(self, name: str, expr: LogicalExpr, *,
-                       roles=None, user_id: str | None = None,
-                       analyze: str = "off") -> ContinuousQuery:
+                       roles=None, user_id: str | None = None
+                       ) -> ContinuousQuery:
         """Register a continuous query for a set of roles or a user.
 
         With ``user_id`` (requires an RBAC model) the query inherits
         the user's active roles and the user is locked against role
         re-assignment for the lifetime of the registration.
-
-        ``analyze`` selects static plan analysis: ``"off"`` (default),
-        ``"warn"`` (findings emitted as :class:`PlanAnalysisWarning`),
-        or ``"strict"`` (error-severity findings raise
-        :class:`PlanAnalysisError` and the query is *not* registered —
-        rejection happens before a single tuple flows).  Both checks
-        assume the query's ``delivery:<name>`` outlet, so a plan with
-        no shield of its own is not a finding.  The chosen mode also
-        re-runs the analysis at :meth:`build_plan` time, against the
-        streams registered by then.
         """
         if name in self.queries:
             raise QueryError(f"query {name!r} already registered")
-        locked = False
         if roles is None:
             if user_id is None or self.rbac is None:
                 raise QueryError(
@@ -155,48 +140,11 @@ class DSMS:
             if session is not None:
                 roles = session.active_roles
             self.rbac.lock(user_id)
-            locked = True
         for role in roles:
             self.universe.register(role)
-        query = ContinuousQuery(name, expr, roles, user_id=user_id,
-                                analyze=analyze)
-        if query.analyze != "off":
-            report = analyze_expr(
-                query.expr, facts=self._stream_facts(),
-                roles=sorted(query.roles), assume_delivery=True,
-                name=name)
-            try:
-                self._apply_analysis(report, query.analyze,
-                                     where=f"query {name!r}")
-            except PlanAnalysisError:
-                if locked and self.rbac is not None:
-                    self.rbac.unlock(user_id)
-                raise
+        query = ContinuousQuery(name, expr, roles, user_id=user_id)
         self.queries[name] = query
         return query
-
-    def _stream_facts(self) -> StreamFacts:
-        """Catalog schemas as (otherwise-unknown) static stream facts.
-
-        Stream *contents* are runtime data the static layer must not
-        assume, so the facts stay three-valued unknown; the declared
-        schemas alone let the lattice track attribute sets.
-        """
-        return StreamFacts(schemas={
-            sid: tuple(self.catalog.get(sid).schema.attributes)
-            for sid in self.catalog.stream_ids()})
-
-    def _apply_analysis(self, report: AnalysisReport, mode: str,
-                        where: str) -> None:
-        """Enforce one analysis report per the registration's mode."""
-        if mode == "strict" and not report.ok:
-            raise PlanAnalysisError(
-                f"{where}: static analysis found "
-                f"{len(report.errors)} error(s):\n"
-                + report.render_text("  "), report)
-        for diagnostic in report.errors + report.warnings:
-            warnings.warn(f"{where}: {diagnostic}",
-                          PlanAnalysisWarning, stacklevel=3)
 
     def deregister_query(self, name: str) -> None:
         query = self.queries.pop(name, None)
@@ -270,16 +218,6 @@ class DSMS:
         plan = PhysicalPlan(self.universe)
         # Every stream entry runs the SP Analyzer on its sp-batches.
         plan.analyzer = self.analyzer
-        facts = self._stream_facts()
-        for name, query in self.queries.items():
-            if query.analyze != "off":
-                # Re-check against the streams registered by now: a
-                # stream registered after the query adds its facts.
-                self._apply_analysis(
-                    analyze_expr(query.expr, facts=facts,
-                                 roles=sorted(query.roles),
-                                 assume_delivery=True, name=name),
-                    query.analyze, where="compiled plan")
         # Each query's results leave through one fixed check for its
         # roles, its ``delivery:<name>`` outlet (docs/PERFORMANCE.md,
         # "One shield per query").

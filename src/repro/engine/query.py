@@ -20,13 +20,9 @@ __all__ = ["ContinuousQuery"]
 class ContinuousQuery:
     """One registered continuous query."""
 
-    #: Valid static-analysis modes for a registration.
-    ANALYZE_MODES = ("off", "warn", "strict")
-
     def __init__(self, name: str, expr: LogicalExpr,
                  roles: frozenset[str] | set[str] | tuple | list,
-                 *, user_id: str | None = None,
-                 analyze: str = "off"):
+                 *, user_id: str | None = None):
         if not name:
             raise QueryError("query requires a name")
         roles = frozenset(roles)
@@ -35,14 +31,9 @@ class ContinuousQuery:
                 f"query {name!r} has no roles; every query specifier "
                 "must belong to at least one role"
             )
-        if analyze not in self.ANALYZE_MODES:
-            raise QueryError(
-                f"query {name!r}: analyze={analyze!r} is not one of "
-                f"{self.ANALYZE_MODES}")
         self.name = name
         self.roles = roles
         self.user_id = user_id
-        self.analyze = analyze
         self.expr = expr
 
     def with_expr(self, expr: LogicalExpr) -> "ContinuousQuery":
@@ -51,7 +42,6 @@ class ContinuousQuery:
         clone.name = self.name
         clone.roles = self.roles
         clone.user_id = self.user_id
-        clone.analyze = self.analyze
         clone.expr = expr
         return clone
 

@@ -49,43 +49,6 @@ class PlanError(ReproError):
     """A query plan is structurally invalid."""
 
 
-class PlanAnalysisError(PlanError):
-    """Static plan analysis rejected a plan (error-severity findings).
-
-    Raised by strict-mode registration and plan compilation *before any
-    tuple is processed*.  :attr:`report` carries the full
-    :class:`~repro.analysis.diagnostics.AnalysisReport` so callers can
-    inspect every diagnostic, not just the summary message.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class PlanAnalysisWarning(UserWarning):
-    """Static plan analysis found a non-fatal issue (``analyze="warn"``).
-
-    Emitted via :mod:`warnings` for every error- or warning-severity
-    diagnostic when a query is registered or compiled with analysis in
-    warn mode (and for warning-severity findings in strict mode, which
-    only *raises* on errors).
-    """
-
-
-class UdfDeclarationWarning(UserWarning):
-    """A ``FuncCondition`` was built with an unsound declaration.
-
-    Emitted at construction time when the ``attributes`` declaration is
-    empty (or provably incomplete) for a non-trivial callable: every
-    layer that reasons from ``Condition.attributes()`` — SEC002's
-    pruning analysis — would silently treat the UDF as reading
-    nothing.  Strict-mode analysis
-    (``register_query(analyze="strict")``) upgrades the same condition
-    to a SEC006 error.
-    """
-
-
 class CQLSyntaxError(ReproError):
     """A CQL statement could not be parsed."""
 

@@ -1,23 +1,19 @@
 """Selection and join conditions.
 
 Conditions are introspectable predicate objects rather than bare
-lambdas so the static analysis can reason about them (attribute
-footprints, UDF effects), a run can be filtered in one kernel, and the
-CQL layer can build them from parsed expressions.  They are all callable on a
+lambdas so a run can be filtered in one kernel, sibling comparisons
+can share one selection-group hop, and the CQL layer can build them
+from parsed expressions.  They are all callable on a
 :class:`~repro.stream.tuples.DataTuple`.
 """
 
 from __future__ import annotations
 
 import operator
-import warnings
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.errors import PlanError, UdfDeclarationWarning
+from repro.errors import PlanError
 from repro.stream.tuples import DataTuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.udf import EffectReport
 
 __all__ = ["Condition", "Comparison", "And", "Or", "Not", "FuncCondition",
            "TrueCondition"]
@@ -208,17 +204,9 @@ class Not(Condition):
 class FuncCondition(Condition):
     """Escape hatch: wrap an arbitrary callable.
 
-    ``attributes`` must be declared so the static analysis stays
-    correct; the UDF effect analyzer (:mod:`repro.analysis.udf`)
-    verifies the declaration against the callable's inferred read-set
-    at analysis time (SEC006) and proves purity/determinism (SEC007).
-
-    Constructing one with an *empty* declaration and a non-trivial
-    callable emits :class:`~repro.errors.UdfDeclarationWarning`
-    immediately — an empty ``attributes()`` makes every downstream
-    proof reason as if the predicate read nothing.  Use
-    :meth:`wrap` to declare the analyzer's inferred read-set
-    automatically.
+    ``attributes`` is the read-set the caller declares; nothing checks
+    it against the callable.  A named UDF from
+    :mod:`repro.operators.udfs` carries its registered read-set.
     """
 
     def __init__(self, fn: Callable[[DataTuple], bool],
@@ -227,42 +215,6 @@ class FuncCondition(Condition):
         self._fn = fn
         self._attributes = frozenset(attributes)
         self.label = label
-        self._effects: "EffectReport | None" = None
-        if not self._attributes:
-            effects = self.effects
-            if effects.reads is None or effects.reads:
-                read = ("an unverifiable set of attributes"
-                        if effects.reads is None
-                        else f"attributes {sorted(effects.reads)}")
-                warnings.warn(
-                    f"FuncCondition {label!r} declares no attributes "
-                    f"but its callable reads {read}; SEC002 pruning "
-                    "and the SEC006 check reason from the "
-                    "declaration — pass attributes=(...) (or use "
-                    "FuncCondition.wrap) to keep them sound",
-                    UdfDeclarationWarning, stacklevel=2)
-
-    @classmethod
-    def wrap(cls, fn: Callable[[DataTuple], bool],
-             label: str = "fn") -> "FuncCondition":
-        """Wrap ``fn`` declaring its statically inferred read-set.
-
-        Falls back to an empty declaration (with the construction-time
-        warning) when the read-set is not statically determinable.
-        """
-        from repro.analysis.udf import analyze_callable
-
-        effects = analyze_callable(fn)
-        return cls(fn, effects.reads or (), label=label)
-
-    @property
-    def effects(self) -> "EffectReport":
-        """Lazily computed effect analysis of the wrapped callable."""
-        if self._effects is None:
-            from repro.analysis.udf import analyze_callable
-
-            self._effects = analyze_callable(self._fn)
-        return self._effects
 
     @property
     def fn(self) -> Callable[[DataTuple], bool]:

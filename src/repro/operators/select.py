@@ -27,9 +27,7 @@ class Select(UnaryOperator):
     def __init__(self, condition: Condition, *, name: str | None = None):
         super().__init__(name)
         if callable(condition) and not isinstance(condition, Condition):
-            # Bare callables get their read-set inferred by the UDF
-            # effect analyzer; unverifiable ones warn at construction.
-            condition = FuncCondition.wrap(condition)
+            condition = FuncCondition(condition)
         self.condition: Condition = condition
         #: Sps of the current segment not yet propagated.
         self._held_sps: list[SecurityPunctuation] = []

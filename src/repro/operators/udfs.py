@@ -1,7 +1,7 @@
 """Named UDF registry for spec-based plans.
 
-Plan specs (``examples/plans/*.json``, the verify harness, ``repro
-lint``) are pure data, but selections sometimes need predicates the
+Plan specs (``examples/plans/*.json``, the verify harness) are pure
+data, but selections sometimes need predicates the
 ``{"attribute", "op", "value"}`` comparison form cannot express.  The
 registry gives those a *named* escape hatch:
 
@@ -12,16 +12,18 @@ registry gives those a *named* escape hatch:
 
 Each :class:`RegisteredUdf` pairs a callable with its declared
 attribute read-set; :func:`named_udf` materializes it as a
-:class:`~repro.operators.conditions.FuncCondition` so the full effect
-analysis (SEC006-SEC008) applies unchanged.
-The reference oracle evaluates the *same* registered callable — by construction the callable is the semantics,
-so registered UDFs must stay pure and deterministic or the
-differential harness (and SEC007) will flag them.
+:class:`~repro.operators.conditions.FuncCondition` carrying that
+read-set.  The reference oracle evaluates the *same* registered
+callable — by construction the callable is the semantics, so
+registered UDFs must stay pure and deterministic or the differential
+harness will flag them.
 
-The built-ins below are written in the analyzer's provable fragment
-(``.get`` reads, ``None`` guards, arithmetic and constant
-comparisons) on purpose: they double as end-to-end fixtures proving
-that a declared-correct pure UDF filters whole runs and commutes.
+The built-ins below read only their declared attributes (``.get``
+reads, ``None`` guards, arithmetic and constant comparisons) and keep
+no state: the Table II proofs (``tests/algebra/table2.py``) take a
+registered UDF's declaration as its read-set, so they double as
+end-to-end fixtures proving that a declared-correct pure UDF filters
+whole runs and commutes.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def udf_entry(name: str) -> RegisteredUdf:
 
 
 def named_udf(name: str) -> FuncCondition:
-    """The registered UDF as an analyzable ``FuncCondition``."""
+    """The registered UDF as a ``FuncCondition``."""
     return udf_entry(name).condition()
 
 

@@ -291,7 +291,7 @@ class Mismatch:
     scenario: str
     config: str
     query: str
-    kind: str  # "delivered" | "denied" | "drops" | "error" | "analysis"
+    kind: str  # "delivered" | "denied" | "drops" | "error"
     detail: str
 
     def __str__(self) -> str:
@@ -348,16 +348,6 @@ def verify_scenario(scenario: Scenario, *,
     """
     report = ScenarioReport(scenario)
     descr = scenario.describe()
-    # Static analysis gate: a scenario the oracle can run must never
-    # carry error-severity findings (warnings/infos are fine — e.g.
-    # SEC003 on a dominated shield).  An error here is a real defect
-    # in the scenario or the analyzer.
-    from repro.analysis.speclint import lint_scenario_object
-
-    for diagnostic in lint_scenario_object(scenario).errors:
-        report.mismatches.append(Mismatch(
-            descr, "analysis/strict", diagnostic.node_path, "analysis",
-            str(diagnostic)))
     if oracle is None:
         oracle = run_oracle(scenario.decoded(), scenario.queries,
                             scenario.server_policies())

@@ -32,6 +32,7 @@ from typing import Callable
 
 from repro.core.patterns import ANY, literal, one_of
 from repro.core.punctuation import SecurityPunctuation, Sign
+from repro.errors import PlanError
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 from repro.stream.wire import decode_element, encode_element
@@ -111,6 +112,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario ``data`` spells (:class:`PlanError` when a plan
+        names an unknown operator or scans an undeclared stream)."""
+        for name, query in data["queries"].items():
+            _check_plan(name, query["plan"], data["streams"])
         return cls(
             seed=data.get("seed", 0),
             index=data.get("index", 0),
@@ -181,6 +186,23 @@ class _StreamState:
     elements: list = field(default_factory=list)
     ts: float = 0.0
     next_tid: int = 0
+
+
+#: The operators a plan spec may name (``differ.expr_from_spec``).
+_SPEC_OPS = frozenset({"scan", "shield", "select", "project", "dupelim",
+                       "groupby", "join"})
+
+
+def _check_plan(name: str, spec: dict, streams: dict) -> None:
+    op = spec.get("op")
+    if op not in _SPEC_OPS:
+        raise PlanError(f"query {name!r}: unknown plan op {op!r}")
+    if op == "scan" and spec.get("stream") not in streams:
+        raise PlanError(f"query {name!r} scans undeclared stream "
+                        f"{spec.get('stream')!r}")
+    for key in ("input", "left", "right"):
+        if key in spec:
+            _check_plan(name, spec[key], streams)
 
 
 def _draw_roles(rng: random.Random, k_max: int = 3) -> list[str]:

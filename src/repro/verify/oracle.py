@@ -122,7 +122,7 @@ class NaiveTracker:
             if sp.is_positive:
                 roles |= sp.roles()
             else:
-                roles -= sp.roles()
+                roles -= sp.srp.resolve(roles)
         if not roles:
             return ()
         return (SecurityPunctuation.grant(sorted(roles), batch[0].ts),)
@@ -152,7 +152,8 @@ def _refined(batch: "list[SecurityPunctuation]",
                 if sp.immutable or not sp.is_positive:
                     kept.append(sp)
                     continue
-                roles = sp.roles() & policy.roles()
+                # An open server pattern keeps the roles it matches.
+                roles = sp.roles() & policy.srp.resolve(sp.roles())
                 if roles:
                     kept.append(sp.with_roles(sorted(roles)))
             out = kept
@@ -297,9 +298,8 @@ def _evaluate_condition(spec: dict, item: DataTuple) -> bool:
     """Mirror of the engine Comparison semantics (None/TypeError → False)."""
     if "udf" in spec:
         # Named UDFs have no algebraic mirror: the registered callable
-        # *is* the semantics, so the oracle evaluates it directly.
-        # Purity/determinism of registered UDFs is enforced by SEC007
-        # and the registry's analyzer-provable built-in style.
+        # *is* the semantics, so the oracle evaluates it directly
+        # (registered UDFs are pure and deterministic).
         from repro.operators.udfs import call_udf
 
         return call_udf(spec["udf"], item)

@@ -4,7 +4,7 @@ The engine compiles every query as registered and applies none of
 these rules; they live beside their proofs.  The suites that import
 this module (``test_rules``, ``test_rules_equivalence``,
 ``test_rule_equivalence_property``, ``test_select_rules``,
-``test_three_way_join``, ``test_udf_effects``) register a rewritten
+``test_three_way_join``, ``test_udf_proofs``) register a rewritten
 expression and call ``DSMS.run()`` to show that each rule preserves
 what every query delivers.
 
@@ -37,15 +37,18 @@ closed: a precondition that cannot be proven absent
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr,
                                        JoinExpr, LogicalExpr, ProjectExpr,
                                        ScanExpr, SelectExpr, ShieldExpr,
                                        UnionExpr, walk)
-from repro.analysis.udf import Proof, condition_udfs
+from repro.operators.conditions import And, FuncCondition, Not, Or
+from repro.operators.udfs import registered_udfs
 
 __all__ = [
+    "Proof",
     "RewriteContext",
     "Rule",
     "SplitShield",
@@ -64,6 +67,7 @@ __all__ = [
     "PushSelectIntoJoin",
     "ALL_RULES",
     "apply_at",
+    "condition_udfs",
     "condition_verified",
     "equivalent_forms",
     "hazard_absent",
@@ -80,34 +84,61 @@ def hazard_absent(flag: "bool | None") -> bool:
     return flag is False
 
 
-def verify_declaration(cond) -> Proof:
+class Proof(enum.Enum):
+    """Outcome of trying to prove a property of a condition."""
+
+    #: The property holds.
+    PROVEN = "proven"
+    #: The property provably fails.
+    REFUTED = "refuted"
+    #: Nothing is known; fail closed.
+    UNKNOWN = "unknown"
+
+
+def condition_udfs(cond) -> "list[FuncCondition]":
+    """Every ``FuncCondition`` leaf reachable in a condition tree."""
+    if isinstance(cond, (And, Or)):
+        return [udf for part in cond.parts for udf in condition_udfs(part)]
+    if isinstance(cond, Not):
+        return condition_udfs(cond.inner)
+    return [cond] if isinstance(cond, FuncCondition) else []
+
+
+def verify_declaration(cond: FuncCondition) -> Proof:
     """Prove a ``FuncCondition``'s declared attribute set covers its
-    inferred read-set."""
-    reads = cond.effects.reads
-    if reads is None:
-        return Proof.UNKNOWN
-    return Proof.PROVEN if reads <= cond.attributes() else Proof.REFUTED
+    read-set.
+
+    Only a registered UDF (:mod:`repro.operators.udfs`) has a known
+    read-set: its registered declaration, for the same callable, pure
+    and deterministic by the registry's contract.  PROVEN when the
+    condition declares at least that, REFUTED when it declares less;
+    any other callable is UNKNOWN.
+    """
+    for entry in registered_udfs().values():
+        if entry.fn is cond.fn:
+            return (Proof.PROVEN if entry.attributes <= cond.attributes()
+                    else Proof.REFUTED)
+    return Proof.UNKNOWN
 
 
 def condition_verified(cond) -> Proof:
     """The proof the select rules consult before moving a condition.
 
-    PROVEN when every UDF leaf is proven pure, deterministic *and*
-    read-verified — algebraic leaves (``Comparison`` etc.) are
-    trivially proven.  Moving an unproven UDF across a Security Shield
-    or a join changes which tuples its side effects observe, so
-    UNKNOWN refuses the rewrite (fail closed), like the hazard flags
-    of :class:`RewriteContext`.  REFUTED < UNKNOWN < PROVEN.
+    PROVEN when every UDF leaf is a registered UDF whose declaration
+    covers its registered read-set (:func:`verify_declaration`) —
+    algebraic leaves (``Comparison`` etc.) are trivially proven.
+    Moving an unproven UDF across a Security Shield or a join changes
+    which tuples its side effects observe, so UNKNOWN refuses the
+    rewrite (fail closed), like the hazard flags of
+    :class:`RewriteContext`.  REFUTED < UNKNOWN < PROVEN.
     """
     proof = Proof.PROVEN
     for udf in condition_udfs(cond):
-        effects = udf.effects
-        for part in (effects.purity, effects.determinism,
-                     verify_declaration(udf)):
-            if part is Proof.REFUTED:
-                return part
-            if part is Proof.UNKNOWN:
-                proof = part
+        part = verify_declaration(udf)
+        if part is Proof.REFUTED:
+            return part
+        if part is Proof.UNKNOWN:
+            proof = part
     return proof
 
 
@@ -267,7 +298,7 @@ class CommuteSelectShield(_CommuteUnaryShield):
     """Rule 2: σ_c(ψ_p(T)) ≡ ψ_p(σ_c(T)), guarded on UDF proofs.
 
     For algebraic conditions the commute is exact.  A ``FuncCondition``
-    moves across the shield only on the effect analyzer's proof
+    moves across the shield only when it is a proven registered UDF
     (:func:`condition_verified`): pushing σ below ψ
     makes the UDF observe tuples the shield would have dropped, which
     an impure or nondeterministic callable can tell apart, and an
@@ -450,8 +481,8 @@ class SplitSelect(Rule):
     """Classical rule: σ_{c1 ∧ c2}(T) ≡ σ_c1(σ_c2(T)).
 
     Splitting (and merging) reorders conjunct evaluation and changes
-    short-circuit call counts, so any UDF conjunct must carry the
-    effect analyzer's proof before the rule applies.
+    short-circuit call counts, so any UDF conjunct must be a proven
+    registered UDF before the rule applies.
     """
 
     name = "split-select"
@@ -464,7 +495,6 @@ class SplitSelect(Rule):
     def apply(self, expr: LogicalExpr, ctx: RewriteContext) -> LogicalExpr:
         assert isinstance(expr, SelectExpr)
         first, *rest = expr.condition.conjuncts()
-        from repro.operators.conditions import And
         inner_condition = rest[0] if len(rest) == 1 else And(rest)
         return SelectExpr(SelectExpr(expr.input, inner_condition), first)
 
@@ -485,7 +515,6 @@ class MergeSelects(Rule):
         assert isinstance(expr, SelectExpr)
         inner = expr.input
         assert isinstance(inner, SelectExpr)
-        from repro.operators.conditions import And
         return SelectExpr(inner.input,
                           And((expr.condition, inner.condition)))
 
@@ -512,9 +541,9 @@ class PushSelectIntoJoin(Rule):
         join = expr.input
         if condition_verified(expr.condition) is not Proof.PROVEN:
             # The side decision trusts Condition.attributes(); a UDF's
-            # declaration only counts once the effect analyzer proves
-            # it covers the inferred read-set (and the callable is
-            # pure — pushdown changes what the UDF observes).
+            # declaration only counts for a registered UDF, whose
+            # read-set it covers and whose callable is pure (pushdown
+            # changes what the UDF observes).
             return None
         attrs = expr.condition.attributes()
         if not attrs:

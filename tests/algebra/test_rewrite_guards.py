@@ -1,12 +1,7 @@
-"""Table II's fail-closed guards and the SEC004 sites they mirror."""
+"""Table II's fail-closed guards: an unknown precondition refuses."""
 
 from repro.algebra.expressions import (DupElimExpr, GroupByExpr, JoinExpr,
                                        ProjectExpr, ScanExpr, ShieldExpr)
-from repro.analysis import hazard_sites
-from repro.analysis.lattice import StreamFacts
-from repro.core.patterns import literal
-from repro.core.punctuation import SecurityPunctuation
-from repro.stream.tuples import DataTuple
 from tests.algebra.table2 import (ALL_RULES, RewriteContext,
                                   equivalent_forms, hazard_absent)
 
@@ -77,52 +72,3 @@ class TestFailClosedDefault:
             ShieldExpr(ScanExpr("s"), frozenset({"R1"})), 5.0, None)
         assert commuted not in closed
         assert commuted in opened
-
-
-def _hetero_facts():
-    elements = [
-        SecurityPunctuation.grant(["R1"], 0.0, provider="s"),
-        DataTuple("s", 0, {"a": 1}, 1.0),
-        SecurityPunctuation.grant(["R2"], 2.0, provider="s"),
-        DataTuple("s", 1, {"a": 1}, 3.0),
-    ]
-    return StreamFacts.from_elements({"s": elements}, {"s": ("a",)})
-
-
-class TestHazardSites:
-    def test_heterogeneous_stream_refutes_dupelim_commute(self):
-        expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
-                          frozenset({"R1"}))
-        report = hazard_sites(expr, _hetero_facts())
-        (diag,) = report.by_code("SEC004")
-        assert diag.severity.label == "warning"
-        assert "commute-dupelim-shield" in diag.message
-
-    def test_attribute_scoped_stream_refutes_project_commute(self):
-        elements = [
-            SecurityPunctuation.grant(["R1"], 0.0, provider="s",
-                                      attribute=literal("a")),
-            DataTuple("s", 0, {"a": 1, "b": 2}, 1.0),
-        ]
-        facts = StreamFacts.from_elements({"s": elements},
-                                          {"s": ("a", "b")})
-        expr = ProjectExpr(ShieldExpr(ScanExpr("s"), frozenset({"R1"})),
-                           ("b",))
-        report = hazard_sites(expr, facts)
-        assert any("commute-project-shield" in d.message
-                   for d in report.by_code("SEC004"))
-
-    def test_uniform_stream_is_silent(self):
-        elements = [
-            SecurityPunctuation.grant(["R1"], 0.0, provider="s"),
-            DataTuple("s", 0, {"a": 1}, 1.0),
-        ]
-        facts = StreamFacts.from_elements({"s": elements}, {"s": ("a",)})
-        expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
-                          frozenset({"R1"}))
-        assert len(hazard_sites(expr, facts)) == 0
-
-    def test_unknown_facts_are_silent(self):
-        expr = ShieldExpr(DupElimExpr(ScanExpr("s"), 5.0, None),
-                          frozenset({"R1"}))
-        assert len(hazard_sites(expr, StreamFacts.unknown())) == 0

@@ -1,1 +1,1 @@
-"""Tests for the static security-plan analyzer (repro.analysis)."""
+"""Tests for the repo's own lint script (scripts/lint_rules.py)."""

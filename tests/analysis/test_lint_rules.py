@@ -115,40 +115,8 @@ class TestRL004:
         assert findings(lint_rules.check_rl004, source) == []
 
 
-class TestRL005:
-    def test_bare_func_condition_flagged(self):
-        found = findings(lint_rules.check_rl005,
-                         "cond = FuncCondition(lambda t: True)\n")
-        assert len(found) == 1
-        assert found[0].rule == "RL005"
-
-    def test_label_keyword_alone_still_flagged(self):
-        found = findings(
-            lint_rules.check_rl005,
-            'cond = FuncCondition(fn, label="guard")\n')
-        assert len(found) == 1
-
-    def test_positional_attributes_allowed(self):
-        found = findings(lint_rules.check_rl005,
-                         'cond = FuncCondition(fn, ("x", "y"))\n')
-        assert found == []
-
-    def test_keyword_attributes_allowed(self):
-        found = findings(
-            lint_rules.check_rl005,
-            'cond = FuncCondition(fn, attributes=["x"])\n')
-        assert found == []
-
-    def test_wrap_classmethod_not_flagged(self):
-        # .wrap infers the declaration itself; the callee name differs
-        # so the rule must not fire on it.
-        found = findings(lint_rules.check_rl005,
-                         "cond = FuncCondition.wrap(fn)\n")
-        assert found == []
-
-
-#: One violating line per guard, by guard name.  The execution-mode
-#: seed is split so that this file does not match that guard itself.
+#: One violating line per guard, by guard name.  A seed whose guard
+#: scans ``tests`` is split so that this file does not match it.
 SEEDS = {
     "one execution mode": ("docs/x.md", "dsms.run(batch" + "ing=True)"),
     "one encoder, one decoder": ("src/repro/stream/wire.py",
@@ -174,8 +142,9 @@ SEEDS = {
                            'SecurityShield(r, name=f"delivery:{q}")'),
     "role names are names": ("src/repro/core/punctuation.py",
                              "value = _coerce(token)"),
-    "one analysis per question": ("src/x.py",
-                                  "from repro.analysis import analyze_plan"),
+    "no static analyzer": (
+        "tests/x.py", "dsms.register_query(q, e, roles=r, anal"
+        + 'yze="strict")'),
     "one plan, as registered": ("src/x.py",
                                 "dsms.run(optimize=OptimizeLevel.WORKLOAD)"),
     "one process": ("examples/x.py", "results = dsms.run(shards=2)"),
@@ -239,6 +208,7 @@ ALLOWED = [
     ("src/repro/observability/audit.py", "    def ev" + "ent(self, i):"),
     ("src/repro/engine/plan.py",
      "            batch = analyzer.process_batch(batch)"),
+    ("tests/x.py", "out = list(dsms.analyzer.analyze_batched(feed))"),
 ]
 
 

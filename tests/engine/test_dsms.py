@@ -223,6 +223,83 @@ class TestOpenPatternWithoutServerPolicy:
         assert (denied.kind, denied.query) == ("shield.drop", "q")
 
 
+class TestOpenIncrementalDenial:
+    """An incremental denial with an open role pattern retracts the
+    roles in force that it matches — here none, so ``A`` keeps the
+    second segment — and neither a run nor a session raises."""
+
+    LINES = [
+        '{"k":"sp","sp":"<*, *, * | A | + | F | 0.0>"}',
+        '{"k":"t","sid":"hr","tid":1,"ts":1.0,'
+        '"v":{"patient":1,"bpm":72}}',
+        '{"k":"sp","sp":"<*, *, * | /Z.*/ | - | F | 2.0 | INC>"}',
+        '{"k":"t","sid":"hr","tid":2,"ts":3.0,'
+        '"v":{"patient":2,"bpm":80}}',
+        '{"k":"sp","sp":"<*, *, * | /A.*/ | - | F | 4.0 | INC>"}',
+        '{"k":"t","sid":"hr","tid":3,"ts":5.0,'
+        '"v":{"patient":3,"bpm":90}}',
+    ]
+
+    def _dsms(self):
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, [decode_element(line)
+                                      for line in self.LINES])
+        dsms.register_query("q", ScanExpr("hr"), roles={"A"})
+        return dsms
+
+    def test_run_retracts_only_matched_roles(self):
+        results = self._dsms().run()
+        assert [t.tid for t in results["q"].tuples] == [1, 2]
+
+    def test_session_retracts_only_matched_roles(self):
+        results = push_all(self._dsms())
+        assert [t.tid for t in results["q"].tuples] == [1, 2]
+
+
+class TestOpenServerGrant:
+    """A server grant with an open role pattern keeps, of each provider
+    grant, the roles it matches among those known when the batch is
+    refined: ``/Z.*/`` matches no role of the first batch, so that
+    segment is denied, not aborted, and ``Z1`` of the second."""
+
+    def _dsms(self):
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, [
+            grant(["A"], 0.0),
+            reading(1, 72, 1.0),
+            grant(["A", "Z1"], 2.0),
+            reading(2, 80, 3.0),
+        ])
+        dsms.add_server_policy(decode_element(
+            '{"k":"sp","sp":"<*, *, * | /Z.*/ | + | F | 0.0>"}'))
+        dsms.register_query("q", ScanExpr("hr"), roles={"A"})
+        dsms.register_query("z", ScanExpr("hr"), roles={"Z1"})
+        return dsms
+
+    @pytest.mark.parametrize("drive", ["run", "session"])
+    def test_refines_to_the_matched_roles(self, drive):
+        dsms = self._dsms()
+        results = dsms.run() if drive == "run" else push_all(dsms)
+        assert [t.tid for t in results["q"].tuples] == []
+        assert [t.tid for t in results["z"].tuples] == [2]
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_a_role_known_at_registration_does_not_freeze_it(self, sign):
+        """``Z1`` is known when the server policy is added; ``Z2``,
+        which the pattern matches too, arrives later and is granted
+        (``+``) or denied (``-``) all the same."""
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, [grant(["A", "Z2"], 0.0),
+                                      reading(1, 72, 1.0)])
+        dsms.register_query("z1", ScanExpr("hr"), roles={"Z1"})
+        dsms.add_server_policy(decode_element(
+            f'{{"k":"sp","sp":"<*, *, * | /Z.*/ | {sign} | F | 0.0>"}}'))
+        dsms.register_query("z2", ScanExpr("hr"), roles={"Z2"})
+        results = dsms.run()
+        assert [t.tid for t in results["z2"].tuples] == (
+            [1] if sign == "+" else [])
+
+
 class TestUnmatchedOpenPattern:
     """A provider sp whose open role pattern matched no known role
     grants the server roles it matches — none — so under a server grant

@@ -7,8 +7,6 @@ them.  Role re-binding rewrites the outlet and the query's own in-plan
 shields; a shield another query reads must keep its predicate.
 """
 
-import warnings
-
 import pytest
 
 from repro.algebra.expressions import ScanExpr, ShieldExpr
@@ -105,17 +103,6 @@ class TestCompileQueries:
         plan.compile_chain(expr, [CollectingSink()])
         plan.compile_queries([("q", expr, {"R"})])
         assert plan.queries["q"][1].name == "delivery:q"
-
-    def test_unshielded_queries_analyze_silently(self):
-        dsms = DSMS()
-        dsms.register_stream(SCHEMA, segments())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for i, role in enumerate("RX"):
-                dsms.register_query(f"q{i}", ScanExpr("s").select(
-                    Comparison("a", ">", i)), roles={role},
-                    analyze="warn")
-            dsms.build_plan()
 
 
 def tids(elements):

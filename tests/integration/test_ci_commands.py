@@ -7,8 +7,8 @@ renamed one would only fail in CI.  This reads each ``run:`` step of
 ``\\`` continuations joined), cuts each repro command at its first
 shell operator, replaces ``${{ … }}`` expressions with a literal, and
 hands the arguments to the CLI's own parser.  :class:`TestStepTwins`
-runs what the "Metrics exposition smoke" and "Plan lint" steps run and
-asserts what they assert.
+runs what the "Metrics exposition smoke" and "Example plans replay"
+steps run and asserts what they assert.
 """
 
 import re
@@ -106,17 +106,15 @@ class TestStepTwins:
         samples = parse_prometheus(capsys.readouterr().out)
         assert [name for name in required if name not in samples] == []
 
-    def test_plan_lint_smoke(self, capsys):
-        """``repro lint`` passes the example plans and the verify cases,
-        and ``--strict`` passes every example plan."""
+    def test_example_plans_replay_smoke(self, capsys):
+        """``repro verify --replay`` runs every example plan against the
+        oracle with no mismatch."""
         examples = sorted(str(path) for path in
                           (REPO / "examples" / "plans").glob("*.json"))
-        cases = sorted(str(path) for path in
-                       (REPO / "tests" / "verify" / "cases").glob("*.json"))
-        assert len(examples) >= 3 and cases
+        assert len(examples) >= 3
         text = CI.read_text(encoding="utf-8")
-        assert "lint examples/plans/*.json" in text
-        assert "tests/verify/cases/*.json" in text
-        assert "lint --strict" in text
-        assert main(["lint", *examples, *cases]) == 0
-        assert main(["lint", "--strict", *examples]) == 0
+        assert "verify --replay examples/plans/*.json" in text
+        assert main(["verify", "--replay", *examples]) == 0
+        out = capsys.readouterr().out
+        assert f"== {len(examples)} case(s)" in out
+        assert ", 0 mismatches" in out

@@ -3,6 +3,8 @@
 import io
 from contextlib import redirect_stdout
 
+import pytest
+
 from repro.cli import main
 
 
@@ -35,3 +37,29 @@ def test_replay_exit_codes(tmp_path):
     code, out = _run(["verify", "--replay", *paths])
     assert code == 0
     assert f"replaying {len(paths)}" in out
+
+
+def _malformed(plan):
+    """``examples/plans/shielded-select.json`` with one plan node bent."""
+    import json
+    from pathlib import Path
+
+    path = (Path(__file__).resolve().parents[2] / "examples" / "plans"
+            / "shielded-select.json")
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    plan(spec["queries"]["tachycardia"]["plan"]["input"])
+    return spec
+
+
+@pytest.mark.parametrize("plan", [
+    lambda select: select.update(op="filter"),
+    lambda select: select["input"].update(stream="nosuch"),
+    lambda select: select.update(condition={"udf": "nosuch"}),
+], ids=["unknown-op", "undeclared-stream", "unregistered-udf"])
+def test_a_malformed_spec_fails_its_replay(tmp_path, plan):
+    import json
+
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(_malformed(plan)), encoding="utf-8")
+    code, _ = _run(["verify", "--replay", str(path)])
+    assert code != 0

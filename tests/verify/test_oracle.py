@@ -5,7 +5,7 @@ each asserts a fact that follows from the paper's semantics by hand,
 independent of the engine.
 """
 
-from repro.core.patterns import literal
+from repro.core.patterns import literal, parse_names
 from repro.core.punctuation import (DataDescription, SecurityPunctuation,
                                     SecurityRestriction)
 from repro.stream.tuples import DataTuple
@@ -253,6 +253,13 @@ class TestServerPolicies:
     def test_a_grant_intersects_a_mutable_sp(self):
         assert self.roles([grant(["R1", "R2"], 1.0), t(0, 2.0)],
                           [SERVER_GRANT]) == [("R1",)]
+
+    def test_an_open_grant_keeps_the_roles_it_matches(self):
+        server = SecurityPunctuation(
+            ddp=DataDescription(),
+            srp=SecurityRestriction(parse_names("/R[13]/")), ts=0.0)
+        assert self.roles([grant(["R1", "R2"], 1.0), t(0, 2.0)],
+                          [server]) == [("R1",)]
 
     def test_a_grant_leaves_an_immutable_sp(self):
         assert self.roles(

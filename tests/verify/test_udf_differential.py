@@ -5,8 +5,8 @@ multiset under every configuration ``configs_for`` generates —
 element-wise / segment-batched, NL / index join, audited and traced —
 because the registered callable *is* the semantics on both sides: the
 oracle calls it directly while the engine routes it through
-``FuncCondition`` and the effect analyzer's proofs.  Zero mismatches
-here is the acceptance bar for the whole proof chain.
+``FuncCondition``.  Zero mismatches here is the acceptance bar for the
+registered-UDF path.
 """
 
 import json
